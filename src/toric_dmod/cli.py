@@ -132,7 +132,8 @@ def parse_class(text: str, grading: GradingData):
     group = grading.class_group
     width = group.free_rank + len(group.torsion_orders)
     try:
-        coords = tuple(int(x) for x in text.split(","))
+        # the empty string names the only class of a trivial class group
+        coords = tuple(int(x) for x in text.split(",")) if text.strip() else ()
     except ValueError as exc:
         raise ParseError(f"bad class coordinates {text!r}") from exc
     if len(coords) != width:
@@ -280,6 +281,10 @@ def cmd_charvar(args) -> int:
     fan = load_fan(args.fan)
     grading = grading_data(fan)
     pres = load_module(args.module, grading)
+    if args.charts:
+        # fail before the report, not after computing all of it
+        for cone in grading.fan.max_cones:
+            dmod.require_full_smooth_cone(grading, cone)
     rep = charvar.dimension_report(grading, pres)
     report = Report(args.format)
     _add_cl_header(report, grading)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop
 from itertools import combinations, product
 from math import comb, perm
+from operator import add, ge, le, sub
 
 from .parsing import format_terms
 from .weyl import WeylElement
@@ -210,117 +212,129 @@ def _vec_lt(vec: dict, morder: ModuleOrder):
     return key, vec[key]
 
 
-def _vec_sub_scaled(f: dict, g: dict, c: Fraction, shift) -> dict:
-    """f - c * x^shift * g, in place on a copy of f."""
-    out = dict(f)
-    for (comp, e), cg in g.items():
-        key = (comp, tuple(x + s for x, s in zip(e, shift)))
-        nc = out.get(key, Fraction(0)) - c * cg
+class _Reducer:
+    """A divisor for reduction: leading component and exponent, and the other
+    terms divided by the leading coefficient, as (component, exponent, c)."""
+
+    __slots__ = ("comp", "lead", "tail")
+
+    def __init__(self, vec: dict, morder: ModuleOrder):
+        lk, lc = _vec_lt(vec, morder)
+        self.comp, self.lead = lk
+        self.tail = [(comp, e, c if lc == 1 else c / lc)
+                     for (comp, e), c in vec.items() if (comp, e) != lk]
+
+
+def _sub_shifted(work: dict, tail, shift, c):
+    """work -= c * x^shift * tail, in place."""
+    for tcomp, te, tc in tail:
+        k = (tcomp, tuple(map(add, te, shift)))
+        nc = work.get(k, 0) - c * tc
         if nc:
-            out[key] = nc
+            work[k] = nc
         else:
-            out.pop(key, None)
-    return out
+            del work[k]
+
+
+def _reduce(work: dict, reducers: list[_Reducer], morder: ModuleOrder) -> dict:
+    """Full normal form of work, which is consumed in place. Each term is
+    reduced by the first reducer whose leading term divides it."""
+    key = morder.key
+    remainder: dict = {}
+    while work:
+        ce = max(work, key=key)
+        c = work.pop(ce)
+        comp, e = ce
+        for r in reducers:
+            if r.comp == comp and all(map(ge, e, r.lead)):
+                break
+        else:
+            remainder[ce] = c
+            continue
+        _sub_shifted(work, r.tail, tuple(map(sub, e, r.lead)), c)
+    return remainder
 
 
 def vec_normal_form(f: dict, basis: list[dict], morder: ModuleOrder) -> dict:
     """Full normal form; terms not reducible by any basis leading term remain."""
-    lts = [_vec_lt(g, morder) for g in basis]
-    work = dict(f)
-    remainder: dict = {}
-    while work:
-        (comp, e), c = _vec_lt(work, morder)
-        hit = None
-        for idx, ((gcomp, ge), gc) in enumerate(lts):
-            if gcomp == comp and all(x >= y for x, y in zip(e, ge)):
-                hit = (idx, gc, tuple(x - y for x, y in zip(e, ge)))
-                break
-        if hit is None:
-            remainder[(comp, e)] = c
-            del work[(comp, e)]
-        else:
-            idx, gc, shift = hit
-            work = _vec_sub_scaled(work, basis[idx], c / gc, shift)
-    return remainder
+    return _reduce(dict(f), [_Reducer(g, morder) for g in basis], morder)
 
 
-def _vec_monic(f: dict, morder: ModuleOrder) -> dict:
-    _, c = _vec_lt(f, morder)
-    if c == 1:
-        return f
-    return {k: v / c for k, v in f.items()}
+def _divides(a, b) -> bool:
+    return all(map(le, a, b))
 
 
 def buchberger_vec(gens: list[dict], morder: ModuleOrder) -> list[dict]:
-    """Reduced Groebner basis of the submodule generated by gens."""
-    import heapq
+    """Reduced Groebner basis of the submodule generated by gens.
 
-    basis = [_vec_monic(g, morder) for g in gens if g]
-    basis.sort(key=lambda g: morder.key(_vec_lt(g, morder)[0]))
-    # drop duplicates
-    seen = set()
-    uniq = []
-    for g in basis:
-        key = tuple(sorted(g.items()))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(g)
-    basis = uniq
-    lms = [_vec_lt(g, morder)[0] for g in basis]
+    Pairs are managed by the Gebauer-Moeller update as each element is
+    inserted: criteria M and F keep one new pair per minimal lcm, criterion B
+    drops an old pair when the new leading term divides its lcm and both
+    lcms with the new element differ from it, and live elements whose
+    leading term the new one divides stop being reducers (their pairs stay
+    queued). The product criterion only applies to ideals (rank one): in a
+    free module it fails, e.g. for x e1 + e2 and y e1. Pairs and
+    divisibility never mix components. Pairs are taken by smallest lcm.
+    Inputs are reduced before they are inserted.
+    """
+    elems: list[_Reducer] = []     # every inserted element, by index
+    live: list[int] = []           # indices of the current reducers
+    pairs: list = []               # heap of (lcm key, i, j, lcm)
 
-    heap: list = []
+    def insert(h: dict):
+        r = _Reducer(h, morder)
+        comp, lead = r.comp, r.lead
+        hi = len(elems)
+        elems.append(r)
+        new = []                   # (lcm, index, product criterion applies)
+        for g in live:
+            rg = elems[g]
+            if rg.comp == comp:
+                lcm = tuple(map(max, lead, rg.lead))
+                new.append((lcm, g, morder.rank == 1
+                            and lcm == tuple(map(add, lead, rg.lead))))
+        kept = []
+        for idx, (lcm, g, coprime) in enumerate(new):
+            if coprime or not (any(_divides(l2, lcm) for l2, _, _ in new[idx + 1:])
+                               or any(_divides(l2, lcm) for l2, _, _ in kept)):
+                kept.append((lcm, g, coprime))
+        old = [p for p in pairs
+               if elems[p[1]].comp != comp or not _divides(lead, p[3])
+               or tuple(map(max, elems[p[1]].lead, lead)) == p[3]
+               or tuple(map(max, elems[p[2]].lead, lead)) == p[3]]
+        old += [(morder.key((comp, lcm)), g, hi, lcm)
+                for lcm, g, coprime in kept if not coprime]
+        heapify(old)
+        pairs[:] = old
+        live[:] = [g for g in live
+                   if elems[g].comp != comp or not _divides(lead, elems[g].lead)]
+        live.append(hi)
 
-    def push_pair(i, j):
-        (comp, ei), (_, ej) = lms[i], lms[j]
-        lcm = tuple(max(x, y) for x, y in zip(ei, ej))
-        heapq.heappush(heap, (morder.key((comp, lcm)), i, j))
+    def reducers():
+        return [elems[g] for g in live]
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if lms[i][0] == lms[j][0]:
-                push_pair(i, j)
-
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        (comp, ei), (_, ej) = lms[i], lms[j]
-        if all(x == 0 or y == 0 for x, y in zip(ei, ej)):
-            continue  # coprime leading terms reduce to zero (same component)
-        lcm = tuple(max(x, y) for x, y in zip(ei, ej))
-        fi = _vec_sub_scaled({}, basis[i], Fraction(-1), tuple(a - b for a, b in zip(lcm, ei)))
-        s = _vec_sub_scaled(fi, basis[j], Fraction(1), tuple(a - b for a, b in zip(lcm, ej)))
-        s = vec_normal_form(s, basis, morder)
-        if s:
-            s = _vec_monic(s, morder)
-            incoming = len(basis)
-            basis.append(s)
-            lms.append(_vec_lt(s, morder)[0])
-            for k in range(incoming):
-                if lms[k][0] == lms[incoming][0]:
-                    push_pair(k, incoming)
-    # minimalize: drop elements whose LM is divisible by another LM
-    keep = []
-    lms = [_vec_lt(g, morder)[0] for g in basis]
-    for i, g in enumerate(basis):
-        (ci, ei) = lms[i]
-        divisible = False
-        for j in range(len(basis)):
-            if i == j:
-                continue
-            (cj, ej) = lms[j]
-            if ci == cj and all(x >= y for x, y in zip(ei, ej)):
-                if (all(x == y for x, y in zip(ei, ej)) and j > i):
-                    continue  # identical LM: keep the earlier one
-                divisible = True
-                break
-        if not divisible:
-            keep.append(g)
-    # inter-reduce tails
+    for g in sorted((g for g in gens if g), key=lambda g: morder.key(_vec_lt(g, morder)[0])):
+        h = _reduce(dict(g), reducers(), morder)
+        if h:
+            insert(h)
+    while pairs:
+        _, i, j, lcm = heappop(pairs)
+        s: dict = {}
+        _sub_shifted(s, elems[i].tail, tuple(map(sub, lcm, elems[i].lead)), -1)
+        _sub_shifted(s, elems[j].tail, tuple(map(sub, lcm, elems[j].lead)), 1)
+        h = _reduce(s, reducers(), morder)
+        if h:
+            insert(h)
+    # the live leading terms are minimal; a tail term is smaller than its
+    # leading term, so reducing by the smaller elements (already reduced)
+    # gives the reduced basis
+    done: list[_Reducer] = []
     reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        h = vec_normal_form(g, others, morder) if others else g
-        reduced.append(_vec_monic(h, morder))
-    reduced.sort(key=lambda g: morder.key(_vec_lt(g, morder)[0]))
+    for r in sorted(reducers(), key=lambda r: morder.key((r.comp, r.lead))):
+        vec = {(r.comp, r.lead): Fraction(1)}
+        vec.update(_reduce({(tcomp, te): tc for tcomp, te, tc in r.tail}, done, morder))
+        reduced.append(vec)
+        done.append(_Reducer(vec, morder))
     return reduced
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pathlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,15 @@ from itertools import product
 from toric_dmod.fan_cox import Fan, GradingData, grading_data
 from toric_dmod.groebner import Poly, PolyRing
 from toric_dmod.weyl import WeylElement
+
+
+def cli_env() -> dict:
+    """Environment for running the CLI in a child process: the package is
+    found in src/ whether or not it is installed."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def rng(salt: int = 0) -> random.Random:

@@ -13,7 +13,7 @@ from itertools import product
 
 import pytest
 
-from helpers import (MacaulayOracle, all_fixture_fans, grading,
+from helpers import (MacaulayOracle, all_fixture_fans, cli_env, grading,
                      random_homogeneous_weyl, random_poly, rng)
 from toric_dmod.charvar import (ZERO_SHEAF, chart_ideal_from_saturated,
                                 characteristic_ideal, dimension_report,
@@ -258,7 +258,7 @@ def test_acceptance_9_cli_golden_determinism():
 
     def run(*args):
         proc = subprocess.run([sys.executable, "-m", "toric_dmod.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 0, args
         return proc.stdout
 

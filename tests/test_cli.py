@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from helpers import cli_env
 from toric_dmod.cli import load_fan, load_module, main
 from toric_dmod.fan_cox import grading_data
 
@@ -19,7 +20,7 @@ ZERO = {"p1": "0", "p2": "0", "p1p1": "0,0", "hirzebruch1": "0,0"}
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "toric_dmod.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=cli_env())
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -170,3 +171,39 @@ def test_main_callable_directly(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "irrelevant-ideal: (x1, x2)" in out
+
+
+def test_dl_dr_trivial_class_group_take_empty_class(tmp_path):
+    # the affine plane: class group 0, so its only class has no coordinates
+    fan = tmp_path / "a2.fan"
+    fan.write_text("n = 2\nrays = [[1, 0], [0, 1]]\nmax_cones = [[1, 2]]\n")
+    for cmd, side in (("dl", "left"), ("dr", "right")):
+        rc, out, _ = run_cli(cmd, str(fan), "")
+        assert rc == 0
+        assert f'side = "{side}"' in out
+        assert "generator_degrees = [[]]" in out
+    rc2, _, err = run_cli("dl", str(fan), "0")
+    assert rc2 == 2 and "expected 0" in err
+
+
+def test_charvar_charts_fails_before_the_report(tmp_path, monkeypatch, capsys):
+    # no full-dimensional cone: --charts must stop before any Groebner work
+    from toric_dmod import charvar
+    fan = tmp_path / "nofull.fan"
+    fan.write_text("n = 2\nrays = [[1, 1], [1, -1]]\nmax_cones = [[1], [2]]\n")
+    mod = tmp_path / "m.mod"
+    mod.write_text('side = "left"\ngenerator_degrees = [[0]]\n'
+                   'relations = [["x1*d1 + x2*d2"]]\n')
+
+    def no_report(*args):
+        raise AssertionError("dimension_report ran")
+
+    monkeypatch.setattr(charvar, "dimension_report", no_report)
+    rc = main(["charvar", str(fan), str(mod), "--charts"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert "not a full-dimensional maximal cone" in captured.err
+    monkeypatch.undo()
+    assert main(["charvar", str(fan), str(mod)]) == 0
+    assert "char-ideal: " in capsys.readouterr().out

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from helpers import (fan_p1, fan_p1p1, fan_p2, grading, macaulay_membership,
                      macaulay_membership_stable, random_poly, rng)
 from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing, degrevlex_order,
@@ -309,3 +311,146 @@ def test_toric_ideal_with_laurent_monomials():
     ideal = toric_ideal([(1,), (-1,)], ring)
     y1, y2 = Poly.variable(ring, 0), Poly.variable(ring, 1)
     assert ideal == groebner_basis([y1 * y2 - Poly.constant(ring, 1)], ring)
+
+
+# independent checks of the commutative engine: sympy's reduced bases, and a
+# Buchberger certificate for submodules of free modules
+
+
+def _random_homogeneous(r, ring, degree, nterms):
+    terms = {}
+    for _ in range(nterms):
+        e = [0] * ring.nvars
+        for _ in range(degree):
+            e[r.randrange(ring.nvars)] += 1
+        terms[tuple(e)] = Fraction(r.randint(-4, 4), r.randint(1, 3))
+    return Poly(ring, terms)
+
+
+def _as_term_sets(polys, gens):
+    out = set()
+    for p in polys:
+        poly = p.as_poly(*gens)
+        out.add(frozenset((m, Fraction(int(c.p), int(c.q))) for m, c in poly.terms()))
+    return out
+
+
+def _sympy_expr(p, gens):
+    import sympy
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[g ** k for g, k in zip(gens, e)])
+                       for e, c in p.terms.items()])
+
+
+def test_reduced_basis_matches_sympy_on_random_homogeneous_ideals():
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(("a", "b", "c", "e"))
+    gens = sympy.symbols("a b c e")
+    r = rng(28)
+    nontrivial = 0
+    for _ in range(12):
+        polys = [_random_homogeneous(r, ring, r.randint(2, 3), r.randint(2, 4))
+                 for _ in range(r.randint(2, 4))]
+        polys = [p for p in polys if not p.is_zero()]
+        ours = groebner_basis(polys, ring)
+        ref = sympy.groebner([_sympy_expr(p, gens) for p in polys], *gens,
+                             order="grevlex", domain="QQ")
+        assert {frozenset(g.terms.items()) for g in ours} == \
+            _as_term_sets(ref.exprs, gens)
+        nontrivial += len(ours) > len(polys)
+    assert nontrivial  # some draws need S-pairs beyond the inputs
+
+
+def test_reduced_basis_matches_sympy_lex_on_small_ideals():
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(("a", "b", "c"))
+    gens = sympy.symbols("a b c")
+    r = rng(29)
+    for _ in range(8):
+        polys = [random_poly(r, ring, 2, 3) for _ in range(3)]
+        polys = [p for p in polys if not p.is_zero()]
+        ours = groebner_basis(polys, ring, lex_order())
+        ref = sympy.groebner([_sympy_expr(p, gens) for p in polys], *gens,
+                             order="lex", domain="QQ")
+        assert {frozenset(g.terms.items()) for g in ours} == \
+            _as_term_sets(ref.exprs, gens)
+
+
+def _lead(vec, morder):
+    ce = max(vec, key=morder.key)
+    return ce, vec[ce]
+
+
+def _s_vector(f, g, morder):
+    (comp, ef), cf = _lead(f, morder)
+    (_, eg), cg = _lead(g, morder)
+    lcm = tuple(max(x, y) for x, y in zip(ef, eg))
+    out: dict = {}
+    for vec, scale, e in ((f, 1 / cf, ef), (g, -1 / cg, eg)):
+        shift = tuple(a - b for a, b in zip(lcm, e))
+        for (k, ek), c in vec.items():
+            key = (k, tuple(a + b for a, b in zip(ek, shift)))
+            out[key] = out.get(key, Fraction(0)) + scale * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _assert_buchberger_certificate(gens, basis, morder):
+    from toric_dmod.groebner import vec_normal_form
+    leads = [_lead(g, morder) for g in basis]
+    assert all(c == 1 for _, c in leads)
+    for i, f in enumerate(basis):
+        others = basis[:i] + basis[i + 1:]
+        # reduced: no term of an element is divisible by another leading term
+        assert vec_normal_form(f, others, morder) == f
+        for g in basis[i + 1:]:
+            if _lead(f, morder)[0][0] == _lead(g, morder)[0][0]:
+                assert vec_normal_form(_s_vector(f, g, morder), basis, morder) == {}
+    for g in gens:
+        assert vec_normal_form(g, basis, morder) == {}
+
+
+def test_module_basis_has_a_buchberger_certificate():
+    from toric_dmod.groebner import ModuleOrder, buchberger_vec
+    r = rng(30)
+    ring = PolyRing(("x", "y", "z"))
+    for _ in range(20):
+        rank = r.randint(2, 3)
+        priority = list(range(rank))
+        r.shuffle(priority)
+        morder = ModuleOrder(degrevlex_order(), rank, priority)
+        gens = []
+        for _ in range(r.randint(3, 5)):
+            vec = {}
+            for _ in range(r.randint(2, 4)):
+                p = random_poly(r, ring, 2, 1)
+                for e, c in p.terms.items():
+                    vec[(r.randrange(rank), e)] = c
+            if vec:
+                gens.append(vec)
+        basis = buchberger_vec(gens, morder)
+        _assert_buchberger_certificate(gens, basis, morder)
+
+
+def test_module_pairs_with_coprime_leading_terms_are_not_skipped():
+    # x e1 + e2 and y e1 have coprime leading terms, but their S-vector y e2
+    # is in the module: the product criterion does not hold across components
+    from toric_dmod.groebner import ModuleOrder, buchberger_vec
+    morder = ModuleOrder(degrevlex_order(), 2)
+    f = {(0, (1, 0)): Fraction(1), (1, (0, 0)): Fraction(1)}
+    g = {(0, (0, 1)): Fraction(1)}
+    basis = buchberger_vec([f, g], morder)
+    assert {(1, (0, 1)): Fraction(1)} in basis
+    _assert_buchberger_certificate([f, g], basis, morder)
+
+
+def test_module_chain_criterion_stays_within_a_component():
+    # e0 divides the lcm x*y of the pair (x e1 + e2, y e1) by exponent, but
+    # lies in another component, so it does not make the pair redundant
+    from toric_dmod.groebner import ModuleOrder, buchberger_vec
+    morder = ModuleOrder(degrevlex_order(), 3)
+    f = {(1, (1, 0)): Fraction(1), (2, (0, 0)): Fraction(1)}
+    g = {(1, (0, 1)): Fraction(1)}
+    h = {(0, (0, 0)): Fraction(1)}
+    basis = buchberger_vec([f, g, h], morder)
+    assert {(2, (0, 1)): Fraction(1)} in basis
+    _assert_buchberger_certificate([f, g, h], basis, morder)

@@ -9,14 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionViolated
+from .errors import ChartRewriteError, PreconditionViolated
 from .fan_cox import GradingData, irrelevant_ideal
 from .groebner import (EMPTY_DIM, Poly, PolyRing, annihilator_of_graded_quotient,
                        format_poly, groebner_basis, initial_forms, krull_dimension,
                        radical_membership, saturation_by_monomials, toric_ideal)
 from .dmod import (GradedPresentation, check_theta_condition,
                    require_full_smooth_cone)
-from .lattice import IntMatrix
+from .lattice import IntMatrix, integer_rref
 
 ZERO_SHEAF = "zero sheaf"
 
@@ -129,21 +129,13 @@ class ChartIdeal:
 
 
 def _unimodular_inverse(mat: IntMatrix) -> IntMatrix:
+    """Inverse of a unimodular matrix: the reduced form of [M | I] is [I | M^-1]."""
     n = mat.rows
-    aug = [[Fraction(mat[i, j]) for j in range(n)] + [Fraction(1 if k == i else 0)
-                                                      for k in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return IntMatrix.from_rows([[int(aug[i][n + j]) for j in range(n)]
-                                for i in range(n)])
+    rows, pivots = integer_rref([row + tuple(int(k == i) for k in range(n))
+                                 for i, row in enumerate(mat.entries)])
+    if pivots != list(range(n)) or any(row[i] != 1 for i, row in enumerate(rows)):
+        raise ChartRewriteError("cone rays are not a lattice basis")
+    return IntMatrix.from_rows([row[n:] for row in rows])
 
 
 def _section_off_cone(grading: GradingData, cone, dual_rows, cls) -> tuple[int, ...]:
@@ -159,7 +151,7 @@ def _section_off_cone(grading: GradingData, cone, dual_rows, cls) -> tuple[int, 
     a = tuple(x + y for x, y in zip(a0, shift))
     for i in cone:
         if a[i] != 0:
-            raise AssertionError("section does not vanish on the cone rays")
+            raise ChartRewriteError("section does not vanish on the cone rays")
     return a
 
 
@@ -222,9 +214,9 @@ def chart_ideal_from_saturated(grading: GradingData, saturated: list[Poly],
                 for k in range(d):
                     residual[k] -= xiexp[i] * u_sections[i][k]
             if any(residual):
-                raise AssertionError("chart rewrite failed to close")
+                raise ChartRewriteError("chart rewrite failed to close")
             if any(x < 0 for x in p):
-                raise AssertionError("negative torus exponent in chart rewrite")
+                raise ChartRewriteError("negative torus exponent in chart rewrite")
             terms[tuple(p) + xiexp] = c
         image_gens.append(Poly(chart_ring, terms))
     image = groebner_basis(image_gens + presentation, chart_ring)
@@ -252,12 +244,15 @@ def verify_quotient_dimension(grading: GradingData, pres: GradedPresentation) ->
     return chart_dim == expected and chart_dim == report.sheaf_dim
 
 
+def ideal_str(gens) -> str:
+    """An ideal as its sorted generator list, "(0)" when there is none."""
+    if not gens:
+        return "(0)"
+    return "(" + ", ".join(sorted(format_poly(g) for g in gens)) + ")"
+
+
 def render_report(report: CharReport) -> list[tuple[str, str]]:
     """Key/value lines for the CLI; ideals as sorted generator lists."""
-
-    def ideal_str(gens):
-        return "(" + ", ".join(sorted(format_poly(g) for g in gens)) + ")" \
-            if gens else "(0)"
 
     def yn(flag):
         return "yes" if flag else "no"

@@ -1,7 +1,7 @@
 """Command-line interface: fan reports, module documents and pipelines.
 
 Exit codes: 0 success, 2 parse/usage error, 3 semantic validation error,
-4 precondition violation in a pipeline.
+4 precondition violation or a failed internal check in a pipeline.
 """
 
 from __future__ import annotations
@@ -11,12 +11,11 @@ import ast
 import json
 import sys
 
-from .errors import (FanValidationError, InhomogeneousInput, NotInJp,
-                     ParseError, PreconditionViolated, ToricDmodError,
-                     UnknownCone)
+from .errors import (ChartRewriteError, FanValidationError,
+                     InhomogeneousInput, NotInJp, ParseError,
+                     PreconditionViolated, ToricDmodError, UnknownCone)
 from .fan_cox import (Fan, GradingData, euler_operators, grading_data,
                       irrelevant_ideal, validate_smooth_fan)
-from .groebner import format_poly
 from .weyl import format_weyl, parse_weyl, parse_theta_poly, tp_format
 from . import dmod
 from . import charvar
@@ -198,12 +197,6 @@ def _laurent_monomial(names, exps) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _ideal_str(gens) -> str:
-    if not gens:
-        return "(0)"
-    return "(" + ", ".join(sorted(format_poly(g) for g in gens)) + ")"
-
-
 def _add_cl_header(report: Report, grading: GradingData):
     report.add("cl", class_group_name(grading))
     report.add("cl-basis", "coordinates are free part then torsion residues")
@@ -243,21 +236,13 @@ def _emit_module_document(pres: dmod.GradedPresentation, grading: GradingData):
     sys.stdout.write("relations = " + json.dumps(rows) + "\n")
 
 
-def cmd_dl(args) -> int:
+def cmd_twisted(args) -> int:
+    """dl/dr: the twisted module document on the side chosen by the subcommand."""
     fan = load_fan(args.fan)
     grading = grading_data(fan)
     cls = parse_class(args.degree, grading)
-    pres = dmod.d_module_left(grading, cls)
-    _emit_module_document(pres, grading)
-    return 0
-
-
-def cmd_dr(args) -> int:
-    fan = load_fan(args.fan)
-    grading = grading_data(fan)
-    cls = parse_class(args.degree, grading)
-    pres = dmod.d_module_right(grading, cls)
-    _emit_module_document(pres, grading)
+    build = dmod.d_module_left if args.side == "left" else dmod.d_module_right
+    _emit_module_document(build(grading, cls), grading)
     return 0
 
 
@@ -288,14 +273,9 @@ def cmd_charvar(args) -> int:
     rep = charvar.dimension_report(grading, pres)
     report = Report(args.format)
     _add_cl_header(report, grading)
-    report.add("char-ideal", _ideal_str(rep.char_ideal))
-    report.add("dim", str(rep.dim))
-    if args.saturate:
-        report.add("saturated", _ideal_str(rep.saturated))
-    report.add("torsion", "yes" if rep.torsion else "no")
-    report.add("sheaf-dim", str(rep.sheaf_dim))
-    report.add("holonomic-module", "yes" if rep.holonomic_module else "no")
-    report.add("holonomic-sheaf", "yes" if rep.holonomic_sheaf else "no")
+    for key, value in charvar.render_report(rep):
+        if key != "saturated" or args.saturate:
+            report.add(key, value)
     if args.charts:
         for cone in grading.fan.max_cones:
             label = f"chart-{','.join(str(i + 1) for i in cone)}"
@@ -309,8 +289,8 @@ def cmd_charvar(args) -> int:
                                                            tuple(xe) + tuple(xie)))
             report.add(f"{label}-generators", "; ".join(gens))
             report.add(f"{label}-window", chart.window)
-            report.add(f"{label}-presentation", _ideal_str(chart.presentation_ideal))
-            report.add(f"{label}-image", _ideal_str(chart.image_ideal))
+            report.add(f"{label}-presentation", charvar.ideal_str(chart.presentation_ideal))
+            report.add(f"{label}-image", charvar.ideal_str(chart.image_ideal))
             report.add(f"{label}-dim", str(chart.dimension))
     report.emit()
     return 0
@@ -389,17 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_fan_info)
 
-    p = sub.add_parser("dl", help="twisted left module document")
-    p.add_argument("fan")
-    p.add_argument("degree", help="comma-separated class coordinates")
-    common(p)
-    p.set_defaults(func=cmd_dl)
-
-    p = sub.add_parser("dr", help="twisted right module document")
-    p.add_argument("fan")
-    p.add_argument("degree")
-    common(p)
-    p.set_defaults(func=cmd_dr)
+    for name, side in (("dl", "left"), ("dr", "right")):
+        p = sub.add_parser(name, help=f"twisted {side} module document")
+        p.add_argument("fan")
+        p.add_argument("degree", help="comma-separated class coordinates")
+        common(p)
+        p.set_defaults(func=cmd_twisted, side=side)
 
     p = sub.add_parser("check", help="theta-condition membership test")
     p.add_argument("fan")
@@ -445,7 +420,7 @@ def main(argv=None) -> int:
     except (FanValidationError, UnknownCone) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (NotInJp, PreconditionViolated) as exc:
+    except (NotInJp, PreconditionViolated, ChartRewriteError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
     except ToricDmodError as exc:

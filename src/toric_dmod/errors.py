@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ParseError -> 2, FanValidationError
-subclasses -> 3, PreconditionViolated and friends -> 4.
+subclasses -> 3, PreconditionViolated and friends and ChartRewriteError -> 4.
 """
 
 
@@ -55,3 +55,7 @@ class ConeNotMaximal(PreconditionViolated):
 
 class ConeNotSmooth(PreconditionViolated):
     pass
+
+
+class ChartRewriteError(ToricDmodError):
+    """A chart computation broke one of its own invariants (a bug, not bad input)."""

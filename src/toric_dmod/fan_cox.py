@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
 from .errors import (FanValidationError, NonSimplicialCone, NonSmoothCone,
                      PreconditionViolated, RaysDoNotSpan, UnknownCone)
 from .lattice import (FinitelyGeneratedAbelianGroup, IntMatrix, cokernel,
-                      dual_lattice_basis)
+                      dual_lattice_basis, integer_rref, primitive)
 from .weyl import WeylElement
 
 
@@ -54,62 +53,31 @@ class Fan:
 def _fm_feasible(eqs, ineqs, nvars: int) -> bool:
     """Exact feasibility of {z : eq . z + c = 0, ineq . z + c >= 0} over Q.
 
-    Fourier-Motzkin after Gaussian elimination of the equalities.
+    The equalities are put in integer row echelon form and substituted into
+    the inequalities; Fourier-Motzkin then eliminates the remaining variables
+    on primitive integer rows. Every combination has positive multipliers, so
+    the direction of each inequality is kept.
     """
-    rows = [[Fraction(x) for x in co] + [Fraction(c)] for co, c in eqs]
-    # Gaussian elimination on equalities
-    pivots = []
-    r = 0
-    for col in range(nvars):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][nvars] != 0:
-            return False
-    work = [[Fraction(x) for x in co] + [Fraction(c)] for co, c in ineqs]
-    # substitute pivot variables out of the inequalities
-    for prow, col in pivots:
-        for w in work:
-            if w[col] != 0:
-                f = w[col]
-                for j in range(nvars + 1):
-                    w[j] -= f * rows[prow][j]
-    # Fourier-Motzkin on the remaining free variables
+    rows, pivots = integer_rref([tuple(co) + (c,) for co, c in eqs])
+    if nvars in pivots:
+        return False                     # an equation 0 = c != 0
+    work = [tuple(co) + (c,) for co, c in ineqs]
+    for prow, col in zip(rows, pivots):
+        p = prow[col]
+        work = [primitive([p * x - w[col] * y for x, y in zip(w, prow)]) if w[col] else w
+                for w in work]
     for col in range(nvars):
         pos = [w for w in work if w[col] > 0]
         neg = [w for w in work if w[col] < 0]
         rest = [w for w in work if w[col] == 0]
-        new = []
-        for p in pos:
-            for q in neg:
-                combo = [p[col] * qv - q[col] * pv for pv, qv in zip(p, q)]
-                new.append(combo)
-        seen = set()
+        new = [primitive([p[col] * y - q[col] * x for x, y in zip(p, q)])
+               for p in pos for q in neg]
         work = []
-        for w in rest + new:
-            den = 1
-            for x in w:
-                den = den * x.denominator // gcd(den, x.denominator)
-            ints = [int(x * den) for x in w]
-            g = 0
-            for v in ints:
-                g = gcd(g, v)
-            if g > 1:
-                ints = [v // g for v in ints]
-            key = tuple(ints)
-            if key not in seen:
-                seen.add(key)
-                work.append([Fraction(v) for v in ints])
+        for w in dict.fromkeys(rest + new):
+            if any(w[col + 1:nvars]):
+                work.append(w)
+            elif w[nvars] < 0:
+                return False             # an inequality 0 <= c < 0
     return all(w[nvars] >= 0 for w in work)
 
 
@@ -238,36 +206,20 @@ class GradingData:
         return self.dual_coordinates(u) is not None
 
     def dual_coordinates(self, u):
-        basis = self.dual_basis
-        if not basis:
-            return () if all(x == 0 for x in u) else None
-        rows = [[Fraction(basis[j][i]) for j in range(len(basis))] + [Fraction(u[i])]
-                for i in range(self.d)]
-        ncols = len(basis)
-        r = 0
-        pivots = []
-        for col in range(ncols):
-            piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = rows[r][col]
-            rows[r] = [x / inv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][col] != 0:
-                    f = rows[i][col]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(col)
-            r += 1
-        for i in range(r, len(rows)):
-            if rows[i][ncols] != 0:
-                return None
-        coords = [Fraction(0)] * ncols
-        for row_idx, col in enumerate(pivots):
-            coords[col] = rows[row_idx][ncols]
-        if any(c.denominator != 1 for c in coords):
+        """Integer c with sum_j c_j * dual_basis[j] == u, or None."""
+        k = len(self.dual_basis)
+        # one equation per coordinate: the basis functionals, then u
+        rows, pivots = integer_rref([tuple(b[i] for b in self.dual_basis) + (u[i],)
+                                     for i in range(self.d)])
+        if k in pivots:
             return None
-        return tuple(int(c) for c in coords)
+        coords = [0] * k
+        for row, col in zip(rows, pivots):
+            q, rem = divmod(row[k], row[col])
+            if rem:
+                return None
+            coords[col] = q
+        return tuple(coords)
 
 
 def grading_data(fan: Fan) -> GradingData:

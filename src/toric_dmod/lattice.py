@@ -6,7 +6,6 @@ Everything works with arbitrary-precision Python ints; no floats anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -84,22 +83,45 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def rank(self) -> int:
-        """Rank over Q, by exact Gaussian elimination."""
-        a = [[Fraction(x) for x in row] for row in self.entries]
-        rank = 0
-        for col in range(self.cols):
-            pivot = next((i for i in range(rank, self.rows) if a[i][col] != 0), None)
-            if pivot is None:
-                continue
-            a[rank], a[pivot] = a[pivot], a[rank]
-            inv = a[rank][col]
-            a[rank] = [x / inv for x in a[rank]]
-            for i in range(self.rows):
-                if i != rank and a[i][col] != 0:
-                    c = a[i][col]
-                    a[i] = [x - c * y for x, y in zip(a[i], a[rank])]
-            rank += 1
-        return rank
+        """Rank over Q: the number of pivots of the integer row echelon form."""
+        return len(integer_rref(self.entries)[1])
+
+
+def primitive(row) -> tuple[int, ...]:
+    """The row divided by the gcd of its entries (unchanged if that is 0 or 1)."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
+
+
+def integer_rref(rows) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Reduced row echelon form over Z, without fractions.
+
+    Returns the nonzero rows and their pivot columns. Every row is a primitive
+    integer vector with a positive pivot, and each pivot column is zero in
+    every other row; the rows span the input's row space over Q. A row op
+    scales by the (positive) pivot and divides out the gcd, so no fraction
+    arises and common factors do not build up.
+    """
+    a = [primitive([int(x) for x in row]) for row in rows]
+    width = len(a[0]) if a else 0
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r] if a[r][col] > 0 else tuple(-x for x in a[r])
+        a[r] = prow
+        p = prow[col]
+        for i, row in enumerate(a):
+            f = row[col]
+            if f and i != r:
+                a[i] = primitive([p * x - f * y for x, y in zip(row, prow)])
+        pivots.append(col)
+    return a[:len(pivots)], pivots
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,6 @@ from .parsing import format_terms, parse_terms
 ThetaDict = dict
 
 
-def tp_zero() -> ThetaDict:
-    return {}
-
-
 def tp_const(d: int, c) -> ThetaDict:
     c = Fraction(c)
     return {(0,) * d: c} if c else {}

@@ -6,7 +6,7 @@ import os
 import pathlib
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from toric_dmod.fan_cox import Fan, GradingData, grading_data
 from toric_dmod.groebner import Poly, PolyRing
@@ -57,6 +57,46 @@ def all_fixture_fans():
 
 def grading(fan: Fan) -> GradingData:
     return grading_data(fan)
+
+
+# vertex-enumeration feasibility oracle (independent of Fourier-Motzkin)
+
+
+def _unique_solution(rows, nvars: int):
+    """The only z with co . z + c = 0 for every (co, c), or None when there
+    is no solution or more than one."""
+    a = [[Fraction(x) for x in co] + [Fraction(-c)] for co, c in rows]
+    for col in range(nvars):
+        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(len(a)):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    if any(row[nvars] for row in a[nvars:]):
+        return None
+    return tuple(a[i][nvars] for i in range(nvars))
+
+
+def vertex_feasible(eqs, ineqs, nvars: int) -> bool:
+    """Whether {z : eq . z + c = 0, ineq . z + c >= 0} is nonempty over Q.
+
+    Only for pointed polyhedra (z >= 0 among the inequalities, say): such a
+    polyhedron is nonempty iff it has a vertex, a point where the equalities
+    and some inequalities hold with equality and fix z uniquely.
+    """
+    def value(co, c, z):
+        return sum(x * y for x, y in zip(co, z)) + c
+
+    for k in range(nvars + 1):
+        for active in combinations(ineqs, k):
+            z = _unique_solution(list(eqs) + list(active), nvars)
+            if z is not None and all(value(co, c, z) >= 0 for co, c in ineqs):
+                return True
+    return False
 
 
 # Macaulay-matrix linear-algebra membership oracle (independent of Buchberger)

@@ -207,3 +207,68 @@ def test_charvar_charts_fails_before_the_report(tmp_path, monkeypatch, capsys):
     monkeypatch.undo()
     assert main(["charvar", str(fan), str(mod)]) == 0
     assert "char-ideal: " in capsys.readouterr().out
+
+
+# The chart rewrite checks its own invariants; a failed check is a typed
+# error with exit code 4, not a traceback. Each test breaks one invariant.
+
+
+def _charts_p1(capsys):
+    rc = main(["charvar", str(FIXTURES / "p1.fan"), str(GOLDEN / "p1_dl0.mod"),
+               "--charts"])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return rc, err
+
+
+def _shift_generator_sections(monkeypatch, shift):
+    """Move the section used for each saturated generator by shift(...).
+
+    In p1_dl0 the only saturated generator, x1*xi1 + x2*xi2, has degree 0,
+    while the sections for u_1, u_2 have the degree of a ray variable."""
+    from toric_dmod import charvar
+    real = charvar._section_off_cone
+
+    def fake(grading, cone, dual_rows, cls):
+        a = real(grading, cone, dual_rows, cls)
+        if cls != grading.class_group.zero():
+            return a
+        return tuple(x + y for x, y in zip(a, shift(grading, cone, dual_rows)))
+
+    monkeypatch.setattr(charvar, "_section_off_cone", fake)
+
+
+def test_section_off_cone_failure_exits_4(monkeypatch, capsys):
+    # sections that do not vanish on the cone (still sections: shifted by
+    # iota(1) = (1, -1) on P^1) cleared with twice the dual basis
+    from toric_dmod import charvar
+    from toric_dmod.lattice import FinitelyGeneratedAbelianGroup, IntMatrix
+    real_inverse = charvar._unimodular_inverse
+    real_section = FinitelyGeneratedAbelianGroup.section
+    monkeypatch.setattr(charvar, "_unimodular_inverse", lambda m: IntMatrix.from_rows(
+        [[2 * x for x in row] for row in real_inverse(m).entries]))
+    monkeypatch.setattr(FinitelyGeneratedAbelianGroup, "section", lambda self, cls: tuple(
+        x + y for x, y in zip(real_section(self, cls), (1, -1))))
+    rc, err = _charts_p1(capsys)
+    assert rc == 4 and "section does not vanish" in err
+
+
+def test_chart_rewrite_not_closing_exits_4(monkeypatch, capsys):
+    # a unit vector off the cone: the cone exponents still vanish, the
+    # residual does not
+    def off_cone(grading, cone, dual_rows):
+        k = next(i for i in range(grading.d) if i not in cone)
+        return tuple(int(i == k) for i in range(grading.d))
+
+    _shift_generator_sections(monkeypatch, off_cone)
+    rc, err = _charts_p1(capsys)
+    assert rc == 4 and "failed to close" in err
+
+
+def test_negative_torus_exponent_exits_4(monkeypatch, capsys):
+    # iota(m_1) has degree 0 and moves the torus exponents by -1, so the
+    # rewrite closes but x2*xi2 gets t1^-1
+    _shift_generator_sections(monkeypatch,
+                              lambda grading, cone, dual_rows: grading.iota_of(dual_rows[0]))
+    rc, err = _charts_p1(capsys)
+    assert rc == 4 and "negative torus exponent" in err

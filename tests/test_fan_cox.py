@@ -52,6 +52,24 @@ def test_overlapping_cones_rejected():
         validate_smooth_fan(fan)
 
 
+def test_p3_fan_is_valid():
+    # the first fixture whose cone pairs give 3 x 3 intersection systems
+    rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+    fan = Fan(3, rays, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    report = validate_smooth_fan(fan)
+    assert report["n"] == 3 and report["d"] == 4
+    assert len(fan.max_cones) == 4
+    gd = grading_data(fan)
+    assert gd.class_group.free_rank == 1 and gd.dual_basis == ((1, 1, 1, 1),)
+
+
+def test_overlapping_3d_cones_rejected():
+    # both cones are smooth, but (1,1,1) lies inside the first octant
+    fan = Fan(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], [[0, 1, 2], [0, 1, 3]])
+    with pytest.raises(FanValidationError, match="common face"):
+        validate_smooth_fan(fan)
+
+
 def test_sigma_hat_examples():
     assert sigma_hat_monomial(fan_p1(), (0,)) == (0, 1)
     assert sigma_hat_monomial(fan_p1(), ()) == (1, 1)

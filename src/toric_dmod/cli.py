@@ -16,7 +16,8 @@ from .errors import (ChartRewriteError, FanValidationError,
                      PreconditionViolated, ToricDmodError, UnknownCone)
 from .fan_cox import (Fan, GradingData, euler_operators, grading_data,
                       irrelevant_ideal, validate_smooth_fan)
-from .weyl import format_weyl, parse_weyl, parse_theta_poly, tp_format
+from .weyl import (format_weyl, parse_weyl, parse_theta_poly, tp_format,
+                   tp_linear_product)
 from . import dmod
 from . import charvar
 
@@ -311,11 +312,13 @@ def cmd_local(args) -> int:
     if not fan.has_cone(cone):
         raise UnknownCone(f"cone {args.cone} is not in the fan")
     p = parse_point(args.p, fan.n)
+    dmod.require_local_bounds(grading, cone, p)
+    iota = grading.iota_of(p)
     report = Report(args.format)
     _add_cl_header(report, grading)
     report.add("cone", ",".join(str(i + 1) for i in cone))
     report.add("p", ",".join(str(x) for x in p))
-    report.add("iota-p", json.dumps(list(grading.iota_of(p))))
+    report.add("iota-p", json.dumps(list(iota)))
     hp, factors = dmod.h_p(fan, grading, cone, p)
     thnames = [f"th{i + 1}" for i in range(fan.d)]
     vnames = [f"v{i + 1}" for i in range(fan.n)]
@@ -326,10 +329,11 @@ def cmd_local(args) -> int:
     report.add("rho-h_p", tp_format(dmod.rho(grading, hp), vnames))
     ip = dmod.i_p_ideal(grading, cone, p)
     report.add("i_p", tp_format(ip, vnames))
-    radius = max([1] + [abs(v) for v in grading.iota_of(p)]) + 1
+    radius = dmod.local_radius(grading, p)
     oracle_poly, _ = dmod.j_p_oracle(grading, cone, p, radius)
     report.add("oracle", "AGREE" if oracle_poly == hp else "DISAGREE")
-    alt = _inclusive_variant(grading, cone, p)
+    # h_p with the index range widened by one (0 <= m <= -iota(p)_i)
+    alt = tp_linear_product(fan.d, [(i, m) for i in cone for m in range(0, -iota[i] + 1)])
     report.add("inclusive-bound-variant",
                "AGREE" if alt == oracle_poly else "DISAGREE (off-by-one)")
     ymatch = dmod.i_p_matches_y_p(grading, cone, p, 2 * radius)
@@ -342,17 +346,6 @@ def cmd_local(args) -> int:
                               f"{tp_format(pair[1], vnames)})")
     report.emit()
     return 0
-
-
-def _inclusive_variant(grading: GradingData, cone, p):
-    """h_p with the index range widened by one (0 <= m <= -iota(p)_i)."""
-    from .weyl import tp_const, tp_linear, tp_mul
-    ip = grading.iota_of(p)
-    poly = tp_const(grading.d, 1)
-    for i in cone:
-        for m in range(0, -ip[i] + 1):
-            poly = tp_mul(poly, tp_linear(grading.d, i, -m))
-    return poly
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,15 +13,22 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import (BoxTooSmall, ConeNotMaximal, ConeNotSmooth,
-                     InhomogeneousInput, NotInJp, UnknownCone)
+                     InhomogeneousInput, NotInJp, PointTooLarge, UnknownCone)
 from .fan_cox import Fan, GradingData
 from .groebner import weyl_buchberger, weyl_normal_form, WeylModuleOrder
 from .weyl import (LaurentPoly, ThetaDict, WeylElement, act, tau,
-                   theta_dict_to_weyl, tp_add, tp_const, tp_divide_linear,
-                   tp_eval, tp_linear, tp_mul, tp_subst, weyl_degree)
+                   theta_dict_to_weyl, theta_u, tp_divide_linear, tp_eval,
+                   tp_linear, tp_linear_form, tp_linear_product, tp_subst,
+                   weyl_degree)
 
 LEFT = "left"
 RIGHT = "right"
+
+# Bounds of `local`, whose brute-force oracles grow without limit with p:
+# the number of linear factors of h_p, and the number of points in the box of
+# radius 2 * local_radius(p) that the y_p check enumerates.
+LOCAL_MAX_FACTORS = 64
+LOCAL_MAX_BOX = 4096
 
 
 class GradedPresentation:
@@ -106,38 +113,23 @@ def _unit_row(d: int, rank: int, i: int, elt: WeylElement):
     return tuple(elt if j == i else WeylElement.zero(d) for j in range(rank))
 
 
+def _euler_relation(grading: GradingData, u, cls, side: str) -> WeylElement:
+    """theta_u + <u, cls> for a left module, theta_u - <u, cls> for a right one."""
+    shift = grading.pair(u, cls)
+    return theta_u(u, shift if side == LEFT else -shift)
+
+
 def d_module_left(grading: GradingData, b_bar) -> GradedPresentation:
     """A(b) modulo the left ideal of the shifted Euler operators."""
-    group = grading.class_group
-    b_bar = group.reduce(b_bar)
-    d = grading.d
-    rows = []
-    for u in grading.dual_basis:
-        shift = grading.pair(u, b_bar)
-        elt = _theta_u(grading, u) + WeylElement.one(d).scale(shift)
-        rows.append((elt,))
+    b_bar = grading.class_group.reduce(b_bar)
+    rows = [(_euler_relation(grading, u, b_bar, LEFT),) for u in grading.dual_basis]
     return GradedPresentation(grading, LEFT, (b_bar,), rows)
 
 
 def d_module_right(grading: GradingData, a_bar) -> GradedPresentation:
-    group = grading.class_group
-    a_bar = group.reduce(a_bar)
-    d = grading.d
-    rows = []
-    for u in grading.dual_basis:
-        shift = grading.pair(u, a_bar)
-        elt = _theta_u(grading, u) - WeylElement.one(d).scale(shift)
-        rows.append((elt,))
+    a_bar = grading.class_group.reduce(a_bar)
+    rows = [(_euler_relation(grading, u, a_bar, RIGHT),) for u in grading.dual_basis]
     return GradedPresentation(grading, RIGHT, (a_bar,), rows)
-
-
-def _theta_u(grading: GradingData, u) -> WeylElement:
-    d = grading.d
-    out = WeylElement.zero(d)
-    for i, c in enumerate(u):
-        if c:
-            out = out + WeylElement.theta(d, i).scale(c)
-    return out
 
 
 def check_theta_condition(pres: GradedPresentation):
@@ -150,12 +142,7 @@ def check_theta_condition(pres: GradedPresentation):
     d = grading.d
     for i, t in enumerate(pres.twists):
         for j, u in enumerate(grading.dual_basis):
-            shift = grading.pair(u, t)
-            if pres.side == LEFT:
-                elt = _theta_u(grading, u) + WeylElement.one(d).scale(shift)
-            else:
-                elt = _theta_u(grading, u) - WeylElement.one(d).scale(shift)
-            row = _unit_row(d, pres.rank, i, elt)
+            row = _unit_row(d, pres.rank, i, _euler_relation(grading, u, t, pres.side))
             if not pres.contains_relation(row):
                 return False, (i + 1, j + 1)
     return True, None
@@ -168,11 +155,9 @@ def bimodule_identity_check(grading: GradingData, f: WeylElement, u, b_bar,
     deg = weyl_degree(grading, f)
     if deg is not None and deg != group.reduce(b_bar_prime):
         raise InhomogeneousInput("declared degree does not match the element")
-    d = grading.d
-    th = _theta_u(grading, u)
-    lhs = (th + WeylElement.one(d).scale(grading.pair(u, b_bar))) * f
     total = group.add(group.reduce(b_bar), group.reduce(b_bar_prime))
-    rhs = f * (th + WeylElement.one(d).scale(grading.pair(u, total)))
+    lhs = _euler_relation(grading, u, b_bar, LEFT) * f
+    rhs = f * _euler_relation(grading, u, total, LEFT)
     return lhs == rhs
 
 
@@ -184,10 +169,8 @@ def left_right_identity_check(grading: GradingData, f: WeylElement, u, a_bar,
     expected = group.add(group.reduce(a_bar), group.reduce(b_bar))
     if deg is not None and deg != expected:
         raise InhomogeneousInput("declared degrees do not match the element")
-    d = grading.d
-    th = _theta_u(grading, u)
-    lhs = f * (th + WeylElement.one(d).scale(grading.pair(u, b_bar)))
-    rhs = (th - WeylElement.one(d).scale(grading.pair(u, a_bar))) * f
+    lhs = f * _euler_relation(grading, u, b_bar, LEFT)
+    rhs = _euler_relation(grading, u, a_bar, RIGHT) * f
     return lhs == rhs
 
 
@@ -216,6 +199,24 @@ def _require_cone(fan: Fan, cone):
     return cone
 
 
+def local_radius(grading: GradingData, p) -> int:
+    """The box radius the local oracles need: max(1, |iota(p)_i|) + 1."""
+    return max([1] + [abs(v) for v in grading.iota_of(p)]) + 1
+
+
+def require_local_bounds(grading: GradingData, cone, p):
+    """PointTooLarge unless `local` at (cone, p) stays within the bounds."""
+    ip = grading.iota_of(p)
+    factors = sum(max(0, -ip[i]) for i in cone)
+    if factors > LOCAL_MAX_FACTORS:
+        raise PointTooLarge(f"h_p would have {factors} linear factors "
+                            f"(at most {LOCAL_MAX_FACTORS})")
+    box = (4 * local_radius(grading, p) + 1) ** grading.n
+    if box > LOCAL_MAX_BOX:
+        raise PointTooLarge(f"the y_p check would enumerate {box} points "
+                            f"(at most {LOCAL_MAX_BOX})")
+
+
 def h_p(fan: Fan, grading: GradingData, cone, p) -> tuple[ThetaDict, list]:
     """Generator of J(p) as a product of linear factors (theta_i - m).
 
@@ -223,16 +224,9 @@ def h_p(fan: Fan, grading: GradingData, cone, p) -> tuple[ThetaDict, list]:
     the convention certified by the action oracle.
     """
     cone = _require_cone(fan, cone)
-    d = fan.d
     ip = grading.iota_of(p)
-    factors = []
-    for i in cone:
-        for m in range(0, -ip[i]):
-            factors.append((i, m))
-    poly = tp_const(d, 1)
-    for i, m in sorted(factors):
-        poly = tp_mul(poly, tp_linear(d, i, -m))
-    return poly, sorted(factors)
+    factors = sorted((i, m) for i in cone for m in range(0, -ip[i]))
+    return tp_linear_product(fan.d, factors), factors
 
 
 def j_p_oracle(grading: GradingData, cone, p, radius: int):
@@ -243,9 +237,8 @@ def j_p_oracle(grading: GradingData, cone, p, radius: int):
     """
     fan = grading.fan
     cone = _require_cone(fan, cone)
-    d = fan.d
     ip = grading.iota_of(p)
-    needed = max([1] + [abs(v) for v in ip]) + 1
+    needed = local_radius(grading, p)
     if radius < needed:
         raise BoxTooSmall(f"radius {radius} < required {needed}")
 
@@ -266,36 +259,18 @@ def j_p_oracle(grading: GradingData, cone, p, radius: int):
         if not any(pt[pos] == m for (_, m, pos) in candidates):
             raise BoxTooSmall("enumerated set is not covered by coordinate slabs")
     factors = sorted((i, m) for (i, m, _) in candidates)
-    poly = tp_const(d, 1)
-    for i, m in factors:
-        poly = tp_mul(poly, tp_linear(d, i, -m))
-    return poly, factors
+    return tp_linear_product(fan.d, factors), factors
 
 
 def rho(grading: GradingData, w: ThetaDict) -> ThetaDict:
     """Pullback along iota: theta_i -> sum_l v_i[l] vartheta_l."""
-    n = grading.n
-    images = []
-    for i in range(grading.d):
-        ray = grading.fan.rays[i]
-        img = {}
-        for ell, c in enumerate(ray):
-            if c:
-                e = tuple(1 if j == ell else 0 for j in range(n))
-                img[e] = Fraction(c)
-        images.append(img)
-    return tp_subst(w, images, n)
+    return tp_subst(w, [tp_linear_form(ray) for ray in grading.fan.rays], grading.n)
 
 
 def rho_b(grading: GradingData, b, w: ThetaDict) -> ThetaDict:
     """rho composed with the shift theta_i -> theta_i - b_i."""
-    d = grading.d
-    shifted_images = []
-    for i in range(d):
-        img = rho(grading, tp_linear(d, i, 0))
-        img = tp_add(img, tp_const(grading.n, -b[i]))
-        shifted_images.append(img)
-    return tp_subst(w, shifted_images, grading.n)
+    images = [tp_linear_form(ray, -bi) for ray, bi in zip(grading.fan.rays, b)]
+    return tp_subst(w, images, grading.n)
 
 
 def theta_divides(w: ThetaDict, factors) -> tuple[bool, ThetaDict]:
@@ -399,9 +374,7 @@ def factored_local_action_holds(grading: GradingData, cone, p, factors,
     fan = grading.fan
     cone = _require_cone(fan, cone)
     n = fan.n
-    d = grading.d
-    elts = [theta_dict_to_weyl(n, rho(grading, tp_add(tp_linear(d, i, 0),
-                                                      tp_const(d, -m))))
+    elts = [theta_dict_to_weyl(n, rho(grading, tp_linear(grading.d, i, -m)))
             for (i, m) in factors]
     mask = (True,) * n
     for q in product(range(-radius, radius + 1), repeat=n):
@@ -427,27 +400,10 @@ def factored_local_action_holds(grading: GradingData, cone, p, factors,
 def k_component(grading: GradingData, a, b_bar) -> list[ThetaDict]:
     """Generators of K(a): the linear ideal of shifted Euler forms plus the
     product of (theta_i + a_i) over the nonpositive coordinates."""
-    d = grading.d
-    group = grading.class_group
-    b_bar = group.reduce(b_bar)
-    gens = []
-    for u in grading.dual_basis:
-        w = tp_const(d, grading.pair(u, b_bar))
-        for i, c in enumerate(u):
-            if c:
-                w = tp_add(w, tp_scale_linear(d, i, c))
-        gens.append(w)
-    prod_poly = tp_const(d, 1)
-    for i, ai in enumerate(a):
-        if ai <= 0:
-            prod_poly = tp_mul(prod_poly, tp_linear(d, i, ai))
-    gens.append(prod_poly)
+    b_bar = grading.class_group.reduce(b_bar)
+    gens = [tp_linear_form(u, grading.pair(u, b_bar)) for u in grading.dual_basis]
+    gens.append(tp_linear_product(grading.d, [(i, -ai) for i, ai in enumerate(a) if ai <= 0]))
     return gens
-
-
-def tp_scale_linear(d: int, i: int, c) -> ThetaDict:
-    e = tuple(1 if j == i else 0 for j in range(d))
-    return {e: Fraction(c)}
 
 
 def require_full_smooth_cone(grading: GradingData, cone):

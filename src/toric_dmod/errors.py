@@ -57,5 +57,9 @@ class ConeNotSmooth(PreconditionViolated):
     pass
 
 
+class PointTooLarge(PreconditionViolated):
+    """A lattice point beyond the bounds of the local oracles."""
+
+
 class ChartRewriteError(ToricDmodError):
     """A chart computation broke one of its own invariants (a bug, not bad input)."""

@@ -10,7 +10,7 @@ from .errors import (FanValidationError, NonSimplicialCone, NonSmoothCone,
                      PreconditionViolated, RaysDoNotSpan, UnknownCone)
 from .lattice import (FinitelyGeneratedAbelianGroup, IntMatrix, cokernel,
                       dual_lattice_basis, integer_rref, primitive)
-from .weyl import WeylElement
+from .weyl import WeylElement, theta_u
 
 
 class Fan:
@@ -234,11 +234,7 @@ def euler_operator(grading: GradingData, u) -> WeylElement:
         raise ValueError("functional length mismatch")
     if not grading.in_dual_span(u):
         raise PreconditionViolated("functional is not in the span of the dual basis")
-    out = WeylElement.zero(grading.d)
-    for i, c in enumerate(u):
-        if c:
-            out = out + WeylElement.theta(grading.d, i).scale(c)
-    return out
+    return theta_u(u)
 
 
 def euler_operators(grading: GradingData) -> list[WeylElement]:

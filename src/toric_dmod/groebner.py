@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop
-from itertools import combinations, product
-from math import comb, perm
+from itertools import combinations
 from operator import add, ge, le, sub
 
 from .parsing import format_terms
-from .weyl import WeylElement
+from .weyl import WeylElement, tp_add, tp_mul, tp_scale, weyl_shift_into
 
 EMPTY_DIM = "empty"
 
@@ -85,38 +84,19 @@ class Poly:
         return hash((self.ring.names, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e, Fraction(0)) + c
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
-        return Poly(self.ring, out)
+        return Poly(self.ring, tp_add(self.terms, other.terms))
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                nc = out.get(e, Fraction(0)) + c1 * c2
-                if nc:
-                    out[e] = nc
-                else:
-                    out.pop(e, None)
-        return Poly(self.ring, out)
+        return Poly(self.ring, tp_mul(self.terms, other.terms))
 
     def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return Poly(self.ring)
-        return Poly(self.ring, {e: v * c for e, v in self.terms.items()})
+        return Poly(self.ring, tp_scale(self.terms, c))
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -207,7 +187,8 @@ def vec_to_polys(vec: dict, ring: PolyRing, rank: int) -> tuple[Poly, ...]:
     return tuple(Poly(ring, t) for t in split)
 
 
-def _vec_lt(vec: dict, morder: ModuleOrder):
+def _vec_lt(vec: dict, morder):
+    """Leading key and coefficient under a ModuleOrder or WeylModuleOrder."""
     key = max(vec, key=morder.key)
     return key, vec[key]
 
@@ -452,12 +433,11 @@ def krull_dimension(gens: list[Poly], ring: PolyRing,
 
 
 class WeylModuleOrder:
-    """POT over (weight = total d-degree, then degrevlex on x,d jointly)."""
+    """POT, component 0 highest, over (weight = total d-degree, then
+    degrevlex on x,d jointly)."""
 
-    def __init__(self, rank: int, priority=None):
+    def __init__(self, rank: int):
         self.rank = rank
-        priority = tuple(priority) if priority is not None else tuple(range(rank))
-        self._pos = {comp: i for i, comp in enumerate(priority)}
         self._cache: dict = {}
 
     def key(self, cab):
@@ -465,7 +445,7 @@ class WeylModuleOrder:
         if cached is None:
             comp, a, b = cab
             joint = a + b
-            cached = (-self._pos[comp], sum(b),
+            cached = (-comp, sum(b),
                       sum(joint), tuple(-x for x in reversed(joint)))
             self._cache[cab] = cached
         return cached
@@ -486,40 +466,19 @@ def _wdict_to_rows(w: dict, rank: int, d: int):
     return tuple(WeylElement(d, t) for t in split)
 
 
-def _wdict_lt(w: dict, worder: WeylModuleOrder):
-    key = max(w, key=worder.key)
-    return key, w[key]
-
-
-def _wdict_sub_mono_mul(f: dict, g: dict, coeff: Fraction, da, db, d: int) -> dict:
-    """f - coeff * x^da d^db * g with the normal-ordering corrections."""
+def _wdict_sub_mono_mul(f: dict, g: dict, coeff: Fraction, da, db) -> dict:
+    """f - coeff * x^da d^db * g in normal order."""
     out = dict(f)
-    for (comp, a, b), cg in g.items():
-        ranges = [range(min(db[i], a[i]) + 1) for i in range(d)]
-        for k in product(*ranges):
-            c = coeff * cg
-            for i in range(d):
-                if k[i]:
-                    c *= comb(db[i], k[i]) * perm(a[i], k[i])
-            if not c:
-                continue
-            key = (comp,
-                   tuple(da[i] + a[i] - k[i] for i in range(d)),
-                   tuple(db[i] + b[i] - k[i] for i in range(d)))
-            nc = out.get(key, Fraction(0)) - c
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
+    weyl_shift_into(out, g, -coeff, da, db)
     return out
 
 
-def _wdict_normal_form(f: dict, basis: list[dict], lts: list, d: int,
+def _wdict_normal_form(f: dict, basis: list[dict], lts: list,
                        worder: WeylModuleOrder) -> dict:
     work = dict(f)
     remainder: dict = {}
     while work:
-        (comp, a, b), c = _wdict_lt(work, worder)
+        (comp, a, b), c = _vec_lt(work, worder)
         hit = None
         for idx, ((gcomp, ga, gb), gc) in enumerate(lts):
             if gcomp == comp and all(x >= y for x, y in zip(a, ga)) \
@@ -533,12 +492,12 @@ def _wdict_normal_form(f: dict, basis: list[dict], lts: list, d: int,
             del work[(comp, a, b)]
         else:
             idx, gc, da, db = hit
-            work = _wdict_sub_mono_mul(work, basis[idx], c / gc, da, db, d)
+            work = _wdict_sub_mono_mul(work, basis[idx], c / gc, da, db)
     return remainder
 
 
 def _wdict_monic(w: dict, worder: WeylModuleOrder) -> dict:
-    _, c = _wdict_lt(w, worder)
+    _, c = _vec_lt(w, worder)
     if c == 1:
         return w
     return {k: v / c for k, v in w.items()}
@@ -549,12 +508,12 @@ def weyl_normal_form(f, basis, worder: WeylModuleOrder):
     d = f[0].d
     rank = len(f)
     wb = [_rows_to_wdict(g) for g in basis]
-    lts = [_wdict_lt(g, worder) for g in wb]
-    nf = _wdict_normal_form(_rows_to_wdict(f), wb, lts, d, worder)
+    lts = [_vec_lt(g, worder) for g in wb]
+    nf = _wdict_normal_form(_rows_to_wdict(f), wb, lts, worder)
     return _wdict_to_rows(nf, rank, d)
 
 
-def weyl_buchberger(gens, rank: int, d: int, priority=None) -> list:
+def weyl_buchberger(gens, rank: int, d: int) -> list:
     """Reduced filtered GB of the left submodule of A^rank generated by gens.
 
     The order refines the order-filtration weight (0 on x, 1 on d) with a
@@ -562,13 +521,13 @@ def weyl_buchberger(gens, rank: int, d: int, priority=None) -> list:
     """
     import heapq
 
-    worder = WeylModuleOrder(rank, priority)
+    worder = WeylModuleOrder(rank)
     basis = []
     for g in gens:
         w = _rows_to_wdict(g)
         if w:
             basis.append(_wdict_monic(w, worder))
-    basis.sort(key=lambda g: worder.key(_wdict_lt(g, worder)[0]))
+    basis.sort(key=lambda g: worder.key(_vec_lt(g, worder)[0]))
     seen = set()
     uniq = []
     for g in basis:
@@ -577,7 +536,7 @@ def weyl_buchberger(gens, rank: int, d: int, priority=None) -> list:
             seen.add(key)
             uniq.append(g)
     basis = uniq
-    lms = [_wdict_lt(g, worder)[0] for g in basis]
+    lms = [_vec_lt(g, worder)[0] for g in basis]
     lts = [(lm, basis[i][lm]) for i, lm in enumerate(lms)]
 
     heap: list = []
@@ -593,7 +552,6 @@ def weyl_buchberger(gens, rank: int, d: int, priority=None) -> list:
             if lms[i][0] == lms[j][0]:
                 push_pair(i, j)
 
-    zero = (0,) * d
     while heap:
         _, i, j = heapq.heappop(heap)
         (comp, ai, bi), (_, aj, bj) = lms[i], lms[j]
@@ -601,16 +559,16 @@ def weyl_buchberger(gens, rank: int, d: int, priority=None) -> list:
         lb = tuple(max(x, y) for x, y in zip(bi, bj))
         s = _wdict_sub_mono_mul({}, basis[i], Fraction(-1),
                                 tuple(x - y for x, y in zip(la, ai)),
-                                tuple(x - y for x, y in zip(lb, bi)), d)
+                                tuple(x - y for x, y in zip(lb, bi)))
         s = _wdict_sub_mono_mul(s, basis[j], Fraction(1),
                                 tuple(x - y for x, y in zip(la, aj)),
-                                tuple(x - y for x, y in zip(lb, bj)), d)
-        s = _wdict_normal_form(s, basis, lts, d, worder)
+                                tuple(x - y for x, y in zip(lb, bj)))
+        s = _wdict_normal_form(s, basis, lts, worder)
         if s:
             s = _wdict_monic(s, worder)
             incoming = len(basis)
             basis.append(s)
-            lm = _wdict_lt(s, worder)[0]
+            lm = _vec_lt(s, worder)[0]
             lms.append(lm)
             lts.append((lm, s[lm]))
             for k in range(incoming):
@@ -637,12 +595,12 @@ def weyl_buchberger(gens, rank: int, d: int, priority=None) -> list:
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
         if others:
-            olts = [_wdict_lt(o, worder) for o in others]
-            h = _wdict_normal_form(g, others, olts, d, worder)
+            olts = [_vec_lt(o, worder) for o in others]
+            h = _wdict_normal_form(g, others, olts, worder)
         else:
             h = g
         reduced.append(_wdict_monic(h, worder))
-    reduced.sort(key=lambda g: worder.key(_wdict_lt(g, worder)[0]))
+    reduced.sort(key=lambda g: worder.key(_vec_lt(g, worder)[0]))
     return [_wdict_to_rows(g, rank, d) for g in reduced]
 
 

@@ -17,6 +17,10 @@ from fractions import Fraction
 
 from .errors import ParseError
 
+# The largest exponent sum of one term: expanding a power costs time that
+# grows with its exponent, so a term of higher degree is a ParseError.
+MAX_EXPONENT = 200
+
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[a-zA-Z]+)(?P<idx>\d+)|(?P<op>[*^+/\-]))")
 
 
@@ -90,6 +94,8 @@ def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
                 take("op", "*")
                 continue
             break
+        if sum(v[2] for v in vars_) > MAX_EXPONENT:
+            raise ParseError(f"a term has exponents summing to more than {MAX_EXPONENT}")
         return coeff, vars_
 
     terms = []

@@ -1,8 +1,15 @@
-"""Weyl algebra arithmetic with rational coefficients.
+"""Weyl algebra arithmetic with rational coefficients, and the package's
+sparse-polynomial kernel.
 
-Elements are stored in normal order: finitely many terms x^a d^b -> coeff
-with a, b in N^d. The module also provides the torus-eigenspace (theta)
-form, the action on Laurent polynomials, and the order-reversing involution.
+The tp_* functions add, scale and multiply dict polynomials {exponent tuple:
+Fraction}; Poly, LaurentPoly and WeylElement do their arithmetic through
+them. weyl_shift_into is the one normal-ordering expansion, shared by the
+Weyl product, the involution and the Weyl Groebner engine.
+
+Weyl elements are stored in normal order: finitely many terms x^a d^b ->
+coeff with a, b in N^d. The module also provides the torus-eigenspace
+(theta) form, the action on Laurent polynomials, and the order-reversing
+involution.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb, perm
+from operator import add, sub
 
 from .errors import InhomogeneousInput, ParseError
 from .parsing import format_terms, parse_terms
@@ -54,13 +62,25 @@ def tp_mul(p: ThetaDict, q: ThetaDict) -> ThetaDict:
     return out
 
 
+def tp_linear_form(u, shift=0) -> ThetaDict:
+    """The polynomial sum_i u_i theta_i + shift."""
+    d = len(u)
+    out = {tuple(int(j == i) for j in range(d)): Fraction(c) for i, c in enumerate(u) if c}
+    if shift:
+        out[(0,) * d] = Fraction(shift)
+    return out
+
+
 def tp_linear(d: int, i: int, shift) -> ThetaDict:
     """The polynomial theta_i + shift."""
-    e = tuple(1 if j == i else 0 for j in range(d))
-    out = {e: Fraction(1)}
-    shift = Fraction(shift)
-    if shift:
-        out[(0,) * d] = shift
+    return tp_linear_form(tuple(int(j == i) for j in range(d)), shift)
+
+
+def tp_linear_product(d: int, factors) -> ThetaDict:
+    """The product of the linear factors (theta_i - m) over (i, m) in factors."""
+    out = tp_const(d, 1)
+    for i, m in factors:
+        out = tp_mul(out, tp_linear(d, i, -m))
     return out
 
 
@@ -213,26 +233,16 @@ class WeylElement:
     def __add__(self, other: "WeylElement") -> "WeylElement":
         if self.d != other.d:
             raise ValueError("rank mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = out.get(k, Fraction(0)) + c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
-        return WeylElement(self.d, out)
+        return WeylElement(self.d, tp_add(self.terms, other.terms))
 
     def __neg__(self) -> "WeylElement":
-        return WeylElement(self.d, {k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
         return self + (-other)
 
     def scale(self, c) -> "WeylElement":
-        c = Fraction(c)
-        if not c:
-            return WeylElement.zero(self.d)
-        return WeylElement(self.d, {k: v * c for k, v in self.terms.items()})
+        return WeylElement(self.d, tp_scale(self.terms, c))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return weyl_mul(self, other)
@@ -242,30 +252,45 @@ class WeylElement:
         return max((sum(b) for (_, b) in self.terms), default=0)
 
 
+def weyl_shift_into(out: dict, terms: dict, c, da, db) -> None:
+    """out += c * x^da d^db * terms in normal order, in place.
+
+    A key of terms ends in the exponents (a, b); whatever precedes them (a
+    module component) is kept. Uses d^b x^a = sum_k C(b,k) a!/(a-k)!
+    x^(a-k) d^(b-k); the coefficients in terms are nonzero.
+    """
+    if not c:
+        return
+    for key, ct in terms.items():
+        pre, a, b = key[:-2], key[-2], key[-1]
+        cc = c * ct
+        for k in product(*[range(min(x, y) + 1) for x, y in zip(db, a)]):
+            v = cc
+            for i, ki in enumerate(k):
+                if ki:
+                    v *= comb(db[i], ki) * perm(a[i], ki)
+            nk = pre + (tuple(map(sub, map(add, da, a), k)),
+                        tuple(map(sub, map(add, db, b), k)))
+            nv = out.get(nk, 0) + v
+            if nv:
+                out[nk] = nv
+            else:
+                del out[nk]
+
+
 def weyl_mul(f: WeylElement, g: WeylElement) -> WeylElement:
-    """Normal-ordered product, from d^b x^a = sum_k C(b,k) a!/(a-k)! x^(a-k) d^(b-k)."""
+    """Normal-ordered product."""
     if f.d != g.d:
         raise ValueError("rank mismatch")
-    d = f.d
     out: dict = {}
-    for (a1, b1), c1 in f.terms.items():
-        for (a2, b2), c2 in g.terms.items():
-            ranges = [range(min(b1[i], a2[i]) + 1) for i in range(d)]
-            for k in product(*ranges):
-                coeff = c1 * c2
-                for i in range(d):
-                    if k[i]:
-                        coeff *= comb(b1[i], k[i]) * perm(a2[i], k[i])
-                if not coeff:
-                    continue
-                key = (tuple(a1[i] + a2[i] - k[i] for i in range(d)),
-                       tuple(b1[i] + b2[i] - k[i] for i in range(d)))
-                nc = out.get(key, Fraction(0)) + coeff
-                if nc:
-                    out[key] = nc
-                else:
-                    out.pop(key, None)
-    return WeylElement(d, out)
+    for (a, b), c in f.terms.items():
+        weyl_shift_into(out, g.terms, c, a, b)
+    return WeylElement(f.d, out)
+
+
+def theta_u(u, shift=0) -> WeylElement:
+    """The shifted Euler operator sum_i u_i x_i d_i + shift."""
+    return WeylElement(len(u), {(e, e): c for e, c in tp_linear_form(u, shift).items()})
 
 
 def weyl_degree(grading, f: WeylElement):
@@ -420,17 +445,10 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if (self.d, self.mask) != (other.d, other.mask):
             raise ValueError("incompatible Laurent rings")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e, Fraction(0)) + c
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
-        return LaurentPoly(self.d, self.mask, out)
+        return LaurentPoly(self.d, self.mask, tp_add(self.terms, other.terms))
 
     def scale(self, c) -> "LaurentPoly":
-        return LaurentPoly(self.d, self.mask, {e: v * Fraction(c) for e, v in self.terms.items()})
+        return LaurentPoly(self.d, self.mask, tp_scale(self.terms, c))
 
     def __repr__(self):
         names = [f"x{i + 1}" for i in range(self.d)]
@@ -463,14 +481,11 @@ def act(f: WeylElement, g: LaurentPoly) -> LaurentPoly:
 
 def tau(f: WeylElement) -> WeylElement:
     """The involution x^a d^b -> (-d)^b x^a, re-expressed in normal order."""
-    d = f.d
-    out = WeylElement.zero(d)
+    zero = (0,) * f.d
+    out: dict = {}
     for (a, b), c in f.terms.items():
-        sign = -1 if sum(b) % 2 else 1
-        prod = weyl_mul(WeylElement.monomial(d, (0,) * d, b),
-                        WeylElement.monomial(d, a, (0,) * d))
-        out = out + prod.scale(c * sign)
-    return out
+        weyl_shift_into(out, {(a, zero): 1}, -c if sum(b) % 2 else c, zero, b)
+    return WeylElement(f.d, out)
 
 
 def parse_weyl(text: str, d: int) -> WeylElement:

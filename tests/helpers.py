@@ -170,6 +170,77 @@ def macaulay_membership_stable(f: Poly, gens: list[Poly], extra: int = 4) -> boo
     return any(macaulay_membership(f, gens, base + k) for k in range(extra + 1))
 
 
+# filtered Macaulay-matrix membership oracle for left submodules of A_d^rank
+# (independent of the Weyl engine and of its normal-ordering expansion)
+
+
+def weyl_rows_to_dict(row) -> dict:
+    """A row of WeylElements as {(component, a, b): coefficient}."""
+    return {(comp, a, b): c for comp, elt in enumerate(row) for (a, b), c in elt.terms.items()}
+
+
+def weyl_left_mul_var(terms: dict, var: str, i: int) -> dict:
+    """x_i * f or d_i * f, from d_i x^a = x^a d_i + a_i x^(a - e_i)."""
+    out: dict = {}
+    for (comp, a, b), c in terms.items():
+        step = tuple(int(j == i) for j in range(len(a)))
+        if var == "x":
+            moves = [((comp, tuple(map(sum, zip(a, step))), b), c)]
+        else:
+            moves = [((comp, a, tuple(map(sum, zip(b, step)))), c)]
+            if a[i]:
+                moves.append(((comp, tuple(x - y for x, y in zip(a, step)), b), c * a[i]))
+        for key, v in moves:
+            nv = out.get(key, Fraction(0)) + v
+            if nv:
+                out[key] = nv
+            else:
+                out.pop(key, None)
+    return out
+
+
+def weyl_left_mul_monomial(terms: dict, alpha, beta) -> dict:
+    """x^alpha d^beta * f, one variable at a time (d's first)."""
+    for i, k in enumerate(beta):
+        for _ in range(k):
+            terms = weyl_left_mul_var(terms, "d", i)
+    for i, k in enumerate(alpha):
+        for _ in range(k):
+            terms = weyl_left_mul_var(terms, "x", i)
+    return terms
+
+
+def bernstein_degree(terms: dict) -> int:
+    """Largest |a| + |b| over the terms (0 for none)."""
+    return max((sum(a) + sum(b) for (_, a, b) in terms), default=0)
+
+
+class WeylMacaulayOracle:
+    """Span of {x^alpha d^beta g : |alpha| + |beta| + deg g <= cap} for the
+    generator rows g of a left submodule of A_d^rank, deg the Bernstein
+    degree, by exact Gaussian elimination. A member at some cap is a member;
+    the converse needs a large enough cap.
+    """
+
+    def __init__(self, gens, d: int, degree_cap: int):
+        self.echelon: dict = {}
+        for g in gens:
+            g = weyl_rows_to_dict(g)
+            room = degree_cap - bernstein_degree(g)
+            for beta in _monomials_up_to(d, room):
+                dg = weyl_left_mul_monomial(g, (0,) * d, beta)
+                for alpha in _monomials_up_to(d, room - sum(beta)):
+                    row = _echelon_reduce(weyl_left_mul_monomial(dg, alpha, (0,) * d),
+                                          self.echelon)
+                    if row:
+                        lead = max(row)
+                        c = row[lead]
+                        self.echelon[lead] = {e: v / c for e, v in row.items()}
+
+    def member(self, row) -> bool:
+        return not _echelon_reduce(weyl_rows_to_dict(row), self.echelon)
+
+
 def random_poly(r: random.Random, ring: PolyRing, degree: int, nterms: int) -> Poly:
     terms = {}
     for _ in range(nterms):

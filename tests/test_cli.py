@@ -3,6 +3,7 @@
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -90,6 +91,52 @@ def test_local_not_in_jp_exit_4():
     rc2, out, _ = run_cli("local", str(FIXTURES / "p1.fan"),
                           "--cone", "1", "--p=-1", "--g", "th1")
     assert rc2 == 0 and "g-image: (-1; v1)" in out
+
+
+def _timed_main(capsys, *args):
+    started = time.perf_counter()
+    rc = main(list(args))
+    elapsed = time.perf_counter() - started
+    return rc, elapsed, capsys.readouterr()
+
+
+def test_oversized_local_point_exits_4_at_once(capsys):
+    # measured before the bound: 96 s on P1 and 70.7 s on P2
+    for fan, cone, p in (("p1", "1", "-1000"), ("p2", "1,2", "-30,-30")):
+        rc, elapsed, cap = _timed_main(capsys, "local", str(FIXTURES / f"{fan}.fan"),
+                                       "--cone", cone, f"--p={p}")
+        assert rc == 4 and elapsed < 1.0
+        assert cap.out == "" and "Traceback" not in cap.err
+        assert cap.err.count("\n") == 1 and cap.err.startswith("error: ")
+
+
+def test_local_bounds_admit_the_documented_range():
+    from toric_dmod import dmod
+    from toric_dmod.errors import PointTooLarge
+    p1 = grading_data(load_fan(str(FIXTURES / "p1.fan")))
+    p1p1 = grading_data(load_fan(str(FIXTURES / "p1p1.fan")))
+    # 64 factors; then (4 * 15 + 1)^2 = 3721 box points
+    dmod.require_local_bounds(p1, (0,), (-dmod.LOCAL_MAX_FACTORS,))
+    dmod.require_local_bounds(p1p1, (0, 2), (-14, -14))
+    with pytest.raises(PointTooLarge):
+        dmod.require_local_bounds(p1, (0,), (-dmod.LOCAL_MAX_FACTORS - 1,))
+    with pytest.raises(PointTooLarge):
+        dmod.require_local_bounds(p1p1, (0, 2), (-15, -14))
+    # no factors, but a box of 4 * 1025 + 1 points
+    with pytest.raises(PointTooLarge):
+        dmod.require_local_bounds(p1, (0,), (1024,))
+
+
+def test_over_cap_exponent_exits_2_at_once(capsys):
+    # th1^1000000 took 6.3 s before the cap; th1^10000000 ran past 30 s
+    for g in ("th1^10000000", "th1^150*th1^51"):
+        rc, elapsed, cap = _timed_main(capsys, "local", str(FIXTURES / "p1.fan"),
+                                       "--cone", "1", "--p=-1", "--g", g)
+        assert rc == 2 and elapsed < 1.0
+        assert cap.err.count("\n") == 1 and "200" in cap.err
+    rc, _, cap = _timed_main(capsys, "local", str(FIXTURES / "p1.fan"),
+                             "--cone", "1", "--p=-1", "--g", "th1^200")
+    assert rc == 0 and "g-image: (-1; v1^200)" in cap.out
 
 
 def test_local_unknown_cone_exit_3():

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (fan_p1, fan_p1p1, fan_p2, grading, macaulay_membership,
-                     macaulay_membership_stable, random_poly, rng)
+from helpers import (WeylMacaulayOracle, bernstein_degree, fan_p1, fan_p1p1,
+                     fan_p2, grading, macaulay_membership,
+                     macaulay_membership_stable, random_poly, rng,
+                     weyl_left_mul_monomial, weyl_rows_to_dict)
 from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing, degrevlex_order,
                                  format_poly, groebner_basis, in_ideal,
                                  initial_forms, intersect_ideals, is_unit_ideal,
@@ -454,3 +456,64 @@ def test_module_chain_criterion_stays_within_a_component():
     basis = buchberger_vec([f, g, h], morder)
     assert {(2, (0, 1)): Fraction(1)} in basis
     _assert_buchberger_certificate([f, g, h], basis, morder)
+
+
+def _random_weyl_row(r, d: int, rank: int):
+    """Entries of one or two terms of Bernstein degree at most 2."""
+    row = []
+    for _ in range(rank):
+        terms = {}
+        for _ in range(r.randint(1, 2)):
+            v = [0] * (2 * d)
+            for _ in range(r.randint(0, 2)):
+                v[r.randrange(2 * d)] += 1
+            key = (tuple(v[:d]), tuple(v[d:]))
+            terms[key] = terms.get(key, Fraction(0)) + r.randint(-3, 3)
+        row.append(WeylElement(d, terms))
+    return tuple(row)
+
+
+def _weyl_row(terms: dict, rank: int, d: int):
+    split = [{} for _ in range(rank)]
+    for (comp, a, b), c in terms.items():
+        split[comp][(a, b)] = c
+    return tuple(WeylElement(d, t) for t in split)
+
+
+def test_weyl_basis_against_filtered_macaulay_oracle():
+    # two generator rows, d <= 2, rank 1 or 2, degree <= 2; products in the
+    # oracle and in the S-pairs come from d_i x_i = x_i d_i + 1 alone. In
+    # 400 such draws every certificate was found within 4 degrees above the
+    # largest input or output row; 6 are allowed.
+    r = rng(40)
+    for _ in range(40):
+        d, rank = r.randint(1, 2), r.randint(1, 2)
+        gens = [_random_weyl_row(r, d, rank) for _ in range(2)]
+        gb = weyl_buchberger(gens, rank, d)
+        worder = WeylModuleOrder(rank)
+        base = max(bernstein_degree(weyl_rows_to_dict(g)) for g in gens + gb)
+        pending = list(gb)
+        for cap in range(base, base + 7):
+            oracle = WeylMacaulayOracle(gens, d, cap)
+            pending = [g for g in pending if not oracle.member(g)]
+            if not pending:
+                break
+        assert not pending, [[format_weyl(e) for e in g] for g in pending]
+        for g in gens:
+            assert all(e.is_zero() for e in weyl_normal_form(g, gb, worder))
+        rows = [weyl_rows_to_dict(g) for g in gb]
+        for i, f in enumerate(rows):
+            for g in rows[i + 1:]:
+                (cf, af, bf), (cg, ag, bg) = max(f, key=worder.key), max(g, key=worder.key)
+                if cf != cg:
+                    continue
+                la, lb = tuple(map(max, af, ag)), tuple(map(max, bf, bg))
+                s = {}
+                for h, ah, bh, sign in ((f, af, bf, 1), (g, ag, bg, -1)):
+                    lc = h[(cf, ah, bh)]
+                    shifted = weyl_left_mul_monomial(h, tuple(x - y for x, y in zip(la, ah)),
+                                                     tuple(x - y for x, y in zip(lb, bh)))
+                    for k, v in shifted.items():
+                        s[k] = s.get(k, 0) + sign * v / lc
+                spair = _weyl_row({k: v for k, v in s.items() if v}, rank, d)
+                assert all(e.is_zero() for e in weyl_normal_form(spair, gb, worder))

@@ -210,6 +210,14 @@ def test_parse_rejects_garbage():
         parse_weyl("", 2)
 
 
+def test_parse_caps_the_degree_of_a_term():
+    # the cap is on a term's exponent sum: repeated factors count too
+    assert parse_weyl("x1^100*d1^100 + x2^200", 2) == W("x1^100*d1^100") + W("x2^200")
+    for text in ("x1^201", "x1^100*d1^101", "x1^150*x1^51", "1 + d2^99999999999"):
+        with pytest.raises(ParseError):
+            parse_weyl(text, 2)
+
+
 def test_weyl_degree_inhomogeneous_raises():
     gd = grading(fan_p1())
     with pytest.raises(InhomogeneousInput):

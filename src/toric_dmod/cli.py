@@ -66,7 +66,9 @@ def read_document(path: str) -> dict:
         if pending_value.count("[") == pending_value.count("]"):
             try:
                 doc[pending_key] = ast.literal_eval(pending_value)
-            except (ValueError, SyntaxError) as exc:
+            # deeply nested values end in RecursionError or, in the
+            # compiler, MemoryError
+            except (ValueError, SyntaxError, RecursionError, MemoryError) as exc:
                 raise ParseError(
                     f"{path}:{lineno}: bad value for {pending_key!r}: {exc}") from exc
             pending_key, pending_value = None, ""

@@ -3,8 +3,11 @@ sparse-polynomial kernel.
 
 The tp_* functions add, scale and multiply dict polynomials {exponent tuple:
 Fraction}; Poly, LaurentPoly and WeylElement do their arithmetic through
-them. weyl_shift_into is the one normal-ordering expansion, shared by the
-Weyl product, the involution and the Weyl Groebner engine.
+them. Products, substitutions, evaluations and the action on Laurent
+polynomials run on integer numerators over one common denominator
+(tp_numerators) and build one Fraction per output coefficient.
+weyl_shift_into is the one normal-ordering expansion, shared by the Weyl
+product, the involution and the Weyl Groebner engine.
 
 Weyl elements are stored in normal order: finitely many terms x^a d^b ->
 coeff with a, b in N^d. The module also provides the torus-eigenspace
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, perm
+from math import comb, lcm, perm, prod
 from operator import add, sub
 
 from .errors import InhomogeneousInput, ParseError
@@ -49,17 +52,33 @@ def tp_scale(p: ThetaDict, c) -> ThetaDict:
     return {e: v * c for e, v in p.items()}
 
 
-def tp_mul(p: ThetaDict, q: ThetaDict) -> ThetaDict:
-    out: ThetaDict = {}
+def tp_numerators(p: ThetaDict) -> tuple[int, dict]:
+    """(D, {key: D * c}): the least common denominator D of the coefficients
+    of p and the integer numerators over it."""
+    dens = [c.denominator for c in p.values()]
+    den = lcm(*dens)
+    return den, {e: c.numerator * (den // q) for (e, c), q in zip(p.items(), dens)}
+
+
+def _over(den: int, nums: dict) -> ThetaDict:
+    """The Fraction dict of integer numerators over den, zeros dropped."""
+    return {e: Fraction(c, den) for e, c in nums.items() if c}
+
+
+def _int_mul(p: dict, q: dict) -> dict:
+    """The product of two dicts with int coefficients; zero sums are kept."""
+    out: dict = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            nc = out.get(e, Fraction(0)) + c1 * c2
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
     return out
+
+
+def tp_mul(p: ThetaDict, q: ThetaDict) -> ThetaDict:
+    dp, nump = tp_numerators(p)
+    dq, numq = tp_numerators(q)
+    return _over(dp * dq, _int_mul(nump, numq))
 
 
 def tp_linear_form(u, shift=0) -> ThetaDict:
@@ -77,48 +96,75 @@ def tp_linear(d: int, i: int, shift) -> ThetaDict:
 
 
 def tp_linear_product(d: int, factors) -> ThetaDict:
-    """The product of the linear factors (theta_i - m) over (i, m) in factors."""
-    out = tp_const(d, 1)
+    """The product of the linear factors (theta_i - m) over (i, m) in factors.
+
+    With m = r / s in lowest terms, (theta_i - m) = (s theta_i - r) / s.
+    """
+    den, nums = 1, {(0,) * d: 1}
     for i, m in factors:
-        out = tp_mul(out, tp_linear(d, i, -m))
-    return out
+        r, s = m.numerator, m.denominator
+        out: dict = {}
+        for e, c in nums.items():
+            up = e[:i] + (e[i] + 1,) + e[i + 1:]
+            out[up] = out.get(up, 0) + s * c
+            out[e] = out.get(e, 0) - r * c
+        den *= s
+        nums = {e: c for e, c in out.items() if c}
+    return _over(den, nums)
 
 
 def tp_eval(p: ThetaDict, point) -> Fraction:
+    """p at a rational point.
+
+    With the point written as t / s over one denominator and K the largest
+    total degree, s^K p(point) = sum_e c_e t^e s^(K - |e|) is an integer sum.
+    """
     if not p:
         return Fraction(0)
-    nvars = len(next(iter(p)))
-    maxdeg = [0] * nvars
-    for e in p:
-        for i, k in enumerate(e):
-            if k > maxdeg[i]:
-                maxdeg[i] = k
-    powers = []
-    for i in range(nvars):
-        row = [Fraction(1)]
-        for _ in range(maxdeg[i]):
-            row.append(row[-1] * point[i])
-        powers.append(row)
-    total = Fraction(0)
-    for e, c in p.items():
-        v = c
-        for i, k in enumerate(e):
+    den, nums = tp_numerators(p)
+    s = lcm(*(x.denominator for x in point))
+    t = [x.numerator * (s // x.denominator) for x in point]
+    top = max(map(sum, nums))
+    total = 0
+    for e, c in nums.items():
+        v = c * s ** (top - sum(e))
+        for ti, k in zip(t, e):
             if k:
-                v *= powers[i][k]
+                v *= ti ** k
         total += v
-    return total
+    return Fraction(total, den * s ** top)
 
 
 def tp_subst(p: ThetaDict, images: list[ThetaDict], d_out: int) -> ThetaDict:
-    """Substitute variable i -> images[i]; images live in a d_out-variable ring."""
-    out = tp_const(d_out, 0)
-    for e, c in p.items():
-        term = tp_const(d_out, c)
-        for i, k in enumerate(e):
-            for _ in range(k):
-                term = tp_mul(term, images[i])
-        out = tp_add(out, term)
-    return out
+    """Substitute variable i -> images[i]; images live in a d_out-variable ring.
+
+    With p = sum_e c_e theta^e / D, images[i] = N_i / D_i and K_i the
+    largest exponent of variable i, the result is
+    sum_e c_e prod_i N_i^e_i D_i^(K_i - e_i) over D prod_i D_i^K_i. Each
+    power N_i^k is built once.
+    """
+    if not p:
+        return {}
+    den, nums = tp_numerators(p)
+    maxdeg = [max(ks) for ks in zip(*nums)]
+    scaled = [tp_numerators(image) for image in images]
+    powers = []
+    for (_, ni), k in zip(scaled, maxdeg):
+        row = [{(0,) * d_out: 1}]
+        for _ in range(k):
+            row.append(_int_mul(row[-1], ni))
+        powers.append(row)
+    out: dict = {}
+    for e, c in nums.items():
+        term = {(0,) * d_out: c * prod(di ** (top - k) for (di, _), k, top
+                                       in zip(scaled, e, maxdeg))}
+        for row, k in zip(powers, e):
+            if k:
+                term = _int_mul(term, row[k])
+        for ex, v in term.items():
+            out[ex] = out.get(ex, 0) + v
+    den *= prod(di ** k for (di, _), k in zip(scaled, maxdeg))
+    return _over(den, out)
 
 
 def tp_divide_linear(p: ThetaDict, i: int, root) -> tuple[ThetaDict, ThetaDict]:
@@ -432,6 +478,13 @@ class LaurentPoly:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, d: int, mask: tuple, terms: dict) -> "LaurentPoly":
+        """Wrap terms already known to be nonzero Fractions within the mask."""
+        out = cls.__new__(cls)
+        out.d, out.mask, out.terms = d, mask, terms
+        return out
+
+    @classmethod
     def monomial(cls, d: int, mask, e, coeff=1) -> "LaurentPoly":
         return cls(d, mask, {tuple(e): Fraction(coeff)})
 
@@ -458,25 +511,26 @@ class LaurentPoly:
 
 
 def act(f: WeylElement, g: LaurentPoly) -> LaurentPoly:
-    """Natural action: x_i multiplies, d_i differentiates."""
+    """Natural action: x_i multiplies, d_i differentiates.
+
+    d^b x^e = ff(e, b) x^(e - b) with ff the product of falling factorials;
+    it vanishes when 0 <= e_i < b_i, so the result keeps the mask of g.
+    """
     if f.d != g.d:
         raise ValueError("rank mismatch")
+    df, nf = tp_numerators(f.terms)
+    dg, ng = tp_numerators(g.terms)
     out: dict = {}
-    for (a, b), cf in f.terms.items():
-        for e, cg in g.terms.items():
-            coeff = cf * cg
-            for i in range(f.d):
-                if b[i]:
-                    coeff *= _ff(e[i], b[i])
-            if not coeff:
-                continue
-            ne = tuple(e[i] - b[i] + a[i] for i in range(f.d))
-            nc = out.get(ne, Fraction(0)) + coeff
-            if nc:
-                out[ne] = nc
-            else:
-                out.pop(ne, None)
-    return LaurentPoly(g.d, g.mask, out)
+    for (a, b), cf in nf.items():
+        for e, cg in ng.items():
+            ff = 1
+            for ei, bi in zip(e, b):
+                if bi:
+                    ff *= _ff(ei, bi)
+            if ff:
+                ne = tuple(map(add, map(sub, e, b), a))
+                out[ne] = out.get(ne, 0) + ff * cf * cg
+    return LaurentPoly._trusted(g.d, g.mask, _over(df * dg, out))
 
 
 def tau(f: WeylElement) -> WeylElement:

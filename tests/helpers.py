@@ -59,6 +59,18 @@ def grading(fan: Fan) -> GradingData:
     return grading_data(fan)
 
 
+def fraction_eval(p: dict, point) -> Fraction:
+    """p at a point, term by term in plain Fraction arithmetic (independent
+    of the kernel's common-denominator evaluation)."""
+    total = Fraction(0)
+    for e, c in p.items():
+        v = Fraction(c)
+        for x, k in zip(point, e):
+            v *= Fraction(x) ** k
+        total += v
+    return total
+
+
 # vertex-enumeration feasibility oracle (independent of Fourier-Motzkin)
 
 

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -137,6 +138,67 @@ def test_over_cap_exponent_exits_2_at_once(capsys):
     rc, _, cap = _timed_main(capsys, "local", str(FIXTURES / "p1.fan"),
                              "--cone", "1", "--p=-1", "--g", "th1^200")
     assert rc == 0 and "g-image: (-1; v1^200)" in cap.out
+
+
+def _report(text: str) -> dict:
+    return dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
+
+
+def _ring_term(text: str, gens: dict, field):
+    """One printed term such as -3/2*v1^4*v2 as an element of a sympy ring."""
+    sign = -1 if text.startswith("-") else 1
+    out = field(sign)
+    for factor in text.lstrip("-").split("*"):
+        name, _, k = factor.partition("^")
+        out *= gens[name] ** int(k or 1) if name in gens else field(Fraction(factor))
+    return out
+
+
+def test_many_term_g_images_match_sympy(capsys):
+    # before powers were built once per call these took 5.3 s and 45 s
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.rings import ring
+    ring_, v1, v2 = ring("v1,v2", sympy.QQ)
+    many = [(1, 1, k) for k in range(179, 199)]
+    full = [(1 + k // 20, 1 + k % 20, 198 - k // 20 - k % 20) for k in range(200)]
+    for exps in (many, full):
+        g = " + ".join(f"{k + 1}*th1^{a}*th2^{b}*th3^{c}"
+                       for k, (a, b, c) in enumerate(exps))
+        rc, elapsed, cap = _timed_main(capsys, "local", str(FIXTURES / "p2.fan"),
+                                       "--cone", "1,2", "--p=-1,-1", "--g", g)
+        assert rc == 0 and elapsed < 2.0
+        image = _report(cap.out)["g-image"]
+        assert image.startswith("(-1,-1; ") and image.endswith(")")
+        body = image[len("(-1,-1; "):-1].replace(" - ", " + -")
+        got = sum((_ring_term(t, {"v1": v1, "v2": v2}, sympy.QQ)
+                   for t in body.split(" + ")), ring_(0))
+        # rho on P2: th1 -> v1, th2 -> v2, th3 -> -v1 - v2
+        want = sum(((k + 1) * v1 ** a * v2 ** b * (-v1 - v2) ** c
+                    for k, (a, b, c) in enumerate(exps)), ring_(0))
+        assert got == want
+
+
+def test_term_cap_exits_2_at_once(capsys):
+    from toric_dmod.parsing import MAX_TERMS
+    base = ("local", str(FIXTURES / "p1.fan"), "--cone", "1", "--p=-1", "--g")
+    rc, elapsed, cap = _timed_main(capsys, *base,
+                                   " + ".join(["th1^2*th2^198"] * (MAX_TERMS + 1)))
+    assert rc == 2 and elapsed < 1.0
+    assert cap.out == "" and cap.err.count("\n") == 1 and cap.err.startswith("error: ")
+    rc, _, cap = _timed_main(capsys, *base, " + ".join(["th1^2*th2^198"] * MAX_TERMS))
+    assert rc == 0 and f"g: {MAX_TERMS}*th1^2*th2^198" in cap.out
+
+
+def test_largest_local_points_stay_fast(capsys):
+    # before the common-denominator kernel these took 0.29 s and 1.85 s
+    for fan, cone, p in (("p1", "1", "-64"), ("p1p1", "1,3", "-14,-14")):
+        rc, elapsed, cap = _timed_main(capsys, "local", str(FIXTURES / f"{fan}.fan"),
+                                       "--cone", cone, f"--p={p}")
+        assert rc == 0 and elapsed < 3.0
+        report = _report(cap.out)
+        assert report["oracle"] == report["y_p-vanishing"] == "AGREE"
+        # the widened index range is the negative control
+        assert report["inclusive-bound-variant"] == "DISAGREE (off-by-one)"
 
 
 def test_local_unknown_cone_exit_3():

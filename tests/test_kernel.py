@@ -1,0 +1,147 @@
+"""The common-denominator kernel against independent oracles.
+
+Products, substitutions and products of linear factors are compared with
+sympy's expansion, evaluation with term-by-term Fraction arithmetic and the
+action on Laurent polynomials with sympy's derivatives. Coefficients are
+rational with unequal denominators, so a lost or wrongly scaled common
+denominator shows.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from helpers import fraction_eval  # noqa: E402
+from toric_dmod.weyl import (LaurentPoly, WeylElement, act, tp_eval,  # noqa: E402
+                             tp_linear_product, tp_mul, tp_numerators, tp_subst)
+
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+nonzero = rationals.filter(bool)
+
+
+def polys(nvars: int, exps=st.integers(0, 3), max_terms: int = 5):
+    return st.dictionaries(st.tuples(*[exps] * nvars), nonzero, max_size=max_terms)
+
+
+def to_sympy(p: dict, syms):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[s ** k for s, k in zip(syms, e)])
+                for e, c in p.items()), sympy.Integer(0))
+
+
+def same(p: dict, expr, syms) -> bool:
+    return sympy.expand(to_sympy(p, syms) - expr) == 0
+
+
+@st.composite
+def poly_pairs(draw):
+    d = draw(st.integers(1, 3))
+    return d, draw(polys(d)), draw(polys(d))
+
+
+@given(poly_pairs())
+def test_tp_mul_matches_sympy(case):
+    d, p, q = case
+    syms = sympy.symbols(f"t1:{d + 1}")
+    out = tp_mul(p, q)
+    assert all(isinstance(c, Fraction) and c for c in out.values())
+    assert same(out, sympy.expand(to_sympy(p, syms) * to_sympy(q, syms)), syms)
+
+
+@st.composite
+def substitutions(draw):
+    d, d_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    p = draw(polys(d, st.integers(0, 4)))
+    images = [draw(polys(d_out, st.integers(0, 2), 3)) for _ in range(d)]
+    return d, d_out, p, images
+
+
+@given(substitutions())
+def test_tp_subst_matches_sympy(case):
+    d, d_out, p, images = case
+    src = sympy.symbols(f"t1:{d + 1}")
+    dst = sympy.symbols(f"v1:{d_out + 1}")
+    expected = to_sympy(p, src).xreplace(
+        {s: to_sympy(im, dst) for s, im in zip(src, images)})
+    assert same(tp_subst(p, images, d_out), sympy.expand(expected), dst)
+
+
+points = st.one_of(st.integers(-4, 4).map(Fraction), rationals)
+
+
+@st.composite
+def evaluations(draw):
+    d = draw(st.integers(1, 3))
+    p = draw(polys(d, st.integers(0, 4)))
+    integral = draw(st.booleans())
+    coords = st.integers(-4, 4) if integral else points
+    return p, draw(st.lists(coords, min_size=d, max_size=d))
+
+
+@given(evaluations())
+def test_tp_eval_matches_fraction_evaluation(case):
+    p, point = case
+    value = tp_eval(p, point)
+    assert isinstance(value, Fraction)
+    assert value == fraction_eval(p, point)
+
+
+@st.composite
+def linear_factors(draw):
+    d = draw(st.integers(1, 3))
+    roots = st.one_of(st.integers(-5, 5), rationals)
+    return d, draw(st.lists(st.tuples(st.integers(0, d - 1), roots), max_size=6))
+
+
+@given(linear_factors())
+def test_tp_linear_product_matches_sympy(case):
+    d, factors = case
+    syms = sympy.symbols(f"t1:{d + 1}")
+    expected = sympy.Mul(*[syms[i] - sympy.Rational(Fraction(m).numerator,
+                                                    Fraction(m).denominator)
+                           for i, m in factors])
+    assert same(tp_linear_product(d, factors), sympy.expand(expected), syms)
+
+
+@st.composite
+def actions(draw):
+    d = draw(st.integers(1, 2))
+    mono = st.tuples(*[st.integers(0, 2)] * d)
+    f = draw(st.dictionaries(st.tuples(mono, mono), nonzero, min_size=1, max_size=4))
+    g = draw(polys(d, st.integers(-3, 3), 4))
+    return d, f, g
+
+
+@given(actions())
+def test_act_matches_sympy_derivatives(case):
+    d, f, g = case
+    xs = sympy.symbols(f"x1:{d + 1}")
+    gx = to_sympy(g, xs)
+    expected = sympy.Integer(0)
+    for (a, b), c in f.items():
+        deriv = gx
+        for x, k in zip(xs, b):
+            deriv = sympy.diff(deriv, x, k)
+        expected += (sympy.Rational(c.numerator, c.denominator)
+                     * sympy.Mul(*[x ** k for x, k in zip(xs, a)]) * deriv)
+    out = act(WeylElement(d, f), LaurentPoly(d, (True,) * d, g))
+    assert all(isinstance(c, Fraction) and c for c in out.terms.values())
+    assert same(out.terms, sympy.expand(expected), xs)
+
+
+def test_act_keeps_the_mask():
+    # d1^2 kills x1 and 1, so no negative x1 exponent appears
+    f = WeylElement(1, {((0,), (2,)): Fraction(1, 2)})
+    g = LaurentPoly(1, (False,), {(1,): Fraction(3), (0,): Fraction(1, 5),
+                                  (3,): Fraction(2, 7)})
+    assert act(f, g) == LaurentPoly(1, (False,), {(1,): Fraction(6, 7)})
+
+
+def test_tp_numerators_is_the_least_common_denominator():
+    p = {(0,): Fraction(1, 6), (1,): Fraction(-3, 4), (2,): Fraction(5)}
+    assert tp_numerators(p) == (12, {(0,): 2, (1,): -9, (2,): 60})
+    assert tp_numerators({}) == (1, {})

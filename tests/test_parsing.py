@@ -1,0 +1,91 @@
+"""The expression and document parsers on arbitrary text, and the
+print-parse round trip."""
+
+import pathlib
+import tempfile
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from toric_dmod.cli import read_document  # noqa: E402
+from toric_dmod.errors import ParseError  # noqa: E402
+from toric_dmod.parsing import MAX_TERMS, parse_terms  # noqa: E402
+from toric_dmod.weyl import parse_theta_poly, parse_weyl, tp_format  # noqa: E402
+
+# near-grammatical text reaches deeper than uniform unicode does
+ALPHABET = "xdth0123456789+-*/^ \t"
+texts = st.one_of(st.text(), st.text(alphabet=ALPHABET, max_size=40),
+                  st.lists(st.sampled_from(["x1", "d2", "th1", "th3", "^", "*",
+                                            "+", "-", "/", "0", "7", "201",
+                                            "9" * 5000, " "]),
+                           max_size=12).map("".join))
+
+
+@given(texts)
+def test_parsers_return_or_raise_parse_error(text):
+    for parse in (parse_terms, lambda t: parse_theta_poly(t, 3),
+                  lambda t: parse_weyl(t, 2)):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+def test_overlong_integer_is_a_parse_error():
+    # int() refuses more than 4,300 digits with a ValueError
+    for text in ("9" * 5000, "x" + "1" * 5000, "th1^" + "2" * 5000):
+        with pytest.raises(ParseError):
+            parse_terms(text)
+
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)).filter(bool)
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.dictionaries(
+    st.tuples(*[st.integers(0, 4)] * d), rationals, max_size=6).map(lambda p: (d, p))))
+def test_theta_poly_format_parse_round_trip(case):
+    d, p = case
+    names = [f"th{i + 1}" for i in range(d)]
+    assert parse_theta_poly(tp_format(p, names), d) == p
+
+
+def test_parse_caps_the_number_of_terms():
+    assert len(parse_terms(" + ".join(["th1"] * MAX_TERMS))) == MAX_TERMS
+    with pytest.raises(ParseError, match=str(MAX_TERMS)):
+        parse_terms(" - ".join(["th1"] * (MAX_TERMS + 1)))
+
+
+def _read_text(text: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "doc.txt"
+        path.write_text(text, encoding="utf-8")
+        return read_document(str(path))
+
+
+fragments = st.lists(st.sampled_from(["[", "]", "[1, -2]", ",", "'x1*d1'", "\n", "#",
+                                      '"', "=", "-" * 4000 + "1", "(" * 200, "9" * 5000]),
+                     max_size=8).map("".join)
+doc_texts = st.one_of(
+    st.text(),
+    st.lists(st.builds("{} = {}".format, st.sampled_from(["n", "rays", "side", ""]),
+                       fragments), max_size=4).map("\n".join))
+
+
+@given(doc_texts)
+def test_read_document_returns_or_raises_parse_error(text):
+    try:
+        doc = _read_text(text)
+    except ParseError:
+        return
+    assert isinstance(doc, dict)
+
+
+def test_deeply_nested_document_value_is_a_parse_error():
+    # 3,000 unary minus signs raised RecursionError, 10,000 MemoryError
+    for text in ("x = " + "-" * 3000 + "1", "x = " + "-" * 10000 + "1",
+                 "x = " + "[" * 5000 + "]" * 5000):
+        with pytest.raises(ParseError):
+            _read_text(text)

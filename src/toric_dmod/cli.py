@@ -280,9 +280,8 @@ def cmd_charvar(args) -> int:
         if key != "saturated" or args.saturate:
             report.add(key, value)
     if args.charts:
-        for cone in grading.fan.max_cones:
-            label = f"chart-{','.join(str(i + 1) for i in cone)}"
-            chart = charvar.chart_ideal_from_saturated(grading, rep.saturated, cone)
+        for chart in rep.charts:
+            label = f"chart-{','.join(str(i + 1) for i in chart.cone)}"
             d = grading.d
             xnames = [f"x{i + 1}" for i in range(d)]
             xinames = [f"xi{i + 1}" for i in range(d)]

@@ -35,11 +35,12 @@ class PolyRing:
 
     def term_degree(self, exp):
         """Class-group degree of a monomial (requires degrees + group)."""
-        cls = self.group.zero()
+        total = list(self.group.zero())
         for e, dg in zip(exp, self.degrees):
             if e:
-                cls = self.group.add(cls, self.group.scale(e, dg))
-        return cls
+                for k, x in enumerate(dg):
+                    total[k] += e * x
+        return self.group.reduce(total)
 
 
 class Poly:
@@ -342,7 +343,15 @@ def normal_form(f: Poly, gb: list[Poly], order: TermOrder | None = None) -> Poly
 
 
 def in_ideal(f: Poly, gb: list[Poly], order: TermOrder | None = None) -> bool:
-    return normal_form(f, gb, order).is_zero()
+    return ideal_contains(gb, [f], order)
+
+
+def ideal_contains(gb: list[Poly], gens: list[Poly],
+                   order: TermOrder | None = None) -> bool:
+    """Whether every element of gens lies in the ideal of the Groebner basis gb."""
+    morder = ModuleOrder(order or degrevlex_order(), 1)
+    reducers = [_Reducer(poly_to_vec(g), morder) for g in gb if not g.is_zero()]
+    return not any(_reduce(poly_to_vec(f), reducers, morder) for f in gens)
 
 
 def is_unit_ideal(gb: list[Poly]) -> bool:
@@ -409,9 +418,14 @@ def radical_membership(f: Poly, gens: list[Poly], ring: PolyRing) -> bool:
 
 def krull_dimension(gens: list[Poly], ring: PolyRing,
                     order: TermOrder | None = None):
-    """Dimension of V(gens): the largest variable set independent modulo the
-    initial ideal. Returns EMPTY_DIM for the unit ideal."""
-    gb = groebner_basis(gens, ring, order)
+    """Dimension of V(gens); EMPTY_DIM for the unit ideal."""
+    return basis_dimension(groebner_basis(gens, ring, order), ring, order)
+
+
+def basis_dimension(gb: list[Poly], ring: PolyRing, order: TermOrder | None = None):
+    """Dimension of V(gb) for a Groebner basis gb under order: the largest
+    variable set independent modulo the initial ideal. Returns EMPTY_DIM for
+    the unit ideal."""
     if is_unit_ideal(gb):
         return EMPTY_DIM
     supports = []

@@ -24,6 +24,14 @@ MAX_EXPONENT = 200
 # the term count (in `local --g` on P2, 2,000 terms of degree 200 take 0.4 s,
 # 20,000 take 3.5 s and 53 MB), so a longer expression is a ParseError.
 MAX_TERMS = 2000
+# The most decimal digits of the product of one term's coefficient
+# numerators, and of its denominators: multiplying a term's coefficient
+# factors costs time that grows about quadratically with their number (40,000
+# factors of 3 took 0.64 s), so a term whose product grows past this is a
+# ParseError. It is also the most digits one integer literal may have, and
+# the most Python converts to text, so every parsed coefficient can be printed.
+MAX_COEFF_DIGITS = 4300
+_COEFF_LIMIT = 10 ** MAX_COEFF_DIGITS
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[a-zA-Z]+)(?P<idx>\d+)|(?P<op>[*^+/\-]))")
 
@@ -89,12 +97,16 @@ def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
         raise ParseError(f"expected a coefficient or variable (token #{pos + 1})")
 
     def parse_term():
-        coeff = Fraction(1)
+        num = den = 1
         vars_ = []
         while True:
             c, v = parse_factor()
             if c is not None:
-                coeff *= c
+                num *= c.numerator
+                den *= c.denominator
+                if abs(num) >= _COEFF_LIMIT or den >= _COEFF_LIMIT:
+                    raise ParseError("a term's coefficient factors multiply to more "
+                                     f"than {MAX_COEFF_DIGITS} digits")
             else:
                 vars_.append(v)
             if peek() == ("op", "*"):
@@ -103,7 +115,7 @@ def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
             break
         if sum(v[2] for v in vars_) > MAX_EXPONENT:
             raise ParseError(f"a term has exponents summing to more than {MAX_EXPONENT}")
-        return coeff, vars_
+        return Fraction(num, den), vars_
 
     terms = []
     sign = 1

@@ -123,7 +123,7 @@ def test_char_ideal_is_t_invariant():
 
 def test_chart_ideal_p1_twisted():
     gd = grading(fan_p1())
-    chart = chart_ideal(gd, d_module_left(gd, (0,)), (0,))
+    chart = chart_ideal(gd, dimension_report(gd, d_module_left(gd, (0,))), (0,))
     assert [nm for nm, _, _ in chart.generator_monomials] == ["t1", "u1", "u2"]
     assert chart.generator_monomials[0][1] == (1, -1)
     assert chart.presentation_ideal == []
@@ -133,14 +133,14 @@ def test_chart_ideal_p1_twisted():
 
 def test_chart_ideal_structure_sheaf_other_cone():
     gd = grading(fan_p1())
-    chart = chart_ideal(gd, structure_sheaf(gd), (1,))
+    chart = chart_ideal(gd, dimension_report(gd, structure_sheaf(gd)), (1,))
     assert sorted(format_poly(g) for g in chart.image_ideal) == ["u1", "u2"]
     assert chart.dimension == 1
 
 
 def test_chart_ideal_torsion_module_is_unit():
     gd = grading(fan_p1())
-    chart = chart_ideal(gd, delta_module(gd), (0,))
+    chart = chart_ideal(gd, dimension_report(gd, delta_module(gd)), (0,))
     assert [format_poly(g) for g in chart.image_ideal] == ["1"]
     assert chart.dimension == EMPTY_DIM
 
@@ -148,7 +148,7 @@ def test_chart_ideal_torsion_module_is_unit():
 def test_chart_ideal_cone_errors():
     gd = grading(fan_p1p1())
     with pytest.raises(ConeNotMaximal):
-        chart_ideal(gd, d_module_left(gd, (0, 0)), (0,))
+        chart_ideal(gd, dimension_report(gd, d_module_left(gd, (0, 0))), (0,))
 
 
 def test_verify_quotient_dimension():
@@ -173,8 +173,9 @@ def test_chart_generators_are_degree_zero_and_chart_regular():
         pres = d_module_left(gd, group.zero())
         group_zero_modules.append((gd, pres))
     for gd, pres in group_zero_modules:
+        report = dimension_report(gd, pres)
         for cone in gd.fan.max_cones:
-            chart = chart_ideal(gd, pres, cone)
+            chart = chart_ideal(gd, report, cone)
             inside = set(cone)
             for _, xexp, xiexp in chart.generator_monomials:
                 cls = gd.class_group.zero()

@@ -10,6 +10,7 @@ import pytest
 
 from helpers import cli_env
 from toric_dmod.cli import load_fan, load_module, main
+from toric_dmod.errors import ParseError
 from toric_dmod.fan_cox import grading_data
 
 HERE = pathlib.Path(__file__).parent
@@ -187,6 +188,30 @@ def test_term_cap_exits_2_at_once(capsys):
     assert cap.out == "" and cap.err.count("\n") == 1 and cap.err.startswith("error: ")
     rc, _, cap = _timed_main(capsys, *base, " + ".join(["th1^2*th2^198"] * MAX_TERMS))
     assert rc == 0 and f"g: {MAX_TERMS}*th1^2*th2^198" in cap.out
+
+
+def test_coefficient_cap_exits_2_at_once(tmp_path, capsys):
+    # a module document has no argument size limit; before the cap the
+    # factors were multiplied one by one (2.2 s for 80,000 factors of 3)
+    from toric_dmod.parsing import MAX_COEFF_DIGITS, parse_terms
+    doc = tmp_path / "big.mod"
+    doc.write_text('side = "left"\ngenerator_degrees = [[0]]\n'
+                   f'relations = [["{"3*" * 80000}x1*d1 + x2*d2"]]\n')
+    rc, elapsed, cap = _timed_main(capsys, "check", str(FIXTURES / "p1.fan"), str(doc))
+    assert rc == 2 and elapsed < 1.5
+    assert cap.out == "" and cap.err.count("\n") == 1
+    assert f"more than {MAX_COEFF_DIGITS} digits" in cap.err
+    # normal terms still parse, up to the bound
+    doc.write_text('side = "left"\ngenerator_degrees = [[0]]\n'
+                   f'relations = [["{"3*" * 1000}x1*d1 + {"3*" * 1000}x2*d2"]]\n')
+    rc, _, cap = _timed_main(capsys, "check", str(FIXTURES / "p1.fan"), str(doc))
+    assert rc == 0 and "theta-condition: OK" in cap.out
+    top = "9" * MAX_COEFF_DIGITS
+    assert parse_terms(f"{top}*x1 - 1/{top}")[0][0] == int(top)
+    assert parse_terms("2/3*3/4*x1")[0][0] == Fraction(1, 2)
+    for text in (f"{top}*2*x1", f"1/{top}*1/2", f"x1*{top}*10"):
+        with pytest.raises(ParseError, match="digits"):
+            parse_terms(text)
 
 
 def test_largest_local_points_stay_fast(capsys):

@@ -1,45 +1,1 @@
 """Cox-graded Weyl algebra computations over smooth toric fans."""
-
-from .lattice import (IntMatrix, SmithDecomposition, FinitelyGeneratedAbelianGroup,
-                      cokernel, dual_lattice_basis, smith_normal_form)
-from .fan_cox import (Fan, GradingData, MonomialIdeal, degree_component_basis,
-                      euler_operator, euler_operators, grading_data,
-                      irrelevant_ideal, sigma_hat_monomial, validate_smooth_fan)
-from .weyl import (LaurentPoly, ThetaFormElement, WeylElement, act,
-                   format_weyl, from_theta_form, graded_components, parse_weyl,
-                   tau, to_theta_form, weyl_mul)
-from .groebner import (Poly, PolyRing, TermOrder, block_order, degrevlex_order,
-                       groebner_basis, initial_forms, krull_dimension,
-                       lex_order, normal_form, radical_membership, saturation,
-                       saturation_by_monomials, toric_ideal, weight_order,
-                       weyl_buchberger)
-from .dmod import (GradedPresentation, bimodule_identity_check,
-                   check_theta_condition, d_module_left, d_module_right, h_p,
-                   i_p_ideal, j_p_oracle, k_component, left_right_swap,
-                   local_op_image, rho, rho_b)
-from .charvar import (CharReport, ChartIdeal, ZIdeal, characteristic_ideal,
-                      chart_ideal, dimension_report, t_invariance_check,
-                      verify_char_containment, verify_quotient_dimension,
-                      z_ideal)
-
-__all__ = [
-    "IntMatrix", "SmithDecomposition", "FinitelyGeneratedAbelianGroup",
-    "cokernel", "dual_lattice_basis", "smith_normal_form",
-    "Fan", "GradingData", "MonomialIdeal", "degree_component_basis",
-    "euler_operator", "euler_operators", "grading_data", "irrelevant_ideal",
-    "sigma_hat_monomial", "validate_smooth_fan",
-    "LaurentPoly", "ThetaFormElement", "WeylElement", "act", "format_weyl",
-    "from_theta_form", "graded_components", "parse_weyl", "tau",
-    "to_theta_form", "weyl_mul",
-    "Poly", "PolyRing", "TermOrder", "block_order", "degrevlex_order",
-    "groebner_basis", "initial_forms", "krull_dimension", "lex_order",
-    "normal_form", "radical_membership", "saturation",
-    "saturation_by_monomials", "toric_ideal", "weight_order",
-    "weyl_buchberger",
-    "GradedPresentation", "bimodule_identity_check", "check_theta_condition",
-    "d_module_left", "d_module_right", "h_p", "i_p_ideal", "j_p_oracle",
-    "k_component", "left_right_swap", "local_op_image", "rho", "rho_b",
-    "CharReport", "ChartIdeal", "ZIdeal", "characteristic_ideal",
-    "chart_ideal", "dimension_report", "t_invariance_check",
-    "verify_char_containment", "verify_quotient_dimension", "z_ideal",
-]

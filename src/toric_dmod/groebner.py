@@ -134,16 +134,6 @@ def degrevlex_order() -> TermOrder:
     return TermOrder(lambda e: (sum(e), tuple(-x for x in reversed(e))), "degrevlex")
 
 
-def weight_order(weights, tiebreak: TermOrder | None = None) -> TermOrder:
-    tiebreak = tiebreak or degrevlex_order()
-    w = tuple(weights)
-
-    def key(e):
-        return (sum(wi * xi for wi, xi in zip(w, e)), tiebreak.key(e))
-
-    return TermOrder(key, f"weight{w}")
-
-
 def block_order(front: int, first: TermOrder | None = None,
                 second: TermOrder | None = None) -> TermOrder:
     """Eliminates the first `front` variables."""
@@ -618,7 +608,7 @@ def weyl_buchberger(gens, rank: int, d: int) -> list:
     return [_wdict_to_rows(g, rank, d) for g in reduced]
 
 
-def initial_forms(gb, sprime: PolyRing, rank: int = 1) -> list[dict]:
+def initial_forms(gb) -> list[dict]:
     """Top-weight parts of filtered GB elements as commutative vecs over S'.
 
     Exponents are laid out x_1..x_d then xi_1..xi_d.
@@ -656,7 +646,7 @@ def annihilator_of_graded_quotient(init_vecs: list[dict], sprime: PolyRing,
                 colon.append(vec_to_polys(v, sprime, rank)[i])
         colon = groebner_basis(colon, sprime)
         ann = colon if ann is None else intersect_ideals(ann, colon, sprime)
-    return ann if ann is not None else []
+    return ann
 
 
 def toric_ideal(exponent_vectors: list[tuple[int, ...]], ring: PolyRing) -> list[Poly]:

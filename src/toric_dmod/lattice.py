@@ -54,10 +54,6 @@ class IntMatrix:
             raise ValueError("shape mismatch")
         return tuple(sum(row[k] * v[k] for k in range(self.cols)) for row in self.entries)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
-
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -124,6 +120,17 @@ def integer_rref(rows) -> tuple[list[tuple[int, ...]], list[int]]:
     return a[:len(pivots)], pivots
 
 
+def unimodular_inverse(mat: IntMatrix) -> IntMatrix:
+    """Inverse of a unimodular matrix: the reduced form of [M | I] is [I | M^-1]."""
+    n = mat.rows
+    rows, pivots = integer_rref([row + tuple(int(k == i) for k in range(n))
+                                 for i, row in enumerate(mat.entries)])
+    if mat.cols != n or pivots != list(range(n)) \
+            or any(row[i] != 1 for i, row in enumerate(rows)):
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix.from_rows([row[n:] for row in rows])
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U * M * V = D with U, V unimodular and D diagonal (invariant factors)."""
@@ -131,7 +138,6 @@ class SmithDecomposition:
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
-    U_inv: IntMatrix
     invariant_factors: tuple[int, ...]
 
 
@@ -144,27 +150,20 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     rows, cols = m.rows, m.cols
     a = [list(row) for row in m.entries]
     u = [list(row) for row in IntMatrix.identity(rows).entries]
-    uinv = [list(row) for row in IntMatrix.identity(rows).entries]
     v = [list(row) for row in IntMatrix.identity(cols).entries]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
 
     def add_row(i, j, c):
-        # row i += c * row j; U_inv column j -= c * column i
+        # row i += c * row j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for r in uinv:
-            r[j] -= c * r[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -239,8 +238,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     d = IntMatrix.from_rows(a)
     factors = tuple(a[i][i] for i in range(min(rows, cols)) if a[i][i] != 0)
-    return SmithDecomposition(IntMatrix.from_rows(u), d, IntMatrix.from_rows(v),
-                              IntMatrix.from_rows(uinv), factors)
+    return SmithDecomposition(IntMatrix.from_rows(u), d, IntMatrix.from_rows(v), factors)
 
 
 class FinitelyGeneratedAbelianGroup:
@@ -261,20 +259,13 @@ class FinitelyGeneratedAbelianGroup:
         self.torsion_orders = tuple(abs(diag[i]) for i in self._torsion_slots)
         self.free_rank = len(self._free_slots)
         u = [list(row) for row in snf.U.entries]
-        uinv = [list(row) for row in snf.U_inv.entries]
         # sign-normalize the free rows of U so projections are reproducible
         for slot in self._free_slots:
             lead = next((x for x in u[slot] if x != 0), 0)
             if lead < 0:
                 u[slot] = [-x for x in u[slot]]
-                for r in uinv:
-                    r[slot] = -r[slot]
         self._u = IntMatrix.from_rows(u)
-        self._u_inv = IntMatrix.from_rows(uinv)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion_orders
+        self._u_inv = unimodular_inverse(self._u)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * (self.free_rank + len(self.torsion_orders))

@@ -37,7 +37,8 @@ _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[a-zA-Z]+)(?P<idx>\d+)|(?P<op>[
 
 
 def _tokenize(text: str):
-    tokens = []
+    """Yield (kind, value) tokens one at a time, so that a parser bound stops
+    a long input before the rest of it is scanned."""
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -47,40 +48,39 @@ def _tokenize(text: str):
             raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r} at offset {pos}")
         try:
             if m.group("int") is not None:
-                tokens.append(("int", int(m.group("int"))))
+                token = ("int", int(m.group("int")))
             elif m.group("var") is not None:
-                tokens.append(("var", (m.group("var"), int(m.group("idx")))))
+                token = ("var", (m.group("var"), int(m.group("idx"))))
             else:
-                tokens.append(("op", m.group("op")))
+                token = ("op", m.group("op"))
         except ValueError:  # more digits than int() converts
             raise ParseError(f"integer too long at offset {pos}") from None
         pos = m.end()
-    return tokens
+        yield token
 
 
 def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
     """Parse into a list of (coefficient, [(prefix, 1-based index, exponent)])."""
     tokens = _tokenize(text)
-    if not tokens:
+    ahead = next(tokens, (None, None))     # the one token of lookahead
+    if ahead[0] is None:
         raise ParseError("empty expression")
     pos = 0
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None)
-
     def take(kind, value=None):
-        nonlocal pos
-        tk, tv = peek()
+        nonlocal ahead, pos
+        tk, tv = ahead
         if tk != kind or (value is not None and tv != value):
             raise ParseError(f"unexpected token {tv!r} (token #{pos + 1})")
         pos += 1
+        ahead = next(tokens, (None, None))
         return tv
 
     def parse_factor():
-        tk, tv = peek()
+        tk, tv = ahead
         if tk == "int":
             take("int")
-            if peek() == ("op", "/"):
+            if ahead == ("op", "/"):
                 take("op", "/")
                 den = take("int")
                 if den == 0:
@@ -90,7 +90,7 @@ def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
         if tk == "var":
             take("var")
             exp = 1
-            if peek() == ("op", "^"):
+            if ahead == ("op", "^"):
                 take("op", "^")
                 exp = take("int")
             return None, (tv[0], tv[1], exp)
@@ -98,6 +98,7 @@ def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
 
     def parse_term():
         num = den = 1
+        degree = 0
         vars_ = []
         while True:
             c, v = parse_factor()
@@ -109,17 +110,19 @@ def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
                                      f"than {MAX_COEFF_DIGITS} digits")
             else:
                 vars_.append(v)
-            if peek() == ("op", "*"):
+                degree += v[2]
+                if degree > MAX_EXPONENT:
+                    raise ParseError(
+                        f"a term has exponents summing to more than {MAX_EXPONENT}")
+            if ahead == ("op", "*"):
                 take("op", "*")
                 continue
             break
-        if sum(v[2] for v in vars_) > MAX_EXPONENT:
-            raise ParseError(f"a term has exponents summing to more than {MAX_EXPONENT}")
         return Fraction(num, den), vars_
 
     terms = []
     sign = 1
-    tk, tv = peek()
+    tk, tv = ahead
     if tk == "op" and tv in "+-":
         sign = -1 if tv == "-" else 1
         take("op")
@@ -128,7 +131,7 @@ def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
             raise ParseError(f"more than {MAX_TERMS} terms")
         coeff, vars_ = parse_term()
         terms.append((sign * coeff, vars_))
-        tk, tv = peek()
+        tk, tv = ahead
         if tk is None:
             break
         if tk == "op" and tv in "+-":

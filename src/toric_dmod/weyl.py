@@ -354,16 +354,6 @@ def weyl_degree(grading, f: WeylElement):
     return deg
 
 
-def graded_components(grading, f: WeylElement) -> dict:
-    """Split into homogeneous pieces, keyed by their class-group degree."""
-    group = grading.class_group
-    comps: dict = {}
-    for (a, b), c in f.terms.items():
-        cls = group.add(group.project(a), group.neg(group.project(b)))
-        comps.setdefault(cls, {})[(a, b)] = c
-    return {cls: WeylElement(f.d, terms) for cls, terms in sorted(comps.items())}
-
-
 class ThetaFormElement:
     """Eigenspace form: entries c in Z^d -> polynomial w(theta), meaning
     the element sum_c x^(c+) d^(c-) w(theta)."""

@@ -1,11 +1,13 @@
 """Characteristic ideals, dimension reports and chart computations."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from helpers import fan_hirzebruch1, fan_p1, fan_p1p1, fan_p2, grading, rng
-from toric_dmod.charvar import (EMPTY_DIM, ZERO_SHEAF, chart_ideal,
+from helpers import (all_fixture_fans, fan_hirzebruch1, fan_p1, fan_p1p1, fan_p2,
+                     grading, rng)
+from toric_dmod import charvar
+from toric_dmod.charvar import (EMPTY_DIM, ZERO_SHEAF, chart_frame, chart_ideal,
                                 chart_ideal_from_saturated,
                                 characteristic_ideal, dimension_report,
                                 render_report, s_prime_ring,
@@ -13,9 +15,12 @@ from toric_dmod.charvar import (EMPTY_DIM, ZERO_SHEAF, chart_ideal,
                                 verify_quotient_dimension, z_ideal)
 from toric_dmod.dmod import (GradedPresentation, d_module_left,
                              d_module_right, left_right_swap)
-from toric_dmod.errors import ConeNotMaximal, PreconditionViolated
+from toric_dmod.errors import (ChartRewriteError, ConeNotMaximal,
+                               PreconditionViolated)
+from toric_dmod.fan_cox import Fan, GradingData
 from toric_dmod.groebner import (Poly, format_poly, groebner_basis,
-                                 krull_dimension)
+                                 krull_dimension, toric_ideal)
+from toric_dmod.lattice import IntMatrix
 from toric_dmod.weyl import WeylElement, parse_weyl
 
 
@@ -126,7 +131,7 @@ def test_chart_ideal_p1_twisted():
     chart = chart_ideal(gd, dimension_report(gd, d_module_left(gd, (0,))), (0,))
     assert [nm for nm, _, _ in chart.generator_monomials] == ["t1", "u1", "u2"]
     assert chart.generator_monomials[0][1] == (1, -1)
-    assert chart.presentation_ideal == []
+    assert_polynomial_chart_ring(chart)
     assert [format_poly(g) for g in chart.image_ideal] == ["t1*u1 + u2"]
     assert chart.dimension == 2
 
@@ -149,6 +154,41 @@ def test_chart_ideal_cone_errors():
     gd = grading(fan_p1p1())
     with pytest.raises(ConeNotMaximal):
         chart_ideal(gd, dimension_report(gd, d_module_left(gd, (0, 0))), (0,))
+
+
+def assert_polynomial_chart_ring(chart):
+    """The n + d chart generator monomials satisfy no relation: their
+    exponent vectors (x part, then xi part) are linearly independent."""
+    vectors = [tuple(xe) + tuple(xie) for _, xe, xie in chart.generator_monomials]
+    assert IntMatrix.from_rows(vectors).rank() == len(vectors)
+    assert toric_ideal(vectors, chart.ring) == []
+
+
+def test_every_chart_ring_is_a_polynomial_ring():
+    # the printed chart presentation (0) rests on this (Cox 1995)
+    p3 = Fan(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+             list(combinations(range(4), 3)))
+    p1_cubed = Fan(3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                       [0, 0, 1], [0, 0, -1]], list(product((0, 1), (2, 3), (4, 5))))
+    fans = [fan for _, fan in all_fixture_fans()] + [p3, p1_cubed]
+    for fan in fans:
+        gd = grading(fan)
+        assert fan.max_cones
+        for cone in fan.max_cones:
+            frame = chart_frame(gd, cone)
+            assert len(frame.generator_monomials) == fan.n + gd.d
+            assert_polynomial_chart_ring(frame)
+
+
+def test_non_unimodular_cone_is_a_chart_rewrite_error(monkeypatch):
+    # P(1,1,2) is not smooth: the cone on rays 1 and 3 has determinant -2.
+    # With the smoothness check bypassed, the inverse of its ray matrix fails
+    # inside chart_frame, which must surface as ChartRewriteError (exit 4).
+    fan = Fan(2, [[1, 0], [0, 1], [-1, -2]], [[0, 1], [1, 2], [0, 2]])
+    monkeypatch.setattr(charvar, "require_full_smooth_cone",
+                        lambda grading, cone: tuple(cone))
+    with pytest.raises(ChartRewriteError, match="not a lattice basis"):
+        chart_frame(GradingData(fan), (0, 2))
 
 
 def test_verify_quotient_dimension():

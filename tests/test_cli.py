@@ -377,9 +377,9 @@ def test_section_off_cone_failure_exits_4(monkeypatch, capsys):
     # iota(1) = (1, -1) on P^1) cleared with twice the dual basis
     from toric_dmod import charvar
     from toric_dmod.lattice import FinitelyGeneratedAbelianGroup, IntMatrix
-    real_inverse = charvar._unimodular_inverse
+    real_inverse = charvar.unimodular_inverse
     real_section = FinitelyGeneratedAbelianGroup.section
-    monkeypatch.setattr(charvar, "_unimodular_inverse", lambda m: IntMatrix.from_rows(
+    monkeypatch.setattr(charvar, "unimodular_inverse", lambda m: IntMatrix.from_rows(
         [[2 * x for x in row] for row in real_inverse(m).entries]))
     monkeypatch.setattr(FinitelyGeneratedAbelianGroup, "section", lambda self, cls: tuple(
         x + y for x, y in zip(real_section(self, cls), (1, -1))))

@@ -14,10 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 
 from helpers import all_fixture_fans, fan_torsion, grading, vertex_feasible  # noqa: E402
-from toric_dmod.charvar import _unimodular_inverse  # noqa: E402
-from toric_dmod.errors import ChartRewriteError  # noqa: E402
 from toric_dmod.fan_cox import GradingData, _fm_feasible  # noqa: E402
-from toric_dmod.lattice import IntMatrix, integer_rref  # noqa: E402
+from toric_dmod.lattice import IntMatrix, integer_rref, unimodular_inverse  # noqa: E402
 
 small = st.integers(-3, 3)
 
@@ -121,16 +119,16 @@ def unimodular_matrices(draw):
 
 @given(unimodular_matrices())
 def test_unimodular_inverse_multiplies_to_identity(m):
-    inv = _unimodular_inverse(m)
+    inv = unimodular_inverse(m)
     identity = IntMatrix.identity(m.rows).entries
     assert inv.mul(m).entries == identity
     assert m.mul(inv).entries == identity
 
 
 def test_unimodular_inverse_rejects_other_matrices():
-    for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0]]):
-        with pytest.raises(ChartRewriteError):
-            _unimodular_inverse(IntMatrix.from_rows(rows))
+    for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0]], [[1, 0]], [[1], [0]]):
+        with pytest.raises(ValueError):
+            unimodular_inverse(IntMatrix.from_rows(rows))
 
 
 @st.composite

@@ -7,7 +7,7 @@ from helpers import (fan_hirzebruch1, fan_p1, fan_p1p1, fan_p2, fan_torsion,
 from toric_dmod.errors import (FanValidationError, NonSimplicialCone,
                                NonSmoothCone, PreconditionViolated,
                                RaysDoNotSpan, UnknownCone)
-from toric_dmod.fan_cox import (Fan, degree_component_basis, euler_operator,
+from toric_dmod.fan_cox import (Fan, euler_operator,
                                 euler_operators, grading_data, irrelevant_ideal,
                                 sigma_hat_monomial, validate_smooth_fan)
 from toric_dmod.weyl import WeylElement, format_weyl
@@ -154,13 +154,6 @@ def test_euler_operator_kills_relations():
             for p_idx in range(fan.n):
                 p = tuple(1 if j == p_idx else 0 for j in range(fan.n))
                 assert sum(c * v for c, v in zip(u, gd.iota_of(p))) == 0
-
-
-def test_degree_component_basis_examples():
-    gd = grading(fan_p1())
-    assert degree_component_basis(gd, (1,), 1) == [(0, 1), (1, 0)]
-    assert degree_component_basis(gd, (0,), 0) == [(0, 0)]
-    assert degree_component_basis(gd, (2,), 2) == [(0, 2), (1, 1), (2, 0)]
 
 
 def test_euler_operators_count():

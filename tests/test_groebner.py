@@ -147,7 +147,7 @@ def test_weyl_buchberger_examples():
     gb = weyl_buchberger([(th,)], 1, 2)
     assert gb == [(th,)]
     ring = sprime_p1()
-    init = initial_forms(gb, ring, 1)
+    init = initial_forms(gb)
     p = Poly(ring, {(1, 0, 1, 0): 1, (0, 1, 0, 1): 1})
     assert init == [{(0, (1, 0, 1, 0)): Fraction(1), (0, (0, 1, 0, 1)): Fraction(1)}]
     gb2 = weyl_buchberger([(parse_weyl("d1", 2),), (parse_weyl("d2", 2),)], 1, 2)
@@ -157,13 +157,12 @@ def test_weyl_buchberger_examples():
 
 
 def test_initial_forms_examples():
-    ring = sprime_p1()
     const_shift = parse_weyl("x1*d1 + x2*d2 + 5", 2)
-    init = initial_forms([(const_shift,)], ring, 1)[0]
+    init = initial_forms([(const_shift,)])[0]
     assert init == {(0, (1, 0, 1, 0)): Fraction(1), (0, (0, 1, 0, 1)): Fraction(1)}
-    init2 = initial_forms([(parse_weyl("x1", 2),)], ring, 1)[0]
+    init2 = initial_forms([(parse_weyl("x1", 2),)])[0]
     assert init2 == {(0, (1, 0, 0, 0)): Fraction(1)}
-    init3 = initial_forms([(parse_weyl("x1*d1^2 + d1", 2),)], ring, 1)[0]
+    init3 = initial_forms([(parse_weyl("x1*d1^2 + d1", 2),)])[0]
     assert init3 == {(0, (1, 0, 2, 0)): Fraction(1)}
 
 
@@ -196,7 +195,7 @@ def test_initial_forms_generate_associated_graded():
         pres = d_module_left(gd, gd.class_group.zero())
         gb = pres.relation_gb()
         init = [vec_to_polys(v, ring, 1)[0]
-                for v in initial_forms(gb, ring, 1)]
+                for v in initial_forms(gb)]
         init_gb = groebner_basis(init, ring)
         for _ in range(12):
             combo = None
@@ -294,17 +293,6 @@ def test_module_annihilator_exactness():
     vecs = [poly_to_vec(x, 0), poly_to_vec(y, 1)]
     ann = annihilator_of_graded_quotient(vecs, ring, 2)
     assert ann == groebner_basis([x * y], ring)
-
-
-def test_weight_order_picks_weighted_leading_terms():
-    from toric_dmod.groebner import weight_order
-    ring = PolyRing(("x", "xi"))
-    order = weight_order((0, 1))
-    f = Poly(ring, {(3, 0): 1, (1, 1): 1})
-    assert max(f.terms, key=order.key) == (1, 1)
-    # tiebreak within a weight level falls back to degrevlex
-    g = Poly(ring, {(2, 1): 1, (0, 1): 1})
-    assert max(g.terms, key=order.key) == (2, 1)
 
 
 def test_toric_ideal_with_laurent_monomials():

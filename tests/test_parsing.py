@@ -12,7 +12,9 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from toric_dmod.cli import read_document  # noqa: E402
 from toric_dmod.errors import ParseError  # noqa: E402
-from toric_dmod.parsing import MAX_TERMS, parse_terms  # noqa: E402
+from toric_dmod import parsing  # noqa: E402
+from toric_dmod.parsing import (MAX_COEFF_DIGITS, MAX_EXPONENT, MAX_TERMS,  # noqa: E402
+                                parse_terms)
 from toric_dmod.weyl import parse_theta_poly, parse_weyl, tp_format  # noqa: E402
 
 # near-grammatical text reaches deeper than uniform unicode does
@@ -56,6 +58,33 @@ def test_parse_caps_the_number_of_terms():
     assert len(parse_terms(" + ".join(["th1"] * MAX_TERMS))) == MAX_TERMS
     with pytest.raises(ParseError, match=str(MAX_TERMS)):
         parse_terms(" - ".join(["th1"] * (MAX_TERMS + 1)))
+
+
+def test_parse_bounds_stop_tokenizing_at_once(monkeypatch):
+    # tokens are counted, not timed: a bound must act before the rest of a
+    # long input is scanned
+    real = parsing._TOKEN
+    calls = []
+
+    class CountingToken:
+        def match(self, text, pos):
+            calls.append(pos)
+            return real.match(text, pos)
+
+    monkeypatch.setattr(parsing, "_TOKEN", CountingToken())
+    # 240 KB of factors 3: 3^k passes 10^4300 at k = 9,013, two tokens a factor
+    with pytest.raises(ParseError, match=str(MAX_COEFF_DIGITS)):
+        parse_terms("3*" * 120_000 + "th1")
+    assert len(calls) <= 18_100
+    calls.clear()
+    # 240 KB of factors th1: the exponent sum passes 200 at the 201st factor
+    with pytest.raises(ParseError, match=str(MAX_EXPONENT)):
+        parse_terms("th1*" * 60_000 + "th1")
+    assert len(calls) <= 410
+    calls.clear()
+    with pytest.raises(ParseError, match=str(MAX_TERMS)):
+        parse_terms(" + ".join(["th1"] * 3000))
+    assert len(calls) <= 4_010
 
 
 def _read_text(text: str):

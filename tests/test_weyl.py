@@ -7,7 +7,7 @@ import pytest
 from helpers import fan_p1, fan_p1p1, grading, random_weyl, rng
 from toric_dmod.errors import InhomogeneousInput, ParseError
 from toric_dmod.weyl import (LaurentPoly, WeylElement, act, format_weyl,
-                             from_theta_form, graded_components, parse_weyl,
+                             from_theta_form, parse_weyl,
                              tau, to_theta_form, tp_linear, weyl_degree,
                              weyl_mul)
 
@@ -39,29 +39,6 @@ def test_mul_associative_randomized():
         g = random_weyl(r, 2, 2, 2)
         h = random_weyl(r, 2, 2, 2)
         assert weyl_mul(weyl_mul(f, g), h) == weyl_mul(f, weyl_mul(g, h))
-
-
-def test_graded_components_p1():
-    gd = grading(fan_p1())
-    comps = graded_components(gd, W("x1*d2"))
-    assert set(comps) == {(0,)}
-    comps2 = graded_components(gd, W("x1 + d2"))
-    assert set(comps2) == {(-1,), (1,)}
-    assert graded_components(gd, WeylElement.zero(2)) == {}
-
-
-def test_graded_components_sum_and_homogeneity():
-    gd = grading(fan_p1())
-    r = rng(17)
-    from helpers import random_weyl
-    for _ in range(15):
-        f = random_weyl(r, 2, 2, 4)
-        comps = graded_components(gd, f)
-        total = WeylElement.zero(2)
-        for cls, part in comps.items():
-            assert weyl_degree(gd, part) == cls
-            total = total + part
-        assert total == f
 
 
 def test_degree_multiplicative():

@@ -15,7 +15,7 @@ from .errors import (ChartRewriteError, FanValidationError,
                      InhomogeneousInput, NotInJp, ParseError,
                      PreconditionViolated, ToricDmodError, UnknownCone)
 from .fan_cox import (Fan, GradingData, euler_operators, grading_data,
-                      irrelevant_ideal, validate_smooth_fan)
+                      irrelevant_ideal)
 from .weyl import (format_weyl, parse_weyl, parse_theta_poly, tp_format,
                    tp_linear_product)
 from . import dmod
@@ -207,8 +207,7 @@ def _add_cl_header(report: Report, grading: GradingData):
 
 def cmd_fan_info(args) -> int:
     fan = load_fan(args.fan)
-    validate_smooth_fan(fan)
-    grading = GradingData(fan)
+    grading = grading_data(fan)
     report = Report(args.format)
     report.add("n", str(fan.n))
     report.add("d", str(fan.d))
@@ -405,9 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called repeatedly in one process, and builds
+    the parser only on the first call."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

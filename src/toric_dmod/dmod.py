@@ -16,10 +16,10 @@ from .errors import (BoxTooSmall, ConeNotMaximal, ConeNotSmooth,
                      InhomogeneousInput, NotInJp, PointTooLarge, UnknownCone)
 from .fan_cox import Fan, GradingData
 from .groebner import weyl_buchberger, weyl_normal_form, WeylModuleOrder
-from .weyl import (LaurentPoly, ThetaDict, WeylElement, act, tau,
-                   theta_dict_to_weyl, theta_u, tp_divide_linear, tp_eval,
+from .weyl import (LaurentPoly, ThetaDict, WeylElement, tau,
+                   theta_dict_to_weyl, theta_u, tp_divide_linear, tp_evaluator,
                    tp_linear, tp_linear_form, tp_linear_product, tp_subst,
-                   weyl_degree)
+                   weyl_action, weyl_degree)
 
 LEFT = "left"
 RIGHT = "right"
@@ -321,12 +321,12 @@ def i_p_matches_y_p(grading: GradingData, cone, p, radius: int) -> bool:
     """rho(h_p) vanishes exactly on Y(p) among dual-cone points in the box."""
     fan = grading.fan
     cone = _require_cone(fan, cone)
-    poly = i_p_ideal(grading, cone, p)
+    poly_at = tp_evaluator(i_p_ideal(grading, cone, p))
     ys = set(y_p_points(fan, cone, p, radius))
     for q in product(range(-radius, radius + 1), repeat=fan.n):
         if not in_dual_cone(fan, cone, q):
             continue
-        vanishes = tp_eval(poly, q) == 0
+        vanishes = poly_at(q) == 0
         if vanishes != (q in ys):
             return False
     return True
@@ -344,12 +344,12 @@ def verify_local_action(grading: GradingData, cone, p, g: ThetaDict,
     fan = grading.fan
     cone = _require_cone(fan, cone)
     n = fan.n
-    rg = rho(grading, g)
-    w_elt = theta_dict_to_weyl(n, rg)
+    rg_action = weyl_action(theta_dict_to_weyl(n, rho(grading, g)))
+    g_at = tp_evaluator(g)
     mask = (True,) * n
     for q in product(range(-radius, radius + 1), repeat=n):
-        image = act(w_elt, LaurentPoly.monomial(n, mask, q))
-        expected_coeff = tp_eval(g, grading.iota_of(q))
+        image = rg_action(LaurentPoly.monomial(n, mask, q))
+        expected_coeff = g_at(grading.iota_of(q))
         if image.terms != ({q: expected_coeff} if expected_coeff else {}):
             return False
         target = tuple(x + y for x, y in zip(q, p))
@@ -371,13 +371,13 @@ def factored_local_action_holds(grading: GradingData, cone, p, factors,
     fan = grading.fan
     cone = _require_cone(fan, cone)
     n = fan.n
-    elts = [theta_dict_to_weyl(n, rho(grading, tp_linear(grading.d, i, -m)))
-            for (i, m) in factors]
+    actions = [weyl_action(theta_dict_to_weyl(n, rho(grading, tp_linear(grading.d, i, -m))))
+               for (i, m) in factors]
     mask = (True,) * n
     for q in product(range(-radius, radius + 1), repeat=n):
         cur = LaurentPoly.monomial(n, mask, q)
-        for elt in elts:
-            cur = act(elt, cur)
+        for action in actions:
+            cur = action(cur)
         iq = grading.iota_of(q)
         coeff = 1
         for i, m in factors:

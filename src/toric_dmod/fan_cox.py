@@ -177,6 +177,9 @@ class GradingData:
         self.class_group: FinitelyGeneratedAbelianGroup = cokernel(self.iota)
         self.dual_basis = tuple(tuple(u) for u in dual_lattice_basis(self.class_group))
         self.e_bar = self.class_group.project((1,) * fan.d)
+        # deg(x_i), read by every ring, chart frame and report
+        units = [tuple(int(j == i) for j in range(fan.d)) for i in range(fan.d)]
+        self._degrees_x = tuple(map(self.class_group.project, units))
 
     @property
     def d(self) -> int:
@@ -191,7 +194,7 @@ class GradingData:
         return self.class_group.project(a)
 
     def degree_x(self, i: int) -> tuple[int, ...]:
-        return self.degree(tuple(1 if j == i else 0 for j in range(self.d)))
+        return self._degrees_x[i]
 
     def iota_of(self, p) -> tuple[int, ...]:
         return self.iota.mul_vec(p)

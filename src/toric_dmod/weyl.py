@@ -5,7 +5,9 @@ The tp_* functions add, scale and multiply dict polynomials {exponent tuple:
 Fraction}; Poly, LaurentPoly and WeylElement do their arithmetic through
 them. Products, substitutions, evaluations and the action on Laurent
 polynomials run on integer numerators over one common denominator
-(tp_numerators) and build one Fraction per output coefficient.
+(tp_numerators) and build one Fraction per output coefficient;
+tp_evaluator and weyl_action prepare a fixed polynomial or operator once
+for repeated evaluation or action.
 weyl_shift_into is the one normal-ordering expansion, shared by the Weyl
 product, the involution and the Weyl Groebner engine.
 
@@ -113,26 +115,36 @@ def tp_linear_product(d: int, factors) -> ThetaDict:
     return _over(den, nums)
 
 
-def tp_eval(p: ThetaDict, point) -> Fraction:
-    """p at a rational point.
+def tp_evaluator(p: ThetaDict):
+    """The function point -> p(point) at rational points, with the integer
+    numerators of p computed once.
 
     With the point written as t / s over one denominator and K the largest
     total degree, s^K p(point) = sum_e c_e t^e s^(K - |e|) is an integer sum.
     """
     if not p:
-        return Fraction(0)
+        return lambda point: Fraction(0)
     den, nums = tp_numerators(p)
-    s = lcm(*(x.denominator for x in point))
-    t = [x.numerator * (s // x.denominator) for x in point]
     top = max(map(sum, nums))
-    total = 0
-    for e, c in nums.items():
-        v = c * s ** (top - sum(e))
-        for ti, k in zip(t, e):
-            if k:
-                v *= ti ** k
-        total += v
-    return Fraction(total, den * s ** top)
+    terms = [(c, top - sum(e), [(i, k) for i, k in enumerate(e) if k])
+             for e, c in nums.items()]
+
+    def evaluate(point) -> Fraction:
+        s = lcm(*(x.denominator for x in point))
+        t = [x.numerator * (s // x.denominator) for x in point]
+        total = 0
+        for c, rest, factors in terms:
+            v = c * s ** rest
+            for i, k in factors:
+                v *= t[i] ** k
+            total += v
+        return Fraction(total, den * s ** top)
+    return evaluate
+
+
+def tp_eval(p: ThetaDict, point) -> Fraction:
+    """p at a rational point."""
+    return tp_evaluator(p)(point)
 
 
 def tp_subst(p: ThetaDict, images: list[ThetaDict], d_out: int) -> ThetaDict:
@@ -500,27 +512,38 @@ class LaurentPoly:
             [(c, [(names[i], k) for i, k in enumerate(e) if k]) for e, c in items]) + ")"
 
 
-def act(f: WeylElement, g: LaurentPoly) -> LaurentPoly:
-    """Natural action: x_i multiplies, d_i differentiates.
+def weyl_action(f: WeylElement):
+    """The function g -> f . g on Laurent polynomials, with the integer
+    numerators of f computed once.
 
+    Natural action: x_i multiplies, d_i differentiates.
     d^b x^e = ff(e, b) x^(e - b) with ff the product of falling factorials;
     it vanishes when 0 <= e_i < b_i, so the result keeps the mask of g.
     """
-    if f.d != g.d:
-        raise ValueError("rank mismatch")
     df, nf = tp_numerators(f.terms)
-    dg, ng = tp_numerators(g.terms)
-    out: dict = {}
-    for (a, b), cf in nf.items():
-        for e, cg in ng.items():
-            ff = 1
-            for ei, bi in zip(e, b):
-                if bi:
-                    ff *= _ff(ei, bi)
-            if ff:
-                ne = tuple(map(add, map(sub, e, b), a))
-                out[ne] = out.get(ne, 0) + ff * cf * cg
-    return LaurentPoly._trusted(g.d, g.mask, _over(df * dg, out))
+    terms = [(a, b, [(i, bi) for i, bi in enumerate(b) if bi], cf)
+             for (a, b), cf in nf.items()]
+
+    def apply(g: LaurentPoly) -> LaurentPoly:
+        if f.d != g.d:
+            raise ValueError("rank mismatch")
+        dg, ng = tp_numerators(g.terms)
+        out: dict = {}
+        for a, b, lowered, cf in terms:
+            for e, cg in ng.items():
+                ff = 1
+                for i, bi in lowered:
+                    ff *= _ff(e[i], bi)
+                if ff:
+                    ne = tuple(map(add, map(sub, e, b), a))
+                    out[ne] = out.get(ne, 0) + ff * cf * cg
+        return LaurentPoly._trusted(g.d, g.mask, _over(df * dg, out))
+    return apply
+
+
+def act(f: WeylElement, g: LaurentPoly) -> LaurentPoly:
+    """f . g; see weyl_action."""
+    return weyl_action(f)(g)
 
 
 def tau(f: WeylElement) -> WeylElement:

@@ -9,7 +9,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from toric_dmod.fan_cox import Fan, GradingData, grading_data
-from toric_dmod.groebner import Poly, PolyRing
+from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing, degrevlex_order,
+                                 is_unit_ideal)
 from toric_dmod.weyl import WeylElement
 
 
@@ -50,6 +51,16 @@ def fan_torsion() -> Fan:
     return Fan(2, [[1, 1], [1, -1]], [])
 
 
+def fan_p3() -> Fan:
+    return Fan(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+               list(combinations(range(4), 3)))
+
+
+def fan_p1_cubed() -> Fan:
+    return Fan(3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                   [0, 0, 1], [0, 0, -1]], list(product((0, 1), (2, 3), (4, 5))))
+
+
 def all_fixture_fans():
     return [("p1", fan_p1()), ("p2", fan_p2()), ("p1p1", fan_p1p1()),
             ("hirzebruch1", fan_hirzebruch1())]
@@ -69,6 +80,24 @@ def fraction_eval(p: dict, point) -> Fraction:
             v *= Fraction(x) ** k
         total += v
     return total
+
+
+def subset_basis_dimension(gb: list[Poly], ring: PolyRing, order=None):
+    """Dimension of V(gb) by trying every variable subset, largest first: the
+    size of the first one that contains no leading-monomial support."""
+    if is_unit_ideal(gb):
+        return EMPTY_DIM
+    supports = []
+    for g in gb:
+        lm = max(g.terms, key=(order or degrevlex_order()).key)
+        supports.append(frozenset(i for i, e in enumerate(lm) if e))
+    nv = ring.nvars
+    for size in range(nv, -1, -1):
+        for subset in combinations(range(nv), size):
+            s = set(subset)
+            if not any(sup <= s for sup in supports):
+                return size
+    return 0
 
 
 # vertex-enumeration feasibility oracle (independent of Fourier-Motzkin)

@@ -1,11 +1,9 @@
 """Characteristic ideals, dimension reports and chart computations."""
 
-from itertools import combinations, product
-
 import pytest
 
-from helpers import (all_fixture_fans, fan_hirzebruch1, fan_p1, fan_p1p1, fan_p2,
-                     grading, rng)
+from helpers import (all_fixture_fans, fan_hirzebruch1, fan_p1, fan_p1_cubed,
+                     fan_p1p1, fan_p2, fan_p3, grading, rng)
 from toric_dmod import charvar
 from toric_dmod.charvar import (EMPTY_DIM, ZERO_SHEAF, chart_frame, chart_ideal,
                                 chart_ideal_from_saturated,
@@ -166,11 +164,7 @@ def assert_polynomial_chart_ring(chart):
 
 def test_every_chart_ring_is_a_polynomial_ring():
     # the printed chart presentation (0) rests on this (Cox 1995)
-    p3 = Fan(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
-             list(combinations(range(4), 3)))
-    p1_cubed = Fan(3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
-                       [0, 0, 1], [0, 0, -1]], list(product((0, 1), (2, 3), (4, 5))))
-    fans = [fan for _, fan in all_fixture_fans()] + [p3, p1_cubed]
+    fans = [fan for _, fan in all_fixture_fans()] + [fan_p3(), fan_p1_cubed()]
     for fan in fans:
         gd = grading(fan)
         assert fan.max_cones

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, document round trips, golden determinism."""
 
+import argparse
 import pathlib
 import subprocess
 import sys
@@ -278,7 +279,8 @@ def test_machine_format_is_tab_separated():
         assert "\t" in line
 
 
-def test_golden_reports_and_determinism():
+def _golden_jobs():
+    """(golden file, argv) for the 14 golden commands."""
     jobs = []
     for name in FANS:
         fan_path = str(FIXTURES / f"{name}.fan")
@@ -291,6 +293,12 @@ def test_golden_reports_and_determinism():
                  ("local", str(FIXTURES / "p1.fan"), "--cone", "1", "--p=-1")))
     jobs.append(("p1_swap_dl0.mod",
                  ("swap", str(FIXTURES / "p1.fan"), str(GOLDEN / "p1_dl0.mod"))))
+    return jobs
+
+
+def test_golden_reports_and_determinism():
+    jobs = _golden_jobs()
+    assert len(jobs) == 14
     for golden_name, args in jobs:
         expected = (GOLDEN / golden_name).read_text()
         rc1, out1, _ = run_cli(*args)
@@ -298,6 +306,63 @@ def test_golden_reports_and_determinism():
         assert rc1 == rc2 == 0, golden_name
         assert out1 == out2, f"two runs differ for {golden_name}"
         assert out1 == expected, f"golden mismatch for {golden_name}"
+
+
+def _main_in_process(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv) in this process; argparse
+    usage errors end in SystemExit."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    cap = capsys.readouterr()
+    return rc, cap.out, cap.err
+
+
+def _main_in_fresh_process(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from toric_dmod.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv], capture_output=True, text=True, env=cli_env())
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_in_one_process(capsys):
+    # the parser is built once per process; every later call must behave as
+    # the first call of a fresh process does
+    p1, p1p1 = str(FIXTURES / "p1.fan"), str(FIXTURES / "p1p1.fan")
+    others = [("dl", str(FIXTURES / "p2.fan"), "1"),
+              ("dr", p1p1, "1,-1"),
+              ("check", p1, str(GOLDEN / "p1_dl0.mod")),
+              ("no-such-command", p1),
+              ("local", p1, "--p=-1"),
+              ("dl", p1, "0,0")]
+    fresh = [_main_in_fresh_process(argv) for argv in others]
+    assert [rc for rc, _, _ in fresh] == [0, 0, 0, 2, 2, 2]
+    for _ in range(2):
+        for argv, expected in zip(others, fresh):
+            assert _main_in_process(capsys, argv) == expected, argv
+        for golden_name, argv in _golden_jobs():
+            rc, out, _ = _main_in_process(capsys, argv)
+            assert rc == 0 and out == (GOLDEN / golden_name).read_text(), golden_name
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    p1 = str(FIXTURES / "p1.fan")
+    assert main(["fan-info", p1]) == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    for k in range(20):
+        argv = ["fan-info", p1] if k % 2 else ["dl", p1, str(k)]
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 def test_main_callable_directly(capsys):

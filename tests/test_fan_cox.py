@@ -1,15 +1,20 @@
 """Fan validation, Cox grading data, irrelevant ideal, Euler operators."""
 
+import pathlib
+from itertools import product
+
 import pytest
 
-from helpers import (fan_hirzebruch1, fan_p1, fan_p1p1, fan_p2, fan_torsion,
-                     grading, rng)
+from helpers import (all_fixture_fans, fan_hirzebruch1, fan_p1, fan_p1_cubed,
+                     fan_p1p1, fan_p2, fan_p3, fan_torsion, grading, rng)
+from toric_dmod import cli
 from toric_dmod.errors import (FanValidationError, NonSimplicialCone,
                                NonSmoothCone, PreconditionViolated,
                                RaysDoNotSpan, UnknownCone)
 from toric_dmod.fan_cox import (Fan, euler_operator,
                                 euler_operators, grading_data, irrelevant_ideal,
                                 sigma_hat_monomial, validate_smooth_fan)
+from toric_dmod.lattice import FinitelyGeneratedAbelianGroup
 from toric_dmod.weyl import WeylElement, format_weyl
 
 
@@ -105,6 +110,41 @@ def test_grading_data_degrees():
     gd3 = grading(fan_p1p1())
     degs = [gd3.degree_x(i) for i in range(4)]
     assert degs[0] == degs[1] and degs[2] == degs[3] and degs[0] != degs[2]
+
+
+def test_class_degrees_satisfy_the_exact_sequence():
+    # M -> Z^d -> Cl is exact: sum_i <m, v_i> deg(x_i) = 0 for every m, and
+    # each degree is the projection of its unit vector
+    fans = [fan for _, fan in all_fixture_fans()] + [fan_p3(), fan_p1_cubed(),
+                                                     fan_torsion()]
+    for fan in fans:
+        gd = grading(fan)
+        group = gd.class_group
+        for i in range(fan.d):
+            assert gd.degree_x(i) == group.project(tuple(int(j == i) for j in range(fan.d)))
+        for m in product(range(-2, 3), repeat=fan.n):
+            total = group.zero()
+            for i, ray in enumerate(fan.rays):
+                total = group.add(total, group.scale(sum(x * y for x, y in zip(m, ray)),
+                                                     gd.degree_x(i)))
+            assert total == group.zero(), (fan.rays, m)
+
+
+def test_class_degrees_are_projected_once(monkeypatch, capsys):
+    # 73 projections per report when every degree_x call projected again
+    calls = []
+    real = FinitelyGeneratedAbelianGroup.project
+
+    def counted(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(FinitelyGeneratedAbelianGroup, "project", counted)
+    root = pathlib.Path(__file__).parent
+    rc = cli.main(["charvar", str(root / "fixtures" / "p1p1.fan"),
+                   str(root / "golden" / "p1p1_dl0.mod"), "--charts", "--saturate"])
+    assert rc == 0 and capsys.readouterr().out
+    assert len(calls) <= 13
 
 
 def test_grading_data_torsion_carried():

@@ -1,12 +1,14 @@
 """The common-denominator kernel against independent oracles.
 
 Products, substitutions and products of linear factors are compared with
-sympy's expansion, evaluation with term-by-term Fraction arithmetic and the
-action on Laurent polynomials with sympy's derivatives. Coefficients are
-rational with unequal denominators, so a lost or wrongly scaled common
-denominator shows.
+sympy's expansion, evaluation with term-by-term Fraction arithmetic and
+sympy's substitution, and the action on Laurent polynomials with sympy's
+derivatives and the falling-factorial definition. Coefficients are rational
+with unequal denominators, so a lost or wrongly scaled common denominator
+shows.
 """
 
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,10 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from helpers import fraction_eval  # noqa: E402
+from toric_dmod import cli, weyl  # noqa: E402
 from toric_dmod.weyl import (LaurentPoly, WeylElement, act, tp_eval,  # noqa: E402
-                             tp_linear_product, tp_mul, tp_numerators, tp_subst)
+                             tp_evaluator, tp_linear_product, tp_mul,
+                             tp_numerators, tp_subst, weyl_action)
 
 rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
 nonzero = rationals.filter(bool)
@@ -145,3 +149,114 @@ def test_tp_numerators_is_the_least_common_denominator():
     p = {(0,): Fraction(1, 6), (1,): Fraction(-3, 4), (2,): Fraction(5)}
     assert tp_numerators(p) == (12, {(0,): 2, (1,): -9, (2,): 60})
     assert tp_numerators({}) == (1, {})
+
+
+@st.composite
+def point_batches(draw):
+    d = draw(st.integers(1, 3))
+    p = draw(polys(d, st.integers(0, 4)))
+    batch = st.lists(st.one_of(st.integers(-4, 4), rationals), min_size=d, max_size=d)
+    return d, p, draw(st.lists(batch, min_size=1, max_size=4))
+
+
+@given(point_batches())
+def test_tp_evaluator_matches_sympy(case):
+    # one prepared evaluator serves every point of the batch
+    d, p, batch = case
+    syms = sympy.symbols(f"t1:{d + 1}")
+    expr = to_sympy(p, syms)
+    evaluate = tp_evaluator(p)
+    for point in batch:
+        value = evaluate(point)
+        expected = expr.xreplace({s: sympy.Rational(Fraction(x).numerator,
+                                                    Fraction(x).denominator)
+                                  for s, x in zip(syms, point)})
+        assert isinstance(value, Fraction)
+        assert sympy.Rational(value.numerator, value.denominator) == expected
+
+
+def test_tp_evaluator_mixed_denominators_and_zero():
+    p = {(2, 0): Fraction(1, 6), (0, 1): Fraction(-3, 4), (0, 0): Fraction(5)}
+    evaluate = tp_evaluator(p)
+    # (1/6)(2/3)^2 - (3/4)(-5/7) + 5 = 2/27 + 15/28 + 5
+    assert evaluate((Fraction(2, 3), Fraction(-5, 7))) == \
+        Fraction(2, 27) + Fraction(15, 28) + 5
+    assert evaluate((3, 0)) == Fraction(1, 6) * 9 + 5
+    zero = tp_evaluator({})
+    assert zero((Fraction(1, 2), 7)) == 0 and isinstance(zero((1, 1)), Fraction)
+
+
+def falling_factorial_action(f: dict, mask, g: dict) -> dict:
+    """f . g term by term: x^a d^b . x^e = prod_i e_i (e_i - 1) ...
+    (e_i - b_i + 1) x^(e - b + a), in plain Fraction arithmetic."""
+    out: dict = {}
+    for (a, b), cf in f.items():
+        for e, cg in g.items():
+            c = cf * cg
+            for ei, bi in zip(e, b):
+                for j in range(bi):
+                    c *= ei - j
+            if c:
+                key = tuple(ei - bi + ai for ei, bi, ai in zip(e, b, a))
+                out[key] = out.get(key, 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
+@st.composite
+def action_batches(draw):
+    d = draw(st.integers(1, 2))
+    mono = st.tuples(*[st.integers(0, 3)] * d)
+    f = draw(st.dictionaries(st.tuples(mono, mono), nonzero, max_size=4))
+    mask = tuple(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    exps = st.tuples(*[st.integers(-3, 3) if m else st.integers(0, 3) for m in mask])
+    gs = draw(st.lists(st.dictionaries(exps, nonzero, max_size=4), min_size=1, max_size=3))
+    return d, f, mask, gs
+
+
+@given(action_batches())
+def test_weyl_action_matches_falling_factorials(case):
+    # one prepared action serves every operand; masks keep the polynomial
+    # variables nonnegative, and zero operators and killed terms give zero
+    d, f, mask, gs = case
+    apply = weyl_action(WeylElement(d, f))
+    for g in gs:
+        out = apply(LaurentPoly(d, mask, g))
+        assert out.mask == mask
+        assert all(isinstance(c, Fraction) and c for c in out.terms.values())
+        assert out.terms == falling_factorial_action(f, mask, g)
+
+
+def test_weyl_action_zero_results():
+    d1sq = weyl_action(WeylElement(1, {((0,), (2,)): Fraction(1, 2)}))
+    killed = LaurentPoly(1, (False,), {(1,): Fraction(3), (0,): Fraction(1, 5)})
+    assert d1sq(killed).is_zero() and d1sq(killed).mask == (False,)
+    # theta - 2 kills x^2 and scales x^-1 by -3
+    shifted = weyl_action(WeylElement(1, {((1,), (1,)): Fraction(1),
+                                          ((0,), (0,)): Fraction(-2)}))
+    assert shifted(LaurentPoly(1, (True,), {(2,): Fraction(4, 9)})).is_zero()
+    assert shifted(LaurentPoly(1, (True,), {(-1,): Fraction(1, 3)})).terms == {(-1,): -1}
+    assert weyl_action(WeylElement(2, {}))(
+        LaurentPoly(2, (True, True), {(1, -1): Fraction(2)})).is_zero()
+    with pytest.raises(ValueError):
+        d1sq(LaurentPoly(2, (True, True), {}))
+
+
+def test_local_oracles_prepare_their_operands_once(monkeypatch, capsys):
+    # the y_p check evaluates one fixed polynomial at every box point: the
+    # numerator count must not grow with the box (541 calls at the larger
+    # point when each evaluation recomputed them)
+    fan = str(pathlib.Path(__file__).parent / "fixtures" / "p2.fan")
+    real = weyl.tp_numerators
+    counts = []
+    for p in ("-2,-1", "-8,-2"):
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return real(q)
+
+        monkeypatch.setattr(weyl, "tp_numerators", counted)
+        assert cli.main(["local", fan, "--cone", "1,2", f"--p={p}"]) == 0
+        assert "y_p-vanishing: AGREE" in capsys.readouterr().out
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 13

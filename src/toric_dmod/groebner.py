@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop
+from itertools import combinations
 from operator import add, ge, le, sub
 
 from .parsing import format_terms
@@ -413,44 +414,21 @@ def krull_dimension(gens: list[Poly], ring: PolyRing,
 
 def basis_dimension(gb: list[Poly], ring: PolyRing, order: TermOrder | None = None):
     """Dimension of V(gb) for a Groebner basis gb under order: the largest
-    variable set independent modulo the initial ideal, that is the number of
-    variables minus a smallest set meeting every leading-monomial support.
-    Returns EMPTY_DIM for the unit ideal."""
+    variable set independent modulo the initial ideal. Returns EMPTY_DIM for
+    the unit ideal."""
     if is_unit_ideal(gb):
         return EMPTY_DIM
-    key = (order or degrevlex_order()).key
-    supports = {frozenset(i for i, e in enumerate(max(g.terms, key=key)) if e) for g in gb}
-    return ring.nvars - _min_hitting_set(supports)
-
-
-def _min_hitting_set(supports) -> int:
-    """The size of a smallest set meeting every one of the nonempty supports,
-    by branch and bound: branch on the members of a shortest unmet support,
-    forbidding each member in the later branches, and prune when a packing
-    of pairwise disjoint unmet supports shows the branch cannot improve."""
-    best = len(supports)
-
-    def search(unmet, chosen):
-        nonlocal best
-        if not unmet:
-            best = min(best, chosen)
-            return
-        unmet.sort(key=len)
-        packed, covered = 0, set()
-        for s in unmet:
-            if covered.isdisjoint(s):
-                covered |= s
-                packed += 1
-        if chosen + packed >= best:
-            return
-        for v in sorted(unmet[0]):
-            search([s for s in unmet if v not in s], chosen + 1)
-            unmet = [s - {v} for s in unmet]
-            if not all(unmet):
-                return
-
-    search(list(supports), 0)
-    return best
+    supports = []
+    for g in gb:
+        lm = max(g.terms, key=(order or degrevlex_order()).key)
+        supports.append(frozenset(i for i, e in enumerate(lm) if e))
+    nv = ring.nvars
+    for size in range(nv, -1, -1):
+        for subset in combinations(range(nv), size):
+            s = set(subset)
+            if not any(sup <= s for sup in supports):
+                return size
+    return 0
 
 
 # Weyl-side engine: free left modules with the order-filtration weight.

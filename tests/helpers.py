@@ -9,8 +9,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from toric_dmod.fan_cox import Fan, GradingData, grading_data
-from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing, degrevlex_order,
-                                 is_unit_ideal)
+from toric_dmod.groebner import Poly, PolyRing
 from toric_dmod.weyl import WeylElement
 
 
@@ -80,24 +79,6 @@ def fraction_eval(p: dict, point) -> Fraction:
             v *= Fraction(x) ** k
         total += v
     return total
-
-
-def subset_basis_dimension(gb: list[Poly], ring: PolyRing, order=None):
-    """Dimension of V(gb) by trying every variable subset, largest first: the
-    size of the first one that contains no leading-monomial support."""
-    if is_unit_ideal(gb):
-        return EMPTY_DIM
-    supports = []
-    for g in gb:
-        lm = max(g.terms, key=(order or degrevlex_order()).key)
-        supports.append(frozenset(i for i, e in enumerate(lm) if e))
-    nv = ring.nvars
-    for size in range(nv, -1, -1):
-        for subset in combinations(range(nv), size):
-            s = set(subset)
-            if not any(sup <= s for sup in supports):
-                return size
-    return 0
 
 
 # vertex-enumeration feasibility oracle (independent of Fourier-Motzkin)

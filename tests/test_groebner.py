@@ -7,10 +7,8 @@ import pytest
 from helpers import (WeylMacaulayOracle, bernstein_degree, fan_p1, fan_p1p1,
                      fan_p2, grading, macaulay_membership,
                      macaulay_membership_stable, random_poly, rng,
-                     subset_basis_dimension, weyl_left_mul_monomial,
-                     weyl_rows_to_dict)
-from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing, basis_dimension,
-                                 degrevlex_order,
+                     weyl_left_mul_monomial, weyl_rows_to_dict)
+from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing, degrevlex_order,
                                  format_poly, groebner_basis, in_ideal,
                                  initial_forms, intersect_ideals, is_unit_ideal,
                                  krull_dimension, lex_order, normal_form,
@@ -135,26 +133,6 @@ def test_krull_dimension_order_invariance():
         gens = [random_poly(r, ring, 2, 2) for _ in range(2)]
         assert krull_dimension(gens, ring, degrevlex_order()) == \
             krull_dimension(gens, ring, lex_order())
-
-
-def test_basis_dimension_against_subset_scan():
-    # the leading-monomial combinatorics only: the generators need not form
-    # a Groebner basis for the two to agree
-    r = rng(41)
-    for nv in range(1, 11):
-        ring = PolyRing(tuple(f"y{i}" for i in range(nv)))
-        unit = Poly.constant(ring, 3)
-        assert basis_dimension([], ring) == subset_basis_dimension([], ring) == nv
-        assert basis_dimension([unit], ring) == EMPTY_DIM
-        assert subset_basis_dimension([unit], ring) == EMPTY_DIM
-        for _ in range(25):
-            gens = [g for g in (random_poly(r, ring, r.randint(1, 3), r.randint(1, 3))
-                                for _ in range(r.randint(1, 12))) if not g.is_zero()]
-            if r.random() < 0.1:
-                gens.append(unit)
-            for order in (degrevlex_order(), lex_order()):
-                assert basis_dimension(gens, ring, order) == \
-                    subset_basis_dimension(gens, ring, order), (nv, gens)
 
 
 def test_intersection():

@@ -43,7 +43,8 @@ def _strip_comment(line: str) -> str:
 
 def read_document(path: str) -> dict:
     """Key = value lines; values are Python-literal scalars/lists, possibly
-    spanning lines until brackets balance. Comments start with #."""
+    spanning lines until brackets balance. Comments start with #. A key may
+    be given once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -61,6 +62,8 @@ def read_document(path: str) -> dict:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             key, value = text.split("=", 1)
             pending_key, pending_value = key.strip(), value.strip()
+            if pending_key in doc:
+                raise ParseError(f"{path}:{lineno}: key {pending_key!r} given twice")
         else:
             pending_value += " " + text
         if pending_value.count("[") == pending_value.count("]"):
@@ -77,19 +80,24 @@ def read_document(path: str) -> dict:
     return doc
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool (bool is a subclass of int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_fan(path: str) -> Fan:
     doc = read_document(path)
     for key in ("n", "rays", "max_cones"):
         if key not in doc:
             raise ParseError(f"{path}: missing key {key!r}")
     n, rays, cones = doc["n"], doc["rays"], doc["max_cones"]
-    if not isinstance(n, int) or n <= 0:
+    if not _is_int(n) or n <= 0:
         raise ParseError(f"{path}: n must be a positive integer")
     if not isinstance(rays, list) or not rays or \
-            not all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rays):
+            not all(isinstance(r, list) and all(map(_is_int, r)) for r in rays):
         raise ParseError(f"{path}: rays must be a nonempty list of integer vectors")
     if not isinstance(cones, list) or \
-            not all(isinstance(c, list) and all(isinstance(i, int) for i in c) for c in cones):
+            not all(isinstance(c, list) and all(map(_is_int, c)) for c in cones):
         raise ParseError(f"{path}: max_cones must be a list of index lists")
     for c in cones:
         for i in c:
@@ -111,7 +119,7 @@ def load_module(path: str, grading: GradingData) -> dmod.GradedPresentation:
     width = group.free_rank + len(group.torsion_orders)
     if not isinstance(degs, list) or not degs or \
             not all(isinstance(t, list) and len(t) == width
-                    and all(isinstance(x, int) for x in t) for t in degs):
+                    and all(map(_is_int, t)) for t in degs):
         raise ParseError(
             f"{path}: generator_degrees must be integer vectors of length {width}")
     rel_rows = doc["relations"]
@@ -321,7 +329,7 @@ def cmd_local(args) -> int:
     report.add("cone", ",".join(str(i + 1) for i in cone))
     report.add("p", ",".join(str(x) for x in p))
     report.add("iota-p", json.dumps(list(iota)))
-    hp, factors = dmod.h_p(fan, grading, cone, p)
+    hp, factors = dmod.h_p(grading, cone, p)
     thnames = [f"th{i + 1}" for i in range(fan.d)]
     vnames = [f"v{i + 1}" for i in range(fan.n)]
     report.add("h_p", tp_format(hp, thnames))

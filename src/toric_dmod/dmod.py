@@ -15,7 +15,7 @@ from operator import mul
 from .errors import (BoxTooSmall, ConeNotMaximal, ConeNotSmooth,
                      InhomogeneousInput, NotInJp, PointTooLarge, UnknownCone)
 from .fan_cox import Fan, GradingData
-from .groebner import weyl_buchberger, weyl_normal_form, WeylModuleOrder
+from .groebner import weyl_buchberger, weyl_normal_form
 from .weyl import (LaurentPoly, ThetaDict, WeylElement, tau,
                    theta_dict_to_weyl, theta_u, tp_divide_linear, tp_evaluator,
                    tp_linear, tp_linear_form, tp_linear_product, tp_subst,
@@ -101,7 +101,7 @@ class GradedPresentation:
         gb = self.relation_gb()
         if not gb:
             return all(g.is_zero() for g in row)
-        nf = weyl_normal_form(tuple(row), gb, WeylModuleOrder(self.rank))
+        nf = weyl_normal_form(tuple(row), gb)
         return all(g.is_zero() for g in nf)
 
 
@@ -217,16 +217,16 @@ def require_local_bounds(grading: GradingData, cone, p):
                             f"(at most {LOCAL_MAX_BOX})")
 
 
-def h_p(fan: Fan, grading: GradingData, cone, p) -> tuple[ThetaDict, list]:
+def h_p(grading: GradingData, cone, p) -> tuple[ThetaDict, list]:
     """Generator of J(p) as a product of linear factors (theta_i - m).
 
     The index range is 0 <= m <= -iota(p)_i - 1 over rays of the cone; this is
     the convention certified by the action oracle.
     """
-    cone = _require_cone(fan, cone)
+    cone = _require_cone(grading.fan, cone)
     ip = grading.iota_of(p)
     factors = sorted((i, m) for i in cone for m in range(0, -ip[i]))
-    return tp_linear_product(fan.d, factors), factors
+    return tp_linear_product(grading.d, factors), factors
 
 
 def j_p_oracle(grading: GradingData, cone, p, radius: int):
@@ -286,7 +286,7 @@ def theta_divides(w: ThetaDict, factors) -> tuple[bool, ThetaDict]:
 def local_op_image(grading: GradingData, cone, p, g: ThetaDict):
     """The chart image of x^(iota(p)) g: the pair (p, rho(g)) for g in J(p)."""
     cone = _require_cone(grading.fan, cone)
-    _, factors = h_p(grading.fan, grading, cone, p)
+    _, factors = h_p(grading, cone, p)
     ok, _ = theta_divides(g, factors)
     if not ok:
         raise NotInJp("the generator of J(p) does not divide g")
@@ -296,7 +296,7 @@ def local_op_image(grading: GradingData, cone, p, g: ThetaDict):
 def i_p_ideal(grading: GradingData, cone, p) -> ThetaDict:
     """Generator rho(h_p) of the chart-side ideal I(p)."""
     cone = _require_cone(grading.fan, cone)
-    hp, _ = h_p(grading.fan, grading, cone, p)
+    hp, _ = h_p(grading, cone, p)
     return rho(grading, hp)
 
 

@@ -66,8 +66,8 @@ class Poly:
         return cls(ring, {(0,) * ring.nvars: Fraction(c)})
 
     @classmethod
-    def variable(cls, ring, i, exp=1):
-        e = tuple(exp if j == i else 0 for j in range(ring.nvars))
+    def variable(cls, ring, i):
+        e = tuple(int(j == i) for j in range(ring.nvars))
         return cls(ring, {e: Fraction(1)})
 
     @classmethod
@@ -114,42 +114,28 @@ def format_poly(p: Poly) -> str:
                          for e, c in items])
 
 
-# term orders; key functions produce tuples whose max is the leading term
+# term orders are key functions: the largest key marks the leading term
 
 
-class TermOrder:
-    def __init__(self, keyfn, name):
-        self.key = keyfn
-        self.name = name
-
-    def __repr__(self):
-        return f"TermOrder({self.name})"
+def lex_order():
+    return tuple
 
 
-def lex_order() -> TermOrder:
-    return TermOrder(lambda e: tuple(e), "lex")
+def degrevlex_order():
+    return lambda e: (sum(e), tuple(-x for x in reversed(e)))
 
 
-def degrevlex_order() -> TermOrder:
-    return TermOrder(lambda e: (sum(e), tuple(-x for x in reversed(e))), "degrevlex")
-
-
-def block_order(front: int, first: TermOrder | None = None,
-                second: TermOrder | None = None) -> TermOrder:
-    """Eliminates the first `front` variables."""
-    first = first or degrevlex_order()
-    second = second or degrevlex_order()
-
-    def key(e):
-        return (first.key(e[:front]), second.key(e[front:]))
-
-    return TermOrder(key, f"block({front})")
+def block_order():
+    """Eliminates the front variable: its exponent first, then degrevlex on
+    the others."""
+    rest = degrevlex_order()
+    return lambda e: (e[0], rest(e[1:]))
 
 
 class ModuleOrder:
     """Position-over-term order; priority lists components from highest down."""
 
-    def __init__(self, order: TermOrder, rank: int, priority=None):
+    def __init__(self, order, rank: int, priority=None):
         self.order = order
         self.rank = rank
         priority = tuple(priority) if priority is not None else tuple(range(rank))
@@ -160,7 +146,7 @@ class ModuleOrder:
         cached = self._cache.get(ce)
         if cached is None:
             comp, e = ce
-            cached = (-self._pos[comp], self.order.key(e))
+            cached = (-self._pos[comp], self.order(e))
             self._cache[ce] = cached
         return cached
 
@@ -313,33 +299,29 @@ def buchberger_vec(gens: list[dict], morder: ModuleOrder) -> list[dict]:
 # ideal-level API
 
 
-def groebner_basis(gens: list[Poly], ring: PolyRing,
-                   order: TermOrder | None = None) -> list[Poly]:
-    order = order or degrevlex_order()
+def groebner_basis(gens: list[Poly], ring: PolyRing, order=None) -> list[Poly]:
+    """Reduced Groebner basis under the term order key (degrevlex by default)."""
     vecs = [poly_to_vec(g) for g in gens if not g.is_zero()]
     if not vecs:
         return []
-    gb = buchberger_vec(vecs, ModuleOrder(order, 1))
+    gb = buchberger_vec(vecs, ModuleOrder(order or degrevlex_order(), 1))
     return [vec_to_polys(v, ring, 1)[0] for v in gb]
 
 
-def normal_form(f: Poly, gb: list[Poly], order: TermOrder | None = None) -> Poly:
-    order = order or degrevlex_order()
+# the read side takes degrevlex bases, the only ones the pipelines build
+
+
+def normal_form(f: Poly, gb: list[Poly]) -> Poly:
     basis = [poly_to_vec(g) for g in gb if not g.is_zero()]
     if not basis or f.is_zero():
         return f
-    nf = vec_normal_form(poly_to_vec(f), basis, ModuleOrder(order, 1))
+    nf = vec_normal_form(poly_to_vec(f), basis, ModuleOrder(degrevlex_order(), 1))
     return vec_to_polys(nf, f.ring, 1)[0]
 
 
-def in_ideal(f: Poly, gb: list[Poly], order: TermOrder | None = None) -> bool:
-    return ideal_contains(gb, [f], order)
-
-
-def ideal_contains(gb: list[Poly], gens: list[Poly],
-                   order: TermOrder | None = None) -> bool:
+def ideal_contains(gb: list[Poly], gens: list[Poly]) -> bool:
     """Whether every element of gens lies in the ideal of the Groebner basis gb."""
-    morder = ModuleOrder(order or degrevlex_order(), 1)
+    morder = ModuleOrder(degrevlex_order(), 1)
     reducers = [_Reducer(poly_to_vec(g), morder) for g in gb if not g.is_zero()]
     return not any(_reduce(poly_to_vec(f), reducers, morder) for f in gens)
 
@@ -348,36 +330,38 @@ def is_unit_ideal(gb: list[Poly]) -> bool:
     return any(not g.is_zero() and g.total_degree() == 0 for g in gb)
 
 
-def ring_with_front_var(ring: PolyRing, name: str) -> PolyRing:
-    return PolyRing((name,) + ring.names)
-
-
 def _lift_front(p: Poly, big: PolyRing) -> Poly:
     return Poly(big, {(0,) + e: c for e, c in p.terms.items()})
 
 
-def _drop_front(p: Poly, small: PolyRing) -> Poly:
-    return Poly(small, {e[1:]: c for e, c in p.terms.items()})
-
-
 def eliminate_front(gens: list[Poly], big: PolyRing, small: PolyRing) -> list[Poly]:
-    """Reduced GB of (gens) intersected with the subring missing the front var."""
-    gb = groebner_basis(gens, big, block_order(1))
-    out = [_drop_front(g, small) for g in gb if all(e[0] == 0 for e in g.terms)]
-    return groebner_basis(out, small)
+    """Reduced GB of (gens) intersected with the subring missing the front var.
+
+    By the Elimination Theorem the elements of the reduced block_order basis
+    that are free of the front variable are the reduced degrevlex basis of
+    the elimination ideal, in the same order.
+    """
+    gb = groebner_basis(gens, big, block_order())
+    return [Poly(small, {e[1:]: c for e, c in g.terms.items()})
+            for g in gb if all(e[0] == 0 for e in g.terms)]
+
+
+def _with_inverse(gens: list[Poly], f: Poly, ring: PolyRing):
+    """I + (1 - t f) in the ring with a front variable t, and that ring."""
+    big = PolyRing(("t#",) + ring.names)
+    lifted = [_lift_front(g, big) for g in gens]
+    lifted.append(Poly.constant(big, 1) - Poly.variable(big, 0) * _lift_front(f, big))
+    return lifted, big
 
 
 def saturation(gens: list[Poly], f: Poly, ring: PolyRing) -> list[Poly]:
     """(I : f^infinity) computed by eliminating t from I + (1 - t f)."""
-    big = ring_with_front_var(ring, "t#")
-    lifted = [_lift_front(g, big) for g in gens]
-    t = Poly.variable(big, 0)
-    lifted.append(Poly.constant(big, 1) - t * _lift_front(f, big))
+    lifted, big = _with_inverse(gens, f, ring)
     return eliminate_front(lifted, big, ring)
 
 
 def intersect_ideals(i_gens: list[Poly], j_gens: list[Poly], ring: PolyRing) -> list[Poly]:
-    big = ring_with_front_var(ring, "t#")
+    big = PolyRing(("t#",) + ring.names)
     t = Poly.variable(big, 0)
     one_minus_t = Poly.constant(big, 1) - t
     lifted = [t * _lift_front(g, big) for g in i_gens]
@@ -398,29 +382,25 @@ def saturation_by_monomials(gens: list[Poly], monomials, ring: PolyRing) -> list
 
 def radical_membership(f: Poly, gens: list[Poly], ring: PolyRing) -> bool:
     """f in the radical of (gens), by the trick with an inverse variable."""
-    big = ring_with_front_var(ring, "t#")
-    lifted = [_lift_front(g, big) for g in gens]
-    t = Poly.variable(big, 0)
-    lifted.append(Poly.constant(big, 1) - t * _lift_front(f, big))
-    gb = groebner_basis(lifted, big)
-    return is_unit_ideal(gb)
+    lifted, big = _with_inverse(gens, f, ring)
+    return is_unit_ideal(groebner_basis(lifted, big))
 
 
-def krull_dimension(gens: list[Poly], ring: PolyRing,
-                    order: TermOrder | None = None):
+def krull_dimension(gens: list[Poly], ring: PolyRing):
     """Dimension of V(gens); EMPTY_DIM for the unit ideal."""
-    return basis_dimension(groebner_basis(gens, ring, order), ring, order)
+    return basis_dimension(groebner_basis(gens, ring), ring)
 
 
-def basis_dimension(gb: list[Poly], ring: PolyRing, order: TermOrder | None = None):
-    """Dimension of V(gb) for a Groebner basis gb under order: the largest
+def basis_dimension(gb: list[Poly], ring: PolyRing):
+    """Dimension of V(gb) for a degrevlex Groebner basis gb: the largest
     variable set independent modulo the initial ideal. Returns EMPTY_DIM for
     the unit ideal."""
     if is_unit_ideal(gb):
         return EMPTY_DIM
+    key = degrevlex_order()
     supports = []
     for g in gb:
-        lm = max(g.terms, key=(order or degrevlex_order()).key)
+        lm = max(g.terms, key=key)
         supports.append(frozenset(i for i, e in enumerate(lm) if e))
     nv = ring.nvars
     for size in range(nv, -1, -1):
@@ -507,10 +487,11 @@ def _wdict_monic(w: dict, worder: WeylModuleOrder) -> dict:
     return {k: v / c for k, v in w.items()}
 
 
-def weyl_normal_form(f, basis, worder: WeylModuleOrder):
+def weyl_normal_form(f, basis):
     """Left normal form of a module element against a list of module elements."""
     d = f[0].d
     rank = len(f)
+    worder = WeylModuleOrder(rank)
     wb = [_rows_to_wdict(g) for g in basis]
     lts = [_vec_lt(g, worder) for g in wb]
     nf = _wdict_normal_form(_rows_to_wdict(f), wb, lts, worder)

@@ -31,11 +31,6 @@ from .parsing import format_terms, parse_terms
 ThetaDict = dict
 
 
-def tp_const(d: int, c) -> ThetaDict:
-    c = Fraction(c)
-    return {(0,) * d: c} if c else {}
-
-
 def tp_add(p: ThetaDict, q: ThetaDict) -> ThetaDict:
     out = dict(p)
     for e, c in q.items():
@@ -386,65 +381,37 @@ class ThetaFormElement:
         return "ThetaFormElement({" + ", ".join(bits) + "})"
 
 
-def _theta_piece(alpha: int, beta: int) -> list[Fraction]:
-    """Univariate w with x^alpha d^beta = x^(c+) d^(c-) w(theta), c = alpha - beta.
-
-    Returned as a coefficient list in the single variable theta.
-    """
-    if alpha >= beta:
-        roots = [j - 1 for j in range(1, beta + 1)]
-    else:
-        gamma = beta - alpha
-        roots = [gamma + j - 1 for j in range(1, alpha + 1)]
-    poly = [Fraction(1)]
-    for r in roots:
-        poly = [Fraction(0)] + poly
-        for k in range(len(poly) - 1):
-            poly[k] -= Fraction(r) * poly[k + 1]
-    return poly
-
-
 def to_theta_form(f: WeylElement) -> ThetaFormElement:
+    """x^a d^b = x^(c+) d^(c-) w(theta) with c = a - b and w the product of
+    (theta_i - r) over b_i - min(a_i, b_i) <= r < b_i."""
     d = f.d
     entries: dict = {}
     for (a, b), coeff in f.terms.items():
-        c = tuple(x - y for x, y in zip(a, b))
-        w = tp_const(d, coeff)
-        for i in range(d):
-            piece = _theta_piece(a[i], b[i])
-            lifted = {}
-            for k, cf in enumerate(piece):
-                if cf:
-                    e = tuple(k if j == i else 0 for j in range(d))
-                    lifted[e] = cf
-            w = tp_mul(w, lifted)
-        entries[c] = tp_add(entries.get(c, {}), w)
-    return ThetaFormElement(d, {c: w for c, w in entries.items() if w})
+        w = tp_linear_product(d, [(i, r) for i in range(d)
+                                  for r in range(b[i] - min(a[i], b[i]), b[i])])
+        c = tuple(map(sub, a, b))
+        entries[c] = tp_add(entries.get(c, {}), tp_scale(w, coeff))
+    return ThetaFormElement(d, entries)
 
 
-_theta_power_cache: dict = {}
-
-
-def _theta_power(d: int, i: int, k: int) -> WeylElement:
-    key = (d, i, k)
-    if key not in _theta_power_cache:
-        if k == 0:
-            out = WeylElement.one(d)
-        else:
-            out = weyl_mul(_theta_power(d, i, k - 1), WeylElement.theta(d, i))
-        _theta_power_cache[key] = out
-    return _theta_power_cache[key]
+def _stirling_row(k: int) -> list[int]:
+    """The Stirling numbers of the second kind S(k, 0), ..., S(k, k)."""
+    row = [1]
+    for _ in range(k):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, len(row))] + [1]
+    return row
 
 
 def theta_dict_to_weyl(d: int, w: ThetaDict) -> WeylElement:
-    out = WeylElement.zero(d)
-    for e, c in sorted(w.items()):
-        piece = WeylElement.one(d).scale(c)
-        for i, k in enumerate(e):
-            if k:
-                piece = weyl_mul(piece, _theta_power(d, i, k))
-        out = out + piece
-    return out
+    """w(theta) in normal order, by theta_i^k = sum_j S(k, j) x_i^j d_i^j."""
+    out: dict = {}
+    for e, c in w.items():
+        rows = [_stirling_row(k) for k in e]
+        for j in product(*(range(k + 1) for k in e)):
+            v = c * prod(row[ji] for row, ji in zip(rows, j))
+            if v:
+                out[(j, j)] = out.get((j, j), 0) + v
+    return WeylElement(d, out)
 
 
 def from_theta_form(tf: ThetaFormElement) -> WeylElement:
@@ -587,13 +554,13 @@ def format_weyl(f: WeylElement) -> str:
     return format_terms(rendered)
 
 
-def parse_theta_poly(text: str, d: int, prefix: str = "th") -> ThetaDict:
-    """Parse a commutative polynomial in ``th1 .. th<d>`` (or another prefix)."""
+def parse_theta_poly(text: str, d: int) -> ThetaDict:
+    """Parse a commutative polynomial in ``th1 .. th<d>``."""
     out: ThetaDict = {}
     for coeff, vars_ in parse_terms(text):
         e = [0] * d
         for pfx, idx, exp in vars_:
-            if pfx != prefix:
+            if pfx != "th":
                 raise ParseError(f"unknown variable prefix {pfx!r}")
             if not 1 <= idx <= d:
                 raise ParseError(f"index {idx} out of range 1..{d}")

@@ -271,6 +271,41 @@ def test_multiline_document_values(tmp_path):
     assert "cl: Z" in out
 
 
+def test_repeated_key_exits_2(tmp_path, capsys):
+    # the last value used to win silently
+    fan = tmp_path / "twice.fan"
+    fan.write_text("n = 1\nrays = [[1], [-1]]\nmax_cones = [[1], [2]]\nn = 2\n")
+    mod = tmp_path / "twice.mod"
+    mod.write_text('side = "left"\ngenerator_degrees = [[0]]\n'
+                   'relations = [["x1*d1 + x2*d2"]]\nside = "right"\n')
+    for argv in (["fan-info", str(fan)], ["check", str(FIXTURES / "p1.fan"), str(mod)]):
+        rc = main(argv)
+        cap = capsys.readouterr()
+        assert rc == 2 and cap.out == ""
+        assert cap.err.count("\n") == 1 and cap.err.startswith("error: ")
+        assert "given twice" in cap.err
+
+
+def test_boolean_document_values_exit_2(tmp_path, capsys):
+    # True and False are ints to Python; they used to be accepted as 1 and 0
+    fans = ("n = True\nrays = [[1], [-1]]\nmax_cones = [[1], [2]]\n",
+            "n = 1\nrays = [[True], [-1]]\nmax_cones = [[1], [2]]\n",
+            "n = 1\nrays = [[1], [-1]]\nmax_cones = [[True], [2]]\n")
+    for k, text in enumerate(fans):
+        fan = tmp_path / f"bool{k}.fan"
+        fan.write_text(text)
+        rc = main(["fan-info", str(fan)])
+        cap = capsys.readouterr()
+        assert rc == 2 and cap.out == "", text
+        assert cap.err.count("\n") == 1 and cap.err.startswith("error: ")
+    mod = tmp_path / "bool.mod"
+    mod.write_text('side = "left"\ngenerator_degrees = [[False]]\n'
+                   'relations = [["x1*d1 + x2*d2"]]\n')
+    rc = main(["check", str(FIXTURES / "p1.fan"), str(mod)])
+    cap = capsys.readouterr()
+    assert rc == 2 and cap.err.count("\n") == 1 and cap.err.startswith("error: ")
+
+
 def test_machine_format_is_tab_separated():
     rc, out, _ = run_cli("fan-info", str(FIXTURES / "p1.fan"),
                          "--format", "machine")

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (WeylMacaulayOracle, bernstein_degree, fan_p1, fan_p1p1,
-                     fan_p2, grading, macaulay_membership,
+from helpers import (WeylMacaulayOracle, all_fixture_fans, bernstein_degree,
+                     fan_p1, fan_p1p1, fan_p2, grading, macaulay_membership,
                      macaulay_membership_stable, random_poly, rng,
                      weyl_left_mul_monomial, weyl_rows_to_dict)
+from toric_dmod import groebner
 from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing, degrevlex_order,
-                                 format_poly, groebner_basis, in_ideal,
+                                 eliminate_front, format_poly, groebner_basis,
+                                 ideal_contains,
                                  initial_forms, intersect_ideals, is_unit_ideal,
                                  krull_dimension, lex_order, normal_form,
                                  radical_membership, saturation,
@@ -41,15 +43,18 @@ def test_unit_ideal_from_x_and_one_minus_x():
 
 
 def test_x2_xy_minus_y_against_macaulay_oracle():
+    # the lex basis re-reduced under degrevlex is the degrevlex basis, and
+    # membership modulo it agrees with the linear-algebra oracle
     ring = ring2()
     x, y = Poly.variable(ring, 0), Poly.variable(ring, 1)
     gens = [x * x, x * y - y]
-    gb = groebner_basis(gens, ring, lex_order())
+    gb = groebner_basis(gens, ring)
+    assert groebner_basis(groebner_basis(gens, ring, lex_order()), ring) == gb
     r = rng(20)
     for _ in range(40):
         f = random_poly(r, ring, 4, 3)
-        assert in_ideal(f, gb, lex_order()) == macaulay_membership_stable(f, gens)
-    assert in_ideal(y, gb, lex_order())
+        assert ideal_contains(gb, [f]) == macaulay_membership_stable(f, gens)
+    assert ideal_contains(gb, [y])
     assert macaulay_membership(y, gens, 4)
 
 
@@ -82,7 +87,7 @@ def test_membership_soundness_random_combinations():
         combo = Poly.zero(ring)
         for g in gens:
             combo = combo + random_poly(r, ring, 2, 2) * g
-        assert in_ideal(combo, gb)
+        assert ideal_contains(gb, [combo])
 
 
 def test_saturation_examples():
@@ -105,7 +110,7 @@ def test_saturation_idempotent_and_contains():
     sat2 = saturation(sat1, x, ring)
     assert sat1 == sat2
     for g in gens:
-        assert in_ideal(g, sat1)
+        assert ideal_contains(sat1, [g])
 
 
 def test_radical_membership_examples():
@@ -127,12 +132,15 @@ def test_krull_dimension_examples():
 
 
 def test_krull_dimension_order_invariance():
+    # a lex basis generates the same ideal: re-reduced under degrevlex it
+    # gives the degrevlex basis and the same dimension
     ring = sprime_p1()
     r = rng(23)
     for _ in range(8):
         gens = [random_poly(r, ring, 2, 2) for _ in range(2)]
-        assert krull_dimension(gens, ring, degrevlex_order()) == \
-            krull_dimension(gens, ring, lex_order())
+        lex_gb = groebner_basis(gens, ring, lex_order())
+        assert groebner_basis(lex_gb, ring) == groebner_basis(gens, ring)
+        assert krull_dimension(lex_gb, ring) == krull_dimension(gens, ring)
 
 
 def test_intersection():
@@ -140,6 +148,83 @@ def test_intersection():
     x, y = Poly.variable(ring, 0), Poly.variable(ring, 1)
     inter = intersect_ideals([x], [y], ring)
     assert inter == groebner_basis([x * y], ring)
+
+
+def test_eliminate_front_is_its_own_reduction():
+    # the front-free part of the reduced block-order basis is already the
+    # reduced degrevlex basis of the elimination ideal: reducing it again
+    # changes nothing, and it lies in the ideal it came from
+    small = PolyRing(("x", "y", "z"))
+    big = PolyRing(("t",) + small.names)
+    r = rng(33)
+    cases = [[], [Poly.zero(big)], [Poly.constant(big, 1)]]
+    cases += [[random_poly(r, big, 2, 3) for _ in range(r.randint(1, 3))]
+              for _ in range(15)]
+    nontrivial = 0
+    for gens in cases:
+        out = eliminate_front(gens, big, small)
+        assert groebner_basis(out, small) == out
+        assert ideal_contains(groebner_basis(gens, big),
+                              [groebner._lift_front(g, big) for g in out])
+        nontrivial += bool(out) and not is_unit_ideal(out)
+    assert eliminate_front(cases[0], big, small) == []
+    assert eliminate_front(cases[1], big, small) == []
+    assert eliminate_front(cases[2], big, small) == [Poly.constant(small, 1)]
+    assert nontrivial
+
+
+def _fixture_saturations():
+    """The generic saturation of each fixture report for D(0) and the
+    monomial saturation of the same J, through public entry points."""
+    from toric_dmod.charvar import characteristic_ideal, dimension_report, s_prime_ring
+    from toric_dmod.dmod import d_module_left
+    from toric_dmod.fan_cox import irrelevant_ideal
+    for _, fan in all_fixture_fans():
+        gd = grading(fan)
+        pres = d_module_left(gd, gd.class_group.zero())
+        dimension_report(gd, pres)
+        b = [g + (0,) * gd.d for g in irrelevant_ideal(fan).generators]
+        saturation_by_monomials(characteristic_ideal(gd, pres), b, s_prime_ring(gd))
+
+
+def test_eliminate_front_is_its_own_reduction_on_fixture_reports(monkeypatch):
+    real = groebner.eliminate_front
+    outputs = []
+
+    def recorded(gens, big, small):
+        out = real(gens, big, small)
+        outputs.append((out, small))
+        return out
+
+    monkeypatch.setattr(groebner, "eliminate_front", recorded)
+    _fixture_saturations()
+    monkeypatch.undo()
+    assert len(outputs) > len(all_fixture_fans())
+    for out, small in outputs:
+        assert groebner_basis(out, small) == out
+
+
+def test_one_groebner_basis_per_elimination(monkeypatch):
+    # each elimination builds the block-order basis and nothing else
+    real_gb, real_elim = groebner.groebner_basis, groebner.eliminate_front
+    built = [0]
+    per_elimination = []
+
+    def counted_gb(*args):
+        built[0] += 1
+        return real_gb(*args)
+
+    def counted_elim(*args):
+        start = built[0]
+        out = real_elim(*args)
+        per_elimination.append(built[0] - start)
+        return out
+
+    monkeypatch.setattr(groebner, "groebner_basis", counted_gb)
+    monkeypatch.setattr(groebner, "eliminate_front", counted_elim)
+    _fixture_saturations()
+    monkeypatch.undo()
+    assert per_elimination and set(per_elimination) == {1}
 
 
 def test_weyl_buchberger_examples():
@@ -176,7 +261,7 @@ def test_weyl_normal_form_membership():
     for _ in range(15):
         f = random_weyl(r, 2, 2, 2)
         prod = weyl_mul(f, th)
-        nf = weyl_normal_form((prod,), gb, WeylModuleOrder(1))
+        nf = weyl_normal_form((prod,), gb)
         assert all(e.is_zero() for e in nf)
 
 
@@ -207,7 +292,7 @@ def test_initial_forms_generate_associated_graded():
             weight = max(sum(b) for (_, b) in combo.terms)
             top = {a + b: c for (a, b), c in combo.terms.items()
                    if sum(b) == weight}
-            assert in_ideal(Poly(ring, top), init_gb)
+            assert ideal_contains(init_gb, [Poly(ring, top)])
 
 
 def test_filtered_gb_initial_ideal_matches_z_for_twists():
@@ -232,7 +317,7 @@ def test_toric_ideal_twisted_cubic_and_segre():
     y = [Poly.variable(ring, i) for i in range(4)]
     for rel in (y[1] * y[1] - y[0] * y[2], y[2] * y[2] - y[1] * y[3],
                 y[1] * y[2] - y[0] * y[3]):
-        assert in_ideal(rel, cubic)
+        assert ideal_contains(cubic, [rel])
     assert krull_dimension(cubic, ring) == 2
     segre = toric_ideal([(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)],
                         ring)
@@ -488,7 +573,7 @@ def test_weyl_basis_against_filtered_macaulay_oracle():
                 break
         assert not pending, [[format_weyl(e) for e in g] for g in pending]
         for g in gens:
-            assert all(e.is_zero() for e in weyl_normal_form(g, gb, worder))
+            assert all(e.is_zero() for e in weyl_normal_form(g, gb))
         rows = [weyl_rows_to_dict(g) for g in gb]
         for i, f in enumerate(rows):
             for g in rows[i + 1:]:
@@ -504,4 +589,4 @@ def test_weyl_basis_against_filtered_macaulay_oracle():
                     for k, v in shifted.items():
                         s[k] = s.get(k, 0) + sign * v / lc
                 spair = _weyl_row({k: v for k, v in s.items() if v}, rank, d)
-                assert all(e.is_zero() for e in weyl_normal_form(spair, gb, worder))
+                assert all(e.is_zero() for e in weyl_normal_form(spair, gb))

@@ -1,6 +1,7 @@
-"""The package exposes its modules and nothing else, and every module-level
-function and class has a caller: a name that nothing in the program, the
-benchmark or the allowlist below uses is dead code. Source is only read here.
+"""The package exposes its modules and nothing else, every module-level
+function and class has a caller (a name that nothing in the program, the
+benchmark or the allowlist below uses is dead code), and modules keep no
+state of their own. Source is only read here.
 """
 
 import ast
@@ -17,7 +18,7 @@ TEST_ONLY = {
     "verify_char_containment", "verify_quotient_dimension",
     "verify_local_action", "rho_b", "k_component", "t_invariance_check",
     "invariant_factor_oracle",
-    "lex_order", "in_ideal", "to_theta_form", "from_theta_form",
+    "lex_order", "to_theta_form", "from_theta_form",
     "ThetaFormElement",
 }
 
@@ -65,3 +66,34 @@ def test_every_module_level_definition_has_a_caller():
             continue
         unused.append(f"{path.stem}.{name}")
     assert not unused
+
+
+def _constant_value(node) -> bool:
+    """A literal, a name, arithmetic on those, or re.compile of a literal."""
+    if isinstance(node, (ast.Constant, ast.Name)):
+        return True
+    if isinstance(node, ast.BinOp):
+        return _constant_value(node.left) and _constant_value(node.right)
+    if isinstance(node, ast.UnaryOp):
+        return _constant_value(node.operand)
+    return (isinstance(node, ast.Call) and ast.unparse(node.func) == "re.compile"
+            and all(isinstance(arg, ast.Constant) for arg in node.args))
+
+
+def test_modules_keep_no_state():
+    # a module-level dict, list or object would be state shared by every
+    # caller in the process; the CLI parser, built once by cli.main, is the
+    # one exception
+    mutable, rebinders = [], set()
+    for path, tree in _modules().items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.AugAssign) or (
+                    isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                    and stmt.value is not None and not _constant_value(stmt.value)):
+                mutable.append(f"{path.stem}:{stmt.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    any(isinstance(sub, ast.Global) for sub in ast.walk(node)):
+                rebinders.add(f"{path.stem}.{node.name}")
+    assert not mutable
+    assert rebinders <= {"cli.main"}

@@ -1,15 +1,16 @@
 """Weyl arithmetic: normal ordering, theta form, the action and tau."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from helpers import fan_p1, fan_p1p1, grading, random_weyl, rng
 from toric_dmod.errors import InhomogeneousInput, ParseError
 from toric_dmod.weyl import (LaurentPoly, WeylElement, act, format_weyl,
-                             from_theta_form, parse_weyl,
-                             tau, to_theta_form, tp_linear, weyl_degree,
-                             weyl_mul)
+                             from_theta_form, parse_weyl, tau,
+                             theta_dict_to_weyl, to_theta_form, tp_linear,
+                             weyl_degree, weyl_mul)
 
 
 def W(s, d=2):
@@ -87,6 +88,36 @@ def test_theta_roundtrip_randomized():
     for _ in range(30):
         f = random_weyl(r, 2, 3, 3)
         assert from_theta_form(to_theta_form(f)) == f
+
+
+def test_theta_dict_to_weyl_against_repeated_products():
+    # theta^e by repeated Weyl products with theta_i, for every exponent
+    # vector with entries at most 6 and d at most 3
+    r = rng(19)
+    for d in (1, 2, 3):
+        powers = []
+        for i in range(d):
+            row = [WeylElement.one(d)]
+            for _ in range(6):
+                row.append(weyl_mul(row[-1], WeylElement.theta(d, i)))
+            powers.append(row)
+        expected = {}
+        for e in product(range(7), repeat=d):
+            term = WeylElement.one(d)
+            for row, k in zip(powers, e):
+                term = weyl_mul(term, row[k])
+            expected[e] = term
+            assert theta_dict_to_weyl(d, {e: Fraction(1)}) == term, e
+        for _ in range(10):
+            w = {e: Fraction(r.randint(-4, 4), r.randint(1, 3))
+                 for e in r.sample(sorted(expected), 3)}
+            total = WeylElement.zero(d)
+            for e, c in w.items():
+                total = total + expected[e].scale(c)
+            assert theta_dict_to_weyl(d, w) == total
+        assert theta_dict_to_weyl(d, {}) == WeylElement.zero(d)
+        const = {(0,) * d: Fraction(-5, 3)}
+        assert theta_dict_to_weyl(d, const) == WeylElement.one(d).scale(Fraction(-5, 3))
 
 
 def test_act_examples():

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import re
 import sys
 
 from .errors import (ChartRewriteError, FanValidationError,
@@ -41,10 +42,11 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-def read_document(path: str) -> dict:
+def read_document(path: str, keys) -> dict:
     """Key = value lines; values are Python-literal scalars/lists, possibly
-    spanning lines until brackets balance. Comments start with #. A key may
-    be given once."""
+    spanning lines until brackets balance. Comments start with #. Each of
+    keys must be given, once; any other key, the empty one included, is a
+    ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -62,6 +64,9 @@ def read_document(path: str) -> dict:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             key, value = text.split("=", 1)
             pending_key, pending_value = key.strip(), value.strip()
+            if pending_key not in keys:
+                raise ParseError(f"{path}:{lineno}: unknown key {pending_key!r} "
+                                 f"(expected {', '.join(keys)})")
             if pending_key in doc:
                 raise ParseError(f"{path}:{lineno}: key {pending_key!r} given twice")
         else:
@@ -77,6 +82,9 @@ def read_document(path: str) -> dict:
             pending_key, pending_value = None, ""
     if pending_key is not None:
         raise ParseError(f"{path}: unterminated value for {pending_key!r}")
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"{path}: missing key {key!r}")
     return doc
 
 
@@ -86,10 +94,7 @@ def _is_int(x) -> bool:
 
 
 def load_fan(path: str) -> Fan:
-    doc = read_document(path)
-    for key in ("n", "rays", "max_cones"):
-        if key not in doc:
-            raise ParseError(f"{path}: missing key {key!r}")
+    doc = read_document(path, ("n", "rays", "max_cones"))
     n, rays, cones = doc["n"], doc["rays"], doc["max_cones"]
     if not _is_int(n) or n <= 0:
         raise ParseError(f"{path}: n must be a positive integer")
@@ -107,10 +112,7 @@ def load_fan(path: str) -> Fan:
 
 
 def load_module(path: str, grading: GradingData) -> dmod.GradedPresentation:
-    doc = read_document(path)
-    for key in ("side", "generator_degrees", "relations"):
-        if key not in doc:
-            raise ParseError(f"{path}: missing key {key!r}")
+    doc = read_document(path, ("side", "generator_degrees", "relations"))
     side = doc["side"]
     if side not in ("left", "right"):
         raise ParseError(f"{path}: side must be 'left' or 'right'")
@@ -138,14 +140,24 @@ def load_module(path: str, grading: GradingData) -> dmod.GradedPresentation:
         raise ToricDmodError(f"{path}: {exc}") from exc
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _read_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers, each of the form [+-]?[0-9]+ between
+    optional ASCII spaces; int() alone would also take 1_0 and non-ASCII
+    digits."""
+    parts = [part.strip(" ") for part in text.split(",")]
+    if not all(_INTEGER.fullmatch(part) for part in parts):
+        raise ParseError(f"bad {what} {text!r}")
+    return tuple(map(int, parts))
+
+
 def parse_class(text: str, grading: GradingData):
     group = grading.class_group
     width = group.free_rank + len(group.torsion_orders)
-    try:
-        # the empty string names the only class of a trivial class group
-        coords = tuple(int(x) for x in text.split(",")) if text.strip() else ()
-    except ValueError as exc:
-        raise ParseError(f"bad class coordinates {text!r}") from exc
+    # the empty string names the only class of a trivial class group
+    coords = _read_ints(text, "class coordinates") if text.strip(" ") else ()
     if len(coords) != width:
         raise ParseError(
             f"class coordinates {text!r} have arity {len(coords)}, expected {width}")
@@ -153,20 +165,14 @@ def parse_class(text: str, grading: GradingData):
 
 
 def parse_cone(text: str, fan: Fan):
-    try:
-        idx = tuple(sorted(int(x) - 1 for x in text.split(",")))
-    except ValueError as exc:
-        raise ParseError(f"bad cone {text!r}") from exc
+    idx = tuple(sorted(i - 1 for i in _read_ints(text, "cone")))
     if any(i < 0 or i >= fan.d for i in idx):
         raise ParseError(f"cone {text!r} has a ray index out of range")
     return idx
 
 
 def parse_point(text: str, n: int):
-    try:
-        p = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad lattice point {text!r}") from exc
+    p = _read_ints(text, "lattice point")
     if len(p) != n:
         raise ParseError(f"lattice point {text!r} must have {n} coordinates")
     return p
@@ -336,8 +342,9 @@ def cmd_local(args) -> int:
     report.add("h_p-factors",
                " * ".join(f"(th{i + 1} - {m})" if m else f"th{i + 1}"
                           for i, m in factors) if factors else "1")
-    report.add("rho-h_p", tp_format(dmod.rho(grading, hp), vnames))
-    ip = dmod.i_p_ideal(grading, cone, p)
+    # I(p) is generated by rho(h_p): one polynomial, printed twice
+    ip = dmod.rho(grading, hp)
+    report.add("rho-h_p", tp_format(ip, vnames))
     report.add("i_p", tp_format(ip, vnames))
     radius = dmod.local_radius(grading, p)
     oracle_poly, _ = dmod.j_p_oracle(grading, cone, p, radius)
@@ -346,7 +353,7 @@ def cmd_local(args) -> int:
     alt = tp_linear_product(fan.d, [(i, m) for i in cone for m in range(0, -iota[i] + 1)])
     report.add("inclusive-bound-variant",
                "AGREE" if alt == oracle_poly else "DISAGREE (off-by-one)")
-    ymatch = dmod.i_p_matches_y_p(grading, cone, p, 2 * radius)
+    ymatch = dmod.i_p_matches_y_p(grading, cone, p, ip, 2 * radius)
     report.add("y_p-vanishing", "AGREE" if ymatch else "DISAGREE")
     if args.g is not None:
         g = parse_theta_poly(args.g, fan.d)

@@ -9,17 +9,19 @@ and e_i (theta_u - <u, b_i>) in N for right modules.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
-from operator import mul
+from math import prod
+from operator import add, mul
 
 from .errors import (BoxTooSmall, ConeNotMaximal, ConeNotSmooth,
                      InhomogeneousInput, NotInJp, PointTooLarge, UnknownCone)
 from .fan_cox import Fan, GradingData
 from .groebner import weyl_buchberger, weyl_normal_form
-from .weyl import (LaurentPoly, ThetaDict, WeylElement, tau,
-                   theta_dict_to_weyl, theta_u, tp_divide_linear, tp_evaluator,
-                   tp_linear, tp_linear_form, tp_linear_product, tp_subst,
-                   weyl_action, weyl_degree)
+from .weyl import (ThetaDict, WeylElement, numerator_action, tau,
+                   theta_dict_to_weyl, theta_u, tp_divide_linear_product,
+                   tp_linear, tp_linear_form, tp_linear_product,
+                   tp_numerator_evaluator, tp_subst, weyl_degree)
 
 LEFT = "left"
 RIGHT = "right"
@@ -275,12 +277,8 @@ def rho_b(grading: GradingData, b, w: ThetaDict) -> ThetaDict:
 
 def theta_divides(w: ThetaDict, factors) -> tuple[bool, ThetaDict]:
     """Exact divisibility of w by the product of monic linear (theta_i - m)."""
-    quot = dict(w)
-    for i, m in sorted(factors):
-        quot, rem = tp_divide_linear(quot, i, m)
-        if rem:
-            return False, {}
-    return True, quot
+    quot = tp_divide_linear_product(w, factors)
+    return (False, {}) if quot is None else (True, quot)
 
 
 def local_op_image(grading: GradingData, cone, p, g: ThetaDict):
@@ -300,34 +298,61 @@ def i_p_ideal(grading: GradingData, cone, p) -> ThetaDict:
     return rho(grading, hp)
 
 
-def in_dual_cone(fan: Fan, cone, q) -> bool:
-    return all(sum(map(mul, q, fan.rays[i])) >= 0 for i in cone)
+def _box_walk(fan: Fan, cone, p, radius: int):
+    """Every q in the box [-radius, radius]^n, in lexicographic order, as
+    (q, iota(q), q in the dual cone, q in Y(p)).
+
+    iota(q) = sum_j q_j iota(e_j) is summed along the walk, so each point
+    costs one vector addition; the cone's pairings give both tests, since
+    <q + p, v_i> = iota(q)_i + <p, v_i>.
+    """
+    rays = fan.rays
+    shifts = [sum(map(mul, p, rays[i])) for i in cone]
+    axes = [[((x,), [x * ray[j] for ray in rays]) for x in range(-radius, radius + 1)]
+            for j in range(fan.n)]
+    heads = [((), [0] * len(rays))]
+    for axis in axes[:-1]:
+        heads = [(q + x, list(map(add, iq, v))) for q, iq in heads for x, v in axis]
+    for head, partial in heads:
+        for x, v in axes[-1]:
+            iq = tuple(map(add, partial, v))
+            at_cone = [iq[i] for i in cone]
+            in_dual = min(at_cone, default=0) >= 0
+            yield (head + x, iq, in_dual,
+                   in_dual and min(map(add, at_cone, shifts), default=0) < 0)
 
 
 def y_p_points(fan: Fan, cone, p, radius: int) -> list[tuple[int, ...]]:
     """Enumerate Y(p) = {q in the dual cone with q + p outside it} in a box."""
     cone = _require_cone(fan, cone)
-    n = fan.n
-    out = []
-    for q in product(range(-radius, radius + 1), repeat=n):
-        if in_dual_cone(fan, cone, q):
-            qp = tuple(x + y for x, y in zip(q, p))
-            if not in_dual_cone(fan, cone, qp):
-                out.append(q)
-    return out
+    return [q for q, _, _, in_y in _box_walk(fan, cone, p, radius) if in_y]
 
 
-def i_p_matches_y_p(grading: GradingData, cone, p, radius: int) -> bool:
-    """rho(h_p) vanishes exactly on Y(p) among dual-cone points in the box."""
+def i_p_matches_y_p(grading: GradingData, cone, p, ip: ThetaDict, radius: int) -> bool:
+    """ip (the generator rho(h_p) of I(p)) vanishes exactly on Y(p) among
+    dual-cone points in the box."""
     fan = grading.fan
     cone = _require_cone(fan, cone)
-    poly_at = tp_evaluator(i_p_ideal(grading, cone, p))
-    ys = set(y_p_points(fan, cone, p, radius))
-    for q in product(range(-radius, radius + 1), repeat=fan.n):
-        if not in_dual_cone(fan, cone, q):
-            continue
-        vanishes = poly_at(q) == 0
-        if vanishes != (q in ys):
+    _, ip_at = tp_numerator_evaluator(ip)
+    return all((ip_at(q) == 0) == in_y
+               for q, _, in_dual, in_y in _box_walk(fan, cone, p, radius) if in_dual)
+
+
+def _actions_hold(grading: GradingData, cone, p, actions, value_den: int,
+                  value_at, radius: int) -> bool:
+    """The composite of the numerator actions (den, apply) scales each y^q
+    of the box by value_at(iota(q)) / value_den, and is zero on Y(p).
+
+    Over D, the product of the action denominators, the composite's integer
+    result must be {q: value * D}.
+    """
+    den = prod(d for d, _ in actions)
+    for q, iq, _, in_y in _box_walk(grading.fan, cone, p, radius):
+        cur = {q: 1}
+        for _, apply in actions:
+            cur = apply(cur)
+        coeff, rem = divmod(value_at(iq) * den, value_den)
+        if rem or cur != ({q: coeff} if coeff else {}) or (in_y and coeff):
             return False
     return True
 
@@ -341,22 +366,10 @@ def verify_local_action(grading: GradingData, cone, p, g: ThetaDict,
     compared before it. For q in the dual cone whose shift leaves it, the
     result must vanish (the operator preserves the cone ring).
     """
-    fan = grading.fan
-    cone = _require_cone(fan, cone)
-    n = fan.n
-    rg_action = weyl_action(theta_dict_to_weyl(n, rho(grading, g)))
-    g_at = tp_evaluator(g)
-    mask = (True,) * n
-    for q in product(range(-radius, radius + 1), repeat=n):
-        image = rg_action(LaurentPoly.monomial(n, mask, q))
-        expected_coeff = g_at(grading.iota_of(q))
-        if image.terms != ({q: expected_coeff} if expected_coeff else {}):
-            return False
-        target = tuple(x + y for x, y in zip(q, p))
-        if in_dual_cone(fan, cone, q) and not in_dual_cone(fan, cone, target):
-            if expected_coeff != 0:
-                return False
-    return True
+    cone = _require_cone(grading.fan, cone)
+    action = numerator_action(theta_dict_to_weyl(grading.n, rho(grading, g)))
+    g_den, g_at = tp_numerator_evaluator(g)
+    return _actions_hold(grading, cone, p, [action], g_den, g_at, radius)
 
 
 def factored_local_action_holds(grading: GradingData, cone, p, factors,
@@ -366,29 +379,22 @@ def factored_local_action_holds(grading: GradingData, cone, p, factors,
     Each chart image rho(theta_i - m) acts through the Weyl action; the
     composite must scale y^q by prod (iota(q)_i - m) (the shift by p is the
     same on both sides, so the sides are compared before it), and must
-    preserve the dual-cone ring.
+    preserve the dual-cone ring. With m = r / s that is
+    prod (s iota(q)_i - r) over prod s.
     """
-    fan = grading.fan
-    cone = _require_cone(fan, cone)
-    n = fan.n
-    actions = [weyl_action(theta_dict_to_weyl(n, rho(grading, tp_linear(grading.d, i, -m))))
-               for (i, m) in factors]
-    mask = (True,) * n
-    for q in product(range(-radius, radius + 1), repeat=n):
-        cur = LaurentPoly.monomial(n, mask, q)
-        for action in actions:
-            cur = action(cur)
-        iq = grading.iota_of(q)
-        coeff = 1
-        for i, m in factors:
-            coeff *= iq[i] - m
-        if cur.terms != ({q: coeff} if coeff else {}):
-            return False
-        target = tuple(x + y for x, y in zip(q, p))
-        if in_dual_cone(fan, cone, q) and not in_dual_cone(fan, cone, target):
-            if coeff != 0:
-                return False
-    return True
+    cone = _require_cone(grading.fan, cone)
+    d, n = grading.d, grading.n
+    actions = [numerator_action(theta_dict_to_weyl(n, rho(grading, tp_linear(d, i, -m))))
+               for i, m in factors]
+    roots = [(i, *Fraction(m).as_integer_ratio()) for i, m in factors]
+
+    def value_at(iq) -> int:
+        value = 1
+        for i, r, s in roots:
+            value *= s * iq[i] - r
+        return value
+    return _actions_hold(grading, cone, p, actions, prod(s for _, _, s in roots),
+                         value_at, radius)
 
 
 def k_component(grading: GradingData, a, b_bar) -> list[ThetaDict]:

@@ -3,11 +3,15 @@ sparse-polynomial kernel.
 
 The tp_* functions add, scale and multiply dict polynomials {exponent tuple:
 Fraction}; Poly, LaurentPoly and WeylElement do their arithmetic through
-them. Products, substitutions, evaluations and the action on Laurent
-polynomials run on integer numerators over one common denominator
-(tp_numerators) and build one Fraction per output coefficient;
-tp_evaluator and weyl_action prepare a fixed polynomial or operator once
-for repeated evaluation or action.
+them. Products, substitutions, evaluations, division by linear factors and
+the action on Laurent polynomials run on integer numerators over one common
+denominator (tp_numerators) and build one Fraction per output coefficient.
+tp_numerator_evaluator and numerator_action prepare a fixed polynomial or
+operator once and then evaluate or act on integers only, so that a caller
+walking a box of points builds no Fraction there; numerator_action is the
+one action kernel, and weyl_action and act wrap it for LaurentPoly.
+tp_divide_linear_product is the one division: synthetic division by each
+linear factor on the numerators.
 weyl_shift_into is the one normal-ordering expansion, shared by the Weyl
 product, the involution and the Weyl Groebner engine.
 
@@ -110,30 +114,39 @@ def tp_linear_product(d: int, factors) -> ThetaDict:
     return _over(den, nums)
 
 
+def tp_numerator_evaluator(p: ThetaDict):
+    """(D, f): the least common denominator D of p and the function
+    t -> D p(t) at integer points, an integer sum; the numerators of p are
+    computed once."""
+    den, nums = tp_numerators(p)
+    terms = [(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in nums.items()]
+
+    def evaluate(t) -> int:
+        total = 0
+        for c, factors in terms:
+            for i, k in factors:
+                c *= t[i] ** k
+            total += c
+        return total
+    return den, evaluate
+
+
 def tp_evaluator(p: ThetaDict):
     """The function point -> p(point) at rational points, with the integer
     numerators of p computed once.
 
     With the point written as t / s over one denominator and K the largest
-    total degree, s^K p(point) = sum_e c_e t^e s^(K - |e|) is an integer sum.
+    total degree, s^K p(point) = sum_e c_e t^e s^(K - |e|) is the
+    homogenised p at the integer point (t, s).
     """
-    if not p:
-        return lambda point: Fraction(0)
-    den, nums = tp_numerators(p)
-    top = max(map(sum, nums))
-    terms = [(c, top - sum(e), [(i, k) for i, k in enumerate(e) if k])
-             for e, c in nums.items()]
+    top = max(map(sum, p), default=0)
+    den, at = tp_numerator_evaluator({e + (top - sum(e),): c for e, c in p.items()})
 
     def evaluate(point) -> Fraction:
         s = lcm(*(x.denominator for x in point))
         t = [x.numerator * (s // x.denominator) for x in point]
-        total = 0
-        for c, rest, factors in terms:
-            v = c * s ** rest
-            for i, k in factors:
-                v *= t[i] ** k
-            total += v
-        return Fraction(total, den * s ** top)
+        t.append(s)
+        return Fraction(at(t), den * s ** top)
     return evaluate
 
 
@@ -174,35 +187,37 @@ def tp_subst(p: ThetaDict, images: list[ThetaDict], d_out: int) -> ThetaDict:
     return _over(den, out)
 
 
-def tp_divide_linear(p: ThetaDict, i: int, root) -> tuple[ThetaDict, ThetaDict]:
-    """Divide by (theta_i - root); returns (quotient, remainder).
+def tp_divide_linear_product(p: ThetaDict, factors) -> ThetaDict | None:
+    """The quotient of p by the product of the linear factors (theta_i - m)
+    over (i, m) in factors, or None when that product does not divide p.
 
-    The remainder is p with theta_i evaluated at root, so it has no theta_i.
+    Synthetic division on the integer numerators of p, one factor at a
+    time. For m = r / s in lowest terms and K the largest degree of
+    theta_i, s^K P(theta_i) = P~(s theta_i) with P~(u) = sum_k a_k s^(K-k)
+    u^k an integer polynomial; dividing P~ by (u - r) gives quotient
+    coefficients b_j, and P / (theta_i - m) = sum_j b_j s^j theta_i^j over
+    s^(K-1).
     """
-    root = Fraction(root)
-    if not p:
-        return {}, {}
-    # collect coefficients of theta_i^k (polynomials in the other variables)
-    by_deg: dict[int, ThetaDict] = {}
-    for e, c in p.items():
-        k = e[i]
-        rest = e[:i] + (0,) + e[i + 1:]
-        slot = by_deg.setdefault(k, {})
-        slot[rest] = slot.get(rest, Fraction(0)) + c
-    maxdeg = max(by_deg)
-    quot: ThetaDict = {}
-    carry: ThetaDict = {}
-    for k in range(maxdeg, 0, -1):
-        coeff = tp_add(by_deg.get(k, {}), carry)
-        for rest, c in coeff.items():
-            e = rest[:i] + (k - 1,) + rest[i + 1:]
-            if c:
-                quot[e] = quot.get(e, Fraction(0)) + c
-        carry = tp_scale(coeff, root)
-    rem = tp_add(by_deg.get(0, {}), carry)
-    quot = {e: c for e, c in quot.items() if c}
-    rem = {e: c for e, c in rem.items() if c}
-    return quot, rem
+    den, nums = tp_numerators(p)
+    for i, m in factors:
+        r, s = Fraction(m).as_integer_ratio()
+        # the coefficient of theta_i^k, per monomial in the other variables
+        columns: dict = {}
+        for e, c in nums.items():
+            columns.setdefault(e[:i] + (0,) + e[i + 1:], {})[e[i]] = c
+        top = max(map(max, columns.values()), default=0)
+        out: dict = {}
+        for rest, col in columns.items():
+            b = 0
+            for k in range(top, 0, -1):
+                b = col.get(k, 0) * s ** (top - k) + r * b
+                if b:
+                    out[rest[:i] + (k - 1,) + rest[i + 1:]] = b * s ** (k - 1)
+            if col.get(0, 0) * s ** top + r * b:
+                return None
+        den *= s ** max(top - 1, 0)
+        nums = out
+    return _over(den, nums)
 
 
 def tp_format(p: ThetaDict, names) -> str:
@@ -479,33 +494,43 @@ class LaurentPoly:
             [(c, [(names[i], k) for i, k in enumerate(e) if k]) for e, c in items]) + ")"
 
 
-def weyl_action(f: WeylElement):
-    """The function g -> f . g on Laurent polynomials, with the integer
-    numerators of f computed once.
+def numerator_action(f: WeylElement):
+    """(D, apply): the least common denominator D of f and the function
+    g -> D f . g on integer numerators {exponent: int}, zeros dropped; the
+    numerators of f are computed once.
 
     Natural action: x_i multiplies, d_i differentiates.
     d^b x^e = ff(e, b) x^(e - b) with ff the product of falling factorials;
-    it vanishes when 0 <= e_i < b_i, so the result keeps the mask of g.
+    it vanishes when 0 <= e_i < b_i, so no exponent leaves the mask of g.
     """
     df, nf = tp_numerators(f.terms)
-    terms = [(a, b, [(i, bi) for i, bi in enumerate(b) if bi], cf)
+    terms = [(tuple(map(sub, a, b)), [(i, bi) for i, bi in enumerate(b) if bi], cf)
              for (a, b), cf in nf.items()]
 
-    def apply(g: LaurentPoly) -> LaurentPoly:
+    def apply(g: dict) -> dict:
+        out: dict = {}
+        for shift, lowered, cf in terms:
+            for e, cg in g.items():
+                for i, bi in lowered:
+                    cg *= _ff(e[i], bi)
+                if cg:
+                    ne = tuple(map(add, e, shift))
+                    out[ne] = out.get(ne, 0) + cf * cg
+        return {e: c for e, c in out.items() if c}
+    return df, apply
+
+
+def weyl_action(f: WeylElement):
+    """The function g -> f . g on Laurent polynomials: numerator_action over
+    the common denominator of g."""
+    df, apply = numerator_action(f)
+
+    def act_on(g: LaurentPoly) -> LaurentPoly:
         if f.d != g.d:
             raise ValueError("rank mismatch")
         dg, ng = tp_numerators(g.terms)
-        out: dict = {}
-        for a, b, lowered, cf in terms:
-            for e, cg in ng.items():
-                ff = 1
-                for i, bi in lowered:
-                    ff *= _ff(e[i], bi)
-                if ff:
-                    ne = tuple(map(add, map(sub, e, b), a))
-                    out[ne] = out.get(ne, 0) + ff * cf * cg
-        return LaurentPoly._trusted(g.d, g.mask, _over(df * dg, out))
-    return apply
+        return LaurentPoly._trusted(g.d, g.mask, _over(df * dg, apply(ng)))
+    return act_on
 
 
 def act(f: WeylElement, g: LaurentPoly) -> LaurentPoly:

@@ -22,8 +22,8 @@ from toric_dmod.charvar import (ZERO_SHEAF, chart_ideal_from_saturated,
 from toric_dmod.dmod import (GradedPresentation, bimodule_identity_check,
                              check_theta_condition, d_module_left,
                              factored_local_action_holds, h_p,
-                             i_p_matches_y_p, left_right_identity_check,
-                             left_right_swap)
+                             i_p_ideal, i_p_matches_y_p,
+                             left_right_identity_check, left_right_swap)
 from toric_dmod.groebner import (Poly, PolyRing, format_poly, groebner_basis,
                                  ideal_contains, krull_dimension, normal_form,
                                  toric_ideal, weyl_normal_form)
@@ -119,7 +119,8 @@ def test_acceptance_4_local_isomorphism_data():
         for cone in fan.max_cones:
             for p in product(range(-3, 4), repeat=fan.n):
                 _, factors = h_p(gd, cone, p)
-                assert i_p_matches_y_p(gd, cone, p, 6), (name, cone, p)
+                assert i_p_matches_y_p(gd, cone, p, i_p_ideal(gd, cone, p), 6), \
+                    (name, cone, p)
                 assert factored_local_action_holds(gd, cone, p, factors, 6), \
                     (name, cone, p)
     _report(4, "chart eigenspace ideals and the action identity", started, 30.0)

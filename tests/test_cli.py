@@ -286,6 +286,62 @@ def test_repeated_key_exits_2(tmp_path, capsys):
         assert "given twice" in cap.err
 
 
+def _one_error_line(capsys, argv) -> str:
+    rc = main(argv)
+    cap = capsys.readouterr()
+    assert rc == 2 and cap.out == "", argv
+    assert cap.err.count("\n") == 1 and cap.err.startswith("error: ")
+    return cap.err
+
+
+def test_unknown_and_empty_document_keys_exit_2(tmp_path, capsys):
+    # a misspelt key used to be ignored; the error names the file, the line
+    # and the key
+    p1 = str(FIXTURES / "p1.fan")
+    fan_lines = ["n = 1", "rays = [[1], [-1]]", "max_cones = [[1], [2]]"]
+    mod_lines = ['side = "left"', "generator_degrees = [[0]]",
+                 'relations = [["x1*d1 + x2*d2"]]']
+    cases = []
+    for kind, lines in (("fan", fan_lines), ("mod", mod_lines)):
+        for key, extra in (("max_cone", "max_cone = [[1]]"), ("", "= 1"),
+                           ("Side", 'Side = "left"'), ("n", "n = 1")):
+            if kind == "fan" and key == "n":
+                continue
+            path = tmp_path / f"{kind}{len(cases)}.{kind}"
+            path.write_text("\n".join(lines[:1] + [extra] + lines[1:]) + "\n")
+            argv = ["fan-info", str(path)] if kind == "fan" else ["check", p1, str(path)]
+            cases.append((argv, f"{path}:2: unknown key {key!r}"))
+    for argv, message in cases:
+        assert message in _one_error_line(capsys, argv)
+    # each kind's keys are unknown to the other kind
+    mod = tmp_path / "valid.mod"
+    mod.write_text("\n".join(mod_lines) + "\n")
+    with pytest.raises(ParseError, match="valid.mod:1: unknown key 'side'"):
+        load_fan(str(mod))
+    with pytest.raises(ParseError, match="p1.fan:2: unknown key 'n'"):
+        load_module(p1, grading_data(load_fan(p1)))
+
+
+def test_integer_arguments_are_ascii_decimal(capsys):
+    # int() also read 1_0 as 10 and non-ASCII digits; only [+-]?[0-9]+
+    # between ASCII spaces is an integer
+    p1 = str(FIXTURES / "p1.fan")
+    p1p1 = str(FIXTURES / "p1p1.fan")
+    bad = ["1_0", "\u0663", "\uff11", "1.0", "", " ", "+", "1e1", "0x1", "\t1",
+           "1\n", "\u00a01", "--1"]
+    for text in bad:
+        assert "bad lattice point" in _one_error_line(
+            capsys, ["local", p1, "--cone", "1", f"--p={text}"])
+        assert "bad class coordinates" in _one_error_line(capsys, ["dl", p1p1, f"0,{text}"])
+        assert "bad cone" in _one_error_line(
+            capsys, ["local", p1, f"--cone={text}", "--p=-1"])
+    for p in (" -1", "-1 ", "+0", "-01"):
+        assert main(["local", p1, "--cone", " 1 ", f"--p={p}"]) == 0
+        assert capsys.readouterr().out.startswith("cl: Z\n")
+    assert main(["dl", p1p1, " +1 , -2"]) == 0
+    assert "generator_degrees = [[1, -2]]" in capsys.readouterr().out
+
+
 def test_boolean_document_values_exit_2(tmp_path, capsys):
     # True and False are ints to Python; they used to be accepted as 1 and 0
     fans = ("n = True\nrays = [[1], [-1]]\nmax_cones = [[1], [2]]\n",

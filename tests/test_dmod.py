@@ -9,7 +9,8 @@ from helpers import (fan_hirzebruch1, fan_p1, fan_p1p1, fan_p2, grading,
                      random_homogeneous_weyl, rng)
 from toric_dmod.dmod import (GradedPresentation, bimodule_identity_check,
                              check_theta_condition, d_module_left,
-                             d_module_right, h_p, i_p_ideal, i_p_matches_y_p,
+                             d_module_right, factored_local_action_holds, h_p,
+                             i_p_ideal, i_p_matches_y_p,
                              j_p_oracle, k_component, left_right_identity_check,
                              left_right_swap, local_op_image, rho, rho_b,
                              theta_divides, verify_local_action, y_p_points)
@@ -259,10 +260,58 @@ def test_i_p_examples():
     assert y_p_points(gd.fan, (0,), (-1,), 3) == [(0,)]
     assert i_p_ideal(gd, (0,), (2,)) == {(0,): Fraction(1)}
     assert y_p_points(gd.fan, (0,), (2,), 3) == []
-    assert i_p_matches_y_p(gd, (0,), (-1,), 6)
+    assert i_p_matches_y_p(gd, (0,), (-1,), i_p_ideal(gd, (0,), (-1,)), 6)
     gd2 = grading(fan_p2())
     assert i_p_ideal(gd2, (0, 1), (-1, 0)) == {(1, 0): Fraction(1)}
-    assert i_p_matches_y_p(gd2, (0, 1), (-1, 0), 6)
+    assert i_p_matches_y_p(gd2, (0, 1), (-1, 0), i_p_ideal(gd2, (0, 1), (-1, 0)), 6)
+
+
+def _pairs_in_dual(fan, cone, q) -> bool:
+    return all(sum(a * b for a, b in zip(q, fan.rays[i])) >= 0 for i in cone)
+
+
+def test_y_p_points_match_the_definition():
+    # the box walk against Y(p) = {q in the dual cone, q + p outside it},
+    # with the pairings written out
+    for fan_fn in (fan_p1, fan_p2, fan_p1p1, fan_hirzebruch1):
+        fan = fan_fn()
+        for cone in fan.max_cones:
+            for p in product(range(-2, 3), repeat=fan.n):
+                expected = [q for q in product(range(-3, 4), repeat=fan.n)
+                            if _pairs_in_dual(fan, cone, q) and not _pairs_in_dual(
+                                fan, cone, tuple(x + y for x, y in zip(q, p)))]
+                assert y_p_points(fan, cone, p, 3) == expected
+
+
+def test_local_oracles_reject_wrong_data():
+    # mutation checks: each oracle must be able to answer False
+    gd = grading(fan_p2())
+    cone, p = (0, 1), (-2, -1)
+    hp, factors = h_p(gd, cone, p)
+    assert factored_local_action_holds(gd, cone, p, factors, 5)
+    for k in range(len(factors)):
+        i, m = factors[k]
+        shifted = factors[:k] + [(i, m + 1)] + factors[k + 1:]
+        assert not factored_local_action_holds(gd, cone, p, shifted, 5), shifted
+    assert not factored_local_action_holds(gd, cone, p, factors[1:], 5)
+    # g = 1 acts as the identity, which does not vanish on Y(p)
+    assert verify_local_action(gd, cone, p, hp, 5)
+    assert not verify_local_action(gd, cone, p, {(0, 0, 0): Fraction(1)}, 5)
+    ip = i_p_ideal(gd, cone, p)
+    assert i_p_matches_y_p(gd, cone, p, ip, 5)
+    # (v1 - 3) ip also vanishes at q = (3, 1), which is not in Y(p)
+    assert not i_p_matches_y_p(gd, cone, p, tp_mul(ip, tp_linear(2, 0, -3)), 5)
+    assert not i_p_matches_y_p(gd, cone, p, {(0, 0): Fraction(1)}, 5)
+
+
+def test_local_action_with_rational_coefficients():
+    # g with unequal denominators: rho(g) acts with one common denominator
+    gd = grading(fan_p1p1())
+    cone, p = (0, 2), (-1, -2)
+    hp, _ = h_p(gd, cone, p)
+    g = tp_mul(hp, {(0, 1, 0, 0): Fraction(2, 3), (0, 0, 0, 0): Fraction(-5, 7)})
+    assert verify_local_action(gd, cone, p, g, 3)
+    assert not verify_local_action(gd, cone, p, tp_add(g, {(0, 0, 0, 0): Fraction(1, 2)}), 3)
 
 
 def test_k_component_examples():

@@ -18,10 +18,13 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from helpers import fraction_eval  # noqa: E402
-from toric_dmod import cli, weyl  # noqa: E402
-from toric_dmod.weyl import (LaurentPoly, WeylElement, act, tp_eval,  # noqa: E402
-                             tp_evaluator, tp_linear_product, tp_mul,
-                             tp_numerators, tp_subst, weyl_action)
+from toric_dmod import cli, dmod, weyl  # noqa: E402
+from toric_dmod.fan_cox import grading_data  # noqa: E402
+from toric_dmod.weyl import (LaurentPoly, WeylElement, act,  # noqa: E402
+                             numerator_action, tp_add, tp_divide_linear_product,
+                             tp_eval, tp_evaluator, tp_format, tp_linear_product,
+                             tp_mul, tp_numerator_evaluator, tp_numerators,
+                             tp_subst, weyl_action)
 
 rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
 nonzero = rationals.filter(bool)
@@ -111,6 +114,56 @@ def test_tp_linear_product_matches_sympy(case):
     assert same(tp_linear_product(d, factors), sympy.expand(expected), syms)
 
 
+@given(linear_factors(), st.data())
+def test_tp_divide_linear_product_undoes_the_product(case, data):
+    # w * prod (theta_i - m) divides back to w, rational roots r/s included;
+    # a nonzero constant added to a product of degree >= 1 makes it not divide
+    d, factors = case
+    w = data.draw(polys(d))
+    product = tp_linear_product(d, factors)
+    multiple = tp_mul(w, product)
+    assert tp_divide_linear_product(multiple, factors) == w
+    assert dmod.theta_divides(multiple, factors) == (True, w)
+    if factors:
+        shifted = tp_add(multiple, {(0,) * d: data.draw(nonzero)})
+        assert tp_divide_linear_product(shifted, factors) is None
+        assert dmod.theta_divides(shifted, factors) == (False, {})
+
+
+@given(linear_factors(), st.data())
+def test_tp_divide_linear_product_quotient_multiplies_back(case, data):
+    # on arbitrary input: a quotient times the product is the input
+    d, factors = case
+    w = data.draw(polys(d))
+    quot = tp_divide_linear_product(w, factors)
+    if quot is not None:
+        assert all(isinstance(c, Fraction) and c for c in quot.values())
+        assert tp_mul(quot, tp_linear_product(d, factors)) == w
+
+
+def test_tp_divide_linear_product_rational_roots():
+    # 3 (t1 - 2/3)(t1 + 1/2) t2 / (t1 - 2/3) = 3 (t1 + 1/2) t2
+    w = tp_mul(tp_linear_product(2, [(0, Fraction(2, 3)), (0, Fraction(-1, 2))]),
+               {(0, 1): Fraction(3)})
+    assert tp_divide_linear_product(w, [(0, Fraction(2, 3))]) == \
+        {(1, 1): Fraction(3), (0, 1): Fraction(3, 2)}
+    assert tp_divide_linear_product(w, [(0, Fraction(2, 3)), (0, Fraction(-1, 2)),
+                                        (1, 0)]) == {(0, 0): Fraction(3)}
+    assert tp_divide_linear_product(w, [(0, Fraction(1, 3))]) is None
+    assert tp_divide_linear_product(w, [(1, 1)]) is None
+    assert tp_divide_linear_product({}, [(0, 5)]) == {}
+
+
+@given(evaluations().filter(lambda case: all(isinstance(x, int) for x in case[1])))
+def test_tp_numerator_evaluator_is_the_scaled_value(case):
+    # at integer points the value over the common denominator is an int
+    p, point = case
+    den, at = tp_numerator_evaluator(p)
+    assert den == tp_numerators(p)[0]
+    value = at(point)
+    assert isinstance(value, int) and value == den * fraction_eval(p, point)
+
+
 @st.composite
 def actions(draw):
     d = draw(st.integers(1, 2))
@@ -135,6 +188,34 @@ def test_act_matches_sympy_derivatives(case):
     out = act(WeylElement(d, f), LaurentPoly(d, (True,) * d, g))
     assert all(isinstance(c, Fraction) and c for c in out.terms.values())
     assert same(out.terms, sympy.expand(expected), xs)
+
+
+@st.composite
+def action_chains(draw):
+    d = draw(st.integers(1, 2))
+    mono = st.tuples(*[st.integers(0, 2)] * d)
+    ops = draw(st.lists(st.dictionaries(st.tuples(mono, mono), nonzero, max_size=3),
+                        min_size=1, max_size=4))
+    g = draw(polys(d, st.integers(-3, 3), 3))
+    return d, ops, g
+
+
+@given(action_chains())
+def test_composed_numerator_actions_match_repeated_act(case):
+    # the local oracles compose numerator actions on integer dicts and scale
+    # by the product of the denominators at the end
+    d, ops, g = case
+    dg, cur = tp_numerators(g)
+    den = dg
+    for f in ops:
+        df, apply = numerator_action(WeylElement(d, f))
+        cur = apply(cur)
+        den *= df
+        assert all(isinstance(c, int) and c for c in cur.values())
+    expected = LaurentPoly(d, (True,) * d, g)
+    for f in ops:
+        expected = act(WeylElement(d, f), expected)
+    assert {e: Fraction(c, den) for e, c in cur.items()} == expected.terms
 
 
 def test_act_keeps_the_mask():
@@ -241,22 +322,56 @@ def test_weyl_action_zero_results():
         d1sq(LaurentPoly(2, (True, True), {}))
 
 
+def _count_numerators(monkeypatch, run) -> int:
+    real = weyl.tp_numerators
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(weyl, "tp_numerators", counted)
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
 def test_local_oracles_prepare_their_operands_once(monkeypatch, capsys):
     # the y_p check evaluates one fixed polynomial at every box point: the
     # numerator count must not grow with the box (541 calls at the larger
-    # point when each evaluation recomputed them)
+    # point when each evaluation recomputed them); local --g divides g and
+    # maps it once more, whatever the box
     fan = str(pathlib.Path(__file__).parent / "fixtures" / "p2.fan")
-    real = weyl.tp_numerators
-    counts = []
+    gd = grading_data(cli.load_fan(fan))
+    names = ["th1", "th2", "th3"]
+    counts, g_counts = [], []
     for p in ("-2,-1", "-8,-2"):
-        calls = []
-
-        def counted(q):
-            calls.append(q)
-            return real(q)
-
-        monkeypatch.setattr(weyl, "tp_numerators", counted)
-        assert cli.main(["local", fan, "--cone", "1,2", f"--p={p}"]) == 0
+        argv = ["local", fan, "--cone", "1,2", f"--p={p}"]
+        counts.append(_count_numerators(monkeypatch, lambda: cli.main(argv)))
         assert "y_p-vanishing: AGREE" in capsys.readouterr().out
-        counts.append(len(calls))
+        hp, _ = dmod.h_p(gd, (0, 1), tuple(map(int, p.split(","))))
+        g = tp_format(tp_mul(hp, {(0, 0, 1): Fraction(1)}), names)
+        g_counts.append(_count_numerators(monkeypatch,
+                                          lambda: cli.main(argv + ["--g", g])))
+        out = capsys.readouterr().out
+        assert "y_p-vanishing: AGREE" in out and "g-image: " in out
     assert counts[0] == counts[1] <= 13
+    assert g_counts[0] == g_counts[1] <= counts[0] + 5
+
+
+def test_factored_action_prepares_each_factor_once(monkeypatch):
+    # the numerators of each factor's operator are taken once, not at every
+    # box point: the count depends on the factors, not on the radius (per
+    # factor, rho takes the factor's and one per ray image, and the action
+    # one)
+    fan = str(pathlib.Path(__file__).parent / "fixtures" / "p1p1.fan")
+    gd = grading_data(cli.load_fan(fan))
+    cone, p = (0, 2), (-3, -2)
+    _, factors = dmod.h_p(gd, cone, p)
+    counts = []
+    for radius in (3, 9):
+        results = []
+        counts.append(_count_numerators(monkeypatch, lambda: results.append(
+            dmod.factored_local_action_holds(gd, cone, p, factors, radius))))
+        assert results == [True]
+    assert counts[0] == counts[1] <= (gd.d + 2) * len(factors)

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd
 from operator import add, ge, le, sub
 
 from .parsing import format_terms
-from .weyl import WeylElement, tp_add, tp_mul, tp_scale, weyl_shift_into
+from .weyl import (WeylElement, tp_add, tp_mul, tp_numerators, tp_scale,
+                   weyl_shift_into)
 
 EMPTY_DIM = "empty"
 
@@ -413,7 +415,8 @@ def basis_dimension(gb: list[Poly], ring: PolyRing):
 
 # Weyl-side engine: free left modules with the order-filtration weight.
 # Internally elements are flat dicts {(component, a, b): coefficient}; the
-# public API speaks tuples of WeylElement.
+# engine reduces them as integer dicts (primitive elements, or numerators
+# over a known denominator). The public API speaks tuples of WeylElement.
 
 
 class WeylModuleOrder:
@@ -443,150 +446,138 @@ def _rows_to_wdict(vec) -> dict:
     return out
 
 
-def _wdict_to_rows(w: dict, rank: int, d: int):
+def _wdict_to_rows(w: dict, den: int, rank: int, d: int):
+    """Rows of WeylElements from integer numerators over den."""
     split = [dict() for _ in range(rank)]
     for (comp, a, b), c in w.items():
-        split[comp][(a, b)] = c
+        split[comp][(a, b)] = Fraction(c, den)
     return tuple(WeylElement(d, t) for t in split)
 
 
-def _wdict_sub_mono_mul(f: dict, g: dict, coeff: Fraction, da, db) -> dict:
-    """f - coeff * x^da d^db * g in normal order."""
-    out = dict(f)
-    weyl_shift_into(out, g, -coeff, da, db)
-    return out
+class _WeylReducer:
+    """A divisor for Weyl reduction: leading component and exponents, the
+    positive integer leading coefficient lc, and the whole element as a
+    primitive integer dict (content removed, lead positive)."""
+
+    __slots__ = ("comp", "a", "b", "lc", "vec")
+
+    def __init__(self, w: dict, worder: WeylModuleOrder):
+        _, nums = tp_numerators(w)
+        (self.comp, self.a, self.b), lead = _vec_lt(nums, worder)
+        content = gcd(*nums.values()) if lead > 0 else -gcd(*nums.values())
+        self.vec = {k: c // content for k, c in nums.items()}
+        self.lc = lead // content
 
 
-def _wdict_normal_form(f: dict, basis: list[dict], lts: list,
-                       worder: WeylModuleOrder) -> dict:
-    work = dict(f)
+def _wreduce(work: dict, reducers: list[_WeylReducer], worder: WeylModuleOrder):
+    """(remainder, scale) with scale * work = remainder + a left combination
+    of the reducers, remainder irreducible and scale a positive integer. The
+    int dict work is consumed in place. Each term c is reduced by the first
+    reducer whose leading term divides it, after scaling by lc / gcd(c, lc)
+    so the leading terms cancel in integers."""
+    key = worder.key
     remainder: dict = {}
+    scale = 1
     while work:
-        (comp, a, b), c = _vec_lt(work, worder)
-        hit = None
-        for idx, ((gcomp, ga, gb), gc) in enumerate(lts):
-            if gcomp == comp and all(x >= y for x, y in zip(a, ga)) \
-                    and all(x >= y for x, y in zip(b, gb)):
-                hit = (idx, gc,
-                       tuple(x - y for x, y in zip(a, ga)),
-                       tuple(x - y for x, y in zip(b, gb)))
+        cab = max(work, key=key)
+        comp, a, b = cab
+        for r in reducers:
+            if r.comp == comp and all(map(ge, a, r.a)) and all(map(ge, b, r.b)):
                 break
-        if hit is None:
-            remainder[(comp, a, b)] = c
-            del work[(comp, a, b)]
         else:
-            idx, gc, da, db = hit
-            work = _wdict_sub_mono_mul(work, basis[idx], c / gc, da, db)
-    return remainder
-
-
-def _wdict_monic(w: dict, worder: WeylModuleOrder) -> dict:
-    _, c = _vec_lt(w, worder)
-    if c == 1:
-        return w
-    return {k: v / c for k, v in w.items()}
+            remainder[cab] = work.pop(cab)
+            continue
+        c = work[cab]
+        g = gcd(c, r.lc)
+        m = r.lc // g
+        if m != 1:
+            for k in work:
+                work[k] *= m
+            for k in remainder:
+                remainder[k] *= m
+            scale *= m
+        weyl_shift_into(work, r.vec, -(c // g), tuple(map(sub, a, r.a)),
+                        tuple(map(sub, b, r.b)))
+    return remainder, scale
 
 
 def weyl_normal_form(f, basis):
     """Left normal form of a module element against a list of module elements."""
-    d = f[0].d
-    rank = len(f)
+    rank, d = len(f), f[0].d
+    if any(len(g) != rank for g in basis):
+        raise ValueError("rank mismatch")
+    work = _rows_to_wdict(f)
+    wb = [w for w in map(_rows_to_wdict, basis) if w]
+    if not work or not wb:
+        return tuple(f)
     worder = WeylModuleOrder(rank)
-    wb = [_rows_to_wdict(g) for g in basis]
-    lts = [_vec_lt(g, worder) for g in wb]
-    nf = _wdict_normal_form(_rows_to_wdict(f), wb, lts, worder)
-    return _wdict_to_rows(nf, rank, d)
+    den, nums = tp_numerators(work)
+    remainder, scale = _wreduce(nums, [_WeylReducer(w, worder) for w in wb], worder)
+    return _wdict_to_rows(remainder, den * scale, rank, d)
 
 
 def weyl_buchberger(gens, rank: int, d: int) -> list:
     """Reduced filtered GB of the left submodule of A^rank generated by gens.
 
     The order refines the order-filtration weight (0 on x, 1 on d) with a
-    graded tiebreak, so Buchberger terminates without homogenization.
+    graded tiebreak, so Buchberger terminates without homogenization. The
+    basis is kept as primitive integer elements and made monic at the end.
     """
-    import heapq
-
     worder = WeylModuleOrder(rank)
-    basis = []
-    for g in gens:
-        w = _rows_to_wdict(g)
-        if w:
-            basis.append(_wdict_monic(w, worder))
-    basis.sort(key=lambda g: worder.key(_vec_lt(g, worder)[0]))
+    basis: list[_WeylReducer] = []
     seen = set()
-    uniq = []
-    for g in basis:
-        key = tuple(sorted(g.items()))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(g)
-    basis = uniq
-    lms = [_vec_lt(g, worder)[0] for g in basis]
-    lts = [(lm, basis[i][lm]) for i, lm in enumerate(lms)]
+    for r in sorted((_WeylReducer(w, worder) for w in map(_rows_to_wdict, gens) if w),
+                    key=lambda r: worder.key((r.comp, r.a, r.b))):
+        vkey = tuple(sorted(r.vec.items()))
+        if vkey not in seen:
+            seen.add(vkey)
+            basis.append(r)
 
     heap: list = []
 
     def push_pair(i, j):
-        (comp, ai, bi), (_, aj, bj) = lms[i], lms[j]
-        la = tuple(max(x, y) for x, y in zip(ai, aj))
-        lb = tuple(max(x, y) for x, y in zip(bi, bj))
-        heapq.heappush(heap, (worder.key((comp, la, lb)), i, j))
+        ri, rj = basis[i], basis[j]
+        la, lb = tuple(map(max, ri.a, rj.a)), tuple(map(max, ri.b, rj.b))
+        heappush(heap, (worder.key((ri.comp, la, lb)), i, j))
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if lms[i][0] == lms[j][0]:
+            if basis[i].comp == basis[j].comp:
                 push_pair(i, j)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
-        (comp, ai, bi), (_, aj, bj) = lms[i], lms[j]
-        la = tuple(max(x, y) for x, y in zip(ai, aj))
-        lb = tuple(max(x, y) for x, y in zip(bi, bj))
-        s = _wdict_sub_mono_mul({}, basis[i], Fraction(-1),
-                                tuple(x - y for x, y in zip(la, ai)),
-                                tuple(x - y for x, y in zip(lb, bi)))
-        s = _wdict_sub_mono_mul(s, basis[j], Fraction(1),
-                                tuple(x - y for x, y in zip(la, aj)),
-                                tuple(x - y for x, y in zip(lb, bj)))
-        s = _wdict_normal_form(s, basis, lts, worder)
+        _, i, j = heappop(heap)
+        ri, rj = basis[i], basis[j]
+        la, lb = tuple(map(max, ri.a, rj.a)), tuple(map(max, ri.b, rj.b))
+        g = gcd(ri.lc, rj.lc)
+        s: dict = {}
+        weyl_shift_into(s, ri.vec, rj.lc // g, tuple(map(sub, la, ri.a)),
+                        tuple(map(sub, lb, ri.b)))
+        weyl_shift_into(s, rj.vec, -(ri.lc // g), tuple(map(sub, la, rj.a)),
+                        tuple(map(sub, lb, rj.b)))
+        s, _ = _wreduce(s, basis, worder)
         if s:
-            s = _wdict_monic(s, worder)
             incoming = len(basis)
-            basis.append(s)
-            lm = _vec_lt(s, worder)[0]
-            lms.append(lm)
-            lts.append((lm, s[lm]))
+            basis.append(_WeylReducer(s, worder))
             for k in range(incoming):
-                if lms[k][0] == lm[0]:
+                if basis[k].comp == basis[incoming].comp:
                     push_pair(k, incoming)
-    # minimalize
+    # minimalize: drop elements whose leading term another one divides; of
+    # equal leading terms the first is kept
     keep = []
-    for i, g in enumerate(basis):
-        ci, ai, bi = lms[i]
-        divisible = False
-        for j in range(len(basis)):
-            if i == j:
-                continue
-            cj, aj, bj = lms[j]
-            if ci == cj and all(x >= y for x, y in zip(ai, aj)) \
-                    and all(x >= y for x, y in zip(bi, bj)):
-                if ai == aj and bi == bj and j > i:
-                    continue
-                divisible = True
-                break
-        if not divisible:
-            keep.append(g)
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        if others:
-            olts = [_vec_lt(o, worder) for o in others]
-            h = _wdict_normal_form(g, others, olts, worder)
-        else:
-            h = g
-        reduced.append(_wdict_monic(h, worder))
-    reduced.sort(key=lambda g: worder.key(_vec_lt(g, worder)[0]))
-    return [_wdict_to_rows(g, rank, d) for g in reduced]
+    for i, ri in enumerate(basis):
+        if not any(j != i and rj.comp == ri.comp and all(map(ge, ri.a, rj.a))
+                   and all(map(ge, ri.b, rj.b))
+                   and not (j > i and ri.a == rj.a and ri.b == rj.b)
+                   for j, rj in enumerate(basis)):
+            keep.append(ri)
+    keep.sort(key=lambda r: worder.key((r.comp, r.a, r.b)))
+    # each tail reduced by the others; the lead is kept, times the scale
+    out = []
+    for i, r in enumerate(keep):
+        h, scale = _wreduce(dict(r.vec), keep[:i] + keep[i + 1:], worder)
+        out.append(_wdict_to_rows(h, r.lc * scale, rank, d))
+    return out
 
 
 def initial_forms(gb) -> list[dict]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import pathlib
 import random
@@ -11,6 +12,18 @@ from itertools import combinations, product
 from toric_dmod.fan_cox import Fan, GradingData, grading_data
 from toric_dmod.groebner import Poly, PolyRing
 from toric_dmod.weyl import WeylElement
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """A module of perfbench/ loaded from its file (the caller turns bytecode
+    writing off, so nothing is written under perfbench/)."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def cli_env() -> dict:

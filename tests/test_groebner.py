@@ -531,7 +531,7 @@ def test_module_chain_criterion_stays_within_a_component():
     _assert_buchberger_certificate([f, g, h], basis, morder)
 
 
-def _random_weyl_row(r, d: int, rank: int):
+def _random_weyl_row(r, d: int, rank: int, coefficient=lambda r: r.randint(-3, 3)):
     """Entries of one or two terms of Bernstein degree at most 2."""
     row = []
     for _ in range(rank):
@@ -541,7 +541,7 @@ def _random_weyl_row(r, d: int, rank: int):
             for _ in range(r.randint(0, 2)):
                 v[r.randrange(2 * d)] += 1
             key = (tuple(v[:d]), tuple(v[d:]))
-            terms[key] = terms.get(key, Fraction(0)) + r.randint(-3, 3)
+            terms[key] = terms.get(key, Fraction(0)) + coefficient(r)
         row.append(WeylElement(d, terms))
     return tuple(row)
 
@@ -590,3 +590,85 @@ def test_weyl_basis_against_filtered_macaulay_oracle():
                         s[k] = s.get(k, 0) + sign * v / lc
                 spair = _weyl_row({k: v for k, v in s.items() if v}, rank, d)
                 assert all(e.is_zero() for e in weyl_normal_form(spair, gb))
+
+
+def _rational(r):
+    return Fraction(r.choice((-1, 1)) * r.randint(1, 5), r.randint(1, 6))
+
+
+def _scaled(row, c):
+    return tuple(e.scale(c) for e in row)
+
+
+def test_weyl_kernel_on_rational_rows_against_filtered_macaulay_oracle(monkeypatch):
+    # rational coefficients of either sign: leading coefficients are negative
+    # or not 1, and primitive leads other than 1 occur; rank 1 and 2
+    leads = []
+
+    class Recording(groebner._WeylReducer):
+        __slots__ = ()
+
+        def __init__(self, w, worder):
+            super().__init__(w, worder)
+            leads.append(self.lc)
+    monkeypatch.setattr(groebner, "_WeylReducer", Recording)
+    r = rng(41)
+    ranks = set()
+    for _ in range(40):
+        d, rank = r.randint(1, 2), r.randint(1, 2)
+        ranks.add(rank)
+        gens = [_random_weyl_row(r, d, rank, _rational) for _ in range(2)]
+        gb = weyl_buchberger(gens, rank, d)
+        assert weyl_buchberger([_scaled(g, _rational(r)) for g in gens], rank, d) == gb
+        worder = WeylModuleOrder(rank)
+        lead_terms = [max(weyl_rows_to_dict(g), key=worder.key) for g in gb]
+        members = list(gb)
+        for _ in range(3):
+            f = _random_weyl_row(r, d, rank, _rational)
+            nf = weyl_normal_form(f, gb)
+            assert not any(c == lc and all(x >= y for x, y in zip(a + b, la + lb))
+                           for c, a, b in weyl_rows_to_dict(nf) for lc, la, lb in lead_terms)
+            assert weyl_normal_form(nf, gb) == nf
+            c = _rational(r)
+            assert weyl_normal_form(_scaled(f, c), gb) == _scaled(nf, c)
+            members.append(tuple(x - y for x, y in zip(f, nf)))
+        base = max(bernstein_degree(weyl_rows_to_dict(g)) for g in gens + members)
+        for cap in range(base, base + 7):
+            oracle = WeylMacaulayOracle(gens, d, cap)
+            members = [g for g in members if not oracle.member(g)]
+            if not members:
+                break
+        assert not members, [[format_weyl(e) for e in g] for g in members]
+    assert ranks == {1, 2} and max(leads) > 1
+
+
+def test_weyl_normal_form_rescales_the_terms_set_aside():
+    # the leading term is irreducible and set aside; the next term is reduced
+    # by an element whose primitive lead is 2, so what was set aside must be
+    # scaled with the rest: d1 = (2*d1 + x2)/2 - x2/2
+    for row in ("2*d1 + x2", "-2/3*d1 - 1/3*x2"):
+        nf = weyl_normal_form((parse_weyl("d2^2 + d1", 2),), [(parse_weyl(row, 2),)])
+        assert nf == (parse_weyl("d2^2 - 1/2*x2", 2),)
+    x1, d1, zero = parse_weyl("x1", 1), parse_weyl("d1", 1), WeylElement.zero(1)
+    for row in ("2*d1 + x1", "-1/5*x1 - 2/5*d1"):
+        nf = weyl_normal_form((x1, d1), [(zero, parse_weyl(row, 1))])
+        assert nf == (x1, parse_weyl("-1/2*x1", 1))
+
+
+def test_weyl_normal_form_checks_the_rank():
+    d1 = parse_weyl("d1", 1)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        weyl_normal_form((d1,), [(WeylElement.zero(1), d1)])
+    with pytest.raises(ValueError, match="rank mismatch"):
+        weyl_normal_form((d1, d1), [(d1,)])
+
+
+def test_weyl_normal_form_of_zero_or_against_nothing_builds_no_reducer(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("reducer built")
+    monkeypatch.setattr(groebner, "_WeylReducer", refuse)
+    f = (parse_weyl("x1*d1 + 1/2", 1),)
+    zero = (WeylElement.zero(1),)
+    assert weyl_normal_form(zero, [(parse_weyl("d1", 1),)]) == zero
+    assert weyl_normal_form(f, []) == f
+    assert weyl_normal_form(f, [zero]) == f

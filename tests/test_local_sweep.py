@@ -5,25 +5,16 @@ first in a benchmark run. perfbench/ is only read: its modules are loaded
 from their files without writing bytecode, and the jobs write nothing.
 """
 
-import importlib.util
-import pathlib
 import sys
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import PERFBENCH, load_perfbench
 
 
 def test_every_local_sweep_job_passes_its_check(monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     # workloads imports hardtier by name
-    monkeypatch.setitem(sys.modules, "hardtier", _load("hardtier"))
-    workloads = _load("workloads")
+    monkeypatch.setitem(sys.modules, "hardtier", load_perfbench("hardtier"))
+    workloads = load_perfbench("workloads")
     jobs = workloads.local_sweep(PERFBENCH.parent, 1, tmp_path)
     assert len(jobs) == 36
     failures = [(job.name, message) for job in jobs

@@ -167,7 +167,7 @@ def vec_to_polys(vec: dict, ring: PolyRing, rank: int) -> tuple[Poly, ...]:
 
 
 def _vec_lt(vec: dict, morder):
-    """Leading key and coefficient under a ModuleOrder or WeylModuleOrder."""
+    """Leading key and coefficient under a ModuleOrder."""
     key = max(vec, key=morder.key)
     return key, vec[key]
 
@@ -438,6 +438,13 @@ class WeylModuleOrder:
         return cached
 
 
+def _lead_key(cab):
+    """Ascending in exactly the reverse of WeylModuleOrder.key, uncached."""
+    comp, a, b = cab
+    joint = a + b
+    return comp, -sum(b), -sum(joint), joint[::-1]
+
+
 def _rows_to_wdict(vec) -> dict:
     out = {}
     for comp, elt in enumerate(vec):
@@ -459,30 +466,39 @@ class _WeylReducer:
     positive integer leading coefficient lc, and the whole element as a
     primitive integer dict (content removed, lead positive)."""
 
-    __slots__ = ("comp", "a", "b", "lc", "vec")
+    __slots__ = ("comp", "a", "b", "ab", "lc", "vec")
 
-    def __init__(self, w: dict, worder: WeylModuleOrder):
+    def __init__(self, w: dict):
         _, nums = tp_numerators(w)
-        (self.comp, self.a, self.b), lead = _vec_lt(nums, worder)
+        self.comp, self.a, self.b = cab = min(nums, key=_lead_key)
+        self.ab = self.a + self.b
+        lead = nums[cab]
         content = gcd(*nums.values()) if lead > 0 else -gcd(*nums.values())
         self.vec = {k: c // content for k, c in nums.items()}
         self.lc = lead // content
 
 
-def _wreduce(work: dict, reducers: list[_WeylReducer], worder: WeylModuleOrder):
+def _wreduce(work: dict, reducers: list[_WeylReducer]):
     """(remainder, scale) with scale * work = remainder + a left combination
     of the reducers, remainder irreducible and scale a positive integer. The
     int dict work is consumed in place. Each term c is reduced by the first
     reducer whose leading term divides it, after scaling by lc / gcd(c, lc)
-    so the leading terms cancel in integers."""
-    key = worder.key
+    so the leading terms cancel in integers. Leads come off a min-heap of
+    _lead_key: a shift makes only terms below the lead, so only keys never
+    seen need a push, and the lead stays in work until the shift cancels it."""
     remainder: dict = {}
     scale = 1
+    heap = [(_lead_key(k), k) for k in work]
+    heapify(heap)
+    pushed = set(work)
     while work:
-        cab = max(work, key=key)
+        cab = heappop(heap)[1]
+        if cab not in work:
+            continue
         comp, a, b = cab
+        ab = a + b
         for r in reducers:
-            if r.comp == comp and all(map(ge, a, r.a)) and all(map(ge, b, r.b)):
+            if r.comp == comp and all(map(ge, ab, r.ab)):
                 break
         else:
             remainder[cab] = work.pop(cab)
@@ -498,21 +514,26 @@ def _wreduce(work: dict, reducers: list[_WeylReducer], worder: WeylModuleOrder):
             scale *= m
         weyl_shift_into(work, r.vec, -(c // g), tuple(map(sub, a, r.a)),
                         tuple(map(sub, b, r.b)))
+        fresh = work.keys() - pushed
+        for k in fresh:
+            heappush(heap, (_lead_key(k), k))
+        pushed |= fresh
     return remainder, scale
 
 
 def weyl_normal_form(f, basis):
     """Left normal form of a module element against a list of module elements."""
+    if not f:
+        raise ValueError("empty row")
     rank, d = len(f), f[0].d
-    if any(len(g) != rank for g in basis):
+    if any(len(g) != rank or any(e.d != d for e in g) for g in (f, *basis)):
         raise ValueError("rank mismatch")
     work = _rows_to_wdict(f)
     wb = [w for w in map(_rows_to_wdict, basis) if w]
     if not work or not wb:
         return tuple(f)
-    worder = WeylModuleOrder(rank)
     den, nums = tp_numerators(work)
-    remainder, scale = _wreduce(nums, [_WeylReducer(w, worder) for w in wb], worder)
+    remainder, scale = _wreduce(nums, [_WeylReducer(w) for w in wb])
     return _wdict_to_rows(remainder, den * scale, rank, d)
 
 
@@ -523,10 +544,12 @@ def weyl_buchberger(gens, rank: int, d: int) -> list:
     graded tiebreak, so Buchberger terminates without homogenization. The
     basis is kept as primitive integer elements and made monic at the end.
     """
+    if any(len(g) != rank or any(e.d != d for e in g) for g in gens):
+        raise ValueError("rank mismatch")
     worder = WeylModuleOrder(rank)
     basis: list[_WeylReducer] = []
     seen = set()
-    for r in sorted((_WeylReducer(w, worder) for w in map(_rows_to_wdict, gens) if w),
+    for r in sorted((_WeylReducer(w) for w in map(_rows_to_wdict, gens) if w),
                     key=lambda r: worder.key((r.comp, r.a, r.b))):
         vkey = tuple(sorted(r.vec.items()))
         if vkey not in seen:
@@ -555,10 +578,10 @@ def weyl_buchberger(gens, rank: int, d: int) -> list:
                         tuple(map(sub, lb, ri.b)))
         weyl_shift_into(s, rj.vec, -(ri.lc // g), tuple(map(sub, la, rj.a)),
                         tuple(map(sub, lb, rj.b)))
-        s, _ = _wreduce(s, basis, worder)
+        s, _ = _wreduce(s, basis)
         if s:
             incoming = len(basis)
-            basis.append(_WeylReducer(s, worder))
+            basis.append(_WeylReducer(s))
             for k in range(incoming):
                 if basis[k].comp == basis[incoming].comp:
                     push_pair(k, incoming)
@@ -575,7 +598,7 @@ def weyl_buchberger(gens, rank: int, d: int) -> list:
     # each tail reduced by the others; the lead is kept, times the scale
     out = []
     for i, r in enumerate(keep):
-        h, scale = _wreduce(dict(r.vec), keep[:i] + keep[i + 1:], worder)
+        h, scale = _wreduce(dict(r.vec), keep[:i] + keep[i + 1:])
         out.append(_wdict_to_rows(h, r.lc * scale, rank, d))
     return out
 

@@ -325,20 +325,34 @@ def weyl_shift_into(out: dict, terms: dict, c, da, db) -> None:
 
     A key of terms ends in the exponents (a, b); whatever precedes them (a
     module component) is kept. Uses d^b x^a = sum_k C(b,k) a!/(a-k)!
-    x^(a-k) d^(b-k); the coefficients in terms are nonzero.
+    x^(a-k) d^(b-k); the coefficients in terms are nonzero. A term whose a
+    is zero wherever db is not commutes and gives one term; the others sum
+    over k only at the indices where db and a overlap.
     """
     if not c:
         return
+    hot, shift_a = [i for i, x in enumerate(db) if x], any(da)
     for key, ct in terms.items():
         pre, a, b = key[:-2], key[-2], key[-1]
-        cc = c * ct
-        for k in product(*[range(min(x, y) + 1) for x, y in zip(db, a)]):
-            v = cc
-            for i, ki in enumerate(k):
+        na = tuple(map(add, da, a)) if shift_a else a
+        nb = tuple(map(add, db, b)) if hot else b
+        both = [i for i in hot if a[i]]
+        if not both:
+            nk = pre + (na, nb)
+            nv = out.get(nk, 0) + c * ct
+            if nv:
+                out[nk] = nv
+            else:
+                del out[nk]
+            continue
+        for k in product(*[range(min(db[i], a[i]) + 1) for i in both]):
+            v, ea, eb = c * ct, list(na), list(nb)
+            for i, ki in zip(both, k):
                 if ki:
                     v *= comb(db[i], ki) * perm(a[i], ki)
-            nk = pre + (tuple(map(sub, map(add, da, a), k)),
-                        tuple(map(sub, map(add, db, b), k)))
+                    ea[i] -= ki
+                    eb[i] -= ki
+            nk = pre + (tuple(ea), tuple(eb))
             nv = out.get(nk, 0) + v
             if nv:
                 out[nk] = nv

@@ -8,6 +8,7 @@ import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from toric_dmod.fan_cox import Fan, GradingData, grading_data
 from toric_dmod.groebner import Poly, PolyRing
@@ -243,6 +244,32 @@ def weyl_left_mul_monomial(terms: dict, alpha, beta) -> dict:
         for _ in range(k):
             terms = weyl_left_mul_var(terms, "x", i)
     return terms
+
+
+def wreduce_max_scan(work: dict, reducers, worder) -> tuple[dict, int]:
+    """Reference for groebner._wreduce: the leading term by a max scan under
+    worder.key, the first reducer whose lead divides it, lc / gcd scaling,
+    and the shifted reducer from weyl_left_mul_monomial."""
+    remainder, scale = {}, 1
+    while work:
+        cab = max(work, key=worder.key)
+        comp, a, b = cab
+        r = next((r for r in reducers if r.comp == comp
+                  and all(x >= y for x, y in zip(a + b, r.a + r.b))), None)
+        if r is None:
+            remainder[cab] = work.pop(cab)
+            continue
+        g = gcd(work[cab], r.lc)
+        c, m = work[cab] // g, r.lc // g
+        work = {k: v * m for k, v in work.items()}
+        remainder = {k: v * m for k, v in remainder.items()}
+        scale *= m
+        shifted = weyl_left_mul_monomial(r.vec, tuple(x - y for x, y in zip(a, r.a)),
+                                         tuple(x - y for x, y in zip(b, r.b)))
+        for k, v in shifted.items():
+            work[k] = work.get(k, 0) - c * int(v)
+        work = {k: v for k, v in work.items() if v}
+    return remainder, scale
 
 
 def bernstein_degree(terms: dict) -> int:

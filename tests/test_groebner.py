@@ -6,8 +6,8 @@ import pytest
 
 from helpers import (WeylMacaulayOracle, all_fixture_fans, bernstein_degree,
                      fan_p1, fan_p1p1, fan_p2, grading, macaulay_membership,
-                     macaulay_membership_stable, random_poly, rng,
-                     weyl_left_mul_monomial, weyl_rows_to_dict)
+                     macaulay_membership_stable, random_poly, random_weyl, rng,
+                     weyl_left_mul_monomial, weyl_rows_to_dict, wreduce_max_scan)
 from toric_dmod import groebner
 from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing, degrevlex_order,
                                  eliminate_front, format_poly, groebner_basis,
@@ -18,7 +18,7 @@ from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing, degrevlex_order,
                                  saturation_by_monomials, toric_ideal,
                                  weyl_buchberger, weyl_normal_form,
                                  WeylModuleOrder)
-from toric_dmod.weyl import WeylElement, format_weyl, parse_weyl
+from toric_dmod.weyl import WeylElement, format_weyl, parse_weyl, tp_numerators
 
 
 def ring2():
@@ -608,8 +608,8 @@ def test_weyl_kernel_on_rational_rows_against_filtered_macaulay_oracle(monkeypat
     class Recording(groebner._WeylReducer):
         __slots__ = ()
 
-        def __init__(self, w, worder):
-            super().__init__(w, worder)
+        def __init__(self, w):
+            super().__init__(w)
             leads.append(self.lc)
     monkeypatch.setattr(groebner, "_WeylReducer", Recording)
     r = rng(41)
@@ -661,6 +661,63 @@ def test_weyl_normal_form_checks_the_rank():
         weyl_normal_form((d1,), [(WeylElement.zero(1), d1)])
     with pytest.raises(ValueError, match="rank mismatch"):
         weyl_normal_form((d1, d1), [(d1,)])
+    # an element over A_2 among rows over A_1: d1^2 + x1 is not a multiple
+    # of d1*d2, but its exponents compared to length 1 would say it is
+    with pytest.raises(ValueError, match="rank mismatch"):
+        weyl_normal_form((parse_weyl("d1^2 + x1", 1),), [(parse_weyl("d1*d2", 2),)])
+    with pytest.raises(ValueError, match="rank mismatch"):
+        weyl_normal_form((d1, parse_weyl("d2", 2)), [(d1, d1)])
+
+
+def test_weyl_normal_form_rejects_an_empty_row():
+    with pytest.raises(ValueError):
+        weyl_normal_form((), [(parse_weyl("d1", 1),)])
+
+
+def test_weyl_buchberger_checks_the_rank():
+    d1, d2 = parse_weyl("d1", 1), parse_weyl("d1*d2", 2)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        weyl_buchberger([(d1, d1)], 1, 1)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        weyl_buchberger([(d1,), (d1, d1)], 2, 1)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        weyl_buchberger([(d2,)], 1, 1)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        weyl_buchberger([(d1, d2)], 2, 1)
+
+
+def test_lead_key_sorts_in_reverse_of_weyl_module_order():
+    # the heap of _wreduce and the key of WeylModuleOrder write one order
+    r = rng(44)
+    for _ in range(40):
+        rank, d = r.randint(1, 3), r.randint(1, 3)
+        triples = list({(r.randrange(rank), tuple(r.randint(0, 3) for _ in range(d)),
+                         tuple(r.randint(0, 3) for _ in range(d))) for _ in range(30)})
+        r.shuffle(triples)
+        assert len({groebner._lead_key(t) for t in triples}) == len(triples)
+        assert (sorted(triples, key=groebner._lead_key)
+                == sorted(triples, key=WeylModuleOrder(rank).key, reverse=True))
+
+
+def test_wreduce_matches_the_max_scan_reference():
+    # primitive reducers from rational rows (not a basis), reducing rational
+    # elements of higher degree, so terms cancel and come back mid-reduction
+    r = rng(45)
+    ranks = set()
+    for _ in range(40):
+        d, rank = r.randint(1, 2), r.randint(1, 2)
+        ranks.add(rank)
+        worder = WeylModuleOrder(rank)
+        rows = [_random_weyl_row(r, d, rank, _rational) for _ in range(3)]
+        reducers = [groebner._WeylReducer(w) for w in map(weyl_rows_to_dict, rows) if w]
+        for _ in range(3):
+            f = weyl_rows_to_dict([random_weyl(r, d, 3, 4) for _ in range(rank)])
+            if not f:
+                continue
+            _, nums = tp_numerators(f)
+            assert (groebner._wreduce(dict(nums), reducers)
+                    == wreduce_max_scan(dict(nums), reducers, worder))
+    assert ranks == {1, 2}
 
 
 def test_weyl_normal_form_of_zero_or_against_nothing_builds_no_reducer(monkeypatch):

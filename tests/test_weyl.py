@@ -5,12 +5,13 @@ from itertools import product
 
 import pytest
 
-from helpers import fan_p1, fan_p1p1, grading, random_weyl, rng
+from helpers import (fan_p1, fan_p1p1, grading, random_weyl, rng,
+                     weyl_left_mul_monomial)
 from toric_dmod.errors import InhomogeneousInput, ParseError
 from toric_dmod.weyl import (LaurentPoly, WeylElement, act, format_weyl,
                              from_theta_form, parse_weyl, tau,
                              theta_dict_to_weyl, to_theta_form, tp_linear,
-                             weyl_degree, weyl_mul)
+                             weyl_degree, weyl_mul, weyl_shift_into)
 
 
 def W(s, d=2):
@@ -40,6 +41,62 @@ def test_mul_associative_randomized():
         g = random_weyl(r, 2, 2, 2)
         h = random_weyl(r, 2, 2, 2)
         assert weyl_mul(weyl_mul(f, g), h) == weyl_mul(f, weyl_mul(g, h))
+
+
+def _shift_case(r, d: int, mode: str, prefixed: bool):
+    """(db, terms) with each term's a zero ("none"), nonzero ("all") or random
+    ("some") where db is nonzero; keys start with a component if prefixed."""
+    db = (0,) * d if mode == "zero" else tuple(r.randint(0, 2) for _ in range(d))
+    terms = {}
+    for _ in range(r.randint(1, 4)):
+        a = tuple(0 if y and mode == "none" else r.randint(1 if y and mode == "all" else 0, 3)
+                  for y in db)
+        b = tuple(r.randint(0, 3) for _ in range(d))
+        terms[(r.randrange(2),) * prefixed + (a, b)] = r.choice((-1, 1)) * r.randint(1, 9)
+    return db, terms
+
+
+def test_weyl_shift_into_against_one_variable_products():
+    # the oracle multiplies one variable at a time by d_i x_i = x_i d_i + 1;
+    # out is pre-filled with some cancelling and some unrelated terms
+    r = rng(12)
+    seen = set()
+    for _ in range(400):
+        d, mode = r.randint(1, 3), r.choice(("zero", "none", "some", "all"))
+        prefixed = r.random() < 0.5
+        db, terms = _shift_case(r, d, mode, prefixed)
+        da = tuple(r.randint(0, 2) for _ in range(d))
+        c = r.choice((-3, -1, 1, 2, Fraction(1, 2)))
+        full = terms if prefixed else {(0,) + k: v for k, v in terms.items()}
+        expected = {k[1 - prefixed:]: c * v
+                    for k, v in weyl_left_mul_monomial(full, da, db).items()}
+        out = {k: -v for k, v in expected.items() if r.random() < 0.4}
+        out[(0,) * prefixed + ((9,) * d, (9,) * d)] = 1
+        want = dict(out)
+        for k, v in expected.items():
+            want[k] = want.get(k, 0) + v
+        want = {k: v for k, v in want.items() if v}
+        seen.add(("cancelled", len(want) < len(out)))
+        weyl_shift_into(out, terms, c, da, db)
+        assert out == want and all(out.values())
+        hot = [i for i, y in enumerate(db) if y]
+        for key in terms:
+            overlap = sum(1 for i in hot if key[-2][i])
+            seen.add((prefixed, "none" if not overlap else
+                      "all" if overlap == len(hot) else "some"))
+        if mode == "zero":
+            seen.add(("zero", prefixed))
+    assert {("cancelled", True), ("zero", True), ("zero", False)} <= seen
+    assert {(p, o) for p in (True, False) for o in ("none", "some", "all")} <= seen
+
+
+def test_weyl_shift_into_by_zero_leaves_out_unchanged():
+    r = rng(13)
+    for _ in range(20):
+        db, terms = _shift_case(r, 2, "some", True)
+        out = {(0, (1, 0), (0, 1)): 5, (1, (0, 0), (2, 0)): -2}
+        weyl_shift_into(out, terms, 0, (1, 1), db)
+        assert out == {(0, (1, 0), (0, 1)): 5, (1, (0, 0), (2, 0)): -2}
 
 
 def test_degree_multiplicative():

@@ -150,7 +150,10 @@ def _read_ints(text: str, what: str) -> tuple[int, ...]:
     parts = [part.strip(" ") for part in text.split(",")]
     if not all(_INTEGER.fullmatch(part) for part in parts):
         raise ParseError(f"bad {what} {text!r}")
-    return tuple(map(int, parts))
+    try:
+        return tuple(map(int, parts))
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{what} has an integer too long") from None
 
 
 def parse_class(text: str, grading: GradingData):

@@ -1,10 +1,16 @@
 """Groebner engines over Q: commutative ideals/submodules and filtered
-Weyl-algebra submodules for the order filtration.
+Weyl-algebra submodules for the order filtration, on one reduction kernel.
 
 Commutative polynomials are dicts {exponent tuple: Fraction} attached to a
-PolyRing; free-module elements are dicts {(component, exponent): Fraction}.
-All reduced bases are canonical (monic, auto-reduced, sorted), so outputs
-are reproducible byte-for-byte.
+PolyRing. Bases and normal forms on both sides run on the Weyl kernel
+(`_wreduce` on primitive integer elements {(component, a, b): int}). A
+commutative term x^e maps to (component, e, ()), with no d-part, and the
+Weyl order is then degrevlex. For elimination the front variable t maps to
+the d-part of an extra variable whose x-part stays 0, (component, (0,) +
+e[1:], e[:1]): t commutes, and the order compares the t-degree first, then
+degrevlex on the rest. No function takes a term order. All reduced bases are
+canonical (monic, auto-reduced, sorted), so outputs are reproducible
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -116,216 +122,36 @@ def format_poly(p: Poly) -> str:
                          for e, c in items])
 
 
-# term orders are key functions: the largest key marks the leading term
+# the commutative side runs on the Weyl kernel below: a term x^e is the
+# kernel term (component, e, ()), with no d-part, where the Weyl order is
+# degrevlex
 
 
-def lex_order():
-    return tuple
+def _kernel(p: Poly) -> dict:
+    return {(0, e, ()): c for e, c in p.terms.items()}
 
 
-def degrevlex_order():
-    return lambda e: (sum(e), tuple(-x for x in reversed(e)))
-
-
-def block_order():
-    """Eliminates the front variable: its exponent first, then degrevlex on
-    the others."""
-    rest = degrevlex_order()
-    return lambda e: (e[0], rest(e[1:]))
-
-
-class ModuleOrder:
-    """Position-over-term order; priority lists components from highest down."""
-
-    def __init__(self, order, rank: int, priority=None):
-        self.order = order
-        self.rank = rank
-        priority = tuple(priority) if priority is not None else tuple(range(rank))
-        self._pos = {comp: i for i, comp in enumerate(priority)}
-        self._cache: dict = {}
-
-    def key(self, ce):
-        cached = self._cache.get(ce)
-        if cached is None:
-            comp, e = ce
-            cached = (-self._pos[comp], self.order(e))
-            self._cache[ce] = cached
-        return cached
-
-
-# the engine works on vecs: dict {(component, exponent tuple): Fraction}
-
-
-def poly_to_vec(p: Poly, comp: int = 0) -> dict:
-    return {(comp, e): c for e, c in p.terms.items()}
-
-def vec_to_polys(vec: dict, ring: PolyRing, rank: int) -> tuple[Poly, ...]:
-    split = [dict() for _ in range(rank)]
-    for (comp, e), c in vec.items():
-        split[comp][e] = c
-    return tuple(Poly(ring, t) for t in split)
-
-
-def _vec_lt(vec: dict, morder):
-    """Leading key and coefficient under a ModuleOrder."""
-    key = max(vec, key=morder.key)
-    return key, vec[key]
-
-
-class _Reducer:
-    """A divisor for reduction: leading component and exponent, and the other
-    terms divided by the leading coefficient, as (component, exponent, c)."""
-
-    __slots__ = ("comp", "lead", "tail")
-
-    def __init__(self, vec: dict, morder: ModuleOrder):
-        lk, lc = _vec_lt(vec, morder)
-        self.comp, self.lead = lk
-        self.tail = [(comp, e, c if lc == 1 else c / lc)
-                     for (comp, e), c in vec.items() if (comp, e) != lk]
-
-
-def _sub_shifted(work: dict, tail, shift, c):
-    """work -= c * x^shift * tail, in place."""
-    for tcomp, te, tc in tail:
-        k = (tcomp, tuple(map(add, te, shift)))
-        nc = work.get(k, 0) - c * tc
-        if nc:
-            work[k] = nc
-        else:
-            del work[k]
-
-
-def _reduce(work: dict, reducers: list[_Reducer], morder: ModuleOrder) -> dict:
-    """Full normal form of work, which is consumed in place. Each term is
-    reduced by the first reducer whose leading term divides it."""
-    key = morder.key
-    remainder: dict = {}
-    while work:
-        ce = max(work, key=key)
-        c = work.pop(ce)
-        comp, e = ce
-        for r in reducers:
-            if r.comp == comp and all(map(ge, e, r.lead)):
-                break
-        else:
-            remainder[ce] = c
-            continue
-        _sub_shifted(work, r.tail, tuple(map(sub, e, r.lead)), c)
-    return remainder
-
-
-def vec_normal_form(f: dict, basis: list[dict], morder: ModuleOrder) -> dict:
-    """Full normal form; terms not reducible by any basis leading term remain."""
-    return _reduce(dict(f), [_Reducer(g, morder) for g in basis], morder)
-
-
-def _divides(a, b) -> bool:
-    return all(map(le, a, b))
-
-
-def buchberger_vec(gens: list[dict], morder: ModuleOrder) -> list[dict]:
-    """Reduced Groebner basis of the submodule generated by gens.
-
-    Pairs are managed by the Gebauer-Moeller update as each element is
-    inserted: criteria M and F keep one new pair per minimal lcm, criterion B
-    drops an old pair when the new leading term divides its lcm and both
-    lcms with the new element differ from it, and live elements whose
-    leading term the new one divides stop being reducers (their pairs stay
-    queued). The product criterion only applies to ideals (rank one): in a
-    free module it fails, e.g. for x e1 + e2 and y e1. Pairs and
-    divisibility never mix components. Pairs are taken by smallest lcm.
-    Inputs are reduced before they are inserted.
-    """
-    elems: list[_Reducer] = []     # every inserted element, by index
-    live: list[int] = []           # indices of the current reducers
-    pairs: list = []               # heap of (lcm key, i, j, lcm)
-
-    def insert(h: dict):
-        r = _Reducer(h, morder)
-        comp, lead = r.comp, r.lead
-        hi = len(elems)
-        elems.append(r)
-        new = []                   # (lcm, index, product criterion applies)
-        for g in live:
-            rg = elems[g]
-            if rg.comp == comp:
-                lcm = tuple(map(max, lead, rg.lead))
-                new.append((lcm, g, morder.rank == 1
-                            and lcm == tuple(map(add, lead, rg.lead))))
-        kept = []
-        for idx, (lcm, g, coprime) in enumerate(new):
-            if coprime or not (any(_divides(l2, lcm) for l2, _, _ in new[idx + 1:])
-                               or any(_divides(l2, lcm) for l2, _, _ in kept)):
-                kept.append((lcm, g, coprime))
-        old = [p for p in pairs
-               if elems[p[1]].comp != comp or not _divides(lead, p[3])
-               or tuple(map(max, elems[p[1]].lead, lead)) == p[3]
-               or tuple(map(max, elems[p[2]].lead, lead)) == p[3]]
-        old += [(morder.key((comp, lcm)), g, hi, lcm)
-                for lcm, g, coprime in kept if not coprime]
-        heapify(old)
-        pairs[:] = old
-        live[:] = [g for g in live
-                   if elems[g].comp != comp or not _divides(lead, elems[g].lead)]
-        live.append(hi)
-
-    def reducers():
-        return [elems[g] for g in live]
-
-    for g in sorted((g for g in gens if g), key=lambda g: morder.key(_vec_lt(g, morder)[0])):
-        h = _reduce(dict(g), reducers(), morder)
-        if h:
-            insert(h)
-    while pairs:
-        _, i, j, lcm = heappop(pairs)
-        s: dict = {}
-        _sub_shifted(s, elems[i].tail, tuple(map(sub, lcm, elems[i].lead)), -1)
-        _sub_shifted(s, elems[j].tail, tuple(map(sub, lcm, elems[j].lead)), 1)
-        h = _reduce(s, reducers(), morder)
-        if h:
-            insert(h)
-    # the live leading terms are minimal; a tail term is smaller than its
-    # leading term, so reducing by the smaller elements (already reduced)
-    # gives the reduced basis
-    done: list[_Reducer] = []
-    reduced = []
-    for r in sorted(reducers(), key=lambda r: morder.key((r.comp, r.lead))):
-        vec = {(r.comp, r.lead): Fraction(1)}
-        vec.update(_reduce({(tcomp, te): tc for tcomp, te, tc in r.tail}, done, morder))
-        reduced.append(vec)
-        done.append(_Reducer(vec, morder))
-    return reduced
-
-
-# ideal-level API
-
-
-def groebner_basis(gens: list[Poly], ring: PolyRing, order=None) -> list[Poly]:
-    """Reduced Groebner basis under the term order key (degrevlex by default)."""
-    vecs = [poly_to_vec(g) for g in gens if not g.is_zero()]
-    if not vecs:
-        return []
-    gb = buchberger_vec(vecs, ModuleOrder(order or degrevlex_order(), 1))
-    return [vec_to_polys(v, ring, 1)[0] for v in gb]
+def groebner_basis(gens: list[Poly], ring: PolyRing) -> list[Poly]:
+    """Reduced degrevlex Groebner basis."""
+    return [Poly(ring, {a: c for (_, a, _), c in g.items()})
+            for g in buchberger([_kernel(g) for g in gens], 1)]
 
 
 # the read side takes degrevlex bases, the only ones the pipelines build
 
 
 def normal_form(f: Poly, gb: list[Poly]) -> Poly:
-    basis = [poly_to_vec(g) for g in gb if not g.is_zero()]
-    if not basis or f.is_zero():
+    if f.is_zero():
         return f
-    nf = vec_normal_form(poly_to_vec(f), basis, ModuleOrder(degrevlex_order(), 1))
-    return vec_to_polys(nf, f.ring, 1)[0]
+    den, nums = tp_numerators(_kernel(f))
+    remainder, scale = _wreduce(nums, [_WeylReducer(_kernel(g)) for g in gb if not g.is_zero()])
+    return Poly(f.ring, {a: Fraction(c, den * scale) for (_, a, _), c in remainder.items()})
 
 
 def ideal_contains(gb: list[Poly], gens: list[Poly]) -> bool:
     """Whether every element of gens lies in the ideal of the Groebner basis gb."""
-    morder = ModuleOrder(degrevlex_order(), 1)
-    reducers = [_Reducer(poly_to_vec(g), morder) for g in gb if not g.is_zero()]
-    return not any(_reduce(poly_to_vec(f), reducers, morder) for f in gens)
+    reducers = [_WeylReducer(_kernel(g)) for g in gb if not g.is_zero()]
+    return not any(_wreduce(tp_numerators(_kernel(f))[1], reducers)[0] for f in gens)
 
 
 def is_unit_ideal(gb: list[Poly]) -> bool:
@@ -339,13 +165,16 @@ def _lift_front(p: Poly, big: PolyRing) -> Poly:
 def eliminate_front(gens: list[Poly], big: PolyRing, small: PolyRing) -> list[Poly]:
     """Reduced GB of (gens) intersected with the subring missing the front var.
 
-    By the Elimination Theorem the elements of the reduced block_order basis
-    that are free of the front variable are the reduced degrevlex basis of
-    the elimination ideal, in the same order.
+    The front variable t becomes the d-part of one extra variable whose
+    x-part stays 0, so t commutes and the Weyl order compares the t-degree
+    first, then degrevlex on the rest: a block order. By the Elimination
+    Theorem the t-free elements of that reduced basis are the reduced
+    degrevlex basis of the elimination ideal, in the same order.
     """
-    gb = groebner_basis(gens, big, block_order())
-    return [Poly(small, {e[1:]: c for e, c in g.terms.items()})
-            for g in gb if all(e[0] == 0 for e in g.terms)]
+    gb = buchberger([{(0, (0,) + e[1:], e[:1]): c for e, c in g.terms.items()}
+                     for g in gens], 1)
+    return [Poly(small, {a[1:]: c for (_, a, _), c in g.items()})
+            for g in gb if not any(b[0] for _, _, b in g)]
 
 
 def _with_inverse(gens: list[Poly], f: Poly, ring: PolyRing):
@@ -399,11 +228,10 @@ def basis_dimension(gb: list[Poly], ring: PolyRing):
     the unit ideal."""
     if is_unit_ideal(gb):
         return EMPTY_DIM
-    key = degrevlex_order()
     supports = []
     for g in gb:
-        lm = max(g.terms, key=key)
-        supports.append(frozenset(i for i, e in enumerate(lm) if e))
+        _, lead, _ = min(_kernel(g), key=_lead_key)
+        supports.append(frozenset(i for i, e in enumerate(lead) if e))
     nv = ring.nvars
     for size in range(nv, -1, -1):
         for subset in combinations(range(nv), size):
@@ -413,10 +241,11 @@ def basis_dimension(gb: list[Poly], ring: PolyRing):
     return 0
 
 
-# Weyl-side engine: free left modules with the order-filtration weight.
-# Internally elements are flat dicts {(component, a, b): coefficient}; the
-# engine reduces them as integer dicts (primitive elements, or numerators
-# over a known denominator). The public API speaks tuples of WeylElement.
+# The one engine: free left modules over the Weyl algebra with the
+# order-filtration weight. Internally elements are flat dicts {(component, a,
+# b): coefficient}; the kernel reduces them as integer dicts (primitive
+# elements, or numerators over a known denominator). The public Weyl API
+# speaks tuples of WeylElement.
 
 
 class WeylModuleOrder:
@@ -521,6 +350,100 @@ def _wreduce(work: dict, reducers: list[_WeylReducer]):
     return remainder, scale
 
 
+def _s_element(ri: _WeylReducer, rj: _WeylReducer) -> dict:
+    """The S-element of two reducers led in one component, in integers."""
+    la, lb = tuple(map(max, ri.a, rj.a)), tuple(map(max, ri.b, rj.b))
+    g = gcd(ri.lc, rj.lc)
+    s: dict = {}
+    weyl_shift_into(s, ri.vec, rj.lc // g, tuple(map(sub, la, ri.a)),
+                    tuple(map(sub, lb, ri.b)))
+    weyl_shift_into(s, rj.vec, -(ri.lc // g), tuple(map(sub, la, rj.a)),
+                    tuple(map(sub, lb, rj.b)))
+    return s
+
+
+def _interreduced(keep: list[_WeylReducer]) -> list:
+    """(element, denominator) of the reduced basis for reducers with minimal,
+    distinct leads in ascending order: each reduced by the ones before it (no
+    larger lead divides a term below its own lead), with its lead over the
+    denominator equal to 1."""
+    out = []
+    for i, r in enumerate(keep):
+        h, scale = _wreduce(dict(r.vec), keep[:i])
+        out.append((h, r.lc * scale))
+    return out
+
+
+def _divides(a, b) -> bool:
+    return all(map(le, a, b))
+
+
+def buchberger(gens: list[dict], rank: int) -> list[dict]:
+    """Reduced Groebner basis, monic and sorted by lead, of the submodule of
+    the free module of the given rank generated by gens: {(component, a, b):
+    Fraction} whose variables commute (no variable has both an x- and a
+    d-part).
+
+    Pairs are managed by the Gebauer-Moeller update as each element is
+    inserted: criteria M and F keep one new pair per minimal lcm, criterion B
+    drops an old pair when the new leading term divides its lcm and both
+    lcms with the new element differ from it, and live elements whose
+    leading term the new one divides stop being reducers (their pairs stay
+    queued). The product criterion only applies at rank one: in a free
+    module it fails, e.g. for x e1 + e2 and y e1. Pairs and divisibility
+    never mix components. Pairs are taken by smallest lcm. Inputs are
+    reduced before they are inserted.
+    """
+    worder = WeylModuleOrder(rank)
+    elems: list[_WeylReducer] = []     # every inserted element, by index
+    live: list[int] = []               # indices of the current reducers
+    pairs: list = []                   # heap of (lcm key, i, j, lcm)
+
+    def insert(h: dict):
+        r = _WeylReducer(h)
+        comp, lead = r.comp, r.ab
+        hi = len(elems)
+        elems.append(r)
+        new = []                       # (lcm, index, product criterion applies)
+        for g in live:
+            rg = elems[g]
+            if rg.comp == comp:
+                lcm = tuple(map(max, lead, rg.ab))
+                new.append((lcm, g, rank == 1 and lcm == tuple(map(add, lead, rg.ab))))
+        kept = []
+        for idx, (lcm, g, coprime) in enumerate(new):
+            if coprime or not (any(_divides(l2, lcm) for l2, _, _ in new[idx + 1:])
+                               or any(_divides(l2, lcm) for l2, _, _ in kept)):
+                kept.append((lcm, g, coprime))
+        old = [p for p in pairs
+               if elems[p[1]].comp != comp or not _divides(lead, p[3])
+               or tuple(map(max, elems[p[1]].ab, lead)) == p[3]
+               or tuple(map(max, elems[p[2]].ab, lead)) == p[3]]
+        n = len(r.a)
+        old += [(worder.key((comp, lcm[:n], lcm[n:])), g, hi, lcm)
+                for lcm, g, coprime in kept if not coprime]
+        heapify(old)
+        pairs[:] = old
+        live[:] = [g for g in live
+                   if elems[g].comp != comp or not _divides(lead, elems[g].ab)]
+        live.append(hi)
+
+    def remainder(work: dict) -> dict:
+        return _wreduce(work, [elems[g] for g in live])[0]
+
+    for g in sorted((g for g in gens if g), key=lambda g: worder.key(min(g, key=_lead_key))):
+        h = remainder(tp_numerators(g)[1])
+        if h:
+            insert(h)
+    while pairs:
+        _, i, j, _ = heappop(pairs)
+        h = remainder(_s_element(elems[i], elems[j]))
+        if h:
+            insert(h)
+    keep = sorted((elems[g] for g in live), key=lambda r: worder.key((r.comp, r.a, r.b)))
+    return [{k: Fraction(c, den) for k, c in h.items()} for h, den in _interreduced(keep)]
+
+
 def weyl_normal_form(f, basis):
     """Left normal form of a module element against a list of module elements."""
     if not f:
@@ -570,15 +493,7 @@ def weyl_buchberger(gens, rank: int, d: int) -> list:
 
     while heap:
         _, i, j = heappop(heap)
-        ri, rj = basis[i], basis[j]
-        la, lb = tuple(map(max, ri.a, rj.a)), tuple(map(max, ri.b, rj.b))
-        g = gcd(ri.lc, rj.lc)
-        s: dict = {}
-        weyl_shift_into(s, ri.vec, rj.lc // g, tuple(map(sub, la, ri.a)),
-                        tuple(map(sub, lb, ri.b)))
-        weyl_shift_into(s, rj.vec, -(ri.lc // g), tuple(map(sub, la, rj.a)),
-                        tuple(map(sub, lb, rj.b)))
-        s, _ = _wreduce(s, basis)
+        s, _ = _wreduce(_s_element(basis[i], basis[j]), basis)
         if s:
             incoming = len(basis)
             basis.append(_WeylReducer(s))
@@ -595,12 +510,7 @@ def weyl_buchberger(gens, rank: int, d: int) -> list:
                    for j, rj in enumerate(basis)):
             keep.append(ri)
     keep.sort(key=lambda r: worder.key((r.comp, r.a, r.b)))
-    # each tail reduced by the others; the lead is kept, times the scale
-    out = []
-    for i, r in enumerate(keep):
-        h, scale = _wreduce(dict(r.vec), keep[:i] + keep[i + 1:])
-        out.append(_wdict_to_rows(h, r.lc * scale, rank, d))
-    return out
+    return [_wdict_to_rows(h, den, rank, d) for h, den in _interreduced(keep)]
 
 
 def initial_forms(gb) -> list[dict]:
@@ -628,18 +538,18 @@ def annihilator_of_graded_quotient(init_vecs: list[dict], sprime: PolyRing,
     each computed by module elimination.
     """
     if rank == 1:
-        gens = [vec_to_polys(v, sprime, 1)[0] for v in init_vecs]
-        return groebner_basis(gens, sprime)
+        return groebner_basis([Poly(sprime, {e: c for (_, e), c in v.items()})
+                               for v in init_vecs], sprime)
     ann: list[Poly] | None = None
     for i in range(rank):
-        priority = [j for j in range(rank) if j != i] + [i]
-        gb = buchberger_vec(list(init_vecs), ModuleOrder(degrevlex_order(), rank, priority))
-        colon = []
-        for v in gb:
-            comps = {comp for (comp, _) in v}
-            if comps == {i}:
-                colon.append(vec_to_polys(v, sprime, rank)[i])
-        colon = groebner_basis(colon, sprime)
+        # component i renumbered last, so lowest: the basis elements led
+        # there lie in it and generate the colon
+        place = {comp: k for k, comp in enumerate([j for j in range(rank) if j != i] + [i])}
+        gb = buchberger([{(place[comp], e, ()): c for (comp, e), c in v.items()}
+                         for v in init_vecs], rank)
+        colon = groebner_basis([Poly(sprime, {a: c for (_, a, _), c in g.items()})
+                                for g in gb if all(comp == rank - 1 for comp, _, _ in g)],
+                               sprime)
         ann = colon if ann is None else intersect_ideals(ann, colon, sprime)
     return ann
 

@@ -342,6 +342,18 @@ def test_integer_arguments_are_ascii_decimal(capsys):
     assert "generator_degrees = [[1, -2]]" in capsys.readouterr().out
 
 
+def test_integer_arguments_longer_than_int_converts_exit_2(capsys):
+    # int() refuses more than 4300 digits with a ValueError, which used to
+    # end the run with a traceback and exit 1
+    p1 = str(FIXTURES / "p1.fan")
+    huge = "1" * 5000
+    assert "lattice point" in _one_error_line(
+        capsys, ["local", p1, "--cone", "1", f"--p=-{huge}"])
+    assert "cone" in _one_error_line(capsys, ["local", p1, f"--cone={huge}", "--p=-1"])
+    for cmd in ("dl", "dr"):
+        assert "class coordinates" in _one_error_line(capsys, [cmd, p1, huge])
+
+
 def test_boolean_document_values_exit_2(tmp_path, capsys):
     # True and False are ints to Python; they used to be accepted as 1 and 0
     fans = ("n = True\nrays = [[1], [-1]]\nmax_cones = [[1], [2]]\n",

@@ -9,11 +9,11 @@ from helpers import (WeylMacaulayOracle, all_fixture_fans, bernstein_degree,
                      macaulay_membership_stable, random_poly, random_weyl, rng,
                      weyl_left_mul_monomial, weyl_rows_to_dict, wreduce_max_scan)
 from toric_dmod import groebner
-from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing, degrevlex_order,
+from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing,
                                  eliminate_front, format_poly, groebner_basis,
                                  ideal_contains,
                                  initial_forms, intersect_ideals, is_unit_ideal,
-                                 krull_dimension, lex_order, normal_form,
+                                 krull_dimension, normal_form,
                                  radical_membership, saturation,
                                  saturation_by_monomials, toric_ideal,
                                  weyl_buchberger, weyl_normal_form,
@@ -43,13 +43,13 @@ def test_unit_ideal_from_x_and_one_minus_x():
 
 
 def test_x2_xy_minus_y_against_macaulay_oracle():
-    # the lex basis re-reduced under degrevlex is the degrevlex basis, and
+    # sympy's lex basis re-reduced under degrevlex is the degrevlex basis, and
     # membership modulo it agrees with the linear-algebra oracle
     ring = ring2()
     x, y = Poly.variable(ring, 0), Poly.variable(ring, 1)
     gens = [x * x, x * y - y]
     gb = groebner_basis(gens, ring)
-    assert groebner_basis(groebner_basis(gens, ring, lex_order()), ring) == gb
+    assert groebner_basis(_sympy_lex_basis(gens, ring), ring) == gb
     r = rng(20)
     for _ in range(40):
         f = random_poly(r, ring, 4, 3)
@@ -132,13 +132,13 @@ def test_krull_dimension_examples():
 
 
 def test_krull_dimension_order_invariance():
-    # a lex basis generates the same ideal: re-reduced under degrevlex it
-    # gives the degrevlex basis and the same dimension
+    # sympy's lex basis generates the same ideal: re-reduced under degrevlex
+    # it gives the degrevlex basis and the same dimension
     ring = sprime_p1()
     r = rng(23)
     for _ in range(8):
         gens = [random_poly(r, ring, 2, 2) for _ in range(2)]
-        lex_gb = groebner_basis(gens, ring, lex_order())
+        lex_gb = _sympy_lex_basis(gens, ring)
         assert groebner_basis(lex_gb, ring) == groebner_basis(gens, ring)
         assert krull_dimension(lex_gb, ring) == krull_dimension(gens, ring)
 
@@ -206,7 +206,7 @@ def test_eliminate_front_is_its_own_reduction_on_fixture_reports(monkeypatch):
 
 def test_one_groebner_basis_per_elimination(monkeypatch):
     # each elimination builds the block-order basis and nothing else
-    real_gb, real_elim = groebner.groebner_basis, groebner.eliminate_front
+    real_gb, real_elim = groebner.buchberger, groebner.eliminate_front
     built = [0]
     per_elimination = []
 
@@ -220,7 +220,7 @@ def test_one_groebner_basis_per_elimination(monkeypatch):
         per_elimination.append(built[0] - start)
         return out
 
-    monkeypatch.setattr(groebner, "groebner_basis", counted_gb)
+    monkeypatch.setattr(groebner, "buchberger", counted_gb)
     monkeypatch.setattr(groebner, "eliminate_front", counted_elim)
     _fixture_saturations()
     monkeypatch.undo()
@@ -270,7 +270,6 @@ def test_initial_forms_generate_associated_graded():
     # zero against the initial forms of the filtered basis
     from toric_dmod.charvar import s_prime_ring
     from toric_dmod.dmod import d_module_left
-    from toric_dmod.groebner import vec_to_polys, ModuleOrder
     from toric_dmod.weyl import weyl_mul
     from helpers import random_weyl
     r = rng(25)
@@ -279,7 +278,7 @@ def test_initial_forms_generate_associated_graded():
         ring = s_prime_ring(gd)
         pres = d_module_left(gd, gd.class_group.zero())
         gb = pres.relation_gb()
-        init = [vec_to_polys(v, ring, 1)[0]
+        init = [Poly(ring, {e: c for (_, e), c in v.items()})
                 for v in initial_forms(gb)]
         init_gb = groebner_basis(init, ring)
         for _ in range(12):
@@ -372,10 +371,10 @@ def test_reduced_basis_independent_of_generator_order():
 
 def test_module_annihilator_exactness():
     # Ann of k[x,y]^2 / <x e1, y e2> is (x) intersect (y) = (xy)
-    from toric_dmod.groebner import annihilator_of_graded_quotient, poly_to_vec
+    from toric_dmod.groebner import annihilator_of_graded_quotient
     ring = ring2()
     x, y = Poly.variable(ring, 0), Poly.variable(ring, 1)
-    vecs = [poly_to_vec(x, 0), poly_to_vec(y, 1)]
+    vecs = [{(0, (1, 0)): Fraction(1)}, {(1, (0, 1)): Fraction(1)}]
     ann = annihilator_of_graded_quotient(vecs, ring, 2)
     assert ann == groebner_basis([x * y], ring)
 
@@ -436,99 +435,135 @@ def test_reduced_basis_matches_sympy_on_random_homogeneous_ideals():
     assert nontrivial  # some draws need S-pairs beyond the inputs
 
 
-def test_reduced_basis_matches_sympy_lex_on_small_ideals():
+def _sympy_lex_basis(gens, ring):
+    """sympy's reduced lex basis of gens, variables in ring order, as Polys."""
     sympy = pytest.importorskip("sympy")
-    ring = PolyRing(("a", "b", "c"))
-    gens = sympy.symbols("a b c")
+    syms = sympy.symbols(ring.names)
+    ref = sympy.groebner([_sympy_expr(p, syms) for p in gens if not p.is_zero()],
+                         *syms, order="lex", domain="QQ")
+    return [Poly(ring, {m: Fraction(int(c.p), int(c.q)) for m, c in g.as_poly(*syms).terms()})
+            for g in ref.exprs]
+
+
+def test_eliminate_front_matches_sympy_lex_on_small_ideals():
+    # the t-free elements of sympy's lex basis with t first generate the
+    # elimination ideal; reduced under degrevlex they are eliminate_front's
+    small = PolyRing(("a", "b", "c"))
+    big = PolyRing(("t",) + small.names)
     r = rng(29)
+    nontrivial = 0
     for _ in range(8):
-        polys = [random_poly(r, ring, 2, 3) for _ in range(3)]
-        polys = [p for p in polys if not p.is_zero()]
-        ours = groebner_basis(polys, ring, lex_order())
-        ref = sympy.groebner([_sympy_expr(p, gens) for p in polys], *gens,
-                             order="lex", domain="QQ")
-        assert {frozenset(g.terms.items()) for g in ours} == \
-            _as_term_sets(ref.exprs, gens)
+        polys = [random_poly(r, big, 2, 3) for _ in range(3)]
+        lex_free = [Poly(small, {e[1:]: c for e, c in g.terms.items()})
+                    for g in _sympy_lex_basis(polys, big) if all(e[0] == 0 for e in g.terms)]
+        out = eliminate_front(polys, big, small)
+        assert out == groebner_basis(lex_free, small)
+        nontrivial += bool(out) and not is_unit_ideal(out)
+    assert nontrivial
 
 
-def _lead(vec, morder):
-    ce = max(vec, key=morder.key)
-    return ce, vec[ce]
+def _lead(vec, worder):
+    cab = max(vec, key=worder.key)
+    return cab, vec[cab]
 
 
-def _s_vector(f, g, morder):
-    (comp, ef), cf = _lead(f, morder)
-    (_, eg), cg = _lead(g, morder)
+def _s_vector(f, g, worder):
+    (comp, ef, _), cf = _lead(f, worder)
+    (_, eg, _), cg = _lead(g, worder)
     lcm = tuple(max(x, y) for x, y in zip(ef, eg))
     out: dict = {}
     for vec, scale, e in ((f, 1 / cf, ef), (g, -1 / cg, eg)):
         shift = tuple(a - b for a, b in zip(lcm, e))
-        for (k, ek), c in vec.items():
-            key = (k, tuple(a + b for a, b in zip(ek, shift)))
+        for (k, ek, _), c in vec.items():
+            key = (k, tuple(a + b for a, b in zip(ek, shift)), ())
             out[key] = out.get(key, Fraction(0)) + scale * c
     return {k: c for k, c in out.items() if c}
 
 
-def _assert_buchberger_certificate(gens, basis, morder):
-    from toric_dmod.groebner import vec_normal_form
-    leads = [_lead(g, morder) for g in basis]
+def _normal_form(f: dict, basis: list, worder) -> dict:
+    """Full normal form of a module element with no d-part, by a max scan,
+    the first basis element whose lead divides, and Fraction arithmetic on
+    shifted exponents: a reducer independent of groebner._wreduce."""
+    leads = [_lead(g, worder) for g in basis]
+    work, remainder = dict(f), {}
+    while work:
+        cab = max(work, key=worder.key)
+        comp, a, _ = cab
+        for g, ((gc, ga, _), lc) in zip(basis, leads):
+            if gc == comp and all(x >= y for x, y in zip(a, ga)):
+                break
+        else:
+            remainder[cab] = work.pop(cab)
+            continue
+        scale = work[cab] / lc
+        shift = tuple(x - y for x, y in zip(a, ga))
+        for (k, e, _), c in g.items():
+            key = (k, tuple(x + y for x, y in zip(e, shift)), ())
+            v = work.get(key, 0) - scale * c
+            if v:
+                work[key] = v
+            else:
+                del work[key]
+    return remainder
+
+
+def _assert_buchberger_certificate(gens, basis, worder):
+    leads = [_lead(g, worder) for g in basis]
     assert all(c == 1 for _, c in leads)
     for i, f in enumerate(basis):
         others = basis[:i] + basis[i + 1:]
         # reduced: no term of an element is divisible by another leading term
-        assert vec_normal_form(f, others, morder) == f
+        assert _normal_form(f, others, worder) == f
         for g in basis[i + 1:]:
-            if _lead(f, morder)[0][0] == _lead(g, morder)[0][0]:
-                assert vec_normal_form(_s_vector(f, g, morder), basis, morder) == {}
+            if _lead(f, worder)[0][0] == _lead(g, worder)[0][0]:
+                assert _normal_form(_s_vector(f, g, worder), basis, worder) == {}
     for g in gens:
-        assert vec_normal_form(g, basis, morder) == {}
+        assert _normal_form(g, basis, worder) == {}
 
 
 def test_module_basis_has_a_buchberger_certificate():
-    from toric_dmod.groebner import ModuleOrder, buchberger_vec
+    # a priority order of the components is the engine's order after
+    # renumbering them from highest (0) down, as for the colons of
+    # annihilator_of_graded_quotient
     r = rng(30)
     ring = PolyRing(("x", "y", "z"))
     for _ in range(20):
         rank = r.randint(2, 3)
         priority = list(range(rank))
         r.shuffle(priority)
-        morder = ModuleOrder(degrevlex_order(), rank, priority)
+        place = {comp: k for k, comp in enumerate(priority)}
         gens = []
         for _ in range(r.randint(3, 5)):
             vec = {}
             for _ in range(r.randint(2, 4)):
                 p = random_poly(r, ring, 2, 1)
                 for e, c in p.terms.items():
-                    vec[(r.randrange(rank), e)] = c
+                    vec[(place[r.randrange(rank)], e, ())] = c
             if vec:
                 gens.append(vec)
-        basis = buchberger_vec(gens, morder)
-        _assert_buchberger_certificate(gens, basis, morder)
+        basis = groebner.buchberger(gens, rank)
+        _assert_buchberger_certificate(gens, basis, WeylModuleOrder(rank))
 
 
 def test_module_pairs_with_coprime_leading_terms_are_not_skipped():
     # x e1 + e2 and y e1 have coprime leading terms, but their S-vector y e2
     # is in the module: the product criterion does not hold across components
-    from toric_dmod.groebner import ModuleOrder, buchberger_vec
-    morder = ModuleOrder(degrevlex_order(), 2)
-    f = {(0, (1, 0)): Fraction(1), (1, (0, 0)): Fraction(1)}
-    g = {(0, (0, 1)): Fraction(1)}
-    basis = buchberger_vec([f, g], morder)
-    assert {(1, (0, 1)): Fraction(1)} in basis
-    _assert_buchberger_certificate([f, g], basis, morder)
+    f = {(0, (1, 0), ()): Fraction(1), (1, (0, 0), ()): Fraction(1)}
+    g = {(0, (0, 1), ()): Fraction(1)}
+    basis = groebner.buchberger([f, g], 2)
+    assert {(1, (0, 1), ()): Fraction(1)} in basis
+    _assert_buchberger_certificate([f, g], basis, WeylModuleOrder(2))
 
 
 def test_module_chain_criterion_stays_within_a_component():
     # e0 divides the lcm x*y of the pair (x e1 + e2, y e1) by exponent, but
     # lies in another component, so it does not make the pair redundant
-    from toric_dmod.groebner import ModuleOrder, buchberger_vec
-    morder = ModuleOrder(degrevlex_order(), 3)
-    f = {(1, (1, 0)): Fraction(1), (2, (0, 0)): Fraction(1)}
-    g = {(1, (0, 1)): Fraction(1)}
-    h = {(0, (0, 0)): Fraction(1)}
-    basis = buchberger_vec([f, g, h], morder)
-    assert {(2, (0, 1)): Fraction(1)} in basis
-    _assert_buchberger_certificate([f, g, h], basis, morder)
+    f = {(1, (1, 0), ()): Fraction(1), (2, (0, 0), ()): Fraction(1)}
+    g = {(1, (0, 1), ()): Fraction(1)}
+    h = {(0, (0, 0), ()): Fraction(1)}
+    basis = groebner.buchberger([f, g, h], 3)
+    assert {(2, (0, 1), ()): Fraction(1)} in basis
+    _assert_buchberger_certificate([f, g, h], basis, WeylModuleOrder(3))
 
 
 def _random_weyl_row(r, d: int, rank: int, coefficient=lambda r: r.randint(-3, 3)):
@@ -686,17 +721,55 @@ def test_weyl_buchberger_checks_the_rank():
         weyl_buchberger([(d1, d2)], 2, 1)
 
 
+def _mapped(r, rank: int, n: int, draws: int) -> tuple[list, list]:
+    """Distinct random commutative terms in n variables, mapped with an
+    empty d-part and mapped for elimination (front exponent as the d-part of
+    an extra variable whose x-part is 0)."""
+    terms = {(r.randrange(rank), tuple(r.randint(0, 3) for _ in range(n)))
+             for _ in range(draws)}
+    return ([(comp, e, ()) for comp, e in terms],
+            [(comp, (0,) + e[1:], e[:1]) for comp, e in terms])
+
+
 def test_lead_key_sorts_in_reverse_of_weyl_module_order():
-    # the heap of _wreduce and the key of WeylModuleOrder write one order
+    # the heap of _wreduce and the key of WeylModuleOrder write one order,
+    # on Weyl terms and on both mappings of commutative terms
     r = rng(44)
+    cases = []
     for _ in range(40):
         rank, d = r.randint(1, 3), r.randint(1, 3)
-        triples = list({(r.randrange(rank), tuple(r.randint(0, 3) for _ in range(d)),
-                         tuple(r.randint(0, 3) for _ in range(d))) for _ in range(30)})
+        cases.append((rank, list({(r.randrange(rank), tuple(r.randint(0, 3) for _ in range(d)),
+                                   tuple(r.randint(0, 3) for _ in range(d)))
+                                  for _ in range(30)})))
+    for _ in range(20):
+        rank = r.randint(1, 3)
+        cases += [(rank, terms) for terms in _mapped(r, rank, r.randint(1, 4), 30)]
+    for rank, triples in cases:
         r.shuffle(triples)
         assert len({groebner._lead_key(t) for t in triples}) == len(triples)
         assert (sorted(triples, key=groebner._lead_key)
                 == sorted(triples, key=WeylModuleOrder(rank).key, reverse=True))
+
+
+def test_lead_key_on_mapped_terms_is_degrevlex_and_the_block_order():
+    # with an empty d-part the kernel's order is degrevlex; mapped for
+    # elimination it is the block order: front exponent first, then
+    # degrevlex on the rest
+    def degrevlex(e):
+        return sum(e), tuple(-x for x in reversed(e))
+
+    def block(e):
+        return e[0], degrevlex(e[1:])
+
+    r = rng(46)
+    for _ in range(40):
+        n = r.randint(1, 4)
+        exps = list({tuple(r.randint(0, 3) for _ in range(n)) for _ in range(30)})
+        r.shuffle(exps)
+        assert (sorted(exps, key=lambda e: groebner._lead_key((0, e, ())))
+                == sorted(exps, key=degrevlex, reverse=True))
+        assert (sorted(exps, key=lambda e: groebner._lead_key((0, (0,) + e[1:], e[:1])))
+                == sorted(exps, key=block, reverse=True))
 
 
 def test_wreduce_matches_the_max_scan_reference():
@@ -718,6 +791,25 @@ def test_wreduce_matches_the_max_scan_reference():
             assert (groebner._wreduce(dict(nums), reducers)
                     == wreduce_max_scan(dict(nums), reducers, worder))
     assert ranks == {1, 2}
+    # commutative elements with an empty d-part and mapped for elimination
+    mappings = (lambda comp, e: (comp, e, ()), lambda comp, e: (comp, (0,) + e[1:], e[:1]))
+    for _ in range(40):
+        rank, ring = r.randint(1, 2), PolyRing(("t", "x", "y"))
+        worder = WeylModuleOrder(rank)
+
+        def element(degree, nterms):
+            return {key(r.randrange(rank), e): c / r.randint(1, 3) for _ in range(rank)
+                    for e, c in random_poly(r, ring, degree, nterms).terms.items()}
+        for key in mappings:
+            rows = [element(2, 3) for _ in range(3)]
+            reducers = [groebner._WeylReducer(w) for w in rows if w]
+            for _ in range(3):
+                f = element(4, 5)
+                if not f:
+                    continue
+                _, nums = tp_numerators(f)
+                assert (groebner._wreduce(dict(nums), reducers)
+                        == wreduce_max_scan(dict(nums), reducers, worder))
 
 
 def test_weyl_normal_form_of_zero_or_against_nothing_builds_no_reducer(monkeypatch):

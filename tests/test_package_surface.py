@@ -18,7 +18,7 @@ TEST_ONLY = {
     "verify_char_containment", "verify_quotient_dimension",
     "verify_local_action", "rho_b", "k_component", "t_invariance_check",
     "invariant_factor_oracle",
-    "lex_order", "to_theta_form", "from_theta_form",
+    "to_theta_form", "from_theta_form",
     "ThetaFormElement",
 }
 

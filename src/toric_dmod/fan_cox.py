@@ -1,4 +1,5 @@
-"""Fans of smooth cones, Cox grading data and the irrelevant ideal."""
+"""Fans of smooth cones, Cox grading data and the irrelevant ideal; a fan is
+validated with one exact common-face test per pair of maximal cones."""
 
 from __future__ import annotations
 
@@ -81,30 +82,28 @@ def _fm_feasible(eqs, ineqs, nvars: int) -> bool:
     return all(w[nvars] >= 0 for w in work)
 
 
-def _cone_intersections_ok(fan: Fan) -> bool:
-    """Check cone(S1) intersect cone(S2) == cone(S1 & S2) for maximal pairs."""
+def _overlapping_cones(fan: Fan):
+    """The first pair of maximal cones meeting in more than a common face, or None.
+
+    The cones are simplicial, so a point of cone(s2) has unique coordinates mu;
+    cone(s1) & cone(s2) == cone(s1 & s2) fails exactly when a point of cone(s1)
+    has some mu_j > 0 off s1, scaled to sum >= 1. That is symmetric in the pair.
+    """
     for s1, s2 in combinations(fan.max_cones, 2):
-        for base, other in ((s1, s2), (s2, s1)):
-            extra = [j for j in other if j not in base]
-            for j0 in extra:
-                # mu over `other`, lam over `base`; sum mu v = sum lam v, mu_j0 >= 1
-                nvars = len(other) + len(base)
-                eqs = []
-                for coord in range(fan.n):
-                    co = ([fan.rays[j][coord] for j in other]
-                          + [-fan.rays[i][coord] for i in base])
-                    eqs.append((co, 0))
-                ineqs = [(tuple(1 if t == k else 0 for t in range(nvars)), 0)
-                         for k in range(nvars)]
-                j0pos = other.index(j0)
-                ineqs.append((tuple(1 if t == j0pos else 0 for t in range(nvars)), -1))
-                if _fm_feasible(eqs, ineqs, nvars):
-                    return False
-    return True
+        # mu over s2, lam over s1: sum mu v = sum lam v, mu, lam >= 0
+        nvars = len(s2) + len(s1)
+        eqs = [([fan.rays[j][k] for j in s2] + [-fan.rays[i][k] for i in s1], 0)
+               for k in range(fan.n)]
+        ineqs = [(tuple(int(t == k) for t in range(nvars)), 0) for k in range(nvars)]
+        ineqs.append((tuple(int(j not in s1) for j in s2) + (0,) * len(s1), -1))
+        if _fm_feasible(eqs, ineqs, nvars):
+            return s1, s2
+    return None
 
 
 def validate_smooth_fan(fan: Fan) -> dict:
-    """Validate rays, simpliciality and smoothness; raises typed errors.
+    """Validate rays, simpliciality, smoothness and common faces; raises typed
+    errors, the overlap error naming the first offending pair of cones.
 
     Returns a small report dict on success.
     """
@@ -130,8 +129,10 @@ def validate_smooth_fan(fan: Fan) -> dict:
             g = gcd(g, sub.det())
         if abs(g) != 1:
             raise NonSmoothCone(f"cone {tuple(i + 1 for i in cone)} is not smooth")
-    if not _cone_intersections_ok(fan):
-        raise FanValidationError("two cones intersect in more than a common face")
+    pair = _overlapping_cones(fan)
+    if pair:
+        s1, s2 = (tuple(i + 1 for i in cone) for cone in pair)
+        raise FanValidationError(f"cones {s1} and {s2} intersect in more than a common face")
     return {"n": fan.n, "d": fan.d, "max_cones": fan.max_cones, "smooth": True}
 
 

@@ -8,9 +8,10 @@ commutative term x^e maps to (component, e, ()), with no d-part, and the
 Weyl order is then degrevlex. For elimination the front variable t maps to
 the d-part of an extra variable whose x-part stays 0, (component, (0,) +
 e[1:], e[:1]): t commutes, and the order compares the t-degree first, then
-degrevlex on the rest. No function takes a term order. All reduced bases are
-canonical (monic, auto-reduced, sorted), so outputs are reproducible
-byte-for-byte.
+degrevlex on the rest. No function takes a term order. The read side takes
+each basis element's divisor from `Poly.divisor`, built once per element.
+All reduced bases are canonical (monic, auto-reduced, sorted), so outputs
+are reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ class PolyRing:
 
 
 class Poly:
-    """Commutative polynomial with rational coefficients."""
+    """Commutative polynomial with rational coefficients. Nothing writes
+    `terms` after __init__, so `divisor` is built on first use and kept."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_divisor")
 
     def __init__(self, ring: PolyRing, terms=None):
         self.ring = ring
@@ -64,6 +66,13 @@ class Poly:
             if c:
                 clean[tuple(e)] = c
         self.terms = clean
+        self._divisor = None
+
+    def divisor(self) -> _WeylReducer:
+        """This polynomial as a divisor of the reduction kernel."""
+        if self._divisor is None:
+            self._divisor = _WeylReducer(_kernel(self))
+        return self._divisor
 
     @classmethod
     def zero(cls, ring):
@@ -144,13 +153,13 @@ def normal_form(f: Poly, gb: list[Poly]) -> Poly:
     if f.is_zero():
         return f
     den, nums = tp_numerators(_kernel(f))
-    remainder, scale = _wreduce(nums, [_WeylReducer(_kernel(g)) for g in gb if not g.is_zero()])
+    remainder, scale = _wreduce(nums, [g.divisor() for g in gb if not g.is_zero()])
     return Poly(f.ring, {a: Fraction(c, den * scale) for (_, a, _), c in remainder.items()})
 
 
 def ideal_contains(gb: list[Poly], gens: list[Poly]) -> bool:
     """Whether every element of gens lies in the ideal of the Groebner basis gb."""
-    reducers = [_WeylReducer(_kernel(g)) for g in gb if not g.is_zero()]
+    reducers = [g.divisor() for g in gb if not g.is_zero()]
     return not any(_wreduce(tp_numerators(_kernel(f))[1], reducers)[0] for f in gens)
 
 

@@ -10,8 +10,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from toric_dmod.fan_cox import Fan, GradingData, grading_data
+from toric_dmod.fan_cox import Fan, GradingData, _fm_feasible, grading_data
 from toric_dmod.groebner import Poly, PolyRing
+from toric_dmod.lattice import IntMatrix
 from toric_dmod.weyl import WeylElement
 
 
@@ -81,6 +82,70 @@ def all_fixture_fans():
 
 def grading(fan: Fan) -> GradingData:
     return grading_data(fan)
+
+
+# generated fans and the per-ray common-face criterion
+
+
+def star_subdivide(fan: Fan, tau) -> Fan:
+    """The star subdivision of a smooth fan at its cone tau: the new ray is the
+    sum of tau's rays, and each maximal cone s containing tau is replaced by
+    the cones s - {i} + {new ray}, i in tau. Smooth and complete stay so."""
+    new = fan.d
+    ray = tuple(map(sum, zip(*(fan.rays[i] for i in tau))))
+    cones = []
+    for s in fan.max_cones:
+        if set(tau) <= set(s):
+            cones += [tuple(j for j in s if j != i) + (new,) for i in tau]
+        else:
+            cones.append(s)
+    return Fan(fan.n, fan.rays + (ray,), cones)
+
+
+def star_subdivided_fans(r: random.Random, fan: Fan, steps: int):
+    """The fans after each of `steps` star subdivisions of `fan`, each at two
+    rays of a random maximal cone or at the whole cone."""
+    for _ in range(steps):
+        cone = r.choice(fan.max_cones)
+        tau = cone if r.random() < 0.5 else tuple(sorted(r.sample(cone, 2)))
+        fan = star_subdivide(fan, tau)
+        yield fan
+
+
+def random_simplicial_fan(r: random.Random, n: int) -> Fan:
+    """Distinct primitive rays in [-2, 2]^n and a few random cones of linearly
+    independent rays; the cones may overlap."""
+    rays, count = set(), r.randint(n + 1, n + 4)
+    while len(rays) < count:
+        ray = tuple(r.randint(-2, 2) for _ in range(n))
+        if any(ray) and gcd(*ray) == 1:
+            rays.add(ray)
+    rays = sorted(rays)
+    cones = []
+    for _ in range(r.randint(2, 4)):
+        cone = r.sample(range(len(rays)), r.randint(1, n))
+        if IntMatrix.from_rows([rays[i] for i in cone]).rank() == len(cone):
+            cones.append(cone)
+    return Fan(n, rays, cones)
+
+
+def cone_intersections_ok_per_ray(fan: Fan) -> bool:
+    """Reference for the common-face check of simplicial fans: for each pair
+    of maximal cones, in both orders, one Fourier-Motzkin system per ray j0
+    of the other cone missing from the base: is there a point of both cones
+    whose coordinate mu_j0 over the other cone is >= 1?"""
+    for s1, s2 in combinations(fan.max_cones, 2):
+        for base, other in ((s1, s2), (s2, s1)):
+            for j0 in (j for j in other if j not in base):
+                # mu over `other`, lam over `base`; sum mu v = sum lam v, mu_j0 >= 1
+                nvars = len(other) + len(base)
+                eqs = [([fan.rays[j][k] for j in other] + [-fan.rays[i][k] for i in base], 0)
+                       for k in range(fan.n)]
+                ineqs = [(tuple(int(t == k) for t in range(nvars)), 0) for k in range(nvars)]
+                ineqs.append((tuple(int(t == other.index(j0)) for t in range(nvars)), -1))
+                if _fm_feasible(eqs, ineqs, nvars):
+                    return False
+    return True
 
 
 def fraction_eval(p: dict, point) -> Fraction:

@@ -5,13 +5,15 @@ from itertools import product
 
 import pytest
 
-from helpers import (all_fixture_fans, fan_hirzebruch1, fan_p1, fan_p1_cubed,
-                     fan_p1p1, fan_p2, fan_p3, fan_torsion, grading, rng)
-from toric_dmod import cli
+from helpers import (all_fixture_fans, cone_intersections_ok_per_ray,
+                     fan_hirzebruch1, fan_p1, fan_p1_cubed, fan_p1p1, fan_p2,
+                     fan_p3, fan_torsion, grading, random_simplicial_fan, rng,
+                     star_subdivided_fans)
+from toric_dmod import cli, fan_cox
 from toric_dmod.errors import (FanValidationError, NonSimplicialCone,
                                NonSmoothCone, PreconditionViolated,
                                RaysDoNotSpan, UnknownCone)
-from toric_dmod.fan_cox import (Fan, euler_operator,
+from toric_dmod.fan_cox import (Fan, _overlapping_cones, euler_operator,
                                 euler_operators, grading_data, irrelevant_ideal,
                                 sigma_hat_monomial, validate_smooth_fan)
 from toric_dmod.lattice import FinitelyGeneratedAbelianGroup
@@ -53,7 +55,8 @@ def test_non_primitive_ray_rejected():
 def test_overlapping_cones_rejected():
     # the ray (1,1) sits inside the smooth quadrant: not a fan
     fan = Fan(2, [[1, 0], [0, 1], [1, 1]], [[0, 1]])
-    with pytest.raises(FanValidationError):
+    with pytest.raises(FanValidationError, match=r"^cones \(3,\) and \(1, 2\) intersect "
+                       "in more than a common face$"):
         validate_smooth_fan(fan)
 
 
@@ -71,8 +74,70 @@ def test_p3_fan_is_valid():
 def test_overlapping_3d_cones_rejected():
     # both cones are smooth, but (1,1,1) lies inside the first octant
     fan = Fan(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], [[0, 1, 2], [0, 1, 3]])
-    with pytest.raises(FanValidationError, match="common face"):
+    with pytest.raises(FanValidationError, match=r"^cones \(1, 2, 3\) and \(1, 2, 4\) "
+                       "intersect in more than a common face$"):
         validate_smooth_fan(fan)
+
+
+STARTS = [("p2", fan_p2), ("p1p1", fan_p1p1), ("hirzebruch1", fan_hirzebruch1),
+          ("p3", fan_p3)]
+
+
+@pytest.mark.parametrize("name,start", STARTS)
+def test_star_subdivided_fans_are_smooth_and_complete(name, start):
+    # a smooth complete fan has a free class group of rank d - n
+    fans = list(star_subdivided_fans(rng(len(name)), start(), 8))
+    assert [fan.d for fan in fans] == list(range(start().d + 1, start().d + 9))
+    for fan in fans:
+        validate_smooth_fan(fan)
+        group = grading_data(fan).class_group
+        assert group.free_rank == fan.d - fan.n and group.torsion_orders == ()
+
+
+def _with_overlapping_cone(r, fan):
+    """fan with one more full-dimensional cone on its rays, not one of its
+    cones: in a complete fan it overlaps some maximal cone."""
+    while True:
+        cone = tuple(sorted(r.sample(range(fan.d), fan.n)))
+        if not fan.has_cone(cone) and fan.ray_matrix(cone).rank() == fan.n:
+            return Fan(fan.n, fan.rays, fan.max_cones + (cone,))
+
+
+@pytest.mark.parametrize("name,start", STARTS)
+def test_one_system_per_pair_matches_the_per_ray_reference(name, start):
+    r = rng(100 + len(name))
+    for fan in star_subdivided_fans(r, start(), 6):
+        assert _overlapping_cones(fan) is None and cone_intersections_ok_per_ray(fan)
+        bad = _with_overlapping_cone(r, fan)
+        assert _overlapping_cones(bad) is not None
+        assert not cone_intersections_ok_per_ray(bad)
+    verdicts = []
+    for i in range(150):
+        fan = random_simplicial_fan(r, 2 + i % 2)
+        verdicts.append(_overlapping_cones(fan) is None)
+        assert verdicts[-1] == cone_intersections_ok_per_ray(fan), (fan.rays, fan.max_cones)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_one_exact_system_per_pair_of_maximal_cones(monkeypatch):
+    calls = []
+    real = fan_cox._fm_feasible
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fan_cox, "_fm_feasible", counted)
+    fans = [fan_p1p1(), fan_p3(), list(star_subdivided_fans(rng(7), fan_p2(), 17))[-1],
+            list(star_subdivided_fans(rng(8), fan_p3(), 8))[-1]]
+    counts = []
+    for fan in fans:
+        calls.clear()
+        validate_smooth_fan(fan)
+        counts.append(len(calls))
+    sizes = [len(fan.max_cones) for fan in fans]
+    assert counts == [m * (m - 1) // 2 for m in sizes] == [6, 6, 190, 190]
+    assert [fan.d for fan in fans[2:]] == [20, 12]
 
 
 def test_sigma_hat_examples():

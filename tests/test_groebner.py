@@ -77,6 +77,33 @@ def test_normal_form_properties():
         assert normal_form(nf, gb) == nf
 
 
+def test_repeated_queries_prepare_each_basis_element_once(monkeypatch):
+    ring = ring2()
+    x, y = Poly.variable(ring, 0), Poly.variable(ring, 1)
+    gb = groebner_basis([x * x * y - y, x * y * y - x], ring)
+    assert len(gb) > 2
+    built = []
+
+    class Recording(groebner._WeylReducer):
+        __slots__ = ()
+
+        def __init__(self, w):
+            super().__init__(w)
+            built.append(w)
+    monkeypatch.setattr(groebner, "_WeylReducer", Recording)
+    r = rng(23)
+    queries = [random_poly(r, ring, 4, 4) for _ in range(20)]
+    forms = [normal_form(f, gb) for f in queries]
+    assert len(built) == len(gb)
+    assert sorted(map(sorted, built)) == sorted(sorted(groebner._kernel(g)) for g in gb)
+    assert ideal_contains(gb, [f - nf for f, nf in zip(queries, forms)])
+    assert len(built) == len(gb)
+    # fresh copies of the basis (nothing prepared) give the same normal forms
+    fresh = [Poly(ring, g.terms) for g in gb]
+    assert [normal_form(f, fresh) for f in queries] == forms
+    assert len(built) == 2 * len(gb)
+
+
 def test_membership_soundness_random_combinations():
     ring = ring2()
     x, y = Poly.variable(ring, 0), Poly.variable(ring, 1)

@@ -12,11 +12,11 @@ import json
 import re
 import sys
 
-from .errors import (ChartRewriteError, FanValidationError,
-                     InhomogeneousInput, NotInJp, ParseError,
-                     PreconditionViolated, ToricDmodError, UnknownCone)
+from .errors import (InhomogeneousInput, ParseError, ToricDmodError,
+                     UnknownCone)
 from .fan_cox import (Fan, GradingData, euler_operators, grading_data,
                       irrelevant_ideal)
+from .parsing import format_terms
 from .weyl import (format_weyl, parse_weyl, parse_theta_poly, tp_format,
                    tp_linear_product)
 from . import dmod
@@ -212,11 +212,6 @@ def _cls_list(cls) -> str:
     return json.dumps(list(cls))
 
 
-def _laurent_monomial(names, exps) -> str:
-    parts = [f"{nm}^{e}" if e != 1 else nm for nm, e in zip(names, exps) if e]
-    return "*".join(parts) if parts else "1"
-
-
 def _add_cl_header(report: Report, grading: GradingData):
     report.add("cl", class_group_name(grading))
     report.add("cl-basis", "coordinates are free part then torsion residues")
@@ -235,7 +230,7 @@ def cmd_fan_info(args) -> int:
     report.add("e-bar", _cls_list(grading.e_bar))
     report.add("dual-basis", json.dumps([list(u) for u in grading.dual_basis]))
     xnames = [f"x{i + 1}" for i in range(fan.d)]
-    bgens = sorted(_laurent_monomial(xnames, g)
+    bgens = sorted(format_terms([(1, list(zip(xnames, g)))])
                    for g in irrelevant_ideal(fan).generators)
     report.add("irrelevant-ideal", "(" + ", ".join(bgens) + ")")
     ops = [format_weyl(t) for t in euler_operators(grading)]
@@ -301,10 +296,8 @@ def cmd_charvar(args) -> int:
             d = grading.d
             xnames = [f"x{i + 1}" for i in range(d)]
             xinames = [f"xi{i + 1}" for i in range(d)]
-            gens = []
-            for nm, xe, xie in chart.generator_monomials:
-                gens.append(f"{nm} = " + _laurent_monomial(xnames + xinames,
-                                                           tuple(xe) + tuple(xie)))
+            gens = [f"{nm} = " + format_terms([(1, list(zip(xnames + xinames, xe + xie)))])
+                    for nm, xe, xie in chart.generator_monomials]
             report.add(f"{label}-generators", "; ".join(gens))
             report.add(f"{label}-window", chart.window)
             # at a smooth full-dimensional cone the chart ring is the polynomial
@@ -434,18 +427,9 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (FanValidationError, UnknownCone) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (NotInJp, PreconditionViolated, ChartRewriteError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
     except ToricDmodError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

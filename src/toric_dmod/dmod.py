@@ -16,7 +16,7 @@ from operator import add, mul
 
 from .errors import (BoxTooSmall, ConeNotMaximal, ConeNotSmooth,
                      InhomogeneousInput, NotInJp, PointTooLarge, UnknownCone)
-from .fan_cox import Fan, GradingData
+from .fan_cox import Fan, GradingData, cone_defect
 from .groebner import weyl_buchberger, weyl_normal_form
 from .weyl import (ThetaDict, WeylElement, numerator_action, tau,
                    theta_dict_to_weyl, theta_u, tp_divide_linear_product,
@@ -275,18 +275,11 @@ def rho_b(grading: GradingData, b, w: ThetaDict) -> ThetaDict:
     return tp_subst(w, images, grading.n)
 
 
-def theta_divides(w: ThetaDict, factors) -> tuple[bool, ThetaDict]:
-    """Exact divisibility of w by the product of monic linear (theta_i - m)."""
-    quot = tp_divide_linear_product(w, factors)
-    return (False, {}) if quot is None else (True, quot)
-
-
 def local_op_image(grading: GradingData, cone, p, g: ThetaDict):
     """The chart image of x^(iota(p)) g: the pair (p, rho(g)) for g in J(p)."""
     cone = _require_cone(grading.fan, cone)
     _, factors = h_p(grading, cone, p)
-    ok, _ = theta_divides(g, factors)
-    if not ok:
+    if tp_divide_linear_product(g, factors) is None:
         raise NotInJp("the generator of J(p) does not divide g")
     return tuple(int(x) for x in p), rho(grading, g)
 
@@ -413,7 +406,6 @@ def require_full_smooth_cone(grading: GradingData, cone):
     if cone not in fan.max_cones or len(cone) != fan.n:
         raise ConeNotMaximal(
             f"cone {tuple(i + 1 for i in cone)} is not a full-dimensional maximal cone")
-    mat = fan.ray_matrix(cone)
-    if abs(mat.det()) != 1:
+    if cone_defect(fan, cone):
         raise ConeNotSmooth(f"cone {tuple(i + 1 for i in cone)} is not smooth")
     return cone

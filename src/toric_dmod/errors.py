@@ -1,16 +1,17 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ParseError -> 2, FanValidationError
-subclasses -> 3, PreconditionViolated and friends and ChartRewriteError -> 4.
+Each error type carries the exit code the CLI returns for it: 3 for a
+semantic validation error (the default), 2 for ParseError, 4 for
+PreconditionViolated, its subclasses and ChartRewriteError.
 """
 
 
 class ToricDmodError(Exception):
-    pass
+    exit_code = 3
 
 
 class ParseError(ToricDmodError):
-    pass
+    exit_code = 2
 
 
 class FanValidationError(ToricDmodError):
@@ -34,7 +35,7 @@ class UnknownCone(ToricDmodError):
 
 
 class PreconditionViolated(ToricDmodError):
-    pass
+    exit_code = 4
 
 
 class InhomogeneousInput(PreconditionViolated):
@@ -63,3 +64,5 @@ class PointTooLarge(PreconditionViolated):
 
 class ChartRewriteError(ToricDmodError):
     """A chart computation broke one of its own invariants (a bug, not bad input)."""
+
+    exit_code = 4

@@ -1,5 +1,6 @@
 """Fans of smooth cones, Cox grading data and the irrelevant ideal; a fan is
-validated with one exact common-face test per pair of maximal cones."""
+validated on its maximal cones, with one Smith form per cone and one exact
+common-face test per pair of them."""
 
 from __future__ import annotations
 
@@ -8,17 +9,20 @@ from itertools import combinations
 from math import gcd
 
 from .errors import (FanValidationError, NonSimplicialCone, NonSmoothCone,
-                     PreconditionViolated, RaysDoNotSpan, UnknownCone)
+                     RaysDoNotSpan, UnknownCone)
 from .lattice import (FinitelyGeneratedAbelianGroup, IntMatrix, cokernel,
-                      dual_lattice_basis, integer_rref, primitive)
+                      dual_lattice_basis, integer_rref, primitive,
+                      smith_normal_form)
 from .weyl import WeylElement, theta_u
 
 
 class Fan:
-    """A fan given by its rays and maximal cones (all faces are synthesized).
+    """A fan given by its rays and maximal cones; faces are not synthesized.
 
     Rays are primitive vectors in Z^n; cones are sorted tuples of 0-based ray
-    indices. Every listed ray is a cone, and the zero cone is always present.
+    indices. The maximal cones are the listed cones and the single rays, less
+    every cone strictly inside another; the cones of the fan are their faces,
+    the zero cone included.
     """
 
     def __init__(self, n: int, rays, max_cones):
@@ -31,21 +35,19 @@ class Fan:
             if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):
                 raise FanValidationError(f"cone {cone} has a ray index out of range")
         listed += [(i,) for i in range(len(self.rays))]
-        cones = {()}
-        for cone in listed:
-            for k in range(1, len(cone) + 1):
-                cones.update(combinations(cone, k))
-        self.cones = tuple(sorted(cones, key=lambda c: (len(c), c)))
-        self._coneset = frozenset(self.cones)
-        self.max_cones = tuple(c for c in self.cones
-                               if c and not any(set(c) < set(o) for o in self._coneset))
+        self.max_cones = tuple(sorted(
+            {c for c in listed if c and not any(set(c) < set(o) for o in listed)},
+            key=lambda c: (len(c), c)))
 
     @property
     def d(self) -> int:
         return len(self.rays)
 
     def has_cone(self, cone) -> bool:
-        return tuple(sorted(cone)) in self._coneset
+        """Whether the indices are distinct and span a face of a maximal cone."""
+        indices = set(cone)
+        return len(indices) == len(cone) and (
+            not indices or any(indices <= set(m) for m in self.max_cones))
 
     def ray_matrix(self, cone) -> IntMatrix:
         return IntMatrix.from_rows([self.rays[i] for i in cone])
@@ -101,9 +103,27 @@ def _overlapping_cones(fan: Fan):
     return None
 
 
+def cone_defect(fan: Fan, cone) -> FanValidationError | None:
+    """The error a cone that is not smooth raises, or None for a smooth one.
+
+    The Smith form of the k x n ray matrix has fewer than k invariant factors
+    when the rays are dependent (not simplicial); their product is the gcd of
+    the k x k minors, 1 exactly when the rays extend to a basis of Z^n.
+    """
+    factors = smith_normal_form(fan.ray_matrix(cone)).invariant_factors
+    label = tuple(i + 1 for i in cone)
+    if len(factors) < len(cone):
+        return NonSimplicialCone(f"cone {label} is not simplicial")
+    if any(f != 1 for f in factors):
+        return NonSmoothCone(f"cone {label} is not smooth")
+    return None
+
+
 def validate_smooth_fan(fan: Fan) -> dict:
     """Validate rays, simpliciality, smoothness and common faces; raises typed
-    errors, the overlap error naming the first offending pair of cones.
+    errors, a cone error naming the first failing maximal cone and the overlap
+    error the first offending pair of them. Both cone properties pass to
+    faces, so the maximal cones settle them.
 
     Returns a small report dict on success.
     """
@@ -116,19 +136,10 @@ def validate_smooth_fan(fan: Fan) -> dict:
         raise FanValidationError("rays are not pairwise distinct")
     if IntMatrix.from_rows(fan.rays).rank() != fan.n:
         raise RaysDoNotSpan("rays do not span the ambient space")
-    for cone in fan.cones:
-        if not cone:
-            continue
-        m = fan.ray_matrix(cone)
-        if m.rank() != len(cone):
-            raise NonSimplicialCone(f"cone {tuple(i + 1 for i in cone)} is not simplicial")
-        k = len(cone)
-        g = 0
-        for cols in combinations(range(fan.n), k):
-            sub = IntMatrix.from_rows([[m[i, j] for j in cols] for i in range(k)])
-            g = gcd(g, sub.det())
-        if abs(g) != 1:
-            raise NonSmoothCone(f"cone {tuple(i + 1 for i in cone)} is not smooth")
+    for cone in fan.max_cones:
+        defect = cone_defect(fan, cone)
+        if defect:
+            raise defect
     pair = _overlapping_cones(fan)
     if pair:
         s1, s2 = (tuple(i + 1 for i in cone) for cone in pair)
@@ -205,38 +216,12 @@ class GradingData:
         rep = self.class_group.section(cls)
         return sum(x * y for x, y in zip(u, rep))
 
-    def dual_coordinates(self, u):
-        """Integer c with sum_j c_j * dual_basis[j] == u, or None."""
-        k = len(self.dual_basis)
-        # one equation per coordinate: the basis functionals, then u
-        rows, pivots = integer_rref([tuple(b[i] for b in self.dual_basis) + (u[i],)
-                                     for i in range(self.d)])
-        if k in pivots:
-            return None
-        coords = [0] * k
-        for row, col in zip(rows, pivots):
-            q, rem = divmod(row[k], row[col])
-            if rem:
-                return None
-            coords[col] = q
-        return tuple(coords)
-
 
 def grading_data(fan: Fan) -> GradingData:
     validate_smooth_fan(fan)
     return GradingData(fan)
 
 
-def euler_operator(grading: GradingData, u) -> WeylElement:
-    """theta_u = sum_i <u, e_i> x_i d_i for u in the span of the dual basis."""
-    u = tuple(int(x) for x in u)
-    if len(u) != grading.d:
-        raise ValueError("functional length mismatch")
-    if grading.dual_coordinates(u) is None:
-        raise PreconditionViolated("functional is not in the span of the dual basis")
-    return theta_u(u)
-
-
 def euler_operators(grading: GradingData) -> list[WeylElement]:
-    return [euler_operator(grading, u) for u in grading.dual_basis]
-
+    """theta_u = sum_i <u, e_i> x_i d_i for each u of the dual basis."""
+    return [theta_u(u) for u in grading.dual_basis]

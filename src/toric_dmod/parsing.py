@@ -143,12 +143,13 @@ def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
 
 
 def format_terms(terms: list[tuple[Fraction, list[tuple[str, int]]]]) -> str:
-    """Render (coefficient, [(variable name, exponent)]) terms as a sum."""
+    """Render (coefficient, [(variable name, exponent)]) terms as a sum; an
+    exponent of 0 drops the variable, and a negative one is printed as is."""
     if not terms:
         return "0"
     chunks = []
     for coeff, vars_ in terms:
-        body = "*".join(f"{name}^{e}" if e > 1 else name for name, e in vars_ if e > 0)
+        body = "*".join(f"{name}^{e}" if e != 1 else name for name, e in vars_ if e)
         mag = abs(coeff)
         if not body:
             text = str(mag)

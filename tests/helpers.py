@@ -10,7 +10,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from toric_dmod.fan_cox import Fan, GradingData, _fm_feasible, grading_data
+from toric_dmod.errors import (FanValidationError, NonSimplicialCone,
+                               NonSmoothCone, RaysDoNotSpan)
+from toric_dmod.fan_cox import (Fan, GradingData, _fm_feasible,
+                                _overlapping_cones, grading_data)
 from toric_dmod.groebner import Poly, PolyRing
 from toric_dmod.lattice import IntMatrix
 from toric_dmod.weyl import WeylElement
@@ -146,6 +149,77 @@ def cone_intersections_ok_per_ray(fan: Fan) -> bool:
                 if _fm_feasible(eqs, ineqs, nvars):
                     return False
     return True
+
+
+# the face set and the per-face cone checks, the reference for the checks
+# on maximal cones
+
+
+def fan_faces(fan: Fan) -> set:
+    """Every cone of the fan as a sorted index tuple: all faces of the maximal
+    cones, the zero cone included."""
+    faces = {()}
+    for cone in fan.max_cones:
+        for k in range(1, len(cone) + 1):
+            faces.update(combinations(cone, k))
+    return faces
+
+
+def defective_faces(fan: Fan) -> list:
+    """(face, error class) for every nonzero face in (size, indices) order
+    that is not simplicial (a rank test) or not smooth (the gcd of its k x k
+    minors is not 1)."""
+    defects = []
+    for cone in sorted(fan_faces(fan), key=lambda c: (len(c), c)):
+        if not cone:
+            continue
+        m, k = fan.ray_matrix(cone), len(cone)
+        if m.rank() != k:
+            defects.append((cone, NonSimplicialCone))
+            continue
+        g = 0
+        for cols in combinations(range(fan.n), k):
+            g = gcd(g, IntMatrix.from_rows([[m[i, j] for j in cols]
+                                            for i in range(k)]).det())
+        if abs(g) != 1:
+            defects.append((cone, NonSmoothCone))
+    return defects
+
+
+def validate_per_face(fan: Fan):
+    """Reference for validate_smooth_fan with the cone checks run on every
+    face: the error it raises, or None. The first defective face is the
+    smallest, so a fan whose maximal cone is not simplicial but has a face
+    that is not smooth gets NonSmoothCone here."""
+    for ray in fan.rays:
+        if not any(ray) or gcd(*ray) != 1:
+            return FanValidationError("ray is zero or not primitive")
+    if len(set(fan.rays)) != len(fan.rays):
+        return FanValidationError("rays are not pairwise distinct")
+    if IntMatrix.from_rows(fan.rays).rank() != fan.n:
+        return RaysDoNotSpan("rays do not span the ambient space")
+    defects = defective_faces(fan)
+    if defects:
+        cone, cls = defects[0]
+        return cls(f"cone {tuple(i + 1 for i in cone)}")
+    if _overlapping_cones(fan):
+        return FanValidationError("cones intersect in more than a common face")
+    return None
+
+
+def random_fan(r: random.Random, n: int) -> Fan:
+    """Distinct primitive rays in [-2, 2]^n and a few random cones of 1 to
+    n + 1 rays: cones may be dependent, not smooth or overlapping, and the
+    rays may not span."""
+    rays, count = set(), r.randint(n, n + 3)
+    while len(rays) < count:
+        ray = tuple(r.randint(-2, 2) for _ in range(n))
+        if any(ray) and gcd(*ray) == 1:
+            rays.add(ray)
+    rays = sorted(rays)
+    cones = [r.sample(range(len(rays)), r.randint(1, min(n + 1, len(rays))))
+             for _ in range(r.randint(1, 4))]
+    return Fan(n, rays, cones)
 
 
 def fraction_eval(p: dict, point) -> Fraction:

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import cli_env
+from toric_dmod import cli, errors
 from toric_dmod.cli import load_fan, load_module, main
 from toric_dmod.errors import ParseError
 from toric_dmod.fan_cox import grading_data
@@ -231,6 +232,37 @@ def test_local_unknown_cone_exit_3():
     rc, _, _ = run_cli("local", str(FIXTURES / "p1.fan"),
                        "--cone", "1,2", "--p=-1")
     assert rc == 3
+
+
+def test_local_repeated_ray_cone_exits_3(capsys):
+    # (1, 1) is not a cone: its indices are not distinct
+    assert main(["local", str(FIXTURES / "p1.fan"), "--cone", "1,1", "--p=-1"]) == 3
+    assert "is not in the fan" in capsys.readouterr().err
+
+
+# the exit code of every error type, as the module docstrings document it
+EXIT_CODES = {
+    "ToricDmodError": 3, "ParseError": 2, "FanValidationError": 3,
+    "NonSimplicialCone": 3, "NonSmoothCone": 3, "RaysDoNotSpan": 3,
+    "UnknownCone": 3, "PreconditionViolated": 4, "InhomogeneousInput": 4,
+    "NotInJp": 4, "BoxTooSmall": 4, "ConeNotMaximal": 4, "ConeNotSmooth": 4,
+    "PointTooLarge": 4, "ChartRewriteError": 4,
+}
+
+
+def test_every_error_type_exits_with_its_documented_code(monkeypatch, capsys):
+    types = {name: cls for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, errors.ToricDmodError)}
+    assert set(types) == set(EXIT_CODES)
+    for name, cls in types.items():
+        def raising(args, cls=cls):
+            raise cls(f"raised {cls.__name__}")
+        monkeypatch.setattr(cli, "cmd_fan_info", raising)
+        # a fresh parser binds the patched command
+        monkeypatch.setattr(cli, "_parser", None)
+        assert main(["fan-info", str(FIXTURES / "p1.fan")]) == EXIT_CODES[name], name
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: raised {name}\n")
 
 
 def test_module_document_round_trip(tmp_path):

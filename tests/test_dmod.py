@@ -13,11 +13,12 @@ from toric_dmod.dmod import (GradedPresentation, bimodule_identity_check,
                              i_p_ideal, i_p_matches_y_p,
                              j_p_oracle, k_component, left_right_identity_check,
                              left_right_swap, local_op_image, rho, rho_b,
-                             theta_divides, verify_local_action, y_p_points)
+                             verify_local_action, y_p_points)
 from toric_dmod.errors import (BoxTooSmall, InhomogeneousInput, NotInJp,
                                UnknownCone)
 from toric_dmod.weyl import (WeylElement, format_weyl, parse_weyl, tp_add,
-                             tp_eval, tp_linear, tp_mul)
+                             tp_divide_linear_product, tp_eval, tp_linear,
+                             tp_mul)
 
 
 def W(s, d=2):
@@ -228,11 +229,11 @@ def test_linear_independence_of_distinct_ray_forms():
 
 
 def test_theta_divides():
+    # the divisibility local_op_image asks of g: theta_1 (theta_1 + 1) by
+    # theta_1, and 1 not by theta_1
     w = tp_mul(tp_linear(2, 0, 0), tp_linear(2, 0, -1))
-    ok, quot = theta_divides(w, [(0, 0)])
-    assert ok and quot == tp_linear(2, 0, -1)
-    ok2, _ = theta_divides({(0, 0): Fraction(1)}, [(0, 0)])
-    assert not ok2
+    assert tp_divide_linear_product(w, [(0, 0)]) == tp_linear(2, 0, -1)
+    assert tp_divide_linear_product({(0, 0): Fraction(1)}, [(0, 0)]) is None
 
 
 def test_local_op_image_examples():

@@ -1,20 +1,19 @@
-"""The integer row echelon routine and its four callers against oracles.
+"""The integer row echelon routine and its three callers against oracles.
 
-Rank and integer solvability are checked against sympy (skipped when it is
-not installed), the unimodular inverse by multiplying back, and the
-Fourier-Motzkin feasibility test by vertex enumeration.
+Rank is checked against sympy (skipped when it is not installed), the
+unimodular inverse by multiplying back, and the Fourier-Motzkin feasibility
+test by vertex enumeration.
 """
 
 from math import gcd
-from types import SimpleNamespace
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
-from helpers import all_fixture_fans, fan_torsion, grading, vertex_feasible  # noqa: E402
-from toric_dmod.fan_cox import GradingData, _fm_feasible  # noqa: E402
+from helpers import vertex_feasible  # noqa: E402
+from toric_dmod.fan_cox import _fm_feasible  # noqa: E402
 from toric_dmod.lattice import IntMatrix, integer_rref, unimodular_inverse  # noqa: E402
 
 small = st.integers(-3, 3)
@@ -48,57 +47,6 @@ def test_rank_matches_sympy(rows):
     out, _ = integer_rref(rows)
     # same row space: stacking the echelon rows onto the input adds no rank
     assert sympy.Matrix(rows + out).rank() == len(out)
-
-
-@st.composite
-def solve_cases(draw):
-    """Independent integer columns b_j and a target u that is an integer
-    combination of them, a half-integer one, or neither."""
-    d = draw(st.integers(1, 4))
-    k = draw(st.integers(1, d))
-    basis = draw(st.lists(st.tuples(*[small] * d), min_size=k, max_size=k))
-    coeffs = draw(st.lists(small, min_size=k, max_size=k))
-    u = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(d)]
-    if draw(st.booleans()) and all(x % 2 == 0 for x in u):
-        u = [x // 2 for x in u]
-    if draw(st.booleans()):
-        u = [x + e for x, e in zip(u, draw(st.tuples(*[small] * d)))]
-    return d, basis, tuple(u)
-
-
-@given(solve_cases())
-def test_dual_coordinates_against_sympy(case):
-    sympy = pytest.importorskip("sympy")
-    d, basis, u = case
-    assume(sympy.Matrix(basis).rank() == len(basis))
-    coords = GradingData.dual_coordinates(SimpleNamespace(dual_basis=basis, d=d), u)
-    try:
-        sol, _ = sympy.Matrix(basis).T.gauss_jordan_solve(sympy.Matrix(u))
-        integral = all(x.is_integer for x in sol)
-    except ValueError:              # no rational solution
-        integral = False
-    assert (coords is not None) == integral
-    if coords is not None:
-        assert tuple(sol) == coords
-        assert tuple(sum(c * b[i] for c, b in zip(coords, basis))
-                     for i in range(d)) == u
-
-
-def test_dual_coordinates_on_fixture_gradings():
-    fans = [fan for _, fan in all_fixture_fans()] + [fan_torsion()]
-    for fan in fans:
-        gd = grading(fan)
-        k = len(gd.dual_basis)
-        for coeffs in [(1,) * k, ((2,) + (-1,) * k)[:k]]:
-            u = tuple(sum(c * b[i] for c, b in zip(coeffs, gd.dual_basis))
-                      for i in range(gd.d))
-            assert gd.dual_coordinates(u) == coeffs
-        # a coordinate vector is a sum of dual functionals only if it is
-        # constant on each class of rays; e_1 never is
-        assert gd.dual_coordinates((1,) + (0,) * (gd.d - 1)) is None
-    empty = SimpleNamespace(dual_basis=(), d=2)
-    assert GradingData.dual_coordinates(empty, (0, 0)) == ()
-    assert GradingData.dual_coordinates(empty, (0, 1)) is None
 
 
 @st.composite

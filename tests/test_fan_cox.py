@@ -6,18 +6,18 @@ from itertools import product
 import pytest
 
 from helpers import (all_fixture_fans, cone_intersections_ok_per_ray,
-                     fan_hirzebruch1, fan_p1, fan_p1_cubed, fan_p1p1, fan_p2,
-                     fan_p3, fan_torsion, grading, random_simplicial_fan, rng,
-                     star_subdivided_fans)
+                     defective_faces, fan_faces, fan_hirzebruch1, fan_p1,
+                     fan_p1_cubed, fan_p1p1, fan_p2, fan_p3, fan_torsion,
+                     grading, random_fan, random_simplicial_fan, rng,
+                     star_subdivided_fans, validate_per_face)
 from toric_dmod import cli, fan_cox
 from toric_dmod.errors import (FanValidationError, NonSimplicialCone,
-                               NonSmoothCone, PreconditionViolated,
-                               RaysDoNotSpan, UnknownCone)
-from toric_dmod.fan_cox import (Fan, _overlapping_cones, euler_operator,
-                                euler_operators, grading_data, irrelevant_ideal,
+                               NonSmoothCone, RaysDoNotSpan, UnknownCone)
+from toric_dmod.fan_cox import (Fan, _overlapping_cones, euler_operators,
+                                grading_data, irrelevant_ideal,
                                 sigma_hat_monomial, validate_smooth_fan)
 from toric_dmod.lattice import FinitelyGeneratedAbelianGroup
-from toric_dmod.weyl import WeylElement, format_weyl
+from toric_dmod.weyl import WeylElement, format_weyl, theta_u
 
 
 def test_p2_fan_is_valid():
@@ -140,6 +140,98 @@ def test_one_exact_system_per_pair_of_maximal_cones(monkeypatch):
     assert [fan.d for fan in fans[2:]] == [20, 12]
 
 
+def _all_fans_for_has_cone():
+    r = rng(31)
+    fans = [fan for _, fan in all_fixture_fans()] + [fan_p3(), fan_p1_cubed(),
+                                                     fan_torsion()]
+    fans += list(star_subdivided_fans(r, fan_p2(), 17))[::4]
+    fans += list(star_subdivided_fans(r, fan_p3(), 8))[::4]
+    fans += [random_simplicial_fan(r, 2 + i % 2) for i in range(40)]
+    return fans
+
+
+def test_has_cone_is_membership_in_the_face_set():
+    # every tuple of at most n + 1 indices, repeated ones included: a tuple
+    # with a repeated index is never a cone
+    for fan in _all_fans_for_has_cone():
+        faces = fan_faces(fan)
+        for k in range(fan.n + 2):
+            for idx in product(range(fan.d), repeat=k):
+                assert fan.has_cone(idx) == (tuple(sorted(idx)) in faces), \
+                    (fan.rays, fan.max_cones, idx)
+    assert not fan_p1().has_cone((0, 0)) and fan_p1().has_cone(())
+
+
+def test_max_cones_drop_listed_faces():
+    fan = Fan(2, [[1, 0], [0, 1], [-1, -1]], [[1, 0], [0], [0, 1], [2], []])
+    assert fan.max_cones == ((2,), (0, 1))
+    with pytest.raises(FanValidationError, match="out of range"):
+        Fan(2, [[1, 0], [0, 1]], [[0, 2]])
+
+
+def _verdict(check, fan):
+    try:
+        check(fan)
+    except FanValidationError as exc:
+        return type(exc)
+    return None
+
+
+def test_validation_on_maximal_cones_matches_the_per_face_reference():
+    # the exit code (an error or none) always matches; the error class
+    # matches unless two or more faces are defective, where the first failing
+    # maximal cone need not hold the smallest defective face
+    r = rng(32)
+    fans = [random_fan(r, 2 + i % 2) for i in range(600)]
+    fans += _all_fans_for_has_cone()
+    seen, single = set(), set()
+    for fan in fans:
+        error = validate_per_face(fan)
+        expected = type(error) if error else None
+        got = _verdict(validate_smooth_fan, fan)
+        assert (got is None) == (expected is None), (fan.rays, fan.max_cones)
+        seen.add(expected)
+        defects = len(defective_faces(fan))
+        if got is not expected:
+            assert {expected, got} == {NonSmoothCone, NonSimplicialCone}
+            assert defects >= 2, (fan.rays, fan.max_cones)
+        elif defects == 1:
+            single.add(got)
+    assert {None, NonSimplicialCone, NonSmoothCone, RaysDoNotSpan,
+            FanValidationError} <= seen
+    assert single == {NonSimplicialCone, NonSmoothCone}
+
+
+def test_a_cone_error_names_a_maximal_cone():
+    # the face (1, 2) of the maximal cone (1, 2, 3) is not smooth; the cone
+    # itself has three rays in the plane
+    fan = Fan(2, [[1, 0], [1, 2], [0, 1]], [[0, 1, 2]])
+    assert validate_per_face(fan).args == ("cone (1, 2)",)
+    with pytest.raises(NonSimplicialCone, match=r"^cone \(1, 2, 3\) is not simplicial$"):
+        validate_smooth_fan(fan)
+    with pytest.raises(NonSmoothCone, match=r"^cone \(1, 2\) is not smooth$"):
+        validate_smooth_fan(Fan(2, [[1, 0], [1, 2], [0, -1]], [[0, 1], [2]]))
+
+
+def test_one_smith_form_per_maximal_cone(monkeypatch):
+    calls = []
+    real = fan_cox.smith_normal_form
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(fan_cox, "smith_normal_form", counted)
+    fans = [fan_p1p1(), fan_p3(), list(star_subdivided_fans(rng(7), fan_p2(), 17))[-1],
+            list(star_subdivided_fans(rng(8), fan_p3(), 8))[-1]]
+    counts = []
+    for fan in fans:
+        calls.clear()
+        validate_smooth_fan(fan)
+        counts.append(len(calls))
+    assert counts == [len(fan.max_cones) for fan in fans] == [4, 4, 20, 20]
+
+
 def test_sigma_hat_examples():
     assert sigma_hat_monomial(fan_p1(), (0,)) == (0, 1)
     assert sigma_hat_monomial(fan_p1(), ()) == (1, 1)
@@ -244,12 +336,19 @@ def test_grading_additivity_on_sigma_hats():
 
 def test_euler_operator_examples():
     gd = grading(fan_p1())
-    assert format_weyl(euler_operator(gd, gd.dual_basis[0])) == "x1*d1 + x2*d2"
-    assert euler_operator(gd, (0, 0)) == WeylElement.zero(2)
+    assert [format_weyl(t) for t in euler_operators(gd)] == ["x1*d1 + x2*d2"]
     gd2 = grading(fan_p1p1())
-    assert format_weyl(euler_operator(gd2, gd2.dual_basis[0])) == "x1*d1 + x2*d2"
-    with pytest.raises(PreconditionViolated):
-        euler_operator(gd, (1, 0))
+    assert [format_weyl(t) for t in euler_operators(gd2)] == ["x1*d1 + x2*d2",
+                                                              "x3*d3 + x4*d4"]
+    assert euler_operators(grading(fan_torsion())) == []
+    # theta_u = sum_i u_i x_i d_i, one per dual functional, in order
+    for fan in (fan_p2(), fan_hirzebruch1(), fan_p3()):
+        gd = grading(fan)
+        ops = euler_operators(gd)
+        assert ops == [theta_u(u) for u in gd.dual_basis]
+        for u, op in zip(gd.dual_basis, ops):
+            units = [(tuple(int(j == i) for j in range(gd.d)),) * 2 for i in range(gd.d)]
+            assert op == WeylElement(gd.d, {a: c for a, c in zip(units, u) if c})
 
 
 def test_euler_operator_kills_relations():

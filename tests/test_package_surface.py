@@ -1,7 +1,8 @@
 """The package exposes its modules and nothing else, every module-level
 function and class has a caller (a name that nothing in the program, the
-benchmark or the allowlist below uses is dead code), and modules keep no
-state of their own. Source is only read here.
+benchmark or the allowlist below uses is dead code), every imported name is
+used by the module that imports it, and modules keep no state of their own.
+Source is only read here.
 """
 
 import ast
@@ -65,6 +66,22 @@ def test_every_module_level_definition_has_a_caller():
         if re.search(rf"\b{name}\b", bench) or name in TEST_ONLY:
             continue
         unused.append(f"{path.stem}.{name}")
+    assert not unused
+
+
+def test_every_imported_name_is_used():
+    # what a deletion leaves behind: an import whose last user is gone
+    unused = []
+    for path, tree in _modules().items():
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{path.stem}: {bound}")
     assert not unused
 
 

@@ -9,15 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (ChartRewriteError, ConeNotMaximal, ConeNotSmooth,
-                     PreconditionViolated)
+from .errors import ChartRewriteError, ConeNotMaximal, PreconditionViolated
 from .fan_cox import GradingData, irrelevant_ideal
 from .groebner import (EMPTY_DIM, Poly, PolyRing, annihilator_of_graded_quotient,
                        basis_dimension, format_poly, groebner_basis, ideal_contains,
                        initial_forms, is_unit_ideal, radical_membership,
                        saturation, saturation_by_monomials)
-from .dmod import (GradedPresentation, check_theta_condition,
-                   require_full_smooth_cone)
+from .dmod import GradedPresentation, check_theta_condition, require_chart_cone
 from .lattice import unimodular_inverse
 
 ZERO_SHEAF = "zero sheaf"
@@ -90,16 +88,6 @@ def verify_char_containment(grading: GradingData, pres: GradedPresentation) -> b
 
 
 @dataclass
-class ChartIdeal:
-    cone: tuple[int, ...]
-    ring: PolyRing
-    generator_monomials: list[tuple[str, tuple[int, ...], tuple[int, ...]]]
-    image_ideal: list[Poly]
-    dimension: object
-    window: str
-
-
-@dataclass
 class CharReport:
     char_ideal: list[Poly]
     dim: object                # int or "empty"
@@ -147,8 +135,17 @@ class ChartFrame:
     generator_monomials: list[tuple[str, tuple[int, ...], tuple[int, ...]]]
 
 
+@dataclass(frozen=True)
+class ChartIdeal:
+    """The image of an ideal in the chart ring of frame, and its dimension."""
+
+    frame: ChartFrame
+    image_ideal: list[Poly]
+    dimension: object          # int or EMPTY_DIM
+
+
 def chart_frame(grading: GradingData, cone) -> ChartFrame:
-    cone = require_full_smooth_cone(grading, cone)
+    cone = require_chart_cone(grading, cone)
     d, n = grading.d, grading.n
     try:
         inv = unimodular_inverse(grading.fan.ray_matrix(cone))
@@ -172,10 +169,10 @@ def chart_frame(grading: GradingData, cone) -> ChartFrame:
 
 def chart_frames(grading: GradingData) -> list[ChartFrame] | None:
     """One frame per maximal cone, or None when some maximal cone is not
-    full-dimensional and smooth."""
+    full-dimensional."""
     try:
         return [chart_frame(grading, cone) for cone in grading.fan.max_cones]
-    except (ConeNotMaximal, ConeNotSmooth):
+    except ConeNotMaximal:
         return None
 
 
@@ -230,10 +227,7 @@ def chart_image(grading: GradingData, frame: ChartFrame, gens: list[Poly]) -> li
 
 
 def _chart(frame: ChartFrame, image: list[Poly]) -> ChartIdeal:
-    window = ("degree-zero monomials via the linear section with zero exponents "
-              "on rays " + ",".join(str(i + 1) for i in frame.cone))
-    return ChartIdeal(frame.cone, frame.ring, frame.generator_monomials,
-                      image, basis_dimension(image, frame.ring), window)
+    return ChartIdeal(frame, image, basis_dimension(image, frame.ring))
 
 
 def chart_ideal_from_saturated(grading: GradingData, saturated: list[Poly],
@@ -312,10 +306,10 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
 
 def chart_ideal(grading: GradingData, report: CharReport, cone) -> ChartIdeal:
     """The chart of a report's saturated characteristic variety on one cone."""
-    cone = require_full_smooth_cone(grading, cone)
+    cone = require_chart_cone(grading, cone)
     if report.charts is None:
         return chart_ideal_from_saturated(grading, report.saturated, cone)
-    return next(chart for chart in report.charts if chart.cone == cone)
+    return next(chart for chart in report.charts if chart.frame.cone == cone)
 
 
 def verify_quotient_dimension(grading: GradingData, pres: GradedPresentation) -> bool:

@@ -283,7 +283,7 @@ def cmd_charvar(args) -> int:
     if args.charts:
         # fail before the report, not after computing all of it
         for cone in grading.fan.max_cones:
-            dmod.require_full_smooth_cone(grading, cone)
+            dmod.require_chart_cone(grading, cone)
     rep = charvar.dimension_report(grading, pres)
     report = Report(args.format)
     _add_cl_header(report, grading)
@@ -291,15 +291,16 @@ def cmd_charvar(args) -> int:
         if key != "saturated" or args.saturate:
             report.add(key, value)
     if args.charts:
+        d = grading.d
+        xnames = [f"x{i + 1}" for i in range(d)] + [f"xi{i + 1}" for i in range(d)]
         for chart in rep.charts:
-            label = f"chart-{','.join(str(i + 1) for i in chart.cone)}"
-            d = grading.d
-            xnames = [f"x{i + 1}" for i in range(d)]
-            xinames = [f"xi{i + 1}" for i in range(d)]
-            gens = [f"{nm} = " + format_terms([(1, list(zip(xnames + xinames, xe + xie)))])
-                    for nm, xe, xie in chart.generator_monomials]
+            rays = ",".join(str(i + 1) for i in chart.frame.cone)
+            label = f"chart-{rays}"
+            gens = [f"{nm} = " + format_terms([(1, list(zip(xnames, xe + xie)))])
+                    for nm, xe, xie in chart.frame.generator_monomials]
             report.add(f"{label}-generators", "; ".join(gens))
-            report.add(f"{label}-window", chart.window)
+            report.add(f"{label}-window", "degree-zero monomials via the linear "
+                       f"section with zero exponents on rays {rays}")
             # at a smooth full-dimensional cone the chart ring is the polynomial
             # ring on its n + d generators (Cox 1995), so no relation holds
             report.add(f"{label}-presentation", "(0)")

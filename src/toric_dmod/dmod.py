@@ -14,9 +14,9 @@ from itertools import product
 from math import prod
 from operator import add, mul
 
-from .errors import (BoxTooSmall, ConeNotMaximal, ConeNotSmooth,
-                     InhomogeneousInput, NotInJp, PointTooLarge, UnknownCone)
-from .fan_cox import Fan, GradingData, cone_defect
+from .errors import (BoxTooSmall, ConeNotMaximal, InhomogeneousInput, NotInJp,
+                     PointTooLarge)
+from .fan_cox import Fan, GradingData
 from .groebner import weyl_buchberger, weyl_normal_form
 from .weyl import (ThetaDict, WeylElement, numerator_action, tau,
                    theta_dict_to_weyl, theta_u, tp_divide_linear_product,
@@ -194,13 +194,6 @@ def left_right_swap(pres: GradedPresentation) -> GradedPresentation:
 # local eigenspace machinery
 
 
-def _require_cone(fan: Fan, cone):
-    cone = tuple(sorted(int(i) for i in cone))
-    if not fan.has_cone(cone):
-        raise UnknownCone(f"cone {tuple(i + 1 for i in cone)} is not in the fan")
-    return cone
-
-
 def local_radius(grading: GradingData, p) -> int:
     """The box radius the local oracles need: max(1, |iota(p)_i|) + 1."""
     return max([1] + [abs(v) for v in grading.iota_of(p)]) + 1
@@ -225,7 +218,7 @@ def h_p(grading: GradingData, cone, p) -> tuple[ThetaDict, list]:
     The index range is 0 <= m <= -iota(p)_i - 1 over rays of the cone; this is
     the convention certified by the action oracle.
     """
-    cone = _require_cone(grading.fan, cone)
+    cone = grading.fan.require_cone(cone)
     ip = grading.iota_of(p)
     factors = sorted((i, m) for i in cone for m in range(0, -ip[i]))
     return tp_linear_product(grading.d, factors), factors
@@ -238,7 +231,7 @@ def j_p_oracle(grading: GradingData, cone, p, radius: int):
     those; BoxTooSmall if the box cannot contain all slabs.
     """
     fan = grading.fan
-    cone = _require_cone(fan, cone)
+    cone = fan.require_cone(cone)
     ip = grading.iota_of(p)
     needed = local_radius(grading, p)
     if radius < needed:
@@ -277,7 +270,6 @@ def rho_b(grading: GradingData, b, w: ThetaDict) -> ThetaDict:
 
 def local_op_image(grading: GradingData, cone, p, g: ThetaDict):
     """The chart image of x^(iota(p)) g: the pair (p, rho(g)) for g in J(p)."""
-    cone = _require_cone(grading.fan, cone)
     _, factors = h_p(grading, cone, p)
     if tp_divide_linear_product(g, factors) is None:
         raise NotInJp("the generator of J(p) does not divide g")
@@ -286,7 +278,6 @@ def local_op_image(grading: GradingData, cone, p, g: ThetaDict):
 
 def i_p_ideal(grading: GradingData, cone, p) -> ThetaDict:
     """Generator rho(h_p) of the chart-side ideal I(p)."""
-    cone = _require_cone(grading.fan, cone)
     hp, _ = h_p(grading, cone, p)
     return rho(grading, hp)
 
@@ -317,7 +308,7 @@ def _box_walk(fan: Fan, cone, p, radius: int):
 
 def y_p_points(fan: Fan, cone, p, radius: int) -> list[tuple[int, ...]]:
     """Enumerate Y(p) = {q in the dual cone with q + p outside it} in a box."""
-    cone = _require_cone(fan, cone)
+    cone = fan.require_cone(cone)
     return [q for q, _, _, in_y in _box_walk(fan, cone, p, radius) if in_y]
 
 
@@ -325,7 +316,7 @@ def i_p_matches_y_p(grading: GradingData, cone, p, ip: ThetaDict, radius: int) -
     """ip (the generator rho(h_p) of I(p)) vanishes exactly on Y(p) among
     dual-cone points in the box."""
     fan = grading.fan
-    cone = _require_cone(fan, cone)
+    cone = fan.require_cone(cone)
     _, ip_at = tp_numerator_evaluator(ip)
     return all((ip_at(q) == 0) == in_y
                for q, _, in_dual, in_y in _box_walk(fan, cone, p, radius) if in_dual)
@@ -359,7 +350,7 @@ def verify_local_action(grading: GradingData, cone, p, g: ThetaDict,
     compared before it. For q in the dual cone whose shift leaves it, the
     result must vanish (the operator preserves the cone ring).
     """
-    cone = _require_cone(grading.fan, cone)
+    cone = grading.fan.require_cone(cone)
     action = numerator_action(theta_dict_to_weyl(grading.n, rho(grading, g)))
     g_den, g_at = tp_numerator_evaluator(g)
     return _actions_hold(grading, cone, p, [action], g_den, g_at, radius)
@@ -375,7 +366,7 @@ def factored_local_action_holds(grading: GradingData, cone, p, factors,
     preserve the dual-cone ring. With m = r / s that is
     prod (s iota(q)_i - r) over prod s.
     """
-    cone = _require_cone(grading.fan, cone)
+    cone = grading.fan.require_cone(cone)
     d, n = grading.d, grading.n
     actions = [numerator_action(theta_dict_to_weyl(n, rho(grading, tp_linear(d, i, -m))))
                for i, m in factors]
@@ -399,13 +390,12 @@ def k_component(grading: GradingData, a, b_bar) -> list[ThetaDict]:
     return gens
 
 
-def require_full_smooth_cone(grading: GradingData, cone):
-    """A maximal cone usable as a chart: full-dimensional and unimodular."""
+def require_chart_cone(grading: GradingData, cone):
+    """A maximal cone usable as a chart: a full-dimensional one. It is
+    smooth, as validation proved every maximal cone of the fan smooth."""
     fan = grading.fan
-    cone = _require_cone(fan, cone)
+    cone = fan.require_cone(cone)
     if cone not in fan.max_cones or len(cone) != fan.n:
         raise ConeNotMaximal(
             f"cone {tuple(i + 1 for i in cone)} is not a full-dimensional maximal cone")
-    if cone_defect(fan, cone):
-        raise ConeNotSmooth(f"cone {tuple(i + 1 for i in cone)} is not smooth")
     return cone

@@ -54,10 +54,6 @@ class ConeNotMaximal(PreconditionViolated):
     pass
 
 
-class ConeNotSmooth(PreconditionViolated):
-    pass
-
-
 class PointTooLarge(PreconditionViolated):
     """A lattice point beyond the bounds of the local oracles."""
 

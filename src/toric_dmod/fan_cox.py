@@ -49,6 +49,13 @@ class Fan:
         return len(indices) == len(cone) and (
             not indices or any(indices <= set(m) for m in self.max_cones))
 
+    def require_cone(self, cone) -> tuple[int, ...]:
+        """The cone as a sorted index tuple; UnknownCone unless it is in the fan."""
+        cone = tuple(sorted(int(i) for i in cone))
+        if not self.has_cone(cone):
+            raise UnknownCone(f"cone {tuple(i + 1 for i in cone)} is not in the fan")
+        return cone
+
     def ray_matrix(self, cone) -> IntMatrix:
         return IntMatrix.from_rows([self.rays[i] for i in cone])
 
@@ -149,10 +156,7 @@ def validate_smooth_fan(fan: Fan) -> dict:
 
 def sigma_hat_monomial(fan: Fan, cone) -> tuple[int, ...]:
     """Exponent vector of the squarefree monomial over the rays outside the cone."""
-    cone = tuple(sorted(cone))
-    if not fan.has_cone(cone):
-        raise UnknownCone(f"cone {tuple(i + 1 for i in cone)} is not in the fan")
-    inside = set(cone)
+    inside = set(fan.require_cone(cone))
     return tuple(0 if i in inside else 1 for i in range(fan.d))
 
 

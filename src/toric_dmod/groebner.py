@@ -261,8 +261,7 @@ class WeylModuleOrder:
     """POT, component 0 highest, over (weight = total d-degree, then
     degrevlex on x,d jointly)."""
 
-    def __init__(self, rank: int):
-        self.rank = rank
+    def __init__(self):
         self._cache: dict = {}
 
     def key(self, cab):
@@ -403,7 +402,7 @@ def buchberger(gens: list[dict], rank: int) -> list[dict]:
     never mix components. Pairs are taken by smallest lcm. Inputs are
     reduced before they are inserted.
     """
-    worder = WeylModuleOrder(rank)
+    worder = WeylModuleOrder()
     elems: list[_WeylReducer] = []     # every inserted element, by index
     live: list[int] = []               # indices of the current reducers
     pairs: list = []                   # heap of (lcm key, i, j, lcm)
@@ -478,7 +477,7 @@ def weyl_buchberger(gens, rank: int, d: int) -> list:
     """
     if any(len(g) != rank or any(e.d != d for e in g) for g in gens):
         raise ValueError("rank mismatch")
-    worder = WeylModuleOrder(rank)
+    worder = WeylModuleOrder()
     basis: list[_WeylReducer] = []
     seen = set()
     for r in sorted((_WeylReducer(w) for w in map(_rows_to_wdict, gens) if w),

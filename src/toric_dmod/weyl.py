@@ -315,10 +315,6 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return weyl_mul(self, other)
 
-    def order(self) -> int:
-        """Maximal total derivative order among the terms."""
-        return max((sum(b) for (_, b) in self.terms), default=0)
-
 
 def weyl_shift_into(out: dict, terms: dict, c, da, db) -> None:
     """out += c * x^da d^db * terms in normal order, in place.

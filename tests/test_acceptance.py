@@ -247,8 +247,8 @@ def test_acceptance_8_chart_consistency():
     rep = dimension_report(gd, d_module_left(gd, (0,)))
     chart = chart_ideal_from_saturated(gd, rep.saturated, (0,))
     assert [format_poly(g) for g in chart.image_ideal] == ["t1*u1 + u2"]
-    exponents = [tuple(xe) + tuple(xie) for _, xe, xie in chart.generator_monomials]
-    assert toric_ideal(exponents, chart.ring) == []
+    exponents = [tuple(xe) + tuple(xie) for _, xe, xie in chart.frame.generator_monomials]
+    assert toric_ideal(exponents, chart.frame.ring) == []
     _report(8, "chart dimensions match the saturation computation", started, 30.0)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import cli_env
-from toric_dmod import cli, errors
+from toric_dmod import charvar, cli, dmod, errors, fan_cox
 from toric_dmod.cli import load_fan, load_module, main
 from toric_dmod.errors import ParseError
 from toric_dmod.fan_cox import grading_data
@@ -245,8 +245,8 @@ EXIT_CODES = {
     "ToricDmodError": 3, "ParseError": 2, "FanValidationError": 3,
     "NonSimplicialCone": 3, "NonSmoothCone": 3, "RaysDoNotSpan": 3,
     "UnknownCone": 3, "PreconditionViolated": 4, "InhomogeneousInput": 4,
-    "NotInJp": 4, "BoxTooSmall": 4, "ConeNotMaximal": 4, "ConeNotSmooth": 4,
-    "PointTooLarge": 4, "ChartRewriteError": 4,
+    "NotInJp": 4, "BoxTooSmall": 4, "ConeNotMaximal": 4, "PointTooLarge": 4,
+    "ChartRewriteError": 4,
 }
 
 
@@ -541,6 +541,29 @@ def test_charvar_charts_fails_before_the_report(tmp_path, monkeypatch, capsys):
     monkeypatch.undo()
     assert main(["charvar", str(fan), str(mod)]) == 0
     assert "char-ideal: " in capsys.readouterr().out
+
+
+def test_one_smoothness_test_per_maximal_cone_in_a_charts_job(monkeypatch, capsys):
+    # validation settles each cone; the chart code does not ask again
+    calls = []
+    real = fan_cox.cone_defect
+
+    def counted(fan, cone):
+        calls.append(cone)
+        return real(fan, cone)
+
+    for module in (fan_cox, dmod, charvar, cli):
+        if getattr(module, "cone_defect", None) is real:
+            monkeypatch.setattr(module, "cone_defect", counted)
+    counts = []
+    for name in FANS:
+        calls.clear()
+        assert main(["charvar", str(FIXTURES / f"{name}.fan"),
+                     str(GOLDEN / f"{name}_dl0.mod"), "--charts", "--saturate"]) == 0
+        assert "-window: " in capsys.readouterr().out
+        counts.append(len(calls))
+    maximal = [len(load_fan(str(FIXTURES / f"{name}.fan")).max_cones) for name in FANS]
+    assert counts == maximal == [2, 3, 4, 4]
 
 
 # The chart rewrite checks its own invariants; a failed check is a typed

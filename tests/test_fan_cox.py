@@ -232,6 +232,15 @@ def test_one_smith_form_per_maximal_cone(monkeypatch):
     assert counts == [len(fan.max_cones) for fan in fans] == [4, 4, 20, 20]
 
 
+def test_require_cone_sorts_or_raises():
+    fan = fan_p2()
+    assert fan.require_cone([2, 0]) == (0, 2)
+    assert fan.require_cone(()) == ()
+    for cone in ((0, 1, 2), (1, 1)):
+        with pytest.raises(UnknownCone, match="is not in the fan"):
+            fan.require_cone(cone)
+
+
 def test_sigma_hat_examples():
     assert sigma_hat_monomial(fan_p1(), (0,)) == (0, 1)
     assert sigma_hat_monomial(fan_p1(), ()) == (1, 1)

@@ -569,7 +569,7 @@ def test_module_basis_has_a_buchberger_certificate():
             if vec:
                 gens.append(vec)
         basis = groebner.buchberger(gens, rank)
-        _assert_buchberger_certificate(gens, basis, WeylModuleOrder(rank))
+        _assert_buchberger_certificate(gens, basis, WeylModuleOrder())
 
 
 def test_module_pairs_with_coprime_leading_terms_are_not_skipped():
@@ -579,7 +579,7 @@ def test_module_pairs_with_coprime_leading_terms_are_not_skipped():
     g = {(0, (0, 1), ()): Fraction(1)}
     basis = groebner.buchberger([f, g], 2)
     assert {(1, (0, 1), ()): Fraction(1)} in basis
-    _assert_buchberger_certificate([f, g], basis, WeylModuleOrder(2))
+    _assert_buchberger_certificate([f, g], basis, WeylModuleOrder())
 
 
 def test_module_chain_criterion_stays_within_a_component():
@@ -590,7 +590,7 @@ def test_module_chain_criterion_stays_within_a_component():
     h = {(0, (0, 0), ()): Fraction(1)}
     basis = groebner.buchberger([f, g, h], 3)
     assert {(2, (0, 1), ()): Fraction(1)} in basis
-    _assert_buchberger_certificate([f, g, h], basis, WeylModuleOrder(3))
+    _assert_buchberger_certificate([f, g, h], basis, WeylModuleOrder())
 
 
 def _random_weyl_row(r, d: int, rank: int, coefficient=lambda r: r.randint(-3, 3)):
@@ -625,7 +625,7 @@ def test_weyl_basis_against_filtered_macaulay_oracle():
         d, rank = r.randint(1, 2), r.randint(1, 2)
         gens = [_random_weyl_row(r, d, rank) for _ in range(2)]
         gb = weyl_buchberger(gens, rank, d)
-        worder = WeylModuleOrder(rank)
+        worder = WeylModuleOrder()
         base = max(bernstein_degree(weyl_rows_to_dict(g)) for g in gens + gb)
         pending = list(gb)
         for cap in range(base, base + 7):
@@ -682,7 +682,7 @@ def test_weyl_kernel_on_rational_rows_against_filtered_macaulay_oracle(monkeypat
         gens = [_random_weyl_row(r, d, rank, _rational) for _ in range(2)]
         gb = weyl_buchberger(gens, rank, d)
         assert weyl_buchberger([_scaled(g, _rational(r)) for g in gens], rank, d) == gb
-        worder = WeylModuleOrder(rank)
+        worder = WeylModuleOrder()
         lead_terms = [max(weyl_rows_to_dict(g), key=worder.key) for g in gb]
         members = list(gb)
         for _ in range(3):
@@ -771,11 +771,11 @@ def test_lead_key_sorts_in_reverse_of_weyl_module_order():
     for _ in range(20):
         rank = r.randint(1, 3)
         cases += [(rank, terms) for terms in _mapped(r, rank, r.randint(1, 4), 30)]
-    for rank, triples in cases:
+    for _, triples in cases:
         r.shuffle(triples)
         assert len({groebner._lead_key(t) for t in triples}) == len(triples)
         assert (sorted(triples, key=groebner._lead_key)
-                == sorted(triples, key=WeylModuleOrder(rank).key, reverse=True))
+                == sorted(triples, key=WeylModuleOrder().key, reverse=True))
 
 
 def test_lead_key_on_mapped_terms_is_degrevlex_and_the_block_order():
@@ -807,7 +807,7 @@ def test_wreduce_matches_the_max_scan_reference():
     for _ in range(40):
         d, rank = r.randint(1, 2), r.randint(1, 2)
         ranks.add(rank)
-        worder = WeylModuleOrder(rank)
+        worder = WeylModuleOrder()
         rows = [_random_weyl_row(r, d, rank, _rational) for _ in range(3)]
         reducers = [groebner._WeylReducer(w) for w in map(weyl_rows_to_dict, rows) if w]
         for _ in range(3):
@@ -822,7 +822,7 @@ def test_wreduce_matches_the_max_scan_reference():
     mappings = (lambda comp, e: (comp, e, ()), lambda comp, e: (comp, (0,) + e[1:], e[:1]))
     for _ in range(40):
         rank, ring = r.randint(1, 2), PolyRing(("t", "x", "y"))
-        worder = WeylModuleOrder(rank)
+        worder = WeylModuleOrder()
 
         def element(degree, nterms):
             return {key(r.randrange(rank), e): c / r.randint(1, 3) for _ in range(rank)

@@ -133,10 +133,10 @@ def unimodular_inverse(mat: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U * M * V = D with U, V unimodular and D diagonal (invariant factors)."""
+    """U * M * V = D with U, V unimodular and D diagonal; the nonzero
+    diagonal entries of D are a prefix, the invariant factors."""
 
     U: IntMatrix
-    D: IntMatrix
     V: IntMatrix
     invariant_factors: tuple[int, ...]
 
@@ -236,9 +236,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             continue
         k += 1
 
-    d = IntMatrix.from_rows(a)
-    factors = tuple(a[i][i] for i in range(min(rows, cols)) if a[i][i] != 0)
-    return SmithDecomposition(IntMatrix.from_rows(u), d, IntMatrix.from_rows(v), factors)
+    factors = tuple(a[i][i] for i in range(k))
+    return SmithDecomposition(IntMatrix.from_rows(u), IntMatrix.from_rows(v), factors)
 
 
 class FinitelyGeneratedAbelianGroup:
@@ -250,13 +249,11 @@ class FinitelyGeneratedAbelianGroup:
     """
 
     def __init__(self, snf: SmithDecomposition, ambient_rank: int):
-        self._snf = snf
         self.ambient_rank = ambient_rank
-        diag = [snf.D[i, i] if i < min(snf.D.rows, snf.D.cols) else 0
-                for i in range(ambient_rank)]
-        self._torsion_slots = tuple(i for i, x in enumerate(diag) if abs(x) >= 2)
+        diag = snf.invariant_factors + (0,) * (ambient_rank - len(snf.invariant_factors))
+        self._torsion_slots = tuple(i for i, x in enumerate(diag) if x >= 2)
         self._free_slots = tuple(i for i, x in enumerate(diag) if x == 0)
-        self.torsion_orders = tuple(abs(diag[i]) for i in self._torsion_slots)
+        self.torsion_orders = tuple(diag[i] for i in self._torsion_slots)
         self.free_rank = len(self._free_slots)
         u = [list(row) for row in snf.U.entries]
         # sign-normalize the free rows of U so projections are reproducible

@@ -2,14 +2,16 @@
 sparse-polynomial kernel.
 
 The tp_* functions add, scale and multiply dict polynomials {exponent tuple:
-Fraction}; Poly, LaurentPoly and WeylElement do their arithmetic through
-them. Products, substitutions, evaluations, division by linear factors and
-the action on Laurent polynomials run on integer numerators over one common
-denominator (tp_numerators) and build one Fraction per output coefficient.
-tp_numerator_evaluator and numerator_action prepare a fixed polynomial or
-operator once and then evaluate or act on integers only, so that a caller
-walking a box of points builds no Fraction there; numerator_action is the
-one action kernel, and weyl_action and act wrap it for LaurentPoly.
+Fraction}; Poly and WeylElement do their arithmetic through them, and a
+Laurent polynomial is such a dict with negative exponents allowed. Products,
+substitutions, evaluations, division by linear factors and the action on
+Laurent polynomials run on integer numerators over one common denominator
+(tp_numerators) and build one Fraction per output coefficient.
+tp_numerator_evaluator and numerator_action are the one evaluator and the
+one action: they prepare a fixed polynomial or operator once and then
+evaluate or act on integers only, so that a caller walking a box of points
+builds no Fraction there. tp_eval and act are their one-shot forms on
+Fractions.
 tp_divide_linear_product is the one division: synthetic division by each
 linear factor on the numerators.
 weyl_shift_into is the one normal-ordering expansion, shared by the Weyl
@@ -131,9 +133,8 @@ def tp_numerator_evaluator(p: ThetaDict):
     return den, evaluate
 
 
-def tp_evaluator(p: ThetaDict):
-    """The function point -> p(point) at rational points, with the integer
-    numerators of p computed once.
+def tp_eval(p: ThetaDict, point) -> Fraction:
+    """p at a rational point.
 
     With the point written as t / s over one denominator and K the largest
     total degree, s^K p(point) = sum_e c_e t^e s^(K - |e|) is the
@@ -141,18 +142,10 @@ def tp_evaluator(p: ThetaDict):
     """
     top = max(map(sum, p), default=0)
     den, at = tp_numerator_evaluator({e + (top - sum(e),): c for e, c in p.items()})
-
-    def evaluate(point) -> Fraction:
-        s = lcm(*(x.denominator for x in point))
-        t = [x.numerator * (s // x.denominator) for x in point]
-        t.append(s)
-        return Fraction(at(t), den * s ** top)
-    return evaluate
-
-
-def tp_eval(p: ThetaDict, point) -> Fraction:
-    """p at a rational point."""
-    return tp_evaluator(p)(point)
+    s = lcm(*(x.denominator for x in point))
+    t = [x.numerator * (s // x.denominator) for x in point]
+    t.append(s)
+    return Fraction(at(t), den * s ** top)
 
 
 def tp_subst(p: ThetaDict, images: list[ThetaDict], d_out: int) -> ThetaDict:
@@ -449,61 +442,6 @@ def from_theta_form(tf: ThetaFormElement) -> WeylElement:
     return out
 
 
-class LaurentPoly:
-    """Laurent polynomial with a per-variable mask of allowed negativity."""
-
-    __slots__ = ("d", "mask", "terms")
-
-    def __init__(self, d: int, mask, terms=None):
-        self.d = d
-        self.mask = tuple(bool(m) for m in mask)
-        if len(self.mask) != d:
-            raise ValueError("mask length mismatch")
-        clean = {}
-        for e, c in (terms or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            e = tuple(e)
-            for x, allowed in zip(e, self.mask):
-                if x < 0 and not allowed:
-                    raise ValueError("negative exponent outside the mask")
-            clean[e] = c
-        self.terms = clean
-
-    @classmethod
-    def _trusted(cls, d: int, mask: tuple, terms: dict) -> "LaurentPoly":
-        """Wrap terms already known to be nonzero Fractions within the mask."""
-        out = cls.__new__(cls)
-        out.d, out.mask, out.terms = d, mask, terms
-        return out
-
-    @classmethod
-    def monomial(cls, d: int, mask, e, coeff=1) -> "LaurentPoly":
-        return cls(d, mask, {tuple(e): Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentPoly) and self.d == other.d
-                and self.mask == other.mask and self.terms == other.terms)
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if (self.d, self.mask) != (other.d, other.mask):
-            raise ValueError("incompatible Laurent rings")
-        return LaurentPoly(self.d, self.mask, tp_add(self.terms, other.terms))
-
-    def scale(self, c) -> "LaurentPoly":
-        return LaurentPoly(self.d, self.mask, tp_scale(self.terms, c))
-
-    def __repr__(self):
-        names = [f"x{i + 1}" for i in range(self.d)]
-        items = sorted(self.terms.items(), reverse=True)
-        return "LaurentPoly(" + format_terms(
-            [(c, [(names[i], k) for i, k in enumerate(e) if k]) for e, c in items]) + ")"
-
-
 def numerator_action(f: WeylElement):
     """(D, apply): the least common denominator D of f and the function
     g -> D f . g on integer numerators {exponent: int}, zeros dropped; the
@@ -511,7 +449,8 @@ def numerator_action(f: WeylElement):
 
     Natural action: x_i multiplies, d_i differentiates.
     d^b x^e = ff(e, b) x^(e - b) with ff the product of falling factorials;
-    it vanishes when 0 <= e_i < b_i, so no exponent leaves the mask of g.
+    it vanishes when 0 <= e_i < b_i, so a variable whose exponents in g are
+    nonnegative keeps them nonnegative in f . g.
     """
     df, nf = tp_numerators(f.terms)
     terms = [(tuple(map(sub, a, b)), [(i, bi) for i, bi in enumerate(b) if bi], cf)
@@ -530,22 +469,14 @@ def numerator_action(f: WeylElement):
     return df, apply
 
 
-def weyl_action(f: WeylElement):
-    """The function g -> f . g on Laurent polynomials: numerator_action over
-    the common denominator of g."""
+def act(f: WeylElement, g: ThetaDict) -> ThetaDict:
+    """f . g on a Laurent polynomial {exponent: Fraction}: numerator_action
+    over the common denominator of g."""
+    if any(len(e) != f.d for e in g):
+        raise ValueError("rank mismatch")
     df, apply = numerator_action(f)
-
-    def act_on(g: LaurentPoly) -> LaurentPoly:
-        if f.d != g.d:
-            raise ValueError("rank mismatch")
-        dg, ng = tp_numerators(g.terms)
-        return LaurentPoly._trusted(g.d, g.mask, _over(df * dg, apply(ng)))
-    return act_on
-
-
-def act(f: WeylElement, g: LaurentPoly) -> LaurentPoly:
-    """f . g; see weyl_action."""
-    return weyl_action(f)(g)
+    dg, ng = tp_numerators(g)
+    return _over(df * dg, apply(ng))
 
 
 def tau(f: WeylElement) -> WeylElement:
@@ -557,24 +488,33 @@ def tau(f: WeylElement) -> WeylElement:
     return WeylElement(f.d, out)
 
 
-def parse_weyl(text: str, d: int) -> WeylElement:
-    """Parse expressions like ``3*x1^2*d1 - 1/2*x2*d2^3``."""
-    terms: dict = {}
+def _parse_sum(text: str, d: int, prefixes: tuple, key) -> dict:
+    """The terms of text as {key(e): coefficient}, zeros dropped. e lists
+    the exponents of the variables <prefix>1 .. <prefix>d, prefix by prefix
+    in the order of prefixes."""
+    slots = {pfx: k * d for k, pfx in enumerate(prefixes)}
+    out: dict = {}
     for coeff, vars_ in parse_terms(text):
-        a = [0] * d
-        b = [0] * d
-        for prefix, idx, exp in vars_:
+        e = [0] * (len(prefixes) * d)
+        for pfx, idx, exp in vars_:
+            if pfx not in slots:
+                raise ParseError(f"unknown variable prefix {pfx!r}")
             if not 1 <= idx <= d:
                 raise ParseError(f"index {idx} out of range 1..{d}")
-            if prefix == "x":
-                a[idx - 1] += exp
-            elif prefix == "d":
-                b[idx - 1] += exp
-            else:
-                raise ParseError(f"unknown variable prefix {prefix!r}")
-        key = (tuple(a), tuple(b))
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return WeylElement(d, terms)
+            e[slots[pfx] + idx - 1] += exp
+        k = key(e)
+        nc = out.get(k, 0) + coeff
+        if nc:
+            out[k] = nc
+        else:
+            out.pop(k, None)
+    return out
+
+
+def parse_weyl(text: str, d: int) -> WeylElement:
+    """Parse expressions like ``3*x1^2*d1 - 1/2*x2*d2^3``."""
+    return WeylElement(d, _parse_sum(text, d, ("x", "d"),
+                                     lambda e: (tuple(e[:d]), tuple(e[d:]))))
 
 
 def format_weyl(f: WeylElement) -> str:
@@ -591,19 +531,4 @@ def format_weyl(f: WeylElement) -> str:
 
 def parse_theta_poly(text: str, d: int) -> ThetaDict:
     """Parse a commutative polynomial in ``th1 .. th<d>``."""
-    out: ThetaDict = {}
-    for coeff, vars_ in parse_terms(text):
-        e = [0] * d
-        for pfx, idx, exp in vars_:
-            if pfx != "th":
-                raise ParseError(f"unknown variable prefix {pfx!r}")
-            if not 1 <= idx <= d:
-                raise ParseError(f"index {idx} out of range 1..{d}")
-            e[idx - 1] += exp
-        key = tuple(e)
-        nc = out.get(key, Fraction(0)) + coeff
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
-    return out
+    return _parse_sum(text, d, ("th",), tuple)

@@ -17,8 +17,7 @@ from toric_dmod.dmod import (GradedPresentation, bimodule_identity_check,
 from toric_dmod.errors import (BoxTooSmall, InhomogeneousInput, NotInJp,
                                UnknownCone)
 from toric_dmod.weyl import (WeylElement, format_weyl, parse_weyl, tp_add,
-                             tp_divide_linear_product, tp_eval, tp_linear,
-                             tp_mul)
+                             tp_divide_linear_product, tp_linear, tp_mul)
 
 
 def W(s, d=2):

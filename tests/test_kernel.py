@@ -2,8 +2,8 @@
 
 Products, substitutions and products of linear factors are compared with
 sympy's expansion, evaluation with term-by-term Fraction arithmetic and
-sympy's substitution, and the action on Laurent polynomials with sympy's
-derivatives and the falling-factorial definition. Coefficients are rational
+sympy's substitution, and the action kernel on Laurent polynomials with
+sympy's derivatives and the falling-factorial definition. Coefficients are rational
 with unequal denominators, so a lost or wrongly scaled common denominator
 shows.
 """
@@ -20,11 +20,10 @@ from hypothesis import given, strategies as st  # noqa: E402
 from helpers import fraction_eval  # noqa: E402
 from toric_dmod import cli, dmod, weyl  # noqa: E402
 from toric_dmod.fan_cox import grading_data  # noqa: E402
-from toric_dmod.weyl import (LaurentPoly, WeylElement, act,  # noqa: E402
-                             numerator_action, tp_add, tp_divide_linear_product,
-                             tp_eval, tp_evaluator, tp_format, tp_linear_product,
-                             tp_mul, tp_numerator_evaluator, tp_numerators,
-                             tp_subst, weyl_action)
+from toric_dmod.weyl import (WeylElement, act, numerator_action,  # noqa: E402
+                             tp_add, tp_divide_linear_product, tp_eval,
+                             tp_format, tp_linear_product, tp_mul,
+                             tp_numerator_evaluator, tp_numerators, tp_subst)
 
 rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
 nonzero = rationals.filter(bool)
@@ -95,6 +94,7 @@ def test_tp_eval_matches_fraction_evaluation(case):
     value = tp_eval(p, point)
     assert isinstance(value, Fraction)
     assert value == fraction_eval(p, point)
+
 
 
 @st.composite
@@ -173,6 +173,7 @@ def actions(draw):
 
 @given(actions())
 def test_act_matches_sympy_derivatives(case):
+    # the kernel over its denominators, and act, which returns through it
     d, f, g = case
     xs = sympy.symbols(f"x1:{d + 1}")
     gx = to_sympy(g, xs)
@@ -183,9 +184,13 @@ def test_act_matches_sympy_derivatives(case):
             deriv = sympy.diff(deriv, x, k)
         expected += (sympy.Rational(c.numerator, c.denominator)
                      * sympy.Mul(*[x ** k for x, k in zip(xs, a)]) * deriv)
-    out = act(WeylElement(d, f), LaurentPoly(d, (True,) * d, g))
-    assert all(isinstance(c, Fraction) and c for c in out.terms.values())
-    assert same(out.terms, sympy.expand(expected), xs)
+    df, apply = numerator_action(WeylElement(d, f))
+    dg, ng = tp_numerators(g)
+    nums = apply(ng)
+    assert all(isinstance(c, int) and c for c in nums.values())
+    out = {e: Fraction(c, df * dg) for e, c in nums.items()}
+    assert act(WeylElement(d, f), g) == out
+    assert same(out, sympy.expand(expected), xs)
 
 
 @st.composite
@@ -210,18 +215,19 @@ def test_composed_numerator_actions_match_repeated_act(case):
         cur = apply(cur)
         den *= df
         assert all(isinstance(c, int) and c for c in cur.values())
-    expected = LaurentPoly(d, (True,) * d, g)
+    expected = g
     for f in ops:
         expected = act(WeylElement(d, f), expected)
-    assert {e: Fraction(c, den) for e, c in cur.items()} == expected.terms
+        assert all(isinstance(c, Fraction) and c for c in expected.values())
+    assert {e: Fraction(c, den) for e, c in cur.items()} == expected
 
 
 def test_act_keeps_the_mask():
-    # d1^2 kills x1 and 1, so no negative x1 exponent appears
+    # x1 has nonnegative exponents in g and keeps them: d1^2 kills x1 and 1,
+    # so no negative x1 exponent appears
     f = WeylElement(1, {((0,), (2,)): Fraction(1, 2)})
-    g = LaurentPoly(1, (False,), {(1,): Fraction(3), (0,): Fraction(1, 5),
-                                  (3,): Fraction(2, 7)})
-    assert act(f, g) == LaurentPoly(1, (False,), {(1,): Fraction(6, 7)})
+    g = {(1,): Fraction(3), (0,): Fraction(1, 5), (3,): Fraction(2, 7)}
+    assert act(f, g) == {(1,): Fraction(6, 7)}
 
 
 def test_tp_numerators_is_the_least_common_denominator():
@@ -239,14 +245,12 @@ def point_batches(draw):
 
 
 @given(point_batches())
-def test_tp_evaluator_matches_sympy(case):
-    # one prepared evaluator serves every point of the batch
+def test_tp_eval_matches_sympy(case):
     d, p, batch = case
     syms = sympy.symbols(f"t1:{d + 1}")
     expr = to_sympy(p, syms)
-    evaluate = tp_evaluator(p)
     for point in batch:
-        value = evaluate(point)
+        value = tp_eval(p, point)
         expected = expr.xreplace({s: sympy.Rational(Fraction(x).numerator,
                                                     Fraction(x).denominator)
                                   for s, x in zip(syms, point)})
@@ -254,15 +258,13 @@ def test_tp_evaluator_matches_sympy(case):
         assert sympy.Rational(value.numerator, value.denominator) == expected
 
 
-def test_tp_evaluator_mixed_denominators_and_zero():
+def test_tp_eval_mixed_denominators_and_zero():
     p = {(2, 0): Fraction(1, 6), (0, 1): Fraction(-3, 4), (0, 0): Fraction(5)}
-    evaluate = tp_evaluator(p)
     # (1/6)(2/3)^2 - (3/4)(-5/7) + 5 = 2/27 + 15/28 + 5
-    assert evaluate((Fraction(2, 3), Fraction(-5, 7))) == \
+    assert tp_eval(p, (Fraction(2, 3), Fraction(-5, 7))) == \
         Fraction(2, 27) + Fraction(15, 28) + 5
-    assert evaluate((3, 0)) == Fraction(1, 6) * 9 + 5
-    zero = tp_evaluator({})
-    assert zero((Fraction(1, 2), 7)) == 0 and isinstance(zero((1, 1)), Fraction)
+    assert tp_eval(p, (3, 0)) == Fraction(1, 6) * 9 + 5
+    assert tp_eval({}, (Fraction(1, 2), 7)) == 0 and isinstance(tp_eval({}, (1, 1)), Fraction)
 
 
 def falling_factorial_action(f: dict, mask, g: dict) -> dict:
@@ -293,31 +295,41 @@ def action_batches(draw):
 
 
 @given(action_batches())
-def test_weyl_action_matches_falling_factorials(case):
-    # one prepared action serves every operand; masks keep the polynomial
-    # variables nonnegative, and zero operators and killed terms give zero
+def test_numerator_action_matches_falling_factorials(case):
+    # one prepared action serves every operand; a variable with nonnegative
+    # exponents in g keeps them in f . g, and zero operators and killed
+    # terms give zero
     d, f, mask, gs = case
-    apply = weyl_action(WeylElement(d, f))
+    df, apply = numerator_action(WeylElement(d, f))
     for g in gs:
-        out = apply(LaurentPoly(d, mask, g))
-        assert out.mask == mask
-        assert all(isinstance(c, Fraction) and c for c in out.terms.values())
-        assert out.terms == falling_factorial_action(f, mask, g)
+        dg, ng = tp_numerators(g)
+        nums = apply(ng)
+        assert all(isinstance(c, int) and c for c in nums.values())
+        assert all(e[i] >= 0 for e in nums for i in range(d) if not mask[i])
+        out = {e: Fraction(c, df * dg) for e, c in nums.items()}
+        assert out == falling_factorial_action(f, mask, g)
 
 
-def test_weyl_action_zero_results():
-    d1sq = weyl_action(WeylElement(1, {((0,), (2,)): Fraction(1, 2)}))
-    killed = LaurentPoly(1, (False,), {(1,): Fraction(3), (0,): Fraction(1, 5)})
-    assert d1sq(killed).is_zero() and d1sq(killed).mask == (False,)
+def test_numerator_action_zero_results():
+    df, d1sq = numerator_action(WeylElement(1, {((0,), (2,)): Fraction(1, 2)}))
+    assert df == 2
+    assert d1sq({(1,): 15, (0,): 1}) == {}
     # theta - 2 kills x^2 and scales x^-1 by -3
-    shifted = weyl_action(WeylElement(1, {((1,), (1,)): Fraction(1),
-                                          ((0,), (0,)): Fraction(-2)}))
-    assert shifted(LaurentPoly(1, (True,), {(2,): Fraction(4, 9)})).is_zero()
-    assert shifted(LaurentPoly(1, (True,), {(-1,): Fraction(1, 3)})).terms == {(-1,): -1}
-    assert weyl_action(WeylElement(2, {}))(
-        LaurentPoly(2, (True, True), {(1, -1): Fraction(2)})).is_zero()
-    with pytest.raises(ValueError):
-        d1sq(LaurentPoly(2, (True, True), {}))
+    _, shifted = numerator_action(WeylElement(1, {((1,), (1,)): Fraction(1),
+                                                  ((0,), (0,)): Fraction(-2)}))
+    assert shifted({(2,): 4}) == {}
+    assert shifted({(-1,): 1}) == {(-1,): -3}
+    assert numerator_action(WeylElement(2, {}))[1]({(1, -1): 2}) == {}
+
+
+def test_act_zero_results_and_rank_mismatch():
+    d1sq = WeylElement(1, {((0,), (2,)): Fraction(1, 2)})
+    assert act(d1sq, {(1,): Fraction(3), (0,): Fraction(1, 5)}) == {}
+    assert act(WeylElement(2, {}), {(1, -1): Fraction(2)}) == {}
+    # an exponent of another length would be cut short, not rejected, by
+    # the kernel
+    with pytest.raises(ValueError, match="rank mismatch"):
+        act(d1sq, {(1, 0): Fraction(1)})
 
 
 def _count_numerators(monkeypatch, run) -> int:

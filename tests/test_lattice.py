@@ -9,15 +9,23 @@ from toric_dmod.lattice import (IntMatrix, cokernel, dual_lattice_basis,
                                 invariant_factor_oracle, smith_normal_form)
 
 
+def diagonal(snf, m):
+    """The rows x cols diagonal matrix whose diagonal starts with the
+    invariant factors and is zero after them."""
+    factors = snf.invariant_factors
+    return tuple(tuple(factors[i] if i == j and i < len(factors) else 0
+                       for j in range(m.cols)) for i in range(m.rows))
+
+
 def reconstruct(snf, m):
-    assert snf.U.mul(m).mul(snf.V).entries == snf.D.entries
+    assert snf.U.mul(m).mul(snf.V).entries == diagonal(snf, m)
 
 
 def test_column_vector_hand_reduction():
     # row-reduce [[1], [-1]] by hand: add row 1 to row 2
     m = IntMatrix.from_rows([[1], [-1]])
     s = smith_normal_form(m)
-    assert s.D.entries == ((1,), (0,))
+    assert diagonal(s, m) == ((1,), (0,))
     assert s.invariant_factors == (1,)
     reconstruct(s, m)
 
@@ -25,8 +33,9 @@ def test_column_vector_hand_reduction():
 def test_identity_is_fixed():
     m = IntMatrix.identity(2)
     s = smith_normal_form(m)
-    assert s.D.entries == m.entries
     assert s.invariant_factors == (1, 1)
+    assert diagonal(s, m) == m.entries
+    reconstruct(s, m)
 
 
 def test_diag_2_3_gives_1_6():

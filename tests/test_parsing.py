@@ -15,8 +15,7 @@ from toric_dmod.errors import ParseError  # noqa: E402
 from toric_dmod import parsing  # noqa: E402
 from toric_dmod.parsing import (MAX_COEFF_DIGITS, MAX_EXPONENT, MAX_TERMS,  # noqa: E402
                                 parse_terms)
-from toric_dmod.weyl import (LaurentPoly, parse_theta_poly, parse_weyl,  # noqa: E402
-                             tp_format)
+from toric_dmod.weyl import parse_theta_poly, parse_weyl, tp_format  # noqa: E402
 
 # near-grammatical text reaches deeper than uniform unicode does
 ALPHABET = "xdth0123456789+-*/^ \t"
@@ -128,5 +127,3 @@ def test_format_terms_prints_negative_exponents():
     assert parsing.format_terms([(Fraction(-3), [("x1", 0), ("xi2", -2)]),
                                  (Fraction(1, 2), [("x2", 1)])]) == "-3*xi2^-2 + 1/2*x2"
     assert parsing.format_terms([(1, [("x1", 0), ("x2", 0)])]) == "1"
-    assert repr(LaurentPoly(2, (True, False), {(0, 0): 1, (-1, 2): 3})) == \
-        "LaurentPoly(1 + 3*x1^-1*x2^2)"

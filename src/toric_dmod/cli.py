@@ -379,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, side in (("dl", "left"), ("dr", "right")):
         p = sub.add_parser(name, help=f"twisted {side} module document")
         p.add_argument("fan")
-        p.add_argument("degree", help="comma-separated class coordinates")
+        p.add_argument("degree", help="comma-separated class coordinates "
+                                      "(put -- before a negative first one: "
+                                      f"{name} FAN -- -1,0)")
         common(p)
         p.set_defaults(func=cmd_twisted, side=side)
 

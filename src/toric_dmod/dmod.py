@@ -10,7 +10,7 @@ and e_i (theta_u - <u, b_i>) in N for right modules.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import prod
 from operator import add, mul
 
@@ -212,15 +212,19 @@ def require_local_bounds(grading: GradingData, cone, p):
                             f"(at most {LOCAL_MAX_BOX})")
 
 
-def h_p(grading: GradingData, cone, p) -> tuple[ThetaDict, list]:
-    """Generator of J(p) as a product of linear factors (theta_i - m).
-
-    The index range is 0 <= m <= -iota(p)_i - 1 over rays of the cone; this is
-    the convention certified by the action oracle.
-    """
+def _h_p_factors(grading: GradingData, cone, p) -> list:
+    """The linear factors (i, m) of h_p: 0 <= m <= -iota(p)_i - 1 over the
+    rays i of the cone; this is the convention certified by the action
+    oracle."""
     cone = grading.fan.require_cone(cone)
     ip = grading.iota_of(p)
-    factors = sorted((i, m) for i in cone for m in range(0, -ip[i]))
+    return sorted((i, m) for i in cone for m in range(0, -ip[i]))
+
+
+def h_p(grading: GradingData, cone, p) -> tuple[ThetaDict, list]:
+    """Generator of J(p) as a product of linear factors (theta_i - m), and
+    the factors."""
+    factors = _h_p_factors(grading, cone, p)
     return tp_linear_product(grading.d, factors), factors
 
 
@@ -270,8 +274,7 @@ def rho_b(grading: GradingData, b, w: ThetaDict) -> ThetaDict:
 
 def local_op_image(grading: GradingData, cone, p, g: ThetaDict):
     """The chart image of x^(iota(p)) g: the pair (p, rho(g)) for g in J(p)."""
-    _, factors = h_p(grading, cone, p)
-    if tp_divide_linear_product(g, factors) is None:
+    if tp_divide_linear_product(g, _h_p_factors(grading, cone, p)) is None:
         raise NotInJp("the generator of J(p) does not divide g")
     return tuple(int(x) for x in p), rho(grading, g)
 
@@ -328,15 +331,29 @@ def _actions_hold(grading: GradingData, cone, p, actions, value_den: int,
     of the box by value_at(iota(q)) / value_den, and is zero on Y(p).
 
     Over D, the product of the action denominators, the composite's integer
-    result must be {q: value * D}.
+    result must be {q: value * D}. The actions run once per line of the box
+    (the 2 radius + 1 points the walk yields with one head), on the sum of
+    the line's y^q. The actions are theta-polynomials (theta_dict_to_weyl
+    of a rho image), and a theta-polynomial scales every monomial y^q by a
+    torus eigenvalue: the images of distinct q never mix, so the line's
+    result is the per-point results side by side and the verdict is the
+    per-point one.
     """
     den = prod(d for d, _ in actions)
-    for q, iq, _, in_y in _box_walk(grading.fan, cone, p, radius):
-        cur = {q: 1}
+    walk = _box_walk(grading.fan, cone, p, radius)
+    width = 2 * radius + 1
+    for line in iter(lambda: list(islice(walk, width)), []):
+        want = {}
+        for q, iq, _, in_y in line:
+            coeff, rem = divmod(value_at(iq) * den, value_den)
+            if rem or (in_y and coeff):
+                return False
+            if coeff:
+                want[q] = coeff
+        cur = {q: 1 for q, _, _, _ in line}
         for _, apply in actions:
             cur = apply(cur)
-        coeff, rem = divmod(value_at(iq) * den, value_den)
-        if rem or cur != ({q: coeff} if coeff else {}) or (in_y and coeff):
+        if cur != want:
             return False
     return True
 

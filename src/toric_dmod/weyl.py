@@ -10,8 +10,13 @@ Laurent polynomials run on integer numerators over one common denominator
 tp_numerator_evaluator and numerator_action are the one evaluator and the
 one action: they prepare a fixed polynomial or operator once and then
 evaluate or act on integers only, so that a caller walking a box of points
-builds no Fraction there. tp_eval and act are their one-shot forms on
-Fractions.
+builds no Fraction there. The evaluator keeps the numerators in nested
+Horner form (grouped by the degree of one variable, each group by the next),
+so a point costs one multiply-add per coefficient and no power. The action
+is linear in g, and a theta-polynomial scales each monomial by its own
+eigenvalue, so one call on the sum of many monomials gives each monomial's
+image at once; the local checks apply it to a whole line of a box. tp_eval
+and act are their one-shot forms on Fractions.
 tp_divide_linear_product is the one division: synthetic division by each
 linear factor on the numerators.
 weyl_shift_into is the one normal-ordering expansion, shared by the Weyl
@@ -116,20 +121,49 @@ def tp_linear_product(d: int, factors) -> ThetaDict:
     return _over(den, nums)
 
 
+def _horner(nums: dict, i: int):
+    """The numerators nums over the variables i, i+1, ... in nested Horner
+    form: an int when no variable from i on occurs, else (j, coefficients)
+    with j the first variable that occurs and coefficients the forms of the
+    powers of t_j from the top degree down to 0 (0 where a degree is
+    missing)."""
+    if len(nums) == 1:
+        (e, c), = nums.items()
+        if not any(e[i:]):
+            return c
+    while not any(e[i] for e in nums):
+        i += 1
+    by_degree: dict = {}
+    for e, c in nums.items():
+        by_degree.setdefault(e[i], {})[e] = c
+    return i, [_horner(by_degree[k], i + 1) if k in by_degree else 0
+               for k in range(max(by_degree), -1, -1)]
+
+
+def _horner_at(form, t) -> int:
+    if form.__class__ is int:
+        return form
+    i, coefficients = form
+    x, acc = t[i], 0
+    for c in coefficients:
+        acc = acc * x + (c if c.__class__ is int else _horner_at(c, t))
+    return acc
+
+
 def tp_numerator_evaluator(p: ThetaDict):
     """(D, f): the least common denominator D of p and the function
-    t -> D p(t) at integer points, an integer sum; the numerators of p are
-    computed once."""
+    t -> D p(t) at integer points, an integer sum.
+
+    The numerators of p are computed and put in nested Horner form once:
+    grouped by the degree of the first variable that occurs, each group by
+    the next, and so on. At a point each coefficient then costs one
+    multiply-add, and no power is taken.
+    """
     den, nums = tp_numerators(p)
-    terms = [(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in nums.items()]
+    form = _horner(nums, 0) if nums else 0
 
     def evaluate(t) -> int:
-        total = 0
-        for c, factors in terms:
-            for i, k in factors:
-                c *= t[i] ** k
-            total += c
-        return total
+        return _horner_at(form, t)
     return den, evaluate
 
 
@@ -451,19 +485,26 @@ def numerator_action(f: WeylElement):
     d^b x^e = ff(e, b) x^(e - b) with ff the product of falling factorials;
     it vanishes when 0 <= e_i < b_i, so a variable whose exponents in g are
     nonnegative keeps them nonnegative in f . g.
+
+    A diagonal term (a = b, so x^a d^a scales x^e by ff(e, a)) keeps the
+    exponent tuple of g as it is, and a first-order factor ff(e_i, 1) is
+    e_i itself.
     """
     df, nf = tp_numerators(f.terms)
-    terms = [(tuple(map(sub, a, b)), [(i, bi) for i, bi in enumerate(b) if bi], cf)
-             for (a, b), cf in nf.items()]
+    terms = []
+    for (a, b), cf in nf.items():
+        shift = tuple(map(sub, a, b))
+        terms.append((shift if any(shift) else None,
+                      [(i, bi) for i, bi in enumerate(b) if bi], cf))
 
     def apply(g: dict) -> dict:
         out: dict = {}
         for shift, lowered, cf in terms:
             for e, cg in g.items():
                 for i, bi in lowered:
-                    cg *= _ff(e[i], bi)
+                    cg *= e[i] if bi == 1 else _ff(e[i], bi)
                 if cg:
-                    ne = tuple(map(add, e, shift))
+                    ne = tuple(map(add, e, shift)) if shift else e
                     out[ne] = out.get(ne, 0) + cf * cg
         return {e: c for e, c in out.items() if c}
     return df, apply

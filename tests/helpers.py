@@ -8,8 +8,9 @@ import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
+from toric_dmod.dmod import _box_walk
 from toric_dmod.errors import (FanValidationError, NonSimplicialCone,
                                NonSmoothCone, RaysDoNotSpan)
 from toric_dmod.fan_cox import (Fan, GradingData, _fm_feasible,
@@ -492,3 +493,23 @@ def random_homogeneous_weyl(r: random.Random, gd: GradingData, total: int = 2,
         a, b = pool[0]
         terms[(a, b)] = Fraction(1)
     return WeylElement(d, terms)
+
+
+# the local action check one box point at a time, the reference for the
+# check one box line at a time
+
+
+def actions_hold_per_point(grading: GradingData, cone, p, actions, value_den: int,
+                           value_at, radius: int) -> bool:
+    """dmod._actions_hold with the composite applied to each y^q of the box
+    on its own: over D, the product of the action denominators, it must
+    give {q: value * D}, and 0 on Y(p)."""
+    den = prod(d for d, _ in actions)
+    for q, iq, _, in_y in _box_walk(grading.fan, cone, p, radius):
+        cur = {q: 1}
+        for _, apply in actions:
+            cur = apply(cur)
+        coeff, rem = divmod(value_at(iq) * den, value_den)
+        if rem or cur != ({q: coeff} if coeff else {}) or (in_y and coeff):
+            return False
+    return True

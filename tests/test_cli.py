@@ -520,6 +520,45 @@ def test_dl_dr_trivial_class_group_take_empty_class(tmp_path):
     assert rc2 == 2 and "expected 0" in err
 
 
+def test_negative_class_needs_a_double_dash():
+    # a class whose first coordinate is negative reads as an option unless
+    # -- ends the options; both exits are pinned, and the help says so
+    fan = str(FIXTURES / "p1p1.fan")
+    for cmd, side, shift in (("dl", "left", "- 1"), ("dr", "right", "+ 1")):
+        rc, out, err = run_cli(cmd, fan, "-1,0")
+        assert rc == 2 and out == ""
+        assert "the following arguments are required: degree" in err
+        rc, out, err = run_cli(cmd, fan, "--", "-1,0")
+        assert rc == 0 and err == ""
+        assert f'side = "{side}"' in out
+        assert "generator_degrees = [[-1, 0]]" in out
+        assert f'relations = [["x1*d1 + x2*d2 {shift}"], ["x3*d3 + x4*d4"]]' in out
+        rc, out, _ = run_cli(cmd, "--help")
+        assert rc == 0 and f"{cmd} FAN -- -1,0" in " ".join(out.split())
+
+
+def test_local_g_builds_h_p_no_more_often(monkeypatch, capsys):
+    # local --g divides g by h_p's factors without building h_p again: it
+    # makes no more products of linear factors than local without --g
+    calls = []
+    real = dmod.tp_linear_product
+
+    def counted(d, factors):
+        calls.append(len(factors))
+        return real(d, factors)
+
+    for module in (dmod, cli):
+        monkeypatch.setattr(module, "tp_linear_product", counted)
+    argv = ["local", str(FIXTURES / "p2.fan"), "--cone", "1,2", "--p=-2,-1"]
+    assert main(argv) == 0
+    assert "h_p: " in capsys.readouterr().out
+    plain = len(calls)
+    calls.clear()
+    assert main(argv + ["--g", "th1^2*th2 - th1*th2 + 1/2*th1^2*th2*th3 - 1/2*th1*th2*th3"]) == 0
+    assert "g-image: " in capsys.readouterr().out
+    assert len(calls) <= plain
+
+
 def test_charvar_charts_fails_before_the_report(tmp_path, monkeypatch, capsys):
     # no full-dimensional cone: --charts must stop before any Groebner work
     from toric_dmod import charvar

@@ -162,6 +162,49 @@ def test_tp_numerator_evaluator_is_the_scaled_value(case):
     assert isinstance(value, int) and value == den * fraction_eval(p, point)
 
 
+def test_horner_evaluator_edge_cases():
+    # the nested Horner scheme against the direct sum of c t^e: the empty
+    # polynomial, a constant, the rank-0 key, gaps in the degrees (of the
+    # first variable, of a later one, and a variable that never occurs) at
+    # zero and negative coordinates, with unequal denominators
+    gaps = {(5, 0, 0): Fraction(1, 2), (2, 0, 3): Fraction(-3, 4),
+            (0, 0, 7): Fraction(2, 3), (0, 0, 0): Fraction(1)}
+    cases = [({}, [(0, 0), (3, -2)]),
+             ({(0, 0): Fraction(-7, 3)}, [(0, 0), (5, -4)]),
+             ({(): Fraction(5, 2)}, [()]),
+             (gaps, [(0, 0, 0), (-1, 9, 2), (3, -5, -1), (-2, 0, -3)]),
+             ({(0, 4): Fraction(1, 6), (0, 1): Fraction(-1, 4)}, [(7, -3), (0, 0)])]
+    for p, points in cases:
+        den, at = tp_numerator_evaluator(p)
+        assert den == tp_numerators(p)[0]
+        for t in points:
+            value = at(t)
+            assert isinstance(value, int) and value == den * fraction_eval(p, t), (p, t)
+    den, at = tp_numerator_evaluator({})
+    assert den == 1 and at((4, -4)) == 0
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda d: st.tuples(polys(d, st.integers(0, 9), 8),
+                        st.lists(st.integers(-5, 5), min_size=d, max_size=d))))
+def test_horner_evaluator_matches_the_direct_sum(case):
+    # sparse polynomials of high degree, so most degrees are gaps
+    p, point = case
+    den, at = tp_numerator_evaluator(p)
+    assert at(point) == den * fraction_eval(p, point)
+
+
+def test_tp_eval_at_rational_points_is_pinned():
+    # the homogenised Horner evaluation against Fraction arithmetic written
+    # out: (1/2) t1^5 - (3/4) t1^2 t2^3 + 2/3 at (-2/3, 5/7)
+    p = {(5, 0): Fraction(1, 2), (2, 3): Fraction(-3, 4), (0, 0): Fraction(2, 3)}
+    t1, t2 = Fraction(-2, 3), Fraction(5, 7)
+    expected = Fraction(1, 2) * t1 ** 5 - Fraction(3, 4) * t1 ** 2 * t2 ** 3 + Fraction(2, 3)
+    assert tp_eval(p, (t1, t2)) == expected
+    assert tp_eval(p, (0, Fraction(-1, 3))) == Fraction(2, 3)
+    assert tp_eval({(): Fraction(-5, 2)}, ()) == Fraction(-5, 2)
+
+
 @st.composite
 def actions(draw):
     d = draw(st.integers(1, 2))

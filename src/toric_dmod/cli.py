@@ -17,8 +17,7 @@ from .errors import (InhomogeneousInput, ParseError, ToricDmodError,
 from .fan_cox import (Fan, GradingData, euler_operators, grading_data,
                       irrelevant_ideal)
 from .parsing import format_terms
-from .weyl import (format_weyl, parse_weyl, parse_theta_poly, tp_format,
-                   tp_linear_product)
+from .weyl import format_weyl, parse_weyl, parse_theta_poly, tp_format
 from . import dmod
 from . import charvar
 
@@ -344,12 +343,13 @@ def cmd_local(args) -> int:
     report.add("rho-h_p", tp_format(ip, vnames))
     report.add("i_p", tp_format(ip, vnames))
     radius = dmod.local_radius(grading, p)
-    oracle_poly, _ = dmod.j_p_oracle(grading, cone, p, radius)
-    report.add("oracle", "AGREE" if oracle_poly == hp else "DISAGREE")
+    # products of linear factors are equal iff their factor lists are
+    oracle = dmod.j_p_oracle(grading, cone, p, radius)
+    report.add("oracle", "AGREE" if oracle == factors else "DISAGREE")
     # h_p with the index range widened by one (0 <= m <= -iota(p)_i)
-    alt = tp_linear_product(fan.d, [(i, m) for i in cone for m in range(0, -iota[i] + 1)])
+    alt = [(i, m) for i in cone for m in range(0, -iota[i] + 1)]
     report.add("inclusive-bound-variant",
-               "AGREE" if alt == oracle_poly else "DISAGREE (off-by-one)")
+               "AGREE" if alt == oracle else "DISAGREE (off-by-one)")
     ymatch = dmod.i_p_matches_y_p(grading, cone, p, ip, 2 * radius)
     report.add("y_p-vanishing", "AGREE" if ymatch else "DISAGREE")
     if args.g is not None:

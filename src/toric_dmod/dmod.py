@@ -229,13 +229,13 @@ def h_p(grading: GradingData, cone, p) -> tuple[ThetaDict, list]:
 
 
 def j_p_oracle(grading: GradingData, cone, p, radius: int):
-    """Brute-force minimal product of linear slabs covering Z(p) in a box.
+    """Brute-force minimal product of linear slabs covering Z(p) in a box,
+    as its sorted factors (i, m), each the slab theta_i = m.
 
     Z(p) only constrains the cone coordinates, so the enumeration runs over
     those; BoxTooSmall if the box cannot contain all slabs.
     """
-    fan = grading.fan
-    cone = fan.require_cone(cone)
+    cone = grading.fan.require_cone(cone)
     ip = grading.iota_of(p)
     needed = local_radius(grading, p)
     if radius < needed:
@@ -257,8 +257,7 @@ def j_p_oracle(grading: GradingData, cone, p, radius: int):
     for pt in bad_points:
         if not any(pt[pos] == m for (_, m, pos) in candidates):
             raise BoxTooSmall("enumerated set is not covered by coordinate slabs")
-    factors = sorted((i, m) for (i, m, _) in candidates)
-    return tp_linear_product(fan.d, factors), factors
+    return sorted((i, m) for (i, m, _) in candidates)
 
 
 def rho(grading: GradingData, w: ThetaDict) -> ThetaDict:

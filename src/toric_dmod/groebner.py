@@ -23,6 +23,7 @@ from itertools import combinations
 from math import gcd
 from operator import add, ge, le, sub
 
+from .lattice import IntMatrix, cokernel, dual_lattice_basis
 from .parsing import format_terms
 from .weyl import (WeylElement, tp_add, tp_mul, tp_numerators, tp_scale,
                    weyl_shift_into)
@@ -370,11 +371,18 @@ def _s_element(ri: _WeylReducer, rj: _WeylReducer) -> dict:
     return s
 
 
-def _interreduced(keep: list[_WeylReducer]) -> list:
-    """(element, denominator) of the reduced basis for reducers with minimal,
-    distinct leads in ascending order: each reduced by the ones before it (no
-    larger lead divides a term below its own lead), with its lead over the
-    denominator equal to 1."""
+def _interreduced(reducers: list[_WeylReducer]) -> list:
+    """(element, denominator) of the reduced basis of a Groebner basis given
+    as reducers, in ascending order. After a stable sort by the order, which
+    respects divisibility, a reducer is kept iff no earlier kept lead divides
+    its lead (of equal leads the first). Each kept one is reduced by those
+    before it (no larger lead divides a term below its own lead), with its
+    lead over the denominator equal to 1."""
+    order = WeylModuleOrder()
+    keep: list[_WeylReducer] = []
+    for r in sorted(reducers, key=lambda r: order.key((r.comp, r.a, r.b))):
+        if not any(k.comp == r.comp and _divides(k.ab, r.ab) for k in keep):
+            keep.append(r)
     out = []
     for i, r in enumerate(keep):
         h, scale = _wreduce(dict(r.vec), keep[:i])
@@ -448,8 +456,8 @@ def buchberger(gens: list[dict], rank: int) -> list[dict]:
         h = remainder(_s_element(elems[i], elems[j]))
         if h:
             insert(h)
-    keep = sorted((elems[g] for g in live), key=lambda r: worder.key((r.comp, r.a, r.b)))
-    return [{k: Fraction(c, den) for k, c in h.items()} for h, den in _interreduced(keep)]
+    return [{k: Fraction(c, den) for k, c in h.items()}
+            for h, den in _interreduced([elems[g] for g in live])]
 
 
 def weyl_normal_form(f, basis):
@@ -508,17 +516,7 @@ def weyl_buchberger(gens, rank: int, d: int) -> list:
             for k in range(incoming):
                 if basis[k].comp == basis[incoming].comp:
                     push_pair(k, incoming)
-    # minimalize: drop elements whose leading term another one divides; of
-    # equal leading terms the first is kept
-    keep = []
-    for i, ri in enumerate(basis):
-        if not any(j != i and rj.comp == ri.comp and all(map(ge, ri.a, rj.a))
-                   and all(map(ge, ri.b, rj.b))
-                   and not (j > i and ri.a == rj.a and ri.b == rj.b)
-                   for j, rj in enumerate(basis)):
-            keep.append(ri)
-    keep.sort(key=lambda r: worder.key((r.comp, r.a, r.b)))
-    return [_wdict_to_rows(h, den, rank, d) for h, den in _interreduced(keep)]
+    return [_wdict_to_rows(h, den, rank, d) for h, den in _interreduced(basis)]
 
 
 def initial_forms(gb) -> list[dict]:
@@ -566,22 +564,13 @@ def toric_ideal(exponent_vectors: list[tuple[int, ...]], ring: PolyRing) -> list
     """Kernel of the monomial map y_j -> z^(E_j) (z exponents may be negative).
 
     Computed as the lattice ideal of the integer kernel of E, saturated at the
-    product of the y variables.
+    product of the y variables. That kernel, {u : sum u_j E_j = 0}, is the
+    dual of the cokernel of the matrix with rows E_j.
     """
-    from .lattice import IntMatrix, smith_normal_form
-
     m = len(exponent_vectors)
     if m != ring.nvars:
         raise ValueError("one ring variable per monomial expected")
-    if m == 0:
-        return []
-    width = len(exponent_vectors[0])
-    # integer kernel of the (width x m) matrix with columns E_j
-    mat = IntMatrix.from_rows([[exponent_vectors[j][i] for j in range(m)]
-                               for i in range(width)])
-    snf = smith_normal_form(mat)
-    rank = len(snf.invariant_factors)
-    kernel = [tuple(snf.V[i, j] for i in range(m)) for j in range(rank, m)]
+    kernel = dual_lattice_basis(cokernel(IntMatrix.from_rows(exponent_vectors)))
     if not kernel:
         return []
     gens = []

@@ -133,24 +133,23 @@ def unimodular_inverse(mat: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U * M * V = D with U, V unimodular and D diagonal; the nonzero
-    diagonal entries of D are a prefix, the invariant factors."""
+    """U * M * V = D with U, V unimodular (V is not kept) and D diagonal;
+    the nonzero diagonal entries of D are a prefix, the invariant factors."""
 
     U: IntMatrix
-    V: IntMatrix
     invariant_factors: tuple[int, ...]
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form by elementary row/column operations.
+    """Smith normal form by elementary row/column operations; only the row
+    operations are recorded, in U.
 
     Pivot selection is deterministic (smallest |entry|, ties by position) so
     repeated runs produce identical decompositions.
     """
     rows, cols = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    u = [list(row) for row in IntMatrix.identity(rows).entries]
-    v = [list(row) for row in IntMatrix.identity(cols).entries]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -168,14 +167,10 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
 
     def add_col(i, j, c):
         # col i += c * col j
         for r in a:
-            r[i] += c * r[j]
-        for r in v:
             r[i] += c * r[j]
 
     def pivot_search(k):
@@ -237,7 +232,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         k += 1
 
     factors = tuple(a[i][i] for i in range(k))
-    return SmithDecomposition(IntMatrix.from_rows(u), IntMatrix.from_rows(v), factors)
+    return SmithDecomposition(IntMatrix.from_rows(u), factors)
 
 
 class FinitelyGeneratedAbelianGroup:

@@ -164,19 +164,17 @@ def test_h_p_certified_by_oracle_everywhere():
             for p in product(box, repeat=fan.n):
                 ip = gd.iota_of(p)
                 radius = max([1] + [abs(v) for v in ip]) + 1
-                expected, _ = h_p(gd, cone, p)
-                oracle, _ = j_p_oracle(gd, cone, p, radius)
-                assert oracle == expected, (fan_fn.__name__, cone, p)
+                _, expected = h_p(gd, cone, p)
+                assert j_p_oracle(gd, cone, p, radius) == expected, \
+                    (fan_fn.__name__, cone, p)
 
 
 def test_j_p_oracle_examples_and_box_error():
     gd = grading(fan_p1())
-    poly, _ = j_p_oracle(gd, (0,), (-1,), 3)
-    assert poly == tp_linear(2, 0, 0)
-    poly0, _ = j_p_oracle(gd, (0,), (0,), 2)
-    assert poly0 == {(0, 0): Fraction(1)}
-    poly2, _ = j_p_oracle(gd, (0,), (-2,), 4)
-    assert poly2 == tp_mul(tp_linear(2, 0, 0), tp_linear(2, 0, -1))
+    # the slabs theta_1 = m, i.e. the factors (theta_1 - m)
+    assert j_p_oracle(gd, (0,), (-1,), 3) == [(0, 0)]
+    assert j_p_oracle(gd, (0,), (0,), 2) == []
+    assert j_p_oracle(gd, (0,), (-2,), 4) == [(0, 0), (0, 1)]
     with pytest.raises(BoxTooSmall):
         j_p_oracle(gd, (0,), (-2,), 2)
 

@@ -1,6 +1,7 @@
 """Groebner engines: commutative ideals, saturation, dimension, Weyl side."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -412,6 +413,42 @@ def test_toric_ideal_with_laurent_monomials():
     ideal = toric_ideal([(1,), (-1,)], ring)
     y1, y2 = Poly.variable(ring, 0), Poly.variable(ring, 1)
     assert ideal == groebner_basis([y1 * y2 - Poly.constant(ring, 1)], ring)
+
+
+def test_toric_ideal_of_monomials_in_no_variables():
+    # every y_j maps to z^() = 1: the kernel is all of Z^2
+    ring = PolyRing(("y1", "y2"))
+    one = Poly.constant(ring, 1)
+    assert toric_ideal([(), ()], ring) == groebner_basis(
+        [Poly.variable(ring, 0) - one, Poly.variable(ring, 1) - one], ring)
+
+
+def test_toric_ideal_randomized_against_sympy_nullspace():
+    # every binomial of a primitive kernel vector lies in the ideal, which a
+    # kernel of finite index in the true one would miss, and every generator
+    # vanishes under y_j -> z^(E_j)
+    sympy = pytest.importorskip("sympy")
+    r = rng(54)
+    for _ in range(20):
+        m, width = r.randint(1, 4), r.randint(1, 3)
+        exps = [tuple(r.randint(-2, 2) for _ in range(width)) for _ in range(m)]
+        ring = PolyRing(tuple(f"y{j + 1}" for j in range(m)))
+        ideal = toric_ideal(exps, ring)
+        columns = sympy.Matrix([[e[i] for e in exps] for i in range(width)])
+        for u in columns.nullspace():
+            den = sympy.ilcm(*[x.q for x in u])
+            ints = [int(x * den) for x in u]
+            g = gcd(*ints)
+            u = [x // g for x in ints]
+            binomial = (Poly.monomial(ring, tuple(max(x, 0) for x in u))
+                        - Poly.monomial(ring, tuple(max(-x, 0) for x in u)))
+            assert ideal_contains(ideal, [binomial]), (exps, u)
+        for f in ideal:
+            image: dict = {}
+            for e, c in f.terms.items():
+                z = tuple(sum(k * ej[i] for k, ej in zip(e, exps)) for i in range(width))
+                image[z] = image.get(z, 0) + c
+            assert not any(image.values()), (exps, format_poly(f))
 
 
 # independent checks of the commutative engine: sympy's reduced bases, and a

@@ -10,7 +10,7 @@ and e_i (theta_u - <u, b_i>) in N for right modules.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from math import prod
 from operator import add, mul
 
@@ -232,8 +232,9 @@ def j_p_oracle(grading: GradingData, cone, p, radius: int):
     """Brute-force minimal product of linear slabs covering Z(p) in a box,
     as its sorted factors (i, m), each the slab theta_i = m.
 
-    Z(p) only constrains the cone coordinates, so the enumeration runs over
-    those; BoxTooSmall if the box cannot contain all slabs.
+    Z(p) only constrains the cone coordinates, so one pass over those
+    decides every slab; BoxTooSmall if the box cannot contain all slabs
+    (radius below local_radius(p)).
     """
     cone = grading.fan.require_cone(cone)
     ip = grading.iota_of(p)
@@ -241,23 +242,16 @@ def j_p_oracle(grading: GradingData, cone, p, radius: int):
     if radius < needed:
         raise BoxTooSmall(f"radius {radius} < required {needed}")
 
-    def bad(assign) -> bool:
-        # x^(iota(p) + a) fails to stay in the chart ring iff some cone
-        # coordinate goes negative
-        return any(ip[i] + a < 0 for i, a in zip(cone, assign))
-
-    points = list(product(range(0, radius + 1), repeat=len(cone)))
-    bad_points = [pt for pt in points if bad(pt)]
-    candidates = []
-    for pos, i in enumerate(cone):
-        for m in range(0, radius + 1):
-            slab = [pt for pt in points if pt[pos] == m]
-            if slab and all(bad(pt) for pt in slab):
-                candidates.append((i, m, pos))
-    for pt in bad_points:
-        if not any(pt[pos] == m for (_, m, pos) in candidates):
-            raise BoxTooSmall("enumerated set is not covered by coordinate slabs")
-    return sorted((i, m) for (i, m, _) in candidates)
+    # x^(iota(p) + a) stays in the chart ring iff no cone coordinate goes
+    # negative; a slab is a factor iff no such good point lies on it. The
+    # factors cover every bad point: the slab of a negative coordinate holds
+    # only bad points.
+    good = set()
+    for pt in product(range(0, radius + 1), repeat=len(cone)):
+        if all(ip[i] + a >= 0 for i, a in zip(cone, pt)):
+            good.update(enumerate(pt))
+    return [(i, m) for pos, i in enumerate(cone) for m in range(0, radius + 1)
+            if (pos, m) not in good]
 
 
 def rho(grading: GradingData, w: ThetaDict) -> ThetaDict:
@@ -284,44 +278,57 @@ def i_p_ideal(grading: GradingData, cone, p) -> ThetaDict:
     return rho(grading, hp)
 
 
-def _box_walk(fan: Fan, cone, p, radius: int):
-    """Every q in the box [-radius, radius]^n, in lexicographic order, as
-    (q, iota(q), q in the dual cone, q in Y(p)).
+def _interval(bases, steps, radius: int) -> range:
+    """The x in [-radius, radius] with base + x step >= 0 for each pair: a
+    positive step bounds x below by a ceiling, a negative one above by a
+    floor, and a zero step keeps all of them or none."""
+    lo, hi = -radius, radius
+    for b, s in zip(bases, steps):
+        if s > 0:
+            lo = max(lo, -(b // s))
+        elif s < 0:
+            hi = min(hi, b // -s)
+        elif b < 0:
+            return range(0)
+    return range(lo, hi + 1)
 
-    iota(q) = sum_j q_j iota(e_j) is summed along the walk, so each point
-    costs one vector addition; the cone's pairings give both tests, since
-    <q + p, v_i> = iota(q)_i + <p, v_i>.
+
+def _box_lines(fan: Fan, cone, p, radius: int):
+    """The box [-radius, radius]^n by lines head + (x,) along the last axis,
+    in lexicographic order, as (head, iota(head + (0,)), dual, stay): the x
+    whose point is in the dual cone, and those whose shift by p is too; Y(p)
+    is dual minus stay. iota is linear along a line and <q + p, v_i> =
+    <q, v_i> + <p, v_i>, so each cone ray bounds x on one side and both are
+    intervals. iota of the heads costs one vector addition per line.
     """
     rays = fan.rays
+    steps = [rays[i][-1] for i in cone]
     shifts = [sum(map(mul, p, rays[i])) for i in cone]
-    axes = [[((x,), [x * ray[j] for ray in rays]) for x in range(-radius, radius + 1)]
-            for j in range(fan.n)]
     heads = [((), [0] * len(rays))]
-    for axis in axes[:-1]:
+    for j in range(fan.n - 1):
+        axis = [((x,), [x * ray[j] for ray in rays]) for x in range(-radius, radius + 1)]
         heads = [(q + x, list(map(add, iq, v))) for q, iq in heads for x, v in axis]
     for head, partial in heads:
-        for x, v in axes[-1]:
-            iq = tuple(map(add, partial, v))
-            at_cone = [iq[i] for i in cone]
-            in_dual = min(at_cone, default=0) >= 0
-            yield (head + x, iq, in_dual,
-                   in_dual and min(map(add, at_cone, shifts), default=0) < 0)
+        base = [partial[i] for i in cone]
+        yield (head, partial, _interval(base, steps, radius),
+               _interval(map(add, base, shifts), steps, radius))
 
 
 def y_p_points(fan: Fan, cone, p, radius: int) -> list[tuple[int, ...]]:
     """Enumerate Y(p) = {q in the dual cone with q + p outside it} in a box."""
     cone = fan.require_cone(cone)
-    return [q for q, _, _, in_y in _box_walk(fan, cone, p, radius) if in_y]
+    return [head + (x,) for head, _, dual, stay in _box_lines(fan, cone, p, radius)
+            for x in dual if x not in stay]
 
 
 def i_p_matches_y_p(grading: GradingData, cone, p, ip: ThetaDict, radius: int) -> bool:
     """ip (the generator rho(h_p) of I(p)) vanishes exactly on Y(p) among
-    dual-cone points in the box."""
+    dual-cone points in the box; it is evaluated at those points only."""
     fan = grading.fan
     cone = fan.require_cone(cone)
     _, ip_at = tp_numerator_evaluator(ip)
-    return all((ip_at(q) == 0) == in_y
-               for q, _, in_dual, in_y in _box_walk(fan, cone, p, radius) if in_dual)
+    return all((ip_at(head + (x,)) == 0) == (x not in stay)
+               for head, _, dual, stay in _box_lines(fan, cone, p, radius) for x in dual)
 
 
 def _actions_hold(grading: GradingData, cone, p, actions, value_den: int,
@@ -330,26 +337,26 @@ def _actions_hold(grading: GradingData, cone, p, actions, value_den: int,
     of the box by value_at(iota(q)) / value_den, and is zero on Y(p).
 
     Over D, the product of the action denominators, the composite's integer
-    result must be {q: value * D}. The actions run once per line of the box
-    (the 2 radius + 1 points the walk yields with one head), on the sum of
-    the line's y^q. The actions are theta-polynomials (theta_dict_to_weyl
-    of a rho image), and a theta-polynomial scales every monomial y^q by a
-    torus eigenvalue: the images of distinct q never mix, so the line's
-    result is the per-point results side by side and the verdict is the
-    per-point one.
+    result must be {q: value * D}; the value is tested at every point, Y(p)
+    read from the line's intervals, and the actions run once per line of
+    the box, on the sum of the line's y^q. The actions are
+    theta-polynomials (theta_dict_to_weyl of a rho image), and a
+    theta-polynomial scales every monomial y^q by a torus eigenvalue: the
+    images of distinct q never mix, so the line's result is the per-point
+    results side by side and the verdict is the per-point one.
     """
     den = prod(d for d, _ in actions)
-    walk = _box_walk(grading.fan, cone, p, radius)
-    width = 2 * radius + 1
-    for line in iter(lambda: list(islice(walk, width)), []):
+    rays = grading.fan.rays
+    last = [(x, [x * ray[-1] for ray in rays]) for x in range(-radius, radius + 1)]
+    for head, partial, dual, stay in _box_lines(grading.fan, cone, p, radius):
         want = {}
-        for q, iq, _, in_y in line:
-            coeff, rem = divmod(value_at(iq) * den, value_den)
-            if rem or (in_y and coeff):
+        for x, v in last:
+            coeff, rem = divmod(value_at(tuple(map(add, partial, v))) * den, value_den)
+            if rem or (coeff and x in dual and x not in stay):
                 return False
             if coeff:
-                want[q] = coeff
-        cur = {q: 1 for q, _, _, _ in line}
+                want[head + (x,)] = coeff
+        cur = {head + (x,): 1 for x, _ in last}
         for _, apply in actions:
             cur = apply(cur)
         if cur != want:

@@ -257,7 +257,7 @@ class FinitelyGeneratedAbelianGroup:
             if lead < 0:
                 u[slot] = [-x for x in u[slot]]
         self._u = IntMatrix.from_rows(u)
-        self._u_inv = unimodular_inverse(self._u)
+        self._u_inv = None      # U^-1, built by the first section call
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * (self.free_rank + len(self.torsion_orders))
@@ -279,6 +279,8 @@ class FinitelyGeneratedAbelianGroup:
             y[slot] = c
         for c, slot in zip(cls[self.free_rank:], self._torsion_slots):
             y[slot] = c
+        if self._u_inv is None:
+            self._u_inv = unimodular_inverse(self._u)
         return self._u_inv.mul_vec(y)
 
     def reduce(self, cls) -> tuple[int, ...]:

@@ -10,8 +10,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
 
-from toric_dmod.dmod import _box_walk
-from toric_dmod.errors import (FanValidationError, NonSimplicialCone,
+from toric_dmod.dmod import local_radius
+from toric_dmod.errors import (BoxTooSmall, FanValidationError, NonSimplicialCone,
                                NonSmoothCone, RaysDoNotSpan)
 from toric_dmod.fan_cox import (Fan, GradingData, _fm_feasible,
                                 _overlapping_cones, grading_data)
@@ -495,8 +495,36 @@ def random_homogeneous_weyl(r: random.Random, gd: GradingData, total: int = 2,
     return WeylElement(d, terms)
 
 
-# the local action check one box point at a time, the reference for the
-# check one box line at a time
+# the local box oracles one point at a time, the references for dmod's walk
+# by box lines and intervals and for its one-pass slab oracle
+
+
+def box_points(fan: Fan, cone, p, radius: int):
+    """Every q of the box [-radius, radius]^n in lexicographic order, as
+    (q, iota(q), q in the dual cone, q in Y(p)), with every pairing <q, v_i>
+    and <q + p, v_i> summed directly."""
+    for q in product(range(-radius, radius + 1), repeat=fan.n):
+        iq = tuple(sum(a * b for a, b in zip(q, ray)) for ray in fan.rays)
+        in_dual = all(iq[i] >= 0 for i in cone)
+        shifted = [sum((a + b) * c for a, b, c in zip(q, p, fan.rays[i])) for i in cone]
+        yield q, iq, in_dual, in_dual and any(x < 0 for x in shifted)
+
+
+def y_p_points_per_point(fan: Fan, cone, p, radius: int) -> list:
+    return [q for q, _, _, in_y in box_points(fan, cone, p, radius) if in_y]
+
+
+def i_p_evaluations_per_point(fan: Fan, cone, p, ip_at, radius: int) -> tuple[bool, list]:
+    """The verdict of dmod.i_p_matches_y_p and the points where it evaluates
+    ip, in order: the dual-cone points up to the first one where ip's
+    vanishing disagrees with Y(p) membership."""
+    seen = []
+    for q, _, in_dual, in_y in box_points(fan, cone, p, radius):
+        if in_dual:
+            seen.append(q)
+            if (ip_at(q) == 0) != in_y:
+                return False, seen
+    return True, seen
 
 
 def actions_hold_per_point(grading: GradingData, cone, p, actions, value_den: int,
@@ -505,7 +533,7 @@ def actions_hold_per_point(grading: GradingData, cone, p, actions, value_den: in
     on its own: over D, the product of the action denominators, it must
     give {q: value * D}, and 0 on Y(p)."""
     den = prod(d for d, _ in actions)
-    for q, iq, _, in_y in _box_walk(grading.fan, cone, p, radius):
+    for q, iq, _, in_y in box_points(grading.fan, cone, p, radius):
         cur = {q: 1}
         for _, apply in actions:
             cur = apply(cur)
@@ -513,3 +541,30 @@ def actions_hold_per_point(grading: GradingData, cone, p, actions, value_den: in
         if rem or cur != ({q: coeff} if coeff else {}) or (in_y and coeff):
             return False
     return True
+
+
+def j_p_oracle_per_slab(grading: GradingData, cone, p, radius: int):
+    """dmod.j_p_oracle with one scan of the whole box per slab: a slab is a
+    factor iff every point on it is bad, and every bad point must lie on a
+    factor slab."""
+    cone = grading.fan.require_cone(cone)
+    ip = grading.iota_of(p)
+    needed = local_radius(grading, p)
+    if radius < needed:
+        raise BoxTooSmall(f"radius {radius} < required {needed}")
+
+    def bad(assign) -> bool:
+        return any(ip[i] + a < 0 for i, a in zip(cone, assign))
+
+    points = list(product(range(0, radius + 1), repeat=len(cone)))
+    bad_points = [pt for pt in points if bad(pt)]
+    candidates = []
+    for pos, i in enumerate(cone):
+        for m in range(0, radius + 1):
+            slab = [pt for pt in points if pt[pos] == m]
+            if slab and all(bad(pt) for pt in slab):
+                candidates.append((i, m, pos))
+    for pt in bad_points:
+        if not any(pt[pos] == m for (_, m, pos) in candidates):
+            raise BoxTooSmall("enumerated set is not covered by coordinate slabs")
+    return sorted((i, m) for (i, m, _) in candidates)

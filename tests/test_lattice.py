@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rng
+from helpers import fan_p1p1, fan_torsion, grading, rng
+from toric_dmod import lattice
 from toric_dmod.lattice import (IntMatrix, cokernel, dual_lattice_basis,
                                 invariant_factor_oracle, smith_normal_form)
 
@@ -105,6 +106,32 @@ def test_cokernel_exactness_and_section():
             a = tuple(r.randint(-4, 4) for _ in range(rows))
             cls = g.project(a)
             assert g.project(g.section(cls)) == cls
+
+
+def test_section_inverts_u_once_and_cokernel_never(monkeypatch):
+    # the inverse of U is built by the first section call only: cokernel
+    # and project alone (the toric-ideal kernels) run no inversion
+    calls = []
+    real = lattice.unimodular_inverse
+
+    def counted(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(lattice, "unimodular_inverse", counted)
+    free = cokernel(IntMatrix.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]]))
+    torsion = cokernel(IntMatrix.from_rows([[2, 0], [0, 1], [0, 0]]))
+    groups = [free, torsion, grading(fan_torsion()).class_group,
+              grading(fan_p1p1()).class_group]
+    assert torsion.torsion_orders == (2,) and groups[2].torsion_orders == (2,)
+    for g in groups:
+        g.project((1,) * g.ambient_rank)
+    assert calls == []
+    for k, g in enumerate(groups):
+        for a in [(1,) + (0,) * (g.ambient_rank - 1), (3, -1) + (2,) * (g.ambient_rank - 2)]:
+            cls = g.project(a)
+            assert g.project(g.section(cls)) == cls
+        assert len(calls) == k + 1
 
 
 def test_dual_basis_p1():

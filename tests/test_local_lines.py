@@ -1,34 +1,52 @@
-"""The local action checks one box line at a time against the per-point
-reference (helpers.actions_hold_per_point), and how often each factor's
-action runs."""
+"""The local box oracles against per-point references: the walk by box
+lines and intervals (y_p_points, i_p_matches_y_p and the line-wise
+_actions_hold) against helpers.box_points, a naive walk with every pairing
+summed directly, and the one-pass j_p_oracle against the slab-by-slab scan
+(helpers.j_p_oracle_per_slab); and how often each factor's action and the
+evaluator of rho(h_p) run."""
 
+from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import pytest
 
-from helpers import (actions_hold_per_point, all_fixture_fans, fan_p1, fan_p2,
-                     fan_faces, grading)
+import helpers
+from helpers import (actions_hold_per_point, all_fixture_fans, box_points,
+                     fan_faces, fan_p1, fan_p1_cubed, fan_p2, fan_p3,
+                     grading, i_p_evaluations_per_point, j_p_oracle_per_slab,
+                     rng, star_subdivided_fans, y_p_points_per_point)
 from toric_dmod import dmod
-from toric_dmod.dmod import (factored_local_action_holds, h_p, local_radius,
-                             verify_local_action)
-from toric_dmod.weyl import tp_add, tp_mul
+from toric_dmod.dmod import (factored_local_action_holds, h_p, i_p_ideal,
+                             i_p_matches_y_p, j_p_oracle, local_radius,
+                             verify_local_action, y_p_points)
+from toric_dmod.errors import BoxTooSmall
+from toric_dmod.fan_cox import Fan
+from toric_dmod.weyl import tp_add, tp_linear, tp_mul, tp_numerator_evaluator
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+FANS = ([fan for _, fan in all_fixture_fans()] + [fan_p3(), fan_p1_cubed()]
+        + list(star_subdivided_fans(rng(29), fan_p2(), 3))
+        + list(star_subdivided_fans(rng(24), fan_p3(), 2)))
 FIXTURES = [(grading(fan), sorted(fan_faces(fan), key=lambda c: (len(c), c)))
-            for _, fan in all_fixture_fans()]
+            for fan in FANS]
 
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
 def local_cases(draw):
-    """A fixture fan, any of its cones (the zero cone, rays and non-maximal
-    cones included), a point p and a radius at least local_radius(p)."""
+    """A fixture fan, P3, (P1)^3 or a star subdivision of P2 or P3, any of
+    its cones (the zero cone, rays, non-maximal cones and rays with a zero
+    last coordinate included), a point p and a radius local_radius(p) or
+    one more. In dimension 3 p stays in [-1, 1]^3, which keeps the box of
+    the per-point references small."""
     gd, faces = draw(st.sampled_from(FIXTURES))
     cone = draw(st.sampled_from(faces))
-    p = tuple(draw(st.lists(st.integers(-2, 2), min_size=gd.n, max_size=gd.n)))
+    bound = 2 if gd.n < 3 else 1
+    p = tuple(draw(st.lists(st.integers(-bound, bound), min_size=gd.n, max_size=gd.n)))
     radius = local_radius(gd, p) + draw(st.integers(0, 1))
     return gd, cone, p, radius
 
@@ -127,3 +145,99 @@ def test_line_check_fails_where_one_point_fails():
                                       radius) is verdict
         assert dmod._actions_hold(gd, cone, p, identity, value_den, value_at,
                                   radius) is verdict
+
+
+
+def _recording_evaluator():
+    """Patch dmod.tp_numerator_evaluator so that the evaluators it returns
+    record every point they are called at, in the returned list."""
+    seen = []
+
+    def recorded(f):
+        den, at = tp_numerator_evaluator(f)
+
+        def wrapped(t):
+            seen.append(tuple(t))
+            return at(t)
+        return den, wrapped
+    return seen, mock.patch.object(dmod, "tp_numerator_evaluator", recorded)
+
+
+@given(local_cases(), st.data())
+def test_box_lines_match_the_per_point_walk(case, data):
+    # y_p_points, and i_p_matches_y_p on rho(h_p), on rho(h_p) times one
+    # more linear factor and on a constant: the same verdict, from
+    # evaluations at the same points in the same order
+    gd, cone, p, radius = case
+    fan = gd.fan
+    assert y_p_points(fan, cone, p, radius) == y_p_points_per_point(fan, cone, p, radius)
+    ip = i_p_ideal(gd, cone, p)
+    k = data.draw(st.integers(0, gd.n - 1))
+    c = data.draw(st.integers(-2, 2))
+    variants = [ip, tp_mul(ip, tp_linear(gd.n, k, data.draw(RATIONALS))),
+                {(0,) * gd.n: Fraction(c)} if c else {}]
+    seen, patch = _recording_evaluator()
+    verdicts = []
+    for g in variants:
+        seen.clear()
+        with patch:
+            verdicts.append(i_p_matches_y_p(gd, cone, p, g, radius))
+        expected = i_p_evaluations_per_point(fan, cone, p, tp_numerator_evaluator(g)[1],
+                                             radius)
+        assert (verdicts[-1], seen) == expected
+    assert verdicts[0]
+
+
+def test_box_lines_where_a_last_coordinate_exceeds_one():
+    # the floors and ceilings of the intervals only round where a cone ray
+    # has |v[-1]| >= 2: every cone of such planar fans and of their mirror
+    # images (v -> -v, the same steps with the other sign), every p in
+    # [-2, 2]^2
+    fans = [fan for fan in FANS if fan.n == 2 and max(abs(v[-1]) for v in fan.rays) > 1]
+    assert fans
+    fans += [Fan(2, [tuple(-x for x in v) for v in fan.rays], fan.max_cones)
+             for fan in fans]
+    for fan in fans:
+        gd = grading(fan)
+        for cone in fan_faces(fan):
+            for p in product(range(-2, 3), repeat=2):
+                radius = local_radius(gd, p)
+                assert y_p_points(fan, cone, p, radius) == \
+                    y_p_points_per_point(fan, cone, p, radius), (fan.rays, cone, p)
+
+
+@pytest.mark.parametrize("fan_fn,cone,p", [(fan_p1, (0,), (-3,)),
+                                           (fan_p2, (0, 1), (-2, -1)),
+                                           (fan_p3, (0, 1, 2), (-1, 0, 1)),
+                                           (fan_p3, (1, 3), (1, -1, 0))])
+def test_rho_h_p_is_evaluated_once_per_dual_cone_point(fan_fn, cone, p):
+    # at the radius of the local command, 2 local_radius(p): the count
+    # comes from the per-point walk, and is below the box's
+    gd = grading(fan_fn())
+    radius = 2 * local_radius(gd, p)
+    dual = sum(in_dual for _, _, in_dual, _ in box_points(gd.fan, cone, p, radius))
+    seen, patch = _recording_evaluator()
+    with patch:
+        assert i_p_matches_y_p(gd, cone, p, i_p_ideal(gd, cone, p), radius)
+    assert len(seen) == len(set(seen)) == dual < (2 * radius + 1) ** gd.n
+
+
+def _outcome(oracle, *args):
+    try:
+        return oracle(*args)
+    except BoxTooSmall as exc:
+        return "BoxTooSmall", str(exc)
+
+
+@given(local_cases(), st.integers(-3, 0))
+def test_j_p_oracle_matches_the_slab_by_slab_scan(case, shift):
+    # the same sorted factors, or BoxTooSmall with the same message, also
+    # at radii below local_radius(p); and with that bound taken away, the
+    # two scans of a box too small for some slabs
+    gd, cone, p, radius = case
+    radius = max(0, radius + shift)
+    args = (gd, cone, p, radius)
+    assert _outcome(j_p_oracle, *args) == _outcome(j_p_oracle_per_slab, *args)
+    with mock.patch.object(dmod, "local_radius", lambda gd, p: 0), \
+            mock.patch.object(helpers, "local_radius", lambda gd, p: 0):
+        assert _outcome(j_p_oracle, *args) == _outcome(j_p_oracle_per_slab, *args)

@@ -31,13 +31,9 @@ def s_prime_ring(grading: GradingData) -> PolyRing:
     return PolyRing(names, degrees, group)
 
 
-@dataclass(frozen=True)
-class ZIdeal:
-    generators: tuple[Poly, ...]
-
-
-def z_ideal(grading: GradingData) -> ZIdeal:
-    """The ideal of the common characteristic variety of the twisted modules."""
+def z_ideal(grading: GradingData) -> tuple[Poly, ...]:
+    """Generators of the ideal of the common characteristic variety of the
+    twisted modules."""
     ring = s_prime_ring(grading)
     d = grading.d
     gens = []
@@ -50,7 +46,7 @@ def z_ideal(grading: GradingData) -> ZIdeal:
                 e[d + i] = 1
                 terms[tuple(e)] = Fraction(c)
         gens.append(Poly(ring, terms))
-    return ZIdeal(tuple(gens))
+    return tuple(gens)
 
 
 def characteristic_ideal(grading: GradingData, pres: GradedPresentation) -> list[Poly]:
@@ -84,7 +80,7 @@ def verify_char_containment(grading: GradingData, pres: GradedPresentation) -> b
     _require_theta(pres)
     ring = s_prime_ring(grading)
     j = characteristic_ideal(grading, pres)
-    return all(radical_membership(p, j, ring) for p in z_ideal(grading).generators)
+    return all(radical_membership(p, j, ring) for p in z_ideal(grading))
 
 
 @dataclass

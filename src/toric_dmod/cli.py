@@ -12,8 +12,7 @@ import json
 import re
 import sys
 
-from .errors import (InhomogeneousInput, ParseError, ToricDmodError,
-                     UnknownCone)
+from .errors import InhomogeneousInput, ParseError, ToricDmodError
 from .fan_cox import (Fan, GradingData, euler_operators, grading_data,
                       irrelevant_ideal)
 from .parsing import format_terms
@@ -180,22 +179,6 @@ def parse_point(text: str, n: int):
     return p
 
 
-class Report:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-        self.lines: list[tuple[str, str]] = []
-
-    def add(self, key: str, value: str):
-        self.lines.append((key, value))
-
-    def emit(self):
-        for key, value in self.lines:
-            if self.fmt == "machine":
-                sys.stdout.write(f"{key}\t{value}\n")
-            else:
-                sys.stdout.write(f"{key}: {value}\n")
-
-
 def class_group_name(grading: GradingData) -> str:
     group = grading.class_group
     parts = []
@@ -207,159 +190,130 @@ def class_group_name(grading: GradingData) -> str:
     return " x ".join(parts) if parts else "0"
 
 
-def _cls_list(cls) -> str:
-    return json.dumps(list(cls))
+def _cl_header(grading: GradingData) -> list[tuple[str, str]]:
+    return [("cl", class_group_name(grading)),
+            ("cl-basis", "coordinates are free part then torsion residues")]
 
 
-def _add_cl_header(report: Report, grading: GradingData):
-    report.add("cl", class_group_name(grading))
-    report.add("cl-basis", "coordinates are free part then torsion residues")
-
-
-def cmd_fan_info(args) -> int:
-    fan = load_fan(args.fan)
-    grading = grading_data(fan)
-    report = Report(args.format)
-    report.add("n", str(fan.n))
-    report.add("d", str(fan.d))
-    report.add("rays", json.dumps([list(r) for r in fan.rays]))
-    report.add("max-cones", json.dumps([[i + 1 for i in c] for c in fan.max_cones]))
-    _add_cl_header(report, grading)
-    report.add("degrees", json.dumps([list(grading.degree_x(i)) for i in range(fan.d)]))
-    report.add("e-bar", _cls_list(grading.e_bar))
-    report.add("dual-basis", json.dumps([list(u) for u in grading.dual_basis]))
-    xnames = [f"x{i + 1}" for i in range(fan.d)]
+def cmd_fan_info(args, grading: GradingData) -> list[tuple[str, str]]:
+    fan = grading.fan
+    xnames = charvar.s_prime_ring(grading).names[:fan.d]
     bgens = sorted(format_terms([(1, list(zip(xnames, g)))])
                    for g in irrelevant_ideal(fan).generators)
-    report.add("irrelevant-ideal", "(" + ", ".join(bgens) + ")")
     ops = [format_weyl(t) for t in euler_operators(grading)]
-    report.add("euler-operators", "(" + ", ".join(ops) + ")")
-    report.emit()
-    return 0
+    return [("n", str(fan.n)),
+            ("d", str(fan.d)),
+            ("rays", json.dumps([list(r) for r in fan.rays])),
+            ("max-cones", json.dumps([[i + 1 for i in c] for c in fan.max_cones])),
+            *_cl_header(grading),
+            ("degrees", json.dumps([list(grading.degree_x(i)) for i in range(fan.d)])),
+            ("e-bar", json.dumps(list(grading.e_bar))),
+            ("dual-basis", json.dumps([list(u) for u in grading.dual_basis])),
+            ("irrelevant-ideal", "(" + ", ".join(bgens) + ")"),
+            ("euler-operators", "(" + ", ".join(ops) + ")")]
 
 
-def _emit_module_document(pres: dmod.GradedPresentation, grading: GradingData):
-    sys.stdout.write("# toric-dmod module document\n")
-    sys.stdout.write(f"# cl = {class_group_name(grading)}"
-                     " (degree coordinates: free part then torsion residues)\n")
-    sys.stdout.write(f"side = {json.dumps(pres.side)}\n")
-    sys.stdout.write("generator_degrees = "
-                     + json.dumps([list(t) for t in pres.twists]) + "\n")
+def _module_document(pres: dmod.GradedPresentation, grading: GradingData) -> str:
     rows = [[format_weyl(g) for g in row] for row in pres.relations]
-    sys.stdout.write("relations = " + json.dumps(rows) + "\n")
+    return ("# toric-dmod module document\n"
+            f"# cl = {class_group_name(grading)}"
+            " (degree coordinates: free part then torsion residues)\n"
+            f"side = {json.dumps(pres.side)}\n"
+            f"generator_degrees = {json.dumps([list(t) for t in pres.twists])}\n"
+            f"relations = {json.dumps(rows)}\n")
 
 
-def cmd_twisted(args) -> int:
+def cmd_twisted(args, grading: GradingData) -> str:
     """dl/dr: the twisted module document on the side chosen by the subcommand."""
-    fan = load_fan(args.fan)
-    grading = grading_data(fan)
     cls = parse_class(args.degree, grading)
     build = dmod.d_module_left if args.side == "left" else dmod.d_module_right
-    _emit_module_document(build(grading, cls), grading)
-    return 0
+    return _module_document(build(grading, cls), grading)
 
 
-def cmd_check(args) -> int:
-    fan = load_fan(args.fan)
-    grading = grading_data(fan)
+def cmd_check(args, grading: GradingData) -> list[tuple[str, str]]:
     pres = load_module(args.module, grading)
     ok, cert = dmod.check_theta_condition(pres)
-    report = Report(args.format)
-    _add_cl_header(report, grading)
-    report.add("side", pres.side)
+    report = _cl_header(grading)
+    report.append(("side", pres.side))
     if ok:
-        report.add("theta-condition", "OK")
+        report.append(("theta-condition", "OK"))
     else:
-        report.add("theta-condition", f"FAIL at generator {cert[0]}, u = u{cert[1]}")
-    report.emit()
-    return 0
+        report.append(("theta-condition", f"FAIL at generator {cert[0]}, u = u{cert[1]}"))
+    return report
 
 
-def cmd_charvar(args) -> int:
-    fan = load_fan(args.fan)
-    grading = grading_data(fan)
+def cmd_charvar(args, grading: GradingData) -> list[tuple[str, str]]:
     pres = load_module(args.module, grading)
     if args.charts:
         # fail before the report, not after computing all of it
         for cone in grading.fan.max_cones:
             dmod.require_chart_cone(grading, cone)
     rep = charvar.dimension_report(grading, pres)
-    report = Report(args.format)
-    _add_cl_header(report, grading)
+    report = _cl_header(grading)
     for key, value in charvar.render_report(rep):
         if key != "saturated" or args.saturate:
-            report.add(key, value)
+            report.append((key, value))
     if args.charts:
-        d = grading.d
-        xnames = [f"x{i + 1}" for i in range(d)] + [f"xi{i + 1}" for i in range(d)]
+        names = charvar.s_prime_ring(grading).names
         for chart in rep.charts:
             rays = ",".join(str(i + 1) for i in chart.frame.cone)
             label = f"chart-{rays}"
-            gens = [f"{nm} = " + format_terms([(1, list(zip(xnames, xe + xie)))])
+            gens = [f"{nm} = " + format_terms([(1, list(zip(names, xe + xie)))])
                     for nm, xe, xie in chart.frame.generator_monomials]
-            report.add(f"{label}-generators", "; ".join(gens))
-            report.add(f"{label}-window", "degree-zero monomials via the linear "
-                       f"section with zero exponents on rays {rays}")
+            report.append((f"{label}-generators", "; ".join(gens)))
+            report.append((f"{label}-window", "degree-zero monomials via the linear "
+                           f"section with zero exponents on rays {rays}"))
             # at a smooth full-dimensional cone the chart ring is the polynomial
             # ring on its n + d generators (Cox 1995), so no relation holds
-            report.add(f"{label}-presentation", "(0)")
-            report.add(f"{label}-image", charvar.ideal_str(chart.image_ideal))
-            report.add(f"{label}-dim", str(chart.dimension))
-    report.emit()
-    return 0
+            report.append((f"{label}-presentation", "(0)"))
+            report.append((f"{label}-image", charvar.ideal_str(chart.image_ideal)))
+            report.append((f"{label}-dim", str(chart.dimension)))
+    return report
 
 
-def cmd_swap(args) -> int:
-    fan = load_fan(args.fan)
-    grading = grading_data(fan)
+def cmd_swap(args, grading: GradingData) -> str:
     pres = load_module(args.module, grading)
-    _emit_module_document(dmod.left_right_swap(pres), grading)
-    return 0
+    return _module_document(dmod.left_right_swap(pres), grading)
 
 
-def cmd_local(args) -> int:
-    fan = load_fan(args.fan)
-    grading = grading_data(fan)
-    cone = parse_cone(args.cone, fan)
-    if not fan.has_cone(cone):
-        raise UnknownCone(f"cone {args.cone} is not in the fan")
+def cmd_local(args, grading: GradingData) -> list[tuple[str, str]]:
+    fan = grading.fan
+    cone = fan.require_cone(parse_cone(args.cone, fan))
     p = parse_point(args.p, fan.n)
     dmod.require_local_bounds(grading, cone, p)
     iota = grading.iota_of(p)
-    report = Report(args.format)
-    _add_cl_header(report, grading)
-    report.add("cone", ",".join(str(i + 1) for i in cone))
-    report.add("p", ",".join(str(x) for x in p))
-    report.add("iota-p", json.dumps(list(iota)))
+    report = _cl_header(grading)
+    report.append(("cone", ",".join(str(i + 1) for i in cone)))
+    report.append(("p", ",".join(str(x) for x in p)))
+    report.append(("iota-p", json.dumps(list(iota))))
     hp, factors = dmod.h_p(grading, cone, p)
     thnames = [f"th{i + 1}" for i in range(fan.d)]
     vnames = [f"v{i + 1}" for i in range(fan.n)]
-    report.add("h_p", tp_format(hp, thnames))
-    report.add("h_p-factors",
-               " * ".join(f"(th{i + 1} - {m})" if m else f"th{i + 1}"
-                          for i, m in factors) if factors else "1")
+    report.append(("h_p", tp_format(hp, thnames)))
+    report.append(("h_p-factors",
+                   " * ".join(f"(th{i + 1} - {m})" if m else f"th{i + 1}"
+                              for i, m in factors) if factors else "1"))
     # I(p) is generated by rho(h_p): one polynomial, printed twice
     ip = dmod.rho(grading, hp)
-    report.add("rho-h_p", tp_format(ip, vnames))
-    report.add("i_p", tp_format(ip, vnames))
+    report.append(("rho-h_p", tp_format(ip, vnames)))
+    report.append(("i_p", tp_format(ip, vnames)))
     radius = dmod.local_radius(grading, p)
     # products of linear factors are equal iff their factor lists are
     oracle = dmod.j_p_oracle(grading, cone, p, radius)
-    report.add("oracle", "AGREE" if oracle == factors else "DISAGREE")
+    report.append(("oracle", "AGREE" if oracle == factors else "DISAGREE"))
     # h_p with the index range widened by one (0 <= m <= -iota(p)_i)
     alt = [(i, m) for i in cone for m in range(0, -iota[i] + 1)]
-    report.add("inclusive-bound-variant",
-               "AGREE" if alt == oracle else "DISAGREE (off-by-one)")
+    report.append(("inclusive-bound-variant",
+                   "AGREE" if alt == oracle else "DISAGREE (off-by-one)"))
     ymatch = dmod.i_p_matches_y_p(grading, cone, p, ip, 2 * radius)
-    report.add("y_p-vanishing", "AGREE" if ymatch else "DISAGREE")
+    report.append(("y_p-vanishing", "AGREE" if ymatch else "DISAGREE"))
     if args.g is not None:
         g = parse_theta_poly(args.g, fan.d)
         pair = dmod.local_op_image(grading, cone, p, g)
-        report.add("g", tp_format(g, thnames))
-        report.add("g-image", f"({','.join(str(x) for x in pair[0])}; "
-                              f"{tp_format(pair[1], vnames)})")
-    report.emit()
-    return 0
+        report.append(("g", tp_format(g, thnames)))
+        report.append(("g-image", f"({','.join(str(x) for x in pair[0])}; "
+                                  f"{tp_format(pair[1], vnames)})"))
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,16 +377,23 @@ _parser: argparse.ArgumentParser | None = None
 
 def main(argv=None) -> int:
     """Run one command; may be called repeatedly in one process, and builds
-    the parser only on the first call."""
+    the parser only on the first call. Every command's first argument is the
+    fan: main loads it and prints what the command returns, a module document
+    as it is or (key, value) report lines in the chosen format."""
     global _parser
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args, grading_data(load_fan(args.fan)))
     except ToricDmodError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
+    if not isinstance(out, str):
+        sep = "\t" if args.format == "machine" else ": "
+        out = "".join(f"{key}{sep}{value}\n" for key, value in out)
+    sys.stdout.write(out)
+    return 0
 
 
 if __name__ == "__main__":

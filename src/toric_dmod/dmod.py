@@ -191,7 +191,8 @@ def left_right_swap(pres: GradedPresentation) -> GradedPresentation:
     return GradedPresentation(grading, new_side, new_twists, new_rel)
 
 
-# local eigenspace machinery
+# local eigenspace machinery; a cone is a cone of the fan as a sorted tuple
+# of 0-based ray indices, checked by the caller (the CLI: Fan.require_cone)
 
 
 def local_radius(grading: GradingData, p) -> int:
@@ -216,7 +217,6 @@ def _h_p_factors(grading: GradingData, cone, p) -> list:
     """The linear factors (i, m) of h_p: 0 <= m <= -iota(p)_i - 1 over the
     rays i of the cone; this is the convention certified by the action
     oracle."""
-    cone = grading.fan.require_cone(cone)
     ip = grading.iota_of(p)
     return sorted((i, m) for i in cone for m in range(0, -ip[i]))
 
@@ -236,7 +236,6 @@ def j_p_oracle(grading: GradingData, cone, p, radius: int):
     decides every slab; BoxTooSmall if the box cannot contain all slabs
     (radius below local_radius(p)).
     """
-    cone = grading.fan.require_cone(cone)
     ip = grading.iota_of(p)
     needed = local_radius(grading, p)
     if radius < needed:
@@ -316,7 +315,6 @@ def _box_lines(fan: Fan, cone, p, radius: int):
 
 def y_p_points(fan: Fan, cone, p, radius: int) -> list[tuple[int, ...]]:
     """Enumerate Y(p) = {q in the dual cone with q + p outside it} in a box."""
-    cone = fan.require_cone(cone)
     return [head + (x,) for head, _, dual, stay in _box_lines(fan, cone, p, radius)
             for x in dual if x not in stay]
 
@@ -324,11 +322,10 @@ def y_p_points(fan: Fan, cone, p, radius: int) -> list[tuple[int, ...]]:
 def i_p_matches_y_p(grading: GradingData, cone, p, ip: ThetaDict, radius: int) -> bool:
     """ip (the generator rho(h_p) of I(p)) vanishes exactly on Y(p) among
     dual-cone points in the box; it is evaluated at those points only."""
-    fan = grading.fan
-    cone = fan.require_cone(cone)
     _, ip_at = tp_numerator_evaluator(ip)
     return all((ip_at(head + (x,)) == 0) == (x not in stay)
-               for head, _, dual, stay in _box_lines(fan, cone, p, radius) for x in dual)
+               for head, _, dual, stay in _box_lines(grading.fan, cone, p, radius)
+               for x in dual)
 
 
 def _actions_hold(grading: GradingData, cone, p, actions, value_den: int,
@@ -373,7 +370,6 @@ def verify_local_action(grading: GradingData, cone, p, g: ThetaDict,
     compared before it. For q in the dual cone whose shift leaves it, the
     result must vanish (the operator preserves the cone ring).
     """
-    cone = grading.fan.require_cone(cone)
     action = numerator_action(theta_dict_to_weyl(grading.n, rho(grading, g)))
     g_den, g_at = tp_numerator_evaluator(g)
     return _actions_hold(grading, cone, p, [action], g_den, g_at, radius)
@@ -389,7 +385,6 @@ def factored_local_action_holds(grading: GradingData, cone, p, factors,
     preserve the dual-cone ring. With m = r / s that is
     prod (s iota(q)_i - r) over prod s.
     """
-    cone = grading.fan.require_cone(cone)
     d, n = grading.d, grading.n
     actions = [numerator_action(theta_dict_to_weyl(n, rho(grading, tp_linear(d, i, -m))))
                for i, m in factors]

@@ -126,13 +126,11 @@ def cone_defect(fan: Fan, cone) -> FanValidationError | None:
     return None
 
 
-def validate_smooth_fan(fan: Fan) -> dict:
+def validate_smooth_fan(fan: Fan) -> None:
     """Validate rays, simpliciality, smoothness and common faces; raises typed
     errors, a cone error naming the first failing maximal cone and the overlap
     error the first offending pair of them. Both cone properties pass to
     faces, so the maximal cones settle them.
-
-    Returns a small report dict on success.
     """
     for idx, ray in enumerate(fan.rays):
         if all(x == 0 for x in ray):
@@ -151,7 +149,6 @@ def validate_smooth_fan(fan: Fan) -> dict:
     if pair:
         s1, s2 = (tuple(i + 1 for i in cone) for cone in pair)
         raise FanValidationError(f"cones {s1} and {s2} intersect in more than a common face")
-    return {"n": fan.n, "d": fan.d, "max_cones": fan.max_cones, "smooth": True}
 
 
 def sigma_hat_monomial(fan: Fan, cone) -> tuple[int, ...]:

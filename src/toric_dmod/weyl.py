@@ -413,29 +413,11 @@ def weyl_degree(grading, f: WeylElement):
     return deg
 
 
-class ThetaFormElement:
-    """Eigenspace form: entries c in Z^d -> polynomial w(theta), meaning
-    the element sum_c x^(c+) d^(c-) w(theta)."""
-
-    __slots__ = ("d", "entries")
-
-    def __init__(self, d: int, entries=None):
-        self.d = d
-        self.entries = {tuple(c): dict(w) for c, w in (entries or {}).items() if w}
-
-    def __eq__(self, other):
-        return (isinstance(other, ThetaFormElement) and self.d == other.d
-                and self.entries == other.entries)
-
-    def __repr__(self):
-        names = [f"th{i + 1}" for i in range(self.d)]
-        bits = [f"{c}: {tp_format(w, names)}" for c, w in sorted(self.entries.items())]
-        return "ThetaFormElement({" + ", ".join(bits) + "})"
-
-
-def to_theta_form(f: WeylElement) -> ThetaFormElement:
-    """x^a d^b = x^(c+) d^(c-) w(theta) with c = a - b and w the product of
-    (theta_i - r) over b_i - min(a_i, b_i) <= r < b_i."""
+def to_theta_form(f: WeylElement) -> dict:
+    """Eigenspace form {c in Z^d: w(theta)}, nonzero w only, meaning the
+    element sum_c x^(c+) d^(c-) w(theta): x^a d^b = x^(c+) d^(c-) w(theta)
+    with c = a - b and w the product of (theta_i - r) over
+    b_i - min(a_i, b_i) <= r < b_i."""
     d = f.d
     entries: dict = {}
     for (a, b), coeff in f.terms.items():
@@ -443,7 +425,7 @@ def to_theta_form(f: WeylElement) -> ThetaFormElement:
                                   for r in range(b[i] - min(a[i], b[i]), b[i])])
         c = tuple(map(sub, a, b))
         entries[c] = tp_add(entries.get(c, {}), tp_scale(w, coeff))
-    return ThetaFormElement(d, entries)
+    return {c: w for c, w in entries.items() if w}
 
 
 def _stirling_row(k: int) -> list[int]:
@@ -466,10 +448,10 @@ def theta_dict_to_weyl(d: int, w: ThetaDict) -> WeylElement:
     return WeylElement(d, out)
 
 
-def from_theta_form(tf: ThetaFormElement) -> WeylElement:
-    d = tf.d
+def from_theta_form(d: int, tf: dict) -> WeylElement:
+    """The element of A_d with eigenspace form tf (see to_theta_form)."""
     out = WeylElement.zero(d)
-    for c, w in sorted(tf.entries.items()):
+    for c, w in sorted(tf.items()):
         cp = tuple(max(x, 0) for x in c)
         cm = tuple(max(-x, 0) for x in c)
         out = out + weyl_mul(WeylElement.monomial(d, cp, cm), theta_dict_to_weyl(d, w))

@@ -456,6 +456,24 @@ def random_poly(r: random.Random, ring: PolyRing, degree: int, nterms: int) -> P
     return Poly(ring, terms)
 
 
+def annihilator_two_step(init_vecs: list[dict], sprime: PolyRing, rank: int) -> list[Poly]:
+    """Reference for annihilator_of_graded_quotient at rank >= 2: with the
+    colon's component renumbered last, the colon is the reduced basis,
+    built again, of the module basis elements led there; the annihilator is
+    the intersection of the colons."""
+    from toric_dmod.groebner import buchberger, groebner_basis, intersect_ideals
+    ann = None
+    for i in range(rank):
+        place = {comp: k for k, comp in enumerate([j for j in range(rank) if j != i] + [i])}
+        gb = buchberger([{(place[comp], e, ()): c for (comp, e), c in v.items()}
+                         for v in init_vecs], rank)
+        colon = groebner_basis([Poly(sprime, {a: c for (_, a, _), c in g.items()})
+                                for g in gb if all(comp == rank - 1 for comp, _, _ in g)],
+                               sprime)
+        ann = colon if ann is None else intersect_ideals(ann, colon, sprime)
+    return ann
+
+
 def random_weyl(r: random.Random, d: int, degree: int = 2, nterms: int = 3) -> WeylElement:
     terms = {}
     for _ in range(nterms):

@@ -50,7 +50,7 @@ def test_acceptance_1_twisted_char_ideals():
     for name, fan in all_fixture_fans():
         gd = grading(fan)
         ring = s_prime_ring(gd)
-        z_red = groebner_basis(list(z_ideal(gd).generators), ring)
+        z_red = groebner_basis(list(z_ideal(gd)), ring)
         for coords in _twist_box(gd):
             j = characteristic_ideal(gd, d_module_left(gd, coords))
             assert j == z_red, (name, coords)

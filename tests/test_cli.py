@@ -235,9 +235,11 @@ def test_local_unknown_cone_exit_3():
 
 
 def test_local_repeated_ray_cone_exits_3(capsys):
-    # (1, 1) is not a cone: its indices are not distinct
-    assert main(["local", str(FIXTURES / "p1.fan"), "--cone", "1,1", "--p=-1"]) == 3
-    assert "is not in the fan" in capsys.readouterr().err
+    # neither is a cone: the indices of (1, 1) are not distinct, and the
+    # distinct rays of (1, 2) span no cone of P1
+    for cone in ("1,1", "1,2"):
+        assert main(["local", str(FIXTURES / "p1.fan"), "--cone", cone, "--p=-1"]) == 3
+        assert "is not in the fan" in capsys.readouterr().err
 
 
 # the exit code of every error type, as the module docstrings document it
@@ -255,7 +257,7 @@ def test_every_error_type_exits_with_its_documented_code(monkeypatch, capsys):
              if isinstance(cls, type) and issubclass(cls, errors.ToricDmodError)}
     assert set(types) == set(EXIT_CODES)
     for name, cls in types.items():
-        def raising(args, cls=cls):
+        def raising(args, grading, cls=cls):
             raise cls(f"raised {cls.__name__}")
         monkeypatch.setattr(cli, "cmd_fan_info", raising)
         # a fresh parser binds the patched command
@@ -406,12 +408,29 @@ def test_boolean_document_values_exit_2(tmp_path, capsys):
     assert rc == 2 and cap.err.count("\n") == 1 and cap.err.startswith("error: ")
 
 
-def test_machine_format_is_tab_separated():
-    rc, out, _ = run_cli("fan-info", str(FIXTURES / "p1.fan"),
-                         "--format", "machine")
-    assert rc == 0
-    for line in out.splitlines():
-        assert "\t" in line
+def test_machine_format_is_tab_separated(capsys):
+    # one emitter: a machine report is the plain one with the first ": " of
+    # each line a tab, and a module document ignores the format
+    reports = []
+    for name in FANS:
+        fan_path, mod_path = str(FIXTURES / f"{name}.fan"), str(GOLDEN / f"{name}_dl0.mod")
+        reports += [("fan-info", fan_path), ("check", fan_path, mod_path),
+                    ("charvar", fan_path, mod_path, "--charts", "--saturate")]
+    reports.append(("local", str(FIXTURES / "p2.fan"), "--cone", "1,2", "--p=-2,-1",
+                    "--g", "th1^2*th2 - th1*th2"))
+    p1 = str(FIXTURES / "p1.fan")
+    documents = [("dl", p1, "1"), ("dr", p1, "1"), ("swap", p1, str(GOLDEN / "p1_dl0.mod"))]
+    for argv in reports + documents:
+        rc, plain, _ = _main_in_process(capsys, argv)
+        assert rc == 0, argv
+        rc, machine, _ = _main_in_process(capsys, argv + ("--format", "machine"))
+        assert rc == 0, argv
+        if argv in documents:
+            assert machine == plain, argv
+        else:
+            lines = plain.splitlines(keepends=True)
+            assert lines and all(": " in line for line in lines), argv
+            assert machine == "".join(line.replace(": ", "\t", 1) for line in lines), argv
 
 
 def _golden_jobs():
@@ -557,6 +576,21 @@ def test_local_g_builds_h_p_no_more_often(monkeypatch, capsys):
     assert main(argv + ["--g", "th1^2*th2 - th1*th2 + 1/2*th1^2*th2*th3 - 1/2*th1*th2*th3"]) == 0
     assert "g-image: " in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_local_checks_its_cone_once(monkeypatch, capsys):
+    # the command checks the cone; the local functions take it as checked
+    calls = []
+    real = fan_cox.Fan.has_cone
+
+    def counted(self, cone):
+        calls.append(cone)
+        return real(self, cone)
+
+    monkeypatch.setattr(fan_cox.Fan, "has_cone", counted)
+    assert main(["local", str(FIXTURES / "p1.fan"), "--cone", "1", "--p=-1", "--g", "th1"]) == 0
+    assert "g-image: " in capsys.readouterr().out
+    assert calls == [(0,)]
 
 
 def test_charvar_charts_fails_before_the_report(tmp_path, monkeypatch, capsys):

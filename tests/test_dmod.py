@@ -14,8 +14,7 @@ from toric_dmod.dmod import (GradedPresentation, bimodule_identity_check,
                              j_p_oracle, k_component, left_right_identity_check,
                              left_right_swap, local_op_image, rho, rho_b,
                              verify_local_action, y_p_points)
-from toric_dmod.errors import (BoxTooSmall, InhomogeneousInput, NotInJp,
-                               UnknownCone)
+from toric_dmod.errors import BoxTooSmall, InhomogeneousInput, NotInJp
 from toric_dmod.weyl import (WeylElement, format_weyl, parse_weyl, tp_add,
                              tp_divide_linear_product, tp_linear, tp_mul)
 
@@ -151,8 +150,6 @@ def test_h_p_examples():
     poly3, factors3 = h_p(gd, (0,), (-2,))
     assert poly3 == tp_mul(tp_linear(2, 0, 0), tp_linear(2, 0, -1))
     assert factors3 == [(0, 0), (0, 1)]
-    with pytest.raises(UnknownCone):
-        h_p(gd, (0, 1), (-1,))
 
 
 def test_h_p_certified_by_oracle_everywhere():

@@ -5,7 +5,8 @@ from math import gcd
 
 import pytest
 
-from helpers import (WeylMacaulayOracle, all_fixture_fans, bernstein_degree,
+from helpers import (WeylMacaulayOracle, all_fixture_fans, annihilator_two_step,
+                     bernstein_degree,
                      fan_p1, fan_p1p1, fan_p2, grading, macaulay_membership,
                      macaulay_membership_stable, random_poly, random_weyl, rng,
                      weyl_left_mul_monomial, weyl_rows_to_dict, wreduce_max_scan)
@@ -331,7 +332,7 @@ def test_filtered_gb_initial_ideal_matches_z_for_twists():
     for fan in (fan_p1(), fan_p2(), fan_p1p1()):
         gd = grading(fan)
         ring = s_prime_ring(gd)
-        zred = groebner_basis(list(z_ideal(gd).generators), ring)
+        zred = groebner_basis(list(z_ideal(gd)), ring)
         width = gd.class_group.free_rank
         for coords in iproduct((-2, 0, 1), repeat=width):
             pres = d_module_left(gd, coords)
@@ -405,6 +406,26 @@ def test_module_annihilator_exactness():
     vecs = [{(0, (1, 0)): Fraction(1)}, {(1, (0, 1)): Fraction(1)}]
     ann = annihilator_of_graded_quotient(vecs, ring, 2)
     assert ann == groebner_basis([x * y], ring)
+
+
+def test_module_annihilator_matches_the_two_step_reference():
+    # each colon is read off the module basis, with no second basis build
+    from toric_dmod.groebner import annihilator_of_graded_quotient
+    r = rng(31)
+    ring = PolyRing(("x", "y", "z"))
+    for _ in range(20):
+        rank = r.randint(2, 3)
+        vecs = []
+        for _ in range(r.randint(2, 4)):
+            vec = {}
+            for _ in range(r.randint(1, 3)):
+                comp = r.randrange(rank)
+                for e, c in random_poly(r, ring, 2, 2).terms.items():
+                    vec[(comp, e)] = c
+            if vec:
+                vecs.append(vec)
+        assert annihilator_of_graded_quotient(vecs, ring, rank) == \
+            annihilator_two_step(vecs, ring, rank)
 
 
 def test_toric_ideal_with_laurent_monomials():

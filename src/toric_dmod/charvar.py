@@ -22,13 +22,14 @@ ZERO_SHEAF = "zero sheaf"
 
 
 def s_prime_ring(grading: GradingData) -> PolyRing:
-    """gr(A) = k[x_1..x_d, xi_1..xi_d] with deg x_i = e_i = -deg xi_i."""
-    d = grading.d
-    names = tuple(f"x{i + 1}" for i in range(d)) + tuple(f"xi{i + 1}" for i in range(d))
-    group = grading.class_group
-    degrees = tuple(grading.degree_x(i) for i in range(d)) + \
-        tuple(group.neg(grading.degree_x(i)) for i in range(d))
-    return PolyRing(names, degrees, group)
+    """gr(A) = k[x_1..x_d, xi_1..xi_d] with deg x_i = e_i = -deg xi_i, built
+    once per grading."""
+    if grading.s_prime is None:
+        d, group = grading.d, grading.class_group
+        names = tuple(f"x{i + 1}" for i in range(d)) + tuple(f"xi{i + 1}" for i in range(d))
+        xs = tuple(map(grading.degree_x, range(d)))
+        grading.s_prime = PolyRing(names, xs + tuple(map(group.neg, xs)), group)
+    return grading.s_prime
 
 
 def z_ideal(grading: GradingData) -> tuple[Poly, ...]:

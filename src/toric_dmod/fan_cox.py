@@ -193,6 +193,8 @@ class GradingData:
         # deg(x_i), read by every ring, chart frame and report
         units = [tuple(int(j == i) for j in range(fan.d)) for i in range(fan.d)]
         self._degrees_x = tuple(map(self.class_group.project, units))
+        # the ring gr(A), built by charvar.s_prime_ring on first use
+        self.s_prime = None
 
     @property
     def d(self) -> int:

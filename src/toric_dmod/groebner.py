@@ -25,8 +25,8 @@ from operator import add, ge, le, sub
 
 from .lattice import IntMatrix, cokernel, dual_lattice_basis
 from .parsing import format_terms
-from .weyl import (WeylElement, tp_add, tp_mul, tp_numerators, tp_scale,
-                   weyl_shift_into)
+from .weyl import (WeylElement, shift_items, tp_add, tp_mul, tp_numerators,
+                   tp_scale, weyl_shift_into)
 
 EMPTY_DIM = "empty"
 
@@ -151,6 +151,9 @@ def groebner_basis(gens: list[Poly], ring: PolyRing) -> list[Poly]:
 
 
 def normal_form(f: Poly, gb: list[Poly]) -> Poly:
+    """f reduced by the Groebner basis gb; ValueError on a ring mismatch."""
+    if any(g.ring.names != f.ring.names for g in gb):
+        raise ValueError("ring mismatch")
     if f.is_zero():
         return f
     den, nums = tp_numerators(_kernel(f))
@@ -159,7 +162,10 @@ def normal_form(f: Poly, gb: list[Poly]) -> Poly:
 
 
 def ideal_contains(gb: list[Poly], gens: list[Poly]) -> bool:
-    """Whether every element of gens lies in the ideal of the Groebner basis gb."""
+    """Whether every element of gens lies in the ideal of the Groebner basis
+    gb; ValueError on a ring mismatch."""
+    if any(g.ring.names != f.ring.names for f in gens for g in gb):
+        raise ValueError("ring mismatch")
     reducers = [g.divisor() for g in gb if not g.is_zero()]
     return not any(_wreduce(tp_numerators(_kernel(f))[1], reducers)[0] for f in gens)
 
@@ -307,9 +313,9 @@ def _wdict_to_rows(w: dict, den: int, rank: int, d: int):
 class _WeylReducer:
     """A divisor for Weyl reduction: leading component and exponents, the
     positive integer leading coefficient lc, and the whole element as a
-    primitive integer dict (content removed, lead positive)."""
+    primitive integer dict vec (content removed, lead positive) and as items."""
 
-    __slots__ = ("comp", "a", "b", "ab", "lc", "vec")
+    __slots__ = ("comp", "a", "b", "ab", "lc", "vec", "items")
 
     def __init__(self, w: dict):
         _, nums = tp_numerators(w)
@@ -319,6 +325,7 @@ class _WeylReducer:
         content = gcd(*nums.values()) if lead > 0 else -gcd(*nums.values())
         self.vec = {k: c // content for k, c in nums.items()}
         self.lc = lead // content
+        self.items = shift_items(self.vec)
 
 
 def _wreduce(work: dict, reducers: list[_WeylReducer]):
@@ -327,16 +334,20 @@ def _wreduce(work: dict, reducers: list[_WeylReducer]):
     int dict work is consumed in place. Each term c is reduced by the first
     reducer whose leading term divides it, after scaling by lc / gcd(c, lc)
     so the leading terms cancel in integers. Leads come off a min-heap of
-    _lead_key: a shift makes only terms below the lead, so only keys never
-    seen need a push, and the lead stays in work until the shift cancels it."""
+    _lead_key with one entry per key of work: a shift makes only terms below
+    the lead, and a key leaves work only when it is popped, so a key the
+    shift reports as added was never pushed. A term that cancels stays in
+    work at 0 until it is popped.
+    """
     remainder: dict = {}
     scale = 1
     heap = [(_lead_key(k), k) for k in work]
     heapify(heap)
-    pushed = set(work)
-    while work:
+    while heap:
         cab = heappop(heap)[1]
-        if cab not in work:
+        c = work[cab]
+        if not c:
+            del work[cab]
             continue
         comp, a, b = cab
         ab = a + b
@@ -346,7 +357,6 @@ def _wreduce(work: dict, reducers: list[_WeylReducer]):
         else:
             remainder[cab] = work.pop(cab)
             continue
-        c = work[cab]
         g = gcd(c, r.lc)
         m = r.lc // g
         if m != 1:
@@ -355,23 +365,22 @@ def _wreduce(work: dict, reducers: list[_WeylReducer]):
             for k in remainder:
                 remainder[k] *= m
             scale *= m
-        weyl_shift_into(work, r.vec, -(c // g), tuple(map(sub, a, r.a)),
-                        tuple(map(sub, b, r.b)))
-        fresh = work.keys() - pushed
-        for k in fresh:
+        for k in weyl_shift_into(work, r.items, -(c // g), tuple(map(sub, a, r.a)),
+                                 tuple(map(sub, b, r.b))):
             heappush(heap, (_lead_key(k), k))
-        pushed |= fresh
+        del work[cab]
     return remainder, scale
 
 
 def _s_element(ri: _WeylReducer, rj: _WeylReducer) -> dict:
-    """The S-element of two reducers led in one component, in integers."""
+    """The S-element of two reducers led in one component, in integers
+    (with a 0 where terms cancel)."""
     la, lb = tuple(map(max, ri.a, rj.a)), tuple(map(max, ri.b, rj.b))
     g = gcd(ri.lc, rj.lc)
     s: dict = {}
-    weyl_shift_into(s, ri.vec, rj.lc // g, tuple(map(sub, la, ri.a)),
+    weyl_shift_into(s, ri.items, rj.lc // g, tuple(map(sub, la, ri.a)),
                     tuple(map(sub, lb, ri.b)))
-    weyl_shift_into(s, rj.vec, -(ri.lc // g), tuple(map(sub, la, rj.a)),
+    weyl_shift_into(s, rj.items, -(ri.lc // g), tuple(map(sub, la, rj.a)),
                     tuple(map(sub, lb, rj.b)))
     return s
 

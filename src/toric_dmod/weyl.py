@@ -20,7 +20,8 @@ and act are their one-shot forms on Fractions.
 tp_divide_linear_product is the one division: synthetic division by each
 linear factor on the numerators.
 weyl_shift_into is the one normal-ordering expansion, shared by the Weyl
-product, the involution and the Weyl Groebner engine.
+product, the involution and the Weyl Groebner engine; it takes terms split
+once into items (shift_items) and returns the keys it added to its output.
 
 Weyl elements are stored in normal order: finitely many terms x^a d^b ->
 coeff with a, b in N^d. The module also provides the torus-eigenspace
@@ -343,30 +344,38 @@ class WeylElement:
         return weyl_mul(self, other)
 
 
-def weyl_shift_into(out: dict, terms: dict, c, da, db) -> None:
-    """out += c * x^da d^db * terms in normal order, in place.
+def shift_items(terms: dict) -> list:
+    """Terms keyed prefix + (a, b) as the shift's (prefix, a, b, coeff) items."""
+    return [(k[:-2], k[-2], k[-1], c) for k, c in terms.items()]
 
-    A key of terms ends in the exponents (a, b); whatever precedes them (a
-    module component) is kept. Uses d^b x^a = sum_k C(b,k) a!/(a-k)!
-    x^(a-k) d^(b-k); the coefficients in terms are nonzero. A term whose a
-    is zero wherever db is not commutes and gives one term; the others sum
-    over k only at the indices where db and a overlap.
+
+def weyl_shift_into(out: dict, items, c, da, db) -> list:
+    """out += c * x^da d^db * items in normal order, in place; returns the
+    keys added to out, which it did not hold before the call.
+
+    items are nonzero terms (prefix, a, b, coefficient), keyed prefix + (a,
+    b) in out. Uses d^b x^a = sum_k C(b,k) a!/(a-k)! x^(a-k) d^(b-k). A term
+    whose a is zero wherever db is not commutes and gives one term; the
+    others sum over k only at the indices where db and a overlap. A value
+    that cancels stays in out at 0 (a key is never removed): the caller
+    drops zeros.
     """
     if not c:
-        return
+        return []
     hot, shift_a = [i for i, x in enumerate(db) if x], any(da)
-    for key, ct in terms.items():
-        pre, a, b = key[:-2], key[-2], key[-1]
+    added = []
+    for pre, a, b, ct in items:
         na = tuple(map(add, da, a)) if shift_a else a
         nb = tuple(map(add, db, b)) if hot else b
-        both = [i for i in hot if a[i]]
+        both = [i for i in hot if a[i]] if hot else ()
         if not both:
             nk = pre + (na, nb)
-            nv = out.get(nk, 0) + c * ct
-            if nv:
-                out[nk] = nv
+            nv = out.get(nk)
+            if nv is None:
+                out[nk] = c * ct
+                added.append(nk)
             else:
-                del out[nk]
+                out[nk] = nv + c * ct
             continue
         for k in product(*[range(min(db[i], a[i]) + 1) for i in both]):
             v, ea, eb = c * ct, list(na), list(nb)
@@ -376,11 +385,13 @@ def weyl_shift_into(out: dict, terms: dict, c, da, db) -> None:
                     ea[i] -= ki
                     eb[i] -= ki
             nk = pre + (tuple(ea), tuple(eb))
-            nv = out.get(nk, 0) + v
-            if nv:
-                out[nk] = nv
+            nv = out.get(nk)
+            if nv is None:
+                out[nk] = v
+                added.append(nk)
             else:
-                del out[nk]
+                out[nk] = nv + v
+    return added
 
 
 def weyl_mul(f: WeylElement, g: WeylElement) -> WeylElement:
@@ -388,8 +399,9 @@ def weyl_mul(f: WeylElement, g: WeylElement) -> WeylElement:
     if f.d != g.d:
         raise ValueError("rank mismatch")
     out: dict = {}
+    items = shift_items(g.terms)
     for (a, b), c in f.terms.items():
-        weyl_shift_into(out, g.terms, c, a, b)
+        weyl_shift_into(out, items, c, a, b)
     return WeylElement(f.d, out)
 
 
@@ -507,7 +519,7 @@ def tau(f: WeylElement) -> WeylElement:
     zero = (0,) * f.d
     out: dict = {}
     for (a, b), c in f.terms.items():
-        weyl_shift_into(out, {(a, zero): 1}, -c if sum(b) % 2 else c, zero, b)
+        weyl_shift_into(out, [((), a, zero, 1)], -c if sum(b) % 2 else c, zero, b)
     return WeylElement(f.d, out)
 
 

@@ -268,3 +268,13 @@ def test_noncyclic_presentation_annihilator():
     from toric_dmod.groebner import ideal_contains
     p = Poly(ring, {(1, 0, 1, 0): 1, (0, 1, 0, 1): 1})
     assert ideal_contains(j, [p])
+
+
+def test_s_prime_ring_is_built_once_per_grading():
+    for _, fan in all_fixture_fans():
+        gd = grading(fan)
+        ring = s_prime_ring(gd)
+        assert s_prime_ring(gd) is ring
+        assert s_prime_ring(grading(fan)) == ring
+        assert ring.names == tuple(f"x{i + 1}" for i in range(gd.d)) + \
+            tuple(f"xi{i + 1}" for i in range(gd.d))

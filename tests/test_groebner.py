@@ -106,6 +106,39 @@ def test_repeated_queries_prepare_each_basis_element_once(monkeypatch):
     assert len(built) == 2 * len(gb)
 
 
+def test_read_side_rejects_a_ring_mismatch():
+    # three variables against two and two against three, where a term of f
+    # meets a lead of the basis (a raw IndexError or a wrong answer before)
+    # and where none does (an answer before), and two rings of the same
+    # size with other names (0 before, although those polynomials differ)
+    two, three, other = PolyRing(("x", "y")), PolyRing(("x", "y", "z")), PolyRing(("u", "v"))
+    gb2 = groebner_basis([Poly.variable(two, 0)], two)
+    gb3 = groebner_basis([Poly.variable(three, 0)], three)
+    cases = [(Poly.variable(three, 0) * Poly.variable(three, 2), gb2),
+             (Poly.variable(two, 0) * Poly.variable(two, 1), gb3),
+             (Poly.variable(three, 1), gb2), (Poly.variable(two, 1), gb3),
+             (Poly.variable(other, 0), gb2), (Poly.zero(other), gb2)]
+    for f, gb in cases:
+        with pytest.raises(ValueError, match="ring mismatch"):
+            normal_form(f, gb)
+        with pytest.raises(ValueError, match="ring mismatch"):
+            ideal_contains(gb, [Poly.variable(gb[0].ring, 0), f])
+    assert normal_form(Poly.variable(two, 1), gb2) == Poly.variable(two, 1)
+    assert ideal_contains(gb2, [Poly.variable(two, 0) * Poly.variable(two, 1)])
+
+
+def test_reducer_items_rebuild_its_vec():
+    # the shift's items are the reducer's terms split once, in vec's order
+    r = rng(24)
+    for _ in range(30):
+        d, rank = r.randint(1, 3), r.randint(1, 2)
+        w = weyl_rows_to_dict(_random_weyl_row(r, d, rank, _rational))
+        if not w:
+            continue
+        red = groebner._WeylReducer(w)
+        assert [(pre + (a, b), c) for pre, a, b, c in red.items] == list(red.vec.items())
+
+
 def test_membership_soundness_random_combinations():
     ring = ring2()
     x, y = Poly.variable(ring, 0), Poly.variable(ring, 1)

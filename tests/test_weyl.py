@@ -9,7 +9,7 @@ from helpers import (fan_p1, fan_p1p1, grading, random_weyl, rng,
                      weyl_left_mul_monomial)
 from toric_dmod.errors import InhomogeneousInput, ParseError
 from toric_dmod.weyl import (WeylElement, act, format_weyl,
-                             from_theta_form, parse_weyl, tau,
+                             from_theta_form, parse_weyl, shift_items, tau,
                              theta_dict_to_weyl, to_theta_form, tp_linear,
                              weyl_degree, weyl_mul, weyl_shift_into)
 
@@ -58,7 +58,9 @@ def _shift_case(r, d: int, mode: str, prefixed: bool):
 
 def test_weyl_shift_into_against_one_variable_products():
     # the oracle multiplies one variable at a time by d_i x_i = x_i d_i + 1;
-    # out is pre-filled with some cancelling and some unrelated terms
+    # out is pre-filled with some cancelling and some unrelated terms; the
+    # shift reports every key it added, and no key that was there before, and
+    # a cancelled term stays in out at 0
     r = rng(12)
     seen = set()
     for _ in range(400):
@@ -77,8 +79,12 @@ def test_weyl_shift_into_against_one_variable_products():
             want[k] = want.get(k, 0) + v
         want = {k: v for k, v in want.items() if v}
         seen.add(("cancelled", len(want) < len(out)))
-        weyl_shift_into(out, terms, c, da, db)
-        assert out == want and all(out.values())
+        before = set(out)
+        added = weyl_shift_into(out, shift_items(terms), c, da, db)
+        assert {k: v for k, v in out.items() if v} == want
+        assert len(added) == len(set(added)) and not before & set(added)
+        assert out.keys() == before | set(added)
+        seen.add(("added", bool(added)))
         hot = [i for i, y in enumerate(db) if y]
         for key in terms:
             overlap = sum(1 for i in hot if key[-2][i])
@@ -86,7 +92,7 @@ def test_weyl_shift_into_against_one_variable_products():
                       "all" if overlap == len(hot) else "some"))
         if mode == "zero":
             seen.add(("zero", prefixed))
-    assert {("cancelled", True), ("zero", True), ("zero", False)} <= seen
+    assert {("cancelled", True), ("zero", True), ("zero", False), ("added", True)} <= seen
     assert {(p, o) for p in (True, False) for o in ("none", "some", "all")} <= seen
 
 
@@ -95,8 +101,33 @@ def test_weyl_shift_into_by_zero_leaves_out_unchanged():
     for _ in range(20):
         db, terms = _shift_case(r, 2, "some", True)
         out = {(0, (1, 0), (0, 1)): 5, (1, (0, 0), (2, 0)): -2}
-        weyl_shift_into(out, terms, 0, (1, 1), db)
+        assert weyl_shift_into(out, shift_items(terms), 0, (1, 1), db) == []
         assert out == {(0, (1, 0), (0, 1)): 5, (1, (0, 0), (2, 0)): -2}
+
+
+def test_weyl_shift_into_reports_by_the_state_before_the_call():
+    # d * (x d + 1) = x d^2 + d + d: the term d comes from both items. Where
+    # out holds -d, the first item cancels it and the second brings it back;
+    # it was there before and is not reported. Where out holds nothing, it is
+    # reported once
+    items = shift_items({((1,), (1,)): 1, ((0,), (0,)): 1})
+    out = {((0,), (1,)): -1}
+    assert weyl_shift_into(out, items, 1, (0,), (1,)) == [((1,), (2,))]
+    assert out == {((0,), (1,)): 1, ((1,), (2,)): 1}
+    out = {}
+    assert sorted(weyl_shift_into(out, items, 1, (0,), (1,))) == [((0,), (1,)), ((1,), (2,))]
+    assert out == {((0,), (1,)): 2, ((1,), (2,)): 1}
+    # a term there before that cancels stays at 0 and is not reported
+    out = {((0,), (1,)): -2}
+    assert weyl_shift_into(out, items, 1, (0,), (1,)) == [((1,), (2,))]
+    assert out == {((0,), (1,)): 0, ((1,), (2,)): 1}
+    # d * (x d - 1) = x d^2: a term added and cancelled within the call is
+    # reported and stays at 0
+    out = {}
+    added = weyl_shift_into(out, shift_items({((1,), (1,)): 1, ((0,), (0,)): -1}),
+                            1, (0,), (1,))
+    assert sorted(added) == [((0,), (1,)), ((1,), (2,))]
+    assert out == {((0,), (1,)): 0, ((1,), (2,)): 1}
 
 
 def test_degree_multiplicative():

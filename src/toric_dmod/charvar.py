@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import ChartRewriteError, ConeNotMaximal, PreconditionViolated
 from .fan_cox import GradingData, irrelevant_ideal
-from .groebner import (EMPTY_DIM, Poly, PolyRing, annihilator_of_graded_quotient,
+from .groebner import (Poly, PolyRing, annihilator_of_graded_quotient,
                        basis_dimension, format_poly, groebner_basis, ideal_contains,
                        initial_forms, is_unit_ideal, radical_membership,
                        saturation, saturation_by_monomials)
@@ -299,29 +299,6 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
     holonomic_sheaf = (not torsion) and sheaf_dim == n
     return CharReport(j, dim, saturated, torsion, sheaf_dim,
                       holonomic_module, holonomic_sheaf, charts)
-
-
-def chart_ideal(grading: GradingData, report: CharReport, cone) -> ChartIdeal:
-    """The chart of a report's saturated characteristic variety on one cone."""
-    cone = require_chart_cone(grading, cone)
-    if report.charts is None:
-        return chart_ideal_from_saturated(grading, report.saturated, cone)
-    return next(chart for chart in report.charts if chart.frame.cone == cone)
-
-
-def verify_quotient_dimension(grading: GradingData, pres: GradedPresentation) -> bool:
-    """Chart-based sheaf dimension agrees with the saturation-based one."""
-    report = dimension_report(grading, pres)
-    if report.torsion:
-        raise PreconditionViolated("module is irrelevant-ideal torsion")
-    dims = [chart.dimension for chart in
-            (chart_ideal(grading, report, cone) for cone in grading.fan.max_cones)
-            if chart.dimension != EMPTY_DIM]
-    if not dims:
-        return False
-    chart_dim = max(dims)
-    expected = report.dim - (grading.d - grading.n)
-    return chart_dim == expected and chart_dim == report.sheaf_dim
 
 
 def ideal_str(gens) -> str:

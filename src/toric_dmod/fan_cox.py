@@ -204,10 +204,6 @@ class GradingData:
     def n(self) -> int:
         return self.fan.n
 
-    def degree(self, a) -> tuple[int, ...]:
-        """Class of a monomial exponent vector."""
-        return self.class_group.project(a)
-
     def degree_x(self, i: int) -> tuple[int, ...]:
         return self._degrees_x[i]
 

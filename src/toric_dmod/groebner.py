@@ -103,6 +103,8 @@ class Poly:
         return hash((self.ring.names, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
+        if self.ring.names != other.ring.names:
+            raise ValueError("ring mismatch")
         return Poly(self.ring, tp_add(self.terms, other.terms))
 
     def __neg__(self):
@@ -112,6 +114,8 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
+        if self.ring.names != other.ring.names:
+            raise ValueError("ring mismatch")
         return Poly(self.ring, tp_mul(self.terms, other.terms))
 
     def scale(self, c):

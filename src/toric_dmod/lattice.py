@@ -296,9 +296,6 @@ class FinitelyGeneratedAbelianGroup:
     def neg(self, c) -> tuple[int, ...]:
         return self.reduce(tuple(-x for x in self.reduce(c)))
 
-    def scale(self, k: int, c) -> tuple[int, ...]:
-        return self.reduce(tuple(k * x for x in self.reduce(c)))
-
 
 def cokernel(m: IntMatrix) -> FinitelyGeneratedAbelianGroup:
     """Cokernel of Z^cols -> Z^rows given by the matrix."""

@@ -6,18 +6,26 @@ import importlib.util
 import os
 import pathlib
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
+from operator import mul, sub
 
-from toric_dmod.dmod import local_radius
+from toric_dmod.charvar import CharReport, _section_off_cone
+from toric_dmod.dmod import (LEFT, GradedPresentation, left_right_swap,
+                             local_radius, require_chart_cone)
 from toric_dmod.errors import (BoxTooSmall, FanValidationError, NonSimplicialCone,
                                NonSmoothCone, RaysDoNotSpan)
 from toric_dmod.fan_cox import (Fan, GradingData, _fm_feasible,
                                 _overlapping_cones, grading_data)
-from toric_dmod.groebner import Poly, PolyRing
+from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing,
+                                 annihilator_of_graded_quotient, basis_dimension,
+                                 initial_forms, radical_membership, weyl_buchberger)
 from toric_dmod.lattice import IntMatrix
-from toric_dmod.weyl import WeylElement
+from toric_dmod.weyl import (WeylElement, from_theta_form, to_theta_form, tp_add,
+                             tp_divide_linear_product, tp_linear_form,
+                             tp_linear_product, tp_mul, tp_subst, weyl_degree)
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -586,3 +594,150 @@ def j_p_oracle_per_slab(grading: GradingData, cone, p, radius: int):
         if not any(pt[pos] == m for (_, m, pos) in candidates):
             raise BoxTooSmall("enumerated set is not covered by coordinate slabs")
     return sorted((i, m) for (i, m, _) in candidates)
+
+
+# modules every fan has: O, and the b-torsion module delta
+
+
+def structure_sheaf(gd: GradingData) -> GradedPresentation:
+    """O: A(0) modulo the left ideal of the d_i."""
+    rows = [(WeylElement.d_var(gd.d, i),) for i in range(gd.d)]
+    return GradedPresentation(gd, LEFT, [gd.class_group.zero()], rows)
+
+
+def delta_module(gd: GradingData) -> GradedPresentation:
+    """delta: A(e) modulo the left ideal of the x_i; b-torsion."""
+    rows = [(WeylElement.x_var(gd.d, i),) for i in range(gd.d)]
+    return GradedPresentation(gd, LEFT, [gd.e_bar], rows)
+
+
+# the chart restriction oracle: the D-module on the chart U_sigma computed
+# directly (Musson 1987, Cox 1995), against the report's quotient side
+
+
+def cone_dual_rows(fan: Fan, cone) -> tuple[tuple[int, ...], ...]:
+    """m_j, the dual basis of the cone's rays: <m_j, v_k> = [j == k], in
+    Fraction arithmetic (independent of lattice.unimodular_inverse)."""
+    rows = []
+    for j in range(len(cone)):
+        m = _unique_solution([(fan.rays[i], -int(k == j)) for k, i in enumerate(cone)],
+                             fan.n)
+        assert m is not None and all(x.denominator == 1 for x in m), (cone, j)
+        rows.append(tuple(int(x) for x in m))
+    return tuple(rows)
+
+
+def chart_restriction(gd: GradingData, pres: GradedPresentation, cone) -> list[WeylElement]:
+    """The relations of a rank-one left module F = A(b) / N restricted to the
+    chart at a full-dimensional cone sigma: elements of A_n in the chart
+    coordinates t_j = x^(iota(m_j)) and d/dt_j.
+
+    The chart module is generated by x^s e, s the section of b that is zero
+    on the cone rays. With d_i^k = x_i^(-k) theta_i (theta_i - 1) ... folded
+    in, a relation is r = sum_c x^c Q_c(theta), and x^(-a) r x^(-s) =
+    sum_c t^p Q_c(theta - s) with a the section of deg(r) - b and p the part
+    of c on the cone rays. theta_i acts there as sum_j <m_j, v_i> vartheta_j,
+    vartheta_j = t_j d/dt_j, and where p_j < 0, t_j^(p_j) Q = d_j^(-p_j) Q /
+    (vartheta_j (vartheta_j - 1) ...), an exact division.
+    """
+    cone = require_chart_cone(gd, cone)
+    assert pres.side == LEFT and pres.rank == 1
+    d, n, group = gd.d, gd.n, gd.class_group
+    dual = cone_dual_rows(gd.fan, cone)
+    b = pres.twists[0]
+    s = _section_off_cone(gd, cone, dual, b)
+    images = [tp_linear_form([sum(map(mul, m, ray)) for m in dual], -si)
+              for ray, si in zip(gd.fan.rays, s)]
+    out = []
+    for (r,) in pres.relations:
+        if r.is_zero():
+            continue
+        a = _section_off_cone(gd, cone, dual, group.add(weyl_degree(gd, r), group.neg(b)))
+        tf: dict = {}
+        for c, w in to_theta_form(r).items():
+            p = tuple(c[i] for i in cone)
+            # x^(c - s - a) is the degree-zero monomial t^p
+            assert tuple(map(sub, c, map(sum, zip(s, a)))) == gd.iota_of(
+                [sum(pj * m[k] for pj, m in zip(p, dual)) for k in range(n)])
+            lowered = tp_linear_product(d, [(i, k) for i, ci in enumerate(c)
+                                            for k in range(-ci)])
+            q = tp_divide_linear_product(tp_subst(tp_mul(lowered, w), images, n),
+                                         [(j, k) for j, pj in enumerate(p)
+                                          for k in range(-pj)])
+            assert q is not None, (cone, c)
+            tf[p] = tp_add(tf.get(p, {}), q)
+        out.append(from_theta_form(n, {p: q for p, q in tf.items() if q}))
+    return out
+
+
+@dataclass(frozen=True)
+class RestrictedChart:
+    """The restricted module A_n / (chart_restriction) at one cone: whether
+    it is zero (its basis holds a unit) and its characteristic ideal in
+    k[t, tau], tau_j the symbol of d/dt_j, with that ideal's dimension."""
+
+    cone: tuple[int, ...]
+    ring: PolyRing
+    zero: bool
+    char_ideal: list[Poly]
+    dimension: object          # int or EMPTY_DIM
+
+
+def restrict_to_chart(gd: GradingData, pres: GradedPresentation, cone) -> RestrictedChart:
+    n = gd.n
+    cone = require_chart_cone(gd, cone)
+    ring = PolyRing(tuple(f"t{j + 1}" for j in range(n))
+                    + tuple(f"tau{j + 1}" for j in range(n)))
+    rows = [(g,) for g in chart_restriction(gd, pres, cone) if not g.is_zero()]
+    gb = weyl_buchberger(rows, 1, n) if rows else []
+    ideal = annihilator_of_graded_quotient(initial_forms(gb), ring, 1)
+    return RestrictedChart(cone, ring, (WeylElement.one(n),) in gb, ideal,
+                           basis_dimension(ideal, ring))
+
+
+def chart_in_cotangent(gd: GradingData, chart, ring: PolyRing) -> list[Poly]:
+    """The report's chart ideal in k[t, tau]: t_j stays, u_i goes to tau_j
+    when i is the j-th ray of the cone and to sum_j <m_j, v_i> t_j tau_j
+    otherwise."""
+    n, cone = gd.n, chart.frame.cone
+    dual = cone_dual_rows(gd.fan, cone)
+
+    def unit(*ks):
+        return tuple(int(k in ks) for k in range(2 * n))
+    images = [{unit(j): Fraction(1)} for j in range(n)]
+    for i, ray in enumerate(gd.fan.rays):
+        if i in cone:
+            images.append({unit(n + cone.index(i)): Fraction(1)})
+        else:
+            pairings = [sum(map(mul, m, ray)) for m in dual]
+            images.append({unit(j, n + j): Fraction(c) for j, c in enumerate(pairings) if c})
+    return [Poly(ring, tp_subst(g.terms, images, 2 * n)) for g in chart.image_ideal]
+
+
+def assert_restriction_agrees(gd: GradingData, pres: GradedPresentation,
+                              report: CharReport) -> list[RestrictedChart]:
+    """Check the report of pres against its restriction to every chart and
+    return the restrictions; a right module is restricted through
+    left_right_swap.
+
+    On each full-dimensional maximal cone the restricted characteristic
+    ideal and the report's chart ideal have one radical and one dimension;
+    the report reads torsion exactly when every restriction is zero, and
+    holonomic-sheaf exactly when some restriction is nonzero and every one
+    has characteristic dimension at most n (the paper's main theorems).
+    """
+    left = pres if pres.side == LEFT else left_right_swap(pres)
+    assert report.charts is not None
+    restricted = []
+    for chart in report.charts:
+        rc = restrict_to_chart(gd, left, chart.frame.cone)
+        image = chart_in_cotangent(gd, chart, rc.ring)
+        assert all(radical_membership(f, rc.char_ideal, rc.ring) for f in image), rc.cone
+        assert all(radical_membership(f, image, rc.ring) for f in rc.char_ideal), rc.cone
+        assert chart.dimension == rc.dimension, rc.cone
+        assert rc.zero == (rc.dimension == EMPTY_DIM), rc.cone
+        restricted.append(rc)
+    live = [rc.dimension for rc in restricted if not rc.zero]
+    assert report.torsion == (not live)
+    assert report.holonomic_sheaf == (bool(live) and max(live) <= gd.n)
+    return restricted

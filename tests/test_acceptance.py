@@ -13,12 +13,12 @@ from itertools import product
 
 import pytest
 
-from helpers import (MacaulayOracle, all_fixture_fans, cli_env, grading,
-                     random_homogeneous_weyl, random_poly, rng)
+from helpers import (MacaulayOracle, all_fixture_fans, assert_restriction_agrees,
+                     cli_env, delta_module, grading, random_homogeneous_weyl,
+                     random_poly, rng, structure_sheaf)
 from toric_dmod.charvar import (ZERO_SHEAF, chart_ideal_from_saturated,
                                 characteristic_ideal, dimension_report,
-                                s_prime_ring, verify_char_containment,
-                                verify_quotient_dimension, z_ideal)
+                                s_prime_ring, verify_char_containment, z_ideal)
 from toric_dmod.dmod import (GradedPresentation, bimodule_identity_check,
                              check_theta_condition, d_module_left,
                              factored_local_action_holds, h_p,
@@ -59,26 +59,16 @@ def test_acceptance_1_twisted_char_ideals():
             started, 10.0)
 
 
-def _structure_sheaf(gd):
-    rows = [(WeylElement.d_var(gd.d, i),) for i in range(gd.d)]
-    return GradedPresentation(gd, "left", [gd.class_group.zero()], rows)
-
-
-def _delta_module(gd):
-    rows = [(WeylElement.x_var(gd.d, i),) for i in range(gd.d)]
-    return GradedPresentation(gd, "left", [gd.e_bar], rows)
-
-
 def test_acceptance_2_dimension_theorem():
     started = time.monotonic()
     for name, fan in all_fixture_fans():
         gd = grading(fan)
         d, n = gd.d, gd.n
-        rep = dimension_report(gd, _structure_sheaf(gd))
+        rep = dimension_report(gd, structure_sheaf(gd))
         assert (rep.dim, rep.sheaf_dim) == (d, n), name
         rep2 = dimension_report(gd, d_module_left(gd, gd.class_group.zero()))
         assert (rep2.dim, rep2.sheaf_dim) == (d + n, 2 * n), name
-        rep3 = dimension_report(gd, _delta_module(gd))
+        rep3 = dimension_report(gd, delta_module(gd))
         assert rep3.torsion and rep3.sheaf_dim == ZERO_SHEAF, name
     _report(2, "module dimension vs sheaf dimension", started, 10.0)
 
@@ -241,15 +231,20 @@ def test_acceptance_8_chart_consistency():
                       if pair[0] in ("p1", "p1p1")]:
         gd = grading(fan)
         for pres in (d_module_left(gd, gd.class_group.zero()),
-                     _structure_sheaf(gd)):
-            assert verify_quotient_dimension(gd, pres), name
+                     structure_sheaf(gd)):
+            # the D-module restricted to each chart, against the quotient side
+            rep = dimension_report(gd, pres)
+            restricted = assert_restriction_agrees(gd, pres, rep)
+            assert not rep.torsion, name
+            assert max(rc.dimension for rc in restricted) == rep.sheaf_dim \
+                == rep.dim - (gd.d - gd.n), name
     gd = grading(dict(all_fixture_fans())["p1"])
     rep = dimension_report(gd, d_module_left(gd, (0,)))
     chart = chart_ideal_from_saturated(gd, rep.saturated, (0,))
     assert [format_poly(g) for g in chart.image_ideal] == ["t1*u1 + u2"]
     exponents = [tuple(xe) + tuple(xie) for _, xe, xie in chart.frame.generator_monomials]
     assert toric_ideal(exponents, chart.frame.ring) == []
-    _report(8, "chart dimensions match the saturation computation", started, 30.0)
+    _report(8, "chart restrictions match the saturation computation", started, 30.0)
 
 
 def test_acceptance_9_cli_golden_determinism():

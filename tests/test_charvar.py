@@ -1,21 +1,24 @@
 """Characteristic ideals, dimension reports and chart computations."""
 
+from operator import sub
+
 import pytest
 
-from helpers import (all_fixture_fans, fan_hirzebruch1, fan_p1, fan_p1_cubed,
-                     fan_p1p1, fan_p2, fan_p3, grading, rng)
-from toric_dmod.charvar import (EMPTY_DIM, ZERO_SHEAF, chart_frame, chart_ideal,
-                                chart_ideal_from_saturated,
+from helpers import (all_fixture_fans, assert_restriction_agrees, chart_restriction,
+                     delta_module, fan_hirzebruch1, fan_p1, fan_p1_cubed,
+                     fan_p1p1, fan_p2, fan_p3, grading, random_homogeneous_weyl,
+                     restrict_to_chart, rng, star_subdivided_fans, structure_sheaf)
+from toric_dmod.charvar import (ZERO_SHEAF, chart_frame, chart_ideal_from_saturated,
                                 characteristic_ideal, dimension_report,
                                 render_report, s_prime_ring,
                                 t_invariance_check, verify_char_containment,
-                                verify_quotient_dimension, z_ideal)
+                                z_ideal)
 from toric_dmod.dmod import (GradedPresentation, d_module_left,
                              d_module_right, left_right_swap)
 from toric_dmod.errors import (ChartRewriteError, ConeNotMaximal,
                                PreconditionViolated)
 from toric_dmod.fan_cox import Fan, GradingData
-from toric_dmod.groebner import (Poly, format_poly, groebner_basis,
+from toric_dmod.groebner import (EMPTY_DIM, Poly, format_poly, groebner_basis,
                                  krull_dimension, toric_ideal)
 from toric_dmod.lattice import IntMatrix
 from toric_dmod.weyl import WeylElement, parse_weyl
@@ -25,16 +28,9 @@ def W(s, d=2):
     return parse_weyl(s, d)
 
 
-def structure_sheaf(gd):
-    d = gd.d
-    rows = [(WeylElement.d_var(d, i),) for i in range(d)]
-    return GradedPresentation(gd, "left", [gd.class_group.zero()], rows)
-
-
-def delta_module(gd):
-    d = gd.d
-    rows = [(WeylElement.x_var(d, i),) for i in range(d)]
-    return GradedPresentation(gd, "left", [gd.e_bar], rows)
+def report_chart(report, cone):
+    """The chart of a report on one maximal cone."""
+    return next(chart for chart in report.charts if chart.frame.cone == cone)
 
 
 def test_characteristic_ideal_examples():
@@ -125,32 +121,55 @@ def test_char_ideal_is_t_invariant():
 
 def test_chart_ideal_p1_twisted():
     gd = grading(fan_p1())
-    chart = chart_ideal(gd, dimension_report(gd, d_module_left(gd, (0,))), (0,))
+    pres = d_module_left(gd, (0,))
+    report = dimension_report(gd, pres)
+    chart = report_chart(report, (0,))
+    assert chart == chart_ideal_from_saturated(gd, report.saturated, (0,))
     assert [nm for nm, _, _ in chart.frame.generator_monomials] == ["t1", "u1", "u2"]
     assert chart.frame.generator_monomials[0][1] == (1, -1)
     assert_polynomial_chart_ring(chart.frame)
     assert [format_poly(g) for g in chart.image_ideal] == ["t1*u1 + u2"]
     assert chart.dimension == 2
+    # the Euler relation restricts to 0: the chart module is A_1 itself
+    assert chart_restriction(gd, pres, (0,)) == [WeylElement.zero(1)]
+    assert restrict_to_chart(gd, pres, (0,)).char_ideal == []
 
 
 def test_chart_ideal_structure_sheaf_other_cone():
     gd = grading(fan_p1())
-    chart = chart_ideal(gd, dimension_report(gd, structure_sheaf(gd)), (1,))
+    pres = structure_sheaf(gd)
+    report = dimension_report(gd, pres)
+    chart = report_chart(report, (1,))
+    assert chart == chart_ideal_from_saturated(gd, report.saturated, (1,))
     assert sorted(format_poly(g) for g in chart.image_ideal) == ["u1", "u2"]
     assert chart.dimension == 1
+    # with t = x_2 / x_1 the chart coordinate, d_1 restricts to x_1 d_1 =
+    # -t d/dt and d_2 to d/dt
+    assert chart_restriction(gd, pres, (1,)) == [W("-x1*d1", 1), W("d1", 1)]
+    restricted = restrict_to_chart(gd, pres, (1,))
+    assert [format_poly(g) for g in restricted.char_ideal] == ["tau1"]
+    assert restricted.dimension == 1 and not restricted.zero
 
 
 def test_chart_ideal_torsion_module_is_unit():
     gd = grading(fan_p1())
-    chart = chart_ideal(gd, dimension_report(gd, delta_module(gd)), (0,))
+    pres = delta_module(gd)
+    report = dimension_report(gd, pres)
+    chart = report_chart(report, (0,))
+    assert chart == chart_ideal_from_saturated(gd, report.saturated, (0,))
     assert [format_poly(g) for g in chart.image_ideal] == ["1"]
     assert chart.dimension == EMPTY_DIM
+    restricted = restrict_to_chart(gd, pres, (0,))
+    assert restricted.zero and restricted.dimension == EMPTY_DIM
 
 
 def test_chart_ideal_cone_errors():
     gd = grading(fan_p1p1())
+    pres = d_module_left(gd, (0, 0))
     with pytest.raises(ConeNotMaximal):
-        chart_ideal(gd, dimension_report(gd, d_module_left(gd, (0, 0))), (0,))
+        chart_ideal_from_saturated(gd, dimension_report(gd, pres).saturated, (0,))
+    with pytest.raises(ConeNotMaximal):
+        restrict_to_chart(gd, pres, (0,))
 
 
 def assert_polynomial_chart_ring(frame):
@@ -183,18 +202,73 @@ def test_non_unimodular_cone_is_a_chart_rewrite_error():
         chart_frame(GradingData(fan), (0, 2))
 
 
+def assert_chart_dimensions(gd, pres):
+    """The report's sheaf dimension is dim - (d - n) and the largest
+    dimension of its charts and of the restrictions to them."""
+    report = dimension_report(gd, pres)
+    restricted = assert_restriction_agrees(gd, pres, report)
+    assert not report.torsion
+    expected = report.dim - (gd.d - gd.n)
+    assert max(chart.dimension for chart in report.charts
+               if chart.dimension != EMPTY_DIM) == expected == report.sheaf_dim
+    assert max(rc.dimension for rc in restricted if not rc.zero) == expected
+
+
 def test_verify_quotient_dimension():
     gd = grading(fan_p1())
-    assert verify_quotient_dimension(gd, d_module_left(gd, (0,)))
-    assert verify_quotient_dimension(gd, structure_sheaf(gd))
-    with pytest.raises(PreconditionViolated):
-        verify_quotient_dimension(gd, delta_module(gd))
+    assert_chart_dimensions(gd, d_module_left(gd, (0,)))
+    assert_chart_dimensions(gd, structure_sheaf(gd))
+    pres = delta_module(gd)
+    report = dimension_report(gd, pres)
+    assert report.torsion
+    assert all(rc.zero for rc in assert_restriction_agrees(gd, pres, report))
 
 
 def test_verify_quotient_dimension_p1p1():
     gd = grading(fan_p1p1())
-    assert verify_quotient_dimension(gd, d_module_left(gd, (0, 0)))
-    assert verify_quotient_dimension(gd, structure_sheaf(gd))
+    assert_chart_dimensions(gd, d_module_left(gd, (0, 0)))
+    assert_chart_dimensions(gd, structure_sheaf(gd))
+
+
+def restriction_fans():
+    """The fixture fans, P3, (P1)^3, two star subdivisions of P2 and one of P3."""
+    fans = [fan for _, fan in all_fixture_fans()] + [fan_p3(), fan_p1_cubed()]
+    return fans + list(star_subdivided_fans(rng(95), fan_p2(), 2)) + \
+        list(star_subdivided_fans(rng(96), fan_p3(), 1))
+
+
+def test_chart_restriction_agrees_with_the_report():
+    # D(b) at three twists, D(b)^tau through the swap, O and delta, on every
+    # full-dimensional maximal cone: radicals both ways, the torsion and
+    # holonomic-sheaf verdicts
+    for fan in restriction_fans():
+        gd = grading(fan)
+        width = gd.class_group.free_rank
+        mods = [d_module_left(gd, (k,) * width) for k in (0, 1, -2)]
+        mods += [d_module_right(gd, (1,) * width), structure_sheaf(gd), delta_module(gd)]
+        for pres in mods:
+            report = dimension_report(gd, pres)
+            restricted = assert_restriction_agrees(gd, pres, report)
+            assert len(restricted) == len(fan.max_cones)
+
+
+def test_chart_restriction_of_random_twisted_modules():
+    # D(b) with two more random homogeneous relations: the restrictions are
+    # neither 0 nor the unit, and b != 0 makes the twist shift matter
+    r = rng(97)
+    torsion_free = zero_charts = 0
+    for name, fan in all_fixture_fans():
+        gd = grading(fan)
+        base = d_module_left(gd, tuple(r.randint(-2, 2) for _ in range(gd.class_group.free_rank)))
+        for _ in range(3):
+            rows = list(base.relations) + [(random_homogeneous_weyl(r, gd, total=2),)
+                                           for _ in range(2)]
+            pres = GradedPresentation(gd, "left", base.twists, rows)
+            report = dimension_report(gd, pres)
+            restricted = assert_restriction_agrees(gd, pres, report)
+            torsion_free += not report.torsion
+            zero_charts += sum(rc.zero for rc in restricted)
+    assert torsion_free and zero_charts
 
 
 def test_chart_generators_are_degree_zero_and_chart_regular():
@@ -206,17 +280,13 @@ def test_chart_generators_are_degree_zero_and_chart_regular():
         group_zero_modules.append((gd, pres))
     for gd, pres in group_zero_modules:
         report = dimension_report(gd, pres)
-        for cone in gd.fan.max_cones:
-            chart = chart_ideal(gd, report, cone)
-            inside = set(cone)
+        assert [chart.frame.cone for chart in report.charts] == list(gd.fan.max_cones)
+        for chart in report.charts:
+            inside = set(chart.frame.cone)
             for _, xexp, xiexp in chart.frame.generator_monomials:
-                cls = gd.class_group.zero()
-                for i, e in enumerate(xexp):
-                    cls = gd.class_group.add(cls, gd.class_group.scale(e, gd.degree_x(i)))
-                for i, e in enumerate(xiexp):
-                    cls = gd.class_group.add(
-                        cls, gd.class_group.scale(-e, gd.degree_x(i)))
-                assert cls == gd.class_group.zero()
+                # deg x_i = e_i = -deg xi_i, so the class of the exponents
+                assert gd.class_group.project(tuple(map(sub, xexp, xiexp))) == \
+                    gd.class_group.zero()
                 assert all(e >= 0 for e in xiexp)
                 for i in inside:
                     assert xexp[i] >= 0

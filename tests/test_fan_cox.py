@@ -287,11 +287,12 @@ def test_class_degrees_satisfy_the_exact_sequence():
         group = gd.class_group
         for i in range(fan.d):
             assert gd.degree_x(i) == group.project(tuple(int(j == i) for j in range(fan.d)))
+        columns = list(zip(*map(gd.degree_x, range(fan.d))))
         for m in product(range(-2, 3), repeat=fan.n):
-            total = group.zero()
-            for i, ray in enumerate(fan.rays):
-                total = group.add(total, group.scale(sum(x * y for x, y in zip(m, ray)),
-                                                     gd.degree_x(i)))
+            # the class coordinates of sum_i <m, v_i> deg(x_i), reduced once
+            coeffs = [sum(x * y for x, y in zip(m, ray)) for ray in fan.rays]
+            total = group.reduce([sum(k * c for k, c in zip(coeffs, column))
+                                  for column in columns])
             assert total == group.zero(), (fan.rays, m)
 
 
@@ -325,7 +326,7 @@ def test_exactness_of_grading_sequence():
         gd = grading(fan)
         for _ in range(10):
             p = tuple(r.randint(-4, 4) for _ in range(fan.n))
-            assert gd.degree(gd.iota_of(p)) == gd.class_group.zero()
+            assert gd.class_group.project(gd.iota_of(p)) == gd.class_group.zero()
             for u in gd.dual_basis:
                 assert sum(x * y for x, y in zip(u, gd.iota_of(p))) == 0
 
@@ -339,7 +340,8 @@ def test_grading_additivity_on_sigma_hats():
                 a = sigma_hat_monomial(fan, s)
                 b = sigma_hat_monomial(fan, t)
                 total = tuple(x + y for x, y in zip(a, b))
-                assert gd.degree(total) == gd.class_group.add(gd.degree(a), gd.degree(b))
+                project = gd.class_group.project
+                assert project(total) == gd.class_group.add(project(a), project(b))
 
 
 def test_euler_operator_examples():

@@ -1,5 +1,6 @@
 """Groebner engines: commutative ideals, saturation, dimension, Weyl side."""
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -125,6 +126,22 @@ def test_read_side_rejects_a_ring_mismatch():
             ideal_contains(gb, [Poly.variable(gb[0].ring, 0), f])
     assert normal_form(Poly.variable(two, 1), gb2) == Poly.variable(two, 1)
     assert ideal_contains(gb2, [Poly.variable(two, 0) * Poly.variable(two, 1)])
+
+
+def test_arithmetic_rejects_a_ring_mismatch():
+    # x1 * x2 across a 3- and a 2-variable ring gave x1*x2 keyed (1, 1) in
+    # the 3-variable ring (the product zipped exponents to the shorter
+    # length), and a sum mixed 3- and 2-tuples in one dict
+    two, three, other = PolyRing(("x", "y")), PolyRing(("x", "y", "z")), PolyRing(("u", "v"))
+    for f, g in [(Poly.variable(three, 0), Poly.variable(two, 1)),
+                 (Poly.variable(two, 0), Poly.variable(three, 2)),
+                 (Poly.variable(two, 0), Poly.variable(other, 0)),
+                 (Poly.zero(two), Poly.zero(other))]:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="ring mismatch"):
+                op(f, g)
+    x, y = Poly.variable(two, 0), Poly.variable(two, 1)
+    assert (x + y) * (x - y) == x * x - y * y
 
 
 def test_reducer_items_rebuild_its_vec():

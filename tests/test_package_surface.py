@@ -16,7 +16,7 @@ PACKAGE = ROOT / "src" / "toric_dmod"
 # claims, an independent oracle, and helpers the tests build on.
 TEST_ONLY = {
     "bimodule_identity_check", "left_right_identity_check",
-    "verify_char_containment", "verify_quotient_dimension",
+    "verify_char_containment",
     "verify_local_action", "rho_b", "k_component",
     "invariant_factor_oracle",
     "to_theta_form", "from_theta_form",

@@ -4,8 +4,9 @@ of eliminations one report does."""
 
 import pytest
 
-from helpers import (all_fixture_fans, fan_hirzebruch1, fan_p1, fan_p1p1,
-                     fan_torsion, grading, random_homogeneous_weyl, rng)
+from helpers import (all_fixture_fans, delta_module, fan_hirzebruch1, fan_p1,
+                     fan_p1p1, fan_torsion, grading, random_homogeneous_weyl, rng,
+                     structure_sheaf)
 from toric_dmod import charvar, groebner
 from toric_dmod.charvar import (certify_saturation, characteristic_ideal,
                                 chart_frames, chart_image, dimension_report,
@@ -14,17 +15,6 @@ from toric_dmod.dmod import GradedPresentation, d_module_left
 from toric_dmod.fan_cox import irrelevant_ideal
 from toric_dmod.groebner import (Poly, groebner_basis, saturation,
                                  saturation_by_monomials)
-from toric_dmod.weyl import WeylElement
-
-
-def structure_sheaf(gd):
-    rows = [(WeylElement.d_var(gd.d, i),) for i in range(gd.d)]
-    return GradedPresentation(gd, "left", [gd.class_group.zero()], rows)
-
-
-def delta_module(gd):
-    rows = [(WeylElement.x_var(gd.d, i),) for i in range(gd.d)]
-    return GradedPresentation(gd, "left", [gd.e_bar], rows)
 
 
 def random_module(r, gd):

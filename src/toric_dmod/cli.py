@@ -293,10 +293,12 @@ def cmd_local(args, grading: GradingData) -> list[tuple[str, str]]:
     report.append(("h_p-factors",
                    " * ".join(f"(th{i + 1} - {m})" if m else f"th{i + 1}"
                               for i, m in factors) if factors else "1"))
-    # I(p) is generated by rho(h_p): one polynomial, printed twice
+    # I(p) is generated by rho(h_p): one polynomial, formatted once and
+    # printed twice
     ip = dmod.rho(grading, hp)
-    report.append(("rho-h_p", tp_format(ip, vnames)))
-    report.append(("i_p", tp_format(ip, vnames)))
+    ip_text = tp_format(ip, vnames)
+    report.append(("rho-h_p", ip_text))
+    report.append(("i_p", ip_text))
     radius = dmod.local_radius(grading, p)
     # products of linear factors are equal iff their factor lists are
     oracle = dmod.j_p_oracle(grading, cone, p, radius)

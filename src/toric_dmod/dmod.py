@@ -19,7 +19,7 @@ from .errors import (BoxTooSmall, ConeNotMaximal, InhomogeneousInput, NotInJp,
 from .fan_cox import Fan, GradingData
 from .groebner import weyl_buchberger, weyl_normal_form
 from .weyl import (ThetaDict, WeylElement, numerator_action, tau,
-                   theta_dict_to_weyl, theta_u, tp_divide_linear_product,
+                   theta_dict_to_weyl, theta_u, tp_add, tp_divide_linear_product,
                    tp_linear, tp_linear_form, tp_linear_product,
                    tp_numerator_evaluator, tp_subst, weyl_degree)
 
@@ -321,11 +321,16 @@ def y_p_points(fan: Fan, cone, p, radius: int) -> list[tuple[int, ...]]:
 
 def i_p_matches_y_p(grading: GradingData, cone, p, ip: ThetaDict, radius: int) -> bool:
     """ip (the generator rho(h_p) of I(p)) vanishes exactly on Y(p) among
-    dual-cone points in the box; it is evaluated at those points only."""
-    _, ip_at = tp_numerator_evaluator(ip)
-    return all((ip_at(head + (x,)) == 0) == (x not in stay)
-               for head, _, dual, stay in _box_lines(grading.fan, cone, p, radius)
-               for x in dual)
+    dual-cone points in the box; it is evaluated at those points only, one
+    univariate Horner per box line (the evaluator's line form)."""
+    line = tp_numerator_evaluator(ip)[1].line
+    for head, _, dual, stay in _box_lines(grading.fan, cone, p, radius):
+        if dual:
+            ip_at = line(head)
+            for x in dual:
+                if (ip_at(x) == 0) != (x not in stay):
+                    return False
+    return True
 
 
 def _actions_hold(grading: GradingData, cone, p, actions, value_den: int,
@@ -384,10 +389,14 @@ def factored_local_action_holds(grading: GradingData, cone, p, factors,
     same on both sides, so the sides are compared before it), and must
     preserve the dual-cone ring. With m = r / s that is
     prod (s iota(q)_i - r) over prod s.
+
+    rho is a substitution and fixes constants, so rho(theta_i - m) is
+    rho(theta_i) - m: rho runs once per distinct ray i among the factors.
     """
     d, n = grading.d, grading.n
-    actions = [numerator_action(theta_dict_to_weyl(n, rho(grading, tp_linear(d, i, -m))))
-               for i, m in factors]
+    images = {i: rho(grading, tp_linear(d, i, 0)) for i in {i for i, _ in factors}}
+    actions = [numerator_action(theta_dict_to_weyl(
+        n, tp_add(images[i], tp_linear_form((0,) * n, -m)))) for i, m in factors]
     roots = [(i, *Fraction(m).as_integer_ratio()) for i, m in factors]
 
     def value_at(iq) -> int:

@@ -144,20 +144,23 @@ def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
 
 def format_terms(terms: list[tuple[Fraction, list[tuple[str, int]]]]) -> str:
     """Render (coefficient, [(variable name, exponent)]) terms as a sum; an
-    exponent of 0 drops the variable, and a negative one is printed as is."""
+    exponent of 0 drops the variable, and a negative one is printed as is.
+    A coefficient (an int or a Fraction) is read through its numerator and
+    denominator: its magnitude prints as |n|/d, or |n| when d = 1."""
     if not terms:
         return "0"
     chunks = []
     for coeff, vars_ in terms:
         body = "*".join(f"{name}^{e}" if e != 1 else name for name, e in vars_ if e)
-        mag = abs(coeff)
+        num, den = coeff.numerator, coeff.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not body:
-            text = str(mag)
-        elif mag == 1:
+            text = mag
+        elif mag == "1":
             text = body
         else:
             text = f"{mag}*{body}"
-        chunks.append((coeff < 0, text))
+        chunks.append((num < 0, text))
     first_neg, first = chunks[0]
     out = ("-" if first_neg else "") + first
     for neg, text in chunks[1:]:

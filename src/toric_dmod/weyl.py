@@ -11,12 +11,18 @@ tp_numerator_evaluator and numerator_action are the one evaluator and the
 one action: they prepare a fixed polynomial or operator once and then
 evaluate or act on integers only, so that a caller walking a box of points
 builds no Fraction there. The evaluator keeps the numerators in nested
-Horner form (grouped by the degree of one variable, each group by the next),
-so a point costs one multiply-add per coefficient and no power. The action
-is linear in g, and a theta-polynomial scales each monomial by its own
-eigenvalue, so one call on the sum of many monomials gives each monomial's
-image at once; the local checks apply it to a whole line of a box. tp_eval
-and act are their one-shot forms on Fractions.
+Horner form with the last variable outermost (grouped by the degree of the
+last variable that occurs, each group by the last one before it), so a
+point costs one multiply-add per coefficient and no power. Its line entry
+point evaluates the coefficient forms of the powers of the last variable
+once at the head of a box line and returns a univariate Horner on ints, so
+a point on the line costs one multiply-add per power of the last variable.
+The action splits f once into diagonal terms x^a d^a, which keep a
+monomial's exponent and act on it as one sum, and shifted terms. It is
+linear in g, and a theta-polynomial (diagonal terms only) scales each
+monomial by its own eigenvalue, so one call on the sum of many monomials
+gives each monomial's image at once; the local checks apply it to a whole
+line of a box. tp_eval and act are their one-shot forms on Fractions.
 tp_divide_linear_product is the one division: synthetic division by each
 linear factor on the numerators.
 weyl_shift_into is the one normal-ordering expansion, shared by the Weyl
@@ -123,21 +129,21 @@ def tp_linear_product(d: int, factors) -> ThetaDict:
 
 
 def _horner(nums: dict, i: int):
-    """The numerators nums over the variables i, i+1, ... in nested Horner
-    form: an int when no variable from i on occurs, else (j, coefficients)
-    with j the first variable that occurs and coefficients the forms of the
-    powers of t_j from the top degree down to 0 (0 where a degree is
-    missing)."""
+    """The numerators nums over the variables 0 .. i-1 in nested Horner
+    form: an int when none of them occurs, else (j, coefficients) with j the
+    last variable that occurs and coefficients the forms of the powers of
+    t_j from the top degree down to 0 (0 where a degree is missing)."""
     if len(nums) == 1:
         (e, c), = nums.items()
-        if not any(e[i:]):
+        if not any(e[:i]):
             return c
+    i -= 1
     while not any(e[i] for e in nums):
-        i += 1
+        i -= 1
     by_degree: dict = {}
     for e, c in nums.items():
         by_degree.setdefault(e[i], {})[e] = c
-    return i, [_horner(by_degree[k], i + 1) if k in by_degree else 0
+    return i, [_horner(by_degree[k], i) if k in by_degree else 0
                for k in range(max(by_degree), -1, -1)]
 
 
@@ -153,18 +159,38 @@ def _horner_at(form, t) -> int:
 
 def tp_numerator_evaluator(p: ThetaDict):
     """(D, f): the least common denominator D of p and the function
-    t -> D p(t) at integer points, an integer sum.
+    t -> D p(t) at integer points, an integer sum; f.line(head) is the
+    function x -> D p(head + (x,)) along the line of the last variable.
 
     The numerators of p are computed and put in nested Horner form once:
-    grouped by the degree of the first variable that occurs, each group by
-    the next, and so on. At a point each coefficient then costs one
-    multiply-add, and no power is taken.
+    grouped by the degree of the last variable that occurs, each group by
+    the degree of the last one before it that occurs, and so on. At a point
+    each coefficient then costs one multiply-add, and no power is taken.
+    f.line(head) evaluates the forms of the powers of the last variable at
+    head once, so that along the line each point costs one multiply-add per
+    power: a univariate Horner on ints.
     """
     den, nums = tp_numerators(p)
-    form = _horner(nums, 0) if nums else 0
+    last = len(next(iter(nums), ())) - 1
+    form = _horner(nums, last + 1) if nums else 0
 
     def evaluate(t) -> int:
         return _horner_at(form, t)
+
+    def line(head):
+        if form.__class__ is not int and form[0] == last:
+            coefficients = [c if c.__class__ is int else _horner_at(c, head)
+                            for c in form[1]]
+        else:
+            coefficients = [_horner_at(form, head)]
+
+        def at(x) -> int:
+            acc = 0
+            for c in coefficients:
+                acc = acc * x + c
+            return acc
+        return at
+    evaluate.line = line
     return den, evaluate
 
 
@@ -480,25 +506,40 @@ def numerator_action(f: WeylElement):
     it vanishes when 0 <= e_i < b_i, so a variable whose exponents in g are
     nonnegative keeps them nonnegative in f . g.
 
-    A diagonal term (a = b, so x^a d^a scales x^e by ff(e, a)) keeps the
-    exponent tuple of g as it is, and a first-order factor ff(e_i, 1) is
-    e_i itself.
+    The terms of f are split once into diagonal terms (a = b: x^a d^a
+    scales x^e by ff(e, a) and keeps its exponent tuple) and shifted ones.
+    The diagonal terms act on a monomial of g as one sum, written to the
+    output once; when f has no shifted term, as for a theta-polynomial,
+    that is the whole output. A first-order factor ff(e_i, 1) is e_i
+    itself.
     """
     df, nf = tp_numerators(f.terms)
-    terms = []
+    diagonal, shifted = [], []
     for (a, b), cf in nf.items():
-        shift = tuple(map(sub, a, b))
-        terms.append((shift if any(shift) else None,
-                      [(i, bi) for i, bi in enumerate(b) if bi], cf))
+        lowered = [(i, bi) for i, bi in enumerate(b) if bi]
+        if a == b:
+            diagonal.append((lowered, cf))
+        else:
+            shifted.append((tuple(map(sub, a, b)), lowered, cf))
+
+    def diagonal_sum(e) -> int:
+        total = 0
+        for lowered, cf in diagonal:
+            for i, bi in lowered:
+                cf *= e[i] if bi == 1 else _ff(e[i], bi)
+            total += cf
+        return total
 
     def apply(g: dict) -> dict:
-        out: dict = {}
-        for shift, lowered, cf in terms:
+        out = {e: c for e, cg in g.items() if (c := diagonal_sum(e) * cg)} if diagonal else {}
+        if not shifted:
+            return out
+        for shift, lowered, cf in shifted:
             for e, cg in g.items():
                 for i, bi in lowered:
                     cg *= e[i] if bi == 1 else _ff(e[i], bi)
                 if cg:
-                    ne = tuple(map(add, e, shift)) if shift else e
+                    ne = tuple(map(add, e, shift))
                     out[ne] = out.get(ne, 0) + cf * cg
         return {e: c for e, c in out.items() if c}
     return df, apply

@@ -353,16 +353,69 @@ def test_numerator_action_matches_falling_factorials(case):
         assert out == falling_factorial_action(f, mask, g)
 
 
+@st.composite
+def mixed_actions(draw):
+    """An operator with diagonal terms x^a d^a and shifted terms x^a d^b,
+    a != b, both present (b_i up to 3), and operands with negative
+    exponents in every variable."""
+    d = draw(st.integers(1, 2))
+    mono = st.tuples(*[st.integers(0, 3)] * d)
+    diagonal = draw(st.dictionaries(mono, nonzero, min_size=1, max_size=3))
+    shifted = draw(st.dictionaries(st.tuples(mono, mono).filter(lambda ab: ab[0] != ab[1]),
+                                   nonzero, min_size=1, max_size=3))
+    f = {(a, a): c for a, c in diagonal.items()}
+    f.update(shifted)
+    exps = st.tuples(*[st.integers(-3, 3)] * d)
+    gs = draw(st.lists(st.dictionaries(exps, nonzero, max_size=4), min_size=1, max_size=3))
+    return d, f, gs
+
+
+@given(mixed_actions())
+def test_numerator_action_on_mixed_elements(case):
+    # the summed diagonal terms and the shifted terms write into one output
+    d, f, gs = case
+    df, apply = numerator_action(WeylElement(d, f))
+    for g in gs:
+        dg, ng = tp_numerators(g)
+        nums = apply(ng)
+        assert all(isinstance(c, int) and c for c in nums.values())
+        out = {e: Fraction(c, df * dg) for e, c in nums.items()}
+        assert out == falling_factorial_action(f, (True,) * d, g)
+
+
 def test_numerator_action_zero_results():
     df, d1sq = numerator_action(WeylElement(1, {((0,), (2,)): Fraction(1, 2)}))
     assert df == 2
     assert d1sq({(1,): 15, (0,): 1}) == {}
     # theta - 2 kills x^2 and scales x^-1 by -3
-    _, shifted = numerator_action(WeylElement(1, {((1,), (1,)): Fraction(1),
+    _, theta_2 = numerator_action(WeylElement(1, {((1,), (1,)): Fraction(1),
                                                   ((0,), (0,)): Fraction(-2)}))
-    assert shifted({(2,): 4}) == {}
-    assert shifted({(-1,): 1}) == {(-1,): -3}
+    assert theta_2({(2,): 4}) == {}
+    assert theta_2({(-1,): 1}) == {(-1,): -3}
     assert numerator_action(WeylElement(2, {}))[1]({(1, -1): 2}) == {}
+    # theta1 + x1 on 2 x1^2 - 4 x1: theta1 gives 4 x1^2 - 4 x1, x1 gives
+    # 2 x1^3 - 4 x1^2, and the x1^2 terms cancel across the two paths
+    _, mixed = numerator_action(WeylElement(1, {((1,), (1,)): Fraction(1),
+                                                ((1,), (0,)): Fraction(1)}))
+    assert mixed({(2,): 2, (1,): -4}) == {(3,): 2, (1,): -4}
+    # x1^2 d1^2 + 3 d1^2 - x1 d1^3 on x1: every term kills it, on both paths
+    f = WeylElement(1, {((2,), (2,)): Fraction(1), ((0,), (2,)): Fraction(3),
+                        ((1,), (3,)): Fraction(-1)})
+    df, apply = numerator_action(f)
+    assert apply({(1,): 5}) == {}
+    # on x1^-1 the diagonal sum is ff(-1, 2) = 2, d1^2 gives 3 ff(-1, 2)
+    # x1^-3 = 6 x1^-3 and x1 d1^3 gives -ff(-1, 3) x1^-3 = 6 x1^-3
+    assert apply({(-1,): 1}) == {(-1,): 2, (-3,): 12}
+    for g in ({(1,): Fraction(5)}, {(-1,): Fraction(1)}, {(2,): Fraction(1, 3)}):
+        dg, ng = tp_numerators(g)
+        assert {e: Fraction(c, df * dg) for e, c in apply(ng).items()} == \
+            falling_factorial_action(f.terms, (True,), g)
+    # a diagonal sum that vanishes: x1^2 d1^2 - 2 at e = 2 and e = -1,
+    # next to a shifted term that does not
+    _, vanishing = numerator_action(WeylElement(1, {((2,), (2,)): Fraction(1),
+                                                    ((0,), (0,)): Fraction(-2),
+                                                    ((0,), (1,)): Fraction(1)}))
+    assert vanishing({(2,): 1, (-1,): 1}) == {(1,): 2, (-2,): -1}
 
 
 def test_act_zero_results_and_rank_mismatch():

@@ -2,8 +2,9 @@
 lines and intervals (y_p_points, i_p_matches_y_p and the line-wise
 _actions_hold) against helpers.box_points, a naive walk with every pairing
 summed directly, and the one-pass j_p_oracle against the slab-by-slab scan
-(helpers.j_p_oracle_per_slab); and how often each factor's action and the
-evaluator of rho(h_p) run."""
+(helpers.j_p_oracle_per_slab); the evaluator's line form against its
+point form; and how often each factor's action and the evaluator of
+rho(h_p) run."""
 
 from fractions import Fraction
 from itertools import product
@@ -22,7 +23,8 @@ from toric_dmod.dmod import (factored_local_action_holds, h_p, i_p_ideal,
                              verify_local_action, y_p_points)
 from toric_dmod.errors import BoxTooSmall
 from toric_dmod.fan_cox import Fan
-from toric_dmod.weyl import tp_add, tp_linear, tp_mul, tp_numerator_evaluator
+from toric_dmod.weyl import (tp_add, tp_eval, tp_linear, tp_mul,
+                             tp_numerator_evaluator)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
@@ -149,18 +151,58 @@ def test_line_check_fails_where_one_point_fails():
 
 
 def _recording_evaluator():
-    """Patch dmod.tp_numerator_evaluator so that the evaluators it returns
-    record every point they are called at, in the returned list."""
+    """Patch dmod.tp_numerator_evaluator so that the line forms of the
+    evaluators it returns record every point they are called at, head +
+    (x,), in the returned list."""
     seen = []
 
     def recorded(f):
         den, at = tp_numerator_evaluator(f)
+        real_line = at.line
 
-        def wrapped(t):
-            seen.append(tuple(t))
-            return at(t)
-        return den, wrapped
+        def line(head):
+            on_line = real_line(head)
+
+            def wrapped(x):
+                seen.append(tuple(head) + (x,))
+                return on_line(x)
+            return wrapped
+        at.line = line
+        return den, at
     return seen, mock.patch.object(dmod, "tp_numerator_evaluator", recorded)
+
+
+@st.composite
+def line_polys(draw):
+    """n = 1, 2 or 3 and a ThetaDict in n variables with rational
+    coefficients: any, the zero polynomial, a constant, or one in which the
+    last variable does not occur."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("any", "zero", "constant", "no last")))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    p = draw(st.dictionaries(exps, RATIONALS.filter(bool), max_size=6))
+    if kind == "zero":
+        p = {}
+    elif kind == "constant":
+        p = {(0,) * n: draw(RATIONALS.filter(bool))}
+    elif kind == "no last":
+        p = {e[:-1] + (0,): c for e, c in p.items()}
+    return n, p
+
+
+@given(line_polys())
+def test_line_form_matches_the_point_form(case):
+    # line(t[:-1])(t[-1]) against the point evaluation and tp_eval at every
+    # point of the box [-2, 2]^n, negative heads included
+    n, p = case
+    den, at = tp_numerator_evaluator(p)
+    for head in product(range(-2, 3), repeat=n - 1):
+        on_line = at.line(head)
+        for x in range(-2, 3):
+            t = head + (x,)
+            value = on_line(x)
+            assert isinstance(value, int)
+            assert value == at(t) == den * tp_eval(p, t), (p, t)
 
 
 @given(local_cases(), st.data())

@@ -127,3 +127,42 @@ def test_format_terms_prints_negative_exponents():
     assert parsing.format_terms([(Fraction(-3), [("x1", 0), ("xi2", -2)]),
                                  (Fraction(1, 2), [("x2", 1)])]) == "-3*xi2^-2 + 1/2*x2"
     assert parsing.format_terms([(1, [("x1", 0), ("x2", 0)])]) == "1"
+
+
+def format_terms_by_fractions(terms) -> str:
+    """parsing.format_terms with the sign, magnitude and unit test taken by
+    Fraction arithmetic: abs, == 1 and < 0."""
+    if not terms:
+        return "0"
+    chunks = []
+    for coeff, vars_ in terms:
+        body = "*".join(f"{name}^{e}" if e != 1 else name for name, e in vars_ if e)
+        mag = abs(Fraction(coeff))
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        chunks.append((coeff < 0, text))
+    first_neg, first = chunks[0]
+    out = ("-" if first_neg else "") + first
+    for neg, text in chunks[1:]:
+        out += (" - " if neg else " + ") + text
+    return out
+
+
+coefficients = st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30),
+                         st.fractions(max_denominator=50), st.sampled_from(
+                             [Fraction(1), Fraction(-1), Fraction(0), 1, -1, 0,
+                              Fraction(1, 2), Fraction(-7, 3)]))
+monomials = st.lists(st.tuples(st.sampled_from(["x1", "d2", "th3", "v1"]),
+                               st.integers(-3, 3)), max_size=3)
+
+
+@given(st.lists(st.tuples(coefficients, monomials), max_size=5))
+def test_format_terms_matches_the_fraction_reference(terms):
+    # the sign, magnitude and unit test come from the numerator and the
+    # denominator: the same bytes as abs, == 1 and < 0 on Fractions, for int
+    # and Fraction coefficients, units, zeros and bare constants included
+    assert parsing.format_terms(terms) == format_terms_by_fractions(terms)

@@ -53,10 +53,7 @@ def z_ideal(grading: GradingData) -> tuple[Poly, ...]:
 def characteristic_ideal(grading: GradingData, pres: GradedPresentation) -> list[Poly]:
     """Reduced GB of Ann_{S'}(gr F) for the generator-induced good filtration."""
     ring = s_prime_ring(grading)
-    gb = pres.relation_gb()
-    if not gb:
-        return []
-    init = initial_forms(gb)
+    init = initial_forms(pres.relation_gb())
     return annihilator_of_graded_quotient(init, ring, pres.rank)
 
 

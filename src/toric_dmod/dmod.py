@@ -90,20 +90,15 @@ class GradedPresentation:
     def relation_gb(self):
         """Filtered GB of the (left-form) relation submodule, cached."""
         if self._gb is None:
-            rows = [row for row in self.left_form_relations()
-                    if not all(g.is_zero() for g in row)]
-            d = self.grading.d
-            self._gb = weyl_buchberger(rows, self.rank, d) if rows else []
+            self._gb = weyl_buchberger(self.left_form_relations(), self.rank,
+                                       self.grading.d)
         return self._gb
 
     def contains_relation(self, row) -> bool:
         """Membership of a row in the relation submodule (side-aware)."""
         if self.side == RIGHT:
             row = tuple(tau(g) for g in row)
-        gb = self.relation_gb()
-        if not gb:
-            return all(g.is_zero() for g in row)
-        nf = weyl_normal_form(tuple(row), gb)
+        nf = weyl_normal_form(tuple(row), self.relation_gb())
         return all(g.is_zero() for g in nf)
 
 
@@ -254,8 +249,8 @@ def j_p_oracle(grading: GradingData, cone, p, radius: int):
 
 
 def rho(grading: GradingData, w: ThetaDict) -> ThetaDict:
-    """Pullback along iota: theta_i -> sum_l v_i[l] vartheta_l."""
-    return tp_subst(w, [tp_linear_form(ray) for ray in grading.fan.rays], grading.n)
+    """Pullback along iota: theta_i -> sum_l v_i[l] vartheta_l (rho_b at b = 0)."""
+    return rho_b(grading, (0,) * len(grading.fan.rays), w)
 
 
 def rho_b(grading: GradingData, b, w: ThetaDict) -> ThetaDict:

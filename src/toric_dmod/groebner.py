@@ -129,8 +129,6 @@ class Poly:
 
 
 def format_poly(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
     items = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
     return format_terms([(c, [(p.ring.names[i], k) for i, k in enumerate(e) if k])
                          for e, c in items])
@@ -168,10 +166,7 @@ def normal_form(f: Poly, gb: list[Poly]) -> Poly:
 def ideal_contains(gb: list[Poly], gens: list[Poly]) -> bool:
     """Whether every element of gens lies in the ideal of the Groebner basis
     gb; ValueError on a ring mismatch."""
-    if any(g.ring.names != f.ring.names for f in gens for g in gb):
-        raise ValueError("ring mismatch")
-    reducers = [g.divisor() for g in gb if not g.is_zero()]
-    return not any(_wreduce(tp_numerators(_kernel(f))[1], reducers)[0] for f in gens)
+    return all(normal_form(f, gb).is_zero() for f in gens)
 
 
 def is_unit_ideal(gb: list[Poly]) -> bool:
@@ -270,7 +265,7 @@ def basis_dimension(gb: list[Poly], ring: PolyRing):
 
 class WeylModuleOrder:
     """POT, component 0 highest, over (weight = total d-degree, then
-    degrevlex on x,d jointly).
+    degrevlex on x,d jointly): the key of the two engines' pair heaps.
 
     The cache saves memory as well as time: equal pair lcms share one key
     tuple in the pair heap (on Python 3.11, at a 10 s cut of the hard tier's
@@ -396,9 +391,8 @@ def _interreduced(reducers: list[_WeylReducer]) -> list:
     its lead (of equal leads the first). Each kept one is reduced by those
     before it (no larger lead divides a term below its own lead), with its
     lead over the denominator equal to 1."""
-    order = WeylModuleOrder()
     keep: list[_WeylReducer] = []
-    for r in sorted(reducers, key=lambda r: order.key((r.comp, r.a, r.b))):
+    for r in sorted(reducers, key=lambda r: _lead_key((r.comp, r.a, r.b)), reverse=True):
         if not any(k.comp == r.comp and _divides(k.ab, r.ab) for k in keep):
             keep.append(r)
     out = []
@@ -465,7 +459,7 @@ def buchberger(gens: list[dict], rank: int) -> list[dict]:
     def remainder(work: dict) -> dict:
         return _wreduce(work, [elems[g] for g in live])[0]
 
-    for g in sorted((g for g in gens if g), key=lambda g: worder.key(min(g, key=_lead_key))):
+    for g in sorted((g for g in gens if g), key=lambda g: min(map(_lead_key, g)), reverse=True):
         h = remainder(tp_numerators(g)[1])
         if h:
             insert(h)
@@ -504,15 +498,8 @@ def weyl_buchberger(gens, rank: int, d: int) -> list:
     if any(len(g) != rank or any(e.d != d for e in g) for g in gens):
         raise ValueError("rank mismatch")
     worder = WeylModuleOrder()
-    basis: list[_WeylReducer] = []
-    seen = set()
-    for r in sorted((_WeylReducer(w) for w in map(_rows_to_wdict, gens) if w),
-                    key=lambda r: worder.key((r.comp, r.a, r.b))):
-        vkey = tuple(sorted(r.vec.items()))
-        if vkey not in seen:
-            seen.add(vkey)
-            basis.append(r)
-
+    basis = sorted((_WeylReducer(w) for w in map(_rows_to_wdict, gens) if w),
+                   key=lambda r: _lead_key((r.comp, r.a, r.b)), reverse=True)
     heap: list = []
 
     def push_pair(i, j):

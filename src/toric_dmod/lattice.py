@@ -54,30 +54,6 @@ class IntMatrix:
             raise ValueError("shape mismatch")
         return tuple(sum(row[k] * v[k] for k in range(self.cols)) for row in self.entries)
 
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("det of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def rank(self) -> int:
         """Rank over Q: the number of pivots of the integer row echelon form."""
         return len(integer_rref(self.entries)[1])
@@ -310,29 +286,3 @@ def dual_lattice_basis(group: FinitelyGeneratedAbelianGroup) -> list[tuple[int, 
     """
     u = group._u
     return [tuple(u.entries[slot]) for slot in group._free_slots]
-
-
-def invariant_factor_oracle(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors via gcds of k x k minors (determinantal divisors).
-
-    Independent of the elimination-based Smith routine; intended for tests.
-    """
-    from itertools import combinations
-
-    def minor_gcd(k: int) -> int:
-        g = 0
-        for rows in combinations(range(m.rows), k):
-            for cols in combinations(range(m.cols), k):
-                sub = IntMatrix.from_rows([[m[i, j] for j in cols] for i in rows])
-                g = gcd(g, sub.det())
-        return abs(g)
-
-    factors = []
-    prev = 1
-    for k in range(1, min(m.rows, m.cols) + 1):
-        dk = minor_gcd(k)
-        if dk == 0:
-            break
-        factors.append(dk // prev)
-        prev = dk
-    return tuple(factors)

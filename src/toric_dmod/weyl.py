@@ -217,8 +217,6 @@ def tp_subst(p: ThetaDict, images: list[ThetaDict], d_out: int) -> ThetaDict:
     sum_e c_e prod_i N_i^e_i D_i^(K_i - e_i) over D prod_i D_i^K_i. Each
     power N_i^k is built once.
     """
-    if not p:
-        return {}
     den, nums = tp_numerators(p)
     maxdeg = [max(ks) for ks in zip(*nums)]
     scaled = [tp_numerators(image) for image in images]
@@ -275,8 +273,6 @@ def tp_divide_linear_product(p: ThetaDict, factors) -> ThetaDict | None:
 
 
 def tp_format(p: ThetaDict, names) -> str:
-    if not p:
-        return "0"
     items = sorted(p.items(), key=lambda kv: kv[0], reverse=True)
     return format_terms([(c, [(names[i], k) for i, k in enumerate(e) if k])
                          for e, c in items])
@@ -594,8 +590,6 @@ def parse_weyl(text: str, d: int) -> WeylElement:
 
 
 def format_weyl(f: WeylElement) -> str:
-    if f.is_zero():
-        return "0"
     items = sorted(f.terms.items(), reverse=True)
     rendered = []
     for (a, b), c in items:

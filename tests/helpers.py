@@ -188,8 +188,8 @@ def defective_faces(fan: Fan) -> list:
             continue
         g = 0
         for cols in combinations(range(fan.n), k):
-            g = gcd(g, IntMatrix.from_rows([[m[i, j] for j in cols]
-                                            for i in range(k)]).det())
+            g = gcd(g, det(IntMatrix.from_rows([[m[i, j] for j in cols]
+                                                for i in range(k)])))
         if abs(g) != 1:
             defects.append((cone, NonSmoothCone))
     return defects
@@ -229,6 +229,53 @@ def random_fan(r: random.Random, n: int) -> Fan:
     cones = [r.sample(range(len(rays)), r.randint(1, min(n + 1, len(rays))))
              for _ in range(r.randint(1, 4))]
     return Fan(n, rays, cones)
+
+
+def det(m: IntMatrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("det of non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def invariant_factor_oracle(m: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors via gcds of k x k minors (determinantal divisors),
+    independent of the elimination-based Smith routine."""
+    def minor_gcd(k: int) -> int:
+        g = 0
+        for rows in combinations(range(m.rows), k):
+            for cols in combinations(range(m.cols), k):
+                g = gcd(g, det(IntMatrix.from_rows([[m[i, j] for j in cols]
+                                                    for i in rows])))
+        return abs(g)
+
+    factors = []
+    prev = 1
+    for k in range(1, min(m.rows, m.cols) + 1):
+        dk = minor_gcd(k)
+        if dk == 0:
+            break
+        factors.append(dk // prev)
+        prev = dk
+    return tuple(factors)
 
 
 def fraction_eval(p: dict, point) -> Fraction:

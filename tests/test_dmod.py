@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (fan_hirzebruch1, fan_p1, fan_p1p1, fan_p2, grading,
                      random_homogeneous_weyl, rng)
+from toric_dmod.charvar import characteristic_ideal
 from toric_dmod.dmod import (GradedPresentation, bimodule_identity_check,
                              check_theta_condition, d_module_left,
                              d_module_right, factored_local_action_holds, h_p,
@@ -15,7 +16,7 @@ from toric_dmod.dmod import (GradedPresentation, bimodule_identity_check,
                              left_right_swap, local_op_image, rho, rho_b,
                              verify_local_action, y_p_points)
 from toric_dmod.errors import BoxTooSmall, InhomogeneousInput, NotInJp
-from toric_dmod.weyl import (WeylElement, format_weyl, parse_weyl, tp_add,
+from toric_dmod.weyl import (WeylElement, format_weyl, parse_weyl, theta_u, tp_add,
                              tp_divide_linear_product, tp_linear, tp_mul)
 
 
@@ -62,6 +63,24 @@ def test_theta_condition_examples():
     free = GradedPresentation(gd, "left", [(0,)], [])
     assert check_theta_condition(free) == (False, (1, 1))
     assert check_theta_condition(d_module_left(gd, (1,))) == (True, None)
+
+
+def test_only_zero_relations_present_the_free_module():
+    # the zero rows reach weyl_buchberger, which drops them: the basis is
+    # empty, the characteristic ideal is (0), the zero row is the only
+    # relation, and theta_u on the first generator fails the theta condition
+    for fan in (fan_p1(), fan_p1p1()):
+        gd = grading(fan)
+        zero = WeylElement.zero(gd.d)
+        theta = theta_u(gd.dual_basis[0])
+        for rank in (1, 2):
+            pres = GradedPresentation(gd, "left", [gd.class_group.zero()] * rank,
+                                      [(zero,) * rank] * 2)
+            assert pres.relation_gb() == []
+            assert characteristic_ideal(gd, pres) == []
+            assert pres.contains_relation((zero,) * rank)
+            assert not pres.contains_relation((theta,) + (zero,) * (rank - 1))
+            assert check_theta_condition(pres) == (False, (1, 1))
 
 
 def test_theta_condition_every_twist():

@@ -128,6 +128,15 @@ def test_read_side_rejects_a_ring_mismatch():
     assert ideal_contains(gb2, [Poly.variable(two, 0) * Poly.variable(two, 1)])
 
 
+def test_ideal_contains_no_polynomials_and_the_zero_polynomial_prints_as_0():
+    ring = ring2()
+    gb = groebner_basis([Poly.variable(ring, 0)], ring)
+    assert ideal_contains(gb, []) and ideal_contains([], [])
+    assert ideal_contains(gb, [Poly.zero(ring)]) and ideal_contains([], [Poly.zero(ring)])
+    assert not ideal_contains(gb, [Poly.variable(ring, 0), Poly.variable(ring, 1)])
+    assert format_poly(Poly.zero(ring)) == "0"
+
+
 def test_arithmetic_rejects_a_ring_mismatch():
     # x1 * x2 across a 3- and a 2-variable ring gave x1*x2 keyed (1, 1) in
     # the 3-variable ring (the product zipped exponents to the shorter
@@ -446,6 +455,28 @@ def test_reduced_basis_independent_of_generator_order():
     a = weyl_buchberger([(th1,), (extra,)], 1, 2)
     b = weyl_buchberger([(extra,), (th1,)], 1, 2)
     assert a == b
+
+
+def test_weyl_buchberger_ignores_a_repeated_and_a_rescaled_row():
+    # a repeated generator's S-element is 0, and the final inter-reduction
+    # keeps the first of equal leads, so the reduced basis is the same
+    r = rng(48)
+    cases = [([(parse_weyl("x1*d1 + x2*d2 + 1", 2),),
+               (parse_weyl("x1*x2*d1*d2 - 2", 2),)], 1, 2)]
+    for _ in range(30):
+        d, rank = r.randint(1, 2), r.randint(1, 2)
+        cases.append(([_random_weyl_row(r, d, rank) for _ in range(r.randint(1, 3))], rank, d))
+    nonzero = 0
+    for gens, rank, d in cases:
+        want = weyl_buchberger(gens, rank, d)
+        nonzero += bool(want)
+        more = list(gens)
+        more.insert(r.randint(0, len(more)), r.choice(gens))
+        more.insert(r.randint(0, len(more)),
+                    tuple(e.scale(Fraction(3, 2)) for e in r.choice(gens)))
+        got = weyl_buchberger(more, rank, d)
+        assert got == want, [[format_weyl(e) for e in g] for g in more]
+    assert nonzero > 20
 
 
 def test_module_annihilator_exactness():
@@ -884,6 +915,16 @@ def test_lead_key_sorts_in_reverse_of_weyl_module_order():
         assert len({groebner._lead_key(t) for t in triples}) == len(triples)
         assert (sorted(triples, key=groebner._lead_key)
                 == sorted(triples, key=WeylModuleOrder().key, reverse=True))
+        # ties: repeated leads, each tagged with its input position, sort
+        # the same way under both keys, equal leads in input order (the
+        # engines' "of equal leads the first" rests on this)
+        repeated = triples + r.choices(triples, k=len(triples) // 2 + 1)
+        r.shuffle(repeated)
+        order = WeylModuleOrder()
+        ascending = sorted(enumerate(repeated), key=lambda pt: order.key(pt[1]))
+        assert ascending == sorted(enumerate(repeated),
+                                   key=lambda pt: groebner._lead_key(pt[1]), reverse=True)
+        assert all(p < q for (p, s), (q, t) in zip(ascending, ascending[1:]) if s == t)
 
 
 def test_lead_key_on_mapped_terms_is_degrevlex_and_the_block_order():

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import fan_p1p1, fan_torsion, grading, rng
+from helpers import det, fan_p1p1, fan_torsion, grading, invariant_factor_oracle, rng
 from toric_dmod import lattice
-from toric_dmod.lattice import (IntMatrix, cokernel, dual_lattice_basis,
-                                invariant_factor_oracle, smith_normal_form)
+from toric_dmod.lattice import IntMatrix, cokernel, dual_lattice_basis, smith_normal_form
 
 
 def diagonal(snf, m):
@@ -66,7 +65,7 @@ def test_randomized_against_minor_gcd_oracle():
                                  for _ in range(rows)])
         s = smith_normal_form(m)
         reconstruct(s, m)
-        assert abs(s.U.det()) == 1
+        assert abs(det(s.U)) == 1
         assert s.invariant_factors == invariant_factor_oracle(m)
         for a, b in zip(s.invariant_factors, s.invariant_factors[1:]):
             assert b % a == 0
@@ -153,7 +152,7 @@ def test_dual_basis_p1p1_up_to_basis_change():
     for u in basis:
         assert u[0] == u[1] and u[2] == u[3]
     mat = IntMatrix.from_rows([[u[0], u[2]] for u in basis])
-    assert abs(mat.det()) == 1
+    assert abs(det(mat)) == 1
 
 
 def test_dual_basis_sign_normalization_and_independence():

@@ -17,8 +17,7 @@ PACKAGE = ROOT / "src" / "toric_dmod"
 TEST_ONLY = {
     "bimodule_identity_check", "left_right_identity_check",
     "verify_char_containment",
-    "verify_local_action", "rho_b", "k_component",
-    "invariant_factor_oracle",
+    "verify_local_action", "k_component",
     "to_theta_form", "from_theta_form",
 }
 

@@ -10,12 +10,19 @@ from helpers import (fan_p1, fan_p1p1, grading, random_weyl, rng,
 from toric_dmod.errors import InhomogeneousInput, ParseError
 from toric_dmod.weyl import (WeylElement, act, format_weyl,
                              from_theta_form, parse_weyl, shift_items, tau,
-                             theta_dict_to_weyl, to_theta_form, tp_linear,
-                             weyl_degree, weyl_mul, weyl_shift_into)
+                             theta_dict_to_weyl, to_theta_form, tp_format, tp_linear,
+                             tp_subst, weyl_degree, weyl_mul, weyl_shift_into)
 
 
 def W(s, d=2):
     return parse_weyl(s, d)
+
+
+def test_zero_substitutes_to_zero_and_prints_as_0():
+    images = [tp_linear(2, 0, 1), tp_linear(2, 1, Fraction(-3, 2)), {}]
+    assert tp_subst({}, images, 2) == {}
+    assert tp_format({}, ["th1", "th2", "th3"]) == "0"
+    assert format_weyl(WeylElement.zero(2)) == "0"
 
 
 def test_mul_basic_relation():

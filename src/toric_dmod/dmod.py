@@ -17,7 +17,7 @@ from operator import add, mul
 from .errors import (BoxTooSmall, ConeNotMaximal, InhomogeneousInput, NotInJp,
                      PointTooLarge)
 from .fan_cox import Fan, GradingData
-from .groebner import weyl_buchberger, weyl_normal_form
+from .groebner import WeylDivisors, weyl_buchberger, weyl_contains
 from .weyl import (ThetaDict, WeylElement, numerator_action, tau,
                    theta_dict_to_weyl, theta_u, tp_add, tp_divide_linear_product,
                    tp_linear, tp_linear_form, tp_linear_product,
@@ -57,6 +57,7 @@ class GradedPresentation:
         self.relations = tuple(rows)
         self._validate_homogeneous()
         self._gb = None
+        self._divisors = None
 
     def _validate_homogeneous(self):
         group = self.grading.class_group
@@ -95,11 +96,13 @@ class GradedPresentation:
         return self._gb
 
     def contains_relation(self, row) -> bool:
-        """Membership of a row in the relation submodule (side-aware)."""
+        """Membership of a row in the relation submodule (side-aware),
+        against relation_gb() prepared once for it."""
+        if self._divisors is None:
+            self._divisors = WeylDivisors(self.relation_gb(), self.rank, self.grading.d)
         if self.side == RIGHT:
             row = tuple(tau(g) for g in row)
-        nf = weyl_normal_form(tuple(row), self.relation_gb())
-        return all(g.is_zero() for g in nf)
+        return weyl_contains(tuple(row), self._divisors)
 
 
 def _row_key(row):

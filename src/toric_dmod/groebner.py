@@ -9,7 +9,10 @@ Weyl order is then degrevlex. For elimination the front variable t maps to
 the d-part of an extra variable whose x-part stays 0, (component, (0,) +
 e[1:], e[:1]): t commutes, and the order compares the t-degree first, then
 degrevlex on the rest. No function takes a term order. The read side takes
-each basis element's divisor from `Poly.divisor`, built once per element.
+each basis element's divisor from `Poly.divisor`, built once per element,
+and a Weyl basis's divisors from `WeylDivisors`, built once per basis;
+membership (`ideal_contains`, `weyl_contains`) stops at the first term that
+no lead divides.
 All reduced bases are canonical (monic, auto-reduced, sorted), so outputs
 are reproducible byte-for-byte.
 """
@@ -152,21 +155,33 @@ def groebner_basis(gens: list[Poly], ring: PolyRing) -> list[Poly]:
 # the read side takes degrevlex bases, the only ones the pipelines build
 
 
-def normal_form(f: Poly, gb: list[Poly]) -> Poly:
-    """f reduced by the Groebner basis gb; ValueError on a ring mismatch."""
+def _divisors(f: Poly, gb: list[Poly]) -> list[_WeylReducer]:
+    """The divisors of the nonzero elements of gb; ValueError unless they
+    share f's ring."""
     if any(g.ring.names != f.ring.names for g in gb):
         raise ValueError("ring mismatch")
+    return [g.divisor() for g in gb if not g.is_zero()]
+
+
+def normal_form(f: Poly, gb: list[Poly]) -> Poly:
+    """f reduced by the Groebner basis gb; ValueError on a ring mismatch."""
+    divisors = _divisors(f, gb)
     if f.is_zero():
         return f
     den, nums = tp_numerators(_kernel(f))
-    remainder, scale = _wreduce(nums, [g.divisor() for g in gb if not g.is_zero()])
+    remainder, scale = _wreduce(nums, divisors)
     return Poly(f.ring, {a: Fraction(c, den * scale) for (_, a, _), c in remainder.items()})
 
 
 def ideal_contains(gb: list[Poly], gens: list[Poly]) -> bool:
     """Whether every element of gens lies in the ideal of the Groebner basis
-    gb; ValueError on a ring mismatch."""
-    return all(normal_form(f, gb).is_zero() for f in gens)
+    gb, answered at the first term of each that no lead divides; ValueError
+    on a ring mismatch."""
+    for f in gens:
+        divisors = _divisors(f, gb)
+        if not f.is_zero() and _wreduce(tp_numerators(_kernel(f))[1], divisors, lead_only=True)[0]:
+            return False
+    return True
 
 
 def is_unit_ideal(gb: list[Poly]) -> bool:
@@ -327,7 +342,7 @@ class _WeylReducer:
         self.items = shift_items(self.vec)
 
 
-def _wreduce(work: dict, reducers: list[_WeylReducer]):
+def _wreduce(work: dict, reducers: list[_WeylReducer], lead_only: bool = False):
     """(remainder, scale) with scale * work = remainder + a left combination
     of the reducers, remainder irreducible and scale a positive integer. The
     int dict work is consumed in place. Each term c is reduced by the first
@@ -337,6 +352,11 @@ def _wreduce(work: dict, reducers: list[_WeylReducer]):
     the lead, and a key leaves work only when it is popped, so a key the
     shift reports as added was never pushed. A term that cancels stays in
     work at 0 until it is popped.
+
+    With lead_only the reduction stops at the first irreducible term and the
+    remainder is that term alone: it is the whole remainder's leading term,
+    which later steps would only scale by positive integers, so the
+    remainder is empty exactly when work reduces to 0 (membership).
     """
     remainder: dict = {}
     scale = 1
@@ -354,6 +374,8 @@ def _wreduce(work: dict, reducers: list[_WeylReducer]):
             if r.comp == comp and all(map(ge, ab, r.ab)):
                 break
         else:
+            if lead_only:
+                return {cab: c}, scale
             remainder[cab] = work.pop(cab)
             continue
         g = gcd(c, r.lc)
@@ -472,13 +494,43 @@ def buchberger(gens: list[dict], rank: int) -> list[dict]:
             for h, den in _interreduced([elems[g] for g in live])]
 
 
+def _check_rows(rows, rank: int, d: int):
+    """ValueError unless every row has rank entries over A_d."""
+    if any(len(g) != rank or any(e.d != d for e in g) for g in rows):
+        raise ValueError("rank mismatch")
+
+
+class WeylDivisors:
+    """A Groebner basis of a left submodule of A_d^rank prepared once for
+    membership queries (`weyl_contains`): its nonzero rows as divisors of
+    the reduction kernel. ValueError on a row of another shape."""
+
+    __slots__ = ("rank", "d", "reducers")
+
+    def __init__(self, basis, rank: int, d: int):
+        _check_rows(basis, rank, d)
+        self.rank, self.d = rank, d
+        self.reducers = [_WeylReducer(w) for w in map(_rows_to_wdict, basis) if w]
+
+
+def weyl_contains(f, divisors: WeylDivisors) -> bool:
+    """Whether the row f lies in the submodule of the prepared basis,
+    answered at the first term that no lead divides; ValueError on an empty
+    row or one of another shape."""
+    if not f:
+        raise ValueError("empty row")
+    _check_rows((f,), divisors.rank, divisors.d)
+    work = _rows_to_wdict(f)
+    return not work or not _wreduce(tp_numerators(work)[1], divisors.reducers,
+                                    lead_only=True)[0]
+
+
 def weyl_normal_form(f, basis):
     """Left normal form of a module element against a list of module elements."""
     if not f:
         raise ValueError("empty row")
     rank, d = len(f), f[0].d
-    if any(len(g) != rank or any(e.d != d for e in g) for g in (f, *basis)):
-        raise ValueError("rank mismatch")
+    _check_rows((f, *basis), rank, d)
     work = _rows_to_wdict(f)
     wb = [w for w in map(_rows_to_wdict, basis) if w]
     if not work or not wb:
@@ -495,8 +547,7 @@ def weyl_buchberger(gens, rank: int, d: int) -> list:
     graded tiebreak, so Buchberger terminates without homogenization. The
     basis is kept as primitive integer elements and made monic at the end.
     """
-    if any(len(g) != rank or any(e.d != d for e in g) for g in gens):
-        raise ValueError("rank mismatch")
+    _check_rows(gens, rank, d)
     worder = WeylModuleOrder()
     basis = sorted((_WeylReducer(w) for w in map(_rows_to_wdict, gens) if w),
                    key=lambda r: _lead_key((r.comp, r.a, r.b)), reverse=True)

@@ -38,9 +38,9 @@ involution.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from math import comb, lcm, perm, prod
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .errors import InhomogeneousInput, ParseError
 from .parsing import format_terms, parse_terms
@@ -243,32 +243,42 @@ def tp_divide_linear_product(p: ThetaDict, factors) -> ThetaDict | None:
     """The quotient of p by the product of the linear factors (theta_i - m)
     over (i, m) in factors, or None when that product does not divide p.
 
-    Synthetic division on the integer numerators of p, one factor at a
-    time. For m = r / s in lowest terms and K the largest degree of
-    theta_i, s^K P(theta_i) = P~(s theta_i) with P~(u) = sum_k a_k s^(K-k)
-    u^k an integer polynomial; dividing P~ by (u - r) gives quotient
-    coefficients b_j, and P / (theta_i - m) = sum_j b_j s^j theta_i^j over
-    s^(K-1).
+    Synthetic division on the integer numerators of p. For each run of
+    factors on the same theta_i the terms are grouped once into columns, the
+    coefficients of theta_i^0..K per monomial in the other variables, and
+    every factor of the run divides each column. For m = r / s in lowest
+    terms and K the largest degree of theta_i, s^K P(theta_i) = P~(s
+    theta_i) with P~(u) = sum_k a_k s^(K-k) u^k an integer polynomial;
+    dividing P~ by (u - r) gives quotient coefficients b_j, and P / (theta_i
+    - m) = sum_j b_j s^j theta_i^j over s^(K-1). Every column then has
+    degree one less, so K drops by one per factor.
     """
     den, nums = tp_numerators(p)
-    for i, m in factors:
-        r, s = Fraction(m).as_integer_ratio()
-        # the coefficient of theta_i^k, per monomial in the other variables
+    for i, run in groupby(factors, key=itemgetter(0)):
+        if not nums:
+            break
+        top = max(e[i] for e in nums)
         columns: dict = {}
         for e, c in nums.items():
-            columns.setdefault(e[:i] + (0,) + e[i + 1:], {})[e[i]] = c
-        top = max(map(max, columns.values()), default=0)
-        out: dict = {}
-        for rest, col in columns.items():
-            b = 0
-            for k in range(top, 0, -1):
-                b = col.get(k, 0) * s ** (top - k) + r * b
-                if b:
-                    out[rest[:i] + (k - 1,) + rest[i + 1:]] = b * s ** (k - 1)
-            if col.get(0, 0) * s ** top + r * b:
-                return None
-        den *= s ** max(top - 1, 0)
-        nums = out
+            columns.setdefault(e[:i] + e[i + 1:], [0] * (top + 1))[e[i]] = c
+        for _, m in run:
+            r, s = Fraction(m).as_integer_ratio()
+            powers = [s ** k for k in range(top + 1)]
+            for rest, col in columns.items():
+                b = 0
+                quotient = [0] * top
+                for k in range(top, 0, -1):
+                    b = col[k] * powers[top - k] + r * b
+                    quotient[k - 1] = b * powers[k - 1]
+                if col[0] * powers[top] + r * b:
+                    return None
+                columns[rest] = quotient
+            # at top 0 every column is a nonzero constant, which the test
+            # above rejects, so top >= 1 here
+            den *= powers[top - 1]
+            top -= 1
+        nums = {rest[:i] + (k,) + rest[i:]: c
+                for rest, col in columns.items() for k, c in enumerate(col) if c}
     return _over(den, nums)
 
 

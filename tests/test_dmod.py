@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (fan_hirzebruch1, fan_p1, fan_p1p1, fan_p2, grading,
                      random_homogeneous_weyl, rng)
+from toric_dmod import groebner
 from toric_dmod.charvar import characteristic_ideal
 from toric_dmod.dmod import (GradedPresentation, bimodule_identity_check,
                              check_theta_condition, d_module_left,
@@ -17,7 +18,7 @@ from toric_dmod.dmod import (GradedPresentation, bimodule_identity_check,
                              verify_local_action, y_p_points)
 from toric_dmod.errors import BoxTooSmall, InhomogeneousInput, NotInJp
 from toric_dmod.weyl import (WeylElement, format_weyl, parse_weyl, theta_u, tp_add,
-                             tp_divide_linear_product, tp_linear, tp_mul)
+                             tp_divide_linear_product, tp_linear, tp_mul, weyl_mul)
 
 
 def W(s, d=2):
@@ -53,6 +54,46 @@ def test_right_module_graded_component_bookkeeping():
     f = W("x1")  # degree (1,) = a + b with b = 0
     assert pres.contains_relation((th_shifted * f,))
     assert not pres.contains_relation((f,))
+
+
+def test_contains_relation_prepares_the_relation_basis_once(monkeypatch):
+    # after relation_gb() the first query builds one reducer and one row
+    # dict per basis row; every query then builds only its own row dict
+    pres = d_module_left(grading(fan_p2()), (1,))
+    gb = pres.relation_gb()
+    reducers, dicts = [], []
+
+    class Recording(groebner._WeylReducer):
+        __slots__ = ()
+
+        def __init__(self, w):
+            super().__init__(w)
+            reducers.append(w)
+
+    def counted(vec):
+        dicts.append(vec)
+        return real(vec)
+    real = groebner._rows_to_wdict
+    monkeypatch.setattr(groebner, "_WeylReducer", Recording)
+    monkeypatch.setattr(groebner, "_rows_to_wdict", counted)
+    theta = pres.relations[0][0]
+    rows = [(weyl_mul(W(f"x{k}*d{k}", 3), theta),) for k in (1, 2, 3)]
+    rows += [(W(f"x{k}", 3),) for k in (1, 2, 3)]
+    for _ in range(4):
+        assert [pres.contains_relation(row) for row in rows] == [True] * 3 + [False] * 3
+    assert len(reducers) == len(gb)
+    assert len(dicts) == len(gb) + 4 * len(rows)
+
+
+def test_contains_relation_checks_the_row():
+    gd = grading(fan_p1())
+    for pres in (d_module_left(gd, (0,)), d_module_right(gd, (0,))):
+        with pytest.raises(ValueError, match="empty row"):
+            pres.contains_relation(())
+        with pytest.raises(ValueError, match="rank mismatch"):
+            pres.contains_relation((W("d1"), W("d1")))
+        with pytest.raises(ValueError, match="rank mismatch"):
+            pres.contains_relation((W("d1", 1),))
 
 
 def test_theta_condition_examples():

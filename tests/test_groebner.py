@@ -19,8 +19,8 @@ from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing,
                                  krull_dimension, normal_form,
                                  radical_membership, saturation,
                                  saturation_by_monomials, toric_ideal,
-                                 weyl_buchberger, weyl_normal_form,
-                                 WeylModuleOrder)
+                                 weyl_buchberger, weyl_contains, weyl_normal_form,
+                                 WeylDivisors, WeylModuleOrder)
 from toric_dmod.weyl import WeylElement, format_weyl, parse_weyl, tp_numerators
 
 
@@ -856,23 +856,61 @@ def test_weyl_normal_form_rescales_the_terms_set_aside():
         assert nf == (x1, parse_weyl("-1/2*x1", 1))
 
 
+def _contains_against(f, basis):
+    """weyl_contains against basis prepared at the shape of its first row."""
+    return weyl_contains(f, WeylDivisors(basis, len(basis[0]), basis[0][0].d))
+
+
 def test_weyl_normal_form_checks_the_rank():
+    # the full normal form and membership against a prepared basis
+    d1 = parse_weyl("d1", 1)
+    for query in (weyl_normal_form, _contains_against):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            query((d1,), [(WeylElement.zero(1), d1)])
+        with pytest.raises(ValueError, match="rank mismatch"):
+            query((d1, d1), [(d1,)])
+        # an element over A_2 among rows over A_1: d1^2 + x1 is not a
+        # multiple of d1*d2, but its exponents compared to length 1 would
+        # say it is
+        with pytest.raises(ValueError, match="rank mismatch"):
+            query((parse_weyl("d1^2 + x1", 1),), [(parse_weyl("d1*d2", 2),)])
+        with pytest.raises(ValueError, match="rank mismatch"):
+            query((d1, parse_weyl("d2", 2)), [(d1, d1)])
+
+
+def test_prepared_weyl_basis_checks_its_rows():
     d1 = parse_weyl("d1", 1)
     with pytest.raises(ValueError, match="rank mismatch"):
-        weyl_normal_form((d1,), [(WeylElement.zero(1), d1)])
+        WeylDivisors([(d1,), (d1, d1)], 1, 1)
     with pytest.raises(ValueError, match="rank mismatch"):
-        weyl_normal_form((d1, d1), [(d1,)])
-    # an element over A_2 among rows over A_1: d1^2 + x1 is not a multiple
-    # of d1*d2, but its exponents compared to length 1 would say it is
-    with pytest.raises(ValueError, match="rank mismatch"):
-        weyl_normal_form((parse_weyl("d1^2 + x1", 1),), [(parse_weyl("d1*d2", 2),)])
-    with pytest.raises(ValueError, match="rank mismatch"):
-        weyl_normal_form((d1, parse_weyl("d2", 2)), [(d1, d1)])
+        WeylDivisors([(parse_weyl("d1*d2", 2),)], 1, 1)
 
 
 def test_weyl_normal_form_rejects_an_empty_row():
-    with pytest.raises(ValueError):
-        weyl_normal_form((), [(parse_weyl("d1", 1),)])
+    for query in (weyl_normal_form, _contains_against):
+        with pytest.raises(ValueError, match="empty row"):
+            query((), [(parse_weyl("d1", 1),)])
+
+
+def test_membership_stops_at_a_lead_no_lead_divides(monkeypatch):
+    # the lead d1^2 of the query is irreducible and its next term x1*d1 is
+    # not: the normal forms shift once, membership not at all
+    shifts = []
+
+    def counted(*args):
+        shifts.append(args)
+        return real(*args)
+    real = groebner.weyl_shift_into
+    monkeypatch.setattr(groebner, "weyl_shift_into", counted)
+    gb = [(parse_weyl("x1*d1 + 1", 1),)]
+    f = (parse_weyl("d1^2 + x1*d1", 1),)
+    assert weyl_normal_form(f, gb) == (parse_weyl("d1^2 - 1", 1),) and len(shifts) == 1
+    assert not _contains_against(f, gb) and len(shifts) == 1
+    ring = ring2()
+    x, y = Poly.variable(ring, 0), Poly.variable(ring, 1)
+    gb = groebner_basis([x], ring)
+    assert normal_form(y * y + x, gb) == y * y and len(shifts) == 2
+    assert not ideal_contains(gb, [y * y + x]) and len(shifts) == 2
 
 
 def test_weyl_buchberger_checks_the_rank():

@@ -19,12 +19,13 @@ are reproducible byte-for-byte.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
-from operator import add, ge, le, sub
+from operator import add, ge, le, neg, sub
 
 from .lattice import IntMatrix, cokernel, dual_lattice_basis
 from .parsing import format_terms
@@ -280,29 +281,17 @@ def basis_dimension(gb: list[Poly], ring: PolyRing):
 
 class WeylModuleOrder:
     """POT, component 0 highest, over (weight = total d-degree, then
-    degrevlex on x,d jointly): the key of the two engines' pair heaps.
+    degrevlex on x,d jointly): the key of the two engines' pair queues."""
 
-    The cache saves memory as well as time: equal pair lcms share one key
-    tuple in the pair heap (on Python 3.11, at a 10 s cut of the hard tier's
-    P1 x P1 degree-4 job, 51,685 key calls made 8,632 distinct keys, and max
-    RSS was 27.1 MB with the cache against 33.8 MB without)."""
-
-    def __init__(self):
-        self._cache: dict = {}
-
-    def key(self, cab):
-        cached = self._cache.get(cab)
-        if cached is None:
-            comp, a, b = cab
-            joint = a + b
-            cached = (-comp, sum(b),
-                      sum(joint), tuple(-x for x in reversed(joint)))
-            self._cache[cab] = cached
-        return cached
+    @staticmethod
+    def key(cab):
+        comp, a, b = cab
+        joint = a + b
+        return -comp, sum(b), sum(joint), tuple(map(neg, reversed(joint)))
 
 
 def _lead_key(cab):
-    """Ascending in exactly the reverse of WeylModuleOrder.key, uncached."""
+    """Ascending in exactly the reverse of WeylModuleOrder.key."""
     comp, a, b = cab
     joint = a + b
     return comp, -sum(b), -sum(joint), joint[::-1]
@@ -444,7 +433,6 @@ def buchberger(gens: list[dict], rank: int) -> list[dict]:
     never mix components. Pairs are taken by smallest lcm. Inputs are
     reduced before they are inserted.
     """
-    worder = WeylModuleOrder()
     elems: list[_WeylReducer] = []     # every inserted element, by index
     live: list[int] = []               # indices of the current reducers
     pairs: list = []                   # heap of (lcm key, i, j, lcm)
@@ -470,7 +458,7 @@ def buchberger(gens: list[dict], rank: int) -> list[dict]:
                or tuple(map(max, elems[p[1]].ab, lead)) == p[3]
                or tuple(map(max, elems[p[2]].ab, lead)) == p[3]]
         n = len(r.a)
-        old += [(worder.key((comp, lcm[:n], lcm[n:])), g, hi, lcm)
+        old += [(WeylModuleOrder.key((comp, lcm[:n], lcm[n:])), g, hi, lcm)
                 for lcm, g, coprime in kept if not coprime]
         heapify(old)
         pairs[:] = old
@@ -546,32 +534,43 @@ def weyl_buchberger(gens, rank: int, d: int) -> list:
     The order refines the order-filtration weight (0 on x, 1 on d) with a
     graded tiebreak, so Buchberger terminates without homogenization. The
     basis is kept as primitive integer elements and made monic at the end.
+
+    Every S-pair (i, j) of two elements led in one component is reduced,
+    with no criteria, by ascending (lcm key, i, j). Element j's pairs wait
+    in a stream: the indices i < j in a stable sort by key, so by (key, i),
+    stored as machine ints (an array, 8 bytes a pair). A heap holds each
+    stream's head; popping it pushes the stream's next pair, key recomputed.
     """
     _check_rows(gens, rank, d)
-    worder = WeylModuleOrder()
     basis = sorted((_WeylReducer(w) for w in map(_rows_to_wdict, gens) if w),
                    key=lambda r: _lead_key((r.comp, r.a, r.b)), reverse=True)
-    heap: list = []
+    heads: list = []                   # heap of (lcm key, i, j, stream, position)
 
-    def push_pair(i, j):
+    def pair_key(i, j):
         ri, rj = basis[i], basis[j]
-        la, lb = tuple(map(max, ri.a, rj.a)), tuple(map(max, ri.b, rj.b))
-        heappush(heap, (worder.key((ri.comp, la, lb)), i, j))
+        return WeylModuleOrder.key((ri.comp, tuple(map(max, ri.a, rj.a)),
+                                    tuple(map(max, ri.b, rj.b))))
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if basis[i].comp == basis[j].comp:
-                push_pair(i, j)
+    def push_head(j, stream, pos):
+        heappush(heads, (pair_key(stream[pos], j), stream[pos], j, stream, pos))
 
-    while heap:
-        _, i, j = heappop(heap)
+    def add_stream(j):
+        comp = basis[j].comp
+        stream = array("q", sorted((i for i in range(j) if basis[i].comp == comp),
+                                   key=lambda i: pair_key(i, j)))
+        if stream:
+            push_head(j, stream, 0)
+
+    for j in range(len(basis)):
+        add_stream(j)
+    while heads:
+        _, i, j, stream, pos = heappop(heads)
+        if pos + 1 < len(stream):
+            push_head(j, stream, pos + 1)
         s, _ = _wreduce(_s_element(basis[i], basis[j]), basis)
         if s:
-            incoming = len(basis)
             basis.append(_WeylReducer(s))
-            for k in range(incoming):
-                if basis[k].comp == basis[incoming].comp:
-                    push_pair(k, incoming)
+            add_stream(len(basis) - 1)
     return [_wdict_to_rows(h, den, rank, d) for h, den in _interreduced(basis)]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import importlib.util
 import os
 import pathlib
@@ -19,6 +20,7 @@ from toric_dmod.errors import (BoxTooSmall, FanValidationError, NonSimplicialCon
                                NonSmoothCone, RaysDoNotSpan)
 from toric_dmod.fan_cox import (Fan, GradingData, _fm_feasible,
                                 _overlapping_cones, grading_data)
+from toric_dmod import groebner
 from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing,
                                  annihilator_of_graded_quotient, basis_dimension,
                                  initial_forms, radical_membership, weyl_buchberger)
@@ -465,6 +467,35 @@ def wreduce_max_scan(work: dict, reducers, worder) -> tuple[dict, int]:
             work[k] = work.get(k, 0) - c * int(v)
         work = {k: v for k, v in work.items() if v}
     return remainder, scale
+
+
+def weyl_buchberger_all_pairs(gens, rank: int, d: int) -> list:
+    """Reference for the pair queue of groebner.weyl_buchberger: the same
+    engine with every queued S-pair in one heap of (lcm key, i, j), each
+    element's pairs pushed when it joins the basis. It calls the engine's
+    kernel, S-element and inter-reduction through the module, so a test
+    that patches groebner._s_element sees both engines' pairs."""
+    groebner._check_rows(gens, rank, d)
+    basis = sorted((groebner._WeylReducer(w) for w in map(groebner._rows_to_wdict, gens) if w),
+                   key=lambda r: groebner._lead_key((r.comp, r.a, r.b)), reverse=True)
+    heap: list = []
+
+    def push_pairs(j):
+        for i in range(j):
+            ri, rj = basis[i], basis[j]
+            if ri.comp == rj.comp:
+                la, lb = tuple(map(max, ri.a, rj.a)), tuple(map(max, ri.b, rj.b))
+                heapq.heappush(heap, (groebner.WeylModuleOrder.key((ri.comp, la, lb)), i, j))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        s, _ = groebner._wreduce(groebner._s_element(basis[i], basis[j]), basis)
+        if s:
+            basis.append(groebner._WeylReducer(s))
+            push_pairs(len(basis) - 1)
+    return [groebner._wdict_to_rows(h, den, rank, d) for h, den in groebner._interreduced(basis)]
 
 
 def bernstein_degree(terms: dict) -> int:

@@ -16,7 +16,6 @@ from .groebner import (Poly, PolyRing, annihilator_of_graded_quotient,
                        initial_forms, is_unit_ideal, radical_membership,
                        saturation, saturation_by_monomials)
 from .dmod import GradedPresentation, check_theta_condition, require_chart_cone
-from .lattice import unimodular_inverse
 
 ZERO_SHEAF = "zero sheaf"
 
@@ -119,6 +118,8 @@ class ChartFrame:
     the torus chart coordinates t_j = x^(iota(m_j)), m_j the dual basis of the
     cone rays, and, for each i, the degree-zero monomial u_i carrying xi_i;
     the assignment is the linear section with zero exponents on the cone rays.
+    The m_j are the cone's coordinate rows in Fan.cone_data, from the Smith
+    form that validated the cone.
     """
 
     cone: tuple[int, ...]
@@ -139,18 +140,22 @@ class ChartIdeal:
 
 
 def chart_frame(grading: GradingData, cone) -> ChartFrame:
+    """The frame at a full-dimensional maximal cone. The section of deg(x_i)
+    with zero cone exponents is e_i - iota(m_j) when i is the j-th ray of the
+    cone and e_i otherwise; it is unique, as iota(p) vanishes on the n cone
+    rays only for p = 0."""
     cone = require_chart_cone(grading, cone)
     d, n = grading.d, grading.n
-    try:
-        inv = unimodular_inverse(grading.fan.ray_matrix(cone))
-    except ValueError:
-        raise ChartRewriteError("cone rays are not a lattice basis") from None
-    # dual_rows[j] is m_j, the dual basis of the cone rays (column j of inv)
-    dual_rows = tuple(tuple(inv[i, j] for i in range(n)) for j in range(n))
+    data = grading.fan.cone_data(cone)
+    if data.invariant_factors != (1,) * n:
+        raise ChartRewriteError("cone rays are not a lattice basis")
+    dual_rows = data.coordinates
     names = tuple(f"t{j + 1}" for j in range(n)) + tuple(f"u{i + 1}" for i in range(d))
     t_exponents = tuple(grading.iota_of(m) for m in dual_rows)
-    u_sections = tuple(_section_off_cone(grading, cone, dual_rows, grading.degree_x(i))
-                       for i in range(d))
+    u_sections = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    for i, shift in zip(cone, t_exponents):
+        u_sections[i] = tuple(int(k == i) - x for k, x in enumerate(shift))
+    u_sections = tuple(u_sections)
     gen_monomials = []
     for j in range(n):
         gen_monomials.append((names[j], t_exponents[j], (0,) * d))
@@ -266,6 +271,11 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
     a chart, it is saturation_by_monomials. An accepted saturation has the
     charts of J. Reduced bases are canonical, so no output depends on the
     coefficients of f.
+
+    holonomic_module is dim == d, so the zero A-module (dim "empty") is not
+    holonomic; holonomic_sheaf is not torsion and sheaf_dim == n, so neither
+    is a b-torsion module, whose sheaf is zero. The usual definition counts
+    0 as holonomic (Coutinho 1995, ch. 10); this one does not.
     """
     _require_theta(pres)
     ring = s_prime_ring(grading)

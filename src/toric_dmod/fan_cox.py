@@ -1,12 +1,13 @@
 """Fans of smooth cones, Cox grading data and the irrelevant ideal; a fan is
-validated on its maximal cones, with one Smith form per cone and one exact
-common-face test per pair of them."""
+validated on its maximal cones, with one Smith form per cone, kept for the
+cone's coordinates, and one exact common-face test per pair of them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from .errors import (FanValidationError, NonSimplicialCone, NonSmoothCone,
                      RaysDoNotSpan, UnknownCone)
@@ -16,13 +17,34 @@ from .lattice import (FinitelyGeneratedAbelianGroup, IntMatrix, cokernel,
 from .weyl import WeylElement, theta_u
 
 
+@dataclass(frozen=True)
+class ConeData:
+    """A cone's linear algebra, read off one Smith form U R V = D of its
+    k x n ray matrix R.
+
+    A simplicial cone has D = [F | 0] with F = diag(f_1, ..., f_k), and each
+    f_t divides f = f_k. So R times the n x k matrix V[:, :k] f F^-1 U is f I:
+    its columns are the coordinate rows, <coordinates[j], v_i> = f [i == j]
+    for the cone's i-th and j-th rays, and a vector x of the span is the sum
+    of <coordinates[j], x> v_j / f. The completion rows, the columns of
+    V[:, k:], vanish exactly on the span. A smooth cone has f = 1, and at a
+    full-dimensional one the coordinate rows are the dual basis m_j of its
+    rays. A cone that is not simplicial has neither (None).
+    """
+
+    invariant_factors: tuple[int, ...]
+    coordinates: tuple[tuple[int, ...], ...] | None
+    completion: tuple[tuple[int, ...], ...] | None
+
+
 class Fan:
     """A fan given by its rays and maximal cones; faces are not synthesized.
 
     Rays are primitive vectors in Z^n; cones are sorted tuples of 0-based ray
     indices. The maximal cones are the listed cones and the single rays, less
     every cone strictly inside another; the cones of the fan are their faces,
-    the zero cone included.
+    the zero cone included. Each cone's ConeData is built on first use and
+    kept with the fan.
     """
 
     def __init__(self, n: int, rays, max_cones):
@@ -35,9 +57,11 @@ class Fan:
             if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):
                 raise FanValidationError(f"cone {cone} has a ray index out of range")
         listed += [(i,) for i in range(len(self.rays))]
+        sets = {c: frozenset(c) for c in listed}
         self.max_cones = tuple(sorted(
-            {c for c in listed if c and not any(set(c) < set(o) for o in listed)},
+            (c for c, s in sets.items() if c and not any(s < o for o in sets.values())),
             key=lambda c: (len(c), c)))
+        self._cone_data: dict[tuple[int, ...], ConeData] = {}
 
     @property
     def d(self) -> int:
@@ -58,6 +82,22 @@ class Fan:
 
     def ray_matrix(self, cone) -> IntMatrix:
         return IntMatrix.from_rows([self.rays[i] for i in cone])
+
+    def cone_data(self, cone) -> ConeData:
+        """The ConeData of a sorted cone: one Smith form per cone of the fan."""
+        data = self._cone_data.get(cone)
+        if data is None:
+            snf = smith_normal_form(self.ray_matrix(cone))
+            k, factors = len(cone), snf.invariant_factors
+            coordinates = completion = None
+            if len(factors) == k:
+                u, v = snf.U.entries, snf.V.entries
+                scaled = [[factors[-1] // f * x for x in row] for f, row in zip(factors, u)]
+                coordinates = tuple(tuple(sum(row[t] * scaled[t][j] for t in range(k))
+                                          for row in v) for j in range(k))
+                completion = tuple(tuple(row[t] for row in v) for t in range(k, self.n))
+            data = self._cone_data[cone] = ConeData(factors, coordinates, completion)
+        return data
 
 
 def _fm_feasible(eqs, ineqs, nvars: int) -> bool:
@@ -94,17 +134,26 @@ def _fm_feasible(eqs, ineqs, nvars: int) -> bool:
 def _overlapping_cones(fan: Fan):
     """The first pair of maximal cones meeting in more than a common face, or None.
 
-    The cones are simplicial, so a point of cone(s2) has unique coordinates mu;
-    cone(s1) & cone(s2) == cone(s1 & s2) fails exactly when a point of cone(s1)
-    has some mu_j > 0 off s1, scaled to sum >= 1. That is symmetric in the pair.
+    The cones are simplicial, and fan.cone_data(s2), kept from validation's
+    Smith form, gives a point of span(s2) its coordinates mu on the rays of
+    s2 (up to a positive factor) and the completion rows vanishing on that
+    span. cone(s1) & cone(s2) == cone(s1 & s2) fails exactly when a point
+    x = sum lam_i v_i of cone(s1) lies in span(s2) with mu >= 0 and some
+    mu_j > 0 off s1, scaled to sum >= 1. A ray shared with s2 has a unit
+    coordinate there and its lam_i is free, so it constrains nothing: the
+    variables are the lam of the rays of s1 not in s2. That is symmetric in
+    the pair.
     """
     for s1, s2 in combinations(fan.max_cones, 2):
-        # mu over s2, lam over s1: sum mu v = sum lam v, mu, lam >= 0
-        nvars = len(s2) + len(s1)
-        eqs = [([fan.rays[j][k] for j in s2] + [-fan.rays[i][k] for i in s1], 0)
-               for k in range(fan.n)]
+        data = fan.cone_data(s2)
+        own = [fan.rays[i] for i in s1 if i not in s2]
+        nvars = len(own)
+        off = [[sum(map(mul, row, ray)) for ray in own]
+               for j, row in zip(s2, data.coordinates) if j not in s1]
+        eqs = [([sum(map(mul, row, ray)) for ray in own], 0) for row in data.completion]
         ineqs = [(tuple(int(t == k) for t in range(nvars)), 0) for k in range(nvars)]
-        ineqs.append((tuple(int(j not in s1) for j in s2) + (0,) * len(s1), -1))
+        ineqs += [(row, 0) for row in off]
+        ineqs.append((tuple(map(sum, zip(*off))), -1))
         if _fm_feasible(eqs, ineqs, nvars):
             return s1, s2
     return None
@@ -113,11 +162,12 @@ def _overlapping_cones(fan: Fan):
 def cone_defect(fan: Fan, cone) -> FanValidationError | None:
     """The error a cone that is not smooth raises, or None for a smooth one.
 
-    The Smith form of the k x n ray matrix has fewer than k invariant factors
-    when the rays are dependent (not simplicial); their product is the gcd of
-    the k x k minors, 1 exactly when the rays extend to a basis of Z^n.
+    The Smith form of the k x n ray matrix (fan.cone_data) has fewer than k
+    invariant factors when the rays are dependent (not simplicial); their
+    product is the gcd of the k x k minors, 1 exactly when the rays extend to
+    a basis of Z^n.
     """
-    factors = smith_normal_form(fan.ray_matrix(cone)).invariant_factors
+    factors = fan.cone_data(cone).invariant_factors
     label = tuple(i + 1 for i in cone)
     if len(factors) < len(cone):
         return NonSimplicialCone(f"cone {label} is not simplicial")

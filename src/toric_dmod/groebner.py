@@ -595,12 +595,18 @@ def annihilator_of_graded_quotient(init_vecs: list[dict], sprime: PolyRing,
                                    rank: int) -> list[Poly]:
     """Ann_{S'}(S'^rank / <init_vecs>) as a reduced GB.
 
-    Rank one is the ideal itself; otherwise intersect the component colons,
-    each computed by module elimination.
+    init_vecs are the initial forms of a filtered Groebner basis. At rank
+    one they are a basis of the ideal for the xi-degree order refined by
+    degrevlex (SST 2000, Thm 1.1.6); the ideal is xi-homogeneous, so
+    degrevlex picks the same leading terms and inter-reducing them gives its
+    reduced basis. Otherwise intersect the component colons, each computed
+    by module elimination.
     """
     if rank == 1:
-        return groebner_basis([Poly(sprime, {e: c for (_, e), c in v.items()})
-                               for v in init_vecs], sprime)
+        reducers = [_WeylReducer({(0, e, ()): c for (_, e), c in v.items()})
+                    for v in init_vecs if v]
+        return [Poly(sprime, {a: Fraction(c, den) for (_, a, _), c in h.items()})
+                for h, den in _interreduced(reducers)]
     ann: list[Poly] | None = None
     for i in range(rank):
         # component i renumbered last, so lowest in this position-over-term

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class IntMatrix:
     def mul_vec(self, v) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(sum(row[k] * v[k] for k in range(self.cols)) for row in self.entries)
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
     def rank(self) -> int:
         """Rank over Q: the number of pivots of the integer row echelon form."""
@@ -109,16 +110,17 @@ def unimodular_inverse(mat: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U * M * V = D with U, V unimodular (V is not kept) and D diagonal;
-    the nonzero diagonal entries of D are a prefix, the invariant factors."""
+    """U * M * V = D with U, V unimodular and D diagonal; the nonzero
+    diagonal entries of D are a prefix, the invariant factors."""
 
     U: IntMatrix
+    V: IntMatrix
     invariant_factors: tuple[int, ...]
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form by elementary row/column operations; only the row
-    operations are recorded, in U.
+    """Smith normal form by elementary row/column operations; the row
+    operations are recorded in U, the column operations in V.
 
     Pivot selection is deterministic (smallest |entry|, ties by position) so
     repeated runs produce identical decompositions.
@@ -126,6 +128,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     rows, cols = m.rows, m.cols
     a = [list(row) for row in m.entries]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -143,10 +146,14 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
 
     def add_col(i, j, c):
         # col i += c * col j
         for r in a:
+            r[i] += c * r[j]
+        for r in v:
             r[i] += c * r[j]
 
     def pivot_search(k):
@@ -208,7 +215,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         k += 1
 
     factors = tuple(a[i][i] for i in range(k))
-    return SmithDecomposition(IntMatrix.from_rows(u), factors)
+    return SmithDecomposition(IntMatrix(tuple(map(tuple, u))), IntMatrix(tuple(map(tuple, v))),
+                              factors)
 
 
 class FinitelyGeneratedAbelianGroup:

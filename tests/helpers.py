@@ -14,8 +14,8 @@ from math import gcd, prod
 from operator import mul, sub
 
 from toric_dmod.charvar import CharReport, _section_off_cone
-from toric_dmod.dmod import (LEFT, GradedPresentation, left_right_swap,
-                             local_radius, require_chart_cone)
+from toric_dmod.dmod import (LEFT, GradedPresentation, d_module_left,
+                             left_right_swap, local_radius, require_chart_cone)
 from toric_dmod.errors import (BoxTooSmall, FanValidationError, NonSimplicialCone,
                                NonSmoothCone, RaysDoNotSpan)
 from toric_dmod.fan_cox import (Fan, GradingData, _fm_feasible,
@@ -27,7 +27,8 @@ from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing,
 from toric_dmod.lattice import IntMatrix
 from toric_dmod.weyl import (WeylElement, from_theta_form, to_theta_form, tp_add,
                              tp_divide_linear_product, tp_linear_form,
-                             tp_linear_product, tp_mul, tp_subst, weyl_degree)
+                             tp_linear_product, tp_mul, tp_subst, theta_u,
+                             weyl_degree, weyl_mul)
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -143,11 +144,12 @@ def random_simplicial_fan(r: random.Random, n: int) -> Fan:
     return Fan(n, rays, cones)
 
 
-def cone_intersections_ok_per_ray(fan: Fan) -> bool:
-    """Reference for the common-face check of simplicial fans: for each pair
-    of maximal cones, in both orders, one Fourier-Motzkin system per ray j0
-    of the other cone missing from the base: is there a point of both cones
-    whose coordinate mu_j0 over the other cone is >= 1?"""
+def overlapping_cones_per_ray(fan: Fan):
+    """Reference for the common-face check of simplicial fans: the first pair
+    of maximal cones, in the order of combinations, that overlaps, or None.
+    A pair overlaps when, in either order, one Fourier-Motzkin system per ray
+    j0 of the other cone missing from the base is feasible: is there a point
+    of both cones whose coordinate mu_j0 over the other cone is >= 1?"""
     for s1, s2 in combinations(fan.max_cones, 2):
         for base, other in ((s1, s2), (s2, s1)):
             for j0 in (j for j in other if j not in base):
@@ -158,8 +160,8 @@ def cone_intersections_ok_per_ray(fan: Fan) -> bool:
                 ineqs = [(tuple(int(t == k) for t in range(nvars)), 0) for k in range(nvars)]
                 ineqs.append((tuple(int(t == other.index(j0)) for t in range(nvars)), -1))
                 if _fm_feasible(eqs, ineqs, nvars):
-                    return False
-    return True
+                    return s1, s2
+    return None
 
 
 # the face set and the per-face cone checks, the reference for the checks
@@ -597,6 +599,24 @@ def random_homogeneous_weyl(r: random.Random, gd: GradingData, total: int = 2,
         a, b = pool[0]
         terms[(a, b)] = Fraction(1)
     return WeylElement(d, terms)
+
+
+def random_presentation(r: random.Random, gd, rank: int) -> GradedPresentation:
+    """D(0) on each of rank generators, plus up to two random homogeneous
+    rows: one entry, or at rank 2 an entry and a theta multiple of it (a
+    theta has degree 0, so the row stays homogeneous)."""
+    d, zero = gd.d, WeylElement.zero(gd.d)
+    euler = [row[0] for row in d_module_left(gd, gd.class_group.zero()).relations]
+    rows = [tuple(e if j == i else zero for j in range(rank))
+            for i in range(rank) for e in euler]
+    for _ in range(r.randint(0, 2)):
+        g = random_homogeneous_weyl(r, gd, total=2)
+        if rank == 1:
+            rows.append((g,))
+        else:
+            th = theta_u(tuple(r.randint(-1, 1) for _ in range(d)), r.randint(-2, 2))
+            rows.append(r.choice([(g, zero), (zero, g), (g, weyl_mul(th, g))]))
+    return GradedPresentation(gd, LEFT, [gd.class_group.zero()] * rank, rows)
 
 
 # the local box oracles one point at a time, the references for dmod's walk

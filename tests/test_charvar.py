@@ -321,6 +321,22 @@ def test_render_report_deterministic():
     assert ("sheaf-dim", "2") in lines
 
 
+def test_holonomic_sheaf_of_a_module_that_is_not_holonomic():
+    # O + T on P1 x P1 with T = A(2,-2) / A(x1, x2, E1 + 2, E2 - 2): rays 1
+    # and 2 share no cone, so T is b-torsion, and it lifts dim to 5 > d = 4.
+    # The paper's holonomic correspondence holds up to b-torsion: the sheaf
+    # is O's, holonomic of dimension n = 2
+    gd = grading(fan_p1p1())
+    zero = WeylElement.zero(4)
+    rows = [(W(f"d{i}", 4), zero) for i in range(1, 5)]
+    rows += [(zero, W(s, 4)) for s in
+             ("x1", "x2", "x1*d1 + x2*d2 + 2", "x3*d3 + x4*d4 - 2")]
+    pres = GradedPresentation(gd, "left", [(0, 0), (2, -2)], rows)
+    lines = dict(render_report(dimension_report(gd, pres)))
+    assert [lines[key] for key in ("dim", "torsion", "sheaf-dim", "holonomic-module",
+                                   "holonomic-sheaf")] == ["5", "no", "2", "no", "yes"]
+
+
 def test_noncyclic_presentation_annihilator():
     # two generators; relations force both components into the twisted ideal
     gd = grading(fan_p1())

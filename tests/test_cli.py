@@ -670,13 +670,20 @@ def _shift_generator_sections(monkeypatch, shift):
 
 def test_section_off_cone_failure_exits_4(monkeypatch, capsys):
     # sections that do not vanish on the cone (still sections: shifted by
-    # iota(1) = (1, -1) on P^1) cleared with twice the dual basis
-    from toric_dmod import charvar
-    from toric_dmod.lattice import FinitelyGeneratedAbelianGroup, IntMatrix
-    real_inverse = charvar.unimodular_inverse
+    # iota(1) = (1, -1) on P^1) cleared with twice the dual basis, which the
+    # chart frame reads from the cone's coordinate rows
+    from dataclasses import replace
+
+    from toric_dmod.lattice import FinitelyGeneratedAbelianGroup
+    real_data = fan_cox.Fan.cone_data
     real_section = FinitelyGeneratedAbelianGroup.section
-    monkeypatch.setattr(charvar, "unimodular_inverse", lambda m: IntMatrix.from_rows(
-        [[2 * x for x in row] for row in real_inverse(m).entries]))
+
+    def doubled(fan, cone):
+        data = real_data(fan, cone)
+        return replace(data, coordinates=tuple(tuple(2 * x for x in row)
+                                               for row in data.coordinates))
+
+    monkeypatch.setattr(fan_cox.Fan, "cone_data", doubled)
     monkeypatch.setattr(FinitelyGeneratedAbelianGroup, "section", lambda self, cls: tuple(
         x + y for x, y in zip(real_section(self, cls), (1, -1))))
     rc, err = _charts_p1(capsys)

@@ -18,10 +18,12 @@ def diagonal(snf, m):
 
 
 def reconstruct(snf, m):
-    """U * M = D * W with the rows of W extending to a basis of Z^cols, which
-    is U * M * V = D for some unimodular V: the rows of U * M after the
-    invariant factors are zero, the first r are d_i times a row of W, and W's
-    r x r minors have gcd 1."""
+    """U * M * V = D with V unimodular, and independently of V: U * M = D * W
+    with the rows of W extending to a basis of Z^cols, as the rows of U * M
+    after the invariant factors are zero, the first r are d_i times a row of
+    W, and W's r x r minors have gcd 1."""
+    assert snf.U.mul(m).mul(snf.V).entries == diagonal(snf, m)
+    assert abs(det(snf.V)) == 1
     um = snf.U.mul(m).entries
     factors = snf.invariant_factors
     r = len(factors)

@@ -13,32 +13,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from helpers import all_fixture_fans, grading, random_homogeneous_weyl, random_weyl  # noqa: E402
-from toric_dmod.dmod import (LEFT, GradedPresentation, d_module_left,  # noqa: E402
-                             left_right_swap)
+# the test bodies keep the name _random_presentation: derandomized draws are
+# keyed on a test's source
+from helpers import all_fixture_fans, grading, random_weyl  # noqa: E402
+from helpers import random_presentation as _random_presentation  # noqa: E402
+from toric_dmod.dmod import left_right_swap  # noqa: E402
 from toric_dmod.groebner import (Poly, PolyRing, groebner_basis,  # noqa: E402
                                  ideal_contains, normal_form, weyl_normal_form)
-from toric_dmod.weyl import WeylElement, tau, theta_u, weyl_mul  # noqa: E402
+from toric_dmod.weyl import WeylElement, tau, weyl_mul  # noqa: E402
 
 GRADINGS = [grading(fan) for _, fan in all_fixture_fans()]
-
-
-def _random_presentation(r: random.Random, gd, rank: int) -> GradedPresentation:
-    """D(0) on each of rank generators, plus up to two random homogeneous
-    rows: one entry, or at rank 2 an entry and a theta multiple of it (a
-    theta has degree 0, so the row stays homogeneous)."""
-    d, zero = gd.d, WeylElement.zero(gd.d)
-    euler = [row[0] for row in d_module_left(gd, gd.class_group.zero()).relations]
-    rows = [tuple(e if j == i else zero for j in range(rank))
-            for i in range(rank) for e in euler]
-    for _ in range(r.randint(0, 2)):
-        g = random_homogeneous_weyl(r, gd, total=2)
-        if rank == 1:
-            rows.append((g,))
-        else:
-            th = theta_u(tuple(r.randint(-1, 1) for _ in range(d)), r.randint(-2, 2))
-            rows.append(r.choice([(g, zero), (zero, g), (g, weyl_mul(th, g))]))
-    return GradedPresentation(gd, LEFT, [gd.class_group.zero()] * rank, rows)
 
 
 def _queries(r: random.Random, gb, rank: int, d: int) -> list:

@@ -6,12 +6,14 @@ dimension, saturation and torsion tests are insensitive to the difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from .errors import ChartRewriteError, ConeNotMaximal, PreconditionViolated
 from .fan_cox import GradingData, irrelevant_ideal
-from .groebner import (Poly, PolyRing, annihilator_of_graded_quotient,
+from .groebner import (EMPTY_DIM, Poly, PolyRing, annihilator_of_graded_quotient,
                        basis_dimension, format_poly, groebner_basis, ideal_contains,
                        initial_forms, is_unit_ideal, radical_membership,
                        saturation, saturation_by_monomials)
@@ -84,13 +86,18 @@ def verify_char_containment(grading: GradingData, pres: GradedPresentation) -> b
 class CharReport:
     char_ideal: list[Poly]
     dim: object                # int or "empty"
-    saturated: list[Poly]
     torsion: bool
     sheaf_dim: object          # int or "zero sheaf"
     holonomic_module: bool
     holonomic_sheaf: bool
     # one chart per maximal cone; None when some maximal cone is not a chart
     charts: tuple[ChartIdeal, ...] | None
+    # () -> J : b^infinity, computed when saturated is first read
+    _saturate: Callable[[], list[Poly]] = field(repr=False, compare=False)
+
+    @cached_property
+    def saturated(self) -> list[Poly]:
+        return self._saturate()
 
 
 def _section_off_cone(grading: GradingData, cone, dual_rows, cls) -> tuple[int, ...]:
@@ -266,10 +273,16 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
     """Dimensions of J = Ann(gr F) and of its saturation at the irrelevant
     ideal b, with the chart ideals of the saturation.
 
-    The saturation is J : f^infinity for one generic f in b, accepted when
-    certify_saturation holds; otherwise, and whenever some maximal cone is not
-    a chart, it is saturation_by_monomials. An accepted saturation has the
-    charts of J. Reduced bases are canonical, so no output depends on the
+    When every maximal cone is a chart, the charts are the chart images of
+    J, which the saturation J : b^infinity shares, and they decide the rest:
+    the module is b-torsion iff every image is (1), and sheaf_dim is the
+    largest chart dimension (J : b^infinity has no component inside V(b),
+    and on each chart it is a (d - n)-dimensional torus bundle over the
+    image). The saturation itself is computed when report.saturated is
+    first read: J : f^infinity for one generic f in b, accepted when
+    certify_saturation holds, and otherwise saturation_by_monomials, which
+    is also the saturation, computed at once, when some maximal cone is not
+    a chart. Reduced bases are canonical, so no output depends on the
     coefficients of f.
 
     holonomic_module is dim == d, so the zero A-module (dim "empty") is not
@@ -284,28 +297,32 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
     dim = basis_dimension(j, ring)
     b_gens = [g + (0,) * d for g in irrelevant_ideal(grading.fan).generators]
     frames = chart_frames(grading)
-    saturated = None
-    if frames:
-        images = [chart_image(grading, frame, j) for frame in frames]
-        candidate = saturation(j, generic_irrelevant_element(b_gens, ring), ring)
-        # J is contained in J : b^infinity, so a candidate equal to J is it
-        if candidate == j or certify_saturation(grading, frames, images, candidate):
-            saturated = candidate
-    if saturated is None:
+    if frames is None:
         saturated = saturation_by_monomials(j, b_gens, ring)
-        if frames is not None:
-            images = [chart_image(grading, frame, saturated) for frame in frames]
-    charts = None if frames is None else \
-        tuple(_chart(frame, image) for frame, image in zip(frames, images))
-    torsion = is_unit_ideal(saturated)
-    if torsion:
-        sheaf_dim = ZERO_SHEAF
+        charts = None
+        dims = [] if is_unit_ideal(saturated) else \
+            [basis_dimension(saturated, ring) - (d - n)]
+
+        def saturate():
+            return saturated
     else:
-        sheaf_dim = basis_dimension(saturated, ring) - (d - n)
+        images = [chart_image(grading, frame, j) for frame in frames]
+        charts = tuple(_chart(frame, image) for frame, image in zip(frames, images))
+        dims = [chart.dimension for chart in charts if chart.dimension != EMPTY_DIM]
+
+        def saturate():
+            candidate = saturation(j, generic_irrelevant_element(b_gens, ring), ring)
+            # J is contained in J : b^infinity, so a candidate equal to J is it
+            if candidate == j or certify_saturation(grading, frames, images, candidate):
+                return candidate
+            return saturation_by_monomials(j, b_gens, ring)
+    # no dimension: every chart image, or the saturation, is (1)
+    torsion = not dims
+    sheaf_dim = max(dims) if dims else ZERO_SHEAF
     holonomic_module = dim == d
     holonomic_sheaf = (not torsion) and sheaf_dim == n
-    return CharReport(j, dim, saturated, torsion, sheaf_dim,
-                      holonomic_module, holonomic_sheaf, charts)
+    return CharReport(j, dim, torsion, sheaf_dim, holonomic_module, holonomic_sheaf,
+                      charts, saturate)
 
 
 def ideal_str(gens) -> str:
@@ -316,7 +333,9 @@ def ideal_str(gens) -> str:
 
 
 def render_report(report: CharReport) -> list[tuple[str, str]]:
-    """Key/value lines for the CLI; ideals as sorted generator lists."""
+    """Key/value lines for the CLI; ideals as sorted generator lists. The
+    saturated ideal is not among them: reading it computes the saturation,
+    which the CLI does only when asked to print it."""
 
     def yn(flag):
         return "yes" if flag else "no"
@@ -324,7 +343,6 @@ def render_report(report: CharReport) -> list[tuple[str, str]]:
     return [
         ("char-ideal", ideal_str(report.char_ideal)),
         ("dim", str(report.dim)),
-        ("saturated", ideal_str(report.saturated)),
         ("torsion", yn(report.torsion)),
         ("sheaf-dim", str(report.sheaf_dim)),
         ("holonomic-module", yn(report.holonomic_module)),

@@ -251,8 +251,9 @@ def cmd_charvar(args, grading: GradingData) -> list[tuple[str, str]]:
     rep = charvar.dimension_report(grading, pres)
     report = _cl_header(grading)
     for key, value in charvar.render_report(rep):
-        if key != "saturated" or args.saturate:
-            report.append((key, value))
+        report.append((key, value))
+        if key == "dim" and args.saturate:
+            report.append(("saturated", charvar.ideal_str(rep.saturated)))
     if args.charts:
         names = charvar.s_prime_ring(grading).names
         for chart in rep.charts:

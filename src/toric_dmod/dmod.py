@@ -19,7 +19,7 @@ from .errors import (BoxTooSmall, ConeNotMaximal, InhomogeneousInput, NotInJp,
 from .fan_cox import Fan, GradingData
 from .groebner import WeylDivisors, weyl_buchberger, weyl_contains
 from .weyl import (ThetaDict, WeylElement, numerator_action, tau,
-                   theta_dict_to_weyl, theta_u, tp_add, tp_divide_linear_product,
+                   theta_dict_to_weyl, theta_u, tp_divide_linear_product,
                    tp_linear, tp_linear_form, tp_linear_product,
                    tp_numerator_evaluator, tp_subst, weyl_degree)
 
@@ -331,36 +331,43 @@ def i_p_matches_y_p(grading: GradingData, cone, p, ip: ThetaDict, radius: int) -
     return True
 
 
+def _times_eigenvalues(values: list, form, xs) -> list:
+    """values[j] times sum_k c_k ff(xs[j], k) over the pairs (k, c_k) of a
+    line form, the sum nested as c_0 + x (c_1 + (x - 1) (c_2 + ...))."""
+    coefficients = dict(form)
+    top = max(coefficients, default=0)
+    acc = [coefficients.get(top, 0)] * len(xs)
+    for k in range(top - 1, -1, -1):
+        c = coefficients.get(k, 0)
+        acc = [c + (x - k) * a for a, x in zip(acc, xs)]
+    return list(map(mul, values, acc))
+
+
 def _actions_hold(grading: GradingData, cone, p, actions, value_den: int,
-                  value_at, radius: int) -> bool:
-    """The composite of the numerator actions (den, apply) scales each y^q
-    of the box by value_at(iota(q)) / value_den, and is zero on Y(p).
+                  value_line, radius: int) -> bool:
+    """The composite of the numerator actions (den, apply) of
+    theta-polynomials scales each y^q of the box by value / value_den, and
+    is zero on Y(p); value_line(head, iota(head + (0,)), xs) lists the
+    values at q = head + (x,) for x in xs.
 
     Over D, the product of the action denominators, the composite's integer
-    result must be {q: value * D}; the value is tested at every point, Y(p)
-    read from the line's intervals, and the actions run once per line of
-    the box, on the sum of the line's y^q. The actions are
-    theta-polynomials (theta_dict_to_weyl of a rho image), and a
-    theta-polynomial scales every monomial y^q by a torus eigenvalue: the
-    images of distinct q never mix, so the line's result is the per-point
-    results side by side and the verdict is the per-point one.
+    eigenvalue must be value * D; the value and the divmod test are taken
+    at every point, and Y(p) read from the line's intervals. A
+    theta-polynomial scales every monomial y^q by a torus eigenvalue, so
+    each action runs once per line of the box through its line form
+    apply.line(head), and the line's list of eigenvalues is multiplied by
+    it.
     """
     den = prod(d for d, _ in actions)
-    rays = grading.fan.rays
-    last = [(x, [x * ray[-1] for ray in rays]) for x in range(-radius, radius + 1)]
+    xs = range(-radius, radius + 1)
     for head, partial, dual, stay in _box_lines(grading.fan, cone, p, radius):
-        want = {}
-        for x, v in last:
-            coeff, rem = divmod(value_at(tuple(map(add, partial, v))) * den, value_den)
-            if rem or (coeff and x in dual and x not in stay):
-                return False
-            if coeff:
-                want[head + (x,)] = coeff
-        cur = {head + (x,): 1 for x, _ in last}
+        values = [1] * len(xs)
         for _, apply in actions:
-            cur = apply(cur)
-        if cur != want:
-            return False
+            values = _times_eigenvalues(values, apply.line(head), xs)
+        for x, value, want in zip(xs, values, value_line(head, partial, xs)):
+            coeff, rem = divmod(want * den, value_den)
+            if rem or coeff != value or (coeff and x in dual and x not in stay):
+                return False
     return True
 
 
@@ -371,11 +378,14 @@ def verify_local_action(grading: GradingData, cone, p, g: ThetaDict,
     The theta part acts through the Weyl action on Laurent monomials; the
     y^p factor is the same exponent shift on both sides, so the sides are
     compared before it. For q in the dual cone whose shift leaves it, the
-    result must vanish (the operator preserves the cone ring).
+    result must vanish (the operator preserves the cone ring). g(iota(q))
+    is rho(g)(q), evaluated by the line form of its evaluator.
     """
-    action = numerator_action(theta_dict_to_weyl(grading.n, rho(grading, g)))
-    g_den, g_at = tp_numerator_evaluator(g)
-    return _actions_hold(grading, cone, p, [action], g_den, g_at, radius)
+    image = rho(grading, g)
+    action = numerator_action(theta_dict_to_weyl(grading.n, image))
+    value_den, at = tp_numerator_evaluator(image)
+    return _actions_hold(grading, cone, p, [action], value_den,
+                         lambda head, _, xs: list(map(at.line(head), xs)), radius)
 
 
 def factored_local_action_holds(grading: GradingData, cone, p, factors,
@@ -386,24 +396,30 @@ def factored_local_action_holds(grading: GradingData, cone, p, factors,
     composite must scale y^q by prod (iota(q)_i - m) (the shift by p is the
     same on both sides, so the sides are compared before it), and must
     preserve the dual-cone ring. With m = r / s that is
-    prod (s iota(q)_i - r) over prod s.
+    prod (s iota(q)_i - r) over prod s, and along a box line iota(q)_i is
+    iota(head + (0,))_i + x v_i[-1].
 
     rho is a substitution and fixes constants, so rho(theta_i - m) is
-    rho(theta_i) - m: rho runs once per distinct ray i among the factors.
+    rho(theta_i) - m: rho and its normal order run once per distinct ray i
+    among the factors, and each factor adds its constant -m to those terms,
+    which have none.
     """
     d, n = grading.d, grading.n
-    images = {i: rho(grading, tp_linear(d, i, 0)) for i in {i for i, _ in factors}}
-    actions = [numerator_action(theta_dict_to_weyl(
-        n, tp_add(images[i], tp_linear_form((0,) * n, -m)))) for i, m in factors]
+    rays = grading.fan.rays
+    one = ((0,) * n, (0,) * n)
+    images = {i: theta_dict_to_weyl(n, rho(grading, tp_linear(d, i, 0))).terms
+              for i in {i for i, _ in factors}}
+    actions = [numerator_action(WeylElement(n, {**images[i], one: -m})) for i, m in factors]
     roots = [(i, *Fraction(m).as_integer_ratio()) for i, m in factors]
 
-    def value_at(iq) -> int:
-        value = 1
+    def value_line(head, partial, xs) -> list:
+        values = [1] * len(xs)
         for i, r, s in roots:
-            value *= s * iq[i] - r
-        return value
+            a, b = s * partial[i] - r, s * rays[i][-1]
+            values = [v * (a + b * x) for v, x in zip(values, xs)]
+        return values
     return _actions_hold(grading, cone, p, actions, prod(s for _, _, s in roots),
-                         value_at, radius)
+                         value_line, radius)
 
 
 def k_component(grading: GradingData, a, b_bar) -> list[ThetaDict]:

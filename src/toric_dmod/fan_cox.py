@@ -221,7 +221,8 @@ class MonomialIdeal:
 
 
 def irrelevant_ideal(fan: Fan) -> MonomialIdeal:
-    mons = {sigma_hat_monomial(fan, cone) for cone in fan.max_cones}
+    # sigma-hat of each maximal cone, which needs no membership check
+    mons = {tuple(0 if i in cone else 1 for i in range(fan.d)) for cone in fan.max_cones}
     minimal = [m for m in mons
                if not any(o != m and all(x <= y for x, y in zip(o, m)) for o in mons)]
     return MonomialIdeal(tuple(sorted(minimal)))

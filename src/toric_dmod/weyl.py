@@ -18,11 +18,14 @@ point evaluates the coefficient forms of the powers of the last variable
 once at the head of a box line and returns a univariate Horner on ints, so
 a point on the line costs one multiply-add per power of the last variable.
 The action splits f once into diagonal terms x^a d^a, which keep a
-monomial's exponent and act on it as one sum, and shifted terms. It is
-linear in g, and a theta-polynomial (diagonal terms only) scales each
-monomial by its own eigenvalue, so one call on the sum of many monomials
-gives each monomial's image at once; the local checks apply it to a whole
-line of a box. tp_eval and act are their one-shot forms on Fractions.
+monomial's exponent and act on it as one sum, and shifted terms. A
+theta-polynomial (diagonal terms only) scales each monomial by its own
+eigenvalue, and its line form gives the eigenvalue along a box line as a
+sum of falling factorials of the last exponent, with the head's falling
+factorials taken once per line; the local checks multiply by it a line at
+a time. tp_eval and act are their one-shot forms on Fractions.
+tp_linear_product multiplies the linear factors of each variable as a
+univariate integer coefficient list and combines the variables once.
 tp_divide_linear_product is the one division: synthetic division by each
 linear factor on the numerators.
 weyl_shift_into is the one normal-ordering expansion, shared by the Weyl
@@ -113,19 +116,25 @@ def tp_linear(d: int, i: int, shift) -> ThetaDict:
 def tp_linear_product(d: int, factors) -> ThetaDict:
     """The product of the linear factors (theta_i - m) over (i, m) in factors.
 
-    With m = r / s in lowest terms, (theta_i - m) = (s theta_i - r) / s.
+    With m = r / s in lowest terms, (theta_i - m) = (s theta_i - r) / s. The
+    factors of each theta_i multiply as a univariate integer coefficient
+    list, and the product of those lists over the variables, whose terms
+    never collide, is taken once.
     """
-    den, nums = 1, {(0,) * d: 1}
+    den, rows = 1, {}
     for i, m in factors:
         r, s = m.numerator, m.denominator
-        out: dict = {}
-        for e, c in nums.items():
-            up = e[:i] + (e[i] + 1,) + e[i + 1:]
-            out[up] = out.get(up, 0) + s * c
-            out[e] = out.get(e, 0) - r * c
+        row = rows.get(i, [1])
+        rows[i] = [s * hi - r * lo for lo, hi in zip(row + [0], [0] + row)]
         den *= s
-        nums = {e: c for e, c in out.items() if c}
-    return _over(den, nums)
+    terms = [((), 1)]
+    for i in range(d):
+        row = rows.get(i)
+        if row is None:
+            terms = [(e + (0,), c) for e, c in terms]
+        else:
+            terms = [(e + (k,), c * ck) for e, c in terms for k, ck in enumerate(row) if ck]
+    return {e: Fraction(c, den) for e, c in terms}
 
 
 def _horner(nums: dict, i: int):
@@ -518,6 +527,12 @@ def numerator_action(f: WeylElement):
     output once; when f has no shifted term, as for a theta-polynomial,
     that is the whole output. A first-order factor ff(e_i, 1) is e_i
     itself.
+
+    A theta-polynomial f (no shifted term) also has a line form:
+    apply.line(head) is the list of integer pairs (k, c_k), c_k nonzero,
+    with D f . y^(head + (x,)) = sum_k c_k ff(x, k) y^(head + (x,)) for
+    every integer x. The falling factorials of the head are taken once per
+    line, not once per point.
     """
     df, nf = tp_numerators(f.terms)
     diagonal, shifted = [], []
@@ -548,6 +563,20 @@ def numerator_action(f: WeylElement):
                     ne = tuple(map(add, e, shift))
                     out[ne] = out.get(ne, 0) + cf * cg
         return {e: c for e, c in out.items() if c}
+    if shifted:
+        return df, apply
+    last = f.d - 1
+    by_last = [(dict(lowered).get(last, 0), [(i, bi) for i, bi in lowered if i != last], cf)
+               for lowered, cf in diagonal]
+
+    def line(head) -> list:
+        out: dict = {}
+        for k, lowered, cf in by_last:
+            for i, bi in lowered:
+                cf *= head[i] if bi == 1 else _ff(head[i], bi)
+            out[k] = out.get(k, 0) + cf
+        return [(k, c) for k, c in out.items() if c]
+    apply.line = line
     return df, apply
 
 

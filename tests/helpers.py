@@ -294,6 +294,23 @@ def fraction_eval(p: dict, point) -> Fraction:
     return total
 
 
+def linear_product_per_factor(d: int, factors) -> dict:
+    """weyl.tp_linear_product one factor at a time on the integer numerators
+    of the whole d-variate product: (theta_i - m) = (s theta_i - r) / s for
+    m = r / s in lowest terms."""
+    den, nums = 1, {(0,) * d: 1}
+    for i, m in factors:
+        r, s = m.numerator, m.denominator
+        out: dict = {}
+        for e, c in nums.items():
+            up = e[:i] + (e[i] + 1,) + e[i + 1:]
+            out[up] = out.get(up, 0) + s * c
+            out[e] = out.get(e, 0) - r * c
+        den *= s
+        nums = {e: c for e, c in out.items() if c}
+    return {e: Fraction(c, den) for e, c in nums.items()}
+
+
 # vertex-enumeration feasibility oracle (independent of Fourier-Motzkin)
 
 
@@ -652,16 +669,19 @@ def i_p_evaluations_per_point(fan: Fan, cone, p, ip_at, radius: int) -> tuple[bo
 
 
 def actions_hold_per_point(grading: GradingData, cone, p, actions, value_den: int,
-                           value_at, radius: int) -> bool:
+                           value_line, radius: int) -> bool:
     """dmod._actions_hold with the composite applied to each y^q of the box
-    on its own: over D, the product of the action denominators, it must
-    give {q: value * D}, and 0 on Y(p)."""
+    on its own, as a dict {q: 1}: over D, the product of the action
+    denominators, it must give {q: value * D}, and 0 on Y(p). The value at
+    q is value_line(q[:-1], iota(q[:-1] + (0,)), [q[-1]])[0]."""
     den = prod(d for d, _ in actions)
+    rays = grading.fan.rays
     for q, iq, _, in_y in box_points(grading.fan, cone, p, radius):
         cur = {q: 1}
         for _, apply in actions:
             cur = apply(cur)
-        coeff, rem = divmod(value_at(iq) * den, value_den)
+        partial = tuple(v - q[-1] * ray[-1] for v, ray in zip(iq, rays))
+        coeff, rem = divmod(value_line(q[:-1], partial, [q[-1]])[0] * den, value_den)
         if rem or cur != ({q: coeff} if coeff else {}) or (in_y and coeff):
             return False
     return True

@@ -261,6 +261,21 @@ def test_irrelevant_ideal_examples():
     assert irrelevant_ideal(affine).generators == ((0, 0),)
 
 
+def test_irrelevant_ideal_checks_no_cone(monkeypatch):
+    # b is built from the fan's own maximal cones, which need no membership
+    # test; sigma_hat_monomial keeps its check for other callers
+    def no_check(self, cone):
+        raise AssertionError("has_cone called")
+
+    fans = [fan for _, fan in all_fixture_fans()] + [fan_p3()]
+    expected = [tuple(sorted({sigma_hat_monomial(fan, c) for c in fan.max_cones}))
+                for fan in fans]
+    monkeypatch.setattr(Fan, "has_cone", no_check)
+    for fan, monomials in zip(fans, expected):
+        # on these complete fans no sigma-hat divides another
+        assert irrelevant_ideal(fan).generators == monomials
+
+
 def test_irrelevant_generators_squarefree_incomparable():
     for fan in (fan_p1(), fan_p2(), fan_p1p1(), fan_hirzebruch1()):
         gens = irrelevant_ideal(fan).generators

@@ -2,9 +2,9 @@
 lines and intervals (y_p_points, i_p_matches_y_p and the line-wise
 _actions_hold) against helpers.box_points, a naive walk with every pairing
 summed directly, and the one-pass j_p_oracle against the slab-by-slab scan
-(helpers.j_p_oracle_per_slab); the evaluator's line form against its
-point form; and how often each factor's action and the evaluator of
-rho(h_p) run."""
+(helpers.j_p_oracle_per_slab); the line forms of the evaluator and of the
+action against their point forms; and how often each factor's line form
+and the evaluator of rho(h_p) run."""
 
 from fractions import Fraction
 from itertools import product
@@ -14,16 +14,18 @@ import pytest
 
 import helpers
 from helpers import (actions_hold_per_point, all_fixture_fans, box_points,
-                     fan_faces, fan_p1, fan_p1_cubed, fan_p2, fan_p3,
-                     grading, i_p_evaluations_per_point, j_p_oracle_per_slab,
-                     rng, star_subdivided_fans, y_p_points_per_point)
+                     fan_faces, fan_hirzebruch1, fan_p1, fan_p1_cubed, fan_p1p1,
+                     fan_p2, fan_p3, grading, i_p_evaluations_per_point,
+                     j_p_oracle_per_slab, rng, star_subdivided_fans,
+                     y_p_points_per_point)
 from toric_dmod import dmod
 from toric_dmod.dmod import (factored_local_action_holds, h_p, i_p_ideal,
                              i_p_matches_y_p, j_p_oracle, local_radius,
                              verify_local_action, y_p_points)
 from toric_dmod.errors import BoxTooSmall
 from toric_dmod.fan_cox import Fan
-from toric_dmod.weyl import (tp_add, tp_eval, tp_linear, tp_mul,
+from toric_dmod.weyl import (WeylElement, numerator_action, theta_dict_to_weyl,
+                             tp_add, tp_eval, tp_linear, tp_mul,
                              tp_numerator_evaluator)
 
 pytest.importorskip("hypothesis")
@@ -95,9 +97,65 @@ def test_verify_local_action_matches_the_per_point_reference(case, data):
     assert verify_local_action(gd, cone, p, right, radius)
 
 
-def _counting_applies(monkeypatch):
-    """Wrap dmod.numerator_action so that each action it returns counts its
-    applications in its own slot of the returned list."""
+def _falling(x: int, k: int) -> int:
+    out = 1
+    for j in range(k):
+        out *= x - j
+    return out
+
+
+LINE_FANS = [grading(fan()) for fan in (fan_p1, fan_p2, fan_p1p1, fan_hirzebruch1, fan_p3)]
+
+
+@st.composite
+def theta_polys(draw, n: int):
+    """A nonzero theta-polynomial in n variables of degree at most 3 with
+    rational coefficients: falling factorials of order 2 and 3 occur in
+    the head and in the last variable."""
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    return draw(st.dictionaries(exps, RATIONALS.filter(bool), min_size=1, max_size=5))
+
+
+@given(st.sampled_from(LINE_FANS), st.data())
+def test_line_form_matches_the_per_point_reference(gd, data):
+    # on P1, P2, P1 x P1, Hirzebruch 1 and P3 (heads of length 2): the line
+    # form of a random theta-polynomial w, sum_k c_k ff(x, k), against its
+    # action on each monomial of the box; and the check of w composed with
+    # rho(h_p), against w(q) rho(h_p)(q) and a shifted value, against
+    # actions_hold_per_point
+    cone = data.draw(st.sampled_from(sorted(fan_faces(gd.fan))))
+    bound = 2 if gd.n < 3 else 1
+    p = tuple(data.draw(st.lists(st.integers(-bound, bound), min_size=gd.n,
+                                 max_size=gd.n)))
+    radius = local_radius(gd, p)
+    w = data.draw(theta_polys(gd.n))
+    den, apply = numerator_action(theta_dict_to_weyl(gd.n, w))
+    xs = range(-radius, radius + 1)
+    for head in product(xs, repeat=gd.n - 1):
+        form = apply.line(head)
+        assert all(isinstance(k, int) and isinstance(c, int) and c for k, c in form)
+        for x in xs:
+            q = head + (x,)
+            eigenvalue = sum(c * _falling(x, k) for k, c in form)
+            assert apply({q: 1}) == ({q: eigenvalue} if eigenvalue else {}), (w, q)
+    ip = i_p_ideal(gd, cone, p)
+    actions = [(den, apply), numerator_action(theta_dict_to_weyl(gd.n, ip))]
+    (w_den, w_at), (ip_den, ip_at) = map(tp_numerator_evaluator, (w, ip))
+    shift = data.draw(st.sampled_from((0, 0, 1, -2)))
+
+    def value_line(head, partial, xs):
+        return [a * b + shift for a, b in zip(map(w_at.line(head), xs),
+                                             map(ip_at.line(head), xs))]
+    args = (gd, cone, p, actions, w_den * ip_den, value_line, radius)
+    verdict = dmod._actions_hold(*args)
+    assert verdict == actions_hold_per_point(*args)
+    assert verdict is (shift == 0)
+
+
+def _counting_lines(monkeypatch):
+    """Wrap dmod.numerator_action so that each action it returns counts the
+    calls of its line form in its own slot of the returned list, and fails
+    when it is applied to a dict."""
     counts = []
     real = dmod.numerator_action
 
@@ -107,8 +165,12 @@ def _counting_applies(monkeypatch):
         counts.append(0)
 
         def wrapped(g):
+            raise AssertionError("an action applied to a dict")
+
+        def line(head):
             counts[slot] += 1
-            return apply(g)
+            return apply.line(head)
+        wrapped.line = line
         return den, wrapped
 
     monkeypatch.setattr(dmod, "numerator_action", counted)
@@ -122,7 +184,7 @@ def test_each_action_runs_once_per_box_line(monkeypatch, fan_fn, cone, p):
     hp, factors = h_p(gd, cone, p)
     radius = local_radius(gd, p) + 1
     lines = (2 * radius + 1) ** (gd.n - 1)
-    counts = _counting_applies(monkeypatch)
+    counts = _counting_lines(monkeypatch)
     assert factored_local_action_holds(gd, cone, p, factors, radius)
     assert counts == [lines] * len(factors)
     counts.clear()
@@ -136,18 +198,20 @@ def test_line_check_fails_where_one_point_fails():
     # must see it, as the per-point one does
     gd = grading(fan_p2())
     cone, p, radius = (0, 1), (0, 0), 3
-    at = (1, 1, -2)
-    identity = [(1, dict)]
-    cases = [(1, lambda iq: 1, True),
-             (1, lambda iq: 1 + (iq == at), False),
-             # a value that is not an integer multiple at that point only
-             (2, lambda iq: 2 + (iq == at), False)]
-    for value_den, value_at, verdict in cases:
-        assert actions_hold_per_point(gd, cone, p, identity, value_den, value_at,
-                                      radius) is verdict
-        assert dmod._actions_hold(gd, cone, p, identity, value_den, value_at,
-                                  radius) is verdict
+    at = (1, 1)
+    identity = [numerator_action(WeylElement.one(gd.n))]
 
+    def values(value):
+        return lambda head, partial, xs: [value(head + (x,)) for x in xs]
+    cases = [(1, values(lambda q: 1), True),
+             (1, values(lambda q: 1 + (q == at)), False),
+             # a value that is not an integer multiple at that point only
+             (2, values(lambda q: 2 + (q == at)), False)]
+    for value_den, value_line, verdict in cases:
+        assert actions_hold_per_point(gd, cone, p, identity, value_den, value_line,
+                                      radius) is verdict
+        assert dmod._actions_hold(gd, cone, p, identity, value_den, value_line,
+                                  radius) is verdict
 
 
 def _recording_evaluator():

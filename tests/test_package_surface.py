@@ -19,6 +19,7 @@ TEST_ONLY = {
     "verify_char_containment",
     "verify_local_action", "k_component",
     "to_theta_form", "from_theta_form",
+    "sigma_hat_monomial",
 }
 
 

@@ -1,20 +1,22 @@
 """The certified saturation at the irrelevant ideal: the chart certificate
-against saturation_by_monomials, its rejections, the fallback and the number
-of eliminations one report does."""
+against saturation_by_monomials, its rejections, the fallback, the number
+of eliminations one report does, and a report that needs none."""
+
+import signal
 
 import pytest
 
 from helpers import (all_fixture_fans, delta_module, fan_hirzebruch1, fan_p1,
                      fan_p1p1, fan_torsion, grading, random_homogeneous_weyl, rng,
                      structure_sheaf)
-from toric_dmod import charvar, groebner
-from toric_dmod.charvar import (certify_saturation, characteristic_ideal,
+from toric_dmod import charvar, cli, groebner
+from toric_dmod.charvar import (ZERO_SHEAF, certify_saturation, characteristic_ideal,
                                 chart_frames, chart_image, dimension_report,
                                 generic_irrelevant_element, s_prime_ring)
 from toric_dmod.dmod import GradedPresentation, d_module_left
 from toric_dmod.fan_cox import irrelevant_ideal
-from toric_dmod.groebner import (Poly, groebner_basis, saturation,
-                                 saturation_by_monomials)
+from toric_dmod.groebner import (Poly, basis_dimension, groebner_basis, is_unit_ideal,
+                                 saturation, saturation_by_monomials)
 
 
 def random_module(r, gd):
@@ -52,7 +54,14 @@ def test_certificate_agrees_with_saturation_by_monomials():
         # the candidate always contains the truth; the certificate is exact
         assert certify(gd, j, candidate) == (candidate == truth), name
         assert certify(gd, j, truth), name
-        assert dimension_report(gd, pres).saturated == truth, name
+        report = dimension_report(gd, pres)
+        assert report.saturated == truth, name
+        # torsion and sheaf-dim come from the chart images; they are those
+        # of the saturation
+        torsion = is_unit_ideal(truth)
+        assert report.torsion == torsion, name
+        assert report.sheaf_dim == (ZERO_SHEAF if torsion else
+                                    basis_dimension(truth, ring) - (gd.d - gd.n)), name
         moved += truth != j
     # the torsion module on every fan, at least, is moved by the saturation
     assert moved >= 4
@@ -111,6 +120,9 @@ def test_fallback_when_the_certificate_fails(monkeypatch):
         gd = grading(fan)
         cases += [(gd, delta_module(gd)), (gd, random_module(r, gd))]
     expected = [dimension_report(gd, pres) for gd, pres in cases]
+    # saturated is computed when first read: read it with the real certificate
+    for want in expected:
+        assert want.saturated is not None
     counts = {}
     monkeypatch.setattr(charvar, "certify_saturation", lambda *args: False)
     _count_calls(monkeypatch, charvar, "saturation_by_monomials", counts)
@@ -144,6 +156,8 @@ def test_fallback_without_a_full_dimensional_cone(monkeypatch):
 
 @pytest.mark.parametrize("fan", [fan_p1p1, fan_hirzebruch1])
 def test_one_elimination_per_report(fan, monkeypatch):
+    # the report itself eliminates nothing; reading saturated eliminates
+    # once, and reading it again reuses the result
     gd = grading(fan())
     for pres in (d_module_left(gd, gd.class_group.zero()), structure_sheaf(gd),
                  delta_module(gd)):
@@ -152,6 +166,50 @@ def test_one_elimination_per_report(fan, monkeypatch):
         for name in ("eliminate_front", "intersect_ideals", "saturation_by_monomials"):
             _count_calls(monkeypatch, groebner, name, counts)
         _count_calls(monkeypatch, charvar, "saturation_by_monomials", counts)
-        dimension_report(gd, pres)
+        report = dimension_report(gd, pres)
+        assert counts == {}
+        assert report.saturated is report.saturated
         monkeypatch.undo()
         assert counts == {"eliminate_front": 1}
+
+
+STAR_FAN = """n = 2
+rays = [[1, 0], [0, 1], [-1, -1], [0, -1], [1, -1]]
+max_cones = [[1, 2], [1, 5], [2, 3], [3, 4], [4, 5]]
+"""
+STAR_MODULE = """side = "left"
+generator_degrees = [[2, -2, 1]]
+relations = [["x1*d1 + x2*d2 + x3*d3 + 2"], ["x2*d2 + x4*d4 - 2"],
+             ["x1*d1 - x2*d2 - x5*d5 + 1"], ["-3*d1^2*d2*d3*d5"], ["-3*d2^2*d3^2*d4^2"]]
+"""
+# CPU seconds; the elimination J : f^infinity alone took over 30 s here
+STAR_BOUND_S = 15
+
+
+def test_star_reproducer_without_saturate_is_fast(tmp_path, monkeypatch, capsys):
+    # the star subdivision of P2 and D(2,-2,1) plus two relations: charvar
+    # without --saturate reads everything from the chart images of J and
+    # does no elimination, within a CPU-time bound enforced by a timer
+    (tmp_path / "star.fan").write_text(STAR_FAN)
+    (tmp_path / "star.mod").write_text(STAR_MODULE)
+    counts = {}
+    _count_calls(monkeypatch, groebner, "eliminate_front", counts)
+
+    def over(signum, frame):
+        raise TimeoutError(f"charvar took over {STAR_BOUND_S} s of CPU")
+
+    previous = signal.signal(signal.SIGPROF, over)
+    signal.setitimer(signal.ITIMER_PROF, STAR_BOUND_S)
+    try:
+        rc = cli.main(["charvar", str(tmp_path / "star.fan"), str(tmp_path / "star.mod"),
+                       "--charts"])
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+    assert rc == 0 and counts == {}
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert "saturated" not in lines
+    assert [lines[key] for key in ("dim", "torsion", "sheaf-dim", "holonomic-module",
+                                   "holonomic-sheaf")] == ["6", "no", "3", "no", "no"]
+    assert [lines[f"chart-{c}-dim"] for c in ("1,2", "1,5", "2,3", "3,4", "4,5")] == \
+        ["3"] * 5

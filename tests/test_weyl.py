@@ -5,13 +5,14 @@ from itertools import product
 
 import pytest
 
-from helpers import (fan_p1, fan_p1p1, grading, random_weyl, rng,
-                     weyl_left_mul_monomial)
+from helpers import (fan_p1, fan_p1p1, grading, linear_product_per_factor,
+                     random_weyl, rng, weyl_left_mul_monomial)
 from toric_dmod.errors import InhomogeneousInput, ParseError
 from toric_dmod.weyl import (WeylElement, act, format_weyl,
                              from_theta_form, parse_weyl, shift_items, tau,
                              theta_dict_to_weyl, to_theta_form, tp_format, tp_linear,
-                             tp_subst, weyl_degree, weyl_mul, weyl_shift_into)
+                             tp_linear_product, tp_subst, weyl_degree, weyl_mul,
+                             weyl_shift_into)
 
 
 def W(s, d=2):
@@ -326,3 +327,28 @@ def test_canonical_equality():
     g = W("1/2 + x1*d1")
     assert f == g and hash(f) == hash(g)
     assert W("x1 - x1", 1).is_zero()
+
+
+def test_linear_product_per_ray_matches_the_per_factor_loop():
+    # the product of the factors of each ray, combined once, against the
+    # former loop over the whole product one factor at a time: one to four
+    # variables, several rays, integer, rational and repeated roots, and no
+    # factor at all
+    r = rng(32)
+    roots = [0, 1, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+    cases = [(d, []) for d in range(1, 5)]
+    cases += [(2, [(0, 1), (0, 1), (1, Fraction(1, 2)), (1, Fraction(1, 2))]),
+              (3, [(2, m) for m in range(6)] + [(0, Fraction(-2, 3))]),
+              # (theta - 1)(theta + 1) = theta^2 - 1 drops the middle term
+              (1, [(0, 1), (0, -1)])]
+    for _ in range(300):
+        d = r.randint(1, 4)
+        factors = [(r.randrange(d), r.choice(roots)) for _ in range(r.randint(0, 8))]
+        cases.append((d, factors))
+    for d, factors in cases:
+        got = tp_linear_product(d, factors)
+        assert got == linear_product_per_factor(d, factors), (d, factors)
+        assert all(len(e) == d for e in got)
+        assert all(isinstance(c, Fraction) and c for c in got.values())
+    assert tp_linear_product(2, []) == {(0, 0): Fraction(1)}
+    assert tp_linear_product(1, [(0, 1), (0, -1)]) == {(2,): Fraction(1), (0,): Fraction(-1)}

@@ -21,30 +21,56 @@ from . import dmod
 from . import charvar
 
 
+# Everything before the first # outside quotes; a quote runs to the same
+# quote character, or to the end of the line, with no escapes.
+_CODE = re.compile(r"""(?:[^'"#]+|'[^']*'?|"[^"]*"?)*""")
+# Python's literal parser refuses lists nested deeper than this
+_MAX_NESTING = 200
+
+
 def _strip_comment(line: str) -> str:
-    out = []
-    quote = None
-    for ch in line:
-        if quote:
-            out.append(ch)
-            if ch == quote:
-                quote = None
-            continue
-        if ch in "'\"":
-            quote = ch
-            out.append(ch)
-            continue
-        if ch == "#":
-            break
-        out.append(ch)
-    return "".join(out)
+    return _CODE.match(line).group()
+
+
+def _plain(value) -> bool:
+    """Whether a json.loads result holds only ints (no bools), strings and
+    lists, nested at most _MAX_NESTING deep. It walks one nesting level at a
+    time, so a deep value cannot overflow the stack."""
+    level = [value]
+    for _ in range(_MAX_NESTING):
+        inner = []
+        for v in level:
+            if type(v) is list:
+                inner += v
+            elif type(v) is not int and type(v) is not str:
+                return False
+        if not inner:
+            return True
+        level = inner
+    return all(type(v) is int or type(v) is str for v in level)
+
+
+def _value(text: str):
+    """A document value as ast.literal_eval reads it. Text with no backslash
+    (so no escape, where JSON and Python differ) goes through json.loads
+    first, and a plain result is the same value literal_eval gives; any
+    other result or text goes to literal_eval."""
+    if "\\" not in text:
+        try:
+            value = json.loads(text)
+        except (ValueError, RecursionError):
+            pass
+        else:
+            if _plain(value):
+                return value
+    return ast.literal_eval(text)
 
 
 def read_document(path: str, keys) -> dict:
-    """Key = value lines; values are Python-literal scalars/lists, possibly
-    spanning lines until brackets balance. Comments start with #. Each of
-    keys must be given, once; any other key, the empty one included, is a
-    ParseError."""
+    """Key = value lines; values are Python-literal scalars/lists (read by
+    _value), possibly spanning lines until brackets balance. Comments start
+    with #. Each of keys must be given, once; any other key, the empty one
+    included, is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -71,7 +97,7 @@ def read_document(path: str, keys) -> dict:
             pending_value += " " + text
         if pending_value.count("[") == pending_value.count("]"):
             try:
-                doc[pending_key] = ast.literal_eval(pending_value)
+                doc[pending_key] = _value(pending_value)
             # deeply nested values end in RecursionError or, in the
             # compiler, MemoryError
             except (ValueError, SyntaxError, RecursionError, MemoryError) as exc:

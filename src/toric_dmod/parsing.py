@@ -1,4 +1,4 @@
-"""Tiny recursive-descent parser for sums of monomial terms.
+"""Parser for sums of monomial terms.
 
 Accepted syntax, shared by Weyl expressions and theta polynomials:
 
@@ -7,13 +7,15 @@ Accepted syntax, shared by Weyl expressions and theta polynomials:
     factor := INT ['/' INT] | NAME INDEX ['^' INT]
 
 Variables are a letter prefix plus a 1-based index, e.g. ``x1``, ``d2``,
-``th1``, ``v2``, ``xi3``.
+``th1``, ``v2``, ``xi3``. Whitespace may stand between any two tokens, but
+not inside a variable.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 
@@ -33,113 +35,79 @@ MAX_TERMS = 2000
 MAX_COEFF_DIGITS = 4300
 _COEFF_LIMIT = 10 ** MAX_COEFF_DIGITS
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[a-zA-Z]+)(?P<idx>\d+)|(?P<op>[*^+/\-]))")
+# One factor and the separator after it ('' at the end of the text): the
+# groups are numerator, denominator, name, index, exponent and separator.
+# Nothing in it repeats a group, so a match takes time linear in its length.
+_TOKEN = re.compile(r"\s*(?:(\d+)(?:\s*/\s*(\d+))?|([a-zA-Z]+)(\d+)(?:\s*\^\s*(\d+))?)"
+                    r"\s*([*+\-]?)")
 
 
-def _tokenize(text: str):
-    """Yield (kind, value) tokens one at a time, so that a parser bound stops
-    a long input before the rest of it is scanned."""
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r} at offset {pos}")
-        try:
-            if m.group("int") is not None:
-                token = ("int", int(m.group("int")))
-            elif m.group("var") is not None:
-                token = ("var", (m.group("var"), int(m.group("idx"))))
-            else:
-                token = ("op", m.group("op"))
-        except ValueError:  # more digits than int() converts
-            raise ParseError(f"integer too long at offset {pos}") from None
-        pos = m.end()
-        yield token
+def _offset(text: str, pos: int) -> int:
+    """The offset of the first character at or after pos that is not
+    whitespace (len(text) if there is none)."""
+    return len(text) - len(text[pos:].lstrip())
 
 
 def parse_terms(text: str) -> list[tuple[Fraction, list[tuple[str, int, int]]]]:
-    """Parse into a list of (coefficient, [(prefix, 1-based index, exponent)])."""
-    tokens = _tokenize(text)
-    ahead = next(tokens, (None, None))     # the one token of lookahead
-    if ahead[0] is None:
+    """Parse into a list of (coefficient, [(prefix, 1-based index, exponent)]).
+
+    Each _TOKEN match reads one factor, so every bound stops a long input at
+    the factor that passes it, before the rest of the text is scanned."""
+    match = _TOKEN.match
+    body = text.lstrip()
+    if not body:
         raise ParseError("empty expression")
-    pos = 0
-
-    def take(kind, value=None):
-        nonlocal ahead, pos
-        tk, tv = ahead
-        if tk != kind or (value is not None and tv != value):
-            raise ParseError(f"unexpected token {tv!r} (token #{pos + 1})")
-        pos += 1
-        ahead = next(tokens, (None, None))
-        return tv
-
-    def parse_factor():
-        tk, tv = ahead
-        if tk == "int":
-            take("int")
-            if ahead == ("op", "/"):
-                take("op", "/")
-                den = take("int")
-                if den == 0:
+    pos = len(text) - len(body) + (body[0] in "+-")
+    negative = body[0] == "-"
+    terms = []
+    num = den = 1
+    degree = 0
+    vars_ = []
+    while True:
+        m = match(text, pos)
+        if m is None:
+            raise ParseError(
+                f"expected a coefficient or variable at offset {_offset(text, pos)}")
+        n, dn, name, idx, exp, sep = m.groups()
+        try:
+            if name is None:
+                n, dn = int(n), (1 if dn is None else int(dn))
+            else:
+                idx, exp = int(idx), (1 if exp is None else int(exp))
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"integer too long at offset {_offset(text, pos)}") from None
+        if name is None:
+            if dn != 1:     # each factor is reduced, as Fraction(n, dn) would be
+                if not dn:
                     raise ParseError("zero denominator")
-                return Fraction(tv, den), None
-            return Fraction(tv), None
-        if tk == "var":
-            take("var")
-            exp = 1
-            if ahead == ("op", "^"):
-                take("op", "^")
-                exp = take("int")
-            return None, (tv[0], tv[1], exp)
-        raise ParseError(f"expected a coefficient or variable (token #{pos + 1})")
-
-    def parse_term():
+                g = gcd(n, dn)
+                n, dn = n // g, dn // g
+            num *= n
+            den *= dn
+            if num >= _COEFF_LIMIT or den >= _COEFF_LIMIT:
+                raise ParseError("a term's coefficient factors multiply to more "
+                                 f"than {MAX_COEFF_DIGITS} digits")
+        else:
+            vars_.append((name, idx, exp))
+            degree += exp
+            if degree > MAX_EXPONENT:
+                raise ParseError(f"a term has exponents summing to more than {MAX_EXPONENT}")
+        pos = m.end()
+        if sep == "*":
+            continue
+        if negative:
+            num = -num
+        terms.append((Fraction(num) if den == 1 else Fraction(num, den), vars_))
+        if not sep:
+            if pos < len(text):
+                raise ParseError(f"unexpected {text[pos]!r} at offset {pos}")
+            return terms
+        if len(terms) == MAX_TERMS:
+            raise ParseError(f"more than {MAX_TERMS} terms")
+        negative = sep == "-"
         num = den = 1
         degree = 0
         vars_ = []
-        while True:
-            c, v = parse_factor()
-            if c is not None:
-                num *= c.numerator
-                den *= c.denominator
-                if abs(num) >= _COEFF_LIMIT or den >= _COEFF_LIMIT:
-                    raise ParseError("a term's coefficient factors multiply to more "
-                                     f"than {MAX_COEFF_DIGITS} digits")
-            else:
-                vars_.append(v)
-                degree += v[2]
-                if degree > MAX_EXPONENT:
-                    raise ParseError(
-                        f"a term has exponents summing to more than {MAX_EXPONENT}")
-            if ahead == ("op", "*"):
-                take("op", "*")
-                continue
-            break
-        return Fraction(num, den), vars_
-
-    terms = []
-    sign = 1
-    tk, tv = ahead
-    if tk == "op" and tv in "+-":
-        sign = -1 if tv == "-" else 1
-        take("op")
-    while True:
-        if len(terms) == MAX_TERMS:
-            raise ParseError(f"more than {MAX_TERMS} terms")
-        coeff, vars_ = parse_term()
-        terms.append((sign * coeff, vars_))
-        tk, tv = ahead
-        if tk is None:
-            break
-        if tk == "op" and tv in "+-":
-            sign = -1 if tv == "-" else 1
-            take("op")
-            continue
-        raise ParseError(f"unexpected token {tv!r} (token #{pos + 1})")
-    return terms
 
 
 def format_terms(terms: list[tuple[Fraction, list[tuple[str, int]]]]) -> str:

@@ -614,11 +614,13 @@ def _parse_sum(text: str, d: int, prefixes: tuple, key) -> dict:
                 raise ParseError(f"index {idx} out of range 1..{d}")
             e[slots[pfx] + idx - 1] += exp
         k = key(e)
-        nc = out.get(k, 0) + coeff
-        if nc:
+        if k not in out:
+            if coeff:
+                out[k] = coeff
+        elif nc := out[k] + coeff:
             out[k] = nc
         else:
-            out.pop(k, None)
+            del out[k]
     return out
 
 

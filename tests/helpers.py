@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import heapq
 import importlib.util
 import os
 import pathlib
 import random
+import re
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -17,7 +21,7 @@ from toric_dmod.charvar import CharReport, _section_off_cone
 from toric_dmod.dmod import (LEFT, GradedPresentation, d_module_left,
                              left_right_swap, local_radius, require_chart_cone)
 from toric_dmod.errors import (BoxTooSmall, FanValidationError, NonSimplicialCone,
-                               NonSmoothCone, RaysDoNotSpan)
+                               NonSmoothCone, ParseError, RaysDoNotSpan)
 from toric_dmod.fan_cox import (Fan, GradingData, _fm_feasible,
                                 _overlapping_cones, grading_data)
 from toric_dmod import groebner
@@ -25,6 +29,7 @@ from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing,
                                  annihilator_of_graded_quotient, basis_dimension,
                                  initial_forms, radical_membership, weyl_buchberger)
 from toric_dmod.lattice import IntMatrix
+from toric_dmod.parsing import MAX_COEFF_DIGITS, MAX_EXPONENT, MAX_TERMS
 from toric_dmod.weyl import (WeylElement, from_theta_form, to_theta_form, tp_add,
                              tp_divide_linear_product, tp_linear_form,
                              tp_linear_product, tp_mul, tp_subst, theta_u,
@@ -56,6 +61,22 @@ def rng(salt: int = 0) -> random.Random:
     seed = int(os.environ.get("TORIC_DMOD_SEED", "20240718"))
     return random.Random(seed + salt)
 
+
+
+@contextmanager
+def cpu_time_limit(seconds: float, what: str):
+    """Raise TimeoutError in the block once it has used seconds of CPU time
+    (a profiling timer, so a busy machine does not count against it)."""
+    def over(signum, frame):
+        raise TimeoutError(f"{what} took over {seconds} s of CPU")
+
+    previous = signal.signal(signal.SIGPROF, over)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
 
 def fan_p1() -> Fan:
     return Fan(1, [[1], [-1]], [[0], [1]])
@@ -859,3 +880,155 @@ def assert_restriction_agrees(gd: GradingData, pres: GradedPresentation,
     assert report.torsion == (not live)
     assert report.holonomic_sheaf == (bool(live) and max(live) <= gd.n)
     return restricted
+
+
+# the document and expression readers the CLI used before it read plain values
+# through json and one factor per regex match: the references for cli._value,
+# cli._strip_comment and parsing.parse_terms
+
+
+def strip_comment_by_loop(line: str) -> str:
+    """Everything before the first # outside quotes, one character at a time."""
+    out = []
+    quote = None
+    for ch in line:
+        if quote:
+            out.append(ch)
+            if ch == quote:
+                quote = None
+            continue
+        if ch in "'\"":
+            quote = ch
+            out.append(ch)
+            continue
+        if ch == "#":
+            break
+        out.append(ch)
+    return "".join(out)
+
+
+literal_value = ast.literal_eval
+
+_DESCENT_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[a-zA-Z]+)(?P<idx>\d+)|(?P<op>[*^+/\-]))")
+
+
+def _descent_tokens(text: str):
+    pos = 0
+    while pos < len(text):
+        m = _DESCENT_TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r} at offset {pos}")
+        try:
+            if m.group("int") is not None:
+                token = ("int", int(m.group("int")))
+            elif m.group("var") is not None:
+                token = ("var", (m.group("var"), int(m.group("idx"))))
+            else:
+                token = ("op", m.group("op"))
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"integer too long at offset {pos}") from None
+        pos = m.end()
+        yield token
+
+
+def parse_terms_by_descent(text: str) -> list:
+    """parsing.parse_terms by recursive descent over a lazy token stream, with
+    one token of lookahead and the same bounds, checked factor by factor."""
+    limit = 10 ** MAX_COEFF_DIGITS
+    tokens = _descent_tokens(text)
+    ahead = next(tokens, (None, None))
+    if ahead[0] is None:
+        raise ParseError("empty expression")
+
+    def take(kind, value=None):
+        nonlocal ahead
+        tk, tv = ahead
+        if tk != kind or (value is not None and tv != value):
+            raise ParseError(f"unexpected token {tv!r}")
+        ahead = next(tokens, (None, None))
+        return tv
+
+    def parse_factor():
+        tk, tv = ahead
+        if tk == "int":
+            take("int")
+            if ahead == ("op", "/"):
+                take("op", "/")
+                den = take("int")
+                if den == 0:
+                    raise ParseError("zero denominator")
+                return Fraction(tv, den), None
+            return Fraction(tv), None
+        if tk == "var":
+            take("var")
+            exp = 1
+            if ahead == ("op", "^"):
+                take("op", "^")
+                exp = take("int")
+            return None, (tv[0], tv[1], exp)
+        raise ParseError("expected a coefficient or variable")
+
+    def parse_term():
+        num = den = 1
+        degree = 0
+        vars_ = []
+        while True:
+            c, v = parse_factor()
+            if c is not None:
+                num *= c.numerator
+                den *= c.denominator
+                if abs(num) >= limit or den >= limit:
+                    raise ParseError(f"more than {MAX_COEFF_DIGITS} digits")
+            else:
+                vars_.append(v)
+                degree += v[2]
+                if degree > MAX_EXPONENT:
+                    raise ParseError(f"exponents summing to more than {MAX_EXPONENT}")
+            if ahead == ("op", "*"):
+                take("op", "*")
+                continue
+            break
+        return Fraction(num, den), vars_
+
+    terms = []
+    sign = 1
+    tk, tv = ahead
+    if tk == "op" and tv in "+-":
+        sign = -1 if tv == "-" else 1
+        take("op")
+    while True:
+        if len(terms) == MAX_TERMS:
+            raise ParseError(f"more than {MAX_TERMS} terms")
+        coeff, vars_ = parse_term()
+        terms.append((sign * coeff, vars_))
+        tk, tv = ahead
+        if tk is None:
+            break
+        if tk == "op" and tv in "+-":
+            sign = -1 if tv == "-" else 1
+            take("op")
+            continue
+        raise ParseError(f"unexpected token {tv!r}")
+    return terms
+
+
+def sum_terms_by_fractions(terms, d: int, prefixes: tuple) -> dict:
+    """weyl._parse_sum's dict, {exponents: coefficient}, summed through
+    Fraction arithmetic: every coefficient is added to the one stored, 0 for a
+    new key, and a zero sum is dropped."""
+    slots = {pfx: k * d for k, pfx in enumerate(prefixes)}
+    out: dict = {}
+    for coeff, vars_ in terms:
+        e = [0] * (len(prefixes) * d)
+        for pfx, idx, exp in vars_:
+            if pfx not in slots or not 1 <= idx <= d:
+                raise ParseError(f"bad variable {pfx}{idx}")
+            e[slots[pfx] + idx - 1] += exp
+        nc = out.get(tuple(e), 0) + coeff
+        if nc:
+            out[tuple(e)] = nc
+        else:
+            out.pop(tuple(e), None)
+    return out

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from helpers import (WeylMacaulayOracle, all_fixture_fans, annihilator_two_step,
-                     bernstein_degree,
+                     bernstein_degree, cpu_time_limit,
                      fan_p1, fan_p1p1, fan_p2, grading, macaulay_membership,
                      macaulay_membership_stable, random_poly, random_weyl, rng,
                      weyl_left_mul_monomial, weyl_rows_to_dict, wreduce_max_scan)
@@ -477,6 +477,23 @@ def test_weyl_buchberger_ignores_a_repeated_and_a_rescaled_row():
         got = weyl_buchberger(more, rank, d)
         assert got == want, [[format_weyl(e) for e in g] for g in more]
     assert nonzero > 20
+
+
+# CPU seconds; the basis took 17.6 s when every S-pair was formed and each
+# reduction copied its element, and about 4.5 s with in-place reductions
+RANK_TWO_BOUND_S = 30
+
+
+def test_rank_two_reproducer_reduces_to_the_unit_vectors():
+    # three rows of degree at most 2 over A_2 whose reduced basis is just
+    # {e1, e2}; the one-pair-loop engine must keep this within the bound
+    rows = [tuple(parse_weyl(s, 2) for s in row)
+            for row in (("-1", "2*x1*x2 + 2*d2"), ("-2*d1", "x1*x2 - 3"),
+                        ("-3*x1*d2 + 3", "0"))]
+    with cpu_time_limit(RANK_TWO_BOUND_S, "the rank-2 basis"):
+        gb = weyl_buchberger(rows, 2, 2)
+    one, zero = WeylElement.one(2), parse_weyl("0", 2)
+    assert gb == [(zero, one), (one, zero)]
 
 
 def test_module_annihilator_exactness():

@@ -2,11 +2,9 @@
 against saturation_by_monomials, its rejections, the fallback, the number
 of eliminations one report does, and a report that needs none."""
 
-import signal
-
 import pytest
 
-from helpers import (all_fixture_fans, delta_module, fan_hirzebruch1, fan_p1,
+from helpers import (all_fixture_fans, cpu_time_limit, delta_module, fan_hirzebruch1, fan_p1,
                      fan_p1p1, fan_torsion, grading, random_homogeneous_weyl, rng,
                      structure_sheaf)
 from toric_dmod import charvar, cli, groebner
@@ -195,17 +193,9 @@ def test_star_reproducer_without_saturate_is_fast(tmp_path, monkeypatch, capsys)
     counts = {}
     _count_calls(monkeypatch, groebner, "eliminate_front", counts)
 
-    def over(signum, frame):
-        raise TimeoutError(f"charvar took over {STAR_BOUND_S} s of CPU")
-
-    previous = signal.signal(signal.SIGPROF, over)
-    signal.setitimer(signal.ITIMER_PROF, STAR_BOUND_S)
-    try:
+    with cpu_time_limit(STAR_BOUND_S, "charvar"):
         rc = cli.main(["charvar", str(tmp_path / "star.fan"), str(tmp_path / "star.mod"),
                        "--charts"])
-    finally:
-        signal.setitimer(signal.ITIMER_PROF, 0)
-        signal.signal(signal.SIGPROF, previous)
     assert rc == 0 and counts == {}
     lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
     assert "saturated" not in lines

@@ -74,7 +74,7 @@ def read_document(path: str, keys) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     doc: dict = {}
     pending_key = None

@@ -1,6 +1,8 @@
 """Fans of smooth cones, Cox grading data and the irrelevant ideal; a fan is
-validated on its maximal cones, with one Smith form per cone, kept for the
-cone's coordinates, and one exact common-face test per pair of them."""
+validated on its maximal cones, with one exact common-face test per pair of
+them. It makes one Smith form per fan and per maximal cone, each kept with
+the fan: the fan's d x n ray matrix gives the span check and the class
+group, a cone's ray matrix its coordinates."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from operator import mul
 
 from .errors import (FanValidationError, NonSimplicialCone, NonSmoothCone,
                      RaysDoNotSpan, UnknownCone)
-from .lattice import (FinitelyGeneratedAbelianGroup, IntMatrix, cokernel,
+from .lattice import (FinitelyGeneratedAbelianGroup, IntMatrix, SmithDecomposition,
                       dual_lattice_basis, integer_rref, primitive,
                       smith_normal_form)
 from .weyl import WeylElement, theta_u
@@ -43,24 +45,26 @@ class Fan:
     Rays are primitive vectors in Z^n; cones are sorted tuples of 0-based ray
     indices. The maximal cones are the listed cones and the single rays, less
     every cone strictly inside another; the cones of the fan are their faces,
-    the zero cone included. Each cone's ConeData is built on first use and
-    kept with the fan.
+    the zero cone included. The Smith form of the ray matrix and each cone's
+    ConeData are built on first use and kept with the fan.
     """
 
     def __init__(self, n: int, rays, max_cones):
         self.n = int(n)
-        self.rays = tuple(tuple(int(x) for x in r) for r in rays)
+        self.rays = tuple(tuple(map(int, r)) for r in rays)
         if any(len(r) != self.n for r in self.rays):
             raise FanValidationError("ray length does not match ambient rank")
-        listed = [tuple(sorted(set(int(i) for i in cone))) for cone in max_cones]
+        listed = [tuple(sorted(set(map(int, cone)))) for cone in max_cones]
         for cone in listed:
             if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):
                 raise FanValidationError(f"cone {cone} has a ray index out of range")
         listed += [(i,) for i in range(len(self.rays))]
         sets = {c: frozenset(c) for c in listed}
+        frozen = sets.values()
         self.max_cones = tuple(sorted(
-            (c for c, s in sets.items() if c and not any(s < o for o in sets.values())),
+            (c for c, s in sets.items() if c and not any(map(s.__lt__, frozen))),
             key=lambda c: (len(c), c)))
+        self._smith_form: SmithDecomposition | None = None
         self._cone_data: dict[tuple[int, ...], ConeData] = {}
 
     @property
@@ -81,21 +85,32 @@ class Fan:
         return cone
 
     def ray_matrix(self, cone) -> IntMatrix:
-        return IntMatrix.from_rows([self.rays[i] for i in cone])
+        return IntMatrix(tuple(self.rays[i] for i in cone))
+
+    def smith_form(self) -> SmithDecomposition:
+        """The Smith form of the d x n matrix whose rows are the rays: its
+        number of invariant factors is their rank, and its cokernel is the
+        class group."""
+        if self._smith_form is None:
+            self._smith_form = smith_normal_form(IntMatrix(self.rays))
+        return self._smith_form
 
     def cone_data(self, cone) -> ConeData:
-        """The ConeData of a sorted cone: one Smith form per cone of the fan."""
+        """The ConeData of a sorted cone: with smith_form, one Smith form per
+        fan and per maximal cone, since validation reads the maximal ones."""
         data = self._cone_data.get(cone)
         if data is None:
             snf = smith_normal_form(self.ray_matrix(cone))
             k, factors = len(cone), snf.invariant_factors
             coordinates = completion = None
             if len(factors) == k:
-                u, v = snf.U.entries, snf.V.entries
-                scaled = [[factors[-1] // f * x for x in row] for f, row in zip(factors, u)]
-                coordinates = tuple(tuple(sum(row[t] * scaled[t][j] for t in range(k))
-                                          for row in v) for j in range(k))
-                completion = tuple(tuple(row[t] for row in v) for t in range(k, self.n))
+                v = snf.V.entries
+                # (V[:, :k] f F^-1 U)^T: column j of f F^-1 U against each row of V
+                scaled = zip(*([factors[-1] // f * x for x in row]
+                               for f, row in zip(factors, snf.U.entries)))
+                coordinates = tuple(tuple(sum(map(mul, col, row)) for row in v)
+                                    for col in scaled)
+                completion = tuple(zip(*v))[k:]
             data = self._cone_data[cone] = ConeData(factors, coordinates, completion)
         return data
 
@@ -108,22 +123,23 @@ def _fm_feasible(eqs, ineqs, nvars: int) -> bool:
     on primitive integer rows. Every combination has positive multipliers, so
     the direction of each inequality is kept.
     """
-    rows, pivots = integer_rref([tuple(co) + (c,) for co, c in eqs])
-    if nvars in pivots:
-        return False                     # an equation 0 = c != 0
     work = [tuple(co) + (c,) for co, c in ineqs]
-    for prow, col in zip(rows, pivots):
-        p = prow[col]
-        work = [primitive([p * x - w[col] * y for x, y in zip(w, prow)]) if w[col] else w
-                for w in work]
+    if eqs:
+        rows, pivots = integer_rref([tuple(co) + (c,) for co, c in eqs])
+        if nvars in pivots:
+            return False                 # an equation 0 = c != 0
+        for prow, col in zip(rows, pivots):
+            p = prow[col]
+            work = [primitive([p * x - w[col] * y for x, y in zip(w, prow)]) if w[col] else w
+                    for w in work]
     for col in range(nvars):
-        pos = [w for w in work if w[col] > 0]
-        neg = [w for w in work if w[col] < 0]
-        rest = [w for w in work if w[col] == 0]
-        new = [primitive([p[col] * y - q[col] * x for x, y in zip(p, q)])
-               for p in pos for q in neg]
+        pos, neg, kept = [], [], []
+        for w in work:
+            (pos if w[col] > 0 else neg if w[col] else kept).append(w)
+        kept += [primitive([p[col] * y - q[col] * x for x, y in zip(p, q)])
+                 for p in pos for q in neg]
         work = []
-        for w in dict.fromkeys(rest + new):
+        for w in dict.fromkeys(kept):
             if any(w[col + 1:nvars]):
                 work.append(w)
             elif w[nvars] < 0:
@@ -144,14 +160,15 @@ def _overlapping_cones(fan: Fan):
     variables are the lam of the rays of s1 not in s2. That is symmetric in
     the pair.
     """
+    rays = fan.rays
     for s1, s2 in combinations(fan.max_cones, 2):
         data = fan.cone_data(s2)
-        own = [fan.rays[i] for i in s1 if i not in s2]
+        own = [rays[i] for i in s1 if i not in s2]
         nvars = len(own)
-        off = [[sum(map(mul, row, ray)) for ray in own]
+        off = [tuple(sum(map(mul, row, ray)) for ray in own)
                for j, row in zip(s2, data.coordinates) if j not in s1]
         eqs = [([sum(map(mul, row, ray)) for ray in own], 0) for row in data.completion]
-        ineqs = [(tuple(int(t == k) for t in range(nvars)), 0) for k in range(nvars)]
+        ineqs = [((0,) * k + (1,) + (0,) * (nvars - 1 - k), 0) for k in range(nvars)]
         ineqs += [(row, 0) for row in off]
         ineqs.append((tuple(map(sum, zip(*off))), -1))
         if _fm_feasible(eqs, ineqs, nvars):
@@ -168,11 +185,10 @@ def cone_defect(fan: Fan, cone) -> FanValidationError | None:
     a basis of Z^n.
     """
     factors = fan.cone_data(cone).invariant_factors
-    label = tuple(i + 1 for i in cone)
     if len(factors) < len(cone):
-        return NonSimplicialCone(f"cone {label} is not simplicial")
+        return NonSimplicialCone(f"cone {tuple(i + 1 for i in cone)} is not simplicial")
     if any(f != 1 for f in factors):
-        return NonSmoothCone(f"cone {label} is not smooth")
+        return NonSmoothCone(f"cone {tuple(i + 1 for i in cone)} is not smooth")
     return None
 
 
@@ -183,13 +199,13 @@ def validate_smooth_fan(fan: Fan) -> None:
     faces, so the maximal cones settle them.
     """
     for idx, ray in enumerate(fan.rays):
-        if all(x == 0 for x in ray):
+        if not any(ray):
             raise FanValidationError(f"ray {idx + 1} is zero")
-        if gcd(*(abs(x) for x in ray)) != 1:
+        if gcd(*ray) != 1:
             raise FanValidationError(f"ray {idx + 1} is not primitive")
     if len(set(fan.rays)) != len(fan.rays):
         raise FanValidationError("rays are not pairwise distinct")
-    if IntMatrix.from_rows(fan.rays).rank() != fan.n:
+    if len(fan.smith_form().invariant_factors) != fan.n:
         raise RaysDoNotSpan("rays do not span the ambient space")
     for cone in fan.max_cones:
         defect = cone_defect(fan, cone)
@@ -237,13 +253,12 @@ class GradingData:
 
     def __init__(self, fan: Fan):
         self.fan = fan
-        self.iota = IntMatrix.from_rows(fan.rays)
-        self.class_group: FinitelyGeneratedAbelianGroup = cokernel(self.iota)
-        self.dual_basis = tuple(tuple(u) for u in dual_lattice_basis(self.class_group))
+        self.iota = IntMatrix(fan.rays)
+        self.class_group = FinitelyGeneratedAbelianGroup(fan.smith_form(), fan.d)
+        self.dual_basis = tuple(dual_lattice_basis(self.class_group))
         self.e_bar = self.class_group.project((1,) * fan.d)
         # deg(x_i), read by every ring, chart frame and report
-        units = [tuple(int(j == i) for j in range(fan.d)) for i in range(fan.d)]
-        self._degrees_x = tuple(map(self.class_group.project, units))
+        self._degrees_x = self.class_group.unit_classes()
         # the ring gr(A), built by charvar.s_prime_ring on first use
         self.s_prime = None
 

@@ -118,6 +118,14 @@ class SmithDecomposition:
     invariant_factors: tuple[int, ...]
 
 
+def _rectangular(rows) -> IntMatrix:
+    """An IntMatrix of rows this module built with equal lengths, without
+    the ragged-matrix check."""
+    mat = object.__new__(IntMatrix)
+    object.__setattr__(mat, "entries", tuple(map(tuple, rows)))
+    return mat
+
+
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form by elementary row/column operations; the row
     operations are recorded in U, the column operations in V.
@@ -127,96 +135,83 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """
     rows, cols = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def add_row(i, j, c):
-        # row i += c * row j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_col(i, j, c):
-        # col i += c * col j
-        for r in a:
-            r[i] += c * r[j]
-        for r in v:
-            r[i] += c * r[j]
-
-    def pivot_search(k):
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                x = abs(a[i][j])
-                if x != 0 and (best is None or x < best[0]):
-                    best = (x, i, j)
-        return best
-
+    u = [[0] * i + [1] + [0] * (rows - 1 - i) for i in range(rows)]
+    v = [[0] * i + [1] + [0] * (cols - 1 - i) for i in range(cols)]
     k = 0
     while k < min(rows, cols):
-        found = pivot_search(k)
-        if found is None:
+        # the first entry of least |value| in the trailing block, rows first;
+        # none comes before a first 1
+        best = 0
+        for i in range(k, rows):
+            row = a[i]
+            for j in range(k, cols):
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, pi, pj = x, i, j
+                    if x == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
-        _, pi, pj = found
         if pi != k:
-            swap_rows(k, pi)
+            a[k], a[pi] = a[pi], a[k]
+            u[k], u[pi] = u[pi], u[k]
         if pj != k:
-            swap_cols(k, pj)
+            for r in a:
+                r[k], r[pj] = r[pj], r[k]
+            for r in v:
+                r[k], r[pj] = r[pj], r[k]
         if a[k][k] < 0:
-            negate_row(k)
+            a[k] = [-x for x in a[k]]
+            u[k] = [-x for x in u[k]]
         # clear row and column k; remainders can reappear, so loop
-        while True:
+        dirty = True
+        while dirty:
             dirty = False
             for i in range(k + 1, rows):
-                if a[i][k] != 0:
+                if a[i][k]:
+                    # row i -= q * row k
                     q = a[i][k] // a[k][k]
-                    add_row(i, k, -q)
-                    if a[i][k] != 0:
-                        swap_rows(k, i)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+                    if a[i][k]:
+                        a[k], a[i] = a[i], a[k]
+                        u[k], u[i] = u[i], u[k]
                         if a[k][k] < 0:
-                            negate_row(k)
+                            a[k] = [-x for x in a[k]]
+                            u[k] = [-x for x in u[k]]
                         dirty = True
             for j in range(k + 1, cols):
-                if a[k][j] != 0:
+                if a[k][j]:
+                    # col j -= q * col k
                     q = a[k][j] // a[k][k]
-                    add_col(j, k, -q)
-                    if a[k][j] != 0:
-                        swap_cols(k, j)
+                    for r in a:
+                        r[j] -= q * r[k]
+                    for r in v:
+                        r[j] -= q * r[k]
+                    if a[k][j]:
+                        for r in a:
+                            r[k], r[j] = r[j], r[k]
+                        for r in v:
+                            r[k], r[j] = r[j], r[k]
                         if a[k][k] < 0:
-                            negate_row(k)
+                            a[k] = [-x for x in a[k]]
+                            u[k] = [-x for x in u[k]]
                         dirty = True
-            if not dirty:
-                break
-        # enforce divisibility of the trailing block by the pivot
-        bad = None
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if a[i][j] % a[k][k] != 0:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
+        # enforce divisibility of the trailing block by the pivot: add the
+        # first row with an entry it does not divide to row k, and redo k
+        p = a[k][k]
+        bad = None if p == 1 else next(
+            (i for i in range(k + 1, rows) if any(x % p for x in a[i][k + 1:])), None)
         if bad is not None:
-            add_row(k, bad[0], 1)
+            a[k] = [x + y for x, y in zip(a[k], a[bad])]
+            u[k] = [x + y for x, y in zip(u[k], u[bad])]
             continue
         k += 1
 
     factors = tuple(a[i][i] for i in range(k))
-    return SmithDecomposition(IntMatrix(tuple(map(tuple, u))), IntMatrix(tuple(map(tuple, v))),
-                              factors)
+    return SmithDecomposition(_rectangular(u), _rectangular(v), factors)
 
 
 class FinitelyGeneratedAbelianGroup:
@@ -240,7 +235,7 @@ class FinitelyGeneratedAbelianGroup:
             lead = next((x for x in u[slot] if x != 0), 0)
             if lead < 0:
                 u[slot] = [-x for x in u[slot]]
-        self._u = IntMatrix.from_rows(u)
+        self._u = _rectangular(u)
         self._u_inv = None      # U^-1, built by the first section call
 
     def zero(self) -> tuple[int, ...]:
@@ -254,6 +249,15 @@ class FinitelyGeneratedAbelianGroup:
         free = tuple(y[i] for i in self._free_slots)
         tors = tuple(y[s] % o for s, o in zip(self._torsion_slots, self.torsion_orders))
         return free + tors
+
+    def unit_classes(self) -> tuple[tuple[int, ...], ...]:
+        """project(e_i) for each unit vector e_i of the ambient lattice: U e_i
+        is column i of U, read at the free slots and reduced at the torsion ones."""
+        u = self._u.entries
+        free = [u[s] for s in self._free_slots]
+        tors = [(u[s], o) for s, o in zip(self._torsion_slots, self.torsion_orders)]
+        return tuple(tuple(row[i] for row in free) + tuple(row[i] % o for row, o in tors)
+                     for i in range(self.ambient_rank))
 
     def section(self, cls) -> tuple[int, ...]:
         """A lattice representative of a group element (right inverse of project)."""

@@ -458,7 +458,7 @@ def weyl_degree(grading, f: WeylElement):
     group = grading.class_group
     deg = None
     for (a, b) in f.terms:
-        cls = group.add(group.project(a), group.neg(group.project(b)))
+        cls = group.project(tuple(map(sub, a, b)))
         if deg is None:
             deg = cls
         elif deg != cls:

@@ -28,7 +28,7 @@ from toric_dmod import groebner
 from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing,
                                  annihilator_of_graded_quotient, basis_dimension,
                                  initial_forms, radical_membership, weyl_buchberger)
-from toric_dmod.lattice import IntMatrix
+from toric_dmod.lattice import IntMatrix, SmithDecomposition
 from toric_dmod.parsing import MAX_COEFF_DIGITS, MAX_EXPONENT, MAX_TERMS
 from toric_dmod.weyl import (WeylElement, from_theta_form, to_theta_form, tp_add,
                              tp_divide_linear_product, tp_linear_form,
@@ -301,6 +301,104 @@ def invariant_factor_oracle(m: IntMatrix) -> tuple[int, ...]:
         factors.append(dk // prev)
         prev = dk
     return tuple(factors)
+
+
+def smith_normal_form_by_closures(m: IntMatrix) -> SmithDecomposition:
+    """Reference for lattice.smith_normal_form: the same pivot rule and the
+    same row and column operations, each through a closure, with U and V
+    checked as rectangular matrices."""
+    rows, cols = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def add_row(i, j, c):
+        # row i += c * row j
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_col(i, j, c):
+        # col i += c * col j
+        for r in a:
+            r[i] += c * r[j]
+        for r in v:
+            r[i] += c * r[j]
+
+    def pivot_search(k):
+        best = None
+        for i in range(k, rows):
+            for j in range(k, cols):
+                x = abs(a[i][j])
+                if x != 0 and (best is None or x < best[0]):
+                    best = (x, i, j)
+        return best
+
+    k = 0
+    while k < min(rows, cols):
+        found = pivot_search(k)
+        if found is None:
+            break
+        _, pi, pj = found
+        if pi != k:
+            swap_rows(k, pi)
+        if pj != k:
+            swap_cols(k, pj)
+        if a[k][k] < 0:
+            negate_row(k)
+        # clear row and column k; remainders can reappear, so loop
+        while True:
+            dirty = False
+            for i in range(k + 1, rows):
+                if a[i][k] != 0:
+                    q = a[i][k] // a[k][k]
+                    add_row(i, k, -q)
+                    if a[i][k] != 0:
+                        swap_rows(k, i)
+                        if a[k][k] < 0:
+                            negate_row(k)
+                        dirty = True
+            for j in range(k + 1, cols):
+                if a[k][j] != 0:
+                    q = a[k][j] // a[k][k]
+                    add_col(j, k, -q)
+                    if a[k][j] != 0:
+                        swap_cols(k, j)
+                        if a[k][k] < 0:
+                            negate_row(k)
+                        dirty = True
+            if not dirty:
+                break
+        # enforce divisibility of the trailing block by the pivot
+        bad = None
+        for i in range(k + 1, rows):
+            for j in range(k + 1, cols):
+                if a[i][j] % a[k][k] != 0:
+                    bad = (i, j)
+                    break
+            if bad:
+                break
+        if bad is not None:
+            add_row(k, bad[0], 1)
+            continue
+        k += 1
+
+    factors = tuple(a[i][i] for i in range(k))
+    return SmithDecomposition(IntMatrix(tuple(map(tuple, u))), IntMatrix(tuple(map(tuple, v))),
+                              factors)
 
 
 def fraction_eval(p: dict, point) -> Fraction:

@@ -328,6 +328,20 @@ def _one_error_line(capsys, argv) -> str:
     return cap.err
 
 
+def test_document_not_utf8_exits_2(tmp_path, capsys):
+    # a byte that is not UTF-8 used to end in a UnicodeDecodeError traceback
+    fan = tmp_path / "p1.fan"
+    fan.write_bytes((FIXTURES / "p1.fan").read_bytes() + b"\xff")
+    mod = tmp_path / "p1_dl0.mod"
+    mod.write_bytes((GOLDEN / "p1_dl0.mod").read_bytes() + b"\xff")
+    for path, argv in ((fan, ["fan-info", str(fan)]),
+                       (mod, ["check", str(FIXTURES / "p1.fan"), str(mod)])):
+        err = _one_error_line(capsys, argv)
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+    rc, out, err = run_cli("fan-info", str(fan))
+    assert (rc, out) == (2, "") and err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_unknown_and_empty_document_keys_exit_2(tmp_path, capsys):
     # a misspelt key used to be ignored; the error names the file, the line
     # and the key

@@ -8,7 +8,8 @@ import pytest
 from helpers import (all_fixture_fans, defective_faces, fan_faces,
                      fan_hirzebruch1, fan_p1, fan_p1_cubed, fan_p1p1, fan_p2,
                      fan_p3, fan_torsion, grading, overlapping_cones_per_ray,
-                     random_fan, random_simplicial_fan, rng,
+                     random_fan, random_homogeneous_weyl, random_simplicial_fan,
+                     random_weyl, rng,
                      star_subdivided_fans, validate_per_face)
 from toric_dmod import cli, fan_cox
 from toric_dmod.errors import (FanValidationError, NonSimplicialCone,
@@ -17,7 +18,7 @@ from toric_dmod.fan_cox import (Fan, _overlapping_cones, euler_operators,
                                 grading_data, irrelevant_ideal,
                                 sigma_hat_monomial, validate_smooth_fan)
 from toric_dmod.lattice import FinitelyGeneratedAbelianGroup
-from toric_dmod.weyl import WeylElement, format_weyl, theta_u
+from toric_dmod.weyl import WeylElement, format_weyl, theta_u, weyl_degree
 
 
 def test_p2_fan_is_valid():
@@ -233,7 +234,11 @@ def test_one_smith_form_per_maximal_cone(monkeypatch):
         calls.clear()
         validate_smooth_fan(fan)
         counts.append(len(calls))
-    assert counts == [len(fan.max_cones) for fan in fans] == [4, 4, 20, 20]
+        # the class group reads the ray matrix's Smith form from validation
+        grading_data(fan)
+        assert len(calls) == counts[-1]
+    # one per maximal cone and one for the d x n ray matrix
+    assert counts == [len(fan.max_cones) + 1 for fan in fans] == [5, 5, 21, 21]
 
 
 def test_require_cone_sorts_or_raises():
@@ -314,6 +319,37 @@ def test_class_degrees_satisfy_the_exact_sequence():
             total = group.reduce([sum(k * c for k, c in zip(coeffs, column))
                                   for column in columns])
             assert total == group.zero(), (fan.rays, m)
+
+
+def test_weyl_degree_is_the_class_of_a_minus_b():
+    # weyl_degree projects a - b once per term: the class of a plus that of -b
+    r = rng(41)
+    for fan in [fan for _, fan in all_fixture_fans()] + [fan_torsion()]:
+        gd = grading(fan)
+        group = gd.class_group
+        for _ in range(15):
+            for f in (random_weyl(r, fan.d, 3, 4), random_homogeneous_weyl(r, gd, 3, 3)):
+                classes = {group.add(group.project(a), group.neg(group.project(b)))
+                           for a, b in f.terms}
+                for (a, b), c in f.terms.items():
+                    assert weyl_degree(gd, WeylElement(fan.d, {(a, b): c})) == \
+                        group.add(group.project(a), group.neg(group.project(b)))
+                if len(classes) == 1:
+                    assert weyl_degree(gd, f) == classes.pop()
+
+
+def test_class_group_maps_reject_a_wrong_length():
+    for fan in [fan for _, fan in all_fixture_fans()] + [fan_torsion()]:
+        group = grading(fan).class_group
+        zero = group.zero()
+        for a in ((0,) * (fan.d - 1), (0,) * (fan.d + 1)):
+            with pytest.raises(ValueError, match="vector length mismatch"):
+                group.project(a)
+        for cls in (zero[:-1], zero + (0,)):
+            for call in (lambda: group.reduce(cls), lambda: group.neg(cls),
+                         lambda: group.add(cls, zero), lambda: group.add(zero, cls)):
+                with pytest.raises(ValueError, match="class coordinate length mismatch"):
+                    call()
 
 
 def test_class_degrees_are_projected_once(monkeypatch, capsys):

@@ -100,6 +100,8 @@ def test_cokernel_exactness_and_section():
         m = IntMatrix.from_rows([[r.randint(-5, 5) for _ in range(cols)]
                                  for _ in range(rows)])
         g = cokernel(m)
+        assert g.unit_classes() == tuple(g.project(tuple(int(j == i) for j in range(rows)))
+                                         for i in range(rows))
         for _ in range(5):
             p = tuple(r.randint(-4, 4) for _ in range(cols))
             assert g.project(m.mul_vec(p)) == g.zero()

@@ -6,10 +6,8 @@ dimension, saturation and torsion tests are insensitive to the difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
 
 from .errors import ChartRewriteError, ConeNotMaximal, PreconditionViolated
 from .fan_cox import GradingData, irrelevant_ideal
@@ -29,7 +27,9 @@ def s_prime_ring(grading: GradingData) -> PolyRing:
         d, group = grading.d, grading.class_group
         names = tuple(f"x{i + 1}" for i in range(d)) + tuple(f"xi{i + 1}" for i in range(d))
         xs = tuple(map(grading.degree_x, range(d)))
-        grading.s_prime = PolyRing(names, xs + tuple(map(group.neg, xs)), group)
+        # the degrees of the x_i are reduced already: negate, reduce once
+        xis = tuple(group.reduce([-c for c in x]) for x in xs)
+        grading.s_prime = PolyRing(names, xs + xis, group)
     return grading.s_prime
 
 
@@ -82,18 +82,23 @@ def verify_char_containment(grading: GradingData, pres: GradedPresentation) -> b
     return all(radical_membership(p, j, ring) for p in z_ideal(grading))
 
 
-@dataclass
 class CharReport:
-    char_ideal: list[Poly]
-    dim: object                # int or "empty"
-    torsion: bool
-    sheaf_dim: object          # int or "zero sheaf"
-    holonomic_module: bool
-    holonomic_sheaf: bool
-    # one chart per maximal cone; None when some maximal cone is not a chart
-    charts: tuple[ChartIdeal, ...] | None
-    # () -> J : b^infinity, computed when saturated is first read
-    _saturate: Callable[[], list[Poly]] = field(repr=False, compare=False)
+    """What dimension_report finds. It has no __slots__: the saturated ideal
+    is a cached_property, kept in the instance's __dict__."""
+
+    def __init__(self, char_ideal: list[Poly], dim, torsion: bool, sheaf_dim,
+                 holonomic_module: bool, holonomic_sheaf: bool,
+                 charts: tuple[ChartIdeal, ...] | None, saturate):
+        self.char_ideal = char_ideal
+        self.dim = dim                      # int or "empty"
+        self.torsion = torsion
+        self.sheaf_dim = sheaf_dim          # int or "zero sheaf"
+        self.holonomic_module = holonomic_module
+        self.holonomic_sheaf = holonomic_sheaf
+        # one chart per maximal cone; None when some maximal cone is not a chart
+        self.charts = charts
+        # () -> J : b^infinity, computed when saturated is first read
+        self._saturate = saturate
 
     @cached_property
     def saturated(self) -> list[Poly]:
@@ -117,7 +122,6 @@ def _section_off_cone(grading: GradingData, cone, dual_rows, cls) -> tuple[int, 
     return a
 
 
-@dataclass(frozen=True)
 class ChartFrame:
     """What the chart rewrite at one cone needs, built once per cone and report.
 
@@ -129,21 +133,48 @@ class ChartFrame:
     form that validated the cone.
     """
 
-    cone: tuple[int, ...]
-    ring: PolyRing
-    dual_rows: tuple[tuple[int, ...], ...]     # m_j
-    t_exponents: tuple[tuple[int, ...], ...]   # iota(m_j)
-    u_sections: tuple[tuple[int, ...], ...]    # x-exponents of u_i / xi_i
-    generator_monomials: list[tuple[str, tuple[int, ...], tuple[int, ...]]]
+    __slots__ = ("cone", "ring", "dual_rows", "t_exponents", "u_sections",
+                 "generator_monomials")
+
+    def __init__(self, cone: tuple[int, ...], ring: PolyRing,
+                 dual_rows: tuple[tuple[int, ...], ...],
+                 t_exponents: tuple[tuple[int, ...], ...],
+                 u_sections: tuple[tuple[int, ...], ...],
+                 generator_monomials: list[tuple[str, tuple[int, ...], tuple[int, ...]]]):
+        self.cone = cone
+        self.ring = ring
+        self.dual_rows = dual_rows              # m_j
+        self.t_exponents = t_exponents          # iota(m_j)
+        self.u_sections = u_sections            # x-exponents of u_i / xi_i
+        self.generator_monomials = generator_monomials
+
+    def _key(self):
+        return (self.cone, self.ring, self.dual_rows, self.t_exponents, self.u_sections,
+                self.generator_monomials)
+
+    def __eq__(self, other):
+        if other.__class__ is not ChartFrame:
+            return NotImplemented
+        return self._key() == other._key()
 
 
-@dataclass(frozen=True)
 class ChartIdeal:
-    """The image of an ideal in the chart ring of frame, and its dimension."""
+    """The image of an ideal in the chart ring of frame, and its dimension.
+    Charts, and frames, compare by value; as their lists make them
+    unhashable, neither hashes."""
 
-    frame: ChartFrame
-    image_ideal: list[Poly]
-    dimension: object          # int or EMPTY_DIM
+    __slots__ = ("frame", "image_ideal", "dimension")
+
+    def __init__(self, frame: ChartFrame, image_ideal: list[Poly], dimension):
+        self.frame = frame
+        self.image_ideal = image_ideal
+        self.dimension = dimension              # int or EMPTY_DIM
+
+    def __eq__(self, other):
+        if other.__class__ is not ChartIdeal:
+            return NotImplemented
+        return (self.frame, self.image_ideal, self.dimension) == \
+            (other.frame, other.image_ideal, other.dimension)
 
 
 def chart_frame(grading: GradingData, cone) -> ChartFrame:

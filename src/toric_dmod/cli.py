@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 parse/usage error, 3 semantic validation error,
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import re
 import sys
@@ -63,6 +62,7 @@ def _value(text: str):
         else:
             if _plain(value):
                 return value
+    import ast      # only here: its import is a large part of the CLI's start-up
     return ast.literal_eval(text)
 
 
@@ -223,7 +223,7 @@ def _cl_header(grading: GradingData) -> list[tuple[str, str]]:
 
 def cmd_fan_info(args, grading: GradingData) -> list[tuple[str, str]]:
     fan = grading.fan
-    xnames = charvar.s_prime_ring(grading).names[:fan.d]
+    xnames = [f"x{i + 1}" for i in range(fan.d)]
     bgens = sorted(format_terms([(1, list(zip(xnames, g)))])
                    for g in irrelevant_ideal(fan).generators)
     ops = [format_weyl(t) for t in euler_operators(grading)]

@@ -113,22 +113,25 @@ def _unit_row(d: int, rank: int, i: int, elt: WeylElement):
     return tuple(elt if j == i else WeylElement.zero(d) for j in range(rank))
 
 
-def _euler_relation(grading: GradingData, u, cls, side: str) -> WeylElement:
-    """theta_u + <u, cls> for a left module, theta_u - <u, cls> for a right one."""
-    shift = grading.pair(u, cls)
-    return theta_u(u, shift if side == LEFT else -shift)
+def _euler_relation(grading: GradingData, j: int, cls, side: str) -> WeylElement:
+    """theta_u + <u, cls> for a left module, theta_u - <u, cls> for a right
+    one, u = u_j the j-th dual basis functional of a reduced class cls:
+    <u_j, cls> is the j-th free coordinate of cls (lattice.dual_lattice_basis)."""
+    return theta_u(grading.dual_basis[j], cls[j] if side == LEFT else -cls[j])
 
 
 def d_module_left(grading: GradingData, b_bar) -> GradedPresentation:
     """A(b) modulo the left ideal of the shifted Euler operators."""
     b_bar = grading.class_group.reduce(b_bar)
-    rows = [(_euler_relation(grading, u, b_bar, LEFT),) for u in grading.dual_basis]
+    rows = [(_euler_relation(grading, j, b_bar, LEFT),)
+            for j in range(len(grading.dual_basis))]
     return GradedPresentation(grading, LEFT, (b_bar,), rows)
 
 
 def d_module_right(grading: GradingData, a_bar) -> GradedPresentation:
     a_bar = grading.class_group.reduce(a_bar)
-    rows = [(_euler_relation(grading, u, a_bar, RIGHT),) for u in grading.dual_basis]
+    rows = [(_euler_relation(grading, j, a_bar, RIGHT),)
+            for j in range(len(grading.dual_basis))]
     return GradedPresentation(grading, RIGHT, (a_bar,), rows)
 
 
@@ -141,36 +144,40 @@ def check_theta_condition(pres: GradedPresentation):
     grading = pres.grading
     d = grading.d
     for i, t in enumerate(pres.twists):
-        for j, u in enumerate(grading.dual_basis):
-            row = _unit_row(d, pres.rank, i, _euler_relation(grading, u, t, pres.side))
+        for j in range(len(grading.dual_basis)):
+            row = _unit_row(d, pres.rank, i, _euler_relation(grading, j, t, pres.side))
             if not pres.contains_relation(row):
                 return False, (i + 1, j + 1)
     return True, None
 
 
-def bimodule_identity_check(grading: GradingData, f: WeylElement, u, b_bar,
+def bimodule_identity_check(grading: GradingData, f: WeylElement, j: int, b_bar,
                             b_bar_prime) -> bool:
-    """(theta_u + <u,b>) f == f (theta_u + <u, b + b'>) for f of degree b'."""
+    """(theta_u + <u,b>) f == f (theta_u + <u, b + b'>) for f of degree b',
+    u = u_j the j-th dual basis functional."""
     group = grading.class_group
     deg = weyl_degree(grading, f)
     if deg is not None and deg != group.reduce(b_bar_prime):
         raise InhomogeneousInput("declared degree does not match the element")
-    total = group.add(group.reduce(b_bar), group.reduce(b_bar_prime))
-    lhs = _euler_relation(grading, u, b_bar, LEFT) * f
-    rhs = f * _euler_relation(grading, u, total, LEFT)
+    b_bar = group.reduce(b_bar)
+    total = group.add(b_bar, group.reduce(b_bar_prime))
+    lhs = _euler_relation(grading, j, b_bar, LEFT) * f
+    rhs = f * _euler_relation(grading, j, total, LEFT)
     return lhs == rhs
 
 
-def left_right_identity_check(grading: GradingData, f: WeylElement, u, a_bar,
+def left_right_identity_check(grading: GradingData, f: WeylElement, j: int, a_bar,
                               b_bar) -> bool:
-    """f (theta_u + <u,b>) == (theta_u - <u,a>) f for f of degree a + b."""
+    """f (theta_u + <u,b>) == (theta_u - <u,a>) f for f of degree a + b,
+    u = u_j the j-th dual basis functional."""
     group = grading.class_group
     deg = weyl_degree(grading, f)
-    expected = group.add(group.reduce(a_bar), group.reduce(b_bar))
+    a_bar, b_bar = group.reduce(a_bar), group.reduce(b_bar)
+    expected = group.add(a_bar, b_bar)
     if deg is not None and deg != expected:
         raise InhomogeneousInput("declared degrees do not match the element")
-    lhs = f * _euler_relation(grading, u, b_bar, LEFT)
-    rhs = _euler_relation(grading, u, a_bar, RIGHT) * f
+    lhs = f * _euler_relation(grading, j, b_bar, LEFT)
+    rhs = _euler_relation(grading, j, a_bar, RIGHT) * f
     return lhs == rhs
 
 
@@ -423,10 +430,11 @@ def factored_local_action_holds(grading: GradingData, cone, p, factors,
 
 
 def k_component(grading: GradingData, a, b_bar) -> list[ThetaDict]:
-    """Generators of K(a): the linear ideal of shifted Euler forms plus the
-    product of (theta_i + a_i) over the nonpositive coordinates."""
+    """Generators of K(a): the linear ideal of shifted Euler forms (u_j
+    shifted by the j-th free coordinate of b) plus the product of
+    (theta_i + a_i) over the nonpositive coordinates."""
     b_bar = grading.class_group.reduce(b_bar)
-    gens = [tp_linear_form(u, grading.pair(u, b_bar)) for u in grading.dual_basis]
+    gens = [tp_linear_form(u, b_bar[j]) for j, u in enumerate(grading.dual_basis)]
     gens.append(tp_linear_product(grading.d, [(i, -ai) for i, ai in enumerate(a) if ai <= 0]))
     return gens
 

@@ -6,7 +6,6 @@ group, a cone's ray matrix its coordinates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -19,7 +18,6 @@ from .lattice import (FinitelyGeneratedAbelianGroup, IntMatrix, SmithDecompositi
 from .weyl import WeylElement, theta_u
 
 
-@dataclass(frozen=True)
 class ConeData:
     """A cone's linear algebra, read off one Smith form U R V = D of its
     k x n ray matrix R.
@@ -34,9 +32,14 @@ class ConeData:
     rays. A cone that is not simplicial has neither (None).
     """
 
-    invariant_factors: tuple[int, ...]
-    coordinates: tuple[tuple[int, ...], ...] | None
-    completion: tuple[tuple[int, ...], ...] | None
+    __slots__ = ("invariant_factors", "coordinates", "completion")
+
+    def __init__(self, invariant_factors: tuple[int, ...],
+                 coordinates: tuple[tuple[int, ...], ...] | None,
+                 completion: tuple[tuple[int, ...], ...] | None):
+        self.invariant_factors = invariant_factors
+        self.coordinates = coordinates
+        self.completion = completion
 
 
 class Fan:
@@ -223,17 +226,16 @@ def sigma_hat_monomial(fan: Fan, cone) -> tuple[int, ...]:
     return tuple(0 if i in inside else 1 for i in range(fan.d))
 
 
-@dataclass(frozen=True)
 class MonomialIdeal:
     """Monomial ideal given by pairwise incomparable exponent vectors."""
 
-    generators: tuple[tuple[int, ...], ...]
+    __slots__ = ("generators",)
 
-    def __post_init__(self):
-        gens = self.generators
-        for a, b in combinations(gens, 2):
+    def __init__(self, generators: tuple[tuple[int, ...], ...]):
+        for a, b in combinations(generators, 2):
             if all(x <= y for x, y in zip(a, b)) or all(x >= y for x, y in zip(a, b)):
                 raise ValueError("generators must be pairwise incomparable")
+        self.generators = generators
 
 
 def irrelevant_ideal(fan: Fan) -> MonomialIdeal:
@@ -248,7 +250,9 @@ class GradingData:
     """The lattice exact sequence in computable form.
 
     iota is the d x n matrix with row i the ray v_i; the class group is its
-    cokernel; dual_basis spans the integer functionals vanishing on the image.
+    cokernel; dual_basis spans the integer functionals vanishing on the image,
+    and its j-th functional u_j pairs with a class as the class's j-th free
+    coordinate, <u_j, beta> = beta_j, with no lattice representative.
     """
 
     def __init__(self, fan: Fan):
@@ -275,11 +279,6 @@ class GradingData:
 
     def iota_of(self, p) -> tuple[int, ...]:
         return self.iota.mul_vec(p)
-
-    def pair(self, u, cls) -> int:
-        """Pairing of a functional on Z^d (killing torsion) with a class."""
-        rep = self.class_group.section(cls)
-        return sum(x * y for x, y in zip(u, rep))
 
 
 def grading_data(fan: Fan) -> GradingData:

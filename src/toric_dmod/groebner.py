@@ -20,7 +20,6 @@ are reproducible byte-for-byte.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -35,13 +34,27 @@ from .weyl import (WeylElement, shift_items, tp_add, tp_mul, tp_numerators,
 EMPTY_DIM = "empty"
 
 
-@dataclass(frozen=True)
 class PolyRing:
-    """Commutative polynomial ring descriptor with optional class grading."""
+    """Commutative polynomial ring descriptor with optional class grading.
+    Rings with equal names and degrees are equal and hash equally; the
+    group is not compared."""
 
-    names: tuple[str, ...]
-    degrees: tuple[tuple[int, ...], ...] | None = None
-    group: object | None = field(default=None, compare=False)
+    __slots__ = ("names", "degrees", "group")
+
+    def __init__(self, names: tuple[str, ...],
+                 degrees: tuple[tuple[int, ...], ...] | None = None,
+                 group: object | None = None):
+        self.names = names
+        self.degrees = degrees
+        self.group = group
+
+    def __eq__(self, other):
+        if other.__class__ is not PolyRing:
+            return NotImplemented
+        return self.names == other.names and self.degrees == other.degrees
+
+    def __hash__(self):
+        return hash((self.names, self.degrees))
 
     @property
     def nvars(self) -> int:

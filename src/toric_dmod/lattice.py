@@ -5,22 +5,34 @@ Everything works with arbitrary-precision Python ints; no floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    """Immutable rectangular integer matrix."""
+    """Rectangular integer matrix, a tuple of row tuples; nothing writes
+    `entries` after __init__. Equal entries make equal, equally hashed
+    matrices."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if self.entries:
-            width = len(self.entries[0])
-            if any(len(row) != width for row in self.entries):
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        if entries:
+            width = len(entries[0])
+            if any(len(row) != width for row in entries):
                 raise ValueError("ragged matrix")
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"IntMatrix({self.entries!r})"
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -108,21 +120,38 @@ def unimodular_inverse(mat: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows([row[n:] for row in rows])
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
     """U * M * V = D with U, V unimodular and D diagonal; the nonzero
-    diagonal entries of D are a prefix, the invariant factors."""
+    diagonal entries of D are a prefix, the invariant factors. Equal U, V
+    and factors make equal, equally hashed decompositions."""
 
-    U: IntMatrix
-    V: IntMatrix
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("U", "V", "invariant_factors")
+
+    def __init__(self, U: IntMatrix, V: IntMatrix, invariant_factors: tuple[int, ...]):
+        self.U = U
+        self.V = V
+        self.invariant_factors = invariant_factors
+
+    def _key(self):
+        return self.U, self.V, self.invariant_factors
+
+    def __eq__(self, other):
+        if other.__class__ is not SmithDecomposition:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "SmithDecomposition(U={!r}, V={!r}, invariant_factors={!r})".format(*self._key())
 
 
 def _rectangular(rows) -> IntMatrix:
     """An IntMatrix of rows this module built with equal lengths, without
     the ragged-matrix check."""
     mat = object.__new__(IntMatrix)
-    object.__setattr__(mat, "entries", tuple(map(tuple, rows)))
+    mat.entries = tuple(map(tuple, rows))
     return mat
 
 

@@ -148,15 +148,24 @@ def star_subdivided_fans(r: random.Random, fan: Fan, steps: int):
         yield fan
 
 
-def random_simplicial_fan(r: random.Random, n: int) -> Fan:
-    """Distinct primitive rays in [-2, 2]^n and a few random cones of linearly
-    independent rays; the cones may overlap."""
-    rays, count = set(), r.randint(n + 1, n + 4)
+def random_primitive_rays(r: random.Random, n: int, count: int) -> list:
+    """count distinct primitive rays drawn from [-2, 2]^n, sorted. Z^1 has
+    only the two primitive rays 1 and -1, so for n = 1 it returns at most
+    those two."""
+    if n == 1:
+        count = min(count, 2)
+    rays = set()
     while len(rays) < count:
         ray = tuple(r.randint(-2, 2) for _ in range(n))
         if any(ray) and gcd(*ray) == 1:
             rays.add(ray)
-    rays = sorted(rays)
+    return sorted(rays)
+
+
+def random_simplicial_fan(r: random.Random, n: int) -> Fan:
+    """Distinct primitive rays in [-2, 2]^n and a few random cones of linearly
+    independent rays; the cones may overlap."""
+    rays = random_primitive_rays(r, n, r.randint(n + 1, n + 4))
     cones = []
     for _ in range(r.randint(2, 4)):
         cone = r.sample(range(len(rays)), r.randint(1, n))
@@ -245,12 +254,7 @@ def random_fan(r: random.Random, n: int) -> Fan:
     """Distinct primitive rays in [-2, 2]^n and a few random cones of 1 to
     n + 1 rays: cones may be dependent, not smooth or overlapping, and the
     rays may not span."""
-    rays, count = set(), r.randint(n, n + 3)
-    while len(rays) < count:
-        ray = tuple(r.randint(-2, 2) for _ in range(n))
-        if any(ray) and gcd(*ray) == 1:
-            rays.add(ray)
-    rays = sorted(rays)
+    rays = random_primitive_rays(r, n, r.randint(n, n + 3))
     cones = [r.sample(range(len(rays)), r.randint(1, min(n + 1, len(rays))))
              for _ in range(r.randint(1, 4))]
     return Fan(n, rays, cones)

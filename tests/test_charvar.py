@@ -6,7 +6,8 @@ import pytest
 
 from helpers import (all_fixture_fans, assert_restriction_agrees, chart_restriction,
                      delta_module, fan_hirzebruch1, fan_p1, fan_p1_cubed,
-                     fan_p1p1, fan_p2, fan_p3, grading, random_homogeneous_weyl,
+                     fan_p1p1, fan_p2, fan_p3, fan_torsion, grading,
+                     random_homogeneous_weyl,
                      restrict_to_chart, rng, star_subdivided_fans, structure_sheaf)
 from toric_dmod.charvar import (ZERO_SHEAF, chart_frame, chart_ideal_from_saturated,
                                 characteristic_ideal, dimension_report,
@@ -364,3 +365,18 @@ def test_s_prime_ring_is_built_once_per_grading():
         assert s_prime_ring(grading(fan)) == ring
         assert ring.names == tuple(f"x{i + 1}" for i in range(gd.d)) + \
             tuple(f"xi{i + 1}" for i in range(gd.d))
+
+
+def test_s_prime_degrees_of_xi_are_the_negated_degrees_of_x():
+    # deg xi_i = -deg x_i in Cl, reduced: on the torsion fan (Z/2) the
+    # residue of -1 is 1
+    fans = [fan for _, fan in all_fixture_fans()] + [fan_torsion()]
+    for fan in fans:
+        gd = grading(fan)
+        group, ring, d = gd.class_group, s_prime_ring(gd), gd.d
+        assert ring.degrees[:d] == tuple(map(gd.degree_x, range(d)))
+        for i in range(d):
+            xi = ring.degrees[d + i]
+            assert xi == group.neg(gd.degree_x(i)) == group.reduce(xi)
+            assert group.add(xi, gd.degree_x(i)) == group.zero()
+    assert s_prime_ring(grading(fan_torsion())).degrees == ((1,), (1,), (1,), (1,))

@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import cli_env
-from toric_dmod import charvar, cli, dmod, errors, fan_cox
+from toric_dmod import charvar, cli, dmod, errors, fan_cox, lattice
 from toric_dmod.cli import load_fan, load_module, main
 from toric_dmod.errors import ParseError
 from toric_dmod.fan_cox import grading_data
+from toric_dmod.weyl import theta_u
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -686,16 +687,15 @@ def test_section_off_cone_failure_exits_4(monkeypatch, capsys):
     # sections that do not vanish on the cone (still sections: shifted by
     # iota(1) = (1, -1) on P^1) cleared with twice the dual basis, which the
     # chart frame reads from the cone's coordinate rows
-    from dataclasses import replace
-
     from toric_dmod.lattice import FinitelyGeneratedAbelianGroup
     real_data = fan_cox.Fan.cone_data
     real_section = FinitelyGeneratedAbelianGroup.section
 
     def doubled(fan, cone):
         data = real_data(fan, cone)
-        return replace(data, coordinates=tuple(tuple(2 * x for x in row)
-                                               for row in data.coordinates))
+        return fan_cox.ConeData(data.invariant_factors,
+                                tuple(tuple(2 * x for x in row) for row in data.coordinates),
+                                data.completion)
 
     monkeypatch.setattr(fan_cox.Fan, "cone_data", doubled)
     monkeypatch.setattr(FinitelyGeneratedAbelianGroup, "section", lambda self, cls: tuple(
@@ -723,3 +723,86 @@ def test_negative_torus_exponent_exits_4(monkeypatch, capsys):
                               lambda grading, cone, dual_rows: grading.iota_of(dual_rows[0]))
     rc, err = _charts_p1(capsys)
     assert rc == 4 and "negative torus exponent" in err
+
+
+
+def _section_pairing_relation(grading, j, cls, side):
+    # the oracle for the shifted Euler operators: <u_j, cls> paired through
+    # a lattice representative of cls, not read off its coordinates
+    u = grading.dual_basis[j]
+    shift = sum(x * y for x, y in zip(u, grading.class_group.section(cls)))
+    return theta_u(u, shift if side == dmod.LEFT else -shift)
+
+
+def _twisted_outputs(tmp_path, capsys) -> list:
+    """What dl and dr print at two classes on each fixture fan and on the
+    torsion fan (Cl = Z/2), and what check prints on each document, on its
+    swap and on its relations under the other class's degree, where the
+    theta condition fails unless the class group has no free part."""
+    torsion = tmp_path / "torsion.fan"
+    torsion.write_text("n = 2\nrays = [[1, 1], [1, -1]]\nmax_cones = []\n")
+    jobs = [(FIXTURES / "p1.fan", ("3", "-2")), (FIXTURES / "p2.fan", ("1", "-4")),
+            (FIXTURES / "p1p1.fan", ("1,-2", "-3,2")),
+            (FIXTURES / "hirzebruch1.fan", ("2,-1", "-1,3")), (torsion, ("1", "0"))]
+    module = tmp_path / "module.mod"
+    outs = []
+
+    def run(argv, document=None):
+        if document is not None:
+            module.write_text(document)
+        rc, out, err = _main_in_process(capsys, argv)
+        assert rc == 0 and not err, (argv, err)
+        outs.append(out)
+        return out
+
+    for fan, classes in jobs:
+        for cmd in ("dl", "dr"):
+            docs = [run([cmd, str(fan), "--", cls]) for cls in classes]
+            degrees = [doc.splitlines()[3] for doc in docs]
+            assert all(line.startswith("generator_degrees = ") for line in degrees)
+            for k, doc in enumerate(docs):
+                check = ["check", str(fan), str(module)]
+                run(check, doc)
+                run(check, run(["swap", str(fan), str(module)]))
+                run(check, doc.replace(degrees[k], degrees[1 - k]))
+    return outs
+
+
+def test_twisted_documents_and_checks_match_the_section_pairing(tmp_path, monkeypatch,
+                                                                capsys):
+    # the Euler shift <u_j, beta> is beta's j-th free coordinate: every
+    # document and report is the one the pairing through section(beta) gives
+    got = _twisted_outputs(tmp_path, capsys)
+    assert sum("theta-condition: FAIL at generator 1, u = u" in out for out in got) == 16
+    monkeypatch.setattr(dmod, "_euler_relation", _section_pairing_relation)
+    assert _twisted_outputs(tmp_path, capsys) == got
+
+
+def test_twisted_documents_and_checks_invert_nothing(tmp_path, monkeypatch, capsys):
+    # dl, dr, swap and check read the Euler shifts off the class: no Smith
+    # transform is inverted (only chart sections need U^-1)
+    calls = []
+    real = lattice.unimodular_inverse
+
+    def counted(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(lattice, "unimodular_inverse", counted)
+    assert len(_twisted_outputs(tmp_path, capsys)) == 5 * 2 * 2 * 5
+    assert calls == []
+    rc, out, _ = _main_in_process(capsys, ["charvar", str(FIXTURES / "p1.fan"),
+                                           str(GOLDEN / "p1_dl0.mod"), "--charts"])
+    assert rc == 0 and "chart-1-image" in out and len(calls) == 1
+
+
+def test_fan_info_builds_no_cotangent_ring(monkeypatch, capsys):
+    # fan-info names x1..xd itself: S' (2d variables and their degrees) is
+    # built only by the commands that compute in it
+    def refuse(grading):
+        raise AssertionError("fan-info built S'")
+
+    monkeypatch.setattr(charvar, "s_prime_ring", refuse)
+    for name in FANS:
+        rc, out, _ = _main_in_process(capsys, ["fan-info", str(FIXTURES / f"{name}.fan")])
+        assert rc == 0 and out == (GOLDEN / f"{name}_fan_info.txt").read_text()

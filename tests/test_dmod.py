@@ -135,14 +135,13 @@ def test_theta_condition_every_twist():
 
 def test_bimodule_identity_examples():
     gd = grading(fan_p1())
-    u = gd.dual_basis[0]
-    assert bimodule_identity_check(gd, W("x1"), u, (0,), (1,))
-    assert bimodule_identity_check(gd, WeylElement.one(2), u, (3,), (0,))
-    assert bimodule_identity_check(gd, W("d2"), u, (0,), (-1,))
+    assert bimodule_identity_check(gd, W("x1"), 0, (0,), (1,))
+    assert bimodule_identity_check(gd, WeylElement.one(2), 0, (3,), (0,))
+    assert bimodule_identity_check(gd, W("d2"), 0, (0,), (-1,))
     with pytest.raises(InhomogeneousInput):
-        bimodule_identity_check(gd, W("x1"), u, (0,), (0,))
+        bimodule_identity_check(gd, W("x1"), 0, (0,), (0,))
     with pytest.raises(InhomogeneousInput):
-        bimodule_identity_check(gd, W("x1 + d1"), u, (0,), (1,))
+        bimodule_identity_check(gd, W("x1 + d1"), 0, (0,), (1,))
 
 
 def test_bimodule_and_left_right_identities_randomized():
@@ -154,11 +153,11 @@ def test_bimodule_and_left_right_identities_randomized():
         for _ in range(25):
             f = random_homogeneous_weyl(r, gd)
             deg = weyl_degree(gd, f)
-            for u in gd.dual_basis:
+            for j in range(len(gd.dual_basis)):
                 b = tuple(r.randint(-2, 2) for _ in range(group.free_rank))
-                assert bimodule_identity_check(gd, f, u, b, deg)
+                assert bimodule_identity_check(gd, f, j, b, deg)
                 a = group.add(deg, group.neg(group.reduce(b)))
-                assert left_right_identity_check(gd, f, u, a, b)
+                assert left_right_identity_check(gd, f, j, a, b)
 
 
 def test_swap_examples():

@@ -5,13 +5,13 @@ from itertools import product
 
 import pytest
 
-from helpers import (all_fixture_fans, defective_faces, fan_faces,
+from helpers import (all_fixture_fans, cpu_time_limit, defective_faces, fan_faces,
                      fan_hirzebruch1, fan_p1, fan_p1_cubed, fan_p1p1, fan_p2,
                      fan_p3, fan_torsion, grading, overlapping_cones_per_ray,
                      random_fan, random_homogeneous_weyl, random_simplicial_fan,
                      random_weyl, rng,
                      star_subdivided_fans, validate_per_face)
-from toric_dmod import cli, fan_cox
+from toric_dmod import cli, dmod, fan_cox
 from toric_dmod.errors import (FanValidationError, NonSimplicialCone,
                                NonSmoothCone, RaysDoNotSpan, UnknownCone)
 from toric_dmod.fan_cox import (Fan, _overlapping_cones, euler_operators,
@@ -122,6 +122,17 @@ def test_one_system_per_pair_matches_the_per_ray_reference(name, start):
             lower.add(fan.n)
     assert 0 < pairs.count(None) < len(pairs)
     assert lower == {2, 3, 4}
+
+
+def test_random_fans_of_rank_one_end():
+    # Z^1 has only the primitive rays 1 and -1: the generators draw those
+    # and stop, as asking for more rays than exist would loop forever
+    r = rng(107)
+    with cpu_time_limit(5, "random fans of rank 1"):
+        fans = [make(r, 1) for _ in range(30) for make in (random_simplicial_fan, random_fan)]
+    assert {fan.rays for fan in fans} <= {((-1,),), ((1,),), ((-1,), (1,))}
+    assert all(fan.n == 1 for fan in fans)
+    assert any(len(fan.rays) == 2 for fan in fans)
 
 
 def test_one_exact_system_per_pair_of_maximal_cones(monkeypatch):
@@ -430,3 +441,25 @@ def test_euler_operators_count():
     for fan, expect in [(fan_p1(), 1), (fan_p2(), 1), (fan_p1p1(), 2),
                         (fan_hirzebruch1(), 2)]:
         assert len(euler_operators(grading(fan))) == expect
+
+
+def test_dual_basis_pairs_a_class_as_its_free_coordinate():
+    # the pairing <u_j, beta> through a lattice representative section(beta),
+    # kept here as the oracle, is beta's j-th free coordinate, the shift
+    # _euler_relation reads off the class
+    r = rng(108)
+    fans = [fan for _, fan in all_fixture_fans()] + [fan_p3(), fan_torsion()]
+    for fan in fans:
+        gd = grading(fan)
+        group = gd.class_group
+        width = group.free_rank + len(group.torsion_orders)
+        classes = [tuple(r.randint(-9, 9) for _ in range(width)) for _ in range(20)]
+        classes.append(gd.e_bar)
+        for cls in map(group.reduce, classes):
+            rep = group.section(cls)
+            assert group.project(rep) == cls
+            for j, u in enumerate(gd.dual_basis):
+                shift = sum(x * y for x, y in zip(u, rep))
+                assert shift == cls[j]
+                assert dmod._euler_relation(gd, j, cls, dmod.LEFT) == theta_u(u, shift)
+                assert dmod._euler_relation(gd, j, cls, dmod.RIGHT) == theta_u(u, -shift)

@@ -32,6 +32,21 @@ def sprime_p1():
     return PolyRing(("x1", "x2", "xi1", "xi2"))
 
 
+def test_poly_ring_equality_ignores_the_group():
+    # rings with the same names and degrees are one ring, whatever group
+    # object they carry (each grading makes its own); the degrees count
+    group = grading(fan_p1()).class_group
+    degrees = ((1,), (1,), (-1,), (-1,))
+    names = ("x1", "x2", "xi1", "xi2")
+    ring = PolyRing(names, degrees, group)
+    same = PolyRing(names, degrees, grading(fan_p1()).class_group)
+    assert ring == same and hash(ring) == hash(same)
+    assert ring != PolyRing(names) and ring != PolyRing(names, degrees[::-1], group)
+    assert sprime_p1() == PolyRing(names) and hash(sprime_p1()) == hash(PolyRing(names))
+    assert len({ring, same, sprime_p1(), PolyRing(names)}) == 2
+    assert ring != names and ring.nvars == 4
+
+
 def test_single_generator_already_reduced():
     ring = sprime_p1()
     p = Poly(ring, {(1, 0, 1, 0): 1, (0, 1, 0, 1): 1})

@@ -6,7 +6,8 @@ import pytest
 
 from helpers import det, fan_p1p1, fan_torsion, grading, invariant_factor_oracle, rng
 from toric_dmod import lattice
-from toric_dmod.lattice import IntMatrix, cokernel, dual_lattice_basis, smith_normal_form
+from toric_dmod.lattice import (IntMatrix, SmithDecomposition, cokernel, dual_lattice_basis,
+                               smith_normal_form)
 
 
 def diagonal(snf, m):
@@ -195,3 +196,18 @@ def test_dual_basis_annihilates_torsion():
 def test_rectangular_entry_validation():
     with pytest.raises(ValueError):
         IntMatrix(((1, 2), (3,)))
+
+
+def test_matrices_and_smith_forms_compare_and_hash_by_value():
+    # the Smith-form tests compare decompositions of separate runs
+    m = IntMatrix.from_rows([[2, 4], [6, 8], [1, 0]])
+    s1, s2 = smith_normal_form(m), smith_normal_form(IntMatrix(m.entries))
+    assert s1 is not s2 and s1 == s2 and hash(s1) == hash(s2)
+    assert s1.U == IntMatrix(s1.U.entries) and hash(s1.U) == hash(IntMatrix(s1.U.entries))
+    assert s1 == SmithDecomposition(IntMatrix(s1.U.entries), IntMatrix(s1.V.entries),
+                                    s1.invariant_factors)
+    other = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8], [1, 1]]))
+    assert s1 != other and len({s1, s2, other}) == 2
+    assert m != m.entries and s1 != (s1.U, s1.V, s1.invariant_factors)
+    assert IntMatrix.identity(2) != IntMatrix.identity(3)
+    assert repr(IntMatrix.identity(1)) == "IntMatrix(((1,),))"

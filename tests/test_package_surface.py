@@ -8,6 +8,8 @@ modules keep no state of their own. Source is only read here.
 import ast
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "toric_dmod"
@@ -126,3 +128,17 @@ def test_modules_keep_no_state():
                 rebinders.add(f"{path.stem}.{node.name}")
     assert not mutable
     assert rebinders <= {"cli.main"}
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # python -S leaves out site and its hooks, so the modules loaded are the
+    # interpreter's own and the CLI's: none of these four, whose import made
+    # up about a third of the CLI's (dataclasses and inspect for eight
+    # record classes, typing for one annotation, ast for a fallback parser)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import toric_dmod.cli; "
+            "print(' '.join(sorted(set(sys.argv[2:]) & set(sys.modules))))")
+    heavy = ["dataclasses", "inspect", "typing", "ast"]
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src"), *heavy],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

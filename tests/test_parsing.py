@@ -290,7 +290,8 @@ def test_document_value_nesting_edges():
 def test_plain_documents_never_reach_literal_eval(monkeypatch):
     calls = []
     real = ast.literal_eval
-    monkeypatch.setattr(cli.ast, "literal_eval", lambda text: calls.append(text) or real(text))
+    # cli._value imports ast only on its fallback, and looks literal_eval up there
+    monkeypatch.setattr(ast, "literal_eval", lambda text: calls.append(text) or real(text))
     fixtures = pathlib.Path(__file__).resolve().parent / "fixtures"
     assert cli.load_fan(str(fixtures / "p1p1.fan")).rays == ((1, 0), (-1, 0), (0, 1), (0, -1))
     assert calls == []

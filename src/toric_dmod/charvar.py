@@ -105,23 +105,6 @@ class CharReport:
         return self._saturate()
 
 
-def _section_off_cone(grading: GradingData, cone, dual_rows, cls) -> tuple[int, ...]:
-    """Representative of cls with zero exponents on the cone rays."""
-    a0 = grading.class_group.section(cls)
-    p = [0] * grading.n
-    for j, i in enumerate(cone):
-        coeff = -a0[i]
-        if coeff:
-            for ell in range(grading.n):
-                p[ell] += coeff * dual_rows[j][ell]
-    shift = grading.iota_of(tuple(p))
-    a = tuple(x + y for x, y in zip(a0, shift))
-    for i in cone:
-        if a[i] != 0:
-            raise ChartRewriteError("section does not vanish on the cone rays")
-    return a
-
-
 class ChartFrame:
     """What the chart rewrite at one cone needs, built once per cone and report.
 
@@ -133,23 +116,20 @@ class ChartFrame:
     form that validated the cone.
     """
 
-    __slots__ = ("cone", "ring", "dual_rows", "t_exponents", "u_sections",
-                 "generator_monomials")
+    __slots__ = ("cone", "ring", "t_exponents", "u_sections", "generator_monomials")
 
     def __init__(self, cone: tuple[int, ...], ring: PolyRing,
-                 dual_rows: tuple[tuple[int, ...], ...],
                  t_exponents: tuple[tuple[int, ...], ...],
                  u_sections: tuple[tuple[int, ...], ...],
                  generator_monomials: list[tuple[str, tuple[int, ...], tuple[int, ...]]]):
         self.cone = cone
         self.ring = ring
-        self.dual_rows = dual_rows              # m_j
         self.t_exponents = t_exponents          # iota(m_j)
         self.u_sections = u_sections            # x-exponents of u_i / xi_i
         self.generator_monomials = generator_monomials
 
     def _key(self):
-        return (self.cone, self.ring, self.dual_rows, self.t_exponents, self.u_sections,
+        return (self.cone, self.ring, self.t_exponents, self.u_sections,
                 self.generator_monomials)
 
     def __eq__(self, other):
@@ -178,18 +158,20 @@ class ChartIdeal:
 
 
 def chart_frame(grading: GradingData, cone) -> ChartFrame:
-    """The frame at a full-dimensional maximal cone. The section of deg(x_i)
-    with zero cone exponents is e_i - iota(m_j) when i is the j-th ray of the
-    cone and e_i otherwise; it is unique, as iota(p) vanishes on the n cone
-    rays only for p = 0."""
+    """The frame at a full-dimensional maximal cone. The section s_i of
+    deg(x_i) with zero cone exponents is e_i - iota(m_j) when i is the j-th
+    ray of the cone and e_i otherwise; it is unique, as iota(p) vanishes on
+    the n cone rays only for p = 0. As deg(xi_i) = -deg(x_i), the section of
+    the degree of x^e xi^f with zero cone exponents is then
+    sum_i (e_i - f_i) s_i: a sum of the s_i has zero cone exponents and
+    projects to the sum of their classes, and such a section is unique."""
     cone = require_chart_cone(grading, cone)
     d, n = grading.d, grading.n
     data = grading.fan.cone_data(cone)
     if data.invariant_factors != (1,) * n:
         raise ChartRewriteError("cone rays are not a lattice basis")
-    dual_rows = data.coordinates
     names = tuple(f"t{j + 1}" for j in range(n)) + tuple(f"u{i + 1}" for i in range(d))
-    t_exponents = tuple(grading.iota_of(m) for m in dual_rows)
+    t_exponents = tuple(grading.iota_of(m) for m in data.coordinates)
     u_sections = [tuple(int(k == i) for k in range(d)) for i in range(d)]
     for i, shift in zip(cone, t_exponents):
         u_sections[i] = tuple(int(k == i) - x for k, x in enumerate(shift))
@@ -200,8 +182,7 @@ def chart_frame(grading: GradingData, cone) -> ChartFrame:
     for i in range(d):
         gen_monomials.append((names[n + i], u_sections[i],
                               tuple(1 if k == i else 0 for k in range(d))))
-    return ChartFrame(cone, PolyRing(names), dual_rows, t_exponents, u_sections,
-                      gen_monomials)
+    return ChartFrame(cone, PolyRing(names), t_exponents, u_sections, gen_monomials)
 
 
 def chart_frames(grading: GradingData) -> list[ChartFrame] | None:
@@ -216,19 +197,21 @@ def chart_frames(grading: GradingData) -> list[ChartFrame] | None:
 def _chart_generators(grading: GradingData, frame: ChartFrame,
                       gens: list[Poly]) -> list[Poly]:
     """Each generator g of a homogeneous ideal as g / x^(a_g) in the chart
-    ring of frame, a_g the section of its degree.
+    ring of frame, a_g the section of its degree with zero cone exponents.
 
-    The rewrite closes exactly when every term has the degree of a_g: the
-    residual has no cone exponents, so it is zero iff its class is."""
-    sring = s_prime_ring(grading)
+    a_g is read off g's first term x^e xi^f as sum_i (e_i - f_i) u_sections[i]
+    (chart_frame), with no class-group arithmetic. The rewrite closes exactly
+    when every term has the degree of a_g: the residual has no cone
+    exponents, so it is zero iff its class is."""
     d, cone = grading.d, frame.cone
-    sections: dict = {}
     out = []
     for g in gens:
-        cls = sring.term_degree(next(iter(g.terms)))
-        a_g = sections.get(cls)
-        if a_g is None:
-            a_g = sections[cls] = _section_off_cone(grading, cone, frame.dual_rows, cls)
+        first = next(iter(g.terms))
+        a_g = [0] * d
+        for e, f, s_i in zip(first, first[d:], frame.u_sections):
+            if e != f:
+                for k in range(d):
+                    a_g[k] += (e - f) * s_i[k]
         terms = {}
         for e, c in g.terms.items():
             xexp = [e[k] - a_g[k] for k in range(d)]
@@ -238,12 +221,12 @@ def _chart_generators(grading: GradingData, frame: ChartFrame,
                 if pj:
                     for k in range(d):
                         xexp[k] -= pj * shift[k]
-            for fi, section in zip(xiexp, frame.u_sections):
+            for fi, s_i in zip(xiexp, frame.u_sections):
                 if fi:
                     for k in range(d):
-                        xexp[k] -= fi * section[k]
+                        xexp[k] -= fi * s_i[k]
             if any(xexp):
-                if not t_invariance_check([g], sring):
+                if not t_invariance_check([g], s_prime_ring(grading)):
                     raise PreconditionViolated("ideal has an inhomogeneous generator")
                 raise ChartRewriteError("chart rewrite failed to close")
             if any(x < 0 for x in p):
@@ -293,6 +276,10 @@ def certify_saturation(grading: GradingData, frames, j_images, candidate) -> boo
     with the chart images of J on every maximal cone is J : b^infinity. As
     the candidate contains J, its chart images contain those of J, and
     equality holds when its rewritten generators reduce to zero modulo them.
+    Each generator g is rewritten as g / x^(a_g), a_g = sum_i (e_i - f_i) s_i
+    for g's first term x^e xi^f and the frame's sections s_i of deg(x_i):
+    a sum of sections with zero cone exponents has zero cone exponents, so
+    a_g is the section of deg(g) that leaves the cone coordinates alone.
     """
     if not t_invariance_check(candidate, s_prime_ring(grading)):
         return False

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import prod
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import (BoxTooSmall, ConeNotMaximal, InhomogeneousInput, NotInJp,
                      PointTooLarge)
@@ -60,13 +60,14 @@ class GradedPresentation:
         self._divisors = None
 
     def _validate_homogeneous(self):
+        # deg(g) and the twist are reduced classes: their difference needs one reduce
         group = self.grading.class_group
         for row in self.relations:
             common = None
             for g, t in zip(row, self.twists):
                 if g.is_zero():
                     continue
-                deg = group.add(weyl_degree(self.grading, g), group.neg(t))
+                deg = group.reduce(tuple(map(sub, weyl_degree(self.grading, g), t)))
                 if common is None:
                     common = deg
                 elif common != deg:

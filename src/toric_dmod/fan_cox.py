@@ -239,11 +239,11 @@ class MonomialIdeal:
 
 
 def irrelevant_ideal(fan: Fan) -> MonomialIdeal:
-    # sigma-hat of each maximal cone, which needs no membership check
-    mons = {tuple(0 if i in cone else 1 for i in range(fan.d)) for cone in fan.max_cones}
-    minimal = [m for m in mons
-               if not any(o != m and all(x <= y for x, y in zip(o, m)) for o in mons)]
-    return MonomialIdeal(tuple(sorted(minimal)))
+    """b, generated by sigma-hat of each maximal cone; these need no
+    membership check, and as no maximal cone lies in another, no sigma-hat
+    divides another."""
+    return MonomialIdeal(tuple(sorted(tuple(0 if i in cone else 1 for i in range(fan.d))
+                                      for cone in fan.max_cones)))
 
 
 class GradingData:

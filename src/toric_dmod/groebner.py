@@ -80,7 +80,8 @@ class Poly:
         self.ring = ring
         clean = {}
         for e, c in (terms or {}).items():
-            c = Fraction(c)
+            if c.__class__ is not Fraction:
+                c = Fraction(c)
             if c:
                 clean[tuple(e)] = c
         self.terms = clean
@@ -222,10 +223,13 @@ def eliminate_front(gens: list[Poly], big: PolyRing, small: PolyRing) -> list[Po
 
 
 def _with_inverse(gens: list[Poly], f: Poly, ring: PolyRing):
-    """I + (1 - t f) in the ring with a front variable t, and that ring."""
+    """I + (1 - t f) in the ring with a front variable t, and that ring;
+    1 - t f is written term by term, t f having t-degree 1 in every term."""
     big = PolyRing(("t#",) + ring.names)
     lifted = [_lift_front(g, big) for g in gens]
-    lifted.append(Poly.constant(big, 1) - Poly.variable(big, 0) * _lift_front(f, big))
+    inverse = {(0,) * big.nvars: Fraction(1)}
+    inverse.update(((1,) + e, -c) for e, c in f.terms.items())
+    lifted.append(Poly(big, inverse))
     return lifted, big
 
 

@@ -38,10 +38,6 @@ class IntMatrix:
     def from_rows(rows) -> "IntMatrix":
         return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -54,22 +50,10 @@ class IntMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return IntMatrix(tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                  for j in range(other.cols))
-            for i in range(self.rows)))
-
     def mul_vec(self, v) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
         return tuple(sum(map(mul, row, v)) for row in self.entries)
-
-    def rank(self) -> int:
-        """Rank over Q: the number of pivots of the integer row echelon form."""
-        return len(integer_rref(self.entries)[1])
 
 
 def primitive(row) -> tuple[int, ...]:
@@ -107,17 +91,6 @@ def integer_rref(rows) -> tuple[list[tuple[int, ...]], list[int]]:
                 a[i] = primitive([p * x - f * y for x, y in zip(row, prow)])
         pivots.append(col)
     return a[:len(pivots)], pivots
-
-
-def unimodular_inverse(mat: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular matrix: the reduced form of [M | I] is [I | M^-1]."""
-    n = mat.rows
-    rows, pivots = integer_rref([row + tuple(int(k == i) for k in range(n))
-                                 for i, row in enumerate(mat.entries)])
-    if mat.cols != n or pivots != list(range(n)) \
-            or any(row[i] != 1 for i, row in enumerate(rows)):
-        raise ValueError("matrix is not unimodular")
-    return IntMatrix.from_rows([row[n:] for row in rows])
 
 
 class SmithDecomposition:
@@ -244,7 +217,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
 
 class FinitelyGeneratedAbelianGroup:
-    """Cokernel of an integer matrix, with projection and section maps.
+    """Cokernel of an integer matrix, with its projection map.
 
     Elements are canonical coordinate tuples: free coordinates first (in the
     Smith basis, signs normalized), then torsion residues reduced modulo their
@@ -265,7 +238,6 @@ class FinitelyGeneratedAbelianGroup:
             if lead < 0:
                 u[slot] = [-x for x in u[slot]]
         self._u = _rectangular(u)
-        self._u_inv = None      # U^-1, built by the first section call
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * (self.free_rank + len(self.torsion_orders))
@@ -287,18 +259,6 @@ class FinitelyGeneratedAbelianGroup:
         tors = [(u[s], o) for s, o in zip(self._torsion_slots, self.torsion_orders)]
         return tuple(tuple(row[i] for row in free) + tuple(row[i] % o for row, o in tors)
                      for i in range(self.ambient_rank))
-
-    def section(self, cls) -> tuple[int, ...]:
-        """A lattice representative of a group element (right inverse of project)."""
-        cls = self.reduce(cls)
-        y = [0] * self.ambient_rank
-        for c, slot in zip(cls[:self.free_rank], self._free_slots):
-            y[slot] = c
-        for c, slot in zip(cls[self.free_rank:], self._torsion_slots):
-            y[slot] = c
-        if self._u_inv is None:
-            self._u_inv = unimodular_inverse(self._u)
-        return self._u_inv.mul_vec(y)
 
     def reduce(self, cls) -> tuple[int, ...]:
         if len(cls) != self.free_rank + len(self.torsion_orders):

@@ -334,16 +334,6 @@ class WeylElement:
         return cls.monomial(d, (0,) * d, (0,) * d)
 
     @classmethod
-    def x_var(cls, d: int, i: int) -> "WeylElement":
-        e = tuple(1 if j == i else 0 for j in range(d))
-        return cls.monomial(d, e, (0,) * d)
-
-    @classmethod
-    def d_var(cls, d: int, i: int) -> "WeylElement":
-        e = tuple(1 if j == i else 0 for j in range(d))
-        return cls.monomial(d, (0,) * d, e)
-
-    @classmethod
     def theta(cls, d: int, i: int) -> "WeylElement":
         e = tuple(1 if j == i else 0 for j in range(d))
         return cls.monomial(d, e, e)

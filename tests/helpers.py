@@ -10,6 +10,7 @@ import pathlib
 import random
 import re
 import signal
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from itertools import combinations, product
 from math import gcd, prod
 from operator import mul, sub
 
-from toric_dmod.charvar import CharReport, _section_off_cone
+from toric_dmod.charvar import CharReport
 from toric_dmod.dmod import (LEFT, GradedPresentation, d_module_left,
                              left_right_swap, local_radius, require_chart_cone)
 from toric_dmod.errors import (BoxTooSmall, FanValidationError, NonSimplicialCone,
@@ -28,7 +29,7 @@ from toric_dmod import groebner
 from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing,
                                  annihilator_of_graded_quotient, basis_dimension,
                                  initial_forms, radical_membership, weyl_buchberger)
-from toric_dmod.lattice import IntMatrix, SmithDecomposition
+from toric_dmod.lattice import IntMatrix, SmithDecomposition, integer_rref
 from toric_dmod.parsing import MAX_COEFF_DIGITS, MAX_EXPONENT, MAX_TERMS
 from toric_dmod.weyl import (WeylElement, from_theta_form, to_theta_form, tp_add,
                              tp_divide_linear_product, tp_linear_form,
@@ -66,17 +67,33 @@ def rng(salt: int = 0) -> random.Random:
 @contextmanager
 def cpu_time_limit(seconds: float, what: str):
     """Raise TimeoutError in the block once it has used seconds of CPU time
-    (a profiling timer, so a busy machine does not count against it)."""
+    (a profiling timer, so a busy machine does not count against it).
+
+    ITIMER_PROF is one timer per process, so a limit nested in another (the
+    per-test bound of conftest.py) saves the outer timer's remainder and
+    handler: when the outer limit runs out first, its handler raises, and
+    on leaving the block the outer timer runs on with what the block left
+    of it."""
+    outer = signal.getitimer(signal.ITIMER_PROF)[0]
+    inner_first = not outer or seconds <= outer
+
     def over(signum, frame):
-        raise TimeoutError(f"{what} took over {seconds} s of CPU")
+        if inner_first:
+            raise TimeoutError(f"{what} took over {seconds} s of CPU")
+        previous(signum, frame)
 
     previous = signal.signal(signal.SIGPROF, over)
-    signal.setitimer(signal.ITIMER_PROF, seconds)
+    start = time.process_time()
+    signal.setitimer(signal.ITIMER_PROF, seconds if inner_first else outer)
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
+        if outer:
+            left = outer - (time.process_time() - start)
+            # an outer limit already spent fires at once
+            signal.setitimer(signal.ITIMER_PROF, max(left, 1e-6))
 
 def fan_p1() -> Fan:
     return Fan(1, [[1], [-1]], [[0], [1]])
@@ -169,7 +186,7 @@ def random_simplicial_fan(r: random.Random, n: int) -> Fan:
     cones = []
     for _ in range(r.randint(2, 4)):
         cone = r.sample(range(len(rays)), r.randint(1, n))
-        if IntMatrix.from_rows([rays[i] for i in cone]).rank() == len(cone):
+        if matrix_rank([rays[i] for i in cone]) == len(cone):
             cones.append(cone)
     return Fan(n, rays, cones)
 
@@ -217,7 +234,7 @@ def defective_faces(fan: Fan) -> list:
         if not cone:
             continue
         m, k = fan.ray_matrix(cone), len(cone)
-        if m.rank() != k:
+        if matrix_rank(m.entries) != k:
             defects.append((cone, NonSimplicialCone))
             continue
         g = 0
@@ -239,7 +256,7 @@ def validate_per_face(fan: Fan):
             return FanValidationError("ray is zero or not primitive")
     if len(set(fan.rays)) != len(fan.rays):
         return FanValidationError("rays are not pairwise distinct")
-    if IntMatrix.from_rows(fan.rays).rank() != fan.n:
+    if matrix_rank(fan.rays) != fan.n:
         return RaysDoNotSpan("rays do not span the ambient space")
     defects = defective_faces(fan)
     if defects:
@@ -258,6 +275,43 @@ def random_fan(r: random.Random, n: int) -> Fan:
     cones = [r.sample(range(len(rays)), r.randint(1, min(n + 1, len(rays))))
              for _ in range(r.randint(1, 4))]
     return Fan(n, rays, cones)
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def matrix_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in zip(*b.entries))
+                           for row in a.entries))
+
+
+def matrix_rank(rows) -> int:
+    """Rank over Q: the number of pivots of the integer row echelon form."""
+    return len(integer_rref(rows)[1])
+
+
+def unimodular_inverse(mat: IntMatrix) -> IntMatrix:
+    """Inverse of a unimodular matrix: the reduced form of [M | I] is [I | M^-1]."""
+    n = mat.rows
+    rows, pivots = integer_rref([row + tuple(int(k == i) for k in range(n))
+                                 for i, row in enumerate(mat.entries)])
+    if mat.cols != n or pivots != list(range(n)) \
+            or any(row[i] != 1 for i, row in enumerate(rows)):
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix.from_rows([row[n:] for row in rows])
+
+
+def class_section(group, cls) -> tuple[int, ...]:
+    """A lattice representative of a class (a right inverse of project):
+    the class's coordinates put at their Smith slots, then U^-1."""
+    cls = group.reduce(cls)
+    y = [0] * group.ambient_rank
+    for c, slot in zip(cls, group._free_slots + group._torsion_slots):
+        y[slot] = c
+    return unimodular_inverse(group._u).mul_vec(y)
 
 
 def det(m: IntMatrix) -> int:
@@ -840,15 +894,21 @@ def j_p_oracle_per_slab(grading: GradingData, cone, p, radius: int):
 # modules every fan has: O, and the b-torsion module delta
 
 
+def _units(d: int):
+    return [tuple(int(k == i) for k in range(d)) for i in range(d)]
+
+
 def structure_sheaf(gd: GradingData) -> GradedPresentation:
     """O: A(0) modulo the left ideal of the d_i."""
-    rows = [(WeylElement.d_var(gd.d, i),) for i in range(gd.d)]
+    zero = (0,) * gd.d
+    rows = [(WeylElement.monomial(gd.d, zero, unit),) for unit in _units(gd.d)]
     return GradedPresentation(gd, LEFT, [gd.class_group.zero()], rows)
 
 
 def delta_module(gd: GradingData) -> GradedPresentation:
     """delta: A(e) modulo the left ideal of the x_i; b-torsion."""
-    rows = [(WeylElement.x_var(gd.d, i),) for i in range(gd.d)]
+    zero = (0,) * gd.d
+    rows = [(WeylElement.monomial(gd.d, unit, zero),) for unit in _units(gd.d)]
     return GradedPresentation(gd, LEFT, [gd.e_bar], rows)
 
 
@@ -858,7 +918,7 @@ def delta_module(gd: GradingData) -> GradedPresentation:
 
 def cone_dual_rows(fan: Fan, cone) -> tuple[tuple[int, ...], ...]:
     """m_j, the dual basis of the cone's rays: <m_j, v_k> = [j == k], in
-    Fraction arithmetic (independent of lattice.unimodular_inverse)."""
+    Fraction arithmetic (independent of the Smith form of the cone)."""
     rows = []
     for j in range(len(cone)):
         m = _unique_solution([(fan.rays[i], -int(k == j)) for k, i in enumerate(cone)],
@@ -866,6 +926,21 @@ def cone_dual_rows(fan: Fan, cone) -> tuple[tuple[int, ...], ...]:
         assert m is not None and all(x.denominator == 1 for x in m), (cone, j)
         rows.append(tuple(int(x) for x in m))
     return tuple(rows)
+
+
+def section_off_cone(gd: GradingData, cone, cls) -> tuple[int, ...]:
+    """The section of cls with zero exponents on the rays of a smooth
+    full-dimensional cone, solved in Fraction arithmetic from
+    <u_j, a> = cls_j for the dual basis u_j and a_i = 0 on the cone (the
+    class group is free there), independent of chart_frame."""
+    d = gd.d
+    group = gd.class_group
+    assert not group.torsion_orders
+    rows = [(u, -c) for u, c in zip(gd.dual_basis, group.reduce(cls))]
+    rows += [(unit, 0) for i, unit in enumerate(_units(d)) if i in cone]
+    a = _unique_solution(rows, d)
+    assert a is not None and all(x.denominator == 1 for x in a), (cone, cls)
+    return tuple(int(x) for x in a)
 
 
 def chart_restriction(gd: GradingData, pres: GradedPresentation, cone) -> list[WeylElement]:
@@ -886,14 +961,14 @@ def chart_restriction(gd: GradingData, pres: GradedPresentation, cone) -> list[W
     d, n, group = gd.d, gd.n, gd.class_group
     dual = cone_dual_rows(gd.fan, cone)
     b = pres.twists[0]
-    s = _section_off_cone(gd, cone, dual, b)
+    s = section_off_cone(gd, cone, b)
     images = [tp_linear_form([sum(map(mul, m, ray)) for m in dual], -si)
               for ray, si in zip(gd.fan.rays, s)]
     out = []
     for (r,) in pres.relations:
         if r.is_zero():
             continue
-        a = _section_off_cone(gd, cone, dual, group.add(weyl_degree(gd, r), group.neg(b)))
+        a = section_off_cone(gd, cone, group.add(weyl_degree(gd, r), group.neg(b)))
         tf: dict = {}
         for c, w in to_theta_form(r).items():
             p = tuple(c[i] for i in cone)

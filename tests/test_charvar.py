@@ -6,9 +6,10 @@ import pytest
 
 from helpers import (all_fixture_fans, assert_restriction_agrees, chart_restriction,
                      delta_module, fan_hirzebruch1, fan_p1, fan_p1_cubed,
-                     fan_p1p1, fan_p2, fan_p3, fan_torsion, grading,
-                     random_homogeneous_weyl,
-                     restrict_to_chart, rng, star_subdivided_fans, structure_sheaf)
+                     fan_p1p1, fan_p2, fan_p3, fan_torsion, grading, matrix_rank,
+                     random_homogeneous_weyl, restrict_to_chart, rng, section_off_cone,
+                     star_subdivided_fans, structure_sheaf)
+from toric_dmod import charvar
 from toric_dmod.charvar import (ZERO_SHEAF, chart_frame, chart_ideal_from_saturated,
                                 characteristic_ideal, dimension_report,
                                 render_report, s_prime_ring,
@@ -21,7 +22,6 @@ from toric_dmod.errors import (ChartRewriteError, ConeNotMaximal,
 from toric_dmod.fan_cox import Fan, GradingData
 from toric_dmod.groebner import (EMPTY_DIM, Poly, format_poly, groebner_basis,
                                  krull_dimension, toric_ideal)
-from toric_dmod.lattice import IntMatrix
 from toric_dmod.weyl import WeylElement, parse_weyl
 
 
@@ -177,7 +177,7 @@ def assert_polynomial_chart_ring(frame):
     """The n + d chart generator monomials satisfy no relation: their
     exponent vectors (x part, then xi part) are linearly independent."""
     vectors = [tuple(xe) + tuple(xie) for _, xe, xie in frame.generator_monomials]
-    assert IntMatrix.from_rows(vectors).rank() == len(vectors)
+    assert matrix_rank(vectors) == len(vectors)
     assert toric_ideal(vectors, frame.ring) == []
 
 
@@ -191,6 +191,34 @@ def test_every_chart_ring_is_a_polynomial_ring():
             frame = chart_frame(gd, cone)
             assert len(frame.generator_monomials) == fan.n + gd.d
             assert_polynomial_chart_ring(frame)
+
+
+def test_frame_sections_are_the_sections_with_zero_cone_exponents():
+    # for a monomial x^a xi^f the chart rewrite divides by x^s,
+    # s = sum_i (a_i - f_i) u_sections[i]: s vanishes on the cone, projects
+    # to the monomial's class and is the section the class-group oracle
+    # solves for, and the monomial becomes t^(a on the cone) u^f
+    r = rng(37)
+    fans = [fan for _, fan in all_fixture_fans()] + [fan_p3(), fan_p1_cubed()]
+    for base in (fan_p2(), fan_p1p1()):
+        fans += star_subdivided_fans(r, base, 3)
+    for fan in fans:
+        gd = grading(fan)
+        ring, d = s_prime_ring(gd), gd.d
+        for cone in fan.max_cones:
+            frame = chart_frame(gd, cone)
+            for _ in range(8):
+                a = tuple(r.randint(0, 3) for _ in range(d))
+                f = tuple(r.randint(0, 3) for _ in range(d))
+                s = tuple(sum((ai - fi) * section[k]
+                              for ai, fi, section in zip(a, f, frame.u_sections))
+                          for k in range(d))
+                cls = ring.term_degree(a + f)
+                assert not any(s[i] for i in cone)
+                assert gd.class_group.project(s) == cls
+                assert s == section_off_cone(gd, cone, cls)
+                [image] = charvar._chart_generators(gd, frame, [Poly.monomial(ring, a + f)])
+                assert image.terms == {tuple(a[i] for i in cone) + f: 1}
 
 
 def test_non_unimodular_cone_is_a_chart_rewrite_error():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cli_env
+from helpers import class_section, cli_env
 from toric_dmod import charvar, cli, dmod, errors, fan_cox, lattice
 from toric_dmod.cli import load_fan, load_module, main
 from toric_dmod.errors import ParseError
@@ -658,79 +658,63 @@ def test_one_smoothness_test_per_maximal_cone_in_a_charts_job(monkeypatch, capsy
 # error with exit code 4, not a traceback. Each test breaks one invariant.
 
 
-def _charts_p1(capsys):
-    rc = main(["charvar", str(FIXTURES / "p1.fan"), str(GOLDEN / "p1_dl0.mod"),
-               "--charts"])
+def _charts_p1(capsys, module=GOLDEN / "p1_dl0.mod"):
+    rc = main(["charvar", str(FIXTURES / "p1.fan"), str(module), "--charts"])
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     return rc, err
 
 
-def _shift_generator_sections(monkeypatch, shift):
-    """Move the section used for each saturated generator by shift(...).
+def _corrupt_frame_sections(monkeypatch, corrupt):
+    """Build each chart frame, then replace the section of deg(x_i) by
+    corrupt(frame, i, section) for every i."""
+    real = charvar.chart_frame
 
-    In p1_dl0 the only saturated generator, x1*xi1 + x2*xi2, has degree 0,
-    while the sections for u_1, u_2 have the degree of a ray variable."""
-    from toric_dmod import charvar
-    real = charvar._section_off_cone
+    def fake(grading, cone):
+        frame = real(grading, cone)
+        sections = tuple(corrupt(frame, i, s) for i, s in enumerate(frame.u_sections))
+        return charvar.ChartFrame(frame.cone, frame.ring, frame.t_exponents, sections,
+                                  frame.generator_monomials)
 
-    def fake(grading, cone, dual_rows, cls):
-        a = real(grading, cone, dual_rows, cls)
-        if cls != grading.class_group.zero():
-            return a
-        return tuple(x + y for x, y in zip(a, shift(grading, cone, dual_rows)))
-
-    monkeypatch.setattr(charvar, "_section_off_cone", fake)
-
-
-def test_section_off_cone_failure_exits_4(monkeypatch, capsys):
-    # sections that do not vanish on the cone (still sections: shifted by
-    # iota(1) = (1, -1) on P^1) cleared with twice the dual basis, which the
-    # chart frame reads from the cone's coordinate rows
-    from toric_dmod.lattice import FinitelyGeneratedAbelianGroup
-    real_data = fan_cox.Fan.cone_data
-    real_section = FinitelyGeneratedAbelianGroup.section
-
-    def doubled(fan, cone):
-        data = real_data(fan, cone)
-        return fan_cox.ConeData(data.invariant_factors,
-                                tuple(tuple(2 * x for x in row) for row in data.coordinates),
-                                data.completion)
-
-    monkeypatch.setattr(fan_cox.Fan, "cone_data", doubled)
-    monkeypatch.setattr(FinitelyGeneratedAbelianGroup, "section", lambda self, cls: tuple(
-        x + y for x, y in zip(real_section(self, cls), (1, -1))))
-    rc, err = _charts_p1(capsys)
-    assert rc == 4 and "section does not vanish" in err
+    monkeypatch.setattr(charvar, "chart_frame", fake)
 
 
 def test_chart_rewrite_not_closing_exits_4(monkeypatch, capsys):
-    # a unit vector off the cone: the cone exponents still vanish, the
-    # residual does not
-    def off_cone(grading, cone, dual_rows):
-        k = next(i for i in range(grading.d) if i not in cone)
-        return tuple(int(i == k) for i in range(grading.d))
-
-    _shift_generator_sections(monkeypatch, off_cone)
+    # the section of each ray off the cone doubled: its cone exponents still
+    # vanish, but it no longer has the ray's degree, and in p1_dl0's one
+    # generator, x1*xi1 + x2*xi2 of degree 0, the xi-term of that ray leaves
+    # a residual
+    _corrupt_frame_sections(monkeypatch, lambda frame, i, s:
+                            s if i in frame.cone else tuple(2 * x for x in s))
     rc, err = _charts_p1(capsys)
     assert rc == 4 and "failed to close" in err
 
 
-def test_negative_torus_exponent_exits_4(monkeypatch, capsys):
-    # iota(m_1) has degree 0 and moves the torus exponents by -1, so the
-    # rewrite closes but x2*xi2 gets t1^-1
-    _shift_generator_sections(monkeypatch,
-                              lambda grading, cone, dual_rows: grading.iota_of(dual_rows[0]))
-    rc, err = _charts_p1(capsys)
-    assert rc == 4 and "negative torus exponent" in err
+def test_negative_torus_exponent_exits_4(tmp_path, monkeypatch, capsys):
+    # the sections of the cone rays moved by 2 iota(m_j), which has degree 0:
+    # on the delta module A(e) / (x1, x2) of P^1 the rewrite of x1 still
+    # closes, but with t1^-1
+    e_bar = grading_data(load_fan(str(FIXTURES / "p1.fan"))).e_bar
+    module = tmp_path / "delta.mod"
+    module.write_text(f'side = "left"\ngenerator_degrees = [{list(e_bar)}]\n'
+                      'relations = [["x1"], ["x2"]]\n')
 
+    def moved(frame, i, s):
+        if i not in frame.cone:
+            return s
+        shift = frame.t_exponents[frame.cone.index(i)]
+        return tuple(x + 2 * y for x, y in zip(s, shift))
+
+    _corrupt_frame_sections(monkeypatch, moved)
+    rc, err = _charts_p1(capsys, module)
+    assert rc == 4 and "negative torus exponent" in err
 
 
 def _section_pairing_relation(grading, j, cls, side):
     # the oracle for the shifted Euler operators: <u_j, cls> paired through
     # a lattice representative of cls, not read off its coordinates
     u = grading.dual_basis[j]
-    shift = sum(x * y for x, y in zip(u, grading.class_group.section(cls)))
+    shift = sum(x * y for x, y in zip(u, class_section(grading.class_group, cls)))
     return theta_u(u, shift if side == dmod.LEFT else -shift)
 
 
@@ -779,21 +763,45 @@ def test_twisted_documents_and_checks_match_the_section_pairing(tmp_path, monkey
 
 
 def test_twisted_documents_and_checks_invert_nothing(tmp_path, monkeypatch, capsys):
-    # dl, dr, swap and check read the Euler shifts off the class: no Smith
-    # transform is inverted (only chart sections need U^-1)
-    calls = []
-    real = lattice.unimodular_inverse
+    # no command inverts a Smith transform: dl, dr, swap and check read the
+    # Euler shifts off the class, and charvar --charts reads the chart
+    # sections off the frame. An inversion would run the one eliminator,
+    # integer_rref, which the commands call only for the common-face test
+    callers = []
+    real = lattice.integer_rref
 
-    def counted(mat):
-        calls.append(mat)
-        return real(mat)
+    def counted(rows):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(rows)
 
-    monkeypatch.setattr(lattice, "unimodular_inverse", counted)
+    monkeypatch.setattr(lattice, "integer_rref", counted)
+    monkeypatch.setattr(fan_cox, "integer_rref", counted)
     assert len(_twisted_outputs(tmp_path, capsys)) == 5 * 2 * 2 * 5
-    assert calls == []
-    rc, out, _ = _main_in_process(capsys, ["charvar", str(FIXTURES / "p1.fan"),
-                                           str(GOLDEN / "p1_dl0.mod"), "--charts"])
-    assert rc == 0 and "chart-1-image" in out and len(calls) == 1
+    for name in FANS:
+        rc, out, _ = _main_in_process(capsys, ["charvar", str(FIXTURES / f"{name}.fan"),
+                                               str(GOLDEN / f"{name}_dl0.mod"), "--charts"])
+        assert rc == 0 and "-image: " in out
+    assert set(callers) == {"_fm_feasible"}
+
+
+def test_dl_reduces_each_relation_degree_once(monkeypatch, capsys):
+    # one reduce for the class argument, one in d_module_left, one for the
+    # twist and one per Euler relation for its degree less the twist: 5 on
+    # P1 x P1 and Hirzebruch 1, which have two Euler operators each
+    calls = []
+    real = lattice.FinitelyGeneratedAbelianGroup.reduce
+
+    def counted(self, cls):
+        calls.append(cls)
+        return real(self, cls)
+
+    monkeypatch.setattr(lattice.FinitelyGeneratedAbelianGroup, "reduce", counted)
+    for name in ("p1p1", "hirzebruch1"):
+        calls.clear()
+        rc, out, _ = _main_in_process(capsys, ["dl", str(FIXTURES / f"{name}.fan"), "--",
+                                               ZERO[name]])
+        assert rc == 0 and out == (GOLDEN / f"{name}_dl0.mod").read_text()
+        assert len(calls) == 5
 
 
 def test_fan_info_builds_no_cotangent_ring(monkeypatch, capsys):

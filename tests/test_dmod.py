@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from helpers import (fan_hirzebruch1, fan_p1, fan_p1p1, fan_p2, grading,
+from helpers import (fan_hirzebruch1, fan_p1, fan_p1p1, fan_p2, grading, matrix_rank,
                      random_homogeneous_weyl, rng)
 from toric_dmod import groebner
 from toric_dmod.charvar import characteristic_ideal
@@ -269,7 +269,6 @@ def test_linear_independence_of_distinct_ray_forms():
     # coefficient vectors of rho(theta_i) + m for rays in a common cone
     for fan in (fan_p2(), fan_p1p1(), fan_hirzebruch1()):
         gd = grading(fan)
-        from toric_dmod.lattice import IntMatrix
         for cone in fan.max_cones:
             if len(cone) < 2:
                 continue
@@ -278,7 +277,7 @@ def test_linear_independence_of_distinct_ray_forms():
                     if i >= j:
                         continue
                     rows = [list(fan.rays[i]) + [5], list(fan.rays[j]) + [-7]]
-                    assert IntMatrix.from_rows(rows).rank() == 2
+                    assert matrix_rank(rows) == 2
 
 
 def test_theta_divides():

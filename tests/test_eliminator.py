@@ -1,8 +1,8 @@
 """The integer row echelon routine and its three callers against oracles.
 
 Rank is checked against sympy (skipped when it is not installed), the
-unimodular inverse by multiplying back, and the Fourier-Motzkin feasibility
-test by vertex enumeration.
+unimodular inverse of the test oracles by multiplying back, and the
+Fourier-Motzkin feasibility test by vertex enumeration.
 """
 
 from math import gcd
@@ -12,9 +12,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from helpers import vertex_feasible  # noqa: E402
+from helpers import (identity_matrix, matrix_product, matrix_rank,  # noqa: E402
+                     unimodular_inverse, vertex_feasible)
 from toric_dmod.fan_cox import _fm_feasible  # noqa: E402
-from toric_dmod.lattice import IntMatrix, integer_rref, unimodular_inverse  # noqa: E402
+from toric_dmod.lattice import IntMatrix, integer_rref  # noqa: E402
 
 small = st.integers(-3, 3)
 
@@ -43,7 +44,7 @@ def test_integer_rref_is_reduced_and_primitive(rows):
 @given(low_rank_matrices())
 def test_rank_matches_sympy(rows):
     sympy = pytest.importorskip("sympy")
-    assert IntMatrix.from_rows(rows).rank() == sympy.Matrix(rows).rank()
+    assert matrix_rank(rows) == sympy.Matrix(rows).rank()
     out, _ = integer_rref(rows)
     # same row space: stacking the echelon rows onto the input adds no rank
     assert sympy.Matrix(rows + out).rank() == len(out)
@@ -68,9 +69,9 @@ def unimodular_matrices(draw):
 @given(unimodular_matrices())
 def test_unimodular_inverse_multiplies_to_identity(m):
     inv = unimodular_inverse(m)
-    identity = IntMatrix.identity(m.rows).entries
-    assert inv.mul(m).entries == identity
-    assert m.mul(inv).entries == identity
+    identity = identity_matrix(m.rows)
+    assert matrix_product(inv, m) == identity
+    assert matrix_product(m, inv) == identity
 
 
 def test_unimodular_inverse_rejects_other_matrices():

@@ -1,8 +1,9 @@
 """The package exposes its modules and nothing else, every module-level
 function and class has a caller (the names that nothing in the program or
 the benchmark uses are exactly the allowlist below, and a test calls each of
-them), every imported name is used by the module that imports it, and
-modules keep no state of their own. Source is only read here.
+them), every method has a caller outside its class, every imported name is
+used by the module that imports it, and modules keep no state of their own.
+Source is only read here.
 """
 
 import ast
@@ -70,6 +71,38 @@ def test_every_module_level_definition_has_a_caller():
             continue
         uncalled.add(name)
     assert uncalled == TEST_ONLY
+
+
+def _attributes(node) -> set:
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def test_every_method_has_a_caller():
+    # a method counts as used where it is named as an attribute outside its
+    # class (in src/ or perfbench/), or by a used method of its own class;
+    # Python calls the dunders. A method named like an attribute read
+    # elsewhere passes, so this misses some dead methods but flags no live one
+    statements = [(path, stmt) for path, tree in _modules().items() for stmt in tree.body]
+    attributes = [_attributes(stmt) for _, stmt in statements]
+    bench = "\n".join(path.read_text(encoding="utf-8")
+                      for path in sorted((ROOT / "perfbench").glob("*.py")))
+    uncalled = []
+    for k, (path, cls) in enumerate(statements):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = {m.name: m for m in cls.body if isinstance(m, ast.FunctionDef)}
+        outside = set().union(*attributes[:k], *attributes[k + 1:])
+        live = {name for name in methods
+                if name.startswith("__") and name.endswith("__") or name in outside
+                or re.search(rf"\b{name}\b", bench)}
+        while True:
+            reached = set().union(*(_attributes(methods[name]) for name in live))
+            grown = live | (reached & methods.keys())
+            if grown == live:
+                break
+            live = grown
+        uncalled += [f"{path.stem}.{cls.name}.{name}" for name in methods if name not in live]
+    assert not uncalled
 
 
 def test_every_test_only_name_is_called_from_a_test():

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 
 from .errors import ChartRewriteError, ConeNotMaximal, PreconditionViolated
 from .fan_cox import GradingData, irrelevant_ideal
 from .groebner import (EMPTY_DIM, Poly, PolyRing, annihilator_of_graded_quotient,
-                       basis_dimension, format_poly, groebner_basis, ideal_contains,
+                       basis_dimension, groebner_basis, ideal_contains,
                        initial_forms, is_unit_ideal, radical_membership,
                        saturation, saturation_by_monomials)
 from .dmod import GradedPresentation, check_theta_condition, require_chart_cone
@@ -21,16 +22,11 @@ ZERO_SHEAF = "zero sheaf"
 
 
 def s_prime_ring(grading: GradingData) -> PolyRing:
-    """gr(A) = k[x_1..x_d, xi_1..xi_d] with deg x_i = e_i = -deg xi_i, built
-    once per grading."""
-    if grading.s_prime is None:
-        d, group = grading.d, grading.class_group
-        names = tuple(f"x{i + 1}" for i in range(d)) + tuple(f"xi{i + 1}" for i in range(d))
-        xs = tuple(map(grading.degree_x, range(d)))
-        # the degrees of the x_i are reduced already: negate, reduce once
-        xis = tuple(group.reduce([-c for c in x]) for x in xs)
-        grading.s_prime = PolyRing(names, xs + xis, group)
-    return grading.s_prime
+    """gr(A) = k[x_1..x_d, xi_1..xi_d], built on each call: a ring is its
+    names. x^e xi^f has the class project(e - f) (t_invariance_check)."""
+    d = grading.d
+    return PolyRing(tuple(f"x{i + 1}" for i in range(d)) +
+                    tuple(f"xi{i + 1}" for i in range(d)))
 
 
 def z_ideal(grading: GradingData) -> tuple[Poly, ...]:
@@ -58,11 +54,13 @@ def characteristic_ideal(grading: GradingData, pres: GradedPresentation) -> list
     return annihilator_of_graded_quotient(init, ring, pres.rank)
 
 
-def t_invariance_check(gens: list[Poly], ring: PolyRing) -> bool:
-    """Whether every generator is class-group homogeneous (torus invariance)."""
+def t_invariance_check(gens: list[Poly], grading: GradingData) -> bool:
+    """Whether every generator in S' is class-group homogeneous (torus
+    invariance): the term x^e xi^f has the class project(e - f), the class
+    of x^e d^f in A (dmod.weyl_degree)."""
+    project, d = grading.class_group.project, grading.d
     for g in gens:
-        degs = {ring.term_degree(e) for e in g.terms}
-        if len(degs) > 1:
+        if len({project(tuple(map(sub, e[:d], e[d:]))) for e in g.terms}) > 1:
             return False
     return True
 
@@ -226,7 +224,7 @@ def _chart_generators(grading: GradingData, frame: ChartFrame,
                     for k in range(d):
                         xexp[k] -= fi * s_i[k]
             if any(xexp):
-                if not t_invariance_check([g], s_prime_ring(grading)):
+                if not t_invariance_check([g], grading):
                     raise PreconditionViolated("ideal has an inhomogeneous generator")
                 raise ChartRewriteError("chart rewrite failed to close")
             if any(x < 0 for x in p):
@@ -281,7 +279,7 @@ def certify_saturation(grading: GradingData, frames, j_images, candidate) -> boo
     a sum of sections with zero cone exponents has zero cone exponents, so
     a_g is the section of deg(g) that leaves the cone coordinates alone.
     """
-    if not t_invariance_check(candidate, s_prime_ring(grading)):
+    if not t_invariance_check(candidate, grading):
         return False
     return all(ideal_contains(image, _chart_generators(grading, frame, candidate))
                for frame, image in zip(frames, j_images))
@@ -341,28 +339,3 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
     holonomic_sheaf = (not torsion) and sheaf_dim == n
     return CharReport(j, dim, torsion, sheaf_dim, holonomic_module, holonomic_sheaf,
                       charts, saturate)
-
-
-def ideal_str(gens) -> str:
-    """An ideal as its sorted generator list, "(0)" when there is none."""
-    if not gens:
-        return "(0)"
-    return "(" + ", ".join(sorted(format_poly(g) for g in gens)) + ")"
-
-
-def render_report(report: CharReport) -> list[tuple[str, str]]:
-    """Key/value lines for the CLI; ideals as sorted generator lists. The
-    saturated ideal is not among them: reading it computes the saturation,
-    which the CLI does only when asked to print it."""
-
-    def yn(flag):
-        return "yes" if flag else "no"
-
-    return [
-        ("char-ideal", ideal_str(report.char_ideal)),
-        ("dim", str(report.dim)),
-        ("torsion", yn(report.torsion)),
-        ("sheaf-dim", str(report.sheaf_dim)),
-        ("holonomic-module", yn(report.holonomic_module)),
-        ("holonomic-sheaf", yn(report.holonomic_sheaf)),
-    ]

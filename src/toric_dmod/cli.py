@@ -14,6 +14,7 @@ import sys
 from .errors import InhomogeneousInput, ParseError, ToricDmodError
 from .fan_cox import (Fan, GradingData, euler_operators, grading_data,
                       irrelevant_ideal)
+from .groebner import format_poly
 from .parsing import format_terms
 from .weyl import format_weyl, parse_weyl, parse_theta_poly, tp_format
 from . import dmod
@@ -232,7 +233,7 @@ def cmd_fan_info(args, grading: GradingData) -> list[tuple[str, str]]:
             ("rays", json.dumps([list(r) for r in fan.rays])),
             ("max-cones", json.dumps([[i + 1 for i in c] for c in fan.max_cones])),
             *_cl_header(grading),
-            ("degrees", json.dumps([list(grading.degree_x(i)) for i in range(fan.d)])),
+            ("degrees", json.dumps(list(map(list, grading.class_group.unit_classes())))),
             ("e-bar", json.dumps(list(grading.e_bar))),
             ("dual-basis", json.dumps([list(u) for u in grading.dual_basis])),
             ("irrelevant-ideal", "(" + ", ".join(bgens) + ")"),
@@ -268,6 +269,17 @@ def cmd_check(args, grading: GradingData) -> list[tuple[str, str]]:
     return report
 
 
+def _ideal(gens) -> str:
+    """An ideal as its sorted generator list, "(0)" when there is none."""
+    if not gens:
+        return "(0)"
+    return "(" + ", ".join(sorted(format_poly(g) for g in gens)) + ")"
+
+
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 def cmd_charvar(args, grading: GradingData) -> list[tuple[str, str]]:
     pres = load_module(args.module, grading)
     if args.charts:
@@ -276,10 +288,15 @@ def cmd_charvar(args, grading: GradingData) -> list[tuple[str, str]]:
             dmod.require_chart_cone(grading, cone)
     rep = charvar.dimension_report(grading, pres)
     report = _cl_header(grading)
-    for key, value in charvar.render_report(rep):
-        report.append((key, value))
-        if key == "dim" and args.saturate:
-            report.append(("saturated", charvar.ideal_str(rep.saturated)))
+    report.append(("char-ideal", _ideal(rep.char_ideal)))
+    report.append(("dim", str(rep.dim)))
+    if args.saturate:
+        # reading rep.saturated computes the saturation: only when asked
+        report.append(("saturated", _ideal(rep.saturated)))
+    report.append(("torsion", _yes_no(rep.torsion)))
+    report.append(("sheaf-dim", str(rep.sheaf_dim)))
+    report.append(("holonomic-module", _yes_no(rep.holonomic_module)))
+    report.append(("holonomic-sheaf", _yes_no(rep.holonomic_sheaf)))
     if args.charts:
         names = charvar.s_prime_ring(grading).names
         for chart in rep.charts:
@@ -293,7 +310,7 @@ def cmd_charvar(args, grading: GradingData) -> list[tuple[str, str]]:
             # at a smooth full-dimensional cone the chart ring is the polynomial
             # ring on its n + d generators (Cox 1995), so no relation holds
             report.append((f"{label}-presentation", "(0)"))
-            report.append((f"{label}-image", charvar.ideal_str(chart.image_ideal)))
+            report.append((f"{label}-image", _ideal(chart.image_ideal)))
             report.append((f"{label}-dim", str(chart.dimension)))
     return report
 

@@ -21,7 +21,7 @@ from .groebner import WeylDivisors, weyl_buchberger, weyl_contains
 from .weyl import (ThetaDict, WeylElement, numerator_action, tau,
                    theta_dict_to_weyl, theta_u, tp_divide_linear_product,
                    tp_linear, tp_linear_form, tp_linear_product,
-                   tp_numerator_evaluator, tp_subst, weyl_degree)
+                   tp_numerator_evaluator, tp_subst)
 
 LEFT = "left"
 RIGHT = "right"
@@ -31,6 +31,21 @@ RIGHT = "right"
 # radius 2 * local_radius(p) that the y_p check enumerates.
 LOCAL_MAX_FACTORS = 64
 LOCAL_MAX_BOX = 4096
+
+
+def weyl_degree(grading, f: WeylElement):
+    """Class-group degree of a homogeneous element; InhomogeneousInput otherwise."""
+    if f.is_zero():
+        return None
+    group = grading.class_group
+    deg = None
+    for (a, b) in f.terms:
+        cls = group.project(tuple(map(sub, a, b)))
+        if deg is None:
+            deg = cls
+        elif deg != cls:
+            raise InhomogeneousInput("element is not graded-homogeneous")
+    return deg
 
 
 class GradedPresentation:

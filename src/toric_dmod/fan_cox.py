@@ -220,12 +220,6 @@ def validate_smooth_fan(fan: Fan) -> None:
         raise FanValidationError(f"cones {s1} and {s2} intersect in more than a common face")
 
 
-def sigma_hat_monomial(fan: Fan, cone) -> tuple[int, ...]:
-    """Exponent vector of the squarefree monomial over the rays outside the cone."""
-    inside = set(fan.require_cone(cone))
-    return tuple(0 if i in inside else 1 for i in range(fan.d))
-
-
 class MonomialIdeal:
     """Monomial ideal given by pairwise incomparable exponent vectors."""
 
@@ -250,8 +244,11 @@ class GradingData:
     """The lattice exact sequence in computable form.
 
     iota is the d x n matrix with row i the ray v_i; the class group is its
-    cokernel; dual_basis spans the integer functionals vanishing on the image,
-    and its j-th functional u_j pairs with a class as the class's j-th free
+    cokernel, and class_group.project is the one class map of the grading:
+    x^a d^b, and its symbol x^a xi^b, has the class project(a - b), so
+    deg(x_i) = project(e_i) (class_group.unit_classes) = -deg(d_i).
+    dual_basis spans the integer functionals vanishing on the image, and its
+    j-th functional u_j pairs with a class as the class's j-th free
     coordinate, <u_j, beta> = beta_j, with no lattice representative.
     """
 
@@ -261,10 +258,6 @@ class GradingData:
         self.class_group = FinitelyGeneratedAbelianGroup(fan.smith_form(), fan.d)
         self.dual_basis = tuple(dual_lattice_basis(self.class_group))
         self.e_bar = self.class_group.project((1,) * fan.d)
-        # deg(x_i), read by every ring, chart frame and report
-        self._degrees_x = self.class_group.unit_classes()
-        # the ring gr(A), built by charvar.s_prime_ring on first use
-        self.s_prime = None
 
     @property
     def d(self) -> int:
@@ -273,9 +266,6 @@ class GradingData:
     @property
     def n(self) -> int:
         return self.fan.n
-
-    def degree_x(self, i: int) -> tuple[int, ...]:
-        return self._degrees_x[i]
 
     def iota_of(self, p) -> tuple[int, ...]:
         return self.iota.mul_vec(p)

@@ -35,39 +35,25 @@ EMPTY_DIM = "empty"
 
 
 class PolyRing:
-    """Commutative polynomial ring descriptor with optional class grading.
-    Rings with equal names and degrees are equal and hash equally; the
-    group is not compared."""
+    """Commutative polynomial ring descriptor: its variable names. Rings
+    with equal names are equal and hash equally."""
 
-    __slots__ = ("names", "degrees", "group")
+    __slots__ = ("names",)
 
-    def __init__(self, names: tuple[str, ...],
-                 degrees: tuple[tuple[int, ...], ...] | None = None,
-                 group: object | None = None):
+    def __init__(self, names: tuple[str, ...]):
         self.names = names
-        self.degrees = degrees
-        self.group = group
 
     def __eq__(self, other):
         if other.__class__ is not PolyRing:
             return NotImplemented
-        return self.names == other.names and self.degrees == other.degrees
+        return self.names == other.names
 
     def __hash__(self):
-        return hash((self.names, self.degrees))
+        return hash(self.names)
 
     @property
     def nvars(self) -> int:
         return len(self.names)
-
-    def term_degree(self, exp):
-        """Class-group degree of a monomial (requires degrees + group)."""
-        total = list(self.group.zero())
-        for e, dg in zip(exp, self.degrees):
-            if e:
-                for k, x in enumerate(dg):
-                    total[k] += e * x
-        return self.group.reduce(total)
 
 
 class Poly:

@@ -45,7 +45,7 @@ from itertools import groupby, product
 from math import comb, lcm, perm, prod
 from operator import add, itemgetter, sub
 
-from .errors import InhomogeneousInput, ParseError
+from .errors import ParseError
 from .parsing import format_terms, parse_terms
 
 # plain dict polynomials in the commuting theta variables: exps tuple -> Fraction
@@ -329,15 +329,6 @@ class WeylElement:
     def monomial(cls, d: int, a, b, coeff=1) -> "WeylElement":
         return cls(d, {(tuple(a), tuple(b)): Fraction(coeff)})
 
-    @classmethod
-    def one(cls, d: int) -> "WeylElement":
-        return cls.monomial(d, (0,) * d, (0,) * d)
-
-    @classmethod
-    def theta(cls, d: int, i: int) -> "WeylElement":
-        e = tuple(1 if j == i else 0 for j in range(d))
-        return cls.monomial(d, e, e)
-
     # predicates and canonical form
 
     def is_zero(self) -> bool:
@@ -439,21 +430,6 @@ def weyl_mul(f: WeylElement, g: WeylElement) -> WeylElement:
 def theta_u(u, shift=0) -> WeylElement:
     """The shifted Euler operator sum_i u_i x_i d_i + shift."""
     return WeylElement(len(u), {(e, e): c for e, c in tp_linear_form(u, shift).items()})
-
-
-def weyl_degree(grading, f: WeylElement):
-    """Class-group degree of a homogeneous element; InhomogeneousInput otherwise."""
-    if f.is_zero():
-        return None
-    group = grading.class_group
-    deg = None
-    for (a, b) in f.terms:
-        cls = group.project(tuple(map(sub, a, b)))
-        if deg is None:
-            deg = cls
-        elif deg != cls:
-            raise InhomogeneousInput("element is not graded-homogeneous")
-    return deg
 
 
 def to_theta_form(f: WeylElement) -> dict:

@@ -20,7 +20,8 @@ from operator import mul, sub
 
 from toric_dmod.charvar import CharReport
 from toric_dmod.dmod import (LEFT, GradedPresentation, d_module_left,
-                             left_right_swap, local_radius, require_chart_cone)
+                             left_right_swap, local_radius, require_chart_cone,
+                             weyl_degree)
 from toric_dmod.errors import (BoxTooSmall, FanValidationError, NonSimplicialCone,
                                NonSmoothCone, ParseError, RaysDoNotSpan)
 from toric_dmod.fan_cox import (Fan, GradingData, _fm_feasible,
@@ -34,7 +35,7 @@ from toric_dmod.parsing import MAX_COEFF_DIGITS, MAX_EXPONENT, MAX_TERMS
 from toric_dmod.weyl import (WeylElement, from_theta_form, to_theta_form, tp_add,
                              tp_divide_linear_product, tp_linear_form,
                              tp_linear_product, tp_mul, tp_subst, theta_u,
-                             weyl_degree, weyl_mul)
+                             weyl_mul)
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -1007,8 +1008,8 @@ def restrict_to_chart(gd: GradingData, pres: GradedPresentation, cone) -> Restri
     rows = [(g,) for g in chart_restriction(gd, pres, cone) if not g.is_zero()]
     gb = weyl_buchberger(rows, 1, n) if rows else []
     ideal = annihilator_of_graded_quotient(initial_forms(gb), ring, 1)
-    return RestrictedChart(cone, ring, (WeylElement.one(n),) in gb, ideal,
-                           basis_dimension(ideal, ring))
+    one = WeylElement.monomial(n, (0,) * n, (0,) * n)
+    return RestrictedChart(cone, ring, (one,) in gb, ideal, basis_dimension(ideal, ring))
 
 
 def chart_in_cotangent(gd: GradingData, chart, ring: PolyRing) -> list[Poly]:

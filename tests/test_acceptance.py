@@ -23,12 +23,12 @@ from toric_dmod.dmod import (GradedPresentation, bimodule_identity_check,
                              check_theta_condition, d_module_left,
                              factored_local_action_holds, h_p,
                              i_p_ideal, i_p_matches_y_p,
-                             left_right_identity_check, left_right_swap)
+                             left_right_identity_check, left_right_swap,
+                             weyl_degree)
 from toric_dmod.groebner import (Poly, PolyRing, format_poly, groebner_basis,
                                  ideal_contains, krull_dimension, normal_form,
                                  toric_ideal, weyl_normal_form)
-from toric_dmod.weyl import (WeylElement, tau, theta_dict_to_weyl, weyl_degree,
-                             weyl_mul)
+from toric_dmod.weyl import WeylElement, tau, theta_dict_to_weyl, weyl_mul
 
 HERE = pathlib.Path(__file__).parent
 
@@ -120,22 +120,24 @@ def test_acceptance_5_weyl_identity_suite():
     started = time.monotonic()
     for r_exp in range(1, 7):
         lhs = WeylElement.monomial(1, (r_exp,), (r_exp,))
-        rhs = WeylElement.one(1)
+        rhs = WeylElement.monomial(1, (0,), (0,))
         for j in range(1, r_exp + 1):
-            rhs = weyl_mul(rhs, WeylElement.theta(1, 0)
-                           + WeylElement.one(1).scale(-(j - 1)))
+            rhs = weyl_mul(rhs, WeylElement.monomial(1, (1,), (1,))
+                           + WeylElement.monomial(1, (0,), (0,)).scale(-(j - 1)))
         assert lhs == rhs
     r = rng(51)
     for name, fan in all_fixture_fans():
         gd = grading(fan)
         group = gd.class_group
         d = gd.d
+        one = WeylElement.monomial(d, (0,) * d, (0,) * d)
         for u, shift in zip(gd.dual_basis, gd.e_bar):
             th = WeylElement.zero(d)
             for i, c in enumerate(u):
                 if c:
-                    th = th + WeylElement.theta(d, i).scale(c)
-            assert tau(th) == (-th) - WeylElement.one(d).scale(shift)
+                    e = tuple(int(k == i) for k in range(d))
+                    th = th + WeylElement.monomial(d, e, e, c)
+            assert tau(th) == (-th) - one.scale(shift)
             assert tau(tau(th)) == th
         for _ in range(200):
             f = random_homogeneous_weyl(r, gd, total=2)

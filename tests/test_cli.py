@@ -477,6 +477,20 @@ def test_golden_reports_and_determinism():
         assert out1 == expected, f"golden mismatch for {golden_name}"
 
 
+def test_charvar_flag_combinations_match_the_golden(capsys):
+    # the golden is the --charts --saturate report: without --saturate its
+    # saturated line goes, and without --charts its chart lines
+    for name in FANS:
+        golden = (GOLDEN / f"{name}_charvar_dl0.txt").read_text().splitlines(keepends=True)
+        argv = ("charvar", str(FIXTURES / f"{name}.fan"), str(GOLDEN / f"{name}_dl0.mod"))
+        for flags in ((), ("--saturate",), ("--charts",), ("--charts", "--saturate")):
+            dropped = ("saturated: ",) * ("--saturate" not in flags) + \
+                ("chart-",) * ("--charts" not in flags)
+            expected = "".join(line for line in golden if not line.startswith(dropped))
+            rc, out, _ = _main_in_process(capsys, argv + flags)
+            assert rc == 0 and out == expected, (name, flags)
+
+
 def _main_in_process(capsys, argv):
     """(exit code, stdout, stderr) of main(argv) in this process; argparse
     usage errors end in SystemExit."""

@@ -136,7 +136,7 @@ def test_theta_condition_every_twist():
 def test_bimodule_identity_examples():
     gd = grading(fan_p1())
     assert bimodule_identity_check(gd, W("x1"), 0, (0,), (1,))
-    assert bimodule_identity_check(gd, WeylElement.one(2), 0, (3,), (0,))
+    assert bimodule_identity_check(gd, WeylElement.monomial(2, (0, 0), (0, 0)), 0, (3,), (0,))
     assert bimodule_identity_check(gd, W("d2"), 0, (0,), (-1,))
     with pytest.raises(InhomogeneousInput):
         bimodule_identity_check(gd, W("x1"), 0, (0,), (0,))
@@ -146,7 +146,7 @@ def test_bimodule_identity_examples():
 
 def test_bimodule_and_left_right_identities_randomized():
     r = rng(30)
-    from toric_dmod.weyl import weyl_degree
+    from toric_dmod.dmod import weyl_degree
     for fan in (fan_p1(), fan_p1p1()):
         gd = grading(fan)
         group = gd.class_group
@@ -175,7 +175,7 @@ def test_swap_examples():
 
 def test_swap_zero_module():
     gd = grading(fan_p1())
-    zero = GradedPresentation(gd, "left", [(0,)], [(WeylElement.one(2),)])
+    zero = GradedPresentation(gd, "left", [(0,)], [(WeylElement.monomial(2, (0, 0), (0, 0)),)])
     sw = left_right_swap(zero)
     assert rel_strings(sw) == [["1"]]
     assert left_right_swap(sw) == zero

@@ -15,10 +15,10 @@ from toric_dmod import cli, dmod, fan_cox
 from toric_dmod.errors import (FanValidationError, NonSimplicialCone,
                                NonSmoothCone, RaysDoNotSpan, UnknownCone)
 from toric_dmod.fan_cox import (Fan, _overlapping_cones, euler_operators,
-                                grading_data, irrelevant_ideal,
-                                sigma_hat_monomial, validate_smooth_fan)
+                                grading_data, irrelevant_ideal, validate_smooth_fan)
 from toric_dmod.lattice import FinitelyGeneratedAbelianGroup
-from toric_dmod.weyl import WeylElement, format_weyl, theta_u, weyl_degree
+from toric_dmod.dmod import weyl_degree
+from toric_dmod.weyl import WeylElement, format_weyl, theta_u
 
 
 def test_p2_fan_is_valid():
@@ -262,11 +262,15 @@ def test_require_cone_sorts_or_raises():
 
 
 def test_sigma_hat_examples():
-    assert sigma_hat_monomial(fan_p1(), (0,)) == (0, 1)
-    assert sigma_hat_monomial(fan_p1(), ()) == (1, 1)
-    assert sigma_hat_monomial(fan_p2(), (0, 1)) == (0, 0, 1)
+    # b has the sigma-hat of each maximal cone, the squarefree monomial over
+    # the rays outside it; the zero cone is in the fan, (0, 1) not in P1's
+    p1, p2 = fan_p1(), fan_p2()
+    assert p1.max_cones == ((0,), (1,)) and p1.require_cone(()) == ()
+    assert irrelevant_ideal(p1).generators == ((0, 1), (1, 0))
+    assert p2.max_cones == ((0, 1), (0, 2), (1, 2))
+    assert irrelevant_ideal(p2).generators == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     with pytest.raises(UnknownCone):
-        sigma_hat_monomial(fan_p1(), (0, 1))
+        p1.require_cone((0, 1))
 
 
 def test_irrelevant_ideal_examples():
@@ -279,7 +283,7 @@ def test_irrelevant_ideal_examples():
 
 def test_irrelevant_ideal_checks_no_cone(monkeypatch):
     # b is built from the fan's own maximal cones, which need no membership
-    # test; sigma_hat_monomial keeps its check for other callers
+    # test: each is a cone of the fan by construction
     def no_check(self, cone):
         raise AssertionError("has_cone called")
 
@@ -287,7 +291,8 @@ def test_irrelevant_ideal_checks_no_cone(monkeypatch):
     fans = [fan for _, fan in all_fixture_fans()] + [fan_p3(), fan_torsion(),
                                                      Fan(2, [[1, 0], [0, 1]], [[0, 1]])]
     fans += [random_fan(r, n) for n in (1, 2, 3) for _ in range(10)]
-    expected = [tuple(sorted({sigma_hat_monomial(fan, c) for c in fan.max_cones}))
+    expected = [tuple(sorted({tuple(int(i not in fan.require_cone(c)) for i in range(fan.d))
+                              for c in fan.max_cones}))
                 for fan in fans]
     monkeypatch.setattr(Fan, "has_cone", no_check)
     for fan, monomials in zip(fans, expected):
@@ -309,11 +314,11 @@ def test_irrelevant_generators_squarefree_incomparable():
 
 def test_grading_data_degrees():
     gd = grading(fan_p1())
-    assert [gd.degree_x(i) for i in range(2)] == [(1,), (1,)]
+    assert gd.class_group.unit_classes() == ((1,), (1,))
     gd2 = grading(fan_p2())
-    assert [gd2.degree_x(i) for i in range(3)] == [(1,), (1,), (1,)]
+    assert gd2.class_group.unit_classes() == ((1,), (1,), (1,))
     gd3 = grading(fan_p1p1())
-    degs = [gd3.degree_x(i) for i in range(4)]
+    degs = gd3.class_group.unit_classes()
     assert degs[0] == degs[1] and degs[2] == degs[3] and degs[0] != degs[2]
 
 
@@ -325,9 +330,10 @@ def test_class_degrees_satisfy_the_exact_sequence():
     for fan in fans:
         gd = grading(fan)
         group = gd.class_group
+        degrees = group.unit_classes()
         for i in range(fan.d):
-            assert gd.degree_x(i) == group.project(tuple(int(j == i) for j in range(fan.d)))
-        columns = list(zip(*map(gd.degree_x, range(fan.d))))
+            assert degrees[i] == group.project(tuple(int(j == i) for j in range(fan.d)))
+        columns = list(zip(*degrees))
         for m in product(range(-2, 3), repeat=fan.n):
             # the class coordinates of sum_i <m, v_i> deg(x_i), reduced once
             coeffs = [sum(x * y for x, y in zip(m, ray)) for ray in fan.rays]
@@ -405,11 +411,9 @@ def test_exactness_of_grading_sequence():
 def test_grading_additivity_on_sigma_hats():
     for fan in (fan_p1(), fan_p2(), fan_p1p1()):
         gd = grading(fan)
-        cones = list(fan.max_cones)
-        for s in cones:
-            for t in cones:
-                a = sigma_hat_monomial(fan, s)
-                b = sigma_hat_monomial(fan, t)
+        sigma_hats = irrelevant_ideal(fan).generators
+        for a in sigma_hats:
+            for b in sigma_hats:
                 total = tuple(x + y for x, y in zip(a, b))
                 project = gd.class_group.project
                 assert project(total) == gd.class_group.add(project(a), project(b))

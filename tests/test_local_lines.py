@@ -199,7 +199,8 @@ def test_line_check_fails_where_one_point_fails():
     gd = grading(fan_p2())
     cone, p, radius = (0, 1), (0, 0), 3
     at = (1, 1)
-    identity = [numerator_action(WeylElement.one(gd.n))]
+    zero = (0,) * gd.n
+    identity = [numerator_action(WeylElement.monomial(gd.n, zero, zero))]
 
     def values(value):
         return lambda head, partial, xs: [value(head + (x,)) for x in xs]

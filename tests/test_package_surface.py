@@ -2,8 +2,9 @@
 function and class has a caller (the names that nothing in the program or
 the benchmark uses are exactly the allowlist below, and a test calls each of
 them), every method has a caller outside its class, every imported name is
-used by the module that imports it, and modules keep no state of their own.
-Source is only read here.
+used by the module that imports it, modules keep no state of their own, and
+each module imports only the modules before it in LAYERS. Source is only
+read here.
 """
 
 import ast
@@ -22,8 +23,11 @@ TEST_ONLY = {
     "verify_char_containment",
     "verify_local_action", "k_component",
     "to_theta_form", "from_theta_form",
-    "sigma_hat_monomial",
 }
+
+# Each module imports only modules before it.
+LAYERS = ("errors", "parsing", "lattice", "weyl", "groebner", "fan_cox", "dmod",
+          "charvar", "cli")
 
 
 def _modules():
@@ -77,13 +81,33 @@ def _attributes(node) -> set:
     return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
 
 
+def _uses(node) -> tuple[set, set]:
+    """The attribute names read in node, and those called (x.name(...))."""
+    called = {sub.func.attr for sub in ast.walk(node)
+              if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)}
+    return _attributes(node), called
+
+
+def _is_property(method) -> bool:
+    return any(ast.unparse(deco) in ("property", "cached_property")
+               for deco in method.decorator_list)
+
+
+def _used(method, read: set, called: set, bench: str) -> bool:
+    """A property is used where it is read, a plain method where it is called."""
+    name = method.name
+    if _is_property(method):
+        return name in read or re.search(rf"\.{name}\b", bench) is not None
+    return name in called or re.search(rf"\.{name}\(", bench) is not None
+
+
 def test_every_method_has_a_caller():
-    # a method counts as used where it is named as an attribute outside its
-    # class (in src/ or perfbench/), or by a used method of its own class;
-    # Python calls the dunders. A method named like an attribute read
-    # elsewhere passes, so this misses some dead methods but flags no live one
+    # a plain method counts as used where it is called as x.name(...) outside
+    # its class (in src/ or perfbench/), or by a used method of its own
+    # class; a property or cached_property where it is read. Python calls
+    # the dunders. A method passed uncalled (key=x.name) would be flagged
     statements = [(path, stmt) for path, tree in _modules().items() for stmt in tree.body]
-    attributes = [_attributes(stmt) for _, stmt in statements]
+    uses = [_uses(stmt) for _, stmt in statements]
     bench = "\n".join(path.read_text(encoding="utf-8")
                       for path in sorted((ROOT / "perfbench").glob("*.py")))
     uncalled = []
@@ -91,18 +115,42 @@ def test_every_method_has_a_caller():
         if not isinstance(cls, ast.ClassDef):
             continue
         methods = {m.name: m for m in cls.body if isinstance(m, ast.FunctionDef)}
-        outside = set().union(*attributes[:k], *attributes[k + 1:])
-        live = {name for name in methods
-                if name.startswith("__") and name.endswith("__") or name in outside
-                or re.search(rf"\b{name}\b", bench)}
+        others = uses[:k] + uses[k + 1:]
+        read = set().union(*(r for r, _ in others))
+        called = set().union(*(c for _, c in others))
+        live = {name for name, method in methods.items()
+                if name.startswith("__") and name.endswith("__")
+                or _used(method, read, called, bench)}
         while True:
-            reached = set().union(*(_attributes(methods[name]) for name in live))
-            grown = live | (reached & methods.keys())
+            inner = [_uses(methods[name]) for name in live]
+            read = set().union(*(r for r, _ in inner))
+            called = set().union(*(c for _, c in inner))
+            grown = live | {name for name, method in methods.items()
+                            if _used(method, read, called, "")}
             if grown == live:
                 break
             live = grown
         uncalled += [f"{path.stem}.{cls.name}.{name}" for name in methods if name not in live]
     assert not uncalled
+
+
+def test_modules_import_only_earlier_layers():
+    # the order holds, and weyl and groebner know nothing of the grading:
+    # the class map of a monomial is class_group.project, read above them
+    assert {path.stem for path in _modules()} == set(LAYERS)
+    upward, grading = [], []
+    for path, tree in _modules().items():
+        earlier = set(LAYERS[:LAYERS.index(path.stem)])
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                upward += [f"{path.stem} imports {name}" for name in names
+                           if name not in earlier]
+        if path.stem in ("weyl", "groebner"):
+            grading += sorted(f"{path.stem} reads .{attr}" for attr in
+                              _attributes(tree) & {"class_group", "group", "degrees"})
+    assert not upward
+    assert not grading
 
 
 def test_every_test_only_name_is_called_from_a_test():

@@ -7,11 +7,12 @@ import pytest
 
 from helpers import (fan_p1, fan_p1p1, grading, linear_product_per_factor,
                      random_weyl, rng, weyl_left_mul_monomial)
+from toric_dmod.dmod import weyl_degree
 from toric_dmod.errors import InhomogeneousInput, ParseError
 from toric_dmod.weyl import (WeylElement, act, format_weyl,
                              from_theta_form, parse_weyl, shift_items, tau,
                              theta_dict_to_weyl, to_theta_form, tp_format, tp_linear,
-                             tp_linear_product, tp_subst, weyl_degree, weyl_mul,
+                             tp_linear_product, tp_subst, weyl_mul,
                              weyl_shift_into)
 
 
@@ -38,8 +39,8 @@ def test_mul_unit():
     r = rng(10)
     for _ in range(10):
         f = random_weyl(r, 2)
-        assert weyl_mul(f, WeylElement.one(2)) == f
-        assert weyl_mul(WeylElement.one(2), f) == f
+        assert weyl_mul(f, WeylElement.monomial(2, (0, 0), (0, 0))) == f
+        assert weyl_mul(WeylElement.monomial(2, (0, 0), (0, 0)), f) == f
 
 
 def test_mul_associative_randomized():
@@ -170,10 +171,10 @@ def test_theta_form_falling_factorial_r3():
 def test_x_r_d_r_product_identity():
     for r in range(1, 7):
         lhs = WeylElement.monomial(1, (r,), (r,))
-        rhs = WeylElement.one(1)
+        rhs = WeylElement.monomial(1, (0,), (0,))
         for j in range(1, r + 1):
-            rhs = weyl_mul(rhs, WeylElement.theta(1, 0)
-                           + WeylElement.one(1).scale(-(j - 1)))
+            rhs = weyl_mul(rhs, WeylElement.monomial(1, (1,), (1,))
+                           + WeylElement.monomial(1, (0,), (0,)).scale(-(j - 1)))
         assert lhs == rhs
 
 
@@ -189,15 +190,17 @@ def test_theta_dict_to_weyl_against_repeated_products():
     # vector with entries at most 6 and d at most 3
     r = rng(19)
     for d in (1, 2, 3):
+        one = WeylElement.monomial(d, (0,) * d, (0,) * d)
         powers = []
         for i in range(d):
-            row = [WeylElement.one(d)]
+            unit = tuple(int(k == i) for k in range(d))
+            row = [one]
             for _ in range(6):
-                row.append(weyl_mul(row[-1], WeylElement.theta(d, i)))
+                row.append(weyl_mul(row[-1], WeylElement.monomial(d, unit, unit)))
             powers.append(row)
         expected = {}
         for e in product(range(7), repeat=d):
-            term = WeylElement.one(d)
+            term = one
             for row, k in zip(powers, e):
                 term = weyl_mul(term, row[k])
             expected[e] = term
@@ -211,7 +214,7 @@ def test_theta_dict_to_weyl_against_repeated_products():
             assert theta_dict_to_weyl(d, w) == total
         assert theta_dict_to_weyl(d, {}) == WeylElement.zero(d)
         const = {(0,) * d: Fraction(-5, 3)}
-        assert theta_dict_to_weyl(d, const) == WeylElement.one(d).scale(Fraction(-5, 3))
+        assert theta_dict_to_weyl(d, const) == one.scale(Fraction(-5, 3))
 
 
 def test_act_examples():
@@ -220,7 +223,7 @@ def test_act_examples():
     theta1 = W("x1*d1")
     assert act(theta1, {(4, 2): Fraction(1)}) == {(4, 2): Fraction(4)}
     g = {(1, -2): Fraction(1, 2)}
-    assert act(WeylElement.one(2), g) == g
+    assert act(WeylElement.monomial(2, (0, 0), (0, 0)), g) == g
 
 
 def test_act_on_localization():
@@ -255,7 +258,8 @@ def test_tau_theta_u_formula_all_fans():
     for fan in (fan_p1(), fan_p1p1()):
         gd = grading(fan)
         for j, th in enumerate(euler_operators(gd)):
-            assert tau(th) == (-th) - WeylElement.one(gd.d).scale(gd.e_bar[j])
+            one = WeylElement.monomial(gd.d, (0,) * gd.d, (0,) * gd.d)
+            assert tau(th) == (-th) - one.scale(gd.e_bar[j])
 
 
 def test_tau_is_antiautomorphism_and_involution():
@@ -283,8 +287,9 @@ def test_variable_product_absorbs_eigenvector_shift():
         rhs = WeylElement.monomial(d, sp, sm)
         for i in range(d):
             if a[i] < 0:
-                rhs = weyl_mul(rhs, WeylElement.theta(d, i)
-                               + WeylElement.one(d).scale(a[i] + 1))
+                unit = tuple(int(k == i) for k in range(d))
+                rhs = weyl_mul(rhs, WeylElement.monomial(d, unit, unit)
+                               + WeylElement.monomial(d, (0,) * d, (0,) * d, a[i] + 1))
         assert lhs == rhs, a
 
 

@@ -114,21 +114,18 @@ class ChartFrame:
     form that validated the cone.
     """
 
-    __slots__ = ("cone", "ring", "t_exponents", "u_sections", "generator_monomials")
+    __slots__ = ("cone", "ring", "t_exponents", "u_sections")
 
     def __init__(self, cone: tuple[int, ...], ring: PolyRing,
                  t_exponents: tuple[tuple[int, ...], ...],
-                 u_sections: tuple[tuple[int, ...], ...],
-                 generator_monomials: list[tuple[str, tuple[int, ...], tuple[int, ...]]]):
+                 u_sections: tuple[tuple[int, ...], ...]):
         self.cone = cone
-        self.ring = ring
+        self.ring = ring                        # t1..tn, u1..ud
         self.t_exponents = t_exponents          # iota(m_j)
         self.u_sections = u_sections            # x-exponents of u_i / xi_i
-        self.generator_monomials = generator_monomials
 
     def _key(self):
-        return (self.cone, self.ring, self.t_exponents, self.u_sections,
-                self.generator_monomials)
+        return (self.cone, self.ring, self.t_exponents, self.u_sections)
 
     def __eq__(self, other):
         if other.__class__ is not ChartFrame:
@@ -173,14 +170,7 @@ def chart_frame(grading: GradingData, cone) -> ChartFrame:
     u_sections = [tuple(int(k == i) for k in range(d)) for i in range(d)]
     for i, shift in zip(cone, t_exponents):
         u_sections[i] = tuple(int(k == i) - x for k, x in enumerate(shift))
-    u_sections = tuple(u_sections)
-    gen_monomials = []
-    for j in range(n):
-        gen_monomials.append((names[j], t_exponents[j], (0,) * d))
-    for i in range(d):
-        gen_monomials.append((names[n + i], u_sections[i],
-                              tuple(1 if k == i else 0 for k in range(d))))
-    return ChartFrame(cone, PolyRing(names), t_exponents, u_sections, gen_monomials)
+    return ChartFrame(cone, PolyRing(names), t_exponents, tuple(u_sections))
 
 
 def chart_frames(grading: GradingData) -> list[ChartFrame] | None:

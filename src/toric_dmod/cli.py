@@ -300,10 +300,15 @@ def cmd_charvar(args, grading: GradingData) -> list[tuple[str, str]]:
     if args.charts:
         names = charvar.s_prime_ring(grading).names
         for chart in rep.charts:
-            rays = ",".join(str(i + 1) for i in chart.frame.cone)
+            frame = chart.frame
+            rays = ",".join(str(i + 1) for i in frame.cone)
             label = f"chart-{rays}"
-            gens = [f"{nm} = " + format_terms([(1, list(zip(names, xe + xie)))])
-                    for nm, xe, xie in chart.frame.generator_monomials]
+            # t_j = x^iota(m_j), and u_i = x^(section of deg x_i) xi_i
+            monomials = [list(zip(names, t)) for t in frame.t_exponents]
+            monomials += [list(zip(names, s)) + [(names[grading.d + i], 1)]
+                          for i, s in enumerate(frame.u_sections)]
+            gens = [f"{nm} = " + format_terms([(1, m)])
+                    for nm, m in zip(frame.ring.names, monomials)]
             report.append((f"{label}-generators", "; ".join(gens)))
             report.append((f"{label}-window", "degree-zero monomials via the linear "
                            f"section with zero exponents on rays {rays}"))
@@ -343,15 +348,14 @@ def cmd_local(args, grading: GradingData) -> list[tuple[str, str]]:
     ip_text = tp_format(ip, vnames)
     report.append(("rho-h_p", ip_text))
     report.append(("i_p", ip_text))
-    radius = dmod.local_radius(grading, p)
     # products of linear factors are equal iff their factor lists are
-    oracle = dmod.j_p_oracle(grading, cone, p, radius)
+    oracle = dmod.j_p_oracle(grading, cone, p)
     report.append(("oracle", "AGREE" if oracle == factors else "DISAGREE"))
     # h_p with the index range widened by one (0 <= m <= -iota(p)_i)
     alt = [(i, m) for i in cone for m in range(0, -iota[i] + 1)]
     report.append(("inclusive-bound-variant",
                    "AGREE" if alt == oracle else "DISAGREE (off-by-one)"))
-    ymatch = dmod.i_p_matches_y_p(grading, cone, p, ip, 2 * radius)
+    ymatch = dmod.i_p_matches_y_p(grading, cone, p, ip)
     report.append(("y_p-vanishing", "AGREE" if ymatch else "DISAGREE"))
     if args.g is not None:
         g = parse_theta_poly(args.g, fan.d)

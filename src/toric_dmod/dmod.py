@@ -14,8 +14,7 @@ from itertools import product
 from math import prod
 from operator import add, mul, sub
 
-from .errors import (BoxTooSmall, ConeNotMaximal, InhomogeneousInput, NotInJp,
-                     PointTooLarge)
+from .errors import ConeNotMaximal, InhomogeneousInput, NotInJp, PointTooLarge
 from .fan_cox import Fan, GradingData
 from .groebner import WeylDivisors, weyl_buchberger, weyl_contains
 from .weyl import (ThetaDict, WeylElement, numerator_action, tau,
@@ -217,7 +216,9 @@ def left_right_swap(pres: GradedPresentation) -> GradedPresentation:
 
 
 def local_radius(grading: GradingData, p) -> int:
-    """The box radius the local oracles need: max(1, |iota(p)_i|) + 1."""
+    """The box radius of the local oracles: j_p_oracle walks radius r =
+    max(1, |iota(p)_i|) + 1, which holds every slab of h_p, and the y_p
+    check radius 2r."""
     return max([1] + [abs(v) for v in grading.iota_of(p)]) + 1
 
 
@@ -249,19 +250,16 @@ def h_p(grading: GradingData, cone, p) -> tuple[ThetaDict, list]:
     return tp_linear_product(grading.d, factors), factors
 
 
-def j_p_oracle(grading: GradingData, cone, p, radius: int):
-    """Brute-force minimal product of linear slabs covering Z(p) in a box,
-    as its sorted factors (i, m), each the slab theta_i = m.
+def j_p_oracle(grading: GradingData, cone, p):
+    """Brute-force minimal product of linear slabs covering Z(p) in the box
+    of radius local_radius(p), as its sorted factors (i, m), each the slab
+    theta_i = m.
 
     Z(p) only constrains the cone coordinates, so one pass over those
-    decides every slab; BoxTooSmall if the box cannot contain all slabs
-    (radius below local_radius(p)).
+    decides every slab.
     """
     ip = grading.iota_of(p)
-    needed = local_radius(grading, p)
-    if radius < needed:
-        raise BoxTooSmall(f"radius {radius} < required {needed}")
-
+    radius = local_radius(grading, p)
     # x^(iota(p) + a) stays in the chart ring iff no cone coordinate goes
     # negative; a slab is a factor iff no such good point lies on it. The
     # factors cover every bad point: the slab of a negative coordinate holds
@@ -275,13 +273,8 @@ def j_p_oracle(grading: GradingData, cone, p, radius: int):
 
 
 def rho(grading: GradingData, w: ThetaDict) -> ThetaDict:
-    """Pullback along iota: theta_i -> sum_l v_i[l] vartheta_l (rho_b at b = 0)."""
-    return rho_b(grading, (0,) * len(grading.fan.rays), w)
-
-
-def rho_b(grading: GradingData, b, w: ThetaDict) -> ThetaDict:
-    """rho composed with the shift theta_i -> theta_i - b_i."""
-    images = [tp_linear_form(ray, -bi) for ray, bi in zip(grading.fan.rays, b)]
+    """Pullback along iota: theta_i -> sum_l v_i[l] vartheta_l."""
+    images = [tp_linear_form(ray) for ray in grading.fan.rays]
     return tp_subst(w, images, grading.n)
 
 
@@ -340,12 +333,14 @@ def y_p_points(fan: Fan, cone, p, radius: int) -> list[tuple[int, ...]]:
             for x in dual if x not in stay]
 
 
-def i_p_matches_y_p(grading: GradingData, cone, p, ip: ThetaDict, radius: int) -> bool:
+def i_p_matches_y_p(grading: GradingData, cone, p, ip: ThetaDict) -> bool:
     """ip (the generator rho(h_p) of I(p)) vanishes exactly on Y(p) among
-    dual-cone points in the box; it is evaluated at those points only, one
+    dual-cone points in the box of radius 2 local_radius(p), the box that
+    require_local_bounds counts; it is evaluated at those points only, one
     univariate Horner per box line (the evaluator's line form)."""
     line = tp_numerator_evaluator(ip)[1].line
-    for head, _, dual, stay in _box_lines(grading.fan, cone, p, radius):
+    for head, _, dual, stay in _box_lines(grading.fan, cone, p,
+                                          2 * local_radius(grading, p)):
         if dual:
             ip_at = line(head)
             for x in dual:

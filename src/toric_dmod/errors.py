@@ -46,10 +46,6 @@ class NotInJp(PreconditionViolated):
     pass
 
 
-class BoxTooSmall(PreconditionViolated):
-    pass
-
-
 class ConeNotMaximal(PreconditionViolated):
     pass
 

@@ -193,8 +193,9 @@ def _lift_front(p: Poly, big: PolyRing) -> Poly:
     return Poly(big, {(0,) + e: c for e, c in p.terms.items()})
 
 
-def eliminate_front(gens: list[Poly], big: PolyRing, small: PolyRing) -> list[Poly]:
-    """Reduced GB of (gens) intersected with the subring missing the front var.
+def eliminate_front(gens: list[Poly], ring: PolyRing) -> list[Poly]:
+    """Reduced GB of (gens) intersected with ring, the subring missing the
+    front variable t of the ring of gens.
 
     The front variable t becomes the d-part of one extra variable whose
     x-part stays 0, so t commutes and the Weyl order compares the t-degree
@@ -204,7 +205,7 @@ def eliminate_front(gens: list[Poly], big: PolyRing, small: PolyRing) -> list[Po
     """
     gb = buchberger([{(0, (0,) + e[1:], e[:1]): c for e, c in g.terms.items()}
                      for g in gens], 1)
-    return [Poly(small, {a[1:]: c for (_, a, _), c in g.items()})
+    return [Poly(ring, {a[1:]: c for (_, a, _), c in g.items()})
             for g in gb if not any(b[0] for _, _, b in g)]
 
 
@@ -221,8 +222,8 @@ def _with_inverse(gens: list[Poly], f: Poly, ring: PolyRing):
 
 def saturation(gens: list[Poly], f: Poly, ring: PolyRing) -> list[Poly]:
     """(I : f^infinity) computed by eliminating t from I + (1 - t f)."""
-    lifted, big = _with_inverse(gens, f, ring)
-    return eliminate_front(lifted, big, ring)
+    lifted, _ = _with_inverse(gens, f, ring)
+    return eliminate_front(lifted, ring)
 
 
 def intersect_ideals(i_gens: list[Poly], j_gens: list[Poly], ring: PolyRing) -> list[Poly]:
@@ -231,7 +232,7 @@ def intersect_ideals(i_gens: list[Poly], j_gens: list[Poly], ring: PolyRing) -> 
     one_minus_t = Poly.constant(big, 1) - t
     lifted = [t * _lift_front(g, big) for g in i_gens]
     lifted += [one_minus_t * _lift_front(g, big) for g in j_gens]
-    return eliminate_front(lifted, big, ring)
+    return eliminate_front(lifted, ring)
 
 
 def saturation_by_monomials(gens: list[Poly], monomials, ring: PolyRing) -> list[Poly]:

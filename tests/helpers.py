@@ -22,8 +22,8 @@ from toric_dmod.charvar import CharReport
 from toric_dmod.dmod import (LEFT, GradedPresentation, d_module_left,
                              left_right_swap, local_radius, require_chart_cone,
                              weyl_degree)
-from toric_dmod.errors import (BoxTooSmall, FanValidationError, NonSimplicialCone,
-                               NonSmoothCone, ParseError, RaysDoNotSpan)
+from toric_dmod.errors import (FanValidationError, NonSimplicialCone, NonSmoothCone,
+                               ParseError, RaysDoNotSpan)
 from toric_dmod.fan_cox import (Fan, GradingData, _fm_feasible,
                                 _overlapping_cones, grading_data)
 from toric_dmod import groebner
@@ -868,12 +868,10 @@ def actions_hold_per_point(grading: GradingData, cone, p, actions, value_den: in
 def j_p_oracle_per_slab(grading: GradingData, cone, p, radius: int):
     """dmod.j_p_oracle with one scan of the whole box per slab: a slab is a
     factor iff every point on it is bad, and every bad point must lie on a
-    factor slab."""
+    factor slab. The box must hold every slab: radius >= local_radius(p)."""
     cone = grading.fan.require_cone(cone)
     ip = grading.iota_of(p)
-    needed = local_radius(grading, p)
-    if radius < needed:
-        raise BoxTooSmall(f"radius {radius} < required {needed}")
+    assert radius >= local_radius(grading, p), (radius, p)
 
     def bad(assign) -> bool:
         return any(ip[i] + a < 0 for i, a in zip(cone, assign))
@@ -887,8 +885,8 @@ def j_p_oracle_per_slab(grading: GradingData, cone, p, radius: int):
             if slab and all(bad(pt) for pt in slab):
                 candidates.append((i, m, pos))
     for pt in bad_points:
-        if not any(pt[pos] == m for (_, m, pos) in candidates):
-            raise BoxTooSmall("enumerated set is not covered by coordinate slabs")
+        assert any(pt[pos] == m for (_, m, pos) in candidates), \
+            "enumerated set is not covered by coordinate slabs"
     return sorted((i, m) for (i, m, _) in candidates)
 
 
@@ -1010,6 +1008,14 @@ def restrict_to_chart(gd: GradingData, pres: GradedPresentation, cone) -> Restri
     ideal = annihilator_of_graded_quotient(initial_forms(gb), ring, 1)
     one = WeylElement.monomial(n, (0,) * n, (0,) * n)
     return RestrictedChart(cone, ring, (one,) in gb, ideal, basis_dimension(ideal, ring))
+
+
+def chart_generator_exponents(frame) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (x, xi) exponents of the chart generators t_1..t_n, u_1..u_d of
+    frame, read from the frame: t_j = x^iota(m_j), u_i = x^(s_i) xi_i."""
+    d = len(frame.u_sections)
+    return ([(t, (0,) * d) for t in frame.t_exponents]
+            + list(zip(frame.u_sections, _units(d))))
 
 
 def chart_in_cotangent(gd: GradingData, chart, ring: PolyRing) -> list[Poly]:

@@ -4,9 +4,10 @@ from operator import sub
 
 import pytest
 
-from helpers import (all_fixture_fans, assert_restriction_agrees, chart_restriction,
-                     delta_module, fan_hirzebruch1, fan_p1, fan_p1_cubed,
-                     fan_p1p1, fan_p2, fan_p3, fan_torsion, grading, matrix_rank,
+from helpers import (all_fixture_fans, assert_restriction_agrees,
+                     chart_generator_exponents, chart_restriction, delta_module,
+                     fan_hirzebruch1, fan_p1, fan_p1_cubed, fan_p1p1, fan_p2,
+                     fan_p3, fan_torsion, grading, matrix_rank,
                      random_homogeneous_weyl, restrict_to_chart, rng, section_off_cone,
                      star_subdivided_fans, structure_sheaf)
 from toric_dmod import charvar
@@ -125,8 +126,8 @@ def test_chart_ideal_p1_twisted():
     report = dimension_report(gd, pres)
     chart = report_chart(report, (0,))
     assert chart == chart_ideal_from_saturated(gd, report.saturated, (0,))
-    assert [nm for nm, _, _ in chart.frame.generator_monomials] == ["t1", "u1", "u2"]
-    assert chart.frame.generator_monomials[0][1] == (1, -1)
+    assert chart.frame.ring.names == ("t1", "u1", "u2")
+    assert chart.frame.t_exponents == ((1, -1),)
     assert_polynomial_chart_ring(chart.frame)
     assert [format_poly(g) for g in chart.image_ideal] == ["t1*u1 + u2"]
     assert chart.dimension == 2
@@ -175,7 +176,7 @@ def test_chart_ideal_cone_errors():
 def assert_polynomial_chart_ring(frame):
     """The n + d chart generator monomials satisfy no relation: their
     exponent vectors (x part, then xi part) are linearly independent."""
-    vectors = [tuple(xe) + tuple(xie) for _, xe, xie in frame.generator_monomials]
+    vectors = [xe + xie for xe, xie in chart_generator_exponents(frame)]
     assert matrix_rank(vectors) == len(vectors)
     assert toric_ideal(vectors, frame.ring) == []
 
@@ -188,7 +189,7 @@ def test_every_chart_ring_is_a_polynomial_ring():
         assert fan.max_cones
         for cone in fan.max_cones:
             frame = chart_frame(gd, cone)
-            assert len(frame.generator_monomials) == fan.n + gd.d
+            assert len(chart_generator_exponents(frame)) == fan.n + gd.d
             assert_polynomial_chart_ring(frame)
 
 
@@ -311,7 +312,7 @@ def test_chart_generators_are_degree_zero_and_chart_regular():
         assert [chart.frame.cone for chart in report.charts] == list(gd.fan.max_cones)
         for chart in report.charts:
             inside = set(chart.frame.cone)
-            for _, xexp, xiexp in chart.frame.generator_monomials:
+            for xexp, xiexp in chart_generator_exponents(chart.frame):
                 # deg x_i = e_i = -deg xi_i, so the class of the exponents
                 assert gd.class_group.project(tuple(map(sub, xexp, xiexp))) == \
                     gd.class_group.zero()

@@ -132,6 +132,34 @@ def test_local_bounds_admit_the_documented_range():
         dmod.require_local_bounds(p1, (0,), (1024,))
 
 
+def test_y_p_check_walks_the_box_the_bounds_count(monkeypatch):
+    # at the two largest local points the y_p check walks exactly the box
+    # require_local_bounds counts, (4 local_radius(p) + 1)^n points, and one
+    # point further the bound rejects the point
+    from toric_dmod import dmod
+    from toric_dmod.errors import PointTooLarge
+    real = dmod._box_lines
+    walked = []
+
+    def counted(fan, cone, p, radius):
+        for line in real(fan, cone, p, radius):
+            walked.append(2 * radius + 1)
+            yield line
+
+    monkeypatch.setattr(dmod, "_box_lines", counted)
+    for name, cone, p, past, size, reason in (
+            ("p1", (0,), (-64,), (-65,), 261, "linear factors"),
+            ("p1p1", (0, 2), (-14, -14), (-15, -14), 3721, "enumerate")):
+        gd = grading_data(load_fan(str(FIXTURES / f"{name}.fan")))
+        dmod.require_local_bounds(gd, cone, p)
+        walked.clear()
+        assert dmod.i_p_matches_y_p(gd, cone, p, dmod.i_p_ideal(gd, cone, p))
+        box = (4 * dmod.local_radius(gd, p) + 1) ** gd.n
+        assert sum(walked) == box == size <= dmod.LOCAL_MAX_BOX, name
+        with pytest.raises(PointTooLarge, match=reason):
+            dmod.require_local_bounds(gd, cone, past)
+
+
 def test_over_cap_exponent_exits_2_at_once(capsys):
     # th1^1000000 took 6.3 s before the cap; th1^10000000 ran past 30 s
     for g in ("th1^10000000", "th1^150*th1^51"):
@@ -248,7 +276,7 @@ EXIT_CODES = {
     "ToricDmodError": 3, "ParseError": 2, "FanValidationError": 3,
     "NonSimplicialCone": 3, "NonSmoothCone": 3, "RaysDoNotSpan": 3,
     "UnknownCone": 3, "PreconditionViolated": 4, "InhomogeneousInput": 4,
-    "NotInJp": 4, "BoxTooSmall": 4, "ConeNotMaximal": 4, "PointTooLarge": 4,
+    "NotInJp": 4, "ConeNotMaximal": 4, "PointTooLarge": 4,
     "ChartRewriteError": 4,
 }
 
@@ -687,8 +715,7 @@ def _corrupt_frame_sections(monkeypatch, corrupt):
     def fake(grading, cone):
         frame = real(grading, cone)
         sections = tuple(corrupt(frame, i, s) for i, s in enumerate(frame.u_sections))
-        return charvar.ChartFrame(frame.cone, frame.ring, frame.t_exponents, sections,
-                                  frame.generator_monomials)
+        return charvar.ChartFrame(frame.cone, frame.ring, frame.t_exponents, sections)
 
     monkeypatch.setattr(charvar, "chart_frame", fake)
 

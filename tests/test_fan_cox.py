@@ -374,7 +374,8 @@ def test_class_group_maps_reject_a_wrong_length():
 
 
 def test_class_degrees_are_projected_once(monkeypatch, capsys):
-    # 73 projections per report when every degree_x call projected again
+    # the class map is class_group.project; this report makes 5 calls, and
+    # the bound keeps it from projecting again per term or per chart
     calls = []
     real = FinitelyGeneratedAbelianGroup.project
 

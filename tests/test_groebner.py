@@ -261,14 +261,14 @@ def test_eliminate_front_is_its_own_reduction():
               for _ in range(15)]
     nontrivial = 0
     for gens in cases:
-        out = eliminate_front(gens, big, small)
+        out = eliminate_front(gens, small)
         assert groebner_basis(out, small) == out
         assert ideal_contains(groebner_basis(gens, big),
                               [groebner._lift_front(g, big) for g in out])
         nontrivial += bool(out) and not is_unit_ideal(out)
-    assert eliminate_front(cases[0], big, small) == []
-    assert eliminate_front(cases[1], big, small) == []
-    assert eliminate_front(cases[2], big, small) == [Poly.constant(small, 1)]
+    assert eliminate_front(cases[0], small) == []
+    assert eliminate_front(cases[1], small) == []
+    assert eliminate_front(cases[2], small) == [Poly.constant(small, 1)]
     assert nontrivial
 
 
@@ -290,8 +290,8 @@ def test_eliminate_front_is_its_own_reduction_on_fixture_reports(monkeypatch):
     real = groebner.eliminate_front
     outputs = []
 
-    def recorded(gens, big, small):
-        out = real(gens, big, small)
+    def recorded(gens, small):
+        out = real(gens, small)
         outputs.append((out, small))
         return out
 
@@ -650,7 +650,7 @@ def test_eliminate_front_matches_sympy_lex_on_small_ideals():
         polys = [random_poly(r, big, 2, 3) for _ in range(3)]
         lex_free = [Poly(small, {e[1:]: c for e, c in g.terms.items()})
                     for g in _sympy_lex_basis(polys, big) if all(e[0] == 0 for e in g.terms)]
-        out = eliminate_front(polys, big, small)
+        out = eliminate_front(polys, small)
         assert out == groebner_basis(lex_free, small)
         nontrivial += bool(out) and not is_unit_ideal(out)
     assert nontrivial

@@ -22,7 +22,6 @@ from toric_dmod import dmod
 from toric_dmod.dmod import (factored_local_action_holds, h_p, i_p_ideal,
                              i_p_matches_y_p, j_p_oracle, local_radius,
                              verify_local_action, y_p_points)
-from toric_dmod.errors import BoxTooSmall
 from toric_dmod.fan_cox import Fan
 from toric_dmod.weyl import (WeylElement, numerator_action, theta_dict_to_weyl,
                              tp_add, tp_eval, tp_linear, tp_mul,
@@ -272,9 +271,10 @@ def test_line_form_matches_the_point_form(case):
 
 @given(local_cases(), st.data())
 def test_box_lines_match_the_per_point_walk(case, data):
-    # y_p_points, and i_p_matches_y_p on rho(h_p), on rho(h_p) times one
-    # more linear factor and on a constant: the same verdict, from
-    # evaluations at the same points in the same order
+    # y_p_points, and i_p_matches_y_p (in its box, of radius
+    # 2 local_radius(p)) on rho(h_p), on rho(h_p) times one more linear
+    # factor and on a constant: the same verdict, from evaluations at the
+    # same points in the same order
     gd, cone, p, radius = case
     fan = gd.fan
     assert y_p_points(fan, cone, p, radius) == y_p_points_per_point(fan, cone, p, radius)
@@ -288,9 +288,9 @@ def test_box_lines_match_the_per_point_walk(case, data):
     for g in variants:
         seen.clear()
         with patch:
-            verdicts.append(i_p_matches_y_p(gd, cone, p, g, radius))
+            verdicts.append(i_p_matches_y_p(gd, cone, p, g))
         expected = i_p_evaluations_per_point(fan, cone, p, tp_numerator_evaluator(g)[1],
-                                             radius)
+                                             2 * local_radius(gd, p))
         assert (verdicts[-1], seen) == expected
     assert verdicts[0]
 
@@ -325,26 +325,18 @@ def test_rho_h_p_is_evaluated_once_per_dual_cone_point(fan_fn, cone, p):
     dual = sum(in_dual for _, _, in_dual, _ in box_points(gd.fan, cone, p, radius))
     seen, patch = _recording_evaluator()
     with patch:
-        assert i_p_matches_y_p(gd, cone, p, i_p_ideal(gd, cone, p), radius)
+        assert i_p_matches_y_p(gd, cone, p, i_p_ideal(gd, cone, p))
     assert len(seen) == len(set(seen)) == dual < (2 * radius + 1) ** gd.n
-
-
-def _outcome(oracle, *args):
-    try:
-        return oracle(*args)
-    except BoxTooSmall as exc:
-        return "BoxTooSmall", str(exc)
 
 
 @given(local_cases(), st.integers(-3, 0))
 def test_j_p_oracle_matches_the_slab_by_slab_scan(case, shift):
-    # the same sorted factors, or BoxTooSmall with the same message, also
-    # at radii below local_radius(p); and with that bound taken away, the
-    # two scans of a box too small for some slabs
+    # the same sorted factors as the scan of a box of radius local_radius(p)
+    # or one more; and with both bounds taken away, the two scans of a box
+    # too small for some slabs
     gd, cone, p, radius = case
-    radius = max(0, radius + shift)
-    args = (gd, cone, p, radius)
-    assert _outcome(j_p_oracle, *args) == _outcome(j_p_oracle_per_slab, *args)
-    with mock.patch.object(dmod, "local_radius", lambda gd, p: 0), \
+    assert j_p_oracle(gd, cone, p) == j_p_oracle_per_slab(gd, cone, p, radius)
+    small = max(0, radius + shift)
+    with mock.patch.object(dmod, "local_radius", lambda gd, p: small), \
             mock.patch.object(helpers, "local_radius", lambda gd, p: 0):
-        assert _outcome(j_p_oracle, *args) == _outcome(j_p_oracle_per_slab, *args)
+        assert j_p_oracle(gd, cone, p) == j_p_oracle_per_slab(gd, cone, p, small)

@@ -1,8 +1,9 @@
 """Fans of smooth cones, Cox grading data and the irrelevant ideal; a fan is
-validated on its maximal cones, with one exact common-face test per pair of
-them. It makes one Smith form per fan and per maximal cone, each kept with
-the fan: the fan's d x n ray matrix gives the span check and the class
-group, a cone's ray matrix its coordinates."""
+validated on its maximal cones, with one common-face test per pair of them:
+a sign settles most pairs, an exact system the rest. It makes one Smith form
+per fan, for the span check and the class group; a unimodular
+full-dimensional cone reads its coordinates off one row reduction, and every
+other cone off the Smith form of its ray matrix. Each is kept with the fan."""
 
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from .weyl import WeylElement, theta_u
 
 class ConeData:
     """A cone's linear algebra, read off one Smith form U R V = D of its
-    k x n ray matrix R.
+    k x n ray matrix R; a unimodular full-dimensional cone gets the same data
+    from the row reduction of [R | I] (_unimodular_cone_data).
 
     A simplicial cone has D = [F | 0] with F = diag(f_1, ..., f_k), and each
     f_t divides f = f_k. So R times the n x k matrix V[:, :k] f F^-1 U is f I:
@@ -99,23 +101,44 @@ class Fan:
         return self._smith_form
 
     def cone_data(self, cone) -> ConeData:
-        """The ConeData of a sorted cone: with smith_form, one Smith form per
-        fan and per maximal cone, since validation reads the maximal ones."""
+        """The ConeData of a sorted cone, kept with the fan: read off the row
+        reduction of [R | I] for a unimodular full-dimensional cone, else off
+        the Smith form of its ray matrix R."""
         data = self._cone_data.get(cone)
         if data is None:
-            snf = smith_normal_form(self.ray_matrix(cone))
-            k, factors = len(cone), snf.invariant_factors
-            coordinates = completion = None
-            if len(factors) == k:
-                v = snf.V.entries
-                # (V[:, :k] f F^-1 U)^T: column j of f F^-1 U against each row of V
-                scaled = zip(*([factors[-1] // f * x for x in row]
-                               for f, row in zip(factors, snf.U.entries)))
-                coordinates = tuple(tuple(sum(map(mul, col, row)) for row in v)
-                                    for col in scaled)
-                completion = tuple(zip(*v))[k:]
-            data = self._cone_data[cone] = ConeData(factors, coordinates, completion)
+            mat = self.ray_matrix(cone)
+            data = self._cone_data[cone] = (
+                len(cone) == self.n and _unimodular_cone_data(mat)) or _smith_cone_data(mat)
         return data
+
+
+def _smith_cone_data(mat: IntMatrix) -> ConeData:
+    """ConeData from the Smith form U R V = D of the k x n ray matrix R."""
+    snf = smith_normal_form(mat)
+    k, factors = mat.rows, snf.invariant_factors
+    coordinates = completion = None
+    if len(factors) == k:
+        v = snf.V.entries
+        # (V[:, :k] f F^-1 U)^T: column j of f F^-1 U against each row of V
+        scaled = zip(*([factors[-1] // f * x for x in row]
+                       for f, row in zip(factors, snf.U.entries)))
+        coordinates = tuple(tuple(sum(map(mul, col, row)) for row in v)
+                            for col in scaled)
+        completion = tuple(zip(*v))[k:]
+    return ConeData(factors, coordinates, completion)
+
+
+def _unimodular_cone_data(mat: IntMatrix) -> ConeData | None:
+    """ConeData of a square ray matrix R of determinant +-1, or None for any
+    other. The reduced form of [R | I] is [I | R^-1] exactly then: its pivots
+    are the first n columns, each a 1. The columns of R^-1 are the dual basis
+    m_j, the only coordinate rows with f = 1, and no completion row is left."""
+    n = mat.rows
+    rows, pivots = integer_rref([row + (0,) * i + (1,) + (0,) * (n - 1 - i)
+                                 for i, row in enumerate(mat.entries)])
+    if pivots != list(range(n)) or any(row[i] != 1 for i, row in enumerate(rows)):
+        return None
+    return ConeData((1,) * n, tuple(zip(*(row[n:] for row in rows))), ())
 
 
 def _fm_feasible(eqs, ineqs, nvars: int) -> bool:
@@ -153,27 +176,32 @@ def _fm_feasible(eqs, ineqs, nvars: int) -> bool:
 def _overlapping_cones(fan: Fan):
     """The first pair of maximal cones meeting in more than a common face, or None.
 
-    The cones are simplicial, and fan.cone_data(s2), kept from validation's
-    Smith form, gives a point of span(s2) its coordinates mu on the rays of
-    s2 (up to a positive factor) and the completion rows vanishing on that
-    span. cone(s1) & cone(s2) == cone(s1 & s2) fails exactly when a point
+    The cones are simplicial, and fan.cone_data(s2), kept from validation,
+    gives a point of span(s2) its coordinates mu on the rays of s2 (up to a
+    positive factor) and the completion rows vanishing on that span.
+    cone(s1) & cone(s2) == cone(s1 & s2) fails exactly when a point
     x = sum lam_i v_i of cone(s1) lies in span(s2) with mu >= 0 and some
     mu_j > 0 off s1, scaled to sum >= 1. A ray shared with s2 has a unit
     coordinate there and its lam_i is free, so it constrains nothing: the
     variables are the lam of the rays of s1 not in s2. That is symmetric in
-    the pair.
+    the pair. The sum of the mu off s1 is one row against lam >= 0: with no
+    positive entry it is <= 0 < 1 and the pair meets in its common face, so
+    only the pairs it leaves open get a Fourier-Motzkin system.
     """
     rays = fan.rays
     for s1, s2 in combinations(fan.max_cones, 2):
         data = fan.cone_data(s2)
         own = [rays[i] for i in s1 if i not in s2]
-        nvars = len(own)
         off = [tuple(sum(map(mul, row, ray)) for ray in own)
                for j, row in zip(s2, data.coordinates) if j not in s1]
+        total = tuple(map(sum, zip(*off)))
+        if max(total) <= 0:
+            continue
+        nvars = len(own)
         eqs = [([sum(map(mul, row, ray)) for ray in own], 0) for row in data.completion]
         ineqs = [((0,) * k + (1,) + (0,) * (nvars - 1 - k), 0) for k in range(nvars)]
         ineqs += [(row, 0) for row in off]
-        ineqs.append((tuple(map(sum, zip(*off))), -1))
+        ineqs.append((total, -1))
         if _fm_feasible(eqs, ineqs, nvars):
             return s1, s2
     return None
@@ -182,10 +210,9 @@ def _overlapping_cones(fan: Fan):
 def cone_defect(fan: Fan, cone) -> FanValidationError | None:
     """The error a cone that is not smooth raises, or None for a smooth one.
 
-    The Smith form of the k x n ray matrix (fan.cone_data) has fewer than k
-    invariant factors when the rays are dependent (not simplicial); their
-    product is the gcd of the k x k minors, 1 exactly when the rays extend to
-    a basis of Z^n.
+    The k x n ray matrix (fan.cone_data) has fewer than k invariant factors
+    when the rays are dependent (not simplicial); their product is the gcd of
+    the k x k minors, 1 exactly when the rays extend to a basis of Z^n.
     """
     factors = fan.cone_data(cone).invariant_factors
     if len(factors) < len(cone):

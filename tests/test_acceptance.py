@@ -11,8 +11,6 @@ import time
 from fractions import Fraction
 from itertools import product
 
-import pytest
-
 from helpers import (MacaulayOracle, all_fixture_fans, assert_restriction_agrees,
                      chart_generator_exponents, cli_env, delta_module, grading,
                      random_homogeneous_weyl, random_poly, rng, structure_sheaf)
@@ -23,8 +21,7 @@ from toric_dmod.dmod import (GradedPresentation, bimodule_identity_check,
                              check_theta_condition, d_module_left,
                              factored_local_action_holds, h_p,
                              i_p_ideal, i_p_matches_y_p,
-                             left_right_identity_check, left_right_swap,
-                             weyl_degree)
+                             left_right_identity_check, weyl_degree)
 from toric_dmod.groebner import (Poly, PolyRing, format_poly, groebner_basis,
                                  ideal_contains, krull_dimension, normal_form,
                                  toric_ideal, weyl_normal_form)

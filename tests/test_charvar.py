@@ -20,8 +20,8 @@ from toric_dmod.dmod import (GradedPresentation, d_module_left,
 from toric_dmod.errors import (ChartRewriteError, ConeNotMaximal,
                                PreconditionViolated)
 from toric_dmod.fan_cox import Fan, GradingData
-from toric_dmod.groebner import (EMPTY_DIM, Poly, format_poly, groebner_basis,
-                                 krull_dimension, toric_ideal)
+from toric_dmod.groebner import (EMPTY_DIM, Poly, format_poly, krull_dimension,
+                                 toric_ideal)
 from toric_dmod.weyl import WeylElement, parse_weyl
 
 

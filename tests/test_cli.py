@@ -808,21 +808,30 @@ def test_twisted_documents_and_checks_invert_nothing(tmp_path, monkeypatch, caps
     # Euler shifts off the class, and charvar --charts reads the chart
     # sections off the frame. An inversion would run the one eliminator,
     # integer_rref, which the commands call only for the common-face test
-    callers = []
-    real = lattice.integer_rref
+    # and once per full-dimensional maximal cone of each fan they validate,
+    # whose dual basis is R^-1 when the cone is unimodular
+    callers, fans = [], []
+    real, real_validate = lattice.integer_rref, fan_cox.validate_smooth_fan
 
     def counted(rows):
         callers.append(sys._getframe(1).f_code.co_name)
         return real(rows)
 
+    def validate(fan):
+        fans.append(fan)
+        return real_validate(fan)
+
     monkeypatch.setattr(lattice, "integer_rref", counted)
     monkeypatch.setattr(fan_cox, "integer_rref", counted)
+    monkeypatch.setattr(fan_cox, "validate_smooth_fan", validate)
     assert len(_twisted_outputs(tmp_path, capsys)) == 5 * 2 * 2 * 5
     for name in FANS:
         rc, out, _ = _main_in_process(capsys, ["charvar", str(FIXTURES / f"{name}.fan"),
                                                str(GOLDEN / f"{name}_dl0.mod"), "--charts"])
         assert rc == 0 and "-image: " in out
-    assert set(callers) == {"_fm_feasible"}
+    assert set(callers) == {"_fm_feasible", "_unimodular_cone_data"}
+    assert callers.count("_unimodular_cone_data") == sum(
+        len(cone) == fan.n for fan in fans for cone in fan.max_cones) > 0
 
 
 def test_dl_reduces_each_relation_degree_once(monkeypatch, capsys):

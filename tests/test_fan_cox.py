@@ -1,7 +1,8 @@
 """Fan validation, Cox grading data, irrelevant ideal, Euler operators."""
 
 import pathlib
-from itertools import product
+from itertools import combinations, product
+from operator import mul
 
 import pytest
 
@@ -14,8 +15,9 @@ from helpers import (all_fixture_fans, class_section, cpu_time_limit, defective_
 from toric_dmod import cli, dmod, fan_cox
 from toric_dmod.errors import (FanValidationError, NonSimplicialCone,
                                NonSmoothCone, RaysDoNotSpan, UnknownCone)
-from toric_dmod.fan_cox import (Fan, _overlapping_cones, euler_operators,
-                                grading_data, irrelevant_ideal, validate_smooth_fan)
+from toric_dmod.fan_cox import (Fan, _fm_feasible, _overlapping_cones, _smith_cone_data,
+                                _unimodular_cone_data, euler_operators, grading_data,
+                                irrelevant_ideal, validate_smooth_fan)
 from toric_dmod.lattice import FinitelyGeneratedAbelianGroup
 from toric_dmod.dmod import weyl_degree
 from toric_dmod.weyl import WeylElement, format_weyl, theta_u
@@ -151,9 +153,84 @@ def test_one_exact_system_per_pair_of_maximal_cones(monkeypatch):
         calls.clear()
         validate_smooth_fan(fan)
         counts.append(len(calls))
+    # at most one per pair: the sign of the summed coordinate row settles
+    # every pair of the complete fans p1p1 and P3, and most of the rest
     sizes = [len(fan.max_cones) for fan in fans]
-    assert counts == [m * (m - 1) // 2 for m in sizes] == [6, 6, 190, 190]
+    assert [m * (m - 1) // 2 for m in sizes] == [6, 6, 190, 190]
+    assert counts == [0, 0, 106, 74]
     assert [fan.d for fan in fans[2:]] == [20, 12]
+
+
+def _fan_p4():
+    rays = [[int(i == j) for j in range(4)] for i in range(4)] + [[-1, -1, -1, -1]]
+    return Fan(4, rays, list(combinations(range(5), 4)))
+
+
+def _full_system(fan, s1, s2):
+    """The summed coordinate row of the pair and its whole exact system, as
+    the docstring of _overlapping_cones sets it up, on s2's Smith form."""
+    data = _smith_cone_data(fan.ray_matrix(s2))
+    own = [fan.rays[i] for i in s1 if i not in s2]
+    nvars = len(own)
+    off = [tuple(sum(map(mul, row, ray)) for ray in own)
+           for j, row in zip(s2, data.coordinates) if j not in s1]
+    total = tuple(map(sum, zip(*off)))
+    eqs = [([sum(map(mul, row, ray)) for ray in own], 0) for row in data.completion]
+    ineqs = [(tuple(int(t == k) for t in range(nvars)), 0) for k in range(nvars)]
+    ineqs += [(row, 0) for row in off] + [(total, -1)]
+    return total, (eqs, ineqs, nvars)
+
+
+_CONE_FIELDS = ("invariant_factors", "coordinates", "completion")
+
+
+@pytest.mark.parametrize("n,start,steps", [(2, fan_p2, 17), (3, fan_p3, 8), (4, _fan_p4, 5)])
+def test_the_sign_settles_only_pairs_the_exact_system_rejects(monkeypatch, n, start, steps):
+    # every pair whose summed row has no positive entry is one the whole
+    # system rejects, and each other pair gets one system; the first
+    # offending pair is the per-ray reference's, and a cone's row-reduced
+    # data is its Smith form's
+    r = rng(120 + n)
+    fans = list(star_subdivided_fans(r, start(), steps))
+    fans += [_with_overlapping_cone(r, fan) for fan in fans[::2]]
+    fans += [random_simplicial_fan(r, n) for _ in range(60)]
+    opened, tally = [], {"settled": 0, "open": 0, "lower": 0, "unimodular": 0,
+                         "not unimodular": 0}
+    monkeypatch.setattr(fan_cox, "_fm_feasible", lambda *system: opened.append(system))
+    for fan in fans:
+        expected = 0
+        for s1, s2 in combinations(fan.max_cones, 2):
+            total, system = _full_system(fan, s1, s2)
+            if max(total) > 0:
+                expected += 1
+            else:
+                assert not _fm_feasible(*system), (fan.rays, s1, s2)
+                tally["settled"] += 1
+                tally["lower"] += min(len(s1), len(s2)) < n
+        tally["open"] += expected
+        opened.clear()
+        assert _overlapping_cones(fan) is None and len(opened) == expected
+        for cone in fan.max_cones:
+            smith = _smith_cone_data(fan.ray_matrix(cone))
+            got = fan.cone_data(cone)
+            assert [getattr(got, f) for f in _CONE_FIELDS] == \
+                [getattr(smith, f) for f in _CONE_FIELDS], (fan.rays, cone)
+            if len(cone) == n:
+                reduced = _unimodular_cone_data(fan.ray_matrix(cone))
+                if smith.invariant_factors == (1,) * n:
+                    assert [getattr(reduced, f) for f in _CONE_FIELDS] == \
+                        [getattr(smith, f) for f in _CONE_FIELDS], (fan.rays, cone)
+                    tally["unimodular"] += 1
+                else:
+                    assert reduced is None, (fan.rays, cone)
+                    tally["not unimodular"] += 1
+    assert all(tally.values()), tally
+    monkeypatch.undo()
+    for fan in fans:
+        assert _overlapping_cones(fan) == overlapping_cones_per_ray(fan), (fan.rays,
+                                                                           fan.max_cones)
+    with pytest.raises(NonSmoothCone, match=r"^cone \(1, 2\) is not smooth$"):
+        validate_smooth_fan(Fan(2, [[1, 0], [1, 2]], [[0, 1]]))
 
 
 def _all_fans_for_has_cone():
@@ -239,7 +316,8 @@ def test_one_smith_form_per_maximal_cone(monkeypatch):
 
     monkeypatch.setattr(fan_cox, "smith_normal_form", counted)
     fans = [fan_p1p1(), fan_p3(), list(star_subdivided_fans(rng(7), fan_p2(), 17))[-1],
-            list(star_subdivided_fans(rng(8), fan_p3(), 8))[-1]]
+            list(star_subdivided_fans(rng(8), fan_p3(), 8))[-1], fan_torsion(),
+            Fan(3, fan_p3().rays, [[0, 1, 2], [0, 3], [1, 3], [2, 3]])]
     counts = []
     for fan in fans:
         calls.clear()
@@ -248,8 +326,10 @@ def test_one_smith_form_per_maximal_cone(monkeypatch):
         # the class group reads the ray matrix's Smith form from validation
         grading_data(fan)
         assert len(calls) == counts[-1]
-    # one per maximal cone and one for the d x n ray matrix
-    assert counts == [len(fan.max_cones) + 1 for fan in fans] == [5, 5, 21, 21]
+    # one for the d x n ray matrix and one per maximal cone that is not
+    # unimodular and full-dimensional: those are row reduced
+    assert counts == [1 + sum(len(c) < fan.n for c in fan.max_cones)
+                      for fan in fans] == [1, 1, 1, 1, 3, 4]
 
 
 def test_require_cone_sorts_or_raises():

@@ -425,7 +425,6 @@ def test_toric_ideal_twisted_cubic_and_segre():
 def test_weyl_engine_matches_commutative_on_x_only_input():
     # polynomials without derivative factors generate commutative ideals;
     # both engines must produce the same reduced basis
-    from toric_dmod.groebner import initial_forms as iforms
     ring = PolyRing(("x1", "x2"))
     sprime = PolyRing(("x1", "x2", "xi1", "xi2"))
     r = rng(26)

@@ -1,7 +1,5 @@
 """Smith normal form, cokernels and dual bases against independent oracles."""
 
-from fractions import Fraction
-
 import pytest
 
 from helpers import (class_section, det, fan_p1p1, fan_torsion, grading, identity_matrix,

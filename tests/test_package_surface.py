@@ -2,9 +2,9 @@
 function and class has a caller (the names that nothing in the program or
 the benchmark uses are exactly the allowlist below, and a test calls each of
 them), every method has a caller outside its class, every imported name is
-used by the module that imports it, modules keep no state of their own, and
-each module imports only the modules before it in LAYERS. Source is only
-read here.
+used by the module or test module that imports it, modules keep no state of
+their own, and each module imports only the modules before it in LAYERS.
+Source is only read here.
 """
 
 import ast
@@ -165,9 +165,12 @@ def test_every_test_only_name_is_called_from_a_test():
 
 
 def test_every_imported_name_is_used():
-    # what a deletion leaves behind: an import whose last user is gone
+    # what a deletion leaves behind: an import whose last user is gone, in
+    # the package or in the tests
     unused = []
-    for path, tree in _modules().items():
+    tests = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "tests").glob("*.py"))}
+    for path, tree in {**_modules(), **tests}.items():
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":

@@ -15,7 +15,7 @@ from .fan_cox import GradingData, irrelevant_ideal
 from .groebner import (EMPTY_DIM, Poly, PolyRing, annihilator_of_graded_quotient,
                        basis_dimension, groebner_basis, ideal_contains,
                        initial_forms, is_unit_ideal, radical_membership,
-                       saturation, saturation_by_monomials)
+                       regular_monomial, saturation, saturation_by_monomials)
 from .dmod import GradedPresentation, check_theta_condition, require_chart_cone
 
 ZERO_SHEAF = "zero sheaf"
@@ -284,12 +284,16 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
     the module is b-torsion iff every image is (1), and sheaf_dim is the
     largest chart dimension (J : b^infinity has no component inside V(b),
     and on each chart it is a (d - n)-dimensional torus bundle over the
-    image). The saturation itself is computed when report.saturated is
-    first read: J : f^infinity for one generic f in b, accepted when
-    certify_saturation holds, and otherwise saturation_by_monomials, which
-    is also the saturation, computed at once, when some maximal cone is not
-    a chart. Reduced bases are canonical, so no output depends on the
-    coefficients of f.
+    image). The saturation is J itself when regular_monomial proves some
+    generator x^(sigma-hat) of b a nonzerodivisor modulo J from J's leading
+    ideal (J : x^(sigma-hat) = J, and J : b^infinity lies between J and
+    J : x^(sigma-hat)^infinity); then nothing is eliminated. Otherwise it
+    is computed when report.saturated is first read: J : f^infinity for one
+    generic f in b, accepted when certify_saturation holds, and otherwise
+    saturation_by_monomials, which is also the saturation, computed at
+    once, when some maximal cone is not a chart. Reduced bases are
+    canonical, so no output depends on the coefficients of f or on the
+    route taken.
 
     holonomic_module is dim == d, so the zero A-module (dim "empty") is not
     holonomic; holonomic_sheaf is not torsion and sheaf_dim == n, so neither
@@ -304,7 +308,9 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
     b_gens = [g + (0,) * d for g in irrelevant_ideal(grading.fan).generators]
     frames = chart_frames(grading)
     if frames is None:
-        saturated = saturation_by_monomials(j, b_gens, ring)
+        # J : x^m = J for a generator x^m of b: J is its own saturation
+        saturated = j if regular_monomial(j, b_gens) else \
+            saturation_by_monomials(j, b_gens, ring)
         charts = None
         dims = [] if is_unit_ideal(saturated) else \
             [basis_dimension(saturated, ring) - (d - n)]
@@ -317,6 +323,8 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
         dims = [chart.dimension for chart in charts if chart.dimension != EMPTY_DIM]
 
         def saturate():
+            if regular_monomial(j, b_gens):
+                return j
             candidate = saturation(j, generic_irrelevant_element(b_gens, ring), ring)
             # J is contained in J : b^infinity, so a candidate equal to J is it
             if candidate == j or certify_saturation(grading, frames, images, candidate):

@@ -257,23 +257,44 @@ def krull_dimension(gens: list[Poly], ring: PolyRing):
     return basis_dimension(groebner_basis(gens, ring), ring)
 
 
+def _leads(gb: list[Poly]) -> list[tuple[int, ...]]:
+    """The leading exponents of the nonzero elements of a degrevlex basis."""
+    return [min(_kernel(g), key=_lead_key)[1] for g in gb if not g.is_zero()]
+
+
 def basis_dimension(gb: list[Poly], ring: PolyRing):
     """Dimension of V(gb) for a degrevlex Groebner basis gb: the largest
     variable set independent modulo the initial ideal. Returns EMPTY_DIM for
-    the unit ideal."""
+    the unit ideal. The empty set is independent unless some lead is a
+    constant, and then the ideal is the unit ideal, so the scan returns by
+    size 0."""
     if is_unit_ideal(gb):
         return EMPTY_DIM
-    supports = []
-    for g in gb:
-        _, lead, _ = min(_kernel(g), key=_lead_key)
-        supports.append(frozenset(i for i, e in enumerate(lead) if e))
+    supports = [frozenset(i for i, e in enumerate(lead) if e) for lead in _leads(gb)]
     nv = ring.nvars
     for size in range(nv, -1, -1):
         for subset in combinations(range(nv), size):
             s = set(subset)
             if not any(sup <= s for sup in supports):
                 return size
-    return 0
+
+
+def regular_monomial(gb: list[Poly], monomials) -> bool:
+    """Whether some monomial x^m of the given exponent vectors is proved a
+    nonzerodivisor modulo the ideal J of the degrevlex Groebner basis gb by
+    its leading ideal L: L : x^m = L, i.e. for every lead u the quotient
+    u / gcd(u, x^m) lies in L (some lead divides it).
+
+    That is enough (Bayer-Stillman 1987; Eisenbud 1995, section 15): if
+    h x^m lies in J for a nonzero normal form h, then lead(h) x^m lies in L,
+    so lead(h) does, which no term of a normal form can. Then J : x^m = J,
+    and J : b^infinity = J for every ideal b containing x^m. False proves
+    nothing: x^m may be regular modulo J but not modulo L."""
+    leads = _leads(gb)
+    return any(all(any(_divides(v, tuple(max(x - y, 0) for x, y in zip(u, m)))
+                       for v in leads)
+                   for u in leads)
+               for m in monomials)
 
 
 # The one engine: free left modules over the Weyl algebra with the

@@ -167,7 +167,9 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
             u[k] = [-x for x in u[k]]
-        # clear row and column k; remainders can reappear, so loop
+        # clear row and column k; remainders can reappear, so loop. The
+        # pivot stays positive: a floor remainder by a positive pivot lies in
+        # [0, pivot), and only a nonzero one is swapped in
         dirty = True
         while dirty:
             dirty = False
@@ -180,9 +182,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                     if a[i][k]:
                         a[k], a[i] = a[i], a[k]
                         u[k], u[i] = u[i], u[k]
-                        if a[k][k] < 0:
-                            a[k] = [-x for x in a[k]]
-                            u[k] = [-x for x in u[k]]
                         dirty = True
             for j in range(k + 1, cols):
                 if a[k][j]:
@@ -197,9 +196,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                             r[k], r[j] = r[j], r[k]
                         for r in v:
                             r[k], r[j] = r[j], r[k]
-                        if a[k][k] < 0:
-                            a[k] = [-x for x in a[k]]
-                            u[k] = [-x for x in u[k]]
                         dirty = True
         # enforce divisibility of the trailing block by the pivot: add the
         # first row with an entry it does not divide to row k, and redo k

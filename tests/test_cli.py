@@ -271,6 +271,53 @@ def test_local_repeated_ray_cone_exits_3(capsys):
         assert "is not in the fan" in capsys.readouterr().err
 
 
+# (fan document or None for the P1 fixture, module document or None, the
+# command's arguments after the fan, exit code, the error line after
+# "error: ", with {path} the document it names)
+TYPED_ERRORS = {
+    "zero ray": ("n = 2\nrays = [[1, 0], [0, 0], [0, 1]]\nmax_cones = [[1, 3]]\n", None,
+                 [], 3, "ray 2 is zero"),
+    "duplicate rays": ("n = 2\nrays = [[1, 0], [0, 1], [1, 0]]\nmax_cones = [[1, 2]]\n",
+                       None, [], 3, "rays are not pairwise distinct"),
+    "ray of the wrong length": ("n = 2\nrays = [[1, 0], [0, 1, 0]]\nmax_cones = [[1, 2]]\n",
+                                None, [], 3, "ray length does not match ambient rank"),
+    "cone index out of range": ("n = 2\nrays = [[1, 0], [0, 1]]\nmax_cones = [[1, 5]]\n",
+                                None, [], 2, "{path}: cone index 5 out of range"),
+    "--cone past the last ray": (None, None, ["--cone", "3", "--p=-1"], 2,
+                                 "cone '3' has a ray index out of range"),
+    "--cone before the first ray": (None, None, ["--cone", "0", "--p=-1"], 2,
+                                    "cone '0' has a ray index out of range"),
+    "--p of the wrong length": (None, None, ["--cone", "1", "--p=-1,0"], 2,
+                                "lattice point '-1,0' must have 1 coordinates"),
+    "bad side": (None, 'side = "up"\ngenerator_degrees = [[0]]\nrelations = []\n', [], 2,
+                 "{path}: side must be 'left' or 'right'"),
+    "inhomogeneous relation row": (None, 'side = "left"\ngenerator_degrees = [[0], [0]]\n'
+                                         'relations = [["x1", "d1"]]\n', [], 3,
+                                   "{path}: relation row is not graded-homogeneous"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_ERRORS))
+def test_typed_input_errors_exit_with_one_error_line(case, tmp_path, capsys):
+    fan_text, module_text, rest, code, message = TYPED_ERRORS[case]
+    fan = str(FIXTURES / "p1.fan")
+    path = None
+    if fan_text is not None:
+        path = fan = str(tmp_path / "bad.fan")
+        (tmp_path / "bad.fan").write_text(fan_text)
+    if module_text is not None:
+        path = str(tmp_path / "bad.mod")
+        (tmp_path / "bad.mod").write_text(module_text)
+        argv = ["check", fan, path]
+    elif rest:
+        argv = ["local", fan, *rest]
+    else:
+        argv = ["fan-info", fan]
+    assert main(argv) == code
+    cap = capsys.readouterr()
+    assert (cap.out, cap.err) == ("", f"error: {message.format(path=path)}\n")
+
+
 # the exit code of every error type, as the module docstrings document it
 EXIT_CODES = {
     "ToricDmodError": 3, "ParseError": 2, "FanValidationError": 3,

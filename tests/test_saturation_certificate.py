@@ -1,20 +1,27 @@
 """The certified saturation at the irrelevant ideal: the chart certificate
-against saturation_by_monomials, its rejections, the fallback, the number
-of eliminations one report does, and a report that needs none."""
+against saturation_by_monomials, its rejections, the fallback, the proof
+from the leading ideal that J is already saturated, the number of
+eliminations one report does, and a report that needs none."""
+
+import json
+import sys
 
 import pytest
 
-from helpers import (all_fixture_fans, cpu_time_limit, delta_module, fan_hirzebruch1, fan_p1,
-                     fan_p1p1, fan_torsion, grading, random_homogeneous_weyl, rng,
-                     structure_sheaf)
+from helpers import (PERFBENCH, all_fixture_fans, cpu_time_limit, delta_module,
+                     fan_hirzebruch1, fan_p1, fan_p1p1, fan_torsion, grading, load_perfbench,
+                     random_homogeneous_weyl, rng, structure_sheaf)
 from toric_dmod import charvar, cli, groebner
+from toric_dmod.cli import load_fan, load_module
 from toric_dmod.charvar import (ZERO_SHEAF, certify_saturation, characteristic_ideal,
                                 chart_frames, chart_image, dimension_report,
                                 generic_irrelevant_element, s_prime_ring)
 from toric_dmod.dmod import GradedPresentation, d_module_left
 from toric_dmod.fan_cox import irrelevant_ideal
 from toric_dmod.groebner import (Poly, basis_dimension, groebner_basis, is_unit_ideal,
-                                 saturation, saturation_by_monomials)
+                                 regular_monomial, saturation, saturation_by_monomials)
+
+FIXTURES = PERFBENCH.parent / "tests" / "fixtures"
 
 
 def random_module(r, gd):
@@ -152,23 +159,100 @@ def test_fallback_without_a_full_dimensional_cone(monkeypatch):
         assert report.charts is None
 
 
+def test_a_regular_monomial_proves_j_saturated():
+    # wherever J's leading ideal proves a generator of b regular modulo J,
+    # J is its own saturation by both routes; it holds for O and D(0) on
+    # every fan and never for the b-torsion delta
+    r = rng(92)
+    held = []
+    for name, fan in all_fixture_fans() + [("torsion", fan_torsion())]:
+        gd = grading(fan)
+        ring = s_prime_ring(gd)
+        b = b_exponents(gd)
+        cases = [("O", structure_sheaf(gd)), ("D(0)", d_module_left(gd, gd.class_group.zero())),
+                 ("delta", delta_module(gd))]
+        if name != "torsion":
+            cases += [("random", random_module(r, gd)) for _ in range(3)]
+        for label, pres in cases:
+            j = characteristic_ideal(gd, pres)
+            if regular_monomial(j, b):
+                assert saturation(j, generic_irrelevant_element(b, ring), ring) == j, \
+                    (name, label)
+                assert saturation_by_monomials(j, b, ring) == j, (name, label)
+                held.append((name, label))
+            else:
+                assert label not in ("O", "D(0)"), name
+        assert (name, "delta") not in held
+    assert ("torsion", "O") in held and ("torsion", "D(0)") in held
+    assert any(label == "random" for _, label in held)
+
+
+def _tier_module(hardtier, entry, tmp_path):
+    gd = grading(load_fan(str(FIXTURES / f"{entry['fan']}.fan")))
+    doc = tmp_path / "tier.mod"
+    doc.write_text(hardtier.tier_document(entry))
+    return gd, load_module(str(doc), gd)
+
+
+def test_regular_monomial_on_the_first_hard_tier_modules(monkeypatch, tmp_path):
+    # the charvar_hard modules tier0-tier3 (perfbench/ is only read): the
+    # leading ideal proves J saturated on tier0, tier1 and tier3, and J is
+    # then its own saturation by both routes
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    hardtier = load_perfbench("hardtier")
+    tier = json.loads(hardtier.DATA.read_text())["tier"]
+    held = []
+    for k, entry in enumerate(tier[:4]):
+        gd, pres = _tier_module(hardtier, entry, tmp_path)
+        ring = s_prime_ring(gd)
+        b = b_exponents(gd)
+        j = characteristic_ideal(gd, pres)
+        if regular_monomial(j, b):
+            assert saturation(j, generic_irrelevant_element(b, ring), ring) == j, k
+            assert saturation_by_monomials(j, b, ring) == j, k
+            held.append(k)
+    assert held == [0, 1, 3]
+    # tier2's J is saturated with no monomial witness: reading saturated
+    # still eliminates once, and that candidate is J, so no certificate runs
+    gd, pres = _tier_module(hardtier, tier[2], tmp_path)
+    j = characteristic_ideal(gd, pres)
+    candidates = []
+    real = charvar.saturation
+
+    def recorded(*args):
+        candidates.append(real(*args))
+        return candidates[-1]
+
+    monkeypatch.setattr(charvar, "saturation", recorded)
+    counts = {}
+    _count_calls(monkeypatch, groebner, "eliminate_front", counts)
+    _count_calls(monkeypatch, charvar, "certify_saturation", counts)
+    assert dimension_report(gd, pres).saturated == j
+    assert candidates == [j] and counts == {"eliminate_front": 1}
+
+
 @pytest.mark.parametrize("fan", [fan_p1p1, fan_hirzebruch1])
 def test_one_elimination_per_report(fan, monkeypatch):
-    # the report itself eliminates nothing; reading saturated eliminates
-    # once, and reading it again reuses the result
+    # the report itself eliminates nothing and tests no monomial; reading
+    # saturated tests the generators of b once, then eliminates nothing for
+    # D(0) and O, whose J its leading ideal proves saturated, and once for
+    # delta; reading it again reuses the result
     gd = grading(fan())
-    for pres in (d_module_left(gd, gd.class_group.zero()), structure_sheaf(gd),
-                 delta_module(gd)):
+    once = {"regular_monomial": 1}
+    for pres, want in ((d_module_left(gd, gd.class_group.zero()), once),
+                       (structure_sheaf(gd), once),
+                       (delta_module(gd), {**once, "eliminate_front": 1})):
         pres.relation_gb()
         counts = {}
         for name in ("eliminate_front", "intersect_ideals", "saturation_by_monomials"):
             _count_calls(monkeypatch, groebner, name, counts)
-        _count_calls(monkeypatch, charvar, "saturation_by_monomials", counts)
+        for name in ("saturation_by_monomials", "regular_monomial"):
+            _count_calls(monkeypatch, charvar, name, counts)
         report = dimension_report(gd, pres)
         assert counts == {}
         assert report.saturated is report.saturated
         monkeypatch.undo()
-        assert counts == {"eliminate_front": 1}
+        assert counts == want
 
 
 STAR_FAN = """n = 2

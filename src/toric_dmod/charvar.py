@@ -284,14 +284,15 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
     the module is b-torsion iff every image is (1), and sheaf_dim is the
     largest chart dimension (J : b^infinity has no component inside V(b),
     and on each chart it is a (d - n)-dimensional torus bundle over the
-    image). The saturation is J itself when regular_monomial proves some
-    generator x^(sigma-hat) of b a nonzerodivisor modulo J from J's leading
-    ideal (J : x^(sigma-hat) = J, and J : b^infinity lies between J and
+    image). The saturation is computed when report.saturated is first
+    read. It is J itself when regular_monomial proves some generator
+    x^(sigma-hat) of b a nonzerodivisor modulo J from J's leading ideal
+    (J : x^(sigma-hat) = J, and J : b^infinity lies between J and
     J : x^(sigma-hat)^infinity); then nothing is eliminated. Otherwise it
-    is computed when report.saturated is first read: J : f^infinity for one
-    generic f in b, accepted when certify_saturation holds, and otherwise
-    saturation_by_monomials, which is also the saturation, computed at
-    once, when some maximal cone is not a chart. Reduced bases are
+    is J : f^infinity for one generic f in b, accepted when
+    certify_saturation holds, and otherwise saturation_by_monomials. When
+    some maximal cone is not a chart, saturation_by_monomials is the
+    saturation, computed at once. Reduced bases are
     canonical, so no output depends on the coefficients of f or on the
     route taken.
 
@@ -308,9 +309,7 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
     b_gens = [g + (0,) * d for g in irrelevant_ideal(grading.fan).generators]
     frames = chart_frames(grading)
     if frames is None:
-        # J : x^m = J for a generator x^m of b: J is its own saturation
-        saturated = j if regular_monomial(j, b_gens) else \
-            saturation_by_monomials(j, b_gens, ring)
+        saturated = saturation_by_monomials(j, b_gens, ring)
         charts = None
         dims = [] if is_unit_ideal(saturated) else \
             [basis_dimension(saturated, ring) - (d - n)]

@@ -150,12 +150,30 @@ def test_fallback_without_a_full_dimensional_cone(monkeypatch):
     def no_certificate(*args):
         raise AssertionError("certificate used without charts")
 
+    def no_proof(*args):
+        raise AssertionError("leading-ideal proof used without charts")
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return saturation_by_monomials(*args)
+
     monkeypatch.setattr(charvar, "certify_saturation", no_certificate)
+    monkeypatch.setattr(charvar, "regular_monomial", no_proof)
+    monkeypatch.setattr(charvar, "saturation_by_monomials", counted)
     ring = s_prime_ring(gd)
-    for pres in (d_module_left(gd, gd.class_group.zero()), structure_sheaf(gd)):
+    b = b_exponents(gd)
+    # regular_monomial holds for D(0) and O here and never for delta; without
+    # charts every one of them takes the fallback, once, while the report is built
+    for pres in (d_module_left(gd, gd.class_group.zero()), structure_sheaf(gd),
+                 delta_module(gd)):
         j = characteristic_ideal(gd, pres)
+        calls.clear()
         report = dimension_report(gd, pres)
-        assert report.saturated == saturation_by_monomials(j, b_exponents(gd), ring)
+        assert len(calls) == 1
+        assert report.saturated == saturation_by_monomials(j, b, ring)
+        assert len(calls) == 1
         assert report.charts is None
 
 

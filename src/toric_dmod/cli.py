@@ -226,7 +226,7 @@ def cmd_fan_info(args, grading: GradingData) -> list[tuple[str, str]]:
     fan = grading.fan
     xnames = [f"x{i + 1}" for i in range(fan.d)]
     bgens = sorted(format_terms([(1, list(zip(xnames, g)))])
-                   for g in irrelevant_ideal(fan).generators)
+                   for g in irrelevant_ideal(fan))
     ops = [format_weyl(t) for t in euler_operators(grading)]
     return [("n", str(fan.n)),
             ("d", str(fan.d)),

@@ -33,9 +33,8 @@ LOCAL_MAX_BOX = 4096
 
 
 def weyl_degree(grading, f: WeylElement):
-    """Class-group degree of a homogeneous element; InhomogeneousInput otherwise."""
-    if f.is_zero():
-        return None
+    """Class-group degree of a homogeneous element, None for zero;
+    InhomogeneousInput otherwise."""
     group = grading.class_group
     deg = None
     for (a, b) in f.terms:

@@ -247,24 +247,12 @@ def validate_smooth_fan(fan: Fan) -> None:
         raise FanValidationError(f"cones {s1} and {s2} intersect in more than a common face")
 
 
-class MonomialIdeal:
-    """Monomial ideal given by pairwise incomparable exponent vectors."""
-
-    __slots__ = ("generators",)
-
-    def __init__(self, generators: tuple[tuple[int, ...], ...]):
-        for a, b in combinations(generators, 2):
-            if all(x <= y for x, y in zip(a, b)) or all(x >= y for x, y in zip(a, b)):
-                raise ValueError("generators must be pairwise incomparable")
-        self.generators = generators
-
-
-def irrelevant_ideal(fan: Fan) -> MonomialIdeal:
-    """b, generated by sigma-hat of each maximal cone; these need no
-    membership check, and as no maximal cone lies in another, no sigma-hat
-    divides another."""
-    return MonomialIdeal(tuple(sorted(tuple(0 if i in cone else 1 for i in range(fan.d))
-                                      for cone in fan.max_cones)))
+def irrelevant_ideal(fan: Fan) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors of the generators of b, sorted: sigma-hat of each
+    maximal cone. These need no membership check, and as no maximal cone
+    lies in another (Fan keeps none), no sigma-hat divides another."""
+    return tuple(sorted(tuple(0 if i in cone else 1 for i in range(fan.d))
+                        for cone in fan.max_cones))
 
 
 class GradingData:

@@ -103,9 +103,6 @@ class Poly:
         return isinstance(other, Poly) and self.ring.names == other.ring.names \
             and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.ring.names, tuple(sorted(self.terms.items()))))
-
     def __add__(self, other):
         if self.ring.names != other.ring.names:
             raise ValueError("ring mismatch")
@@ -236,13 +233,13 @@ def intersect_ideals(i_gens: list[Poly], j_gens: list[Poly], ring: PolyRing) -> 
 
 
 def saturation_by_monomials(gens: list[Poly], monomials, ring: PolyRing) -> list[Poly]:
-    """(I : b^infinity) for the monomial ideal with the given exponent vectors."""
-    result = None
-    for mono in sorted(monomials):
+    """(I : b^infinity) for the monomial ideal b with the given exponent
+    vectors, at least one: the intersection of the I : x^m^infinity."""
+    first, *rest = sorted(monomials)
+    result = saturation(gens, Poly.monomial(ring, first), ring)
+    for mono in rest:
         sat = saturation(gens, Poly.monomial(ring, mono), ring)
-        result = sat if result is None else intersect_ideals(result, sat, ring)
-    if result is None:
-        return groebner_basis(gens, ring)
+        result = intersect_ideals(result, sat, ring)
     return result
 
 

@@ -294,6 +294,10 @@ TYPED_ERRORS = {
     "inhomogeneous relation row": (None, 'side = "left"\ngenerator_degrees = [[0], [0]]\n'
                                          'relations = [["x1", "d1"]]\n', [], 3,
                                    "{path}: relation row is not graded-homogeneous"),
+    "relation row of the wrong length": (None, 'side = "left"\ngenerator_degrees = [[0]]\n'
+                                               'relations = [["x1", "d1"]]\n', [], 2,
+                                         "{path}: relations must be rows of 1 expression "
+                                         "strings"),
 }
 
 
@@ -564,6 +568,23 @@ def test_charvar_flag_combinations_match_the_golden(capsys):
             expected = "".join(line for line in golden if not line.startswith(dropped))
             rc, out, _ = _main_in_process(capsys, argv + flags)
             assert rc == 0 and out == expected, (name, flags)
+
+
+def test_charvar_of_the_free_module_on_the_affine_plane(tmp_path, capsys):
+    # A^2 is one cone with a trivial class group; the free module A has no
+    # relation, so every ideal of its report is (0)
+    fan = tmp_path / "a2.fan"
+    fan.write_text("n = 2\nrays = [[1, 0], [0, 1]]\nmax_cones = [[1, 2]]\n")
+    module = tmp_path / "free.mod"
+    module.write_text('side = "left"\ngenerator_degrees = [[]]\nrelations = []\n')
+    rc, out, err = _main_in_process(
+        capsys, ["charvar", str(fan), str(module), "--charts", "--saturate"])
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    for line in ("char-ideal: (0)", "dim: 4", "saturated: (0)", "sheaf-dim: 4",
+                 "chart-1,2-presentation: (0)", "chart-1,2-image: (0)",
+                 "chart-1,2-dim: 4"):
+        assert line in lines
 
 
 def _main_in_process(capsys, argv):

@@ -143,6 +143,10 @@ def test_bimodule_identity_examples():
         bimodule_identity_check(gd, W("x1"), 0, (0,), (0,))
     with pytest.raises(InhomogeneousInput):
         bimodule_identity_check(gd, W("x1 + d1"), 0, (0,), (1,))
+    # x1 has degree 1, not the declared 0 + 0
+    assert left_right_identity_check(gd, W("x1"), 0, (1,), (0,))
+    with pytest.raises(InhomogeneousInput):
+        left_right_identity_check(gd, W("x1"), 0, (0,), (0,))
 
 
 def test_bimodule_and_left_right_identities_randomized():

@@ -282,7 +282,7 @@ def _fixture_saturations():
         gd = grading(fan)
         pres = d_module_left(gd, gd.class_group.zero())
         dimension_report(gd, pres)
-        b = [g + (0,) * gd.d for g in irrelevant_ideal(fan).generators]
+        b = [g + (0,) * gd.d for g in irrelevant_ideal(fan)]
         saturation_by_monomials(characteristic_ideal(gd, pres), b, s_prime_ring(gd))
 
 

@@ -33,7 +33,7 @@ def random_module(r, gd):
 
 
 def b_exponents(gd):
-    return [g + (0,) * gd.d for g in irrelevant_ideal(gd.fan).generators]
+    return [g + (0,) * gd.d for g in irrelevant_ideal(gd.fan)]
 
 
 def certify(gd, j, candidate):

@@ -13,9 +13,8 @@ from operator import mul
 
 from .errors import (FanValidationError, NonSimplicialCone, NonSmoothCone,
                      RaysDoNotSpan, UnknownCone)
-from .lattice import (FinitelyGeneratedAbelianGroup, IntMatrix, SmithDecomposition,
-                      dual_lattice_basis, integer_rref, primitive,
-                      smith_normal_form)
+from .lattice import (FinitelyGeneratedAbelianGroup, dual_lattice_basis,
+                      integer_rref, primitive, smith_normal_form)
 from .weyl import WeylElement, theta_u
 
 
@@ -48,8 +47,9 @@ class Fan:
     """A fan given by its rays and maximal cones; faces are not synthesized.
 
     Rays are primitive vectors in Z^n; cones are sorted tuples of 0-based ray
-    indices. The maximal cones are the listed cones and the single rays, less
-    every cone strictly inside another; the cones of the fan are their faces,
+    indices. The maximal cones are the zero cone, the listed cones and the
+    single rays, less every cone strictly inside another (so the zero cone is
+    maximal only in a fan with no ray); the cones of the fan are their faces,
     the zero cone included. The Smith form of the ray matrix and each cone's
     ConeData are built on first use and kept with the fan.
     """
@@ -64,12 +64,12 @@ class Fan:
             if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):
                 raise FanValidationError(f"cone {cone} has a ray index out of range")
         listed += [(i,) for i in range(len(self.rays))]
-        sets = {c: frozenset(c) for c in listed}
+        sets = {c: frozenset(c) for c in [()] + listed}
         frozen = sets.values()
         self.max_cones = tuple(sorted(
-            (c for c, s in sets.items() if c and not any(map(s.__lt__, frozen))),
+            (c for c, s in sets.items() if not any(map(s.__lt__, frozen))),
             key=lambda c: (len(c), c)))
-        self._smith_form: SmithDecomposition | None = None
+        self._smith_form: tuple | None = None
         self._cone_data: dict[tuple[int, ...], ConeData] = {}
 
     @property
@@ -89,15 +89,12 @@ class Fan:
             raise UnknownCone(f"cone {tuple(i + 1 for i in cone)} is not in the fan")
         return cone
 
-    def ray_matrix(self, cone) -> IntMatrix:
-        return IntMatrix(tuple(self.rays[i] for i in cone))
-
-    def smith_form(self) -> SmithDecomposition:
-        """The Smith form of the d x n matrix whose rows are the rays: its
-        number of invariant factors is their rank, and its cokernel is the
-        class group."""
+    def smith_form(self) -> tuple:
+        """The Smith form (U, V, invariant factors) of the d x n matrix whose
+        rows are the rays: its number of invariant factors is their rank, and
+        its cokernel is the class group."""
         if self._smith_form is None:
-            self._smith_form = smith_normal_form(IntMatrix(self.rays))
+            self._smith_form = smith_normal_form(self.rays)
         return self._smith_form
 
     def cone_data(self, cone) -> ConeData:
@@ -106,39 +103,38 @@ class Fan:
         the Smith form of its ray matrix R."""
         data = self._cone_data.get(cone)
         if data is None:
-            mat = self.ray_matrix(cone)
+            rows = tuple(self.rays[i] for i in cone)
             data = self._cone_data[cone] = (
-                len(cone) == self.n and _unimodular_cone_data(mat)) or _smith_cone_data(mat)
+                len(cone) == self.n and _unimodular_cone_data(rows)) or _smith_cone_data(rows)
         return data
 
 
-def _smith_cone_data(mat: IntMatrix) -> ConeData:
+def _smith_cone_data(rows) -> ConeData:
     """ConeData from the Smith form U R V = D of the k x n ray matrix R."""
-    snf = smith_normal_form(mat)
-    k, factors = mat.rows, snf.invariant_factors
+    u, v, factors = smith_normal_form(rows)
+    k = len(rows)
     coordinates = completion = None
     if len(factors) == k:
-        v = snf.V.entries
         # (V[:, :k] f F^-1 U)^T: column j of f F^-1 U against each row of V
         scaled = zip(*([factors[-1] // f * x for x in row]
-                       for f, row in zip(factors, snf.U.entries)))
+                       for f, row in zip(factors, u)))
         coordinates = tuple(tuple(sum(map(mul, col, row)) for row in v)
                             for col in scaled)
         completion = tuple(zip(*v))[k:]
     return ConeData(factors, coordinates, completion)
 
 
-def _unimodular_cone_data(mat: IntMatrix) -> ConeData | None:
+def _unimodular_cone_data(rows) -> ConeData | None:
     """ConeData of a square ray matrix R of determinant +-1, or None for any
     other. The reduced form of [R | I] is [I | R^-1] exactly then: its pivots
     are the first n columns, each a 1. The columns of R^-1 are the dual basis
     m_j, the only coordinate rows with f = 1, and no completion row is left."""
-    n = mat.rows
-    rows, pivots = integer_rref([row + (0,) * i + (1,) + (0,) * (n - 1 - i)
-                                 for i, row in enumerate(mat.entries)])
-    if pivots != list(range(n)) or any(row[i] != 1 for i, row in enumerate(rows)):
+    n = len(rows)
+    reduced, pivots = integer_rref([row + (0,) * i + (1,) + (0,) * (n - 1 - i)
+                                    for i, row in enumerate(rows)])
+    if pivots != list(range(n)) or any(row[i] != 1 for i, row in enumerate(reduced)):
         return None
-    return ConeData((1,) * n, tuple(zip(*(row[n:] for row in rows))), ())
+    return ConeData((1,) * n, tuple(zip(*(row[n:] for row in reduced))), ())
 
 
 def _fm_feasible(eqs, ineqs, nvars: int) -> bool:
@@ -235,7 +231,8 @@ def validate_smooth_fan(fan: Fan) -> None:
             raise FanValidationError(f"ray {idx + 1} is not primitive")
     if len(set(fan.rays)) != len(fan.rays):
         raise FanValidationError("rays are not pairwise distinct")
-    if len(fan.smith_form().invariant_factors) != fan.n:
+    _, _, factors = fan.smith_form()
+    if len(factors) != fan.n:
         raise RaysDoNotSpan("rays do not span the ambient space")
     for cone in fan.max_cones:
         defect = cone_defect(fan, cone)
@@ -258,8 +255,9 @@ def irrelevant_ideal(fan: Fan) -> tuple[tuple[int, ...], ...]:
 class GradingData:
     """The lattice exact sequence in computable form.
 
-    iota is the d x n matrix with row i the ray v_i; the class group is its
-    cokernel, and class_group.project is the one class map of the grading:
+    iota is the d x n matrix with row i the ray v_i, so iota_of(p) is the
+    tuple of pairings <v_i, p>; the class group is its cokernel, and
+    class_group.project is the one class map of the grading:
     x^a d^b, and its symbol x^a xi^b, has the class project(a - b), so
     deg(x_i) = project(e_i) (class_group.unit_classes) = -deg(d_i).
     dual_basis spans the integer functionals vanishing on the image, and its
@@ -269,8 +267,7 @@ class GradingData:
 
     def __init__(self, fan: Fan):
         self.fan = fan
-        self.iota = IntMatrix(fan.rays)
-        self.class_group = FinitelyGeneratedAbelianGroup(fan.smith_form(), fan.d)
+        self.class_group = FinitelyGeneratedAbelianGroup(fan.smith_form())
         self.dual_basis = tuple(dual_lattice_basis(self.class_group))
         self.e_bar = self.class_group.project((1,) * fan.d)
 
@@ -283,7 +280,7 @@ class GradingData:
         return self.fan.n
 
     def iota_of(self, p) -> tuple[int, ...]:
-        return self.iota.mul_vec(p)
+        return tuple(sum(map(mul, ray, p)) for ray in self.fan.rays)
 
 
 def grading_data(fan: Fan) -> GradingData:

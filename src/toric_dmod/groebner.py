@@ -26,7 +26,7 @@ from itertools import combinations
 from math import gcd
 from operator import add, ge, le, neg, sub
 
-from .lattice import IntMatrix, cokernel, dual_lattice_basis
+from .lattice import cokernel, dual_lattice_basis
 from .parsing import format_terms
 from .weyl import (WeylElement, shift_items, tp_add, tp_mul, tp_numerators,
                    tp_scale, weyl_shift_into)
@@ -301,19 +301,17 @@ def regular_monomial(gb: list[Poly], monomials) -> bool:
 # speaks tuples of WeylElement.
 
 
-class WeylModuleOrder:
-    """POT, component 0 highest, over (weight = total d-degree, then
-    degrevlex on x,d jointly): the key of the two engines' pair queues."""
-
-    @staticmethod
-    def key(cab):
-        comp, a, b = cab
-        joint = a + b
-        return -comp, sum(b), sum(joint), tuple(map(neg, reversed(joint)))
+def _module_order_key(cab):
+    """The Weyl module order, POT, component 0 highest, over (weight = total
+    d-degree, then degrevlex on x,d jointly): the key of the two engines'
+    pair queues."""
+    comp, a, b = cab
+    joint = a + b
+    return -comp, sum(b), sum(joint), tuple(map(neg, reversed(joint)))
 
 
 def _lead_key(cab):
-    """Ascending in exactly the reverse of WeylModuleOrder.key."""
+    """Ascending in exactly the reverse of _module_order_key."""
     comp, a, b = cab
     joint = a + b
     return comp, -sum(b), -sum(joint), joint[::-1]
@@ -480,7 +478,7 @@ def buchberger(gens: list[dict], rank: int) -> list[dict]:
                or tuple(map(max, elems[p[1]].ab, lead)) == p[3]
                or tuple(map(max, elems[p[2]].ab, lead)) == p[3]]
         n = len(r.a)
-        old += [(WeylModuleOrder.key((comp, lcm[:n], lcm[n:])), g, hi, lcm)
+        old += [(_module_order_key((comp, lcm[:n], lcm[n:])), g, hi, lcm)
                 for lcm, g, coprime in kept if not coprime]
         heapify(old)
         pairs[:] = old
@@ -570,8 +568,8 @@ def weyl_buchberger(gens, rank: int, d: int) -> list:
 
     def pair_key(i, j):
         ri, rj = basis[i], basis[j]
-        return WeylModuleOrder.key((ri.comp, tuple(map(max, ri.a, rj.a)),
-                                    tuple(map(max, ri.b, rj.b))))
+        return _module_order_key((ri.comp, tuple(map(max, ri.a, rj.a)),
+                                  tuple(map(max, ri.b, rj.b))))
 
     def push_head(j, stream, pos):
         heappush(heads, (pair_key(stream[pos], j), stream[pos], j, stream, pos))
@@ -653,7 +651,7 @@ def toric_ideal(exponent_vectors: list[tuple[int, ...]], ring: PolyRing) -> list
     m = len(exponent_vectors)
     if m != ring.nvars:
         raise ValueError("one ring variable per monomial expected")
-    kernel = dual_lattice_basis(cokernel(IntMatrix.from_rows(exponent_vectors)))
+    kernel = dual_lattice_basis(cokernel(exponent_vectors))
     if not kernel:
         return []
     gens = []

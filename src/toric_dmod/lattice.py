@@ -1,59 +1,14 @@
 """Exact integer linear algebra: Smith normal form, cokernels, dual bases.
 
-Everything works with arbitrary-precision Python ints; no floats anywhere.
+A matrix is a sequence of equally long integer rows, and every matrix
+returned is a tuple of row tuples. Everything works with arbitrary-precision
+Python ints; no floats anywhere.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from operator import mul
-
-
-class IntMatrix:
-    """Rectangular integer matrix, a tuple of row tuples; nothing writes
-    `entries` after __init__. Equal entries make equal, equally hashed
-    matrices."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[int, ...], ...]):
-        if entries:
-            width = len(entries[0])
-            if any(len(row) != width for row in entries):
-                raise ValueError("ragged matrix")
-        self.entries = entries
-
-    def __eq__(self, other):
-        if other.__class__ is not IntMatrix:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"IntMatrix({self.entries!r})"
-
-    @staticmethod
-    def from_rows(rows) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def mul_vec(self, v) -> tuple[int, ...]:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
 
 def primitive(row) -> tuple[int, ...]:
@@ -93,50 +48,17 @@ def integer_rref(rows) -> tuple[list[tuple[int, ...]], list[int]]:
     return a[:len(pivots)], pivots
 
 
-class SmithDecomposition:
-    """U * M * V = D with U, V unimodular and D diagonal; the nonzero
-    diagonal entries of D are a prefix, the invariant factors. Equal U, V
-    and factors make equal, equally hashed decompositions."""
-
-    __slots__ = ("U", "V", "invariant_factors")
-
-    def __init__(self, U: IntMatrix, V: IntMatrix, invariant_factors: tuple[int, ...]):
-        self.U = U
-        self.V = V
-        self.invariant_factors = invariant_factors
-
-    def _key(self):
-        return self.U, self.V, self.invariant_factors
-
-    def __eq__(self, other):
-        if other.__class__ is not SmithDecomposition:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "SmithDecomposition(U={!r}, V={!r}, invariant_factors={!r})".format(*self._key())
-
-
-def _rectangular(rows) -> IntMatrix:
-    """An IntMatrix of rows this module built with equal lengths, without
-    the ragged-matrix check."""
-    mat = object.__new__(IntMatrix)
-    mat.entries = tuple(map(tuple, rows))
-    return mat
-
-
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form by elementary row/column operations; the row
-    operations are recorded in U, the column operations in V.
+def smith_normal_form(m) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """(U, V, invariant factors) with U * M * V = D, U and V unimodular and
+    D diagonal, its nonzero entries a prefix, the invariant factors; found by
+    elementary row/column operations, the row operations recorded in U, the
+    column operations in V.
 
     Pivot selection is deterministic (smallest |entry|, ties by position) so
     repeated runs produce identical decompositions.
     """
-    rows, cols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
+    rows, cols = len(m), len(m[0]) if m else 0
+    a = [list(row) for row in m]
     u = [[0] * i + [1] + [0] * (rows - 1 - i) for i in range(rows)]
     v = [[0] * i + [1] + [0] * (cols - 1 - i) for i in range(cols)]
     k = 0
@@ -209,31 +131,33 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         k += 1
 
     factors = tuple(a[i][i] for i in range(k))
-    return SmithDecomposition(_rectangular(u), _rectangular(v), factors)
+    return tuple(map(tuple, u)), tuple(map(tuple, v)), factors
 
 
 class FinitelyGeneratedAbelianGroup:
-    """Cokernel of an integer matrix, with its projection map.
+    """Cokernel of an integer matrix, with its projection map, read off the
+    matrix's Smith form (U, V, invariant factors).
 
     Elements are canonical coordinate tuples: free coordinates first (in the
     Smith basis, signs normalized), then torsion residues reduced modulo their
     orders.
     """
 
-    def __init__(self, snf: SmithDecomposition, ambient_rank: int):
-        self.ambient_rank = ambient_rank
-        diag = snf.invariant_factors + (0,) * (ambient_rank - len(snf.invariant_factors))
+    def __init__(self, smith):
+        u, _, factors = smith
+        self.ambient_rank = ambient_rank = len(u)
+        diag = factors + (0,) * (ambient_rank - len(factors))
         self._torsion_slots = tuple(i for i, x in enumerate(diag) if x >= 2)
         self._free_slots = tuple(i for i, x in enumerate(diag) if x == 0)
         self.torsion_orders = tuple(diag[i] for i in self._torsion_slots)
         self.free_rank = len(self._free_slots)
-        u = [list(row) for row in snf.U.entries]
+        u = list(u)
         # sign-normalize the free rows of U so projections are reproducible
         for slot in self._free_slots:
             lead = next((x for x in u[slot] if x != 0), 0)
             if lead < 0:
-                u[slot] = [-x for x in u[slot]]
-        self._u = _rectangular(u)
+                u[slot] = tuple(-x for x in u[slot])
+        self._u = tuple(u)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * (self.free_rank + len(self.torsion_orders))
@@ -242,7 +166,7 @@ class FinitelyGeneratedAbelianGroup:
         """Image of a lattice vector in the cokernel, canonically reduced."""
         if len(a) != self.ambient_rank:
             raise ValueError("vector length mismatch")
-        y = self._u.mul_vec(a)
+        y = [sum(map(mul, row, a)) for row in self._u]
         free = tuple(y[i] for i in self._free_slots)
         tors = tuple(y[s] % o for s, o in zip(self._torsion_slots, self.torsion_orders))
         return free + tors
@@ -250,7 +174,7 @@ class FinitelyGeneratedAbelianGroup:
     def unit_classes(self) -> tuple[tuple[int, ...], ...]:
         """project(e_i) for each unit vector e_i of the ambient lattice: U e_i
         is column i of U, read at the free slots and reduced at the torsion ones."""
-        u = self._u.entries
+        u = self._u
         free = [u[s] for s in self._free_slots]
         tors = [(u[s], o) for s, o in zip(self._torsion_slots, self.torsion_orders)]
         return tuple(tuple(row[i] for row in free) + tuple(row[i] % o for row, o in tors)
@@ -270,9 +194,9 @@ class FinitelyGeneratedAbelianGroup:
         return self.reduce(tuple(-x for x in self.reduce(c)))
 
 
-def cokernel(m: IntMatrix) -> FinitelyGeneratedAbelianGroup:
+def cokernel(m) -> FinitelyGeneratedAbelianGroup:
     """Cokernel of Z^cols -> Z^rows given by the matrix."""
-    return FinitelyGeneratedAbelianGroup(smith_normal_form(m), m.rows)
+    return FinitelyGeneratedAbelianGroup(smith_normal_form(m))
 
 
 def dual_lattice_basis(group: FinitelyGeneratedAbelianGroup) -> list[tuple[int, ...]]:
@@ -281,5 +205,4 @@ def dual_lattice_basis(group: FinitelyGeneratedAbelianGroup) -> list[tuple[int, 
     The j-th functional evaluates a lattice vector to the j-th free coordinate
     of its class, so torsion is annihilated by construction.
     """
-    u = group._u
-    return [tuple(u.entries[slot]) for slot in group._free_slots]
+    return [group._u[slot] for slot in group._free_slots]

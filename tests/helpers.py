@@ -30,7 +30,7 @@ from toric_dmod import groebner
 from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing,
                                  annihilator_of_graded_quotient, basis_dimension,
                                  initial_forms, radical_membership, weyl_buchberger)
-from toric_dmod.lattice import IntMatrix, SmithDecomposition, integer_rref
+from toric_dmod.lattice import integer_rref
 from toric_dmod.parsing import MAX_COEFF_DIGITS, MAX_EXPONENT, MAX_TERMS
 from toric_dmod.weyl import (WeylElement, from_theta_form, to_theta_form, tp_add,
                              tp_divide_linear_product, tp_linear_form,
@@ -234,14 +234,13 @@ def defective_faces(fan: Fan) -> list:
     for cone in sorted(fan_faces(fan), key=lambda c: (len(c), c)):
         if not cone:
             continue
-        m, k = fan.ray_matrix(cone), len(cone)
-        if matrix_rank(m.entries) != k:
+        m, k = cone_rays(fan, cone), len(cone)
+        if matrix_rank(m) != k:
             defects.append((cone, NonSimplicialCone))
             continue
         g = 0
         for cols in combinations(range(fan.n), k):
-            g = gcd(g, det(IntMatrix.from_rows([[m[i, j] for j in cols]
-                                                for i in range(k)])))
+            g = gcd(g, det([[row[j] for j in cols] for row in m]))
         if abs(g) != 1:
             defects.append((cone, NonSmoothCone))
     return defects
@@ -278,15 +277,23 @@ def random_fan(r: random.Random, n: int) -> Fan:
     return Fan(n, rays, cones)
 
 
-def identity_matrix(n: int) -> IntMatrix:
-    return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+def cone_rays(fan: Fan, cone) -> tuple[tuple[int, ...], ...]:
+    """The k x n ray matrix of a cone: the rows are its rays."""
+    return tuple(fan.rays[i] for i in cone)
 
 
-def matrix_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
+def identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def matrix_product(a, b) -> tuple[tuple[int, ...], ...]:
+    if any(len(row) != len(b) for row in a):
         raise ValueError("shape mismatch")
-    return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in zip(*b.entries))
-                           for row in a.entries))
+    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*b)) for row in a)
+
+
+def matrix_vector(m, v) -> tuple[int, ...]:
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def matrix_rank(rows) -> int:
@@ -294,15 +301,15 @@ def matrix_rank(rows) -> int:
     return len(integer_rref(rows)[1])
 
 
-def unimodular_inverse(mat: IntMatrix) -> IntMatrix:
+def unimodular_inverse(mat) -> tuple[tuple[int, ...], ...]:
     """Inverse of a unimodular matrix: the reduced form of [M | I] is [I | M^-1]."""
-    n = mat.rows
-    rows, pivots = integer_rref([row + tuple(int(k == i) for k in range(n))
-                                 for i, row in enumerate(mat.entries)])
-    if mat.cols != n or pivots != list(range(n)) \
+    n = len(mat)
+    rows, pivots = integer_rref([tuple(row) + tuple(int(k == i) for k in range(n))
+                                 for i, row in enumerate(mat)])
+    if any(len(row) != n for row in mat) or pivots != list(range(n)) \
             or any(row[i] != 1 for i, row in enumerate(rows)):
         raise ValueError("matrix is not unimodular")
-    return IntMatrix.from_rows([row[n:] for row in rows])
+    return tuple(row[n:] for row in rows)
 
 
 def class_section(group, cls) -> tuple[int, ...]:
@@ -312,17 +319,17 @@ def class_section(group, cls) -> tuple[int, ...]:
     y = [0] * group.ambient_rank
     for c, slot in zip(cls, group._free_slots + group._torsion_slots):
         y[slot] = c
-    return unimodular_inverse(group._u).mul_vec(y)
+    return matrix_vector(unimodular_inverse(group._u), y)
 
 
-def det(m: IntMatrix) -> int:
+def det(m) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("det of non-square matrix")
-    n = m.rows
     if n == 0:
         return 1
-    a = [list(row) for row in m.entries]
+    a = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -340,20 +347,21 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def invariant_factor_oracle(m: IntMatrix) -> tuple[int, ...]:
+def invariant_factor_oracle(m) -> tuple[int, ...]:
     """Invariant factors via gcds of k x k minors (determinantal divisors),
     independent of the elimination-based Smith routine."""
+    width = len(m[0]) if m else 0
+
     def minor_gcd(k: int) -> int:
         g = 0
-        for rows in combinations(range(m.rows), k):
-            for cols in combinations(range(m.cols), k):
-                g = gcd(g, det(IntMatrix.from_rows([[m[i, j] for j in cols]
-                                                    for i in rows])))
+        for rows in combinations(m, k):
+            for cols in combinations(range(width), k):
+                g = gcd(g, det([[row[j] for j in cols] for row in rows]))
         return abs(g)
 
     factors = []
     prev = 1
-    for k in range(1, min(m.rows, m.cols) + 1):
+    for k in range(1, min(len(m), width) + 1):
         dk = minor_gcd(k)
         if dk == 0:
             break
@@ -362,12 +370,11 @@ def invariant_factor_oracle(m: IntMatrix) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def smith_normal_form_by_closures(m: IntMatrix) -> SmithDecomposition:
+def smith_normal_form_by_closures(m) -> tuple[tuple, tuple, tuple[int, ...]]:
     """Reference for lattice.smith_normal_form: the same pivot rule and the
-    same row and column operations, each through a closure, with U and V
-    checked as rectangular matrices."""
-    rows, cols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
+    same row and column operations, each through a closure."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    a = [list(row) for row in m]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
@@ -456,8 +463,7 @@ def smith_normal_form_by_closures(m: IntMatrix) -> SmithDecomposition:
         k += 1
 
     factors = tuple(a[i][i] for i in range(k))
-    return SmithDecomposition(IntMatrix(tuple(map(tuple, u))), IntMatrix(tuple(map(tuple, v))),
-                              factors)
+    return tuple(map(tuple, u)), tuple(map(tuple, v)), factors
 
 
 def fraction_eval(p: dict, point) -> Fraction:
@@ -640,13 +646,13 @@ def weyl_left_mul_monomial(terms: dict, alpha, beta) -> dict:
     return terms
 
 
-def wreduce_max_scan(work: dict, reducers, worder) -> tuple[dict, int]:
+def wreduce_max_scan(work: dict, reducers, order_key) -> tuple[dict, int]:
     """Reference for groebner._wreduce: the leading term by a max scan under
-    worder.key, the first reducer whose lead divides it, lc / gcd scaling,
+    order_key, the first reducer whose lead divides it, lc / gcd scaling,
     and the shifted reducer from weyl_left_mul_monomial."""
     remainder, scale = {}, 1
     while work:
-        cab = max(work, key=worder.key)
+        cab = max(work, key=order_key)
         comp, a, b = cab
         r = next((r for r in reducers if r.comp == comp
                   and all(x >= y for x, y in zip(a + b, r.a + r.b))), None)
@@ -682,7 +688,7 @@ def weyl_buchberger_all_pairs(gens, rank: int, d: int) -> list:
             ri, rj = basis[i], basis[j]
             if ri.comp == rj.comp:
                 la, lb = tuple(map(max, ri.a, rj.a)), tuple(map(max, ri.b, rj.b))
-                heapq.heappush(heap, (groebner.WeylModuleOrder.key((ri.comp, la, lb)), i, j))
+                heapq.heappush(heap, (groebner._module_order_key((ri.comp, la, lb)), i, j))
 
     for j in range(len(basis)):
         push_pairs(j)

@@ -19,7 +19,7 @@ from toric_dmod.dmod import (GradedPresentation, d_module_left,
                              d_module_right, left_right_swap)
 from toric_dmod.errors import (ChartRewriteError, ConeNotMaximal,
                                PreconditionViolated)
-from toric_dmod.fan_cox import Fan, GradingData
+from toric_dmod.fan_cox import Fan, GradingData, irrelevant_ideal
 from toric_dmod.groebner import (EMPTY_DIM, Poly, format_poly, krull_dimension,
                                  toric_ideal)
 from toric_dmod.weyl import WeylElement, parse_weyl
@@ -84,6 +84,21 @@ def test_dimension_report_torsion():
     rep = dimension_report(gd, delta_module(gd))
     assert rep.torsion and rep.sheaf_dim == ZERO_SHEAF
     assert rep.dim == 2
+
+
+def test_dimension_report_on_the_point():
+    # the fan of a point (n = 0, no ray) keeps the zero cone as its one
+    # maximal cone, so b = (1): D(0) = Q is not b-torsion, J = (0) is its
+    # own saturation, and its one chart, at the zero cone, has dimension
+    # 0 = n. The CLI rejects n = 0 (test_cli); the library takes it.
+    fan = Fan(0, [], [])
+    assert fan.max_cones == ((),) and irrelevant_ideal(fan) == ((),)
+    gd = grading(fan)
+    rep = dimension_report(gd, d_module_left(gd, gd.class_group.zero()))
+    assert (rep.char_ideal, rep.dim, rep.torsion, rep.sheaf_dim) == ([], 0, False, 0)
+    assert rep.holonomic_module and rep.holonomic_sheaf
+    assert rep.saturated == []
+    assert [(c.frame.cone, c.image_ideal, c.dimension) for c in rep.charts] == [((), [], 0)]
 
 
 def test_dimension_report_all_fans():

@@ -275,6 +275,8 @@ def test_local_repeated_ray_cone_exits_3(capsys):
 # command's arguments after the fan, exit code, the error line after
 # "error: ", with {path} the document it names)
 TYPED_ERRORS = {
+    "a point, n = 0": ("n = 0\nrays = []\nmax_cones = []\n", None, [], 2,
+                       "{path}: n must be a positive integer"),
     "zero ray": ("n = 2\nrays = [[1, 0], [0, 0], [0, 1]]\nmax_cones = [[1, 3]]\n", None,
                  [], 3, "ray 2 is zero"),
     "duplicate rays": ("n = 2\nrays = [[1, 0], [0, 1], [1, 0]]\nmax_cones = [[1, 2]]\n",

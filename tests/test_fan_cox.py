@@ -6,12 +6,12 @@ from operator import mul
 
 import pytest
 
-from helpers import (all_fixture_fans, class_section, cpu_time_limit, defective_faces,
-                     fan_faces, fan_hirzebruch1, fan_p1, fan_p1_cubed, fan_p1p1, fan_p2,
-                     fan_p3, fan_torsion, grading, matrix_rank, overlapping_cones_per_ray,
-                     random_fan, random_homogeneous_weyl, random_simplicial_fan,
-                     random_weyl, rng,
-                     star_subdivided_fans, validate_per_face)
+from helpers import (all_fixture_fans, class_section, cone_rays, cpu_time_limit,
+                     defective_faces, fan_faces, fan_hirzebruch1, fan_p1, fan_p1_cubed,
+                     fan_p1p1, fan_p2, fan_p3, fan_torsion, grading, matrix_rank,
+                     overlapping_cones_per_ray, random_fan, random_homogeneous_weyl,
+                     random_simplicial_fan, random_weyl, rng, star_subdivided_fans,
+                     validate_per_face)
 from toric_dmod import cli, dmod, fan_cox
 from toric_dmod.errors import (FanValidationError, NonSimplicialCone,
                                NonSmoothCone, RaysDoNotSpan, UnknownCone)
@@ -101,7 +101,7 @@ def _with_overlapping_cone(r, fan):
     cones: in a complete fan it overlaps some maximal cone."""
     while True:
         cone = tuple(sorted(r.sample(range(fan.d), fan.n)))
-        if not fan.has_cone(cone) and matrix_rank(fan.ray_matrix(cone).entries) == fan.n:
+        if not fan.has_cone(cone) and matrix_rank(cone_rays(fan, cone)) == fan.n:
             return Fan(fan.n, fan.rays, fan.max_cones + (cone,))
 
 
@@ -169,7 +169,7 @@ def _fan_p4():
 def _full_system(fan, s1, s2):
     """The summed coordinate row of the pair and its whole exact system, as
     the docstring of _overlapping_cones sets it up, on s2's Smith form."""
-    data = _smith_cone_data(fan.ray_matrix(s2))
+    data = _smith_cone_data(cone_rays(fan, s2))
     own = [fan.rays[i] for i in s1 if i not in s2]
     nvars = len(own)
     off = [tuple(sum(map(mul, row, ray)) for ray in own)
@@ -211,12 +211,12 @@ def test_the_sign_settles_only_pairs_the_exact_system_rejects(monkeypatch, n, st
         opened.clear()
         assert _overlapping_cones(fan) is None and len(opened) == expected
         for cone in fan.max_cones:
-            smith = _smith_cone_data(fan.ray_matrix(cone))
+            smith = _smith_cone_data(cone_rays(fan, cone))
             got = fan.cone_data(cone)
             assert [getattr(got, f) for f in _CONE_FIELDS] == \
                 [getattr(smith, f) for f in _CONE_FIELDS], (fan.rays, cone)
             if len(cone) == n:
-                reduced = _unimodular_cone_data(fan.ray_matrix(cone))
+                reduced = _unimodular_cone_data(cone_rays(fan, cone))
                 if smith.invariant_factors == (1,) * n:
                     assert [getattr(reduced, f) for f in _CONE_FIELDS] == \
                         [getattr(smith, f) for f in _CONE_FIELDS], (fan.rays, cone)

@@ -20,7 +20,7 @@ from toric_dmod.groebner import (EMPTY_DIM, Poly, PolyRing,
                                  radical_membership, saturation,
                                  saturation_by_monomials, toric_ideal,
                                  weyl_buchberger, weyl_contains, weyl_normal_form,
-                                 WeylDivisors, WeylModuleOrder)
+                                 WeylDivisors)
 from toric_dmod.weyl import WeylElement, format_weyl, parse_weyl, tp_numerators
 
 
@@ -655,14 +655,14 @@ def test_eliminate_front_matches_sympy_lex_on_small_ideals():
     assert nontrivial
 
 
-def _lead(vec, worder):
-    cab = max(vec, key=worder.key)
+def _lead(vec, order_key):
+    cab = max(vec, key=order_key)
     return cab, vec[cab]
 
 
-def _s_vector(f, g, worder):
-    (comp, ef, _), cf = _lead(f, worder)
-    (_, eg, _), cg = _lead(g, worder)
+def _s_vector(f, g, order_key):
+    (comp, ef, _), cf = _lead(f, order_key)
+    (_, eg, _), cg = _lead(g, order_key)
     lcm = tuple(max(x, y) for x, y in zip(ef, eg))
     out: dict = {}
     for vec, scale, e in ((f, 1 / cf, ef), (g, -1 / cg, eg)):
@@ -673,14 +673,14 @@ def _s_vector(f, g, worder):
     return {k: c for k, c in out.items() if c}
 
 
-def _normal_form(f: dict, basis: list, worder) -> dict:
+def _normal_form(f: dict, basis: list, order_key) -> dict:
     """Full normal form of a module element with no d-part, by a max scan,
     the first basis element whose lead divides, and Fraction arithmetic on
     shifted exponents: a reducer independent of groebner._wreduce."""
-    leads = [_lead(g, worder) for g in basis]
+    leads = [_lead(g, order_key) for g in basis]
     work, remainder = dict(f), {}
     while work:
-        cab = max(work, key=worder.key)
+        cab = max(work, key=order_key)
         comp, a, _ = cab
         for g, ((gc, ga, _), lc) in zip(basis, leads):
             if gc == comp and all(x >= y for x, y in zip(a, ga)):
@@ -700,18 +700,18 @@ def _normal_form(f: dict, basis: list, worder) -> dict:
     return remainder
 
 
-def _assert_buchberger_certificate(gens, basis, worder):
-    leads = [_lead(g, worder) for g in basis]
+def _assert_buchberger_certificate(gens, basis, order_key):
+    leads = [_lead(g, order_key) for g in basis]
     assert all(c == 1 for _, c in leads)
     for i, f in enumerate(basis):
         others = basis[:i] + basis[i + 1:]
         # reduced: no term of an element is divisible by another leading term
-        assert _normal_form(f, others, worder) == f
+        assert _normal_form(f, others, order_key) == f
         for g in basis[i + 1:]:
-            if _lead(f, worder)[0][0] == _lead(g, worder)[0][0]:
-                assert _normal_form(_s_vector(f, g, worder), basis, worder) == {}
+            if _lead(f, order_key)[0][0] == _lead(g, order_key)[0][0]:
+                assert _normal_form(_s_vector(f, g, order_key), basis, order_key) == {}
     for g in gens:
-        assert _normal_form(g, basis, worder) == {}
+        assert _normal_form(g, basis, order_key) == {}
 
 
 def test_module_basis_has_a_buchberger_certificate():
@@ -735,7 +735,7 @@ def test_module_basis_has_a_buchberger_certificate():
             if vec:
                 gens.append(vec)
         basis = groebner.buchberger(gens, rank)
-        _assert_buchberger_certificate(gens, basis, WeylModuleOrder())
+        _assert_buchberger_certificate(gens, basis, groebner._module_order_key)
 
 
 def test_module_pairs_with_coprime_leading_terms_are_not_skipped():
@@ -745,7 +745,7 @@ def test_module_pairs_with_coprime_leading_terms_are_not_skipped():
     g = {(0, (0, 1), ()): Fraction(1)}
     basis = groebner.buchberger([f, g], 2)
     assert {(1, (0, 1), ()): Fraction(1)} in basis
-    _assert_buchberger_certificate([f, g], basis, WeylModuleOrder())
+    _assert_buchberger_certificate([f, g], basis, groebner._module_order_key)
 
 
 def test_module_chain_criterion_stays_within_a_component():
@@ -756,7 +756,7 @@ def test_module_chain_criterion_stays_within_a_component():
     h = {(0, (0, 0), ()): Fraction(1)}
     basis = groebner.buchberger([f, g, h], 3)
     assert {(2, (0, 1), ()): Fraction(1)} in basis
-    _assert_buchberger_certificate([f, g, h], basis, WeylModuleOrder())
+    _assert_buchberger_certificate([f, g, h], basis, groebner._module_order_key)
 
 
 def _random_weyl_row(r, d: int, rank: int, coefficient=lambda r: r.randint(-3, 3)):
@@ -791,7 +791,6 @@ def test_weyl_basis_against_filtered_macaulay_oracle():
         d, rank = r.randint(1, 2), r.randint(1, 2)
         gens = [_random_weyl_row(r, d, rank) for _ in range(2)]
         gb = weyl_buchberger(gens, rank, d)
-        worder = WeylModuleOrder()
         base = max(bernstein_degree(weyl_rows_to_dict(g)) for g in gens + gb)
         pending = list(gb)
         for cap in range(base, base + 7):
@@ -805,7 +804,8 @@ def test_weyl_basis_against_filtered_macaulay_oracle():
         rows = [weyl_rows_to_dict(g) for g in gb]
         for i, f in enumerate(rows):
             for g in rows[i + 1:]:
-                (cf, af, bf), (cg, ag, bg) = max(f, key=worder.key), max(g, key=worder.key)
+                cf, af, bf = max(f, key=groebner._module_order_key)
+                cg, ag, bg = max(g, key=groebner._module_order_key)
                 if cf != cg:
                     continue
                 la, lb = tuple(map(max, af, ag)), tuple(map(max, bf, bg))
@@ -848,8 +848,7 @@ def test_weyl_kernel_on_rational_rows_against_filtered_macaulay_oracle(monkeypat
         gens = [_random_weyl_row(r, d, rank, _rational) for _ in range(2)]
         gb = weyl_buchberger(gens, rank, d)
         assert weyl_buchberger([_scaled(g, _rational(r)) for g in gens], rank, d) == gb
-        worder = WeylModuleOrder()
-        lead_terms = [max(weyl_rows_to_dict(g), key=worder.key) for g in gb]
+        lead_terms = [max(weyl_rows_to_dict(g), key=groebner._module_order_key) for g in gb]
         members = list(gb)
         for _ in range(3):
             f = _random_weyl_row(r, d, rank, _rational)
@@ -963,7 +962,7 @@ def _mapped(r, rank: int, n: int, draws: int) -> tuple[list, list]:
 
 
 def test_lead_key_sorts_in_reverse_of_weyl_module_order():
-    # the heap of _wreduce and the key of WeylModuleOrder write one order,
+    # the heap of _wreduce and _module_order_key write one order,
     # on Weyl terms and on both mappings of commutative terms
     r = rng(44)
     cases = []
@@ -979,14 +978,14 @@ def test_lead_key_sorts_in_reverse_of_weyl_module_order():
         r.shuffle(triples)
         assert len({groebner._lead_key(t) for t in triples}) == len(triples)
         assert (sorted(triples, key=groebner._lead_key)
-                == sorted(triples, key=WeylModuleOrder().key, reverse=True))
+                == sorted(triples, key=groebner._module_order_key, reverse=True))
         # ties: repeated leads, each tagged with its input position, sort
         # the same way under both keys, equal leads in input order (the
         # engines' "of equal leads the first" rests on this)
         repeated = triples + r.choices(triples, k=len(triples) // 2 + 1)
         r.shuffle(repeated)
-        order = WeylModuleOrder()
-        ascending = sorted(enumerate(repeated), key=lambda pt: order.key(pt[1]))
+        ascending = sorted(enumerate(repeated),
+                           key=lambda pt: groebner._module_order_key(pt[1]))
         assert ascending == sorted(enumerate(repeated),
                                    key=lambda pt: groebner._lead_key(pt[1]), reverse=True)
         assert all(p < q for (p, s), (q, t) in zip(ascending, ascending[1:]) if s == t)
@@ -1021,7 +1020,6 @@ def test_wreduce_matches_the_max_scan_reference():
     for _ in range(40):
         d, rank = r.randint(1, 2), r.randint(1, 2)
         ranks.add(rank)
-        worder = WeylModuleOrder()
         rows = [_random_weyl_row(r, d, rank, _rational) for _ in range(3)]
         reducers = [groebner._WeylReducer(w) for w in map(weyl_rows_to_dict, rows) if w]
         for _ in range(3):
@@ -1030,13 +1028,12 @@ def test_wreduce_matches_the_max_scan_reference():
                 continue
             _, nums = tp_numerators(f)
             assert (groebner._wreduce(dict(nums), reducers)
-                    == wreduce_max_scan(dict(nums), reducers, worder))
+                    == wreduce_max_scan(dict(nums), reducers, groebner._module_order_key))
     assert ranks == {1, 2}
     # commutative elements with an empty d-part and mapped for elimination
     mappings = (lambda comp, e: (comp, e, ()), lambda comp, e: (comp, (0,) + e[1:], e[:1]))
     for _ in range(40):
         rank, ring = r.randint(1, 2), PolyRing(("t", "x", "y"))
-        worder = WeylModuleOrder()
 
         def element(degree, nterms):
             return {key(r.randrange(rank), e): c / r.randint(1, 3) for _ in range(rank)
@@ -1050,7 +1047,8 @@ def test_wreduce_matches_the_max_scan_reference():
                     continue
                 _, nums = tp_numerators(f)
                 assert (groebner._wreduce(dict(nums), reducers)
-                        == wreduce_max_scan(dict(nums), reducers, worder))
+                        == wreduce_max_scan(dict(nums), reducers,
+                                            groebner._module_order_key))
 
 
 def test_weyl_normal_form_of_zero_or_against_nothing_builds_no_reducer(monkeypatch):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import sub
 
-from .errors import ChartRewriteError, ConeNotMaximal, PreconditionViolated
+from .errors import NonSmoothCone, PreconditionViolated
 from .fan_cox import GradingData, irrelevant_ideal
 from .groebner import (EMPTY_DIM, Poly, PolyRing, annihilator_of_graded_quotient,
                        basis_dimension, groebner_basis, ideal_contains,
@@ -104,14 +104,15 @@ class CharReport:
 
 
 class ChartFrame:
-    """What the chart rewrite at one cone needs, built once per cone and report.
+    """One cone's chart, built once per cone and report.
 
     The invariant subalgebra of the localized cotangent ring is generated by
     the torus chart coordinates t_j = x^(iota(m_j)), m_j the dual basis of the
     cone rays, and, for each i, the degree-zero monomial u_i carrying xi_i;
     the assignment is the linear section with zero exponents on the cone rays.
     The m_j are the cone's coordinate rows in Fan.cone_data, from the Smith
-    form that validated the cone.
+    form that validated the cone. The rewrite reads only cone and ring;
+    t_exponents and u_sections name the generators for the charvar report.
     """
 
     __slots__ = ("cone", "ring", "t_exponents", "u_sections")
@@ -156,15 +157,13 @@ def chart_frame(grading: GradingData, cone) -> ChartFrame:
     """The frame at a full-dimensional maximal cone. The section s_i of
     deg(x_i) with zero cone exponents is e_i - iota(m_j) when i is the j-th
     ray of the cone and e_i otherwise; it is unique, as iota(p) vanishes on
-    the n cone rays only for p = 0. As deg(xi_i) = -deg(x_i), the section of
-    the degree of x^e xi^f with zero cone exponents is then
-    sum_i (e_i - f_i) s_i: a sum of the s_i has zero cone exponents and
-    projects to the sum of their classes, and such a section is unique."""
+    the n cone rays only for p = 0. A cone whose rays are not a lattice
+    basis, possible only on an unvalidated GradingData, is NonSmoothCone."""
     cone = require_chart_cone(grading, cone)
     d, n = grading.d, grading.n
     data = grading.fan.cone_data(cone)
     if data.invariant_factors != (1,) * n:
-        raise ChartRewriteError("cone rays are not a lattice basis")
+        raise NonSmoothCone("cone rays are not a lattice basis")
     names = tuple(f"t{j + 1}" for j in range(n)) + tuple(f"u{i + 1}" for i in range(d))
     t_exponents = tuple(grading.iota_of(m) for m in data.coordinates)
     u_sections = [tuple(int(k == i) for k in range(d)) for i in range(d)]
@@ -176,62 +175,37 @@ def chart_frame(grading: GradingData, cone) -> ChartFrame:
 def chart_frames(grading: GradingData) -> list[ChartFrame] | None:
     """One frame per maximal cone, or None when some maximal cone is not
     full-dimensional."""
-    try:
-        return [chart_frame(grading, cone) for cone in grading.fan.max_cones]
-    except ConeNotMaximal:
+    cones = grading.fan.max_cones
+    if any(len(cone) != grading.n for cone in cones):
         return None
+    return [chart_frame(grading, cone) for cone in cones]
 
 
-def _chart_generators(grading: GradingData, frame: ChartFrame,
-                      gens: list[Poly]) -> list[Poly]:
-    """Each generator g of a homogeneous ideal as g / x^(a_g) in the chart
-    ring of frame, a_g the section of its degree with zero cone exponents.
+def _chart_generators(frame: ChartFrame, gens: list[Poly]) -> list[Poly]:
+    """Each class-homogeneous generator g in the chart ring of frame: g with
+    x_i set to 1 for every ray i off the cone (Cox's dehomogenisation), so
+    the term x^e xi^f goes to t^(e on the cone) u^f.
 
-    a_g is read off g's first term x^e xi^f as sum_i (e_i - f_i) u_sections[i]
-    (chart_frame), with no class-group arithmetic. The rewrite closes exactly
-    when every term has the degree of a_g: the residual has no cone
-    exponents, so it is zero iff its class is. Every caller passes
-    homogeneous generators (J, its saturation, a certified candidate); an
-    inhomogeneous one does not close either (ChartRewriteError)."""
-    d, cone = grading.d, frame.cone
-    out = []
-    for g in gens:
-        first = next(iter(g.terms))
-        a_g = [0] * d
-        for e, f, s_i in zip(first, first[d:], frame.u_sections):
-            if e != f:
-                for k in range(d):
-                    a_g[k] += (e - f) * s_i[k]
-        terms = {}
-        for e, c in g.terms.items():
-            xexp = [e[k] - a_g[k] for k in range(d)]
-            xiexp = e[d:]
-            p = tuple(xexp[i] for i in cone)
-            for pj, shift in zip(p, frame.t_exponents):
-                if pj:
-                    for k in range(d):
-                        xexp[k] -= pj * shift[k]
-            for fi, s_i in zip(xiexp, frame.u_sections):
-                if fi:
-                    for k in range(d):
-                        xexp[k] -= fi * s_i[k]
-            if any(xexp):
-                raise ChartRewriteError("chart rewrite failed to close")
-            if any(x < 0 for x in p):
-                raise ChartRewriteError("negative torus exponent in chart rewrite")
-            terms[p + xiexp] = c
-        out.append(Poly(frame.ring, terms))
-    return out
+    That is g / x^s, s the section of deg(g) with zero cone exponents: a
+    monomial of a given degree is fixed by its cone exponents and its
+    xi-part, and t^p u^f has cone exponents p, xi-part f and degree 0. So
+    distinct terms stay distinct. Every caller passes homogeneous
+    generators: J and the reduced bases of homogeneous ideals are
+    homogeneous, and certify_saturation checks a candidate first."""
+    cone = frame.cone
+    d = frame.ring.nvars - len(cone)
+    return [Poly(frame.ring, {tuple(e[i] for i in cone) + e[d:]: c
+                              for e, c in g.terms.items()}) for g in gens]
 
 
-def chart_image(grading: GradingData, frame: ChartFrame, gens: list[Poly]) -> list[Poly]:
+def chart_image(frame: ChartFrame, gens: list[Poly]) -> list[Poly]:
     """Reduced basis of the degree-zero part of the localization of the
     homogeneous ideal (gens) at x^(sigma-hat), in the chart ring of frame.
 
     The chart ring is a polynomial ring (its generator monomials have linearly
     independent exponent vectors), so the rewritten generators alone
     generate the image."""
-    return groebner_basis(_chart_generators(grading, frame, gens), frame.ring)
+    return groebner_basis(_chart_generators(frame, gens), frame.ring)
 
 
 def _chart(frame: ChartFrame, image: list[Poly]) -> ChartIdeal:
@@ -242,7 +216,7 @@ def chart_ideal_from_saturated(grading: GradingData, saturated: list[Poly],
                                cone) -> ChartIdeal:
     """Degree-zero chart presentation of (saturated) on one cone."""
     frame = chart_frame(grading, cone)
-    return _chart(frame, chart_image(grading, frame, saturated))
+    return _chart(frame, chart_image(frame, saturated))
 
 
 def generic_irrelevant_element(b_gens, ring: PolyRing) -> Poly:
@@ -264,14 +238,12 @@ def certify_saturation(grading: GradingData, frames, j_images, candidate) -> boo
     with the chart images of J on every maximal cone is J : b^infinity. As
     the candidate contains J, its chart images contain those of J, and
     equality holds when its rewritten generators reduce to zero modulo them.
-    Each generator g is rewritten as g / x^(a_g), a_g = sum_i (e_i - f_i) s_i
-    for g's first term x^e xi^f and the frame's sections s_i of deg(x_i):
-    a sum of sections with zero cone exponents has zero cone exponents, so
-    a_g is the section of deg(g) that leaves the cone coordinates alone.
+    The rewrite is a dehomogenisation (_chart_generators), so the candidate
+    is checked class-homogeneous first.
     """
     if not t_invariance_check(candidate, grading):
         return False
-    return all(ideal_contains(image, _chart_generators(grading, frame, candidate))
+    return all(ideal_contains(image, _chart_generators(frame, candidate))
                for frame, image in zip(frames, j_images))
 
 
@@ -317,7 +289,7 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
         def saturate():
             return saturated
     else:
-        images = [chart_image(grading, frame, j) for frame in frames]
+        images = [chart_image(frame, j) for frame in frames]
         charts = tuple(_chart(frame, image) for frame, image in zip(frames, images))
         dims = [chart.dimension for chart in charts if chart.dimension != EMPTY_DIM]
 

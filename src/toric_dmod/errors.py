@@ -2,7 +2,7 @@
 
 Each error type carries the exit code the CLI returns for it: 3 for a
 semantic validation error (the default), 2 for ParseError, 4 for
-PreconditionViolated, its subclasses and ChartRewriteError.
+PreconditionViolated and its subclasses.
 """
 
 
@@ -52,9 +52,3 @@ class ConeNotMaximal(PreconditionViolated):
 
 class PointTooLarge(PreconditionViolated):
     """A lattice point beyond the bounds of the local oracles."""
-
-
-class ChartRewriteError(ToricDmodError):
-    """A chart computation broke one of its own invariants (a bug, not bad input)."""
-
-    exit_code = 4

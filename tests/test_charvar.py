@@ -17,8 +17,7 @@ from toric_dmod.charvar import (ZERO_SHEAF, chart_frame, chart_ideal_from_satura
                                 z_ideal)
 from toric_dmod.dmod import (GradedPresentation, d_module_left,
                              d_module_right, left_right_swap)
-from toric_dmod.errors import (ChartRewriteError, ConeNotMaximal,
-                               PreconditionViolated)
+from toric_dmod.errors import ConeNotMaximal, NonSmoothCone, PreconditionViolated
 from toric_dmod.fan_cox import Fan, GradingData, irrelevant_ideal
 from toric_dmod.groebner import (EMPTY_DIM, Poly, format_poly, krull_dimension,
                                  toric_ideal)
@@ -208,11 +207,31 @@ def test_every_chart_ring_is_a_polynomial_ring():
             assert_polynomial_chart_ring(frame)
 
 
+def random_term_of_class(r, gd, a, f):
+    """A random x^a' xi^f' of the class of x^a xi^f: a' - f' is a - f moved
+    by iota(m) for a random m in M."""
+    diff = [x - y + z for x, y, z in
+            zip(a, f, gd.iota_of([r.randint(-2, 2) for _ in range(gd.n)]))]
+    f2 = tuple(max(0, -x) + r.randint(0, 2) for x in diff)
+    return tuple(x + y for x, y in zip(diff, f2)) + f2
+
+
+def expand_chart_poly(frame, image) -> dict:
+    """A chart polynomial in S' localized: each t^p u^g as the product of
+    the chart generator monomials (chart_generator_exponents), keyed by its
+    x and xi exponents."""
+    gens = [xe + xie for xe, xie in chart_generator_exponents(frame)]
+    return {tuple(sum(k * v[i] for k, v in zip(e, gens)) for i in range(len(gens[0]))): c
+            for e, c in image.terms.items()}
+
+
 def test_frame_sections_are_the_sections_with_zero_cone_exponents():
-    # for a monomial x^a xi^f the chart rewrite divides by x^s,
-    # s = sum_i (a_i - f_i) u_sections[i]: s vanishes on the cone, projects
-    # to the monomial's class and is the section the class-group oracle
-    # solves for, and the monomial becomes t^(a on the cone) u^f
+    # for a monomial x^a xi^f, s = sum_i (a_i - f_i) u_sections[i] vanishes
+    # on the cone, projects to the monomial's class and is the section the
+    # class-group oracle solves for; the chart rewrite of the monomial, and
+    # of a random homogeneous polynomial of its class, expanded through the
+    # chart generators t_j = x^iota(m_j), u_i = x^(s_i) xi_i, is the input
+    # divided by x^s, so a frame whose sections are wrong fails here
     r = rng(37)
     fans = [fan for _, fan in all_fixture_fans()] + [fan_p3(), fan_p1_cubed()]
     for base in (fan_p2(), fan_p1p1()):
@@ -232,17 +251,23 @@ def test_frame_sections_are_the_sections_with_zero_cone_exponents():
                 assert not any(s[i] for i in cone)
                 assert gd.class_group.project(s) == cls
                 assert s == section_off_cone(gd, cone, cls)
-                [image] = charvar._chart_generators(gd, frame, [Poly.monomial(ring, a + f)])
-                assert image.terms == {tuple(a[i] for i in cone) + f: 1}
+                terms = {a + f: 1}
+                terms.update((random_term_of_class(r, gd, a, f), r.randint(1, 5))
+                             for _ in range(3))
+                gens = [Poly.monomial(ring, a + f), Poly(ring, terms)]
+                images = charvar._chart_generators(frame, gens)
+                assert images[0].terms == {tuple(a[i] for i in cone) + f: 1}
+                for g, image in zip(gens, images):
+                    assert expand_chart_poly(frame, image) == \
+                        {tuple(map(sub, e[:d], s)) + e[d:]: c for e, c in g.terms.items()}
 
 
-def test_non_unimodular_cone_is_a_chart_rewrite_error():
+def test_non_unimodular_cone_is_a_non_smooth_cone():
     # P(1,1,2) is not smooth: the cone on rays 1 and 3 has determinant -2.
-    # An unvalidated GradingData skips the smoothness check, so the inverse of
-    # its ray matrix fails inside chart_frame, which must surface as
-    # ChartRewriteError (exit 4).
+    # An unvalidated GradingData skips the smoothness check, so chart_frame
+    # finds the rays are not a lattice basis and raises NonSmoothCone (exit 3)
     fan = Fan(2, [[1, 0], [0, 1], [-1, -2]], [[0, 1], [1, 2], [0, 2]])
-    with pytest.raises(ChartRewriteError, match="not a lattice basis"):
+    with pytest.raises(NonSmoothCone, match="not a lattice basis"):
         chart_frame(GradingData(fan), (0, 2))
 
 

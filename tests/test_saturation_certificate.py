@@ -15,7 +15,8 @@ from toric_dmod import charvar, cli, groebner
 from toric_dmod.cli import load_fan, load_module
 from toric_dmod.charvar import (ZERO_SHEAF, certify_saturation, characteristic_ideal,
                                 chart_frames, chart_image, dimension_report,
-                                generic_irrelevant_element, s_prime_ring)
+                                generic_irrelevant_element, s_prime_ring,
+                                t_invariance_check)
 from toric_dmod.dmod import GradedPresentation, d_module_left
 from toric_dmod.fan_cox import irrelevant_ideal
 from toric_dmod.groebner import (Poly, basis_dimension, groebner_basis, is_unit_ideal,
@@ -38,7 +39,7 @@ def b_exponents(gd):
 
 def certify(gd, j, candidate):
     frames = chart_frames(gd)
-    images = [chart_image(gd, frame, j) for frame in frames]
+    images = [chart_image(frame, j) for frame in frames]
     return certify_saturation(gd, frames, images, candidate)
 
 
@@ -116,6 +117,38 @@ def _count_calls(monkeypatch, module, name, counts):
         return real(*args)
 
     monkeypatch.setattr(module, name, counted)
+
+
+def test_every_chart_rewrite_input_is_class_homogeneous(monkeypatch):
+    # the chart rewrite sets x_i = 1 off the cone, which is the chart image
+    # only for a class-homogeneous generator: J, the reduced bases of
+    # homogeneous ideals, and a candidate once t_invariance_check passed
+    r = rng(92)
+    seen, counts = [], {}
+    real = charvar._chart_generators
+
+    def spy(frame, gens):
+        seen.append(list(gens))
+        return real(frame, gens)
+
+    monkeypatch.setattr(charvar, "_chart_generators", spy)
+    _count_calls(monkeypatch, charvar, "certify_saturation", counts)
+    for _, fan in all_fixture_fans():
+        gd = grading(fan)
+        mods = [structure_sheaf(gd), d_module_left(gd, gd.class_group.zero()),
+                delta_module(gd)] + [random_module(r, gd) for _ in range(2)]
+        for pres in mods:
+            seen.clear()
+            assert dimension_report(gd, pres).saturated is not None
+            assert len(seen) >= len(fan.max_cones)
+            for gens in seen:
+                assert t_invariance_check(gens, gd)
+    # some reports rewrite a candidate for the certificate, not only J
+    assert counts["certify_saturation"] >= 1
+    # a zero generator rewrites to zero in the chart ring
+    gd = grading(fan_p1())
+    frame = chart_frames(gd)[0]
+    assert real(frame, [Poly.zero(s_prime_ring(gd))]) == [Poly.zero(frame.ring)]
 
 
 def test_fallback_when_the_certificate_fails(monkeypatch):

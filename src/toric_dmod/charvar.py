@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import sub
 
-from .errors import NonSmoothCone, PreconditionViolated
+from .errors import PreconditionViolated
 from .fan_cox import GradingData, irrelevant_ideal
 from .groebner import (EMPTY_DIM, Poly, PolyRing, annihilator_of_graded_quotient,
                        basis_dimension, groebner_basis, ideal_contains,
@@ -81,8 +81,9 @@ def verify_char_containment(grading: GradingData, pres: GradedPresentation) -> b
 
 
 class CharReport:
-    """What dimension_report finds. It has no __slots__: the saturated ideal
-    is a cached_property, kept in the instance's __dict__."""
+    """What dimension_report finds; charts are the ChartIdeals of J, one per
+    maximal cone. It has no __slots__: the saturated ideal is a
+    cached_property, kept in the instance's __dict__."""
 
     def __init__(self, char_ideal: list[Poly], dim, torsion: bool, sheaf_dim,
                  holonomic_module: bool, holonomic_sheaf: bool,
@@ -103,86 +104,53 @@ class CharReport:
         return self._saturate()
 
 
-class ChartFrame:
-    """One cone's chart, built once per cone and report.
-
-    The invariant subalgebra of the localized cotangent ring is generated by
-    the torus chart coordinates t_j = x^(iota(m_j)), m_j the dual basis of the
-    cone rays, and, for each i, the degree-zero monomial u_i carrying xi_i;
-    the assignment is the linear section with zero exponents on the cone rays.
-    The m_j are the cone's coordinate rows in Fan.cone_data, from the Smith
-    form that validated the cone. The rewrite reads only cone and ring;
-    t_exponents and u_sections name the generators for the charvar report.
-    """
-
-    __slots__ = ("cone", "ring", "t_exponents", "u_sections")
-
-    def __init__(self, cone: tuple[int, ...], ring: PolyRing,
-                 t_exponents: tuple[tuple[int, ...], ...],
-                 u_sections: tuple[tuple[int, ...], ...]):
-        self.cone = cone
-        self.ring = ring                        # t1..tn, u1..ud
-        self.t_exponents = t_exponents          # iota(m_j)
-        self.u_sections = u_sections            # x-exponents of u_i / xi_i
-
-    def _key(self):
-        return (self.cone, self.ring, self.t_exponents, self.u_sections)
-
-    def __eq__(self, other):
-        if other.__class__ is not ChartFrame:
-            return NotImplemented
-        return self._key() == other._key()
-
-
 class ChartIdeal:
-    """The image of an ideal in the chart ring of frame, and its dimension.
-    Charts, and frames, compare by value; as their lists make them
-    unhashable, neither hashes."""
+    """The image of an ideal in the chart ring at a cone, and its dimension.
+    Charts compare by value; as their lists make them unhashable, they do
+    not hash."""
 
-    __slots__ = ("frame", "image_ideal", "dimension")
+    __slots__ = ("cone", "image_ideal", "dimension")
 
-    def __init__(self, frame: ChartFrame, image_ideal: list[Poly], dimension):
-        self.frame = frame
+    def __init__(self, cone: tuple[int, ...], image_ideal: list[Poly], dimension):
+        self.cone = cone
         self.image_ideal = image_ideal
         self.dimension = dimension              # int or EMPTY_DIM
 
     def __eq__(self, other):
         if other.__class__ is not ChartIdeal:
             return NotImplemented
-        return (self.frame, self.image_ideal, self.dimension) == \
-            (other.frame, other.image_ideal, other.dimension)
+        return (self.cone, self.image_ideal, self.dimension) == \
+            (other.cone, other.image_ideal, other.dimension)
 
 
-def chart_frame(grading: GradingData, cone) -> ChartFrame:
-    """The frame at a full-dimensional maximal cone. The section s_i of
-    deg(x_i) with zero cone exponents is e_i - iota(m_j) when i is the j-th
-    ray of the cone and e_i otherwise; it is unique, as iota(p) vanishes on
-    the n cone rays only for p = 0. A cone whose rays are not a lattice
-    basis, possible only on an unvalidated GradingData, is NonSmoothCone."""
+def chart_ring(grading: GradingData) -> PolyRing:
+    """k[t1..tn, u1..ud], the chart ring at every smooth full-dimensional
+    cone (chart_generators), built on each call: a ring is its names."""
+    return PolyRing(tuple(f"t{j + 1}" for j in range(grading.n)) +
+                    tuple(f"u{i + 1}" for i in range(grading.d)))
+
+
+def chart_generators(grading: GradingData, cone) -> list[tuple[tuple[int, ...], ...]]:
+    """The (x, xi) exponents of the chart generators t_1..t_n, u_1..u_d.
+
+    The invariant subalgebra of the cotangent ring localized at x^(sigma-hat)
+    is generated by t_j = x^(iota(m_j)), m_j the dual basis of the cone rays
+    (the cone's coordinate rows in Fan.cone_data), and u_i = x^(s_i) xi_i,
+    s_i the section of deg(x_i) with zero cone exponents: e_i - iota(m_j)
+    when i is the j-th ray of the cone and e_i otherwise. It is unique, as
+    iota(p) vanishes on the n cone rays only for p = 0."""
     cone = require_chart_cone(grading, cone)
-    d, n = grading.d, grading.n
-    data = grading.fan.cone_data(cone)
-    if data.invariant_factors != (1,) * n:
-        raise NonSmoothCone("cone rays are not a lattice basis")
-    names = tuple(f"t{j + 1}" for j in range(n)) + tuple(f"u{i + 1}" for i in range(d))
-    t_exponents = tuple(grading.iota_of(m) for m in data.coordinates)
-    u_sections = [tuple(int(k == i) for k in range(d)) for i in range(d)]
-    for i, shift in zip(cone, t_exponents):
-        u_sections[i] = tuple(int(k == i) - x for k, x in enumerate(shift))
-    return ChartFrame(cone, PolyRing(names), t_exponents, tuple(u_sections))
+    d = grading.d
+    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    t_exponents = [grading.iota_of(m) for m in grading.fan.cone_data(cone).coordinates]
+    sections = list(units)
+    for i, t in zip(cone, t_exponents):
+        sections[i] = tuple(map(sub, units[i], t))
+    return [(t, (0,) * d) for t in t_exponents] + list(zip(sections, units))
 
 
-def chart_frames(grading: GradingData) -> list[ChartFrame] | None:
-    """One frame per maximal cone, or None when some maximal cone is not
-    full-dimensional."""
-    cones = grading.fan.max_cones
-    if any(len(cone) != grading.n for cone in cones):
-        return None
-    return [chart_frame(grading, cone) for cone in cones]
-
-
-def _chart_generators(frame: ChartFrame, gens: list[Poly]) -> list[Poly]:
-    """Each class-homogeneous generator g in the chart ring of frame: g with
+def _chart_generators(ring: PolyRing, cone, gens: list[Poly]) -> list[Poly]:
+    """Each class-homogeneous generator g in the chart ring at cone: g with
     x_i set to 1 for every ray i off the cone (Cox's dehomogenisation), so
     the term x^e xi^f goes to t^(e on the cone) u^f.
 
@@ -192,31 +160,25 @@ def _chart_generators(frame: ChartFrame, gens: list[Poly]) -> list[Poly]:
     distinct terms stay distinct. Every caller passes homogeneous
     generators: J and the reduced bases of homogeneous ideals are
     homogeneous, and certify_saturation checks a candidate first."""
-    cone = frame.cone
-    d = frame.ring.nvars - len(cone)
-    return [Poly(frame.ring, {tuple(e[i] for i in cone) + e[d:]: c
-                              for e, c in g.terms.items()}) for g in gens]
-
-
-def chart_image(frame: ChartFrame, gens: list[Poly]) -> list[Poly]:
-    """Reduced basis of the degree-zero part of the localization of the
-    homogeneous ideal (gens) at x^(sigma-hat), in the chart ring of frame.
-
-    The chart ring is a polynomial ring (its generator monomials have linearly
-    independent exponent vectors), so the rewritten generators alone
-    generate the image."""
-    return groebner_basis(_chart_generators(frame, gens), frame.ring)
-
-
-def _chart(frame: ChartFrame, image: list[Poly]) -> ChartIdeal:
-    return ChartIdeal(frame, image, basis_dimension(image, frame.ring))
+    d = ring.nvars - len(cone)
+    return [Poly(ring, {tuple(e[i] for i in cone) + e[d:]: c
+                        for e, c in g.terms.items()}) for g in gens]
 
 
 def chart_ideal_from_saturated(grading: GradingData, saturated: list[Poly],
                                cone) -> ChartIdeal:
-    """Degree-zero chart presentation of (saturated) on one cone."""
-    frame = chart_frame(grading, cone)
-    return _chart(frame, chart_image(frame, saturated))
+    """The chart of (saturated) at a smooth full-dimensional maximal cone:
+    the reduced basis of the degree-zero part of its localization at
+    x^(sigma-hat), in chart_ring, with its dimension. J and J : b^infinity
+    have the same charts, so J may stand for its saturation.
+
+    The chart ring is a polynomial ring (its generator monomials have
+    linearly independent exponent vectors), so the rewritten generators
+    alone generate the image."""
+    cone = require_chart_cone(grading, cone)
+    ring = chart_ring(grading)
+    image = groebner_basis(_chart_generators(ring, cone, saturated), ring)
+    return ChartIdeal(cone, image, basis_dimension(image, ring))
 
 
 def generic_irrelevant_element(b_gens, ring: PolyRing) -> Poly:
@@ -228,10 +190,10 @@ def generic_irrelevant_element(b_gens, ring: PolyRing) -> Poly:
     return Poly(ring, {m: k + 1 for k, m in enumerate(sorted(b_gens))})
 
 
-def certify_saturation(grading: GradingData, frames, j_images, candidate) -> bool:
+def certify_saturation(grading: GradingData, charts, candidate) -> bool:
     """Whether candidate, an ideal containing J : b^infinity, equals it.
 
-    j_images are the chart images of J in frames, one per maximal cone. At a
+    charts are the charts of J, one per maximal cone (report.charts). At a
     smooth full-dimensional cone the localization of a homogeneous ideal at
     x^(sigma-hat) is fixed by its degree-zero part, and J : b^infinity is the
     intersection of those localizations with S'. So a homogeneous candidate
@@ -243,16 +205,19 @@ def certify_saturation(grading: GradingData, frames, j_images, candidate) -> boo
     """
     if not t_invariance_check(candidate, grading):
         return False
-    return all(ideal_contains(image, _chart_generators(frame, candidate))
-               for frame, image in zip(frames, j_images))
+    ring = chart_ring(grading)
+    return all(ideal_contains(chart.image_ideal, _chart_generators(ring, chart.cone, candidate))
+               for chart in charts)
 
 
 def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharReport:
     """Dimensions of J = Ann(gr F) and of its saturation at the irrelevant
     ideal b, with the chart ideals of the saturation.
 
-    When every maximal cone is a chart, the charts are the chart images of
-    J, which the saturation J : b^infinity shares, and they decide the rest:
+    When every maximal cone is full-dimensional, each chart is
+    chart_ideal_from_saturated of J, as J and J : b^infinity have the same
+    charts (a cone that is not smooth, possible only on an unvalidated
+    GradingData, is NonSmoothCone), and the charts decide the rest:
     the module is b-torsion iff every image is (1), and sheaf_dim is the
     largest chart dimension (J : b^infinity has no component inside V(b),
     and on each chart it is a (d - n)-dimensional torus bundle over the
@@ -279,8 +244,8 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
     j = characteristic_ideal(grading, pres)
     dim = basis_dimension(j, ring)
     b_gens = [g + (0,) * d for g in irrelevant_ideal(grading.fan)]
-    frames = chart_frames(grading)
-    if frames is None:
+    cones = grading.fan.max_cones
+    if any(len(cone) != n for cone in cones):
         saturated = saturation_by_monomials(j, b_gens, ring)
         charts = None
         dims = [] if is_unit_ideal(saturated) else \
@@ -289,8 +254,7 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
         def saturate():
             return saturated
     else:
-        images = [chart_image(frame, j) for frame in frames]
-        charts = tuple(_chart(frame, image) for frame, image in zip(frames, images))
+        charts = tuple(chart_ideal_from_saturated(grading, j, cone) for cone in cones)
         dims = [chart.dimension for chart in charts if chart.dimension != EMPTY_DIM]
 
         def saturate():
@@ -298,7 +262,7 @@ def dimension_report(grading: GradingData, pres: GradedPresentation) -> CharRepo
                 return j
             candidate = saturation(j, generic_irrelevant_element(b_gens, ring), ring)
             # J is contained in J : b^infinity, so a candidate equal to J is it
-            if candidate == j or certify_saturation(grading, frames, images, candidate):
+            if candidate == j or certify_saturation(grading, charts, candidate):
                 return candidate
             return saturation_by_monomials(j, b_gens, ring)
     # no dimension: every chart image, or the saturation, is (1)

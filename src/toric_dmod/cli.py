@@ -283,9 +283,10 @@ def _yes_no(flag: bool) -> str:
 def cmd_charvar(args, grading: GradingData) -> list[tuple[str, str]]:
     pres = load_module(args.module, grading)
     if args.charts:
-        # fail before the report, not after computing all of it
-        for cone in grading.fan.max_cones:
-            dmod.require_chart_cone(grading, cone)
+        # fail before the report, not after computing all of it: each cone
+        # is checked as its generator monomials are read
+        generators = [charvar.chart_generators(grading, cone)
+                      for cone in grading.fan.max_cones]
     rep = charvar.dimension_report(grading, pres)
     report = _cl_header(grading)
     report.append(("char-ideal", _ideal(rep.char_ideal)))
@@ -299,16 +300,13 @@ def cmd_charvar(args, grading: GradingData) -> list[tuple[str, str]]:
     report.append(("holonomic-sheaf", _yes_no(rep.holonomic_sheaf)))
     if args.charts:
         names = charvar.s_prime_ring(grading).names
-        for chart in rep.charts:
-            frame = chart.frame
-            rays = ",".join(str(i + 1) for i in frame.cone)
+        chart_names = charvar.chart_ring(grading).names
+        for chart, monomials in zip(rep.charts, generators):
+            rays = ",".join(str(i + 1) for i in chart.cone)
             label = f"chart-{rays}"
             # t_j = x^iota(m_j), and u_i = x^(section of deg x_i) xi_i
-            monomials = [list(zip(names, t)) for t in frame.t_exponents]
-            monomials += [list(zip(names, s)) + [(names[grading.d + i], 1)]
-                          for i, s in enumerate(frame.u_sections)]
-            gens = [f"{nm} = " + format_terms([(1, m)])
-                    for nm, m in zip(frame.ring.names, monomials)]
+            gens = [f"{nm} = " + format_terms([(1, list(zip(names, x + xi)))])
+                    for nm, (x, xi) in zip(chart_names, monomials)]
             report.append((f"{label}-generators", "; ".join(gens)))
             report.append((f"{label}-window", "degree-zero monomials via the linear "
                            f"section with zero exponents on rays {rays}"))

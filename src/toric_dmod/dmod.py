@@ -14,7 +14,7 @@ from itertools import product
 from math import prod
 from operator import add, mul, sub
 
-from .errors import ConeNotMaximal, InhomogeneousInput, NotInJp, PointTooLarge
+from .errors import ConeNotMaximal, InhomogeneousInput, NonSmoothCone, NotInJp, PointTooLarge
 from .fan_cox import Fan, GradingData
 from .groebner import WeylDivisors, weyl_buchberger, weyl_contains
 from .weyl import (ThetaDict, WeylElement, numerator_action, tau,
@@ -450,11 +450,15 @@ def k_component(grading: GradingData, a, b_bar) -> list[ThetaDict]:
 
 
 def require_chart_cone(grading: GradingData, cone):
-    """A maximal cone usable as a chart: a full-dimensional one. It is
-    smooth, as validation proved every maximal cone of the fan smooth."""
+    """A maximal cone usable as a chart: a full-dimensional smooth one, or
+    ConeNotMaximal. Validation proved every maximal cone of the fan smooth;
+    on an unvalidated GradingData a cone whose rays are not a lattice basis
+    is NonSmoothCone, read off the invariant factors Fan.cone_data keeps."""
     fan = grading.fan
     cone = fan.require_cone(cone)
     if cone not in fan.max_cones or len(cone) != fan.n:
         raise ConeNotMaximal(
             f"cone {tuple(i + 1 for i in cone)} is not a full-dimensional maximal cone")
+    if fan.cone_data(cone).invariant_factors != (1,) * fan.n:
+        raise NonSmoothCone("cone rays are not a lattice basis")
     return cone

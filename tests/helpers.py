@@ -937,7 +937,7 @@ def section_off_cone(gd: GradingData, cone, cls) -> tuple[int, ...]:
     """The section of cls with zero exponents on the rays of a smooth
     full-dimensional cone, solved in Fraction arithmetic from
     <u_j, a> = cls_j for the dual basis u_j and a_i = 0 on the cone (the
-    class group is free there), independent of chart_frame."""
+    class group is free there), independent of charvar.chart_generators."""
     d = gd.d
     group = gd.class_group
     assert not group.torsion_orders
@@ -1016,19 +1016,11 @@ def restrict_to_chart(gd: GradingData, pres: GradedPresentation, cone) -> Restri
     return RestrictedChart(cone, ring, (one,) in gb, ideal, basis_dimension(ideal, ring))
 
 
-def chart_generator_exponents(frame) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The (x, xi) exponents of the chart generators t_1..t_n, u_1..u_d of
-    frame, read from the frame: t_j = x^iota(m_j), u_i = x^(s_i) xi_i."""
-    d = len(frame.u_sections)
-    return ([(t, (0,) * d) for t in frame.t_exponents]
-            + list(zip(frame.u_sections, _units(d))))
-
-
 def chart_in_cotangent(gd: GradingData, chart, ring: PolyRing) -> list[Poly]:
     """The report's chart ideal in k[t, tau]: t_j stays, u_i goes to tau_j
     when i is the j-th ray of the cone and to sum_j <m_j, v_i> t_j tau_j
     otherwise."""
-    n, cone = gd.n, chart.frame.cone
+    n, cone = gd.n, chart.cone
     dual = cone_dual_rows(gd.fan, cone)
 
     def unit(*ks):
@@ -1059,7 +1051,7 @@ def assert_restriction_agrees(gd: GradingData, pres: GradedPresentation,
     assert report.charts is not None
     restricted = []
     for chart in report.charts:
-        rc = restrict_to_chart(gd, left, chart.frame.cone)
+        rc = restrict_to_chart(gd, left, chart.cone)
         image = chart_in_cotangent(gd, chart, rc.ring)
         assert all(radical_membership(f, rc.char_ideal, rc.ring) for f in image), rc.cone
         assert all(radical_membership(f, image, rc.ring) for f in rc.char_ideal), rc.cone

@@ -12,10 +12,10 @@ from fractions import Fraction
 from itertools import product
 
 from helpers import (MacaulayOracle, all_fixture_fans, assert_restriction_agrees,
-                     chart_generator_exponents, cli_env, delta_module, grading,
-                     random_homogeneous_weyl, random_poly, rng, structure_sheaf)
-from toric_dmod.charvar import (ZERO_SHEAF, chart_ideal_from_saturated,
-                                characteristic_ideal, dimension_report,
+                     cli_env, delta_module, grading, random_homogeneous_weyl,
+                     random_poly, rng, structure_sheaf)
+from toric_dmod.charvar import (ZERO_SHEAF, chart_generators, chart_ideal_from_saturated,
+                                chart_ring, characteristic_ideal, dimension_report,
                                 s_prime_ring, verify_char_containment, z_ideal)
 from toric_dmod.dmod import (GradedPresentation, bimodule_identity_check,
                              check_theta_condition, d_module_left,
@@ -240,8 +240,8 @@ def test_acceptance_8_chart_consistency():
     rep = dimension_report(gd, d_module_left(gd, (0,)))
     chart = chart_ideal_from_saturated(gd, rep.saturated, (0,))
     assert [format_poly(g) for g in chart.image_ideal] == ["t1*u1 + u2"]
-    exponents = [xe + xie for xe, xie in chart_generator_exponents(chart.frame)]
-    assert toric_ideal(exponents, chart.frame.ring) == []
+    exponents = [xe + xie for xe, xie in chart_generators(gd, chart.cone)]
+    assert toric_ideal(exponents, chart_ring(gd)) == []
     _report(8, "chart restrictions match the saturation computation", started, 30.0)
 
 

@@ -4,19 +4,18 @@ from operator import sub
 
 import pytest
 
-from helpers import (all_fixture_fans, assert_restriction_agrees,
-                     chart_generator_exponents, chart_restriction, delta_module,
-                     fan_hirzebruch1, fan_p1, fan_p1_cubed, fan_p1p1, fan_p2,
-                     fan_p3, fan_torsion, grading, matrix_rank,
+from helpers import (all_fixture_fans, assert_restriction_agrees, chart_restriction,
+                     delta_module, fan_hirzebruch1, fan_p1, fan_p1_cubed, fan_p1p1,
+                     fan_p2, fan_p3, fan_torsion, grading, matrix_rank,
                      random_homogeneous_weyl, restrict_to_chart, rng, section_off_cone,
                      star_subdivided_fans, structure_sheaf)
 from toric_dmod import charvar
-from toric_dmod.charvar import (ZERO_SHEAF, chart_frame, chart_ideal_from_saturated,
-                                characteristic_ideal, dimension_report, s_prime_ring,
-                                t_invariance_check, verify_char_containment,
-                                z_ideal)
+from toric_dmod.charvar import (ZERO_SHEAF, chart_generators, chart_ideal_from_saturated,
+                                chart_ring, characteristic_ideal, dimension_report,
+                                s_prime_ring, t_invariance_check,
+                                verify_char_containment, z_ideal)
 from toric_dmod.dmod import (GradedPresentation, d_module_left,
-                             d_module_right, left_right_swap)
+                             d_module_right, left_right_swap, require_chart_cone)
 from toric_dmod.errors import ConeNotMaximal, NonSmoothCone, PreconditionViolated
 from toric_dmod.fan_cox import Fan, GradingData, irrelevant_ideal
 from toric_dmod.groebner import (EMPTY_DIM, Poly, format_poly, krull_dimension,
@@ -30,7 +29,7 @@ def W(s, d=2):
 
 def report_chart(report, cone):
     """The chart of a report on one maximal cone."""
-    return next(chart for chart in report.charts if chart.frame.cone == cone)
+    return next(chart for chart in report.charts if chart.cone == cone)
 
 
 def test_characteristic_ideal_examples():
@@ -97,7 +96,7 @@ def test_dimension_report_on_the_point():
     assert (rep.char_ideal, rep.dim, rep.torsion, rep.sheaf_dim) == ([], 0, False, 0)
     assert rep.holonomic_module and rep.holonomic_sheaf
     assert rep.saturated == []
-    assert [(c.frame.cone, c.image_ideal, c.dimension) for c in rep.charts] == [((), [], 0)]
+    assert [(c.cone, c.image_ideal, c.dimension) for c in rep.charts] == [((), [], 0)]
 
 
 def test_dimension_report_all_fans():
@@ -140,9 +139,11 @@ def test_chart_ideal_p1_twisted():
     report = dimension_report(gd, pres)
     chart = report_chart(report, (0,))
     assert chart == chart_ideal_from_saturated(gd, report.saturated, (0,))
-    assert chart.frame.ring.names == ("t1", "u1", "u2")
-    assert chart.frame.t_exponents == ((1, -1),)
-    assert_polynomial_chart_ring(chart.frame)
+    assert chart_ring(gd).names == ("t1", "u1", "u2")
+    # t1 = x1*x2^-1, u1 = x2*xi1 and u2 = x2*xi2, as the report prints them
+    assert chart_generators(gd, (0,)) == [((1, -1), (0, 0)), ((0, 1), (1, 0)),
+                                          ((0, 1), (0, 1))]
+    assert_polynomial_chart_ring(gd, (0,))
     assert [format_poly(g) for g in chart.image_ideal] == ["t1*u1 + u2"]
     assert chart.dimension == 2
     # the Euler relation restricts to 0: the chart module is A_1 itself
@@ -187,12 +188,13 @@ def test_chart_ideal_cone_errors():
         restrict_to_chart(gd, pres, (0,))
 
 
-def assert_polynomial_chart_ring(frame):
-    """The n + d chart generator monomials satisfy no relation: their
+def assert_polynomial_chart_ring(gd, cone):
+    """The n + d chart generator monomials at cone satisfy no relation: their
     exponent vectors (x part, then xi part) are linearly independent."""
-    vectors = [xe + xie for xe, xie in chart_generator_exponents(frame)]
+    vectors = [xe + xie for xe, xie in chart_generators(gd, cone)]
+    assert len(vectors) == gd.n + gd.d
     assert matrix_rank(vectors) == len(vectors)
-    assert toric_ideal(vectors, frame.ring) == []
+    assert toric_ideal(vectors, chart_ring(gd)) == []
 
 
 def test_every_chart_ring_is_a_polynomial_ring():
@@ -202,9 +204,7 @@ def test_every_chart_ring_is_a_polynomial_ring():
         gd = grading(fan)
         assert fan.max_cones
         for cone in fan.max_cones:
-            frame = chart_frame(gd, cone)
-            assert len(chart_generator_exponents(frame)) == fan.n + gd.d
-            assert_polynomial_chart_ring(frame)
+            assert_polynomial_chart_ring(gd, cone)
 
 
 def random_term_of_class(r, gd, a, f):
@@ -216,36 +216,38 @@ def random_term_of_class(r, gd, a, f):
     return tuple(x + y for x, y in zip(diff, f2)) + f2
 
 
-def expand_chart_poly(frame, image) -> dict:
+def expand_chart_poly(generators, image) -> dict:
     """A chart polynomial in S' localized: each t^p u^g as the product of
-    the chart generator monomials (chart_generator_exponents), keyed by its
-    x and xi exponents."""
-    gens = [xe + xie for xe, xie in chart_generator_exponents(frame)]
+    the chart generator monomials (the list chart_generators returns), keyed
+    by its x and xi exponents."""
+    gens = [xe + xie for xe, xie in generators]
     return {tuple(sum(k * v[i] for k, v in zip(e, gens)) for i in range(len(gens[0]))): c
             for e, c in image.terms.items()}
 
 
-def test_frame_sections_are_the_sections_with_zero_cone_exponents():
-    # for a monomial x^a xi^f, s = sum_i (a_i - f_i) u_sections[i] vanishes
-    # on the cone, projects to the monomial's class and is the section the
-    # class-group oracle solves for; the chart rewrite of the monomial, and
+def test_chart_sections_are_the_sections_with_zero_cone_exponents():
+    # for a monomial x^a xi^f, s = sum_i (a_i - f_i) s_i, s_i the x-exponents
+    # of the chart generator u_i = x^(s_i) xi_i, vanishes on the cone,
+    # projects to the monomial's class and is the section the class-group
+    # oracle solves for; the chart rewrite of the monomial, and
     # of a random homogeneous polynomial of its class, expanded through the
     # chart generators t_j = x^iota(m_j), u_i = x^(s_i) xi_i, is the input
-    # divided by x^s, so a frame whose sections are wrong fails here
+    # divided by x^s, so chart generators whose sections are wrong fail here
     r = rng(37)
     fans = [fan for _, fan in all_fixture_fans()] + [fan_p3(), fan_p1_cubed()]
     for base in (fan_p2(), fan_p1p1()):
         fans += star_subdivided_fans(r, base, 3)
     for fan in fans:
         gd = grading(fan)
-        ring, d = s_prime_ring(gd), gd.d
+        ring, chart, d = s_prime_ring(gd), chart_ring(gd), gd.d
         for cone in fan.max_cones:
-            frame = chart_frame(gd, cone)
+            generators = chart_generators(gd, cone)
+            sections = [xe for xe, _ in generators[gd.n:]]
             for _ in range(8):
                 a = tuple(r.randint(0, 3) for _ in range(d))
                 f = tuple(r.randint(0, 3) for _ in range(d))
                 s = tuple(sum((ai - fi) * section[k]
-                              for ai, fi, section in zip(a, f, frame.u_sections))
+                              for ai, fi, section in zip(a, f, sections))
                           for k in range(d))
                 cls = gd.class_group.project(tuple(map(sub, a, f)))
                 assert not any(s[i] for i in cone)
@@ -255,20 +257,30 @@ def test_frame_sections_are_the_sections_with_zero_cone_exponents():
                 terms.update((random_term_of_class(r, gd, a, f), r.randint(1, 5))
                              for _ in range(3))
                 gens = [Poly.monomial(ring, a + f), Poly(ring, terms)]
-                images = charvar._chart_generators(frame, gens)
+                images = charvar._chart_generators(chart, cone, gens)
                 assert images[0].terms == {tuple(a[i] for i in cone) + f: 1}
                 for g, image in zip(gens, images):
-                    assert expand_chart_poly(frame, image) == \
+                    assert expand_chart_poly(generators, image) == \
                         {tuple(map(sub, e[:d], s)) + e[d:]: c for e, c in g.terms.items()}
 
 
 def test_non_unimodular_cone_is_a_non_smooth_cone():
     # P(1,1,2) is not smooth: the cone on rays 1 and 3 has determinant -2.
-    # An unvalidated GradingData skips the smoothness check, so chart_frame
-    # finds the rays are not a lattice basis and raises NonSmoothCone (exit 3)
+    # An unvalidated GradingData skips the smoothness check, so
+    # require_chart_cone, which every chart entry point calls, finds the
+    # rays are not a lattice basis and raises NonSmoothCone (exit 3)
     fan = Fan(2, [[1, 0], [0, 1], [-1, -2]], [[0, 1], [1, 2], [0, 2]])
-    with pytest.raises(NonSmoothCone, match="not a lattice basis"):
-        chart_frame(GradingData(fan), (0, 2))
+    gd = GradingData(fan)
+    pres = d_module_left(gd, gd.class_group.zero())
+    j = characteristic_ideal(gd, pres)
+    for check in (lambda: require_chart_cone(gd, (0, 2)),
+                  lambda: chart_generators(gd, (0, 2)),
+                  lambda: chart_ideal_from_saturated(gd, j, (0, 2)),
+                  lambda: dimension_report(gd, pres)):
+        with pytest.raises(NonSmoothCone, match="not a lattice basis"):
+            check()
+    # the smooth cones of the same fan are charts
+    assert require_chart_cone(gd, (0, 1)) == (0, 1)
 
 
 def assert_chart_dimensions(gd, pres):
@@ -349,10 +361,10 @@ def test_chart_generators_are_degree_zero_and_chart_regular():
         group_zero_modules.append((gd, pres))
     for gd, pres in group_zero_modules:
         report = dimension_report(gd, pres)
-        assert [chart.frame.cone for chart in report.charts] == list(gd.fan.max_cones)
+        assert [chart.cone for chart in report.charts] == list(gd.fan.max_cones)
         for chart in report.charts:
-            inside = set(chart.frame.cone)
-            for xexp, xiexp in chart_generator_exponents(chart.frame):
+            inside = set(chart.cone)
+            for xexp, xiexp in chart_generators(gd, chart.cone):
                 # deg x_i = e_i = -deg xi_i, so the class of the exponents
                 assert gd.class_group.project(tuple(map(sub, xexp, xiexp))) == \
                     gd.class_group.zero()

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -743,24 +744,38 @@ def test_charvar_charts_fails_before_the_report(tmp_path, monkeypatch, capsys):
 
 
 def test_one_smoothness_test_per_maximal_cone_in_a_charts_job(monkeypatch, capsys):
-    # validation settles each cone; the chart code does not ask again
+    # validation settles each cone; the chart code does not ask again. The
+    # chart-cone check runs at most twice per maximal cone: once in the
+    # CLI's check before the report, once when the report builds the chart
     calls = []
+    chart_checks = []
     real = fan_cox.cone_defect
+    real_chart_cone = dmod.require_chart_cone
 
     def counted(fan, cone):
         calls.append(cone)
         return real(fan, cone)
 
+    def counted_chart_cone(grading, cone):
+        chart_checks.append(cone)
+        return real_chart_cone(grading, cone)
+
     for module in (fan_cox, dmod, charvar, cli):
         if getattr(module, "cone_defect", None) is real:
             monkeypatch.setattr(module, "cone_defect", counted)
+        if getattr(module, "require_chart_cone", None) is real_chart_cone:
+            monkeypatch.setattr(module, "require_chart_cone", counted_chart_cone)
     counts = []
     for name in FANS:
         calls.clear()
+        chart_checks.clear()
         assert main(["charvar", str(FIXTURES / f"{name}.fan"),
                      str(GOLDEN / f"{name}_dl0.mod"), "--charts", "--saturate"]) == 0
         assert "-window: " in capsys.readouterr().out
         counts.append(len(calls))
+        cones = load_fan(str(FIXTURES / f"{name}.fan")).max_cones
+        assert set(chart_checks) == set(cones), name
+        assert max(Counter(chart_checks).values()) <= 2, name
     maximal = [len(load_fan(str(FIXTURES / f"{name}.fan")).max_cones) for name in FANS]
     assert counts == maximal == [2, 3, 4, 4]
 

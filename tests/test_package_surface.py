@@ -3,11 +3,13 @@ function and class has a caller (the names that nothing in the program or
 the benchmark uses are exactly the allowlist below, and a test calls each of
 them), every method has a caller outside its class, every imported name is
 used by the module or test module that imports it, modules keep no state of
-their own, and each module imports only the modules before it in LAYERS.
-Source is only read here.
+their own, each module imports only the modules before it in LAYERS, and
+every package name the README quotes exists. Source is only read here.
 """
 
 import ast
+import builtins
+import importlib
 import pathlib
 import re
 import subprocess
@@ -226,3 +228,43 @@ def test_cli_import_loads_no_heavy_stdlib_module():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def _readme_spans() -> list:
+    return re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text(encoding="utf-8"))
+
+
+def test_every_name_the_readme_quotes_exists():
+    # a backticked module.name (module one of LAYERS, a trailing * a prefix
+    # wildcard) resolves by getattr, and a backticked CamelCase name that is
+    # not a builtin is defined in src/: a deletion that leaves the README
+    # naming what is gone fails here
+    dotted = re.compile(rf"(?<![\w.])({'|'.join(LAYERS)})((?:\.\w+)+)(\*?)")
+    camel = re.compile(r"\b[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*\b")
+    # the classes, and the module-level names, of src/
+    defined = set()
+    for tree in _modules().values():
+        defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        defined |= {target.id for stmt in tree.body if isinstance(stmt, ast.Assign)
+                    for target in stmt.targets if isinstance(target, ast.Name)}
+    missing, quoted = [], set()
+    for span in _readme_spans():
+        for match in dotted.finditer(span):
+            quoted.add(match.group(0))
+            obj = importlib.import_module(f"toric_dmod.{match.group(1)}")
+            *path, last = match.group(2)[1:].split(".")
+            for attr in path:
+                obj = getattr(obj, attr, None)
+            if match.group(3):
+                found = any(name.startswith(last) for name in dir(obj))
+            else:
+                found = hasattr(obj, last)
+            if obj is None or not found:
+                missing.append(match.group(0))
+        for name in camel.findall(span):
+            quoted.add(name)
+            if not hasattr(builtins, name) and name not in defined:
+                missing.append(name)
+    assert not missing
+    # the README quotes both kinds, wildcards among them
+    assert {"cli.cmd_*", "weyl.tp_*", "dmod.require_chart_cone", "GradingData"} <= quoted

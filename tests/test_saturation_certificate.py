@@ -14,7 +14,7 @@ from helpers import (PERFBENCH, all_fixture_fans, cpu_time_limit, delta_module,
 from toric_dmod import charvar, cli, groebner
 from toric_dmod.cli import load_fan, load_module
 from toric_dmod.charvar import (ZERO_SHEAF, certify_saturation, characteristic_ideal,
-                                chart_frames, chart_image, dimension_report,
+                                chart_ideal_from_saturated, chart_ring, dimension_report,
                                 generic_irrelevant_element, s_prime_ring,
                                 t_invariance_check)
 from toric_dmod.dmod import GradedPresentation, d_module_left
@@ -38,9 +38,8 @@ def b_exponents(gd):
 
 
 def certify(gd, j, candidate):
-    frames = chart_frames(gd)
-    images = [chart_image(frame, j) for frame in frames]
-    return certify_saturation(gd, frames, images, candidate)
+    charts = [chart_ideal_from_saturated(gd, j, cone) for cone in gd.fan.max_cones]
+    return certify_saturation(gd, charts, candidate)
 
 
 def test_certificate_agrees_with_saturation_by_monomials():
@@ -127,9 +126,9 @@ def test_every_chart_rewrite_input_is_class_homogeneous(monkeypatch):
     seen, counts = [], {}
     real = charvar._chart_generators
 
-    def spy(frame, gens):
+    def spy(ring, cone, gens):
         seen.append(list(gens))
-        return real(frame, gens)
+        return real(ring, cone, gens)
 
     monkeypatch.setattr(charvar, "_chart_generators", spy)
     _count_calls(monkeypatch, charvar, "certify_saturation", counts)
@@ -147,8 +146,8 @@ def test_every_chart_rewrite_input_is_class_homogeneous(monkeypatch):
     assert counts["certify_saturation"] >= 1
     # a zero generator rewrites to zero in the chart ring
     gd = grading(fan_p1())
-    frame = chart_frames(gd)[0]
-    assert real(frame, [Poly.zero(s_prime_ring(gd))]) == [Poly.zero(frame.ring)]
+    ring = chart_ring(gd)
+    assert real(ring, (0,), [Poly.zero(s_prime_ring(gd))]) == [Poly.zero(ring)]
 
 
 def test_fallback_when_the_certificate_fails(monkeypatch):
@@ -178,7 +177,7 @@ def test_fallback_when_the_certificate_fails(monkeypatch):
 
 def test_fallback_without_a_full_dimensional_cone(monkeypatch):
     gd = grading(fan_torsion())
-    assert chart_frames(gd) is None
+    assert any(len(cone) != gd.n for cone in gd.fan.max_cones)
 
     def no_certificate(*args):
         raise AssertionError("certificate used without charts")
